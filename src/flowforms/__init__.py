@@ -1,26 +1,23 @@
 """Structure-preserving solver for the 2D incompressible Navier-Stokes
-equations on conforming and broken tensor-product spline spaces."""
+equations on tensor-product spline spaces: one space class
+(TensorDeRhamSpace, conforming or broken across patches), one config
+object (SimulationConfig) and one midpoint sweep (midpoint_sweep)."""
 
 from .linalg import (BandedCholesky, KroneckerSolver, LinearSolveReport,
-                     QuadratureRule, SparseMatrix, banded_factor_solve,
-                     cg_solve, gauss_legendre)
+                     QuadratureRule, gauss_legendre)
 from .splines import (Broken1D, DeRhamLine, SplineSpace1D, build_space_1d,
                       derivative_incidence_1d)
-from .spaces import (DeRhamPatch, Field, TensorDeRhamSpace,
-                     build_derham_patch, eval_field, l2_project)
-from .multipatch import (MultipatchSpace, ProjectionStencil1D,
-                         apply_penalization, build_multipatch,
-                         projection_stencil_1d)
-from .operators import (EdgeBC, OperatorContext, advection_form,
-                        advection_residual, interior_product,
-                        normal_projection, viscous_form, viscous_residual,
-                        weak_curl, weak_curl_with_tangential_bc, weak_grad,
-                        weak_grad_with_pressure_bc)
-from .stepper import (StepFailure, StepperConfig, StepReport, cfl_dt,
-                      cn_step, initialize, leray_project, pressure_solve,
-                      velocity_update)
+from .spaces import (Field, ProjectionStencil1D, TensorDeRhamSpace,
+                     eval_field, l2_project, projection_stencil_1d)
+from .multipatch import build_multipatch
+from .operators import (EdgeBC, OperatorContext, advection_residual,
+                        interior_product, viscous_form, viscous_residual,
+                        vorticity_curl, weak_curl, weak_curl_with_tangential_bc,
+                        weak_grad, weak_grad_with_pressure_bc)
+from .stepper import (StepFailure, StepReport, cfl_dt, cn_step, initialize,
+                      leray_project, midpoint_sweep)
 from .diagnostics import (DiagnosticsRecord, convergence_order, l2_error,
-                          measure, vorticity)
+                          measure)
 from .cases import CaseDefinition, case_library
 from .config import SimulationConfig, load_config, save_config
 from .runner import RunResult, build_simulation, convergence_study, run

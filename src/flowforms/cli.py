@@ -1,17 +1,15 @@
 """Command line interface: `flowforms run` and `flowforms converge`.
 
+Both commands build one SimulationConfig (from an optional INI file plus
+the command line options) and hand it to the runner.
+
 Environment variables: FLOWFORMS_OUTPUT_DIR overrides the output
-directory; FLOWFORMS_THREADS caps the BLAS thread count (must take
-effect before numpy loads, hence the early os.environ writes).
+directory. The BLAS thread count follows the standard variables
+OPENBLAS_NUM_THREADS and OMP_NUM_THREADS, which must be set before the
+process starts.
 """
 
 import os
-
-_threads = os.environ.get("FLOWFORMS_THREADS")
-if _threads:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, _threads)
 
 import click
 
@@ -62,7 +60,10 @@ def _with_shared(cmd):
 
 @click.group()
 def main():
-    """Structure-preserving incompressible flow solver on spline spaces."""
+    """Structure-preserving incompressible flow solver on spline spaces.
+
+    FLOWFORMS_OUTPUT_DIR sets the default output directory. Set
+    OPENBLAS_NUM_THREADS / OMP_NUM_THREADS to cap the BLAS threads."""
 
 
 @main.command("run")

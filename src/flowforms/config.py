@@ -1,8 +1,13 @@
-"""Simulation configuration: dataclass plus INI-style file format.
+"""Simulation configuration: the one config object, plus its INI-style
+file format.
+
+SimulationConfig.resolve() fills unset values from the case library and
+validates the result; the runner and the stepper work from that resolved
+config. dt=None there selects CFL control of the time step.
 
 File sections: [case], [grid], [physics], [stepper], [output] and one
 [boundary.<edge>] per edge. Every key is optional; unset values fall
-back to the case defaults from the library.
+back to the case defaults from the library. Unknown keys are rejected.
 
 boundary tangential grammar:  free | <float> | <float>@<lo>:<hi>[,...]
 """
@@ -68,9 +73,7 @@ class SimulationConfig:
     picard_tol: float = 1e-8
     picard_max_iter: int = 200
     pressure_eps: float = None
-    pressure_solver: str = "direct"
     cfl_safety: float = 0.5
-    cfl_constant: float = 1.0
     steady_tol: float = None         # None = follow picard_tol
     # output
     output_dir: str = "."
@@ -82,7 +85,8 @@ class SimulationConfig:
     boundary: dict = None
 
     def resolve(self):
-        """Fill unset values from the case library; returns (cfg, case)."""
+        """Fill unset values from the case library and validate them;
+        returns (cfg, case). Raises ValueError on an invalid value."""
         case = case_library(self.case)
         d = case.defaults
         out = replace(self)
@@ -106,6 +110,20 @@ class SimulationConfig:
             merged = dict(case.boundary)
             merged.update(out.boundary)
             out.boundary = merged
+        if out.dt is not None and out.dt <= 0:
+            raise ValueError("dt must be positive")
+        for name in ("dt_max", "picard_tol", "cfl_safety", "steady_tol"):
+            if getattr(out, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("nu", "alpha"):
+            if getattr(out, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
+        if out.picard_max_iter < 1:
+            raise ValueError("picard_max_iter must be at least 1")
+        if out.cfl_safety > 1.0:
+            raise ValueError("cfl_safety must lie in (0, 1]")
+        if out.pressure_eps is not None and out.pressure_eps < 0:
+            raise ValueError("pressure_eps must be nonnegative")
         return out, case
 
 
@@ -113,14 +131,12 @@ _GRID_KEYS = {"degree", "n_patches", "n_cells", "domain", "periodic",
               "moment_order", "stencil_radius"}
 _PHYSICS_KEYS = {"nu", "alpha"}
 _STEPPER_KEYS = {"dt", "dt_max", "t_final", "picard_tol", "picard_max_iter",
-                 "pressure_eps", "pressure_solver", "cfl_safety",
-                 "cfl_constant", "steady_tol"}
+                 "pressure_eps", "cfl_safety", "steady_tol"}
 _OUTPUT_KEYS = {"output_dir", "diagnostics_file", "snapshot_prefix",
                 "snapshot_grid", "snapshot_cadence"}
 _INT_KEYS = {"degree", "picard_max_iter", "snapshot_grid", "snapshot_cadence",
              "moment_order", "stencil_radius"}
-_STR_KEYS = {"pressure_solver", "output_dir", "diagnostics_file",
-             "snapshot_prefix", "case"}
+_STR_KEYS = {"output_dir", "diagnostics_file", "snapshot_prefix", "case"}
 
 
 def _convert(key, raw):
@@ -186,12 +202,19 @@ def save_config(cfg: SimulationConfig, path):
     for section, keys in (("grid", _GRID_KEYS), ("physics", _PHYSICS_KEYS),
                           ("stepper", _STEPPER_KEYS), ("output", _OUTPUT_KEYS)):
         parser[section] = {k: _fmt(getattr(cfg, k)) for k in sorted(keys)}
-    if cfg.boundary:
-        for edge, bc in cfg.boundary.items():
-            parser[f"boundary.{edge}"] = {
-                "kind": bc.kind,
-                "value": repr(float(bc.value)) if not callable(bc.value) else "0.0",
-                "tangential": _format_tangential(bc.tangential),
-            }
+    for edge, bc in (cfg.boundary or {}).items():
+        # a callable has no file form: refuse it rather than lose it
+        tang = bc.tangential
+        tang_data = ([d for _, _, d in tang] if isinstance(tang, (list, tuple))
+                     else [tang])
+        for name, data in (("value", [bc.value]), ("tangential", tang_data)):
+            if any(callable(d) for d in data):
+                raise ValueError(f"boundary.{edge}: callable {name} cannot be "
+                                 "saved to a config file")
+        parser[f"boundary.{edge}"] = {
+            "kind": bc.kind,
+            "value": repr(float(bc.value)),
+            "tangential": _format_tangential(tang),
+        }
     with open(path, "w") as fh:
         parser.write(fh)

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import OperatorContext, viscous_form, vorticity_curl
-from .spaces import Field, coeffs_of
+from .operators import OperatorContext, viscous_form
+from .spaces import coeffs_of
 
 
 @dataclass
@@ -32,17 +32,13 @@ def measure(ctx: OperatorContext, u, t: float = 0.0,
     momentum = np.array([float(e1 @ Mu), float(e2 @ Mu)])
     d = ctx.Dt @ uc
     div_l2 = float(np.sqrt(max(d @ (s.M2 @ d), 0.0)))
-    jump = float(uc @ (ctx.penalization @ uc)) if ctx.penalization.nnz else 0.0
+    pen = s.penalization
+    jump = float(uc @ (pen @ uc)) if pen.nnz else 0.0
     enstrophy = viscous_form(ctx, uc, uc)
     return DiagnosticsRecord(time=t, energy=energy, momentum=momentum,
                              div_l2=div_l2, jump_energy=jump,
                              enstrophy_term=enstrophy,
                              picard_iterations=picard_iterations)
-
-
-def vorticity(ctx: OperatorContext, u) -> Field:
-    """Scalar vorticity as the boundary-aware weak curl."""
-    return vorticity_curl(ctx, u)
 
 
 def l2_error(space, u, exact, slot: int = 1) -> float:

@@ -1,10 +1,9 @@
-"""Sparse, banded and Kronecker linear algebra plus Gauss quadrature.
+"""Banded and Kronecker linear algebra plus Gauss quadrature.
 
 Everything downstream (spline assembly, weak operators, the time stepper)
-goes through the primitives in this module: a triplet-to-CSR builder,
-Gauss-Legendre rules, a conjugate gradient solver with explicit reporting,
-and exact direct factorizations for the (banded or cyclic) 1D mass matrices
-that appear as Kronecker factors of every 2D mass matrix.
+goes through the primitives in this module: Gauss-Legendre rules, the
+solve report, and exact direct factorizations for the (banded or cyclic)
+1D mass matrices that appear as Kronecker factors of every 2D mass matrix.
 """
 
 from __future__ import annotations
@@ -14,10 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-
-
-class NumericalBreakdown(RuntimeError):
-    """Non-finite values encountered inside an iterative solve."""
 
 
 class FactorizationError(RuntimeError):
@@ -47,104 +42,7 @@ class LinearSolveReport:
     converged: bool
 
 
-class SparseMatrix:
-    """Triplet accumulator that finalizes into CSR storage.
-
-    Assembly is additive: duplicate (row, col) pairs are summed at
-    finalize time. The finalized object is a scipy CSR matrix.
-    """
-
-    def __init__(self, n_rows: int, n_cols: int):
-        if n_rows < 0 or n_cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        self._rows: list[np.ndarray] = []
-        self._cols: list[np.ndarray] = []
-        self._vals: list[np.ndarray] = []
-
-    def add(self, row: int, col: int, value: float) -> None:
-        self.add_block([row], [col], [value])
-
-    def add_block(self, rows, cols, values) -> None:
-        rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
-        cols = np.atleast_1d(np.asarray(cols, dtype=np.int64))
-        values = np.atleast_1d(np.asarray(values, dtype=np.float64))
-        if not (rows.shape == cols.shape == values.shape):
-            raise ValueError("rows, cols, values must have matching shapes")
-        if rows.size and (rows.min() < 0 or rows.max() >= self.n_rows):
-            raise ValueError("row index out of range")
-        if cols.size and (cols.min() < 0 or cols.max() >= self.n_cols):
-            raise ValueError("col index out of range")
-        self._rows.append(rows)
-        self._cols.append(cols)
-        self._vals.append(values)
-
-    def finalize(self) -> sp.csr_matrix:
-        """Sort, merge duplicates, validate. Returns CSR."""
-        if self._rows:
-            rows = np.concatenate(self._rows)
-            cols = np.concatenate(self._cols)
-            vals = np.concatenate(self._vals)
-        else:
-            rows = cols = np.zeros(0, dtype=np.int64)
-            vals = np.zeros(0)
-        m = sp.coo_matrix((vals, (rows, cols)), shape=(self.n_rows, self.n_cols))
-        m = m.tocsr()  # sums duplicates
-        m.sum_duplicates()
-        m.sort_indices()
-        return m
-
-
-def cg_solve(A, b, tol: float = 1e-12, max_iter: int | None = None):
-    """Conjugate gradients for SPD ``A`` (matrix or apply-callable).
-
-    Returns (x, LinearSolveReport). The reported residual is the true
-    relative residual ||b - A x|| / ||b|| recomputed from the iterate.
-    """
-    b = np.asarray(b, dtype=np.float64)
-    if not np.all(np.isfinite(b)):
-        raise NumericalBreakdown("non-finite right-hand side")
-    apply_A = A if callable(A) else (lambda v: A @ v)
-    if max_iter is None:
-        max_iter = 10 * b.size
-
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros_like(b), LinearSolveReport(0, 0.0, True)
-
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = r @ r
-    iterations = 0
-    for k in range(max_iter):
-        Ap = apply_A(p)
-        pAp = p @ Ap
-        if not np.isfinite(pAp):
-            raise NumericalBreakdown("non-finite curvature in CG")
-        if pAp <= 0.0:
-            # SPD contract violated or stagnation on the kernel
-            break
-        alpha = rs / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        rs_new = r @ r
-        iterations = k + 1
-        if not np.isfinite(rs_new):
-            raise NumericalBreakdown("non-finite residual in CG")
-        if np.sqrt(rs_new) <= tol * bnorm:
-            break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-
-    true_res = np.linalg.norm(b - apply_A(x)) / bnorm
-    return x, LinearSolveReport(iterations, float(true_res), true_res <= tol)
-
-
 def _to_dense_sym(M) -> np.ndarray:
-    if isinstance(M, SparseMatrix):
-        M = M.finalize()
     if sp.issparse(M):
         M = M.toarray()
     M = np.asarray(M, dtype=np.float64)
@@ -201,11 +99,6 @@ def sym_factor(M):
     if k < Md.shape[0] - 1:
         return BandedCholesky(Md)
     return DenseCholesky(Md)
-
-
-def banded_factor_solve(M, b):
-    """One-shot exact solve of SPD banded M x = b."""
-    return BandedCholesky(M).solve(np.asarray(b, dtype=np.float64))
 
 
 class KroneckerSolver:

@@ -1,201 +1,20 @@
-"""Broken multipatch spaces, moment-preserving conforming projections and
-the jump-penalization operator.
-
-Conformity across a 1D patch interface is restored by averaging the two
-interface DOFs and correcting nearby coefficients with a stencil chosen so
-that polynomial moments up to a prescribed order are preserved. The 2D
-projections are tensor products of the 1D ones; the V1 projection acts on
-the normal-direction factor of each component only.
+"""The one builder of the discrete complex: a TensorDeRhamSpace over a grid
+of equal axis-aligned patches. One patch per direction gives the conforming
+space; more patches give the broken space with its conforming projections
+and jump penalization (see spaces.py).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-import scipy.sparse as sp
 
-from .linalg import SparseMatrix
-from .spaces import DeRhamPatch, TensorDeRhamSpace, coeffs_of
-from .splines import Broken1D, DeRhamLine, SplineSpace1D, cell_quadrature, collocation_matrix
-
-
-class DegenerateStencilError(RuntimeError):
-    """Moment system of the interface stencil is singular or infeasible."""
-
-
-@dataclass
-class ProjectionStencil1D:
-    """Interface-averaging stencil.
-
-    Coefficients c_0..c_r act on the incoming side of the interface;
-    the outgoing side uses c'_0 = c_0 = 1/2 and c'_i = -c_i (i > 0),
-    which is what makes the operator a projection.
-    """
-
-    radius: int
-    coeffs: np.ndarray  # c_0 .. c_r, with c_0 = 1/2
-    moment_order: int
-
-
-def projection_stencil_1d(degree, radius=None, moment_order=None,
-                          n_cells=None) -> ProjectionStencil1D:
-    """Stencil for a broken space of the given (h1) degree.
-
-    moment_order defaults to degree-1, radius to moment_order+1 (square
-    moment system). n_cells is the per-patch cell count used for the moment
-    integrals; it defaults to radius+1, which leaves all stencil supports
-    untruncated.
-    """
-    if moment_order is None:
-        moment_order = max(degree - 1, 0) if radius is None else max(radius - 1, 0)
-    if radius is None:
-        radius = moment_order + 1
-    if radius < 0:
-        raise ValueError("stencil radius must be >= 0")
-    if radius == 0:
-        if moment_order > 0:
-            raise ValueError("radius 0 cannot preserve moments beyond the average")
-        return ProjectionStencil1D(0, np.array([0.5]), moment_order)
-    if radius < moment_order + 1:
-        raise ValueError(
-            f"radius {radius} too small for moment order {moment_order}"
-        )
-    if n_cells is None:
-        n_cells = radius + 1
-    if radius > n_cells + degree - 1:
-        raise DegenerateStencilError(
-            f"radius {radius} exceeds the patch DOF range (n_cells={n_cells}, "
-            f"degree={degree})"
-        )
-
-    # moment integrals I[i, j] = int_patch phi_i(x) x^j dx on unit cells,
-    # phi_i = i-th clamped basis function counted from the interface
-    space = SplineSpace1D(degree, n_cells, (0.0, float(n_cells)), False)
-    pts, w = cell_quadrature(space.breakpoints, degree + moment_order + 2)
-    E = collocation_matrix(space, pts).toarray()[:, : radius + 1]
-    powers = pts[:, None] ** np.arange(moment_order + 1)[None, :]
-    I = E.T @ (w[:, None] * powers)  # (radius+1, moment_order+1)
-
-    A = I[1:, :].T  # rows: moment j, cols: c_1..c_r
-    rhs = 0.5 * I[0, :]
-    if A.shape[0] == A.shape[1]:
-        if np.linalg.cond(A) > 1e12:
-            raise DegenerateStencilError("moment system is numerically singular")
-        c_tail = np.linalg.solve(A, rhs)
-    else:
-        c_tail, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    return ProjectionStencil1D(radius, np.concatenate([[0.5], c_tail]), moment_order)
-
-
-def conforming_projection_1d(space: Broken1D, stencil: ProjectionStencil1D) -> sp.csr_matrix:
-    """1D conforming projection on a broken degree-(p+1) space.
-
-    Identity away from interfaces; at each interface the two coupled DOF
-    columns are replaced by the averaging stencil. Requires the stencil to
-    stay inside the two adjacent patches (radius <= n_cells + degree - 1).
-    """
-    interfaces = space.interfaces()
-    if not interfaces:
-        return sp.identity(space.dim, format="csr")
-    r = stencil.radius
-    per_patch = space.spaces[0].dim
-    if r > per_patch - 2:
-        raise DegenerateStencilError(
-            f"stencil radius {r} does not fit in patches with {per_patch} DOFs"
-        )
-    c = stencil.coeffs
-
-    P = SparseMatrix(space.dim, space.dim)
-    iface_cols = {idx for pair in interfaces for idx in pair}
-    keep = np.array(sorted(set(range(space.dim)) - iface_cols), dtype=np.int64)
-    P.add_block(keep, keep, np.ones(len(keep)))
-    for L, R in interfaces:
-        # column R: the first DOF of the right patch
-        P.add(L, R, 0.5)
-        P.add(R, R, 0.5)
-        # column L: the last DOF of the left patch
-        P.add(L, L, 0.5)
-        P.add(R, L, 0.5)
-        for i in range(1, r + 1):
-            P.add(R + i, R, c[i])
-            P.add(L - i, R, -c[i])
-            P.add(L - i, L, c[i])
-            P.add(R + i, L, -c[i])
-    return P.finalize()
-
-
-class MultipatchSpace(TensorDeRhamSpace):
-    """Global broken complex with conforming projections and penalization."""
-
-    def __init__(self, line_x: DeRhamLine, line_y: DeRhamLine,
-                 moment_order=None, stencil_radius=None):
-        super().__init__(line_x, line_y)
-        p = self.p
-        if moment_order is None:
-            moment_order = p
-        self.moment_order = moment_order
-        if stencil_radius is None:
-            stencil_radius = moment_order + 1
-        self.stencil_radius = stencil_radius
-
-        self.stencil = projection_stencil_1d(
-            p + 1, stencil_radius, moment_order,
-            n_cells=line_x.cells_per_patch,
-        ) if (line_x.h1.broken or line_y.h1.broken) else None
-        if line_y.h1.broken and line_y.cells_per_patch != line_x.cells_per_patch:
-            # stencil integrals depend only on the cell count, not h
-            self.stencil_y = projection_stencil_1d(
-                p + 1, stencil_radius, moment_order, n_cells=line_y.cells_per_patch
-            )
-        else:
-            self.stencil_y = self.stencil
-
-        self.Px = (conforming_projection_1d(line_x.h1, self.stencil)
-                   if line_x.h1.broken else sp.identity(line_x.h1.dim, format="csr"))
-        self.Py = (conforming_projection_1d(line_y.h1, self.stencil_y)
-                   if line_y.h1.broken else sp.identity(line_y.h1.dim, format="csr"))
-
-        Il2x = sp.identity(line_x.l2.dim, format="csr")
-        Il2y = sp.identity(line_y.l2.dim, format="csr")
-        self.Pc0 = sp.kron(self.Px, self.Py, format="csr")
-        self.Pc1 = sp.block_diag(
-            [sp.kron(self.Px, Il2y, format="csr"),
-             sp.kron(Il2x, self.Py, format="csr")],
-            format="csr",
-        )
-        self.Pc2 = sp.identity(self.n2, format="csr")
-
-        J = (sp.identity(self.n1, format="csr") - self.Pc1).tocsr()
-        self.penalization = (J.T @ self.M1 @ J).tocsr()
-
-        self.n_patches = (line_x.n_patches, line_y.n_patches)
-        self._patches = None
-
-    @property
-    def patches(self):
-        """Local DeRhamPatch per (i, j), built on first access."""
-        if self._patches is None:
-            line_x, line_y, p = self.line_x, self.line_y, self.p
-            pbx, pby = line_x.h1.patch_bounds, line_y.h1.patch_bounds
-            self._patches = {}
-            for i in range(line_x.n_patches):
-                for j in range(line_y.n_patches):
-                    lx = DeRhamLine(p, 1, line_x.cells_per_patch,
-                                    (pbx[i], pbx[i + 1]), False)
-                    ly = DeRhamLine(p, 1, line_y.cells_per_patch,
-                                    (pby[j], pby[j + 1]), False)
-                    self._patches[(i, j)] = DeRhamPatch(lx, ly)
-        return self._patches
-
-    @property
-    def global_dims(self):
-        return {0: self.n0, 1: self.n1, 2: self.n2}
+from .spaces import TensorDeRhamSpace
+from .splines import DeRhamLine
 
 
 def build_multipatch(degree, n_patches, cells_per_patch,
                      bounds=((0.0, 1.0), (0.0, 1.0)), periodic=(False, False),
-                     moment_order=None, stencil_radius=None) -> MultipatchSpace:
+                     moment_order=None, stencil_radius=None) -> TensorDeRhamSpace:
     npx, npy = (n_patches, n_patches) if np.isscalar(n_patches) else n_patches
     ncx, ncy = ((cells_per_patch, cells_per_patch) if np.isscalar(cells_per_patch)
                 else cells_per_patch)
@@ -203,9 +22,4 @@ def build_multipatch(degree, n_patches, cells_per_patch,
         periodic = (periodic, periodic)
     line_x = DeRhamLine(degree, npx, ncx, bounds[0], periodic[0])
     line_y = DeRhamLine(degree, npy, ncy, bounds[1], periodic[1])
-    return MultipatchSpace(line_x, line_y, moment_order, stencil_radius)
-
-
-def apply_penalization(space: MultipatchSpace, u) -> np.ndarray:
-    """Dual vector with entries int (I-Pc1)u . (I-Pc1)Lambda_j."""
-    return space.penalization @ coeffs_of(u)
+    return TensorDeRhamSpace(line_x, line_y, moment_order, stencil_radius)

@@ -17,13 +17,13 @@ u_y n_x is +u_y left, -u_y right, -u_x bottom, +u_x top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .linalg import KroneckerSolver, SparseMatrix, cg_solve, sym_factor
+from .linalg import KroneckerSolver, LinearSolveReport, sym_factor
 from .spaces import Field, TensorDeRhamSpace, coeffs_of
 
 EDGES = ("left", "right", "bottom", "top")
@@ -56,6 +56,12 @@ class EdgeBC:
                 isinstance(self.tangential[0], (list, tuple)):
             return [(float(a), float(b), d) for a, b, d in self.tangential]
         return [(float(lo), float(hi), self.tangential)]
+
+
+def _csr(blocks, shape):
+    """CSR matrix from (rows, cols, vals) triplet blocks; duplicates sum."""
+    rows, cols, vals = map(np.concatenate, zip(*blocks)) if blocks else ([], [], [])
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
 def _as_values(data, pts):
@@ -97,16 +103,9 @@ class OperatorContext:
         self.bc = bc
         self.mode = "bounded" if bc else "periodic"
 
-        # conforming projections default to the identity on single patches
-        n1 = space.n1
-        self.Pc0 = getattr(space, "Pc0", sp.identity(space.n0, format="csr"))
-        self.Pc1 = getattr(space, "Pc1", sp.identity(n1, format="csr"))
-        self.penalization = getattr(
-            space, "penalization", sp.csr_matrix((n1, n1)))
-
-        self.Dt = (space.Div @ self.Pc1).tocsr()      # Div_h
+        self.Dt = (space.Div @ space.Pc1).tocsr()      # Div_h
         self.DtT = self.Dt.T.tocsr()
-        self.CP0 = (space.Curl @ self.Pc0).tocsr()
+        self.CP0 = (space.Curl @ space.Pc0).tocsr()
         self.CP0T = self.CP0.T.tocsr()
 
         self.Pn = self._build_normal_projection()
@@ -115,13 +114,13 @@ class OperatorContext:
 
         self._assemble_boundary_terms()
 
-        self.f_vec = np.zeros(n1)
+        self.f_vec = np.zeros(space.n1)
         if forcing is not None:
             X, Y = space.quad_grid()
             fx, fy = forcing(X, Y)
             fx = np.broadcast_to(np.asarray(fx, dtype=np.float64), X.shape)
             fy = np.broadcast_to(np.asarray(fy, dtype=np.float64), X.shape)
-            self.f_vec = self.Pc1.T @ space.grid_moments_v1(fx, fy)
+            self.f_vec = space.Pc1.T @ space.grid_moments_v1(fx, fy)
 
         self._m1t_cache = {}
         self._poisson_cache = {}
@@ -168,8 +167,9 @@ class OperatorContext:
     def _assemble_boundary_terms(self):
         s = self.space
         n0, n1, n2 = s.n0, s.n1, s.n2
-        Tp = SparseMatrix(n1, n2)   # whole-boundary pairing  q (v.n)
-        Tt = SparseMatrix(n0, n1)   # (v x n, omega) over boundary minus Gamma_t
+        # (rows, cols, vals) triplet blocks of the two boundary matrices
+        Tp = []             # whole-boundary pairing  q (v.n)
+        Tt = []             # (v x n, omega) over boundary minus Gamma_t
         t_tang = np.zeros(n0)       # Gamma_t data against omega traces
         b_press = np.zeros(n1)      # Gamma_p data against v.n traces
 
@@ -187,7 +187,7 @@ class OperatorContext:
             fs = self._flux_slice(edge)
             v2s = self._trace_slice(edge, "v2")
             Ml2 = line.M_l2.tocoo()
-            Tp.add_block(fs[Ml2.row], v2s[Ml2.col], sigma * Ml2.data)
+            Tp.append((fs[Ml2.row], v2s[Ml2.col], sigma * Ml2.data))
 
             if cond.kind == "pressure":
                 vals = _as_values(cond.value, pts)
@@ -210,10 +210,10 @@ class OperatorContext:
             if np.any(free):
                 Mh1_free = Eh1[free].T @ (w[free, None] * Eh1[free])
                 nz = np.nonzero(Mh1_free)
-                Tt.add_block(v0s[nz[0]], flux_other[nz[1]], tau * Mh1_free[nz])
+                Tt.append((v0s[nz[0]], flux_other[nz[1]], tau * Mh1_free[nz]))
 
-        self.T_pressure = Tp.finalize()
-        self.T_tangential = Tt.finalize()
+        self.T_pressure = _csr(Tp, (n1, n2))
+        self.T_tangential = _csr(Tt, (n0, n1))
         self.t_tangential_data = t_tang
         self.b_pressure = b_press
 
@@ -251,7 +251,7 @@ class OperatorContext:
         key = float(gamma)
         if key not in self._m1t_cache:
             s = self.space
-            if gamma == 0.0 or not hasattr(s, "Px"):
+            if gamma == 0.0:
                 self._m1t_cache[key] = s.solve_M1
             else:
                 Jx = sp.identity(s.line_x.h1.dim, format="csr") - s.Px
@@ -268,23 +268,16 @@ class OperatorContext:
                 self._m1t_cache[key] = solve
         return self._m1t_cache[key]
 
-    def poisson_solver(self, cfg=None, gamma: float = 0.0):
+    def poisson_solver(self, gamma: float = 0.0, eps=None):
         """Pressure Poisson solver for the (possibly penalization-modified)
         Schur system M2 Dn (M1+gamma*Pen)^-1 Dn^T M2. Without pressure
         boundary conditions the system has the constant pressure in its
         kernel; the solver then acts as a pseudoinverse that zeroes the
         mean mode, so the velocity update stays exactly divergence-free.
-        An explicit pressure_eps shifts the spectrum instead."""
-        solver_kind = getattr(cfg, "pressure_solver", "direct")
-        eps_cfg = getattr(cfg, "pressure_eps", None)
-        key = (float(gamma), solver_kind, eps_cfg,
-               getattr(cfg, "cg_tol", None), getattr(cfg, "cg_max_iter", None))
+        An explicit eps (pressure_eps) shifts the spectrum instead."""
+        key = (float(gamma), eps)
         if key not in self._poisson_cache:
-            self._poisson_cache[key] = TensorPoissonSolver(
-                self, gamma=gamma, kind=solver_kind, eps=eps_cfg,
-                cg_tol=getattr(cfg, "cg_tol", 1e-12),
-                cg_max_iter=getattr(cfg, "cg_max_iter", None),
-            )
+            self._poisson_cache[key] = TensorPoissonSolver(self, gamma, eps)
         return self._poisson_cache[key]
 
     @property
@@ -293,17 +286,13 @@ class OperatorContext:
 
 
 class TensorPoissonSolver:
-    """Exact fast-diagonalization (or matrix-free CG) solver for the
-    pressure system. The system matrix is Kx (x) My + Mx (x) Ky with 1D
-    factors, so two small generalized eigensolves diagonalize it."""
+    """Exact fast-diagonalization solver for the pressure system. The
+    system matrix is Kx (x) My + Mx (x) Ky with 1D factors, so two small
+    generalized eigensolves diagonalize it."""
 
-    def __init__(self, ctx: OperatorContext, gamma=0.0, kind="direct",
-                 eps=None, cg_tol=1e-12, cg_max_iter=None):
+    def __init__(self, ctx: OperatorContext, gamma=0.0, eps=None):
         s = ctx.space
         self.ctx = ctx
-        self.kind = kind
-        self.cg_tol = cg_tol
-        self.cg_max_iter = cg_max_iter
 
         def one_d(line, P, zn_slices):
             Mh1 = line.M_h1.toarray()
@@ -319,11 +308,8 @@ class TensorPoissonSolver:
                 Mh1 = Mh1 + gamma * (J.T @ Mh1 @ J)
             K = Ml2 @ G @ np.linalg.solve(Mh1, G.T) @ Ml2
             K = 0.5 * (K + K.T)
-            lam, Phi = scipy.linalg.eigh(K, 0.5 * (Ml2 + Ml2.T))
-            return lam, Phi, sp.csr_matrix(K), Ml2
+            return scipy.linalg.eigh(K, 0.5 * (Ml2 + Ml2.T))
 
-        Px = getattr(s, "Px", sp.identity(s.line_x.h1.dim, format="csr"))
-        Py = getattr(s, "Py", sp.identity(s.line_y.h1.dim, format="csr"))
         znx, zny = [], []
         for edge, cond in ctx.bc.items():
             if cond.kind != "normal":
@@ -333,27 +319,21 @@ class TensorPoissonSolver:
             idx = 0 if side == "lo" else line.h1.dim - 1
             (znx if axis == "x" else zny).append(idx)
 
-        self.lam_x, self.Phi_x, self.Kx, self.Ml2x = one_d(s.line_x, Px, znx)
-        self.lam_y, self.Phi_y, self.Ky, self.Ml2y = one_d(s.line_y, Py, zny)
-        self.lam_max = float(self.lam_x.max() + self.lam_y.max())
+        lam_x, self.Phi_x = one_d(s.line_x, s.Px, znx)
+        lam_y, self.Phi_y = one_d(s.line_y, s.Py, zny)
         self.eps = 0.0 if eps is None else float(eps)
         self.singular = (not ctx.has_pressure_bc) and self.eps == 0.0
-        denom = self.lam_x[:, None] + self.lam_y[None, :] + self.eps
+        denom = lam_x[:, None] + lam_y[None, :] + self.eps
         if self.singular:
             # pseudoinverse: drop the kernel (constant-pressure) modes
-            drop = denom <= 1e-10 * self.lam_max
+            drop = denom <= 1e-10 * float(lam_x.max() + lam_y.max())
             self._inv_denom = np.where(drop, 0.0, 1.0 / np.where(drop, 1.0, denom))
-            self.dropped_modes = int(drop.sum())
         else:
             if np.any(denom <= 0.0):
                 raise FloatingPointError(
                     "pressure system not positive definite (eps too small?)")
             self._inv_denom = 1.0 / denom
-            self.dropped_modes = 0
         self._m1_solve = ctx.m1_solver(gamma)
-        # kernel vector of the Schur operator: the constant function
-        self._null = np.ones(s.line_x.l2.dim * s.line_y.l2.dim)
-        self._null_m2 = s.M2 @ self._null
 
     def matvec(self, q):
         """(A + eps M2) q through the composed sparse operators."""
@@ -363,21 +343,8 @@ class TensorPoissonSolver:
             out = out + self.eps * (s.M2 @ q)
         return out
 
-    def _deflate(self, x, weight):
-        return x - weight * (weight @ x) / (weight @ weight)
-
     def solve(self, b):
         s = self.ctx.space
-        if self.kind == "cg":
-            if self.singular:
-                # compatible rhs up to roundoff; keep the Krylov space in
-                # range(A) and return the zero-mean representative
-                b = self._deflate(b, self._null)
-            x, report = cg_solve(self.matvec, b, tol=self.cg_tol,
-                                 max_iter=self.cg_max_iter)
-            if self.singular:
-                x = x - self._null * (self._null_m2 @ x) / (self._null_m2 @ self._null)
-            return x, report
         B = np.asarray(b).reshape(s.line_x.l2.dim, s.line_y.l2.dim)
         Z = self.Phi_x.T @ B @ self.Phi_y
         Z *= self._inv_denom
@@ -385,17 +352,11 @@ class TensorPoissonSolver:
         res = np.linalg.norm(self.matvec(x) - b)
         nb = np.linalg.norm(b)
         rel = res / nb if nb > 0 else 0.0
-        from .linalg import LinearSolveReport
         return x, LinearSolveReport(iterations=0, residual=float(rel),
                                     converged=True)
 
 
 # --- dual operators ---------------------------------------------------------
-
-def normal_projection(ctx: OperatorContext) -> sp.csr_matrix:
-    """Diagonal 0/1 projector zeroing flux DOFs on Gamma_n."""
-    return ctx.Pn
-
 
 def weak_grad(ctx: OperatorContext, q) -> Field:
     """Boundaryless dual gradient: M1 x = -(Div Pc1)^T M2 q."""
@@ -478,33 +439,12 @@ def advection_residual(ctx: OperatorContext, u, v) -> np.ndarray:
     return 0.5 * r
 
 
-def advection_form(ctx: OperatorContext, u, v, w) -> float:
-    """Trilinear form c_h(u, v, w), evaluated by direct quadrature of the
-    two product integrands (independent composition from the residual)."""
-    s = ctx.space
-    uc, vc, wc = coeffs_of(u), coeffs_of(v), coeffs_of(w)
-    uvx, uvy = s.grid_eval_v1(uc)
-    total = 0.0
-    for B in (s.B1, s.B2):
-        ikv = s.solve_M2(B @ vc)
-        ikw = s.solve_M2(B @ wc)
-        gvx, gvy = s.grid_eval_v1(weak_grad_full(ctx, ikv))
-        gwx, gwy = s.grid_eval_v1(
-            s.solve_M1(-(ctx.DtT @ (s.M2 @ ikw))))
-        ikw_vals = s.grid_eval_v2(ikw)
-        ikv_vals = s.grid_eval_v2(ikv)
-        integrand = ikw_vals * (uvx * gvx + uvy * gvy) \
-            - ikv_vals * (uvx * gwx + uvy * gwy)
-        total += float(np.sum(s.qw * integrand))
-    return 0.5 * total
-
-
 # --- viscosity --------------------------------------------------------------
 
 def viscous_residual(ctx: OperatorContext, u) -> np.ndarray:
     """Dual vector of the viscous term: M1 Curl Pc0 (Ct_bc u)."""
     omega = vorticity_curl(ctx, u).coeffs
-    return ctx.space.M1 @ (ctx.space.Curl @ (ctx.Pc0 @ omega))
+    return ctx.space.M1 @ (ctx.space.Curl @ (ctx.space.Pc0 @ omega))
 
 
 def viscous_form(ctx: OperatorContext, u, v) -> float:

@@ -8,11 +8,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord, l2_error, measure, vorticity
+from .diagnostics import DiagnosticsRecord, l2_error, measure
 from .multipatch import build_multipatch
-from .operators import OperatorContext
+from .operators import OperatorContext, vorticity_curl
 from .spaces import Field
-from .stepper import (StepFailure, StepperConfig, cfl_dt, cn_step, initialize)
+from .stepper import StepFailure, cfl_dt, cn_step, initialize
 
 CSV_HEADER = ("time,energy,mom_x,mom_y,div_l2,jump_energy,"
               "enstrophy_term,picard_iters")
@@ -32,7 +32,7 @@ class RunResult:
 
 
 def build_simulation(cfg):
-    """(ctx, case, stepper_cfg) from a SimulationConfig."""
+    """(ctx, case, resolved cfg) from a SimulationConfig."""
     cfg, case = cfg.resolve()
     x0, x1, y0, y1 = cfg.domain
     space = build_multipatch(
@@ -42,14 +42,7 @@ def build_simulation(cfg):
         stencil_radius=cfg.stencil_radius)
     ctx = OperatorContext(space, bc=None if cfg.periodic else cfg.boundary,
                           forcing=case.forcing)
-    scfg = StepperConfig(
-        dt=cfg.dt if cfg.dt is not None else 0.0,
-        dt_max=cfg.dt_max, t_final=cfg.t_final, nu=cfg.nu, alpha=cfg.alpha,
-        picard_tol=cfg.picard_tol, picard_max_iter=cfg.picard_max_iter,
-        pressure_eps=cfg.pressure_eps, pressure_solver=cfg.pressure_solver,
-        cfl_safety=cfg.cfl_safety, cfl_constant=cfg.cfl_constant,
-        steady_tol=cfg.steady_tol)
-    return ctx, case, scfg, cfg
+    return ctx, case, cfg
 
 
 def _record_to_row(rec: DiagnosticsRecord) -> str:
@@ -75,7 +68,7 @@ def write_snapshot(ctx, u, p, t, path, grid=64):
     uc = u.coeffs if isinstance(u, Field) else np.asarray(u)
     uv = eval_field(Field(s, 1, uc), xs, ys, grid=True)
     pv = eval_field(Field(s, 2, np.asarray(p)), xs, ys, grid=True)
-    om = vorticity(ctx, uc)
+    om = vorticity_curl(ctx, uc)
     ov = eval_field(om, xs, ys, grid=True)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     with open(path, "w") as fh:
@@ -94,34 +87,31 @@ def run(cfg, progress=None):
     """Advance the configured case to t_final. Returns a RunResult; a
     doubly-failed step aborts the run (failed=True) after writing the
     last good state."""
-    ctx, case, scfg, rcfg = build_simulation(cfg)
-    os.makedirs(rcfg.output_dir, exist_ok=True)
-    diag_path = os.path.join(rcfg.output_dir, rcfg.diagnostics_file)
+    ctx, case, cfg = build_simulation(cfg)
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    diag_path = os.path.join(cfg.output_dir, cfg.diagnostics_file)
 
-    u = initialize(ctx, case.initial, scfg)
+    u = initialize(ctx, case.initial, cfg.pressure_eps)
     p = np.zeros(ctx.space.n2)
     t, step, steady, failed = 0.0, 0, False, False
     records = [measure(ctx, u, t)]
     snaps = []
-    auto_dt = rcfg.dt is None
 
     def snap(tag):
-        path = os.path.join(rcfg.output_dir,
-                            f"{rcfg.snapshot_prefix}_{tag}.dat")
-        snaps.append(write_snapshot(ctx, u, p, t, path, rcfg.snapshot_grid))
+        path = os.path.join(cfg.output_dir, f"{cfg.snapshot_prefix}_{tag}.dat")
+        snaps.append(write_snapshot(ctx, u, p, t, path, cfg.snapshot_grid))
 
-    if rcfg.snapshot_cadence > 0:
+    if cfg.snapshot_cadence > 0:
         snap("000000")
 
-    while t < scfg.t_final - 1e-14:
-        dt = cfl_dt(ctx, u, scfg) if auto_dt else scfg.dt
-        dt = min(dt, scfg.t_final - t)
+    while t < cfg.t_final - 1e-14:
+        dt = min(cfg.dt or cfl_dt(ctx, u, cfg), cfg.t_final - t)
         try:
-            u_next, p, rep = cn_step(ctx, u, scfg, dt=dt)
+            u_next, p, rep = cn_step(ctx, u, cfg, dt=dt)
         except StepFailure:
             try:
                 dt = 0.5 * dt
-                u_next, p, rep = cn_step(ctx, u, scfg, dt=dt)
+                u_next, p, rep = cn_step(ctx, u, cfg, dt=dt)
             except StepFailure:
                 failed = True
                 break
@@ -130,16 +120,16 @@ def run(cfg, progress=None):
         records.append(measure(ctx, u, t, rep.picard_iterations))
         if progress is not None:
             progress(step, t, records[-1])
-        if rcfg.snapshot_cadence > 0 and step % rcfg.snapshot_cadence == 0:
+        if cfg.snapshot_cadence > 0 and step % cfg.snapshot_cadence == 0:
             snap(f"{step:06d}")
-        if delta / rep.dt_used < scfg.steady_tol:
+        if delta / rep.dt_used < cfg.steady_tol:
             steady = True
             break
 
     write_diagnostics(records, diag_path)
     # always leave the last good state on disk after a failure
-    if rcfg.snapshot_cadence > 0 or failed:
-        last = f"{rcfg.snapshot_prefix}_{step:06d}.dat"
+    if cfg.snapshot_cadence > 0 or failed:
+        last = f"{cfg.snapshot_prefix}_{step:06d}.dat"
         if not snaps or not snaps[-1].endswith(last):
             snap(f"{step:06d}")
     return RunResult(records=records, u=u, p=p, t=t, steps=step,

@@ -1,13 +1,17 @@
 """Midpoint (Crank-Nicolson) time stepper with exact divergence
 preservation.
 
-Each step solves the midpoint fixed point by Picard iteration; within
-every sweep the pressure is chosen so that the committed velocity update
-is discretely divergence-free. The patch-coupling penalization is
-treated implicitly: the sweep solves with M1 + gamma*Pen (gamma =
-dt*alpha/2), which has the same fixed point as the plain midpoint form
-but keeps the iteration contractive for large alpha. Both mass variants
-are Kronecker products per component, so all solves stay exact.
+Each step solves the midpoint fixed point by Picard iteration, one
+`midpoint_sweep` per iteration; within every sweep the pressure is chosen
+so that the velocity update is discretely divergence-free. The
+patch-coupling penalization is treated implicitly: the sweep solves with
+M1 + gamma*Pen (gamma = dt*alpha/2), which has the same fixed point as the
+plain midpoint form but keeps the iteration contractive for large alpha.
+Both mass variants are Kronecker products per component, so all solves
+stay exact.
+
+The functions take the resolved SimulationConfig (config.py); its dt is
+None under CFL control, so the caller passes each step's dt.
 """
 
 from __future__ import annotations
@@ -18,47 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import LinearSolveReport
-from .operators import OperatorContext, advection_residual, viscous_residual
-from .spaces import Field, coeffs_of
+from .operators import (_EDGE_AXIS, OperatorContext, _as_values,
+                        advection_residual, viscous_residual)
+from .spaces import Field, coeffs_of, l2_project
 
 
 class StepFailure(RuntimeError):
     """Picard iteration did not reach the tolerance."""
-
-
-@dataclass
-class StepperConfig:
-    dt: float = 1e-3
-    dt_max: float = 1.0
-    t_final: float = 1.0
-    nu: float = 0.0
-    alpha: float = 0.0
-    picard_tol: float = 1e-8
-    picard_max_iter: int = 200
-    pressure_eps: float = None
-    pressure_solver: str = "direct"   # "direct" (fast diagonalization) or "cg"
-    cg_tol: float = 1e-13
-    cg_max_iter: int = None
-    cfl_safety: float = 0.5
-    cfl_constant: float = 1.0
-    steady_tol: float = 1e-8
-
-    def __post_init__(self):
-        for name in ("dt", "dt_max", "picard_tol", "cg_tol", "cfl_safety",
-                     "cfl_constant", "steady_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("nu", "alpha"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.picard_max_iter < 1:
-            raise ValueError("picard_max_iter must be at least 1")
-        if self.cfl_safety > 1.0:
-            raise ValueError("cfl_safety must lie in (0, 1]")
-        if self.pressure_eps is not None and self.pressure_eps < 0:
-            raise ValueError("pressure_eps must be nonnegative")
-        if self.picard_tol <= self.cg_tol:
-            raise ValueError("picard_tol must exceed the inner solver tolerance")
 
 
 @dataclass
@@ -69,63 +39,33 @@ class StepReport:
     dt_used: float
 
 
-def _gamma(ctx: OperatorContext, cfg: StepperConfig, dt: float) -> float:
-    if cfg.alpha == 0.0 or ctx.penalization.nnz == 0:
-        return 0.0
-    return 0.5 * dt * cfg.alpha
-
-
-def _base_residual(ctx, cfg, ub, u_pen):
-    """Pressure-independent part of the momentum residual. u_pen is the
-    state the penalization acts on (u^n in the implicit-alpha sweep, the
-    midpoint itself in the plain form)."""
+def midpoint_sweep(ctx: OperatorContext, cfg, un, u_iter, dt: float):
+    """One Picard sweep of the midpoint step from u^n with current iterate
+    u_iter: returns (u_next, p, pressure report), where
+    u_next = u^n - dt Pn (M1 + gamma Pen)^{-1} (R - Dn^T M2 p),
+    R is the momentum residual at the midpoint (penalization acting on
+    u^n) and p makes Dt u_next = Dt u^n exactly."""
+    ub = 0.5 * (un + u_iter)
+    pen = ctx.space.penalization
     R = advection_residual(ctx, ub, ub)
     if cfg.nu != 0.0:
         R = R + cfg.nu * viscous_residual(ctx, ub)
-    if cfg.alpha != 0.0 and ctx.penalization.nnz:
-        R = R + cfg.alpha * (ctx.penalization @ u_pen)
+    gamma = 0.0
+    if cfg.alpha != 0.0 and pen.nnz:
+        R = R + cfg.alpha * (pen @ un)
+        gamma = 0.5 * dt * cfg.alpha
     R = R - ctx.f_vec
     if ctx.mode == "bounded":
         R = R + ctx.b_pressure
-    return R
+    m1t = ctx.m1_solver(gamma)
+    M2 = ctx.space.M2
+    p, prep = ctx.poisson_solver(gamma, cfg.pressure_eps).solve(
+        M2 @ (ctx.Dn @ m1t(R)))
+    w = R - ctx.DnT @ (M2 @ p)
+    return un - dt * (ctx.Pn @ m1t(w)), p, prep
 
 
-def pressure_solve(ctx: OperatorContext, u_bar, cfg: StepperConfig,
-                   u_prev=None, dt=None):
-    """Pressure making the velocity update divergence-free.
-
-    Without u_prev this is the plain midpoint form (penalization acting
-    on u_bar, mass M1). With u_prev the implicit-alpha variant used
-    inside cn_step is solved instead.
-    """
-    dt = cfg.dt if dt is None else dt
-    ub = coeffs_of(u_bar)
-    if u_prev is None:
-        gamma, u_pen = 0.0, ub
-    else:
-        gamma, u_pen = _gamma(ctx, cfg, dt), coeffs_of(u_prev)
-    R = _base_residual(ctx, cfg, ub, u_pen)
-    return _pressure_from_residual(ctx, cfg, R, gamma)
-
-
-def _pressure_from_residual(ctx, cfg, R, gamma):
-    solver = ctx.poisson_solver(cfg, gamma)
-    rhs = ctx.space.M2 @ (ctx.Dn @ ctx.m1_solver(gamma)(R))
-    return solver.solve(rhs)
-
-
-def velocity_update(ctx: OperatorContext, u_n, u_bar, p, cfg: StepperConfig,
-                    dt=None) -> Field:
-    """Explicit midpoint update u^{n+1} = u^n - dt Pn M1^{-1} (R - Dn^T M2 p)
-    with the penalization evaluated at u_bar."""
-    dt = cfg.dt if dt is None else dt
-    un, ub = coeffs_of(u_n), coeffs_of(u_bar)
-    R = _base_residual(ctx, cfg, ub, ub)
-    w = R - ctx.DnT @ (ctx.space.M2 @ np.asarray(p))
-    return Field(ctx.space, 1, un - dt * (ctx.Pn @ ctx.space.solve_M1(w)))
-
-
-def cn_step(ctx: OperatorContext, u_n, cfg: StepperConfig, dt=None):
+def cn_step(ctx: OperatorContext, u_n, cfg, dt=None):
     """One midpoint step. Returns (u_next, p, StepReport); raises
     StepFailure when the Picard iteration stalls."""
     dt = cfg.dt if dt is None else dt
@@ -135,11 +75,7 @@ def cn_step(ctx: OperatorContext, u_n, cfg: StepperConfig, dt=None):
         warnings.warn("starting velocity is not discretely divergence-free",
                       RuntimeWarning)
 
-    gamma = _gamma(ctx, cfg, dt)
-    m1t = ctx.m1_solver(gamma)
     u_new = un.copy()
-    p = np.zeros(ctx.space.n2)
-    prep = LinearSolveReport(0, 0.0, True)
     upd = np.inf
     for it in range(1, cfg.picard_max_iter + 1):
         # bail out before overflow: squared quantities in the quadrature
@@ -147,11 +83,7 @@ def cn_step(ctx: OperatorContext, u_n, cfg: StepperConfig, dt=None):
         if not np.isfinite(u_new).all() or np.abs(u_new).max() > 1e60:
             raise StepFailure(
                 f"Picard iteration diverged after {it - 1} iterations")
-        ub = 0.5 * (un + u_new)
-        R = _base_residual(ctx, cfg, ub, un)
-        p, prep = _pressure_from_residual(ctx, cfg, R, gamma)
-        w = R - ctx.DnT @ (ctx.space.M2 @ p)
-        u_next = un - dt * (ctx.Pn @ m1t(w))
+        u_next, p, prep = midpoint_sweep(ctx, cfg, un, u_new, dt)
         upd = float(np.linalg.norm(u_next - u_new))
         u_new = u_next
         if upd < cfg.picard_tol:
@@ -162,9 +94,9 @@ def cn_step(ctx: OperatorContext, u_n, cfg: StepperConfig, dt=None):
         f"(last update {upd:.3e})")
 
 
-def cfl_dt(ctx: OperatorContext, u, cfg: StepperConfig) -> float:
+def cfl_dt(ctx: OperatorContext, u, cfg) -> float:
     """Advective/viscous time step bound
-    dt = safety / (C (|u|_inf/h + nu/h^2)), capped at dt_max.
+    dt = safety / (|u|_inf/h + nu/h^2), capped at dt_max.
 
     The velocity scale is the coefficient max norm: with a nonnegative
     partition-of-unity basis it bounds |u|_inf and is exact for constants,
@@ -172,7 +104,7 @@ def cfl_dt(ctx: OperatorContext, u, cfg: StepperConfig) -> float:
     roundoff."""
     vmax = float(np.abs(coeffs_of(u)).max())
     h = ctx.space.min_h()
-    denom = cfg.cfl_constant * (vmax / h + cfg.nu / (h * h))
+    denom = vmax / h + cfg.nu / (h * h)
     if denom == 0.0:
         return cfg.dt_max
     return min(cfg.cfl_safety / denom, cfg.dt_max)
@@ -184,7 +116,6 @@ def set_normal_data(ctx: OperatorContext, u) -> Field:
     """Overwrite the flux trace coefficients on Gamma_n edges with the 1D
     L2 projection of the prescribed normal-velocity data."""
     uc = coeffs_of(u).copy()
-    from .operators import _EDGE_AXIS, _as_values
     for edge, cond in ctx.bc.items():
         if cond.kind != "normal":
             continue
@@ -197,23 +128,21 @@ def set_normal_data(ctx: OperatorContext, u) -> Field:
     return Field(ctx.space, 1, uc)
 
 
-def leray_project(ctx: OperatorContext, u, cfg: StepperConfig = None):
+def leray_project(ctx: OperatorContext, u, pressure_eps=None):
     """Remove the discrete divergence without touching the Gamma_n flux
     data: u <- u + Pn M1^{-1} Dn^T M2 phi with (A + eps M2) phi = -M2 Div u."""
-    cfg = cfg or StepperConfig()
     uc = coeffs_of(u)
-    solver = ctx.poisson_solver(cfg, 0.0)
+    solver = ctx.poisson_solver(0.0, pressure_eps)
     phi, rep = solver.solve(-(ctx.space.M2 @ (ctx.Dt @ uc)))
     corr = ctx.Pn @ ctx.space.solve_M1(ctx.DnT @ (ctx.space.M2 @ phi))
     return Field(ctx.space, 1, uc + corr), rep
 
 
-def initialize(ctx: OperatorContext, initial, cfg: StepperConfig = None) -> Field:
+def initialize(ctx: OperatorContext, initial, pressure_eps=None) -> Field:
     """L2-project the initial velocity, impose the normal boundary data
     strongly, then Leray-project onto the divergence-free subspace."""
-    from .spaces import l2_project
     u = l2_project(ctx.space, 1, initial)
     if ctx.mode == "bounded":
         u = set_normal_data(ctx, u)
-    u, _ = leray_project(ctx, u, cfg)
+    u, _ = leray_project(ctx, u, pressure_eps)
     return u

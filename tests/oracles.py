@@ -8,9 +8,18 @@ reused. Package objects are only read for their defining metadata (knots,
 degrees, intervals, DOF numbering). The conforming projection and flux
 matrices enter oracle compositions as validated inputs; their own
 contract tests live in test_multipatch / test_operators.
+
+Two references at the end are written against the package instead: a
+plain conjugate gradient solver (the matrix-free check of the direct
+pressure solve) and the trilinear advection form by direct quadrature of
+its integrands (the check of the assembled residual).
 """
 
 import numpy as np
+
+from flowforms.linalg import LinearSolveReport
+from flowforms.operators import weak_grad_full
+from flowforms.spaces import coeffs_of
 
 EDGES = ("left", "right", "bottom", "top")
 
@@ -298,3 +307,76 @@ class DenseOracle:
             pts, w, tr, sign = self.edge_rule(edge)
             rhs = rhs + sign * (tr["flux"].T @ (w * (tr["v2"] @ q)))
         return np.linalg.solve(self.M1, rhs)
+
+
+# --- references composed from package operators ------------------------------
+
+class NumericalBreakdown(RuntimeError):
+    """Non-finite values encountered inside an iterative solve."""
+
+
+def cg_solve(A, b, tol: float = 1e-12, max_iter: int | None = None):
+    """Conjugate gradients for SPD ``A`` (matrix or apply-callable).
+
+    Returns (x, LinearSolveReport). The reported residual is the true
+    relative residual ||b - A x|| / ||b|| recomputed from the iterate.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    if not np.all(np.isfinite(b)):
+        raise NumericalBreakdown("non-finite right-hand side")
+    apply_A = A if callable(A) else (lambda v: A @ v)
+    if max_iter is None:
+        max_iter = 10 * b.size
+
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return np.zeros_like(b), LinearSolveReport(0, 0.0, True)
+
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rs = r @ r
+    iterations = 0
+    for k in range(max_iter):
+        Ap = apply_A(p)
+        pAp = p @ Ap
+        if not np.isfinite(pAp):
+            raise NumericalBreakdown("non-finite curvature in CG")
+        if pAp <= 0.0:
+            # SPD contract violated or stagnation on the kernel
+            break
+        alpha = rs / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        rs_new = r @ r
+        iterations = k + 1
+        if not np.isfinite(rs_new):
+            raise NumericalBreakdown("non-finite residual in CG")
+        if np.sqrt(rs_new) <= tol * bnorm:
+            break
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+
+    true_res = np.linalg.norm(b - apply_A(x)) / bnorm
+    return x, LinearSolveReport(iterations, float(true_res), true_res <= tol)
+
+
+def advection_form(ctx, u, v, w) -> float:
+    """Trilinear form c_h(u, v, w), evaluated by direct quadrature of the
+    two product integrands (independent composition from the residual)."""
+    s = ctx.space
+    uc, vc, wc = coeffs_of(u), coeffs_of(v), coeffs_of(w)
+    uvx, uvy = s.grid_eval_v1(uc)
+    total = 0.0
+    for B in (s.B1, s.B2):
+        ikv = s.solve_M2(B @ vc)
+        ikw = s.solve_M2(B @ wc)
+        gvx, gvy = s.grid_eval_v1(weak_grad_full(ctx, ikv))
+        gwx, gwy = s.grid_eval_v1(
+            s.solve_M1(-(ctx.DtT @ (s.M2 @ ikw))))
+        ikw_vals = s.grid_eval_v2(ikw)
+        ikv_vals = s.grid_eval_v2(ikv)
+        integrand = ikw_vals * (uvx * gvx + uvy * gvy) \
+            - ikv_vals * (uvx * gwx + uvy * gwy)
+        total += float(np.sum(s.qw * integrand))
+    return 0.5 * total

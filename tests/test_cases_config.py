@@ -128,7 +128,7 @@ def test_config_roundtrip_with_boundary(tmp_path):
         case="poiseuille", degree=3, n_cells=(4, 8), n_patches=(2, 2),
         domain=(0.0, 2.0, -1.0, 1.0), periodic=False, nu=0.125,
         alpha=1000.0, dt=0.0005, t_final=0.25, picard_tol=1e-10,
-        pressure_solver="cg", output_dir="out", snapshot_cadence=7,
+        output_dir="out", snapshot_cadence=7,
         boundary={
             "left": EdgeBC("normal", 0.0, tangential=None),
             "right": EdgeBC("pressure", -1.5, tangential=0.25),
@@ -140,6 +140,26 @@ def test_config_roundtrip_with_boundary(tmp_path):
     save_config(cfg, path)
     back = load_config(path)
     assert back == cfg
+
+
+@pytest.mark.parametrize("field,bc", [
+    ("value", EdgeBC("normal", lambda y: 0.0 * y, tangential=0.0)),
+    ("tangential", EdgeBC("normal", 0.0, tangential=lambda x: 1.0 + 0.0 * x)),
+    ("tangential", EdgeBC("normal", 0.0,
+                          tangential=[(0.0, 1.0, lambda x: 0.0 * x)])),
+])
+def test_save_config_refuses_callable_boundary_data(tmp_path, field, bc):
+    cfg = SimulationConfig(case="lid_driven_cavity", boundary={"top": bc})
+    with pytest.raises(ValueError, match=f"boundary.top: callable {field}"):
+        save_config(cfg, tmp_path / "sim.cfg")
+
+
+@pytest.mark.parametrize("key", ["cfl_constant", "pressure_solver"])
+def test_load_config_rejects_removed_keys(tmp_path, key):
+    path = tmp_path / "old.cfg"
+    path.write_text(f"[stepper]\n{key} = 1.0\n")
+    with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+        load_config(path)
 
 
 def test_load_config_rejects_unknown_section(tmp_path):

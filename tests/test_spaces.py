@@ -5,12 +5,8 @@ import pytest
 
 from conftest import rand_field, space
 from flowforms.diagnostics import convergence_order, l2_error
-from flowforms.spaces import (
-    Field,
-    build_derham_patch,
-    eval_field,
-    l2_project,
-)
+from flowforms.multipatch import build_multipatch
+from flowforms.spaces import Field, eval_field, l2_project
 
 PI = np.pi
 
@@ -23,12 +19,12 @@ def tg_velocity(X, Y):
 # --- dimensions and complex structure ----------------------------------------
 
 def test_dims_lowest_order_two_by_two():
-    patch = build_derham_patch(0, 2)
+    patch = build_multipatch(0, 1, 2)
     assert (patch.n2, patch.n1, patch.n0) == (4, 12, 9)
 
 
 def test_dims_degree_one_two_by_two():
-    patch = build_derham_patch(1, 2)
+    patch = build_multipatch(1, 1, 2)
     assert (patch.n2, patch.n1, patch.n0) == (9, 24, 16)
 
 
@@ -113,17 +109,6 @@ def test_constant_scalar_lies_in_v2():
     q = l2_project(s, 2, lambda X, Y: 1.0)
     vals = eval_field(q, np.linspace(0.1, PI - 0.1, 9), np.linspace(0.1, PI - 0.1, 9))
     assert np.abs(vals - 1.0).max() <= 1e-13
-
-
-def test_affine_map_stretch_bounds(rng):
-    patch = build_derham_patch(1, 2, bounds=((0.0, 2.0), (0.0, 0.5)))
-    m = patch.mapping
-    J = np.diag([m.h_x, m.h_y])
-    lo, hi = min(m.h_x, m.h_y), max(m.h_x, m.h_y)
-    for _ in range(100):
-        u = rng.standard_normal(2)
-        s = np.linalg.norm(J @ u) / np.linalg.norm(u)
-        assert lo - 1e-14 <= s <= hi + 1e-14
 
 
 # --- projection ------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Pressure solve, velocity update, midpoint stepping, CFL bound."""
+"""Stepper settings, the midpoint sweep (pressure solve and velocity
+update), midpoint stepping, CFL bound."""
 import numpy as np
 import pytest
 
 from conftest import PI, context, rand_coeffs, space
+from oracles import cg_solve
 from flowforms.cases import case_library
+from flowforms.config import SimulationConfig
 from flowforms.operators import (
     EdgeBC,
     OperatorContext,
@@ -14,14 +17,12 @@ from flowforms.operators import (
 from flowforms.spaces import Field, eval_field, l2_project
 from flowforms.stepper import (
     StepFailure,
-    StepperConfig,
     cfl_dt,
     cn_step,
     initialize,
     leray_project,
-    pressure_solve,
+    midpoint_sweep,
     set_normal_data,
-    velocity_update,
 )
 
 TG = case_library("taylor_green")
@@ -37,8 +38,21 @@ def momentum(s, u):
                      s.constant_v1(0.0, 1.0) @ Mu])
 
 
-def tg_state(ctx, cfg=None):
-    return initialize(ctx, TG.initial, cfg).coeffs
+def stepper_cfg(**kwargs):
+    """Resolved config with the given stepper settings; dt defaults to 1e-3
+    and nu, alpha to zero (the case defaults would add a penalty)."""
+    return SimulationConfig(**{"dt": 1e-3, "nu": 0.0, "alpha": 0.0,
+                               **kwargs}).resolve()[0]
+
+
+def tg_state(ctx):
+    return initialize(ctx, TG.initial).coeffs
+
+
+def sweep_pressure(ctx, u, cfg):
+    """Pressure of one midpoint sweep at the state u (u^n = iterate = u)."""
+    _, p, rep = midpoint_sweep(ctx, cfg, u, u, cfg.dt)
+    return p, rep
 
 
 # --- configuration validation ------------------------------------------------
@@ -51,41 +65,38 @@ def tg_state(ctx, cfg=None):
     (dict(picard_max_iter=0), "picard_max_iter"),
     (dict(cfl_safety=1.5), "cfl_safety"),
     (dict(pressure_eps=-1e-8), "pressure_eps"),
-    (dict(picard_tol=1e-14, cg_tol=1e-12), "exceed"),
 ])
 def test_stepper_config_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
-        StepperConfig(**kwargs)
+        SimulationConfig(**kwargs).resolve()
 
 
 def test_stepper_config_defaults_are_valid():
-    cfg = StepperConfig()
+    cfg, _ = SimulationConfig().resolve()
     assert cfg.dt > 0 and cfg.picard_max_iter >= 1
 
 
-# --- pressure solve ----------------------------------------------------------
+# --- pressure solve inside the sweep -----------------------------------------
 
 @pytest.mark.parametrize("mode", ["periodic", "mixed"])
 def test_pressure_of_rest_state_is_zero(mode):
     ctx = context(2, 4, 1, mode)
-    cfg = StepperConfig(dt=1e-3)
-    p, rep = pressure_solve(ctx, np.zeros(ctx.space.n1), cfg)
+    p, rep = sweep_pressure(ctx, np.zeros(ctx.space.n1), stepper_cfg())
     assert rep.converged
     assert np.max(np.abs(p)) <= 1e-12
 
 
 def test_pressure_of_uniform_flow_is_zero():
     ctx = context(2, 4, 1, "periodic")
-    cfg = StepperConfig(dt=1e-3)
     u = ctx.space.constant_v1(1.4, -0.6)
-    p, _ = pressure_solve(ctx, u, cfg)
+    p, _ = sweep_pressure(ctx, u, stepper_cfg())
     assert np.max(np.abs(p)) <= 1e-11
 
 
 @pytest.mark.parametrize("mode,gamma", [("mixed", 0.0), ("periodic", 0.0)])
 def test_pressure_system_is_symmetric(mode, gamma):
     ctx = context(2, 4, 1, mode)
-    solver = ctx.poisson_solver(StepperConfig(), gamma)
+    solver = ctx.poisson_solver(gamma)
     q = rand_coeffs(ctx.space, 2, seed=1)
     r = rand_coeffs(ctx.space, 2, seed=2)
     lhs = float(q @ solver.matvec(r))
@@ -95,7 +106,7 @@ def test_pressure_system_is_symmetric(mode, gamma):
 
 def test_pressure_system_symmetric_with_penalization():
     ctx = OperatorContext(space(2, 4, 2, periodic=True))
-    solver = ctx.poisson_solver(StepperConfig(), 3.7)
+    solver = ctx.poisson_solver(3.7)
     q = rand_coeffs(ctx.space, 2, seed=3)
     r = rand_coeffs(ctx.space, 2, seed=4)
     lhs = float(q @ solver.matvec(r))
@@ -107,9 +118,8 @@ def test_singular_pressure_solve_returns_zero_mean():
     # nc=8: on 4 cells the wavenumber-2 advection aliases to a curl and
     # the pressure degenerates to zero
     ctx = context(2, 8, 1, "periodic")
-    cfg = StepperConfig()
-    u = tg_state(ctx, cfg)
-    p, rep = pressure_solve(ctx, u, cfg)
+    u = tg_state(ctx)
+    p, rep = sweep_pressure(ctx, u, stepper_cfg())
     assert rep.converged
     mean = float(np.ones(ctx.space.n2) @ (ctx.space.M2 @ p))
     assert abs(mean) <= 1e-11 * max(1.0, np.max(np.abs(p)))
@@ -117,12 +127,18 @@ def test_singular_pressure_solve_returns_zero_mean():
 
 
 def test_direct_and_cg_pressure_agree():
+    # reference: matrix-free CG on the solver's own operator; the system
+    # is singular, so CG runs on the mean-free right-hand side and its
+    # result is shifted to zero (M2-weighted) mean like the direct solve
     ctx = context(2, 4, 1, "periodic")
+    s = ctx.space
     u = tg_state(ctx)
-    p_dir, _ = pressure_solve(ctx, u, StepperConfig())
-    p_cg, rep = pressure_solve(
-        ctx, u, StepperConfig(pressure_solver="cg", cg_tol=1e-13,
-                              picard_tol=1e-8))
+    p_dir, _ = sweep_pressure(ctx, u, stepper_cfg())
+    b = s.M2 @ (ctx.Dn @ s.solve_M1(advection_residual(ctx, u, u)))
+    ones = np.ones(s.n2)
+    p_cg, rep = cg_solve(ctx.poisson_solver().matvec,
+                         b - ones * (ones @ b) / (ones @ ones), tol=1e-13)
+    p_cg -= ones * (ones @ (s.M2 @ p_cg)) / (ones @ (s.M2 @ ones))
     assert rep.converged
     assert np.max(np.abs(p_dir - p_cg)) <= 1e-9 * max(1.0, np.max(np.abs(p_dir)))
 
@@ -130,49 +146,46 @@ def test_direct_and_cg_pressure_agree():
 def test_pressure_eps_shifts_the_system():
     ctx = context(2, 4, 1, "periodic")
     eps = 1e-4
-    cfg = StepperConfig(pressure_eps=eps)
-    solver = ctx.poisson_solver(cfg, 0.0)
+    solver = ctx.poisson_solver(0.0, eps)
     assert not solver.singular
     b = rand_coeffs(ctx.space, 2, seed=5)
     p, rep = solver.solve(b)
     assert np.linalg.norm(solver.matvec(p) - b) <= 1e-9 * np.linalg.norm(b)
-    base = ctx.poisson_solver(StepperConfig(), 0.0)
+    base = ctx.poisson_solver(0.0)
     shift = solver.matvec(p) - base.matvec(p)
     assert np.max(np.abs(shift - eps * (ctx.space.M2 @ p))) <= 1e-13
 
 
-# --- velocity update ---------------------------------------------------------
+# --- velocity update of the sweep ---------------------------------------------
 
 def test_velocity_update_keeps_divergence_free():
     ctx = context(2, 4, 1, "periodic")
-    cfg = StepperConfig(dt=1e-3, nu=0.01)
-    u_n = tg_state(ctx, cfg)
-    u_bar = leray_project(ctx, rand_coeffs(ctx.space, 1, seed=6), cfg)[0].coeffs
-    p, _ = pressure_solve(ctx, u_bar, cfg)
-    u1 = velocity_update(ctx, u_n, u_bar, p, cfg).coeffs
+    cfg = stepper_cfg(dt=1e-3, nu=0.01)
+    u_n = tg_state(ctx)
+    u_it = leray_project(ctx, rand_coeffs(ctx.space, 1, seed=6))[0].coeffs
+    u1, _, _ = midpoint_sweep(ctx, cfg, u_n, u_it, cfg.dt)
     assert np.max(np.abs(ctx.Dt @ u1)) <= 1e-10 * max(1.0, np.max(np.abs(u1)))
 
 
 def test_velocity_update_momentum_with_penalization():
+    # the implicit penalty solve keeps momentum: constants are conforming,
+    # so e^T (M1 + gamma Pen) = e^T M1
     ctx = OperatorContext(space(2, 4, 2, periodic=True))
-    cfg = StepperConfig(dt=1e-3, nu=0.02, alpha=50.0)
-    u_n = initialize(ctx, TG.initial, cfg).coeffs
-    u_bar = leray_project(ctx, rand_coeffs(ctx.space, 1, seed=7), cfg)[0].coeffs
-    p, _ = pressure_solve(ctx, u_bar, cfg)
-    u1 = velocity_update(ctx, u_n, u_bar, p, cfg).coeffs
+    cfg = stepper_cfg(dt=1e-3, nu=0.02, alpha=50.0)
+    u_n = initialize(ctx, TG.initial).coeffs
+    u_it = leray_project(ctx, rand_coeffs(ctx.space, 1, seed=7))[0].coeffs
+    u1, _, _ = midpoint_sweep(ctx, cfg, u_n, u_it, cfg.dt)
     drift = momentum(ctx.space, u1) - momentum(ctx.space, u_n)
     assert np.max(np.abs(drift)) <= 1e-11 * max(1.0, np.max(np.abs(u_n)))
 
 
 def test_velocity_update_satisfies_momentum_equation():
-    # re-multiplying by M1 recovers the assembled residual exactly
+    # at alpha = 0, re-multiplying by M1 recovers the assembled residual
     ctx = context(2, 4, 1, "periodic")
-    cfg = StepperConfig(dt=1e-6, nu=0.05)
-    u_n = tg_state(ctx, cfg)
-    u_bar = u_n.copy()
-    p, _ = pressure_solve(ctx, u_bar, cfg)
-    u1 = velocity_update(ctx, u_n, u_bar, p, cfg).coeffs
-    R = advection_residual(ctx, u_bar, u_bar) + cfg.nu * viscous_residual(ctx, u_bar)
+    cfg = stepper_cfg(dt=1e-6, nu=0.05)
+    u_n = tg_state(ctx)
+    u1, p, _ = midpoint_sweep(ctx, cfg, u_n, u_n, cfg.dt)
+    R = advection_residual(ctx, u_n, u_n) + cfg.nu * viscous_residual(ctx, u_n)
     lhs = ctx.space.M1 @ ((u1 - u_n) / cfg.dt)
     rhs = -(R - ctx.DnT @ (ctx.space.M2 @ p))
     assert np.max(np.abs(lhs - rhs)) <= 1e-9 * max(1.0, np.max(np.abs(R)))
@@ -182,7 +195,7 @@ def test_velocity_update_satisfies_momentum_equation():
 
 def test_cn_step_of_rest_state_converges_immediately():
     ctx = context(2, 4, 1, "periodic")
-    cfg = StepperConfig(dt=1e-3, picard_tol=1e-12)
+    cfg = stepper_cfg(dt=1e-3, picard_tol=1e-12)
     u1, p, rep = cn_step(ctx, np.zeros(ctx.space.n1), cfg)
     assert rep.picard_iterations == 1
     assert np.max(np.abs(u1.coeffs)) == 0.0
@@ -191,8 +204,8 @@ def test_cn_step_of_rest_state_converges_immediately():
 
 def test_cn_step_conserves_energy_inviscid():
     ctx = context(2, 8, 1, "periodic")
-    cfg = StepperConfig(dt=1e-3, nu=0.0, picard_tol=1e-12)
-    u = tg_state(ctx, cfg)
+    cfg = stepper_cfg(dt=1e-3, nu=0.0, picard_tol=1e-12)
+    u = tg_state(ctx)
     E0 = energy(ctx.space, u)
     m0 = momentum(ctx.space, u)
     for _ in range(5):
@@ -205,8 +218,8 @@ def test_cn_step_conserves_energy_inviscid():
 
 def test_cn_step_viscous_dissipation_identity():
     ctx = context(2, 8, 1, "periodic")
-    cfg = StepperConfig(dt=1e-3, nu=0.05, picard_tol=1e-11)
-    u = tg_state(ctx, cfg)
+    cfg = stepper_cfg(dt=1e-3, nu=0.05, picard_tol=1e-11)
+    u = tg_state(ctx)
     for _ in range(3):
         E0 = energy(ctx.space, u)
         u1, p, rep = cn_step(ctx, u, cfg)
@@ -220,14 +233,14 @@ def test_cn_step_viscous_dissipation_identity():
 
 def test_cn_step_penalization_dissipation_identity():
     ctx = OperatorContext(space(2, 4, 2, periodic=True))
-    cfg = StepperConfig(dt=5e-4, nu=0.0, alpha=100.0, picard_tol=1e-11)
-    u = initialize(ctx, TG.initial, cfg).coeffs
+    cfg = stepper_cfg(dt=5e-4, nu=0.0, alpha=100.0, picard_tol=1e-11)
+    u = initialize(ctx, TG.initial).coeffs
     for _ in range(3):
         E0 = energy(ctx.space, u)
         u1, p, rep = cn_step(ctx, u, cfg)
         ub = 0.5 * (u + u1.coeffs)
         drop = E0 - energy(ctx.space, u1.coeffs)
-        model = cfg.dt * cfg.alpha * float(ub @ (ctx.penalization @ ub))
+        model = cfg.dt * cfg.alpha * float(ub @ (ctx.space.penalization @ ub))
         assert drop >= 0
         # the energy difference itself carries ~eps*E0 subtraction noise
         assert abs(drop - model) <= 1e-8 * drop + 5e-15 * E0
@@ -237,9 +250,9 @@ def test_cn_step_penalization_dissipation_identity():
 
 def test_cn_step_bounded_walls_stays_divergence_free():
     ctx = context(2, 4, 1, "walls")
-    cfg = StepperConfig(dt=1e-3, nu=0.01, picard_tol=1e-11)
+    cfg = stepper_cfg(dt=1e-3, nu=0.01, picard_tol=1e-11)
     u = initialize(ctx, lambda X, Y: (np.sin(X) * np.cos(Y),
-                                      -np.cos(X) * np.sin(Y)), cfg).coeffs
+                                      -np.cos(X) * np.sin(Y))).coeffs
     for _ in range(3):
         u, p, rep = cn_step(ctx, u, cfg)
         u = u.coeffs
@@ -248,8 +261,8 @@ def test_cn_step_bounded_walls_stays_divergence_free():
 
 def test_cn_step_raises_on_stalled_iteration():
     ctx = context(2, 8, 1, "periodic")
-    cfg = StepperConfig(dt=0.5, picard_tol=1e-12, picard_max_iter=2)
-    u = tg_state(ctx, cfg)
+    cfg = stepper_cfg(dt=0.5, picard_tol=1e-12, picard_max_iter=2)
+    u = tg_state(ctx)
     with pytest.raises(StepFailure, match="Picard"):
         cn_step(ctx, u, cfg)
 
@@ -258,15 +271,15 @@ def test_cn_step_reports_divergence_instead_of_overflowing():
     # a far-too-large viscous step makes the sweep expand geometrically;
     # the stepper must fail cleanly before the quadrature overflows
     ctx = context(2, 8, 1, "periodic")
-    cfg = StepperConfig(dt=0.5, nu=1.0, picard_tol=1e-10)
-    u = tg_state(ctx, cfg)
+    cfg = stepper_cfg(dt=0.5, nu=1.0, picard_tol=1e-10)
+    u = tg_state(ctx)
     with pytest.raises(StepFailure, match="diverged"):
         cn_step(ctx, u, cfg)
 
 
 def test_cn_step_warns_on_divergent_start():
     ctx = context(2, 4, 1, "periodic")
-    cfg = StepperConfig(dt=1e-4, picard_tol=1e-9)
+    cfg = stepper_cfg(dt=1e-4, picard_tol=1e-9)
     u = rand_coeffs(ctx.space, 1, seed=8)
     with pytest.warns(RuntimeWarning, match="divergence"):
         cn_step(ctx, u, cfg)
@@ -276,7 +289,7 @@ def test_cn_step_warns_on_divergent_start():
 
 def test_cfl_dt_halves_exactly_with_velocity_doubling():
     ctx = context(2, 8, 1, "periodic")
-    cfg = StepperConfig(nu=0.0)
+    cfg = stepper_cfg(nu=0.0)
     u = ctx.space.constant_v1(1.7, -0.3)
     dt1 = cfl_dt(ctx, u, cfg)
     dt2 = cfl_dt(ctx, 2.0 * u, cfg)
@@ -285,7 +298,7 @@ def test_cfl_dt_halves_exactly_with_velocity_doubling():
 
 
 def test_cfl_dt_quarters_exactly_with_mesh_quartering():
-    cfg = StepperConfig(nu=0.0)
+    cfg = stepper_cfg(nu=0.0)
     dts = []
     for nc in (4, 16):
         ctx = context(2, nc, 1, "periodic")
@@ -296,11 +309,11 @@ def test_cfl_dt_quarters_exactly_with_mesh_quartering():
 def test_cfl_dt_viscous_scaling_and_cap():
     ctx4 = context(2, 4, 1, "periodic")
     ctx16 = context(2, 16, 1, "periodic")
-    cfg = StepperConfig(nu=0.02, dt_max=100.0)
+    cfg = stepper_cfg(nu=0.02, dt_max=100.0)
     z4 = np.zeros(ctx4.space.n1)
     z16 = np.zeros(ctx16.space.n1)
     assert cfl_dt(ctx16, z16, cfg) == cfl_dt(ctx4, z4, cfg) / 16.0
-    calm = StepperConfig(nu=0.0, dt_max=0.25)
+    calm = stepper_cfg(nu=0.0, dt_max=0.25)
     assert cfl_dt(ctx4, z4, calm) == 0.25
 
 
