@@ -3,17 +3,17 @@ equations on tensor-product spline spaces: one space class
 (TensorDeRhamSpace, conforming or broken across patches), one config
 object (SimulationConfig) and one midpoint sweep (midpoint_sweep)."""
 
-from .linalg import (BandedCholesky, KroneckerSolver, LinearSolveReport,
-                     QuadratureRule, gauss_legendre)
-from .splines import (Broken1D, DeRhamLine, SplineSpace1D, build_space_1d,
+from .linalg import (BandedCholesky, KroneckerSolver, QuadratureRule,
+                     gauss_legendre)
+from .splines import (Broken1D, DeRhamLine, SplineSpace1D,
                       derivative_incidence_1d)
 from .spaces import (Field, ProjectionStencil1D, TensorDeRhamSpace,
                      eval_field, l2_project, projection_stencil_1d)
 from .multipatch import build_multipatch
 from .operators import (EdgeBC, OperatorContext, advection_residual,
                         interior_product, viscous_form, viscous_residual,
-                        vorticity_curl, weak_curl, weak_curl_with_tangential_bc,
-                        weak_grad, weak_grad_with_pressure_bc)
+                        weak_curl, weak_curl_with_tangential_bc, weak_grad,
+                        weak_grad_with_pressure_bc)
 from .stepper import (StepFailure, StepReport, cfl_dt, cn_step, initialize,
                       leray_project, midpoint_sweep)
 from .diagnostics import (DiagnosticsRecord, convergence_order, l2_error,

@@ -7,7 +7,8 @@ config. dt=None there selects CFL control of the time step.
 
 File sections: [case], [grid], [physics], [stepper], [output] and one
 [boundary.<edge>] per edge. Every key is optional; unset values fall
-back to the case defaults from the library. Unknown keys are rejected.
+back to the case defaults from the library. Unknown keys, and
+none/auto for a setting that has no automatic value, are rejected.
 
 boundary tangential grammar:  free | <float> | <float>@<lo>:<hi>[,...]
 """
@@ -72,7 +73,6 @@ class SimulationConfig:
     t_final: float = None
     picard_tol: float = 1e-8
     picard_max_iter: int = 200
-    pressure_eps: float = None
     cfl_safety: float = 0.5
     steady_tol: float = None         # None = follow picard_tol
     # output
@@ -112,18 +112,20 @@ class SimulationConfig:
             out.boundary = merged
         if out.dt is not None and out.dt <= 0:
             raise ValueError("dt must be positive")
-        for name in ("dt_max", "picard_tol", "cfl_safety", "steady_tol"):
+        for name in ("dt_max", "t_final", "picard_tol", "cfl_safety",
+                     "steady_tol"):
             if getattr(out, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("nu", "alpha"):
             if getattr(out, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if out.picard_max_iter < 1:
-            raise ValueError("picard_max_iter must be at least 1")
+        for name, least in (("degree", 0), ("picard_max_iter", 1),
+                            ("snapshot_grid", 1), ("snapshot_cadence", 0)):
+            value = getattr(out, name)
+            if value is None or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}")
         if out.cfl_safety > 1.0:
             raise ValueError("cfl_safety must lie in (0, 1]")
-        if out.pressure_eps is not None and out.pressure_eps < 0:
-            raise ValueError("pressure_eps must be nonnegative")
         return out, case
 
 
@@ -131,7 +133,7 @@ _GRID_KEYS = {"degree", "n_patches", "n_cells", "domain", "periodic",
               "moment_order", "stencil_radius"}
 _PHYSICS_KEYS = {"nu", "alpha"}
 _STEPPER_KEYS = {"dt", "dt_max", "t_final", "picard_tol", "picard_max_iter",
-                 "pressure_eps", "cfl_safety", "steady_tol"}
+                 "cfl_safety", "steady_tol"}
 _OUTPUT_KEYS = {"output_dir", "diagnostics_file", "snapshot_prefix",
                 "snapshot_grid", "snapshot_cadence"}
 _INT_KEYS = {"degree", "picard_max_iter", "snapshot_grid", "snapshot_cadence",
@@ -164,7 +166,8 @@ def load_config(path) -> SimulationConfig:
     with open(path) as fh:
         parser.read_file(fh)
     kwargs = {}
-    known = {f.name for f in fields(SimulationConfig)}
+    # name -> default; a None default marks a setting with an automatic value
+    known = {f.name: f.default for f in fields(SimulationConfig)}
     for section in parser.sections():
         if section.startswith("boundary."):
             edge = section.split(".", 1)[1]
@@ -181,6 +184,9 @@ def load_config(path) -> SimulationConfig:
             if name not in known:
                 raise ValueError(f"unknown config key {key!r} in [{section}]")
             kwargs[name] = _convert(name, raw)
+            if kwargs[name] is None and known[name] is not None:
+                raise ValueError(f"{name} in [{section}] needs a value, "
+                                 f"got {raw.strip()!r}")
     return SimulationConfig(**kwargs)
 
 

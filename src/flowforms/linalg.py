@@ -1,9 +1,9 @@
 """Banded and Kronecker linear algebra plus Gauss quadrature.
 
 Everything downstream (spline assembly, weak operators, the time stepper)
-goes through the primitives in this module: Gauss-Legendre rules, the
-solve report, and exact direct factorizations for the (banded or cyclic)
-1D mass matrices that appear as Kronecker factors of every 2D mass matrix.
+goes through the primitives in this module: Gauss-Legendre rules and
+exact direct factorizations for the (banded or cyclic) 1D mass matrices
+that appear as Kronecker factors of every 2D mass matrix.
 """
 
 from __future__ import annotations
@@ -33,13 +33,6 @@ def gauss_legendre(n: int) -> QuadratureRule:
         raise ValueError(f"Gauss-Legendre rule needs n >= 1 points, got {n}")
     x, w = np.polynomial.legendre.leggauss(n)
     return QuadratureRule(points=x, weights=w, order=n)
-
-
-@dataclass
-class LinearSolveReport:
-    iterations: int
-    residual: float  # relative 2-norm, recomputed from the returned iterate
-    converged: bool
 
 
 def _to_dense_sym(M) -> np.ndarray:

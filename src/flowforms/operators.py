@@ -6,9 +6,12 @@ primal Div and Curl composed with the conforming projections,
 
     M1 (Gt q) = -(Div Pc1)^T M2 q,      M0 (Ct v) = (Curl Pc0)^T M1 v,
 
-with boundary pairings added on bounded domains. Boundary integrals all
-reduce to 1D mass/moment matrices placed on trace slices of the tensor
-layout, since spline trace DOFs carry the boundary values.
+plus the boundary pairings of the context's boundary conditions. Without
+boundary conditions (periodic domains, or a clamped space used for
+identity checks) the pairings are empty and the operators reduce to the
+plain L2 adjoints. Boundary integrals all reduce to 1D mass/moment
+matrices placed on trace slices of the tensor layout, since spline trace
+DOFs carry the boundary values.
 
 Boundary conventions (outward normals): u.n is -u_x on the left edge,
 +u_x right, -u_y bottom, +u_y top; the scalar cross u x n = u_x n_y -
@@ -23,7 +26,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .linalg import KroneckerSolver, LinearSolveReport, sym_factor
+from .linalg import KroneckerSolver, sym_factor
 from .spaces import Field, TensorDeRhamSpace, coeffs_of
 
 EDGES = ("left", "right", "bottom", "top")
@@ -73,10 +76,9 @@ def _as_values(data, pts):
 class OperatorContext:
     """Immutable bundle: space + boundary conditions + cached operators.
 
-    bc is a dict edge-name -> EdgeBC covering every non-periodic edge.
-    bc=None selects the boundaryless operator algebra (plain L2 adjoints,
-    no flux projection): the natural mode on periodic domains, also usable
-    on clamped spaces for identity checks.
+    bc is a dict edge-name -> EdgeBC covering every non-periodic edge, or
+    None/empty for no boundary conditions: then every boundary term is
+    zero and Pn is the identity.
     """
 
     def __init__(self, space: TensorDeRhamSpace, bc=None, forcing=None):
@@ -101,14 +103,24 @@ class OperatorContext:
             if edge.kind not in ("normal", "pressure"):
                 raise ValueError(f"edge {name}: unknown kind {edge.kind!r}")
         self.bc = bc
-        self.mode = "bounded" if bc else "periodic"
+        # Gamma_n masks per line: 0 on the h1 end DOF of an edge with
+        # prescribed normal velocity, 1 elsewhere
+        self.zn = {"x": np.ones(space.line_x.h1.dim),
+                   "y": np.ones(space.line_y.h1.dim)}
+        for edge, cond in bc.items():
+            if cond.kind == "normal":
+                axis, side = _EDGE_AXIS[edge]
+                self.zn[axis][0 if side == "lo" else -1] = 0.0
 
         self.Dt = (space.Div @ space.Pc1).tocsr()      # Div_h
         self.DtT = self.Dt.T.tocsr()
         self.CP0 = (space.Curl @ space.Pc0).tocsr()
         self.CP0T = self.CP0.T.tocsr()
 
-        self.Pn = self._build_normal_projection()
+        # Pn = blockdiag(diag(zx) (x) I, I (x) diag(zy)), built from its diagonal
+        self.Pn = sp.diags(np.concatenate([
+            np.kron(self.zn["x"], np.ones(space.line_y.l2.dim)),
+            np.kron(np.ones(space.line_x.l2.dim), self.zn["y"])]), format="csr")
         self.Dn = (self.Dt @ self.Pn).tocsr()
         self.DnT = self.Dn.T.tocsr()
 
@@ -156,13 +168,6 @@ class OperatorContext:
         axis, _ = _EDGE_AXIS[edge]
         return self.space.line_y if axis == "x" else self.space.line_x
 
-    def _build_normal_projection(self):
-        diag = np.ones(self.space.n1)
-        for edge, cond in self.bc.items():
-            if cond.kind == "normal":
-                diag[self._flux_slice(edge)] = 0.0
-        return sp.diags(diag, format="csr")
-
     # --- boundary matrices and data vectors --------------------------------
     def _assemble_boundary_terms(self):
         s = self.space
@@ -172,6 +177,7 @@ class OperatorContext:
         Tt = []             # (v x n, omega) over boundary minus Gamma_t
         t_tang = np.zeros(n0)       # Gamma_t data against omega traces
         b_press = np.zeros(n1)      # Gamma_p data against v.n traces
+        n_data = np.zeros(n1)       # Gamma_n flux DOFs of the u.n data
 
         for edge, cond in self.bc.items():
             axis, side = _EDGE_AXIS[edge]
@@ -192,6 +198,10 @@ class OperatorContext:
             if cond.kind == "pressure":
                 vals = _as_values(cond.value, pts)
                 b_press[fs] += sigma * (El2.T @ (w * vals))
+            else:
+                # 1D L2 projection of the normal-velocity data
+                vals = sigma * _as_values(cond.value, pts)
+                n_data[fs] = line.mass_factor("l2").solve(El2.T @ (w * vals))
 
             # tangential machinery: segments of Gamma_t on this edge
             segs = cond.segments(lo, hi)
@@ -216,6 +226,7 @@ class OperatorContext:
         self.T_tangential = _csr(Tt, (n0, n1))
         self.t_tangential_data = t_tang
         self.b_pressure = b_press
+        self.normal_data = n_data
 
     def _cross_slice(self, edge):
         """V1 indices of the *tangential* component DOFs on the edge (the
@@ -246,10 +257,13 @@ class OperatorContext:
                     )
 
     # --- modified mass (penalization folded in) ----------------------------
+    # Both solver caches hold the latest gamma = dt*alpha/2 only: under CFL
+    # control every step has a new dt, so older entries are never reused.
     def m1_solver(self, gamma: float = 0.0):
         """Exact solver for M1 + gamma * penalization (Kronecker per block)."""
         key = float(gamma)
         if key not in self._m1t_cache:
+            self._m1t_cache.clear()
             s = self.space
             if gamma == 0.0:
                 self._m1t_cache[key] = s.solve_M1
@@ -268,16 +282,16 @@ class OperatorContext:
                 self._m1t_cache[key] = solve
         return self._m1t_cache[key]
 
-    def poisson_solver(self, gamma: float = 0.0, eps=None):
+    def poisson_solver(self, gamma: float = 0.0):
         """Pressure Poisson solver for the (possibly penalization-modified)
         Schur system M2 Dn (M1+gamma*Pen)^-1 Dn^T M2. Without pressure
         boundary conditions the system has the constant pressure in its
         kernel; the solver then acts as a pseudoinverse that zeroes the
-        mean mode, so the velocity update stays exactly divergence-free.
-        An explicit eps (pressure_eps) shifts the spectrum instead."""
-        key = (float(gamma), eps)
+        mean mode, so the velocity update stays exactly divergence-free."""
+        key = float(gamma)
         if key not in self._poisson_cache:
-            self._poisson_cache[key] = TensorPoissonSolver(self, gamma, eps)
+            self._poisson_cache.clear()
+            self._poisson_cache[key] = TensorPoissonSolver(self, gamma)
         return self._poisson_cache[key]
 
     @property
@@ -290,19 +304,16 @@ class TensorPoissonSolver:
     system matrix is Kx (x) My + Mx (x) Ky with 1D factors, so two small
     generalized eigensolves diagonalize it."""
 
-    def __init__(self, ctx: OperatorContext, gamma=0.0, eps=None):
+    def __init__(self, ctx: OperatorContext, gamma=0.0):
         s = ctx.space
         self.ctx = ctx
 
-        def one_d(line, P, zn_slices):
+        def one_d(line, P, zn):
             Mh1 = line.M_h1.toarray()
             Ml2 = line.M_l2.toarray()
             D = line.D.toarray()
             Pd = P.toarray()
-            Zn = np.ones(line.h1.dim)
-            for idx in zn_slices:
-                Zn[idx] = 0.0
-            G = D @ Pd @ np.diag(Zn)
+            G = D @ Pd @ np.diag(zn)
             if gamma != 0.0:
                 J = np.eye(line.h1.dim) - Pd
                 Mh1 = Mh1 + gamma * (J.T @ Mh1 @ J)
@@ -310,50 +321,31 @@ class TensorPoissonSolver:
             K = 0.5 * (K + K.T)
             return scipy.linalg.eigh(K, 0.5 * (Ml2 + Ml2.T))
 
-        znx, zny = [], []
-        for edge, cond in ctx.bc.items():
-            if cond.kind != "normal":
-                continue
-            axis, side = _EDGE_AXIS[edge]
-            line = s.line_x if axis == "x" else s.line_y
-            idx = 0 if side == "lo" else line.h1.dim - 1
-            (znx if axis == "x" else zny).append(idx)
-
-        lam_x, self.Phi_x = one_d(s.line_x, s.Px, znx)
-        lam_y, self.Phi_y = one_d(s.line_y, s.Py, zny)
-        self.eps = 0.0 if eps is None else float(eps)
-        self.singular = (not ctx.has_pressure_bc) and self.eps == 0.0
-        denom = lam_x[:, None] + lam_y[None, :] + self.eps
+        lam_x, self.Phi_x = one_d(s.line_x, s.Px, ctx.zn["x"])
+        lam_y, self.Phi_y = one_d(s.line_y, s.Py, ctx.zn["y"])
+        self.singular = not ctx.has_pressure_bc
+        denom = lam_x[:, None] + lam_y[None, :]
         if self.singular:
             # pseudoinverse: drop the kernel (constant-pressure) modes
             drop = denom <= 1e-10 * float(lam_x.max() + lam_y.max())
             self._inv_denom = np.where(drop, 0.0, 1.0 / np.where(drop, 1.0, denom))
         else:
             if np.any(denom <= 0.0):
-                raise FloatingPointError(
-                    "pressure system not positive definite (eps too small?)")
+                raise FloatingPointError("pressure system not positive definite")
             self._inv_denom = 1.0 / denom
         self._m1_solve = ctx.m1_solver(gamma)
 
     def matvec(self, q):
-        """(A + eps M2) q through the composed sparse operators."""
+        """The system matrix applied through the composed sparse operators."""
         ctx, s = self.ctx, self.ctx.space
-        out = s.M2 @ (ctx.Dn @ self._m1_solve(ctx.DnT @ (s.M2 @ q)))
-        if self.eps:
-            out = out + self.eps * (s.M2 @ q)
-        return out
+        return s.M2 @ (ctx.Dn @ self._m1_solve(ctx.DnT @ (s.M2 @ q)))
 
     def solve(self, b):
         s = self.ctx.space
         B = np.asarray(b).reshape(s.line_x.l2.dim, s.line_y.l2.dim)
         Z = self.Phi_x.T @ B @ self.Phi_y
         Z *= self._inv_denom
-        x = (self.Phi_x @ Z @ self.Phi_y.T).ravel()
-        res = np.linalg.norm(self.matvec(x) - b)
-        nb = np.linalg.norm(b)
-        rel = res / nb if nb > 0 else 0.0
-        return x, LinearSolveReport(iterations=0, residual=float(rel),
-                                    converged=True)
+        return (self.Phi_x @ Z @ self.Phi_y.T).ravel()
 
 
 # --- dual operators ---------------------------------------------------------
@@ -368,17 +360,13 @@ def weak_grad(ctx: OperatorContext, q) -> Field:
 def weak_grad_full(ctx: OperatorContext, qc: np.ndarray) -> np.ndarray:
     """Full-generality dual gradient (trial slot of s_h): adds the
     whole-boundary trace pairing. Coefficient-level helper."""
-    rhs = -(ctx.DtT @ (ctx.space.M2 @ qc))
-    if ctx.mode == "bounded":
-        rhs = rhs + ctx.T_pressure @ qc
+    rhs = -(ctx.DtT @ (ctx.space.M2 @ qc)) + ctx.T_pressure @ qc
     return ctx.space.solve_M1(rhs)
 
 
 def weak_grad_with_pressure_bc(ctx: OperatorContext, q) -> Field:
     """Dual gradient with flux BCs and Gamma_p data:
     M1 x = -(Div Pc1 Pn)^T M2 q + b,  b_j = int_{Gamma_p} p_b (Lambda_j . n)."""
-    if ctx.mode != "bounded":
-        raise ValueError("pressure-boundary gradient needs a bounded context")
     qc = coeffs_of(q)
     rhs = -(ctx.DnT @ (ctx.space.M2 @ qc)) + ctx.b_pressure
     return Field(ctx.space, 1, ctx.space.solve_M1(rhs))
@@ -395,9 +383,8 @@ def weak_curl_with_tangential_bc(ctx: OperatorContext, v) -> Field:
     """Dual curl with tangential boundary data:
     M0 w = (Curl Pc0)^T M1 v - T1 v - t2."""
     vc = coeffs_of(v)
-    rhs = ctx.CP0T @ (ctx.space.M1 @ vc)
-    if ctx.mode == "bounded":
-        rhs = rhs - ctx.T_tangential @ vc - ctx.t_tangential_data
+    rhs = (ctx.CP0T @ (ctx.space.M1 @ vc) - ctx.T_tangential @ vc
+           - ctx.t_tangential_data)
     return Field(ctx.space, 0, ctx.space.solve_M0(rhs))
 
 
@@ -407,13 +394,6 @@ def interior_product(ctx: OperatorContext, u, k: int) -> Field:
         raise ValueError("component index must be 1 or 2")
     B = ctx.space.B1 if k == 1 else ctx.space.B2
     return Field(ctx.space, 2, ctx.space.solve_M2(B @ coeffs_of(u)))
-
-
-def vorticity_curl(ctx: OperatorContext, v) -> Field:
-    """Diagnostic curl: boundary-aware on bounded domains."""
-    if ctx.mode == "bounded":
-        return weak_curl_with_tangential_bc(ctx, v)
-    return weak_curl(ctx, v)
 
 
 # --- advection --------------------------------------------------------------
@@ -443,13 +423,13 @@ def advection_residual(ctx: OperatorContext, u, v) -> np.ndarray:
 
 def viscous_residual(ctx: OperatorContext, u) -> np.ndarray:
     """Dual vector of the viscous term: M1 Curl Pc0 (Ct_bc u)."""
-    omega = vorticity_curl(ctx, u).coeffs
+    omega = weak_curl_with_tangential_bc(ctx, u).coeffs
     return ctx.space.M1 @ (ctx.space.Curl @ (ctx.space.Pc0 @ omega))
 
 
 def viscous_form(ctx: OperatorContext, u, v) -> float:
     """d_h(u, v): boundary-aware curl on the trial side, boundaryless on
     the test side (they coincide on periodic domains)."""
-    wu = vorticity_curl(ctx, u).coeffs
+    wu = weak_curl_with_tangential_bc(ctx, u).coeffs
     wv = weak_curl(ctx, v).coeffs
     return float(wu @ (ctx.space.M0 @ wv))

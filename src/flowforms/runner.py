@@ -10,7 +10,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord, l2_error, measure
 from .multipatch import build_multipatch
-from .operators import OperatorContext, vorticity_curl
+from .operators import OperatorContext, weak_curl_with_tangential_bc
 from .spaces import Field
 from .stepper import StepFailure, cfl_dt, cn_step, initialize
 
@@ -68,7 +68,7 @@ def write_snapshot(ctx, u, p, t, path, grid=64):
     uc = u.coeffs if isinstance(u, Field) else np.asarray(u)
     uv = eval_field(Field(s, 1, uc), xs, ys, grid=True)
     pv = eval_field(Field(s, 2, np.asarray(p)), xs, ys, grid=True)
-    om = vorticity_curl(ctx, uc)
+    om = weak_curl_with_tangential_bc(ctx, uc)
     ov = eval_field(om, xs, ys, grid=True)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     with open(path, "w") as fh:
@@ -91,7 +91,7 @@ def run(cfg, progress=None):
     os.makedirs(cfg.output_dir, exist_ok=True)
     diag_path = os.path.join(cfg.output_dir, cfg.diagnostics_file)
 
-    u = initialize(ctx, case.initial, cfg.pressure_eps)
+    u = initialize(ctx, case.initial)
     p = np.zeros(ctx.space.n2)
     t, step, steady, failed = 0.0, 0, False, False
     records = [measure(ctx, u, t)]

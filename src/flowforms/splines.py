@@ -14,7 +14,10 @@ clamped spaces concatenated patch by patch.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.interpolate import BSpline
 
@@ -62,10 +65,6 @@ class SplineSpace1D:
         return f"SplineSpace1D(degree={self.degree}, n_cells={self.n_cells}, {kind})"
 
 
-def build_space_1d(degree, n_cells, interval=(0.0, 1.0), periodic=False) -> SplineSpace1D:
-    return SplineSpace1D(degree, n_cells, interval, periodic)
-
-
 def collocation_matrix(space: SplineSpace1D, x) -> sp.csr_matrix:
     """Rows of basis values at the points x. Shape (len(x), space.dim)."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -82,12 +81,6 @@ def collocation_matrix(space: SplineSpace1D, x) -> sp.csr_matrix:
     if np.any(x < a - 1e-12 * (b - a)) or np.any(x > b + 1e-12 * (b - a)):
         raise ValueError("evaluation point outside the space interval")
     return BSpline.design_matrix(np.clip(x, a, b), space.knots, space.degree).tocsr()
-
-
-def derivative_space(space: SplineSpace1D) -> SplineSpace1D:
-    if space.degree < 1:
-        raise ValueError("derivative of a degree-0 space is not representable")
-    return SplineSpace1D(space.degree - 1, space.n_cells, space.interval, space.periodic)
 
 
 def derivative_incidence_1d(space: SplineSpace1D) -> sp.csr_matrix:
@@ -226,12 +219,6 @@ class Broken1D:
             w.append(wk)
         return np.concatenate(pts), np.concatenate(w)
 
-    # boundary-trace bookkeeping (clamped ends only)
-    def trace_index(self, side: str) -> int:
-        if self.periodic:
-            raise ValueError("periodic direction has no boundary")
-        return 0 if side == "lo" else self.dim - 1
-
 
 def weighted_gram(Ea: sp.csr_matrix, w, Eb: sp.csr_matrix) -> sp.csr_matrix:
     """Ea^T diag(w) Eb, all sparse."""
@@ -286,3 +273,11 @@ class DeRhamLine:
             M = self.M_h1 if which == "h1" else self.M_l2
             self._fact[which] = sym_factor(M)
         return self._fact[which]
+
+    @cached_property
+    def lambda_max(self) -> float:
+        """Largest eigenvalue of the pencil (D^T M_l2 D, M_h1), the sharp
+        inverse-inequality constant |v'|^2 <= lambda_max |v|^2 on h1."""
+        K = (self.D.T @ self.M_l2 @ self.D).toarray()
+        return float(scipy.linalg.eigh(K, self.M_h1.toarray(),
+                                       eigvals_only=True)[-1])

@@ -11,7 +11,9 @@ Both mass variants are Kronecker products per component, so all solves
 stay exact.
 
 The functions take the resolved SimulationConfig (config.py); its dt is
-None under CFL control, so the caller passes each step's dt.
+None under CFL control, so the caller passes each step's dt. The same
+code serves every domain: without boundary conditions the boundary data
+vectors are zero and Pn is the identity.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LinearSolveReport
-from .operators import (_EDGE_AXIS, OperatorContext, _as_values,
-                        advection_residual, viscous_residual)
+from .operators import OperatorContext, advection_residual, viscous_residual
 from .spaces import Field, coeffs_of, l2_project
 
 
@@ -35,13 +35,12 @@ class StepFailure(RuntimeError):
 class StepReport:
     picard_iterations: int
     final_update_norm: float
-    pressure: LinearSolveReport
     dt_used: float
 
 
 def midpoint_sweep(ctx: OperatorContext, cfg, un, u_iter, dt: float):
     """One Picard sweep of the midpoint step from u^n with current iterate
-    u_iter: returns (u_next, p, pressure report), where
+    u_iter: returns (u_next, p), where
     u_next = u^n - dt Pn (M1 + gamma Pen)^{-1} (R - Dn^T M2 p),
     R is the momentum residual at the midpoint (penalization acting on
     u^n) and p makes Dt u_next = Dt u^n exactly."""
@@ -54,15 +53,12 @@ def midpoint_sweep(ctx: OperatorContext, cfg, un, u_iter, dt: float):
     if cfg.alpha != 0.0 and pen.nnz:
         R = R + cfg.alpha * (pen @ un)
         gamma = 0.5 * dt * cfg.alpha
-    R = R - ctx.f_vec
-    if ctx.mode == "bounded":
-        R = R + ctx.b_pressure
+    R = R - ctx.f_vec + ctx.b_pressure
     m1t = ctx.m1_solver(gamma)
     M2 = ctx.space.M2
-    p, prep = ctx.poisson_solver(gamma, cfg.pressure_eps).solve(
-        M2 @ (ctx.Dn @ m1t(R)))
+    p = ctx.poisson_solver(gamma).solve(M2 @ (ctx.Dn @ m1t(R)))
     w = R - ctx.DnT @ (M2 @ p)
-    return un - dt * (ctx.Pn @ m1t(w)), p, prep
+    return un - dt * (ctx.Pn @ m1t(w)), p
 
 
 def cn_step(ctx: OperatorContext, u_n, cfg, dt=None):
@@ -83,12 +79,12 @@ def cn_step(ctx: OperatorContext, u_n, cfg, dt=None):
         if not np.isfinite(u_new).all() or np.abs(u_new).max() > 1e60:
             raise StepFailure(
                 f"Picard iteration diverged after {it - 1} iterations")
-        u_next, p, prep = midpoint_sweep(ctx, cfg, un, u_new, dt)
+        u_next, p = midpoint_sweep(ctx, cfg, un, u_new, dt)
         upd = float(np.linalg.norm(u_next - u_new))
         u_new = u_next
         if upd < cfg.picard_tol:
             return (Field(ctx.space, 1, u_new), p,
-                    StepReport(it, upd, prep, dt))
+                    StepReport(it, upd, dt))
     raise StepFailure(
         f"no Picard convergence in {cfg.picard_max_iter} iterations "
         f"(last update {upd:.3e})")
@@ -96,15 +92,17 @@ def cn_step(ctx: OperatorContext, u_n, cfg, dt=None):
 
 def cfl_dt(ctx: OperatorContext, u, cfg) -> float:
     """Advective/viscous time step bound
-    dt = safety / (|u|_inf/h + nu/h^2), capped at dt_max.
+    dt = safety / (|u|_inf sqrt(mu) + nu mu), capped at dt_max, with
+    mu = lambda_max(x) + lambda_max(y) the inverse-inequality constants of
+    the two lines (about 50/h^2 per clamped line at p=2, not 1/h^2).
 
     The velocity scale is the coefficient max norm: with a nonnegative
     partition-of-unity basis it bounds |u|_inf and is exact for constants,
-    which keeps the h and nu scalings of the bound free of evaluation
-    roundoff."""
+    which keeps the velocity scaling of the bound free of evaluation
+    roundoff. The constants are computed on the first call only."""
     vmax = float(np.abs(coeffs_of(u)).max())
-    h = ctx.space.min_h()
-    denom = vmax / h + cfg.nu / (h * h)
+    mu = ctx.space.line_x.lambda_max + ctx.space.line_y.lambda_max
+    denom = vmax * np.sqrt(mu) + cfg.nu * mu
     if denom == 0.0:
         return cfg.dt_max
     return min(cfg.cfl_safety / denom, cfg.dt_max)
@@ -115,34 +113,21 @@ def cfl_dt(ctx: OperatorContext, u, cfg) -> float:
 def set_normal_data(ctx: OperatorContext, u) -> Field:
     """Overwrite the flux trace coefficients on Gamma_n edges with the 1D
     L2 projection of the prescribed normal-velocity data."""
-    uc = coeffs_of(u).copy()
-    for edge, cond in ctx.bc.items():
-        if cond.kind != "normal":
-            continue
-        axis, side = _EDGE_AXIS[edge]
-        sigma = -1.0 if side == "lo" else 1.0
-        line = ctx._tangent_line(edge)
-        vals = sigma * _as_values(cond.value, line.eval_pts)
-        mom = line.E_l2.T @ (line.eval_w * vals)
-        uc[ctx._flux_slice(edge)] = line.mass_factor("l2").solve(mom)
-    return Field(ctx.space, 1, uc)
+    return Field(ctx.space, 1, ctx.Pn @ coeffs_of(u) + ctx.normal_data)
 
 
-def leray_project(ctx: OperatorContext, u, pressure_eps=None):
+def leray_project(ctx: OperatorContext, u) -> Field:
     """Remove the discrete divergence without touching the Gamma_n flux
-    data: u <- u + Pn M1^{-1} Dn^T M2 phi with (A + eps M2) phi = -M2 Div u."""
+    data: u <- u + Pn M1^{-1} Dn^T M2 phi, where phi solves the pressure
+    system of poisson_solver(0) with right-hand side -M2 Div u."""
     uc = coeffs_of(u)
-    solver = ctx.poisson_solver(0.0, pressure_eps)
-    phi, rep = solver.solve(-(ctx.space.M2 @ (ctx.Dt @ uc)))
+    phi = ctx.poisson_solver(0.0).solve(-(ctx.space.M2 @ (ctx.Dt @ uc)))
     corr = ctx.Pn @ ctx.space.solve_M1(ctx.DnT @ (ctx.space.M2 @ phi))
-    return Field(ctx.space, 1, uc + corr), rep
+    return Field(ctx.space, 1, uc + corr)
 
 
-def initialize(ctx: OperatorContext, initial, pressure_eps=None) -> Field:
+def initialize(ctx: OperatorContext, initial) -> Field:
     """L2-project the initial velocity, impose the normal boundary data
     strongly, then Leray-project onto the divergence-free subspace."""
-    u = l2_project(ctx.space, 1, initial)
-    if ctx.mode == "bounded":
-        u = set_normal_data(ctx, u)
-    u, _ = leray_project(ctx, u, pressure_eps)
-    return u
+    u = set_normal_data(ctx, l2_project(ctx.space, 1, initial))
+    return leray_project(ctx, u)

@@ -15,9 +15,10 @@ pressure solve) and the trilinear advection form by direct quadrature of
 its integrands (the check of the assembled residual).
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from flowforms.linalg import LinearSolveReport
 from flowforms.operators import weak_grad_full
 from flowforms.spaces import coeffs_of
 
@@ -313,6 +314,13 @@ class DenseOracle:
 
 class NumericalBreakdown(RuntimeError):
     """Non-finite values encountered inside an iterative solve."""
+
+
+@dataclass
+class LinearSolveReport:
+    iterations: int
+    residual: float  # relative 2-norm, recomputed from the returned iterate
+    converged: bool
 
 
 def cg_solve(A, b, tol: float = 1e-12, max_iter: int | None = None):

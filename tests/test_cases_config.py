@@ -154,11 +154,23 @@ def test_save_config_refuses_callable_boundary_data(tmp_path, field, bc):
         save_config(cfg, tmp_path / "sim.cfg")
 
 
-@pytest.mark.parametrize("key", ["cfl_constant", "pressure_solver"])
+@pytest.mark.parametrize("key", ["cfl_constant", "pressure_solver",
+                                 "pressure_eps"])
 def test_load_config_rejects_removed_keys(tmp_path, key):
     path = tmp_path / "old.cfg"
     path.write_text(f"[stepper]\n{key} = 1.0\n")
     with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("section,key,raw", [
+    ("grid", "degree", "auto"), ("grid", "n_cells", "none"),
+    ("stepper", "picard_tol", "auto"), ("output", "snapshot_grid", "none")])
+def test_load_config_rejects_auto_without_a_default(tmp_path, section, key, raw):
+    # none/auto only stands for settings that have an automatic value
+    path = tmp_path / "auto.cfg"
+    path.write_text(f"[{section}]\n{key} = {raw}\n")
+    with pytest.raises(ValueError, match=f"{key} in \\[{section}\\] needs a value"):
         load_config(path)
 
 

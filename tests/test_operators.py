@@ -16,7 +16,6 @@ from flowforms.operators import (
     interior_product,
     viscous_form,
     viscous_residual,
-    vorticity_curl,
     weak_curl,
     weak_curl_with_tangential_bc,
     weak_grad,
@@ -209,7 +208,7 @@ def test_advection_form_matches_dense_oracle(p, nc, npat, mode):
     w = rand_coeffs(ctx.space, 1, seed=20)
     got = advection_form(ctx, u, v, w)
     ref = ora.advection_form(ctx.space.Pc1.toarray(), u, v, w,
-                             bounded=(ctx.mode == "bounded"))
+                             bounded=(mode == "mixed"))
     assert rel(got, ref) <= 1e-11
 
 
@@ -341,11 +340,12 @@ def _pressure_ctx(p=2, nc=4):
     return OperatorContext(space(p, nc, 1, periodic=False), bc=bc)
 
 
-def test_pressure_gradient_requires_bounded_context():
+def test_pressure_gradient_periodic_context_is_plain_gradient():
     ctx = context(2, 4, 1, "periodic")
-    q = np.zeros(ctx.space.n2)
-    with pytest.raises(ValueError, match="bounded"):
-        weak_grad_with_pressure_bc(ctx, q)
+    q = rand_coeffs(ctx.space, 2, seed=28)
+    a = weak_grad_with_pressure_bc(ctx, q).coeffs
+    b = weak_grad(ctx, q).coeffs
+    assert np.array_equal(a, b)
 
 
 def test_pressure_gradient_range_is_flux_constrained():
@@ -479,17 +479,6 @@ def test_lid_data_vector_matches_edge_quadrature():
     pts, w, tr, _ = ora.edge_rule("top")
     expected = tr["v0"].T @ w
     assert np.max(np.abs(ctx.t_tangential_data - expected)) <= 1e-12
-
-
-def test_vorticity_curl_dispatches_on_mode():
-    ctx_p = context(2, 4, 1, "periodic")
-    v = rand_coeffs(ctx_p.space, 1, seed=44)
-    assert np.array_equal(vorticity_curl(ctx_p, v).coeffs,
-                          weak_curl(ctx_p, v).coeffs)
-    ctx_b = context(2, 4, 1, "walls")
-    vb = rand_coeffs(ctx_b.space, 1, seed=45)
-    assert np.array_equal(vorticity_curl(ctx_b, vb).coeffs,
-                          weak_curl_with_tangential_bc(ctx_b, vb).coeffs)
 
 
 # --- context validation and forcing ------------------------------------------

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from flowforms.splines import (
     Broken1D,
     DeRhamLine,
-    build_space_1d,
+    SplineSpace1D,
     cell_quadrature,
     collocation_matrix,
     derivative_incidence_1d,
-    derivative_space,
 )
+
+UNIT = (0.0, 1.0)
 
 
 def spline_values(space, c, x):
@@ -23,25 +24,25 @@ def spline_values(space, c, x):
 # --- space construction -------------------------------------------------------
 
 def test_dims_clamped_and_periodic():
-    assert build_space_1d(0, 4).dim == 4
-    assert build_space_1d(2, 4).dim == 6
-    assert build_space_1d(1, 8, periodic=True).dim == 8
+    assert SplineSpace1D(0, 4, UNIT, False).dim == 4
+    assert SplineSpace1D(2, 4, UNIT, False).dim == 6
+    assert SplineSpace1D(1, 8, UNIT, True).dim == 8
 
 
 @pytest.mark.parametrize("bad", [
-    dict(degree=-1, n_cells=4),
-    dict(degree=2, n_cells=0),
-    dict(degree=2, n_cells=4, interval=(1.0, 1.0)),
-    dict(degree=2, n_cells=2, periodic=True),
+    (-1, 4, UNIT, False),
+    (2, 0, UNIT, False),
+    (2, 4, (1.0, 1.0), False),
+    (2, 2, UNIT, True),
 ])
 def test_invalid_spaces_rejected(bad):
     with pytest.raises(ValueError):
-        build_space_1d(**bad)
+        SplineSpace1D(*bad)
 
 
 def test_partition_of_unity_at_random_points(rng):
     for periodic in (False, True):
-        space = build_space_1d(2, 8, (0.0, 2.0), periodic)
+        space = SplineSpace1D(2, 8, (0.0, 2.0), periodic)
         x = rng.uniform(0.0, 2.0, size=100)
         E = collocation_matrix(space, x).toarray()
         assert np.abs(E.sum(axis=1) - 1.0).max() <= 1e-13
@@ -49,7 +50,7 @@ def test_partition_of_unity_at_random_points(rng):
 
 
 def test_clamped_endpoints_are_interpolatory():
-    space = build_space_1d(3, 5, (0.0, 1.0))
+    space = SplineSpace1D(3, 5, UNIT, False)
     E = collocation_matrix(space, [0.0, 1.0]).toarray()
     assert E[0, 0] == pytest.approx(1.0, abs=1e-14)
     assert E[1, -1] == pytest.approx(1.0, abs=1e-14)
@@ -57,7 +58,7 @@ def test_clamped_endpoints_are_interpolatory():
 
 
 def test_collocation_rejects_outside_points():
-    space = build_space_1d(2, 4, (0.0, 1.0))
+    space = SplineSpace1D(2, 4, UNIT, False)
     with pytest.raises(ValueError):
         collocation_matrix(space, [1.001])
     with pytest.raises(ValueError):
@@ -73,7 +74,7 @@ def test_collocation_rejects_outside_points():
 )
 def test_basis_partition_of_unity_property(degree, n_cells, periodic, ts):
     assume(not periodic or n_cells > degree)
-    space = build_space_1d(degree, n_cells, (-1.0, 3.0), periodic)
+    space = SplineSpace1D(degree, n_cells, (-1.0, 3.0), periodic)
     x = -1.0 + 4.0 * np.asarray(ts)
     E = collocation_matrix(space, x).toarray()
     assert np.abs(E.sum(axis=1) - 1.0).max() <= 1e-13
@@ -84,13 +85,13 @@ def test_basis_partition_of_unity_property(degree, n_cells, periodic, ts):
 
 def test_derivative_of_constant_vanishes():
     for periodic in (False, True):
-        space = build_space_1d(3, 6, (0.0, 2.0), periodic)
+        space = SplineSpace1D(3, 6, (0.0, 2.0), periodic)
         D = derivative_incidence_1d(space)
         assert np.abs(D @ np.ones(space.dim)).max() == 0.0
 
 
 def test_derivative_degree_one_is_bidiagonal():
-    space = build_space_1d(1, 5, (0.0, 1.0))
+    space = SplineSpace1D(1, 5, UNIT, False)
     h = 0.2
     D = derivative_incidence_1d(space).toarray()
     assert D.shape == (5, 6)
@@ -103,8 +104,8 @@ def test_derivative_degree_one_is_bidiagonal():
 
 @pytest.mark.parametrize("periodic", [False, True])
 def test_derivative_matches_finite_differences(periodic, rng):
-    space = build_space_1d(3, 6, (0.0, 2.0), periodic)
-    target = derivative_space(space)
+    space = SplineSpace1D(3, 6, (0.0, 2.0), periodic)
+    target = SplineSpace1D(2, 6, (0.0, 2.0), periodic)
     D = derivative_incidence_1d(space)
     c = rng.standard_normal(space.dim)
     dc = D @ c
@@ -116,18 +117,15 @@ def test_derivative_matches_finite_differences(periodic, rng):
 
 
 def test_derivative_rejects_degree_zero():
-    space = build_space_1d(0, 4)
     with pytest.raises(ValueError):
-        derivative_space(space)
-    with pytest.raises(ValueError):
-        derivative_incidence_1d(space)
+        derivative_incidence_1d(SplineSpace1D(0, 4, UNIT, False))
 
 
 def test_derivative_exactness_against_dense_tableau(rng):
     # derivative of the evaluated spline equals evaluation in the target
     # space at machine precision (not just FD accuracy)
-    space = build_space_1d(2, 7, (0.0, 1.0), periodic=True)
-    target = derivative_space(space)
+    space = SplineSpace1D(2, 7, UNIT, True)
+    target = SplineSpace1D(1, 7, UNIT, True)
     D = derivative_incidence_1d(space)
     c = rng.standard_normal(space.dim)
     x = rng.uniform(0.0, 1.0, 40)
@@ -178,14 +176,6 @@ def test_broken_collocation_sides_at_interface():
     assert np.abs(left[line.offsets[1]:]).max() == 0.0
 
 
-def test_broken_trace_index_and_periodic_guard():
-    line = Broken1D(2, 2, 3, (0.0, 1.0), False)
-    assert line.trace_index("lo") == 0
-    assert line.trace_index("hi") == line.dim - 1
-    with pytest.raises(ValueError):
-        Broken1D(1, 2, 3, (0.0, 1.0), True).trace_index("lo")
-
-
 def test_broken_quadrature_covers_interval():
     line = Broken1D(2, 3, 4, (0.0, 2.0), False)
     pts, w = line.quadrature(4)
@@ -222,3 +212,16 @@ def test_derham_line_mass_factor_solves(rng):
 def test_derham_line_cell_size():
     line = DeRhamLine(1, 4, 5, (0.0, 2.0), False)
     assert line.h == pytest.approx(2.0 / 20.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("n_patches,periodic", [(1, False), (1, True), (2, False)])
+def test_derham_line_lambda_max_is_the_inverse_inequality_constant(
+        n_patches, periodic, rng):
+    line = DeRhamLine(2, n_patches, 5, (0.0, 2.0), periodic)
+    K = (line.D.T @ line.M_l2 @ line.D).toarray()
+    M = line.M_h1.toarray()
+    ref = np.linalg.eigvals(np.linalg.solve(M, K)).real.max()
+    assert line.lambda_max == pytest.approx(ref, rel=1e-10)
+    V = rng.standard_normal((line.h1.dim, 30))
+    ratios = np.sum(V * (K @ V), axis=0) / np.sum(V * (M @ V), axis=0)
+    assert ratios.max() <= line.lambda_max

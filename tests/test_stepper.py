@@ -1,5 +1,7 @@
 """Stepper settings, the midpoint sweep (pressure solve and velocity
 update), midpoint stepping, CFL bound."""
+import weakref
+
 import numpy as np
 import pytest
 
@@ -51,8 +53,13 @@ def tg_state(ctx):
 
 def sweep_pressure(ctx, u, cfg):
     """Pressure of one midpoint sweep at the state u (u^n = iterate = u)."""
-    _, p, rep = midpoint_sweep(ctx, cfg, u, u, cfg.dt)
-    return p, rep
+    return midpoint_sweep(ctx, cfg, u, u, cfg.dt)[1]
+
+
+def pressure_residual(solver, p, b):
+    """Relative residual of a pressure solve, through the solver's own
+    composed-operator matvec."""
+    return np.linalg.norm(solver.matvec(p) - b) / np.linalg.norm(b)
 
 
 # --- configuration validation ------------------------------------------------
@@ -64,7 +71,11 @@ def sweep_pressure(ctx, u, cfg):
     (dict(alpha=-5.0), "alpha"),
     (dict(picard_max_iter=0), "picard_max_iter"),
     (dict(cfl_safety=1.5), "cfl_safety"),
-    (dict(pressure_eps=-1e-8), "pressure_eps"),
+    (dict(t_final=0.0), "t_final"),
+    (dict(t_final=-1.0), "t_final"),
+    (dict(snapshot_cadence=-1), "snapshot_cadence"),
+    (dict(snapshot_grid=0), "snapshot_grid"),
+    (dict(degree=None), "degree"),
 ])
 def test_stepper_config_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -81,15 +92,14 @@ def test_stepper_config_defaults_are_valid():
 @pytest.mark.parametrize("mode", ["periodic", "mixed"])
 def test_pressure_of_rest_state_is_zero(mode):
     ctx = context(2, 4, 1, mode)
-    p, rep = sweep_pressure(ctx, np.zeros(ctx.space.n1), stepper_cfg())
-    assert rep.converged
+    p = sweep_pressure(ctx, np.zeros(ctx.space.n1), stepper_cfg())
     assert np.max(np.abs(p)) <= 1e-12
 
 
 def test_pressure_of_uniform_flow_is_zero():
     ctx = context(2, 4, 1, "periodic")
     u = ctx.space.constant_v1(1.4, -0.6)
-    p, _ = sweep_pressure(ctx, u, stepper_cfg())
+    p = sweep_pressure(ctx, u, stepper_cfg())
     assert np.max(np.abs(p)) <= 1e-11
 
 
@@ -114,13 +124,40 @@ def test_pressure_system_symmetric_with_penalization():
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
+def test_solver_caches_keep_only_the_latest_gamma():
+    # under CFL control every step brings a new gamma = dt*alpha/2
+    ctx = OperatorContext(space(2, 4, 2, periodic=True))
+    first = weakref.ref(ctx.poisson_solver(1.0))
+    first_m1 = weakref.ref(ctx.m1_solver(1.0))
+    for gamma in (2.0, 3.0):
+        ctx.poisson_solver(gamma)
+    assert first() is None and first_m1() is None
+    assert ctx.poisson_solver(3.0) is ctx.poisson_solver(3.0)
+
+
+@pytest.mark.parametrize("which,gamma", [
+    ("mixed", 0.0), ("periodic", 0.0), ("broken", 3.7)])
+def test_pressure_solve_residual_through_matvec(which, gamma):
+    ctx = (OperatorContext(space(2, 4, 2, periodic=True)) if which == "broken"
+           else context(2, 4, 1, which))
+    solver = ctx.poisson_solver(gamma)
+    b = rand_coeffs(ctx.space, 2, seed=5)
+    if solver.singular:
+        # the symmetric system's range is orthogonal to its constant kernel
+        ones = np.ones(ctx.space.n2)
+        b = b - ones * (ones @ b) / (ones @ ones)
+    assert pressure_residual(solver, solver.solve(b), b) <= 1e-12
+
+
 def test_singular_pressure_solve_returns_zero_mean():
     # nc=8: on 4 cells the wavenumber-2 advection aliases to a curl and
     # the pressure degenerates to zero
     ctx = context(2, 8, 1, "periodic")
+    s = ctx.space
     u = tg_state(ctx)
-    p, rep = sweep_pressure(ctx, u, stepper_cfg())
-    assert rep.converged
+    p = sweep_pressure(ctx, u, stepper_cfg())
+    b = s.M2 @ (ctx.Dn @ s.solve_M1(advection_residual(ctx, u, u)))
+    assert pressure_residual(ctx.poisson_solver(), p, b) <= 1e-12
     mean = float(np.ones(ctx.space.n2) @ (ctx.space.M2 @ p))
     assert abs(mean) <= 1e-11 * max(1.0, np.max(np.abs(p)))
     assert np.max(np.abs(p)) > 1e-3
@@ -133,7 +170,7 @@ def test_direct_and_cg_pressure_agree():
     ctx = context(2, 4, 1, "periodic")
     s = ctx.space
     u = tg_state(ctx)
-    p_dir, _ = sweep_pressure(ctx, u, stepper_cfg())
+    p_dir = sweep_pressure(ctx, u, stepper_cfg())
     b = s.M2 @ (ctx.Dn @ s.solve_M1(advection_residual(ctx, u, u)))
     ones = np.ones(s.n2)
     p_cg, rep = cg_solve(ctx.poisson_solver().matvec,
@@ -143,27 +180,14 @@ def test_direct_and_cg_pressure_agree():
     assert np.max(np.abs(p_dir - p_cg)) <= 1e-9 * max(1.0, np.max(np.abs(p_dir)))
 
 
-def test_pressure_eps_shifts_the_system():
-    ctx = context(2, 4, 1, "periodic")
-    eps = 1e-4
-    solver = ctx.poisson_solver(0.0, eps)
-    assert not solver.singular
-    b = rand_coeffs(ctx.space, 2, seed=5)
-    p, rep = solver.solve(b)
-    assert np.linalg.norm(solver.matvec(p) - b) <= 1e-9 * np.linalg.norm(b)
-    base = ctx.poisson_solver(0.0)
-    shift = solver.matvec(p) - base.matvec(p)
-    assert np.max(np.abs(shift - eps * (ctx.space.M2 @ p))) <= 1e-13
-
-
 # --- velocity update of the sweep ---------------------------------------------
 
 def test_velocity_update_keeps_divergence_free():
     ctx = context(2, 4, 1, "periodic")
     cfg = stepper_cfg(dt=1e-3, nu=0.01)
     u_n = tg_state(ctx)
-    u_it = leray_project(ctx, rand_coeffs(ctx.space, 1, seed=6))[0].coeffs
-    u1, _, _ = midpoint_sweep(ctx, cfg, u_n, u_it, cfg.dt)
+    u_it = leray_project(ctx, rand_coeffs(ctx.space, 1, seed=6)).coeffs
+    u1, _ = midpoint_sweep(ctx, cfg, u_n, u_it, cfg.dt)
     assert np.max(np.abs(ctx.Dt @ u1)) <= 1e-10 * max(1.0, np.max(np.abs(u1)))
 
 
@@ -173,8 +197,8 @@ def test_velocity_update_momentum_with_penalization():
     ctx = OperatorContext(space(2, 4, 2, periodic=True))
     cfg = stepper_cfg(dt=1e-3, nu=0.02, alpha=50.0)
     u_n = initialize(ctx, TG.initial).coeffs
-    u_it = leray_project(ctx, rand_coeffs(ctx.space, 1, seed=7))[0].coeffs
-    u1, _, _ = midpoint_sweep(ctx, cfg, u_n, u_it, cfg.dt)
+    u_it = leray_project(ctx, rand_coeffs(ctx.space, 1, seed=7)).coeffs
+    u1, _ = midpoint_sweep(ctx, cfg, u_n, u_it, cfg.dt)
     drift = momentum(ctx.space, u1) - momentum(ctx.space, u_n)
     assert np.max(np.abs(drift)) <= 1e-11 * max(1.0, np.max(np.abs(u_n)))
 
@@ -184,7 +208,7 @@ def test_velocity_update_satisfies_momentum_equation():
     ctx = context(2, 4, 1, "periodic")
     cfg = stepper_cfg(dt=1e-6, nu=0.05)
     u_n = tg_state(ctx)
-    u1, p, _ = midpoint_sweep(ctx, cfg, u_n, u_n, cfg.dt)
+    u1, p = midpoint_sweep(ctx, cfg, u_n, u_n, cfg.dt)
     R = advection_residual(ctx, u_n, u_n) + cfg.nu * viscous_residual(ctx, u_n)
     lhs = ctx.space.M1 @ ((u1 - u_n) / cfg.dt)
     rhs = -(R - ctx.DnT @ (ctx.space.M2 @ p))
@@ -297,13 +321,24 @@ def test_cfl_dt_halves_exactly_with_velocity_doubling():
     assert cfl_dt(ctx, 4.0 * u, cfg) == dt1 / 4.0
 
 
-def test_cfl_dt_quarters_exactly_with_mesh_quartering():
-    cfg = stepper_cfg(nu=0.0)
+def inverse_constant(ctx):
+    """mu = lambda_max(x) + lambda_max(y) of the CFL bound."""
+    return ctx.space.line_x.lambda_max + ctx.space.line_y.lambda_max
+
+
+def test_cfl_dt_quarters_with_mesh_quartering():
+    # inviscid: dt |u| sqrt(mu) = safety; a periodic line's lambda_max
+    # scales exactly as 1/h^2, so dt scales as h
+    cfg = stepper_cfg(nu=0.0, dt_max=100.0)
     dts = []
-    for nc in (4, 16):
-        ctx = context(2, nc, 1, "periodic")
-        dts.append(cfl_dt(ctx, ctx.space.constant_v1(1.3, 0.9), cfg))
-    assert dts[1] == dts[0] / 4.0
+    for nc, mode in ((4, "periodic"), (16, "periodic"), (4, "walls")):
+        ctx = context(2, nc, 1, mode)
+        u = ctx.space.constant_v1(1.3, 0.9)
+        dt = cfl_dt(ctx, u, cfg)
+        assert dt * 1.3 * np.sqrt(inverse_constant(ctx)) == pytest.approx(
+            cfg.cfl_safety, rel=1e-14)
+        dts.append(dt)
+    assert dts[1] == pytest.approx(dts[0] / 4.0, rel=1e-10)
 
 
 def test_cfl_dt_viscous_scaling_and_cap():
@@ -312,7 +347,11 @@ def test_cfl_dt_viscous_scaling_and_cap():
     cfg = stepper_cfg(nu=0.02, dt_max=100.0)
     z4 = np.zeros(ctx4.space.n1)
     z16 = np.zeros(ctx16.space.n1)
-    assert cfl_dt(ctx16, z16, cfg) == cfl_dt(ctx4, z4, cfg) / 16.0
+    for ctx, z in ((ctx4, z4), (ctx16, z16), (context(2, 4, 1, "walls"), z4)):
+        assert cfl_dt(ctx, z, cfg) * cfg.nu * inverse_constant(ctx) == \
+            pytest.approx(cfg.cfl_safety, rel=1e-14)
+    assert cfl_dt(ctx16, z16, cfg) == pytest.approx(
+        cfl_dt(ctx4, z4, cfg) / 16.0, rel=1e-10)
     calm = stepper_cfg(nu=0.0, dt_max=0.25)
     assert cfl_dt(ctx4, z4, calm) == 0.25
 
@@ -347,17 +386,16 @@ def test_set_normal_data_projects_edge_traces():
 def test_leray_project_removes_divergence_only():
     ctx = context(2, 4, 1, "periodic")
     u = rand_coeffs(ctx.space, 1, seed=9)
-    u1, rep = leray_project(ctx, u)
-    assert rep.converged
+    u1 = leray_project(ctx, u)
     assert np.max(np.abs(ctx.Dt @ u1.coeffs)) <= 1e-10 * max(1.0, np.max(np.abs(u)))
-    u2, _ = leray_project(ctx, u1.coeffs)
+    u2 = leray_project(ctx, u1.coeffs)
     assert np.max(np.abs(u2.coeffs - u1.coeffs)) <= 1e-10
 
 
 def test_leray_project_preserves_flux_data():
     ctx = context(2, 4, 1, "walls")
     u = set_normal_data(ctx, rand_coeffs(ctx.space, 1, seed=10))
-    u1, _ = leray_project(ctx, u)
+    u1 = leray_project(ctx, u)
     for edge in ("left", "right", "bottom", "top"):
         fs = ctx._flux_slice(edge)
         assert np.array_equal(u1.coeffs[fs], u.coeffs[fs])
