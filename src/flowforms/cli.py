@@ -15,6 +15,17 @@ import click
 
 
 def _load(config_path, kwargs):
+    """The config of a command; an invalid value is a usage error (exit
+    code 2, one line), not a traceback."""
+    try:
+        cfg = _build_config(config_path, kwargs)
+        cfg.resolve()
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
+    return cfg
+
+
+def _build_config(config_path, kwargs):
     from dataclasses import replace
     from .config import load_config, SimulationConfig
 

@@ -148,7 +148,12 @@ def _convert(key, raw):
     if key in _STR_KEYS:
         return raw
     if key == "periodic":
-        return raw.lower() in ("1", "true", "yes", "on")
+        word = raw.lower()
+        if word in ("1", "true", "yes", "on"):
+            return True
+        if word in ("0", "false", "no", "off"):
+            return False
+        raise ValueError(f"periodic must be true or false, got {raw!r}")
     if key in ("n_patches", "n_cells"):
         return _parse_pair(raw, int)
     if key == "domain":

@@ -42,20 +42,23 @@ def measure(ctx: OperatorContext, u, t: float = 0.0,
 
 
 def l2_error(space, u, exact, slot: int = 1) -> float:
-    """Quadrature L2 distance between a discrete field and a callable."""
+    """Quadrature L2 distance between a discrete field and a callable, on
+    the data grid (the callable is not a spline)."""
     uc = coeffs_of(u)
-    X, Y = space.quad_grid()
+    grid = space.data_grid
+    X, Y = grid.mesh()
     if slot == 1:
-        ux, uy = space.grid_eval_v1(uc)
+        ux, uy = space.grid_eval_v1(uc, grid)
         ex, ey = exact(X, Y)
         ex = np.broadcast_to(np.asarray(ex, dtype=np.float64), X.shape)
         ey = np.broadcast_to(np.asarray(ey, dtype=np.float64), X.shape)
         err2 = (ux - ex) ** 2 + (uy - ey) ** 2
     else:
-        vals = space.grid_eval_v0(uc) if slot == 0 else space.grid_eval_v2(uc)
+        vals = (space.grid_eval_v0(uc, grid) if slot == 0
+                else space.grid_eval_v2(uc, grid))
         ev = np.broadcast_to(np.asarray(exact(X, Y), dtype=np.float64), X.shape)
         err2 = (vals - ev) ** 2
-    return float(np.sqrt(np.sum(space.qw * err2)))
+    return float(np.sqrt(grid.integrate(err2)))
 
 
 def convergence_order(hs, errors) -> float:

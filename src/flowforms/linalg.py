@@ -111,5 +111,5 @@ class KroneckerSolver:
         vec_in = b.ndim == 1
         X = b.reshape(self.dims)
         for axis, f in enumerate(self.factors):
-            X = np.moveaxis(f.solve(np.moveaxis(X, axis, 0)), 0, axis)
+            X = f.solve(X.swapaxes(0, axis)).swapaxes(0, axis)
         return X.reshape(-1) if vec_in else X

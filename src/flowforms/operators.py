@@ -128,11 +128,12 @@ class OperatorContext:
 
         self.f_vec = np.zeros(space.n1)
         if forcing is not None:
-            X, Y = space.quad_grid()
+            X, Y = space.data_grid.mesh()
             fx, fy = forcing(X, Y)
             fx = np.broadcast_to(np.asarray(fx, dtype=np.float64), X.shape)
             fy = np.broadcast_to(np.asarray(fy, dtype=np.float64), X.shape)
-            self.f_vec = space.Pc1.T @ space.grid_moments_v1(fx, fy)
+            self.f_vec = space.Pc1.T @ space.grid_moments_v1(
+                fx, fy, space.data_grid)
 
         self._m1t_cache = {}
         self._poisson_cache = {}
@@ -185,7 +186,8 @@ class OperatorContext:
             tau = sigma * (1.0 if axis == "y" else -1.0)
             line = self._tangent_line(edge)
             lo, hi = line.interval
-            pts, w = line.eval_pts, line.eval_w
+            # boundary data on the data grid of the tangent line
+            pts, w = line.data_grid.pts, line.data_grid.w
             El2, Eh1 = line.E_l2, line.E_h1
 
             # full-boundary pressure-trace pairing (rows: flux DOFs on the
@@ -400,7 +402,12 @@ def interior_product(ctx: OperatorContext, u, k: int) -> Field:
 
 def advection_residual(ctx: OperatorContext, u, v) -> np.ndarray:
     """Dual vector r with r_j = c_h(u, v, Lambda_j), assembled in two
-    quadrature passes without per-basis mass solves."""
+    quadrature passes without per-basis mass solves.
+
+    u is evaluated once and shared by both halves of the skew form. Both
+    run on the exact grid: each integrand is a product of three spline
+    factors of degree at most 3p+2 per direction on every cell, and Gauss
+    with n points is exact to degree 2n-1 >= 3p+2 (`quad_rule_exact`)."""
     s = ctx.space
     uc, vc = coeffs_of(u), coeffs_of(v)
     uvx, uvy = s.grid_eval_v1(uc)

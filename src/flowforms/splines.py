@@ -124,13 +124,17 @@ def cell_quadrature(breakpoints, n_per_cell):
     return pts, w
 
 
-def quad_rule_assembly(p: int) -> int:
-    # exact for products of two degree-(p+1) splines
-    return p + 3
+def quad_rule_exact(p: int) -> int:
+    # Gauss with n points per cell is exact to degree 2n-1. The mass and
+    # mixed matrices integrate degree 2p+2 (p+3 points keep them as they
+    # were); the advection integrands u.grad(v) w have degree at most
+    # 3p+2 per direction, which needs n >= (3p+3)/2. Equal to p+3 for p <= 3.
+    return max(p + 3, -(-(3 * p + 3) // 2))
 
 
-def quad_rule_eval(p: int) -> int:
-    # elevated rule for trilinear advection integrands and field moments
+def quad_rule_data(p: int) -> int:
+    # elevated rule for data that is not a spline: L2 projections of
+    # callables, forcing, boundary data and l2_error
     return int(np.ceil((3 * (p + 1) + 2) / 2)) + 1
 
 
@@ -225,10 +229,84 @@ def weighted_gram(Ea: sp.csr_matrix, w, Eb: sp.csr_matrix) -> sp.csr_matrix:
     return (Ea.multiply(np.asarray(w)[:, None]).T @ Eb).tocsr()
 
 
+class BasisTable:
+    """Cell-local basis values of one Broken1D space on a cell-wise rule.
+
+    On cell c of patch j the space has k_loc = degree+1 nonzero basis
+    functions, with the consecutive global indices first[j, c] + a,
+    a = 0..k_loc-1, taken modulo dim on a periodic line. As first is the
+    patch offset plus the cell index, the coefficients of a cell are a
+    window of k_loc rows of the coefficient array, once a periodic line's
+    first `wrap` = degree rows are appended after its last; patch j's
+    windows start at row j*span.
+
+    vals[j, c, i, a] is basis function a of the cell at its point i, and
+    wvals_t[j, c, a, i] that value times the point's weight. Both come
+    from the collocation matrix E at the rule's points (cell by cell, as
+    Broken1D.quadrature orders them): a Gauss point lies inside its cell,
+    so its row holds exactly the cell's k_loc nonzeros.
+    """
+
+    def __init__(self, space: Broken1D, E: sp.csr_matrix, w, n_per_cell):
+        self.dim = space.dim
+        self.k_loc = space.degree + 1
+        self.wrap = space.degree if (space.periodic and not space.broken) else 0
+        self.patches = space.n_patches
+        self.cells = space.cells_per_patch
+        self.span = self.cells + self.k_loc - 1    # window rows per patch
+        first = (space.offsets[:-1, None]
+                 + np.arange(self.cells)[None, :]) % self.dim
+        rows = np.repeat(np.arange(E.shape[0]), np.diff(E.indptr))
+        local = (E.indices - first.ravel()[rows // n_per_cell]) % self.dim
+        if np.any(local >= self.k_loc):
+            raise ValueError("collocation matrix does not have the cell "
+                             "structure of the space")
+        vals = np.zeros((E.shape[0], self.k_loc))
+        vals[rows, local] = E.data
+        shape = (self.patches, self.cells, n_per_cell, self.k_loc)
+        self.vals = vals.reshape(shape)
+        self.wvals_t = (np.asarray(w)[:, None] * vals).reshape(shape).swapaxes(
+            -1, -2).copy()
+
+    def to_points(self, A: np.ndarray) -> np.ndarray:
+        """E @ A for coefficient rows A of shape (dim, m): values at the
+        rule's points, shape (points, m), as one batched (q x k)(k x m)
+        product over the cells."""
+        A = np.concatenate((A, A[: self.wrap]))     # contiguous, wrapped
+        m = A.shape[1]
+        s0, s1 = A.strides
+        # view of A with windows[j, c] = A[j*span + c : j*span + c + k_loc]
+        windows = np.ndarray((self.patches, self.cells, self.k_loc, m),
+                             A.dtype, A, 0, (self.span * s0, s0, s0, s1))
+        return np.matmul(self.vals, windows).reshape(-1, m)
+
+    def moments(self, V: np.ndarray) -> np.ndarray:
+        """E.T @ diag(w) @ V for point rows V of shape (points, m): shape
+        (dim, m), as the transposed products and one add per local offset."""
+        m = V.shape[1]
+        R = np.matmul(self.wvals_t,
+                      V.reshape(self.patches, self.cells, -1, m))
+        out = np.zeros((self.patches, self.span, m))
+        for a in range(self.k_loc):
+            out[:, a: a + self.cells] += R[:, :, a]
+        out = out.reshape(-1, m)
+        out[: self.wrap] += out[self.dim:]
+        return out[: self.dim]
+
+
+class LineGrid:
+    """A cell-wise Gauss rule on a line (points, weights) with the basis
+    tables of the line's h1 and l2 spaces on it."""
+
+    def __init__(self, pts, w, h1: BasisTable, l2: BasisTable):
+        self.pts, self.w = pts, w
+        self.h1, self.l2 = h1, l2
+
+
 class DeRhamLine:
     """The 1D de Rham pair of one direction: degree-(p+1) space, degree-p
     space, the derivative incidence between them, mass/mixed matrices, and
-    cached quadrature/evaluation grids.
+    its two quadrature grids.
 
     Attributes
     ----------
@@ -238,6 +316,16 @@ class DeRhamLine:
         Derivative incidence, shape (l2.dim, h1.dim).
     M_h1, M_l2, B : csr_matrix
         Mass matrices and the mixed matrix B[a, c] = int l2_a * h1_c.
+    grid : LineGrid
+        The exact rule (`quad_rule_exact`): the mass matrices are
+        assembled on it, and every spline integrand of the solver, the
+        advection form included, is integrated on it exactly.
+    data_grid : LineGrid
+        The elevated rule (`quad_rule_data`) for data that is not a
+        spline: L2 projections, forcing, boundary data and l2_error.
+    E_h1, E_l2 : ndarray
+        Dense collocation matrices of h1 and l2 at the data grid's
+        points, for the 1D boundary integrals.
     """
 
     def __init__(self, p, n_patches, cells_per_patch, interval, periodic):
@@ -253,19 +341,27 @@ class DeRhamLine:
         self.D = self.h1.derivative_matrix()
         self.h = self.h1.h
 
-        pts, w = self.h1.quadrature(quad_rule_assembly(p))
-        E1 = self.h1.collocation(pts)
-        E0 = self.l2.collocation(pts)
+        self.grid, E1, E0 = self._grid(quad_rule_exact(p))
+        w = self.grid.w
         self.M_h1 = weighted_gram(E1, w, E1)
         self.M_l2 = weighted_gram(E0, w, E0)
         self.B = weighted_gram(E0, w, E1)
 
-        # elevated grid shared by all field-evaluation integrals
-        self.eval_pts, self.eval_w = self.h1.quadrature(quad_rule_eval(p))
-        self.E_h1 = self.h1.collocation(self.eval_pts).toarray()
-        self.E_l2 = self.l2.collocation(self.eval_pts).toarray()
+        self.data_grid, E1, E0 = self._grid(quad_rule_data(p))
+        self.E_h1 = E1.toarray()
+        self.E_l2 = E0.toarray()
 
         self._fact = {}
+
+    def _grid(self, n_per_cell):
+        """The grid of n_per_cell Gauss points a cell, with the
+        collocation matrices of h1 and l2 its tables are built from."""
+        pts, w = self.h1.quadrature(n_per_cell)
+        E1 = self.h1.collocation(pts)
+        E0 = self.l2.collocation(pts)
+        grid = LineGrid(pts, w, BasisTable(self.h1, E1, w, n_per_cell),
+                        BasisTable(self.l2, E0, w, n_per_cell))
+        return grid, E1, E0
 
     def mass_factor(self, which: str):
         """Cached factorization of M_h1 ('h1') or M_l2 ('l2')."""

@@ -371,20 +371,23 @@ def cg_solve(A, b, tol: float = 1e-12, max_iter: int | None = None):
 
 def advection_form(ctx, u, v, w) -> float:
     """Trilinear form c_h(u, v, w), evaluated by direct quadrature of the
-    two product integrands (independent composition from the residual)."""
+    two product integrands (independent composition from the residual).
+    It integrates on the elevated data grid, not on the exact grid the
+    residual uses, so it also checks that rule."""
     s = ctx.space
+    grid = s.data_grid
     uc, vc, wc = coeffs_of(u), coeffs_of(v), coeffs_of(w)
-    uvx, uvy = s.grid_eval_v1(uc)
+    uvx, uvy = s.grid_eval_v1(uc, grid)
     total = 0.0
     for B in (s.B1, s.B2):
         ikv = s.solve_M2(B @ vc)
         ikw = s.solve_M2(B @ wc)
-        gvx, gvy = s.grid_eval_v1(weak_grad_full(ctx, ikv))
+        gvx, gvy = s.grid_eval_v1(weak_grad_full(ctx, ikv), grid)
         gwx, gwy = s.grid_eval_v1(
-            s.solve_M1(-(ctx.DtT @ (s.M2 @ ikw))))
-        ikw_vals = s.grid_eval_v2(ikw)
-        ikv_vals = s.grid_eval_v2(ikv)
+            s.solve_M1(-(ctx.DtT @ (s.M2 @ ikw))), grid)
+        ikw_vals = s.grid_eval_v2(ikw, grid)
+        ikv_vals = s.grid_eval_v2(ikv, grid)
         integrand = ikw_vals * (uvx * gvx + uvy * gvy) \
             - ikv_vals * (uvx * gwx + uvy * gwy)
-        total += float(np.sum(s.qw * integrand))
+        total += grid.integrate(integrand)
     return 0.5 * total

@@ -188,6 +188,26 @@ def test_load_config_rejects_unknown_key(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("raw,want", [
+    ("true", True), ("Yes", True), ("on", True), ("1", True),
+    ("false", False), ("NO", False), ("off", False), ("0", False),
+    ("auto", None)])
+def test_load_config_reads_periodic_spellings(tmp_path, raw, want):
+    path = tmp_path / "periodic.cfg"
+    path.write_text(f"[grid]\nperiodic = {raw}\n")
+    assert load_config(path).periodic is want
+
+
+@pytest.mark.parametrize("raw", ["ture", "2", "periodic"])
+def test_load_config_rejects_misspelt_periodic(tmp_path, raw):
+    # a typo must not silently select a bounded domain
+    path = tmp_path / "periodic.cfg"
+    path.write_text(f"[grid]\nperiodic = {raw}\n")
+    with pytest.raises(ValueError, match=f"periodic must be true or false, "
+                                         f"got '{raw}'"):
+        load_config(path)
+
+
 def test_resolve_fills_case_defaults():
     cfg, case = SimulationConfig(case="taylor_green").resolve()
     assert cfg.domain == (0.0, PI, 0.0, PI)

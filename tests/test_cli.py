@@ -156,6 +156,27 @@ def test_run_rejects_missing_config_path(cli, tmp_path):
     assert result.exit_code != 0
 
 
+@pytest.mark.parametrize("command", ["run", "converge"])
+def test_invalid_option_value_is_a_usage_error(cli, tmp_path, command):
+    result = cli.invoke(main, [command, "--t-final", "0",
+                               "--out", str(tmp_path)])
+    out = _all_output(result)
+    assert result.exit_code == 2, out
+    assert "Error: t_final must be positive" in out
+    assert "Traceback" not in out
+    assert not (tmp_path / "diagnostics.csv").exists()
+
+
+def test_invalid_config_file_value_is_a_usage_error(cli, tmp_path):
+    path = tmp_path / "typo.cfg"
+    path.write_text("[grid]\nperiodic = ture\n")
+    result = cli.invoke(main, ["run", str(path), "--out", str(tmp_path)])
+    out = _all_output(result)
+    assert result.exit_code == 2, out
+    assert "periodic must be true or false, got 'ture'" in out
+    assert "Traceback" not in out
+
+
 def test_snapshot_energy_column_matches_diagnostics(cli, tmp_path):
     # coarse sanity link between the two output formats
     out = tmp_path / "out"

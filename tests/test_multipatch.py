@@ -143,12 +143,12 @@ def test_projection_preserves_polynomial_moments(rng):
     v = rng.standard_normal(s.n1)
     dv = (s.Pc1 @ v) - v
     dx, dy = s.grid_eval_v1(dv)
-    X, Y = s.quad_grid()
+    X, Y = s.grid.mesh()
     for a in range(mo + 1):
         for b in range(s.p + 1):
             w = X**a * Y**b
-            assert abs(np.sum(s.qw * dx * w)) <= 1e-12
-            assert abs(np.sum(s.qw * dy * (X**b * Y**a))) <= 1e-12
+            assert abs(s.grid.integrate(dx * w)) <= 1e-12
+            assert abs(s.grid.integrate(dy * (X**b * Y**a))) <= 1e-12
 
 
 def test_projection_preserves_constant_fields():
@@ -182,7 +182,7 @@ def test_penalization_energy_equals_jump_norm(rng):
     quad_form = float(u @ (s.penalization @ u))
     jump = u - s.Pc1 @ u
     jx, jy = s.grid_eval_v1(jump)
-    direct = float(np.sum(s.qw * (jx**2 + jy**2)))
+    direct = s.grid.integrate(jx**2 + jy**2)
     assert quad_form == pytest.approx(direct, rel=1e-12)
 
 

@@ -198,7 +198,8 @@ def test_advection_residual_matches_form(mode):
 
 @pytest.mark.parametrize("p,nc,npat,mode", [
     (1, 3, 1, "periodic"), (2, 3, 1, "free"), (2, 2, 1, "mixed"),
-    (1, 2, 2, "free"),
+    (1, 2, 2, "free"), (3, 2, 1, "free"), (3, 5, 1, "periodic"),
+    (2, 2, 2, "periodic"),
 ])
 def test_advection_form_matches_dense_oracle(p, nc, npat, mode):
     ctx = context(p, nc, npat, mode)
@@ -210,6 +211,9 @@ def test_advection_form_matches_dense_oracle(p, nc, npat, mode):
     ref = ora.advection_form(ctx.space.Pc1.toarray(), u, v, w,
                              bounded=(mode == "mixed"))
     assert rel(got, ref) <= 1e-11
+    # the residual integrates on the minimal exact grid, the two above on
+    # finer rules: all three agree only if that grid is exact
+    assert rel(float(advection_residual(ctx, u, v) @ w), ref) <= 1e-11
 
 
 @pytest.mark.parametrize("npat", [1, 2])

@@ -77,10 +77,10 @@ def test_mass_quadrature_consistency(slot, rng):
     quad_form = float(u.coeffs @ (M @ u.coeffs))
     if slot == 1:
         vx, vy = s.grid_eval_v1(u.coeffs)
-        direct = float(np.sum(s.qw * (vx**2 + vy**2)))
+        direct = s.grid.integrate(vx**2 + vy**2)
     else:
         vals = s.grid_eval_v0(u.coeffs) if slot == 0 else s.grid_eval_v2(u.coeffs)
-        direct = float(np.sum(s.qw * vals**2))
+        direct = s.grid.integrate(vals**2)
     assert abs(quad_form - direct) <= 1e-12 * abs(direct)
 
 
@@ -131,9 +131,9 @@ def test_l2_project_reproduces_constant_vector():
 def test_l2_project_residual_is_tiny():
     s = space(2, 4, 1, True)
     u = l2_project(s, 1, tg_velocity)
-    X, Y = s.quad_grid()
+    X, Y = s.data_grid.mesh()
     fx, fy = tg_velocity(X, Y)
-    rhs = s.grid_moments_v1(fx, fy)
+    rhs = s.grid_moments_v1(fx, fy, s.data_grid)
     assert np.linalg.norm(s.M1 @ u.coeffs - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
@@ -193,10 +193,61 @@ def test_v1_basis_integral_equals_mass_row_sum():
         assert integral == pytest.approx(row_sums[j], abs=1e-13)
 
 
+# Lines as (patches, cells per patch, periodic); cells None is the coarse
+# periodic line with p+2 cells, where each cell touches every h1 function
+# and the cell windows wrap around.
+KERNEL_LINES = [(1, 3, False), (1, 5, True), (2, 2, False), (2, 2, True),
+                (1, None, True)]
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+@pytest.mark.parametrize("npatch,nc,periodic", KERNEL_LINES)
+def test_sum_factorised_grid_kernels_match_dense_products(p, npatch, nc,
+                                                          periodic):
+    # x and y lines differ in cell count, so a transposed axis would show
+    nc = p + 2 if nc is None else nc
+    s = build_multipatch(p, npatch, (nc, nc + 1), ((0.0, 2.0), (0.0, 1.0)),
+                         periodic=periodic)
+    rng = np.random.default_rng(p)
+    for grid in (s.grid, s.data_grid):
+        E = {(axis, kind): getattr(line, kind).collocation(g.pts).toarray()
+             for axis, line, g in (("x", s.line_x, grid.gx),
+                                   ("y", s.line_y, grid.gy))
+             for kind in ("h1", "l2")}
+        W = np.multiply.outer(grid.gx.w, grid.gy.w)
+
+        def dense_eval(kx, ky, c):
+            Ex, Ey = E["x", kx], E["y", ky]
+            return Ex @ c.reshape(Ex.shape[1], Ey.shape[1]) @ Ey.T
+
+        def dense_moments(kx, ky, vals):
+            return (E["x", kx].T @ (W * vals) @ E["y", ky]).ravel()
+
+        def close(got, want):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+        c0, c1, c2 = (rng.standard_normal(s.dim(k)) for k in (0, 1, 2))
+        ux, uy = s.split_v1(c1)
+        close(s.grid_eval_v0(c0, grid), dense_eval("h1", "h1", c0))
+        close(s.grid_eval_v2(c2, grid), dense_eval("l2", "l2", c2))
+        gx, gy = s.grid_eval_v1(c1, grid)
+        close(gx, dense_eval("h1", "l2", ux))
+        close(gy, dense_eval("l2", "h1", uy))
+
+        vx, vy = rng.standard_normal((2, len(grid.x), len(grid.y)))
+        close(s.grid_moments_v0(vx, grid), dense_moments("h1", "h1", vx))
+        close(s.grid_moments_v2(vx, grid), dense_moments("l2", "l2", vx))
+        close(s.grid_moments_v1(vx, vy, grid),
+              np.concatenate([dense_moments("h1", "l2", vx),
+                              dense_moments("l2", "h1", vy)]))
+
+
 def test_grid_eval_matches_eval_field():
     s = space(2, 2, 1, False)
     u = rand_field(s, 1, seed=11)
-    gx, gy = s.grid_eval_v1(u.coeffs)
-    vals = eval_field(u, s.qx, s.qy)
-    assert np.abs(vals[..., 0] - gx).max() <= 1e-12
-    assert np.abs(vals[..., 1] - gy).max() <= 1e-12
+    for grid in (s.grid, s.data_grid):
+        gx, gy = s.grid_eval_v1(u.coeffs, grid)
+        vals = eval_field(u, grid.x, grid.y)
+        assert np.abs(vals[..., 0] - gx).max() <= 1e-12
+        assert np.abs(vals[..., 1] - gy).max() <= 1e-12
