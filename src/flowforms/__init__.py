@@ -3,7 +3,7 @@ equations on tensor-product spline spaces: one space class
 (TensorDeRhamSpace, conforming or broken across patches), one config
 object (SimulationConfig) and one midpoint sweep (midpoint_sweep)."""
 
-from .linalg import (BandedCholesky, KroneckerSolver, QuadratureRule,
+from .linalg import (KroneckerSolver, QuadratureRule, SPDInverse,
                      gauss_legendre)
 from .splines import (Broken1D, DeRhamLine, SplineSpace1D,
                       derivative_incidence_1d)

@@ -25,6 +25,19 @@ def _load(config_path, kwargs):
     return cfg
 
 
+def _int_list(option, text, least):
+    """The comma-separated integers >= least of --option; anything else is
+    a usage error."""
+    try:
+        values = [int(v) for v in text.split(",")]
+        if min(values) >= least:
+            return values
+    except ValueError:
+        pass
+    raise click.UsageError(f"--{option} must be comma-separated integers "
+                           f">= {least}, got {text!r}")
+
+
 def _build_config(config_path, kwargs):
     from dataclasses import replace
     from .config import load_config, SimulationConfig
@@ -125,8 +138,14 @@ def converge_cmd(config, meshes, degrees, csv_path, np_=None, **kwargs):
     cfg = _load(config, kwargs)
     from .runner import convergence_study
 
-    mesh_list = [int(m) for m in meshes.split(",")]
-    deg_list = [int(d) for d in degrees.split(",")]
+    mesh_list = _int_list("meshes", meshes, least=1)
+    deg_list = _int_list("degrees", degrees, least=0)
+    npx, npy = cfg.n_patches
+    for n in mesh_list:
+        if n % npx or n % npy:
+            raise click.UsageError(
+                f"--meshes: {n} cells is not divisible by the patch counts "
+                f"{npx},{npy}")
     if csv_path is None:
         csv_path = os.path.join(cfg.output_dir, "convergence.csv")
     rows = convergence_study(cfg, mesh_list, deg_list, out_path=csv_path)

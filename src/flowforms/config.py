@@ -124,6 +124,9 @@ class SimulationConfig:
             value = getattr(out, name)
             if value is None or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}")
+        for name in ("n_patches", "n_cells"):
+            if min(getattr(out, name)) < 1:
+                raise ValueError(f"{name} must be integers >= 1")
         if out.cfl_safety > 1.0:
             raise ValueError("cfl_safety must lie in (0, 1]")
         return out, case

@@ -1,9 +1,10 @@
-"""Banded and Kronecker linear algebra plus Gauss quadrature.
+"""Kronecker linear algebra plus Gauss quadrature.
 
 Everything downstream (spline assembly, weak operators, the time stepper)
-goes through the primitives in this module: Gauss-Legendre rules and
-exact direct factorizations for the (banded or cyclic) 1D mass matrices
-that appear as Kronecker factors of every 2D mass matrix.
+goes through the primitives in this module: Gauss-Legendre rules and the
+explicit inverses of the 1D mass matrices (clamped, periodic or broken)
+that appear as Kronecker factors of every 2D mass matrix, so that each 2D
+mass solve is two matrix products.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import scipy.sparse as sp
 
 
 class FactorizationError(RuntimeError):
-    """Direct factorization hit a non-SPD pivot."""
+    """Cholesky factorization hit a non-SPD pivot."""
 
 
 @dataclass(frozen=True)
@@ -35,81 +36,46 @@ def gauss_legendre(n: int) -> QuadratureRule:
     return QuadratureRule(points=x, weights=w, order=n)
 
 
-def _to_dense_sym(M) -> np.ndarray:
-    if sp.issparse(M):
-        M = M.toarray()
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("expected a square matrix")
-    return M
+class SPDInverse:
+    """Explicit inverse of an SPD matrix, formed once from its Cholesky
+    factor and symmetrised; solve(B) is one GEMM.
 
-
-def _bandwidth(M: np.ndarray) -> int:
-    nz = np.nonzero(M)
-    if nz[0].size == 0:
-        return 0
-    return int(np.max(np.abs(nz[0] - nz[1])))
-
-
-class BandedCholesky:
-    """Cholesky factorization of an SPD banded matrix (upper-band storage)."""
+    The 1D mass matrices are small (a few hundred rows at most), and
+    LAPACK's pbtrs/potrs solve them one right-hand-side column at a time
+    with BLAS-2 kernels: a product with the stored inverse is several
+    times faster than either, on clamped (banded) and periodic (cyclic)
+    lines alike."""
 
     def __init__(self, M):
-        M = _to_dense_sym(M)
-        self.n = M.shape[0]
-        k = _bandwidth(M)
-        ab = np.zeros((k + 1, self.n))
-        for d in range(k + 1):
-            ab[k - d, d:] = np.diagonal(M, offset=d)
-        try:
-            self._cb = scipy.linalg.cholesky_banded(ab, lower=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise FactorizationError(f"banded Cholesky failed: {exc}") from exc
-
-    def solve(self, B):
-        return scipy.linalg.cho_solve_banded((self._cb, False), B)
-
-
-class DenseCholesky:
-    """Dense Cholesky; used for cyclic (periodic) 1D mass matrices."""
-
-    def __init__(self, M):
-        M = _to_dense_sym(M)
+        M = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=np.float64)
         self.n = M.shape[0]
         try:
-            self._cf = scipy.linalg.cho_factor(M, lower=False)
+            cf = scipy.linalg.cho_factor(M, lower=False)
         except scipy.linalg.LinAlgError as exc:
             raise FactorizationError(f"Cholesky failed: {exc}") from exc
+        inv = scipy.linalg.cho_solve(cf, np.eye(self.n))
+        self.inv = 0.5 * (inv + inv.T)
 
     def solve(self, B):
-        return scipy.linalg.cho_solve(self._cf, B)
-
-
-def sym_factor(M):
-    """Factor an SPD matrix, banded if the sparsity allows it."""
-    Md = _to_dense_sym(M)
-    k = _bandwidth(Md)
-    if k < Md.shape[0] - 1:
-        return BandedCholesky(Md)
-    return DenseCholesky(Md)
+        """M^-1 B; raises ValueError on non-finite input."""
+        return self.inv @ np.asarray_chkfinite(B, dtype=np.float64)
 
 
 class KroneckerSolver:
-    """Solves (A_1 (x) A_2) x = b given per-factor factorizations.
+    """Solves (A_x (x) A_y) x = b given the SPDInverse of each factor.
 
     Row-major vec convention: (A (x) B) vec(C) = vec(A C B^T), so the
-    first factor acts along axis 0 of the reshaped right-hand side.
-    """
+    solve is A_x^-1 C A_y^-T on the right-hand side reshaped to
+    (n_x, n_y): two GEMMs."""
 
     def __init__(self, factors):
-        self.factors = list(factors)
-        self.dims = tuple(f.n for f in self.factors)
-        self.size = int(np.prod(self.dims))
+        fx, fy = factors
+        self.inv_x, self.inv_y = fx.inv, fy.inv
+        self.dims = (fx.n, fy.n)
 
     def solve(self, b):
-        b = np.asarray(b, dtype=np.float64)
-        vec_in = b.ndim == 1
-        X = b.reshape(self.dims)
-        for axis, f in enumerate(self.factors):
-            X = f.solve(X.swapaxes(0, axis)).swapaxes(0, axis)
-        return X.reshape(-1) if vec_in else X
+        """The solution in the shape of b, a vector or an (n_x, n_y)
+        array; raises ValueError on non-finite input."""
+        b = np.asarray_chkfinite(b, dtype=np.float64)
+        X = self.inv_x @ b.reshape(self.dims) @ self.inv_y.T
+        return X.reshape(b.shape)

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .linalg import KroneckerSolver, sym_factor
+from .linalg import KroneckerSolver, SPDInverse
 from .spaces import Field, TensorDeRhamSpace, coeffs_of
 
 EDGES = ("left", "right", "bottom", "top")
@@ -262,26 +262,39 @@ class OperatorContext:
     # Both solver caches hold the latest gamma = dt*alpha/2 only: under CFL
     # control every step has a new dt, so older entries are never reused.
     def m1_solver(self, gamma: float = 0.0):
-        """Exact solver for M1 + gamma * penalization (Kronecker per block)."""
+        """Exact solver for M1 + gamma * penalization: per block, two GEMMs
+        with the inverses of its 1D Kronecker factors (`h1_inverses` and
+        the lines' l2 mass inverses)."""
+        return self._m1t(gamma)[1]
+
+    def h1_inverses(self, gamma: float = 0.0):
+        """SPDInverse of M_h1 + gamma * J^T M_h1 J, J = I - P the line's
+        conforming projection, for the x and the y line: the h1 factors of
+        `m1_solver(gamma)`, which the Poisson setup shares."""
+        return self._m1t(gamma)[0]
+
+    def _m1t(self, gamma):
         key = float(gamma)
         if key not in self._m1t_cache:
             self._m1t_cache.clear()
             s = self.space
             if gamma == 0.0:
-                self._m1t_cache[key] = s.solve_M1
+                hx, hy = s.line_x.mass_factor("h1"), s.line_y.mass_factor("h1")
+                solve = s.solve_M1
             else:
-                Jx = sp.identity(s.line_x.h1.dim, format="csr") - s.Px
-                Jy = sp.identity(s.line_y.h1.dim, format="csr") - s.Py
-                Mx = s.line_x.M_h1 + gamma * (Jx.T @ s.line_x.M_h1 @ Jx)
-                My = s.line_y.M_h1 + gamma * (Jy.T @ s.line_y.M_h1 @ Jy)
-                kx = KroneckerSolver([sym_factor(Mx), s.line_y.mass_factor("l2")])
-                ky = KroneckerSolver([s.line_x.mass_factor("l2"), sym_factor(My)])
+                def penalised(line, P):
+                    J = sp.identity(line.h1.dim, format="csr") - P
+                    return SPDInverse(line.M_h1 + gamma * (J.T @ line.M_h1 @ J))
+
+                hx, hy = penalised(s.line_x, s.Px), penalised(s.line_y, s.Py)
+                kx = KroneckerSolver([hx, s.line_y.mass_factor("l2")])
+                ky = KroneckerSolver([s.line_x.mass_factor("l2"), hy])
 
                 def solve(b, _kx=kx, _ky=ky, _s=s):
                     bx, by = _s.split_v1(b)
                     return np.concatenate([_kx.solve(bx), _ky.solve(by)])
 
-                self._m1t_cache[key] = solve
+            self._m1t_cache[key] = ((hx, hy), solve)
         return self._m1t_cache[key]
 
     def poisson_solver(self, gamma: float = 0.0):
@@ -310,21 +323,16 @@ class TensorPoissonSolver:
         s = ctx.space
         self.ctx = ctx
 
-        def one_d(line, P, zn):
-            Mh1 = line.M_h1.toarray()
+        def one_d(line, P, zn, h1_inv):
             Ml2 = line.M_l2.toarray()
-            D = line.D.toarray()
-            Pd = P.toarray()
-            G = D @ Pd @ np.diag(zn)
-            if gamma != 0.0:
-                J = np.eye(line.h1.dim) - Pd
-                Mh1 = Mh1 + gamma * (J.T @ Mh1 @ J)
-            K = Ml2 @ G @ np.linalg.solve(Mh1, G.T) @ Ml2
+            G = (line.D @ P).toarray() * zn
+            K = Ml2 @ G @ h1_inv.inv @ G.T @ Ml2
             K = 0.5 * (K + K.T)
             return scipy.linalg.eigh(K, 0.5 * (Ml2 + Ml2.T))
 
-        lam_x, self.Phi_x = one_d(s.line_x, s.Px, ctx.zn["x"])
-        lam_y, self.Phi_y = one_d(s.line_y, s.Py, ctx.zn["y"])
+        hx, hy = ctx.h1_inverses(gamma)
+        lam_x, self.Phi_x = one_d(s.line_x, s.Px, ctx.zn["x"], hx)
+        lam_y, self.Phi_y = one_d(s.line_y, s.Py, ctx.zn["y"], hy)
         self.singular = not ctx.has_pressure_bc
         denom = lam_x[:, None] + lam_y[None, :]
         if self.singular:

@@ -21,7 +21,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.interpolate import BSpline
 
-from .linalg import gauss_legendre, sym_factor
+from .linalg import SPDInverse, gauss_legendre
 
 
 class SplineSpace1D:
@@ -364,10 +364,10 @@ class DeRhamLine:
         return grid, E1, E0
 
     def mass_factor(self, which: str):
-        """Cached factorization of M_h1 ('h1') or M_l2 ('l2')."""
+        """Cached SPDInverse of M_h1 ('h1') or M_l2 ('l2')."""
         if which not in self._fact:
             M = self.M_h1 if which == "h1" else self.M_l2
-            self._fact[which] = sym_factor(M)
+            self._fact[which] = SPDInverse(M)
         return self._fact[which]
 
     @cached_property

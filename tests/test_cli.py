@@ -167,6 +167,30 @@ def test_invalid_option_value_is_a_usage_error(cli, tmp_path, command):
     assert not (tmp_path / "diagnostics.csv").exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--meshes", "8,x"], "--meshes must be comma-separated integers >= 1, "
+                          "got '8,x'"),
+    (["--meshes", "0"], "--meshes must be comma-separated integers >= 1"),
+    (["--degrees", "a"], "--degrees must be comma-separated integers >= 0, "
+                         "got 'a'"),
+    (["--degrees", "2,-1"], "--degrees must be comma-separated integers"),
+    (["--np", "2,2", "--meshes", "8,9"],
+     "--meshes: 9 cells is not divisible by the patch counts 2,2"),
+    (["--np", "0"], "n_patches must be integers >= 1"),
+])
+def test_invalid_converge_lists_are_usage_errors(cli, tmp_path, args,
+                                                 message):
+    csv_path = tmp_path / "convergence.csv"
+    result = cli.invoke(main, ["converge", "--case", "taylor_green",
+                               "--out", str(tmp_path), "--csv", str(csv_path),
+                               *args])
+    out = _all_output(result)
+    assert result.exit_code == 2, out
+    assert f"Error: {message}" in out
+    assert "Traceback" not in out
+    assert not csv_path.exists()
+
+
 def test_invalid_config_file_value_is_a_usage_error(cli, tmp_path):
     path = tmp_path / "typo.cfg"
     path.write_text("[grid]\nperiodic = ture\n")

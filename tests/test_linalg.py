@@ -1,4 +1,4 @@
-"""Quadrature, banded/Kronecker factorization contracts, and the CG
+"""Quadrature, the SPD inverse and Kronecker solve contracts, and the CG
 reference solver the tests build on."""
 
 import numpy as np
@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowforms.linalg import (
-    BandedCholesky,
-    DenseCholesky,
     FactorizationError,
     KroneckerSolver,
+    SPDInverse,
     gauss_legendre,
-    sym_factor,
 )
+from flowforms.splines import DeRhamLine
 from oracles import NumericalBreakdown, cg_solve
 
 
@@ -148,11 +147,11 @@ def test_cg_iteration_cap_reports_nonconverged(rng):
         np.linalg.norm(b - A @ x) / np.linalg.norm(b), rel=1e-12)
 
 
-# --- direct factorizations ----------------------------------------------------
+# --- SPD inverse ----------------------------------------------------------------
 
 def test_banded_identity_roundtrip(rng):
     b = rng.standard_normal(9)
-    assert np.allclose(BandedCholesky(np.eye(9)).solve(b), b, atol=1e-14)
+    assert np.allclose(SPDInverse(np.eye(9)).solve(b), b, atol=1e-14)
 
 
 def _linear_spline_mass(n_cells, h):
@@ -172,28 +171,61 @@ def test_banded_solve_matches_dense_on_spline_mass(rng):
     assert M[1, 0] == pytest.approx(h / 6.0)
     assert M[1, 1] == pytest.approx(4.0 * h / 6.0)
     b = rng.standard_normal(M.shape[0])
-    x = BandedCholesky(M).solve(b)
+    x = SPDInverse(M).solve(b)
     assert np.linalg.norm(x - np.linalg.solve(M, b)) <= 1e-12
     assert np.linalg.norm(M @ x - b) <= 1e-13 * np.linalg.norm(b)
 
 
 def test_banded_rejects_non_spd():
-    M = np.diag([1.0, -1.0, 1.0])
     with pytest.raises(FactorizationError):
-        BandedCholesky(M)
+        SPDInverse(np.diag([1.0, -1.0, 1.0]))
     with pytest.raises(FactorizationError):
-        DenseCholesky(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        SPDInverse(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
-def test_sym_factor_picks_banded_or_dense(rng):
-    tri = _linear_spline_mass(6, 0.1)
-    assert isinstance(sym_factor(tri), BandedCholesky)
-    R = rng.standard_normal((7, 7))
-    full = R.T @ R + np.eye(7)
-    f = sym_factor(full)
-    assert isinstance(f, DenseCholesky)
-    b = rng.standard_normal(7)
-    assert np.allclose(full @ f.solve(b), b, atol=1e-10)
+_LINES = [(p, n_patches, periodic)
+          for p in range(4) for n_patches, periodic in
+          ((1, False), (1, True), (2, False), (2, True))]
+
+
+@pytest.mark.parametrize("p, n_patches, periodic", _LINES)
+def test_spd_inverse_of_derham_line_masses(rng, p, n_patches, periodic):
+    line = DeRhamLine(p, n_patches, 6 // n_patches + p, (0.0, 2.0), periodic)
+    for which, M in (("h1", line.M_h1), ("l2", line.M_l2)):
+        f = line.mass_factor(which)
+        assert np.array_equal(f.inv, f.inv.T)
+        B = rng.standard_normal((f.n, 3))
+        ref = np.linalg.solve(M.toarray(), B)
+        assert np.linalg.norm(f.solve(B) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solves_reject_non_finite_input(bad):
+    M = _linear_spline_mass(4, 0.25)
+    K = KroneckerSolver([SPDInverse(M), SPDInverse(M)])
+    b = np.ones(M.shape[0])
+    b[2] = bad
+    with pytest.raises(ValueError):
+        SPDInverse(M).solve(b)
+    B = np.ones((M.shape[0], M.shape[0]))
+    B[1, 3] = bad
+    with pytest.raises(ValueError):
+        K.solve(B)
+    with pytest.raises(ValueError):
+        K.solve(B.ravel())
+
+
+def test_kronecker_solve_keeps_the_input_shape(rng):
+    Mx = _linear_spline_mass(4, 0.25)
+    My = _linear_spline_mass(6, 1.0 / 6.0)
+    K = KroneckerSolver([SPDInverse(Mx), SPDInverse(My)])
+    B = rng.standard_normal((Mx.shape[0], My.shape[0]))
+    X = K.solve(B)
+    x = K.solve(B.ravel())
+    assert X.shape == B.shape
+    assert x.shape == (B.size,)
+    assert np.array_equal(X.ravel(), x)
+    assert np.allclose(Mx @ X @ My.T, B, atol=1e-12)
 
 
 def test_kronecker_pair_matches_cg(rng):
@@ -201,7 +233,7 @@ def test_kronecker_pair_matches_cg(rng):
     My = _linear_spline_mass(7, 0.125)
     K = np.kron(Mx, My)
     b = rng.standard_normal(K.shape[0])
-    x_kron = KroneckerSolver([sym_factor(Mx), sym_factor(My)]).solve(b)
+    x_kron = KroneckerSolver([SPDInverse(Mx), SPDInverse(My)]).solve(b)
     x_cg, rep = cg_solve(K, b, tol=1e-14, max_iter=10000)
     assert rep.converged
     assert np.linalg.norm(x_kron - x_cg) <= 1e-11 * np.linalg.norm(x_cg)
@@ -212,5 +244,5 @@ def test_kronecker_matches_assembled_solve(rng):
     My = _linear_spline_mass(6, 1.0 / 6.0)
     K = np.kron(Mx, My)
     b = rng.standard_normal(K.shape[0])
-    x = KroneckerSolver([sym_factor(Mx), sym_factor(My)]).solve(b)
+    x = KroneckerSolver([SPDInverse(Mx), SPDInverse(My)]).solve(b)
     assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)

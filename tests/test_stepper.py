@@ -76,6 +76,8 @@ def pressure_residual(solver, p, b):
     (dict(snapshot_cadence=-1), "snapshot_cadence"),
     (dict(snapshot_grid=0), "snapshot_grid"),
     (dict(degree=None), "degree"),
+    (dict(n_patches=(0, 1)), "n_patches"),
+    (dict(n_cells=(4, 0)), "n_cells"),
 ])
 def test_stepper_config_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
