@@ -7,17 +7,15 @@ from .linalg import (KroneckerSolver, QuadratureRule, SPDInverse,
                      gauss_legendre)
 from .splines import (Broken1D, DeRhamLine, SplineSpace1D,
                       derivative_incidence_1d)
-from .spaces import (Field, ProjectionStencil1D, TensorDeRhamSpace,
-                     eval_field, l2_project, projection_stencil_1d)
+from .spaces import (Field, TensorDeRhamSpace, eval_field, l2_project,
+                     projection_stencil_1d)
 from .multipatch import build_multipatch
 from .operators import (EdgeBC, OperatorContext, advection_residual,
-                        interior_product, viscous_form, viscous_residual,
-                        weak_curl, weak_curl_with_tangential_bc, weak_grad,
-                        weak_grad_with_pressure_bc)
+                        viscous_form, viscous_residual, weak_curl,
+                        weak_curl_with_tangential_bc)
 from .stepper import (StepFailure, StepReport, cfl_dt, cn_step, initialize,
                       leray_project, midpoint_sweep)
-from .diagnostics import (DiagnosticsRecord, convergence_order, l2_error,
-                          measure)
+from .diagnostics import DiagnosticsRecord, l2_error, measure
 from .cases import CaseDefinition, case_library
 from .config import SimulationConfig, load_config, save_config
 from .runner import RunResult, build_simulation, convergence_study, run

@@ -62,8 +62,6 @@ class SimulationConfig:
     n_cells: tuple = (8, 8)          # per patch, per direction
     domain: tuple = None             # (x0, x1, y0, y1); None = case default
     periodic: bool = None
-    moment_order: int = None
-    stencil_radius: int = None
     # physics
     nu: float = None
     alpha: float = None
@@ -132,15 +130,13 @@ class SimulationConfig:
         return out, case
 
 
-_GRID_KEYS = {"degree", "n_patches", "n_cells", "domain", "periodic",
-              "moment_order", "stencil_radius"}
+_GRID_KEYS = {"degree", "n_patches", "n_cells", "domain", "periodic"}
 _PHYSICS_KEYS = {"nu", "alpha"}
 _STEPPER_KEYS = {"dt", "dt_max", "t_final", "picard_tol", "picard_max_iter",
                  "cfl_safety", "steady_tol"}
 _OUTPUT_KEYS = {"output_dir", "diagnostics_file", "snapshot_prefix",
                 "snapshot_grid", "snapshot_cadence"}
-_INT_KEYS = {"degree", "picard_max_iter", "snapshot_grid", "snapshot_cadence",
-             "moment_order", "stencil_radius"}
+_INT_KEYS = {"degree", "picard_max_iter", "snapshot_grid", "snapshot_cadence"}
 _STR_KEYS = {"output_dir", "diagnostics_file", "snapshot_prefix", "case"}
 
 

@@ -1,4 +1,4 @@
-"""Conserved-quantity measurements and error/convergence utilities."""
+"""Conserved-quantity measurements and the L2 error against a callable."""
 
 from __future__ import annotations
 
@@ -60,13 +60,3 @@ def l2_error(space, u, exact, slot: int = 1) -> float:
         err2 = (vals - ev) ** 2
     return float(np.sqrt(grid.integrate(err2)))
 
-
-def convergence_order(hs, errors) -> float:
-    """Least-squares slope of log(error) against log(h)."""
-    hs = np.asarray(hs, dtype=np.float64)
-    errors = np.asarray(errors, dtype=np.float64)
-    if hs.size != errors.size or hs.size < 2:
-        raise ValueError("need at least two (h, error) pairs")
-    if np.any(hs <= 0) or np.any(errors <= 0):
-        raise ValueError("mesh sizes and errors must be positive")
-    return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])

@@ -13,8 +13,8 @@ from .splines import DeRhamLine
 
 
 def build_multipatch(degree, n_patches, cells_per_patch,
-                     bounds=((0.0, 1.0), (0.0, 1.0)), periodic=(False, False),
-                     moment_order=None, stencil_radius=None) -> TensorDeRhamSpace:
+                     bounds=((0.0, 1.0), (0.0, 1.0)),
+                     periodic=(False, False)) -> TensorDeRhamSpace:
     npx, npy = (n_patches, n_patches) if np.isscalar(n_patches) else n_patches
     ncx, ncy = ((cells_per_patch, cells_per_patch) if np.isscalar(cells_per_patch)
                 else cells_per_patch)
@@ -22,4 +22,4 @@ def build_multipatch(degree, n_patches, cells_per_patch,
         periodic = (periodic, periodic)
     line_x = DeRhamLine(degree, npx, ncx, bounds[0], periodic[0])
     line_y = DeRhamLine(degree, npy, ncy, bounds[1], periodic[1])
-    return TensorDeRhamSpace(line_x, line_y, moment_order, stencil_radius)
+    return TensorDeRhamSpace(line_x, line_y)

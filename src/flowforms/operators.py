@@ -139,35 +139,24 @@ class OperatorContext:
         self._poisson_cache = {}
 
     # --- index bookkeeping -------------------------------------------------
-    def _flux_slice(self, edge):
-        """Global V1 indices of the flux DOFs whose trace lives on the edge."""
+    def _edge_dofs(self, block, edge):
+        """Global indices of the DOFs of one tensor block whose trace lives
+        on the edge, ordered along the edge. The blocks are V0 ('v0'), V2
+        ('v2') and the two V1 components ('v1x', 'v1y'). The V1 component
+        normal to the edge carries the flux, the other one the tangential
+        trace."""
         s = self.space
         nh1x, nl2x = s.line_x.h1.dim, s.line_x.l2.dim
         nh1y, nl2y = s.line_y.h1.dim, s.line_y.l2.dim
+        offset, nx, ny = {"v0": (0, nh1x, nh1y), "v1x": (0, nh1x, nl2y),
+                          "v1y": (s.n1x, nl2x, nh1y),
+                          "v2": (0, nl2x, nl2y)}[block]
         axis, side = _EDGE_AXIS[edge]
-        if axis == "x":
-            a = 0 if side == "lo" else nh1x - 1
-            return a * nl2y + np.arange(nl2y)
-        a = 0 if side == "lo" else nh1y - 1
-        return s.n1x + np.arange(nl2x) * nh1y + a
-
-    def _trace_slice(self, edge, which):
-        """Global indices of V0 ('h1h1') or V2 ('l2l2') DOFs on the edge."""
-        s = self.space
-        axis, side = _EDGE_AXIS[edge]
-        if which == "v0":
-            nx, ny = s.line_x.h1.dim, s.line_y.h1.dim
-        else:
-            nx, ny = s.line_x.l2.dim, s.line_y.l2.dim
         if axis == "x":
             a = 0 if side == "lo" else nx - 1
-            return a * ny + np.arange(ny)
+            return offset + a * ny + np.arange(ny)
         a = 0 if side == "lo" else ny - 1
-        return np.arange(nx) * ny + a
-
-    def _tangent_line(self, edge):
-        axis, _ = _EDGE_AXIS[edge]
-        return self.space.line_y if axis == "x" else self.space.line_x
+        return offset + np.arange(nx) * ny + a
 
     # --- boundary matrices and data vectors --------------------------------
     def _assemble_boundary_terms(self):
@@ -184,7 +173,8 @@ class OperatorContext:
             axis, side = _EDGE_AXIS[edge]
             sigma = -1.0 if side == "lo" else 1.0
             tau = sigma * (1.0 if axis == "y" else -1.0)
-            line = self._tangent_line(edge)
+            line = s.line_y if axis == "x" else s.line_x
+            normal, cross = ("v1x", "v1y") if axis == "x" else ("v1y", "v1x")
             lo, hi = line.interval
             # boundary data on the data grid of the tangent line
             pts, w = line.data_grid.pts, line.data_grid.w
@@ -192,8 +182,8 @@ class OperatorContext:
 
             # full-boundary pressure-trace pairing (rows: flux DOFs on the
             # edge, cols: V2 DOFs on the edge) = sigma * tangential l2 mass
-            fs = self._flux_slice(edge)
-            v2s = self._trace_slice(edge, "v2")
+            fs = self._edge_dofs(normal, edge)
+            v2s = self._edge_dofs("v2", edge)
             Ml2 = line.M_l2.tocoo()
             Tp.append((fs[Ml2.row], v2s[Ml2.col], sigma * Ml2.data))
 
@@ -209,8 +199,8 @@ class OperatorContext:
             segs = cond.segments(lo, hi)
             self._validate_segments(edge, line, segs)
             in_gt = np.zeros(len(pts), dtype=bool)
-            v0s = self._trace_slice(edge, "v0")
-            flux_other = self._cross_slice(edge)
+            v0s = self._edge_dofs("v0", edge)
+            flux_other = self._edge_dofs(cross, edge)
             for (a, b, data) in segs:
                 mask = (pts > a) & (pts < b)
                 in_gt |= mask
@@ -229,20 +219,6 @@ class OperatorContext:
         self.t_tangential_data = t_tang
         self.b_pressure = b_press
         self.normal_data = n_data
-
-    def _cross_slice(self, edge):
-        """V1 indices of the *tangential* component DOFs on the edge (the
-        complementary component, trace in its h1 factor)."""
-        s = self.space
-        nh1x, nl2x = s.line_x.h1.dim, s.line_x.l2.dim
-        nh1y, nl2y = s.line_y.h1.dim, s.line_y.l2.dim
-        axis, side = _EDGE_AXIS[edge]
-        if axis == "x":
-            # tangential component is u_y in V1y = l2x (x) h1y; trace in l2x
-            a = 0 if side == "lo" else nl2x - 1
-            return s.n1x + a * nh1y + np.arange(nh1y)
-        a = 0 if side == "lo" else nl2y - 1
-        return np.arange(nh1x) * nl2y + a
 
     def _validate_segments(self, edge, line, segs):
         lo, hi = line.interval
@@ -278,21 +254,18 @@ class OperatorContext:
         if key not in self._m1t_cache:
             self._m1t_cache.clear()
             s = self.space
-            if gamma == 0.0:
-                hx, hy = s.line_x.mass_factor("h1"), s.line_y.mass_factor("h1")
-                solve = s.solve_M1
-            else:
-                def penalised(line, P):
-                    J = sp.identity(line.h1.dim, format="csr") - P
-                    return SPDInverse(line.M_h1 + gamma * (J.T @ line.M_h1 @ J))
 
-                hx, hy = penalised(s.line_x, s.Px), penalised(s.line_y, s.Py)
-                kx = KroneckerSolver([hx, s.line_y.mass_factor("l2")])
-                ky = KroneckerSolver([s.line_x.mass_factor("l2"), hy])
+            def h1_inverse(line, P):
+                J = sp.identity(line.h1.dim, format="csr") - P
+                return SPDInverse(line.M_h1 + gamma * (J.T @ line.M_h1 @ J))
 
-                def solve(b, _kx=kx, _ky=ky, _s=s):
-                    bx, by = _s.split_v1(b)
-                    return np.concatenate([_kx.solve(bx), _ky.solve(by)])
+            hx, hy = h1_inverse(s.line_x, s.Px), h1_inverse(s.line_y, s.Py)
+            kx = KroneckerSolver([hx, s.line_y.mass_factor("l2")])
+            ky = KroneckerSolver([s.line_x.mass_factor("l2"), hy])
+
+            def solve(b):
+                bx, by = s.split_v1(b)
+                return np.concatenate([kx.solve(bx), ky.solve(by)])
 
             self._m1t_cache[key] = ((hx, hy), solve)
         return self._m1t_cache[key]
@@ -360,26 +333,11 @@ class TensorPoissonSolver:
 
 # --- dual operators ---------------------------------------------------------
 
-def weak_grad(ctx: OperatorContext, q) -> Field:
-    """Boundaryless dual gradient: M1 x = -(Div Pc1)^T M2 q."""
-    qc = coeffs_of(q)
-    x = ctx.space.solve_M1(-(ctx.DtT @ (ctx.space.M2 @ qc)))
-    return Field(ctx.space, 1, x)
-
-
 def weak_grad_full(ctx: OperatorContext, qc: np.ndarray) -> np.ndarray:
     """Full-generality dual gradient (trial slot of s_h): adds the
     whole-boundary trace pairing. Coefficient-level helper."""
     rhs = -(ctx.DtT @ (ctx.space.M2 @ qc)) + ctx.T_pressure @ qc
     return ctx.space.solve_M1(rhs)
-
-
-def weak_grad_with_pressure_bc(ctx: OperatorContext, q) -> Field:
-    """Dual gradient with flux BCs and Gamma_p data:
-    M1 x = -(Div Pc1 Pn)^T M2 q + b,  b_j = int_{Gamma_p} p_b (Lambda_j . n)."""
-    qc = coeffs_of(q)
-    rhs = -(ctx.DnT @ (ctx.space.M2 @ qc)) + ctx.b_pressure
-    return Field(ctx.space, 1, ctx.space.solve_M1(rhs))
 
 
 def weak_curl(ctx: OperatorContext, v) -> Field:
@@ -396,14 +354,6 @@ def weak_curl_with_tangential_bc(ctx: OperatorContext, v) -> Field:
     rhs = (ctx.CP0T @ (ctx.space.M1 @ vc) - ctx.T_tangential @ vc
            - ctx.t_tangential_data)
     return Field(ctx.space, 0, ctx.space.solve_M0(rhs))
-
-
-def interior_product(ctx: OperatorContext, u, k: int) -> Field:
-    """L2 projection of the k-th velocity component onto V2."""
-    if k not in (1, 2):
-        raise ValueError("component index must be 1 or 2")
-    B = ctx.space.B1 if k == 1 else ctx.space.B2
-    return Field(ctx.space, 2, ctx.space.solve_M2(B @ coeffs_of(u)))
 
 
 # --- advection --------------------------------------------------------------

@@ -38,8 +38,7 @@ def build_simulation(cfg):
     space = build_multipatch(
         degree=cfg.degree, n_patches=cfg.n_patches,
         cells_per_patch=cfg.n_cells, bounds=((x0, x1), (y0, y1)),
-        periodic=cfg.periodic, moment_order=cfg.moment_order,
-        stencil_radius=cfg.stencil_radius)
+        periodic=cfg.periodic)
     ctx = OperatorContext(space, bc=None if cfg.periodic else cfg.boundary,
                           forcing=case.forcing)
     return ctx, case, cfg
@@ -66,10 +65,10 @@ def write_snapshot(ctx, u, p, t, path, grid=64):
     ys = np.linspace(y0, y1, grid)
     from .spaces import eval_field
     uc = u.coeffs if isinstance(u, Field) else np.asarray(u)
-    uv = eval_field(Field(s, 1, uc), xs, ys, grid=True)
-    pv = eval_field(Field(s, 2, np.asarray(p)), xs, ys, grid=True)
+    uv = eval_field(Field(s, 1, uc), xs, ys)
+    pv = eval_field(Field(s, 2, np.asarray(p)), xs, ys)
     om = weak_curl_with_tangential_bc(ctx, uc)
-    ov = eval_field(om, xs, ys, grid=True)
+    ov = eval_field(om, xs, ys)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     with open(path, "w") as fh:
         fh.write(f"# t = {t!r}\n")

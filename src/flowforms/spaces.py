@@ -8,8 +8,9 @@ line matrices, so Div.Curl = 0 holds entrywise exactly.
 
 A single patch is the broken space whose conforming projections are the
 identity. Across a patch interface, conformity is restored by averaging
-the two interface DOFs and correcting nearby coefficients with a stencil
-chosen so that polynomial moments up to a prescribed order are preserved.
+the two interface DOFs and correcting the p+1 nearest coefficients on
+each side with one stencil, the one that preserves the polynomial moments
+up to order p (`projection_stencil_1d`).
 The 2D projections are tensor products of the 1D ones; the V1 projection
 acts on the normal-direction factor of each component only.
 
@@ -41,90 +42,53 @@ from .splines import (BasisTable, Broken1D, DeRhamLine, LineGrid, SplineSpace1D,
 
 
 class DegenerateStencilError(RuntimeError):
-    """Moment system of the interface stencil is singular or infeasible."""
+    """Moment system of the interface stencil is singular, or the stencil
+    does not fit in the patches."""
 
 
-@dataclass
-class ProjectionStencil1D:
-    """Interface-averaging stencil.
+def projection_stencil_1d(degree, n_cells=None) -> np.ndarray:
+    """Interface-averaging stencil c_0..c_r of a broken space of the given
+    (h1) degree, with r = degree and c_0 = 1/2.
 
-    Coefficients c_0..c_r act on the incoming side of the interface;
-    the outgoing side uses c'_0 = c_0 = 1/2 and c'_i = -c_i (i > 0),
-    which is what makes the operator a projection.
+    The coefficients act on the incoming side of the interface; the
+    outgoing side uses c'_0 = c_0 and c'_i = -c_i (i > 0), which is what
+    makes the operator a projection. c_1..c_r solve the square system that
+    preserves the polynomial moments up to order degree-1. n_cells is the
+    per-patch cell count used for the moment integrals; it defaults to
+    r+1, which leaves all stencil supports untruncated.
     """
-
-    radius: int
-    coeffs: np.ndarray  # c_0 .. c_r, with c_0 = 1/2
-    moment_order: int
-
-
-def projection_stencil_1d(degree, radius=None, moment_order=None,
-                          n_cells=None) -> ProjectionStencil1D:
-    """Stencil for a broken space of the given (h1) degree.
-
-    moment_order defaults to degree-1, radius to moment_order+1 (square
-    moment system). n_cells is the per-patch cell count used for the moment
-    integrals; it defaults to radius+1, which leaves all stencil supports
-    untruncated.
-    """
-    if moment_order is None:
-        moment_order = max(degree - 1, 0) if radius is None else max(radius - 1, 0)
-    if radius is None:
-        radius = moment_order + 1
-    if radius < 0:
-        raise ValueError("stencil radius must be >= 0")
-    if radius == 0:
-        if moment_order > 0:
-            raise ValueError("radius 0 cannot preserve moments beyond the average")
-        return ProjectionStencil1D(0, np.array([0.5]), moment_order)
-    if radius < moment_order + 1:
-        raise ValueError(
-            f"radius {radius} too small for moment order {moment_order}"
-        )
+    r = degree
     if n_cells is None:
-        n_cells = radius + 1
-    if radius > n_cells + degree - 1:
-        raise DegenerateStencilError(
-            f"radius {radius} exceeds the patch DOF range (n_cells={n_cells}, "
-            f"degree={degree})"
-        )
-
+        n_cells = r + 1
     # moment integrals I[i, j] = int_patch phi_i(x) x^j dx on unit cells,
     # phi_i = i-th clamped basis function counted from the interface
     space = SplineSpace1D(degree, n_cells, (0.0, float(n_cells)), False)
-    pts, w = cell_quadrature(space.breakpoints, degree + moment_order + 2)
-    E = collocation_matrix(space, pts).toarray()[:, : radius + 1]
-    powers = pts[:, None] ** np.arange(moment_order + 1)[None, :]
-    I = E.T @ (w[:, None] * powers)  # (radius+1, moment_order+1)
+    pts, w = cell_quadrature(space.breakpoints, 2 * degree + 1)
+    E = collocation_matrix(space, pts).toarray()[:, : r + 1]
+    powers = pts[:, None] ** np.arange(r)[None, :]
+    I = E.T @ (w[:, None] * powers)  # (r+1, r)
 
     A = I[1:, :].T  # rows: moment j, cols: c_1..c_r
-    rhs = 0.5 * I[0, :]
-    if A.shape[0] == A.shape[1]:
-        if np.linalg.cond(A) > 1e12:
-            raise DegenerateStencilError("moment system is numerically singular")
-        c_tail = np.linalg.solve(A, rhs)
-    else:
-        c_tail, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    return ProjectionStencil1D(radius, np.concatenate([[0.5], c_tail]), moment_order)
+    if np.linalg.cond(A) > 1e12:
+        raise DegenerateStencilError("moment system is numerically singular")
+    return np.concatenate([[0.5], np.linalg.solve(A, 0.5 * I[0, :])])
 
 
-def conforming_projection_1d(space: Broken1D, stencil: ProjectionStencil1D) -> sp.csr_matrix:
+def conforming_projection_1d(space: Broken1D, c) -> sp.csr_matrix:
     """1D conforming projection on a broken degree-(p+1) space.
 
     Identity away from interfaces; at each interface the two coupled DOF
-    columns are replaced by the averaging stencil. Requires the stencil to
-    stay inside the two adjacent patches (radius <= n_cells + degree - 1).
-    """
+    columns are replaced by the averaging stencil c. Requires the stencil
+    to stay inside the two adjacent patches."""
     interfaces = space.interfaces()
     if not interfaces:
         return sp.identity(space.dim, format="csr")
-    r = stencil.radius
+    r = len(c) - 1
     per_patch = space.spaces[0].dim
     if r > per_patch - 2:
         raise DegenerateStencilError(
             f"stencil radius {r} does not fit in patches with {per_patch} DOFs"
         )
-    c = stencil.coeffs
 
     iface_cols = {idx for pair in interfaces for idx in pair}
     triplets = [(k, k, 1.0) for k in range(space.dim) if k not in iface_cols]
@@ -140,15 +104,14 @@ def conforming_projection_1d(space: Broken1D, stencil: ProjectionStencil1D) -> s
                          shape=(space.dim, space.dim)).tocsr()
 
 
-def _line_projection(line: DeRhamLine, radius, moment_order) -> sp.csr_matrix:
+def _line_projection(line: DeRhamLine) -> sp.csr_matrix:
     """Conforming projection of a line's h1 space; the identity when the
     line has a single patch. Stencil integrals depend only on the cell
     count per patch, not on h."""
     if not line.h1.broken:
         return sp.identity(line.h1.dim, format="csr")
-    stencil = projection_stencil_1d(line.p + 1, radius, moment_order,
-                                    n_cells=line.cells_per_patch)
-    return conforming_projection_1d(line.h1, stencil)
+    c = projection_stencil_1d(line.p + 1, n_cells=line.cells_per_patch)
+    return conforming_projection_1d(line.h1, c)
 
 
 @dataclass
@@ -166,9 +129,6 @@ class Field:
                 f"slot V{self.slot} needs {self.space.dim(self.slot)} coeffs, "
                 f"got {self.coeffs.shape}"
             )
-
-    def copy(self) -> "Field":
-        return Field(self.space, self.slot, self.coeffs.copy())
 
 
 def coeffs_of(u) -> np.ndarray:
@@ -210,12 +170,9 @@ class TensorDeRhamSpace:
     projections Px, Py (per line), Pc0, Pc1 and the jump penalization
     (I-Pc1)^T M1 (I-Pc1). On a line with a single patch the projection is
     the identity; with one patch in both directions Pc0 and Pc1 are the
-    identity and the penalization is zero.
+    identity and the penalization is zero."""
 
-    moment_order defaults to p and stencil_radius to moment_order + 1."""
-
-    def __init__(self, line_x: DeRhamLine, line_y: DeRhamLine,
-                 moment_order=None, stencil_radius=None):
+    def __init__(self, line_x: DeRhamLine, line_y: DeRhamLine):
         self.line_x = line_x
         self.line_y = line_y
         self.p = line_x.p
@@ -282,11 +239,8 @@ class TensorDeRhamSpace:
         self.grid = TensorGrid(line_x.grid, line_y.grid)
         self.data_grid = TensorGrid(line_x.data_grid, line_y.data_grid)
 
-        self.moment_order = self.p if moment_order is None else moment_order
-        self.stencil_radius = (self.moment_order + 1 if stencil_radius is None
-                               else stencil_radius)
-        self.Px = _line_projection(line_x, self.stencil_radius, self.moment_order)
-        self.Py = _line_projection(line_y, self.stencil_radius, self.moment_order)
+        self.Px = _line_projection(line_x)
+        self.Py = _line_projection(line_y)
         self.Pc0 = sp.kron(self.Px, self.Py, format="csr")
         self.Pc1 = sp.block_diag(
             [sp.kron(self.Px, Il2y, format="csr"),
@@ -308,9 +262,6 @@ class TensorDeRhamSpace:
     def area(self) -> float:
         (x0, x1), (y0, y1) = self.bounds
         return (x1 - x0) * (y1 - y0)
-
-    def min_h(self) -> float:
-        return min(self.line_x.h, self.line_y.h)
 
     # --- exact mass solves ------------------------------------------------
     def solve_M0(self, b):
@@ -385,26 +336,13 @@ def l2_project(space: TensorDeRhamSpace, slot: int, f) -> Field:
     raise ValueError(f"unknown slot {slot}")
 
 
-def _pair_eval(Ex, Ey, C):
-    # pointwise sum_ab Ex[i,a] C[a,b] Ey[i,b]
-    return np.einsum("ib,ib->i", Ex @ C, Ey)
-
-
-def eval_field(field: Field, xs, ys, grid: bool = True):
-    """Evaluate a field at sample points.
-
-    grid=True: xs, ys are 1D axes; returns values on the tensor grid with
-    shape (len(xs), len(ys)) (scalar slots) or (..., 2) for V1.
-    grid=False: xs, ys are matched coordinate lists.
-    """
+def eval_field(field: Field, xs, ys):
+    """Values of a field on the tensor grid of the 1D axes xs and ys: shape
+    (len(xs), len(ys)) for the scalar slots, (len(xs), len(ys), 2) for V1."""
     space = field.space
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     ys = np.atleast_1d(np.asarray(ys, dtype=np.float64))
     lx, ly = space.line_x, space.line_y
-
-    def colloc(line_space, pts):
-        return line_space.collocation(pts)
-
     if field.slot == 0:
         spaces = [(lx.h1, ly.h1, field.coeffs)]
     elif field.slot == 2:
@@ -416,14 +354,7 @@ def eval_field(field: Field, xs, ys, grid: bool = True):
     out = []
     for sx, sy, c in spaces:
         C = np.asarray(c).reshape(sx.dim, sy.dim)
-        Ex = colloc(sx, xs)
-        Ey = colloc(sy, ys)
-        if grid:
-            out.append(Ex @ C @ Ey.T)
-        else:
-            if len(xs) != len(ys):
-                raise ValueError("scattered evaluation needs matching x/y lists")
-            out.append(_pair_eval(Ex.toarray(), Ey.toarray(), C))
+        out.append(sx.collocation(xs) @ C @ sy.collocation(ys).T)
     if field.slot == 1:
         return np.stack(out, axis=-1)
     return out[0]

@@ -60,10 +60,6 @@ class SplineSpace1D:
     def interval(self):
         return self.breakpoints[0], self.breakpoints[-1]
 
-    def __repr__(self):
-        kind = "periodic" if self.periodic else "clamped"
-        return f"SplineSpace1D(degree={self.degree}, n_cells={self.n_cells}, {kind})"
-
 
 def collocation_matrix(space: SplineSpace1D, x) -> sp.csr_matrix:
     """Rows of basis values at the points x. Shape (len(x), space.dim)."""

@@ -9,10 +9,12 @@ degrees, intervals, DOF numbering). The conforming projection and flux
 matrices enter oracle compositions as validated inputs; their own
 contract tests live in test_multipatch / test_operators.
 
-Two references at the end are written against the package instead: a
+The references at the end are written against the package instead: a
 plain conjugate gradient solver (the matrix-free check of the direct
-pressure solve) and the trilinear advection form by direct quadrature of
-its integrands (the check of the assembled residual).
+pressure solve), the trilinear advection form by direct quadrature of
+its integrands (the check of the assembled residual), the dual gradients
+and interior products that no solver path uses, and the least-squares
+convergence order.
 """
 
 from dataclasses import dataclass
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from flowforms.operators import weak_grad_full
-from flowforms.spaces import coeffs_of
+from flowforms.spaces import Field, coeffs_of
 
 EDGES = ("left", "right", "bottom", "top")
 
@@ -391,3 +393,37 @@ def advection_form(ctx, u, v, w) -> float:
             - ikv_vals * (uvx * gwx + uvy * gwy)
         total += grid.integrate(integrand)
     return 0.5 * total
+
+
+def weak_grad(ctx, q) -> Field:
+    """Boundaryless dual gradient: M1 x = -(Div Pc1)^T M2 q."""
+    qc = coeffs_of(q)
+    x = ctx.space.solve_M1(-(ctx.DtT @ (ctx.space.M2 @ qc)))
+    return Field(ctx.space, 1, x)
+
+
+def weak_grad_with_pressure_bc(ctx, q) -> Field:
+    """Dual gradient with flux BCs and Gamma_p data:
+    M1 x = -(Div Pc1 Pn)^T M2 q + b,  b_j = int_{Gamma_p} p_b (Lambda_j . n)."""
+    qc = coeffs_of(q)
+    rhs = -(ctx.DnT @ (ctx.space.M2 @ qc)) + ctx.b_pressure
+    return Field(ctx.space, 1, ctx.space.solve_M1(rhs))
+
+
+def interior_product(ctx, u, k: int) -> Field:
+    """L2 projection of the k-th velocity component onto V2."""
+    if k not in (1, 2):
+        raise ValueError("component index must be 1 or 2")
+    B = ctx.space.B1 if k == 1 else ctx.space.B2
+    return Field(ctx.space, 2, ctx.space.solve_M2(B @ coeffs_of(u)))
+
+
+def convergence_order(hs, errors) -> float:
+    """Least-squares slope of log(error) against log(h)."""
+    hs = np.asarray(hs, dtype=np.float64)
+    errors = np.asarray(errors, dtype=np.float64)
+    if hs.size != errors.size or hs.size < 2:
+        raise ValueError("need at least two (h, error) pairs")
+    if np.any(hs <= 0) or np.any(errors <= 0):
+        raise ValueError("mesh sizes and errors must be positive")
+    return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])

@@ -26,45 +26,27 @@ def stencil_moment_integrals(degree, n_cells, n_funcs, moment_order):
 
 # --- 1D stencils ----------------------------------------------------------------
 
-def test_radius_zero_stencil_is_plain_average():
-    st0 = projection_stencil_1d(3, radius=0, moment_order=0)
-    assert st0.radius == 0
-    assert np.array_equal(st0.coeffs, [0.5])
-
-
-def test_radius_zero_cannot_carry_moments():
-    with pytest.raises(ValueError):
-        projection_stencil_1d(2, radius=0, moment_order=1)
-
-
 def test_first_order_stencil_coefficient_ratio():
     # with one correction DOF, preserving the mean forces
     # c_1 = (1/2) * int(phi_0) / int(phi_1)
-    st1 = projection_stencil_1d(1, radius=1, moment_order=0)
+    c = projection_stencil_1d(1)
     I = stencil_moment_integrals(1, n_cells=2, n_funcs=2, moment_order=0)
     expect = 0.5 * I[0, 0] / I[1, 0]
-    assert st1.coeffs[0] == pytest.approx(0.5, abs=1e-15)
-    assert st1.coeffs[1] == pytest.approx(expect, abs=1e-13)
+    assert len(c) == 2
+    assert c[0] == pytest.approx(0.5, abs=1e-15)
+    assert c[1] == pytest.approx(expect, abs=1e-13)
     assert expect == pytest.approx(0.25, abs=1e-13)
 
 
 @pytest.mark.parametrize("degree", [2, 3, 4])
 def test_stencil_moment_conditions(degree):
-    stn = projection_stencil_1d(degree)
-    mo, r = stn.moment_order, stn.radius
-    assert mo == degree - 1 and r == mo + 1
-    I = stencil_moment_integrals(degree, r + 1, r + 1, mo)
-    lhs = stn.coeffs[1:] @ I[1:, :]
+    # radius = degree, moments up to degree - 1: a square system
+    c = projection_stencil_1d(degree)
+    r = len(c) - 1
+    assert r == degree
+    I = stencil_moment_integrals(degree, r + 1, r + 1, degree - 1)
+    lhs = c[1:] @ I[1:, :]
     assert np.abs(lhs - 0.5 * I[0, :]).max() <= 1e-12
-
-
-def test_stencil_invalid_arguments():
-    with pytest.raises(ValueError):
-        projection_stencil_1d(2, radius=-1)
-    with pytest.raises(ValueError):
-        projection_stencil_1d(2, radius=1, moment_order=1)
-    with pytest.raises(DegenerateStencilError):
-        projection_stencil_1d(1, radius=5, moment_order=0, n_cells=2)
 
 
 def test_oversized_stencil_rejected_at_build():
@@ -138,8 +120,7 @@ def test_projected_scalars_are_continuous(rng):
 
 def test_projection_preserves_polynomial_moments(rng):
     s = space(2, 2, 2, False, bounds=UNIT)
-    mo = s.moment_order
-    assert mo == s.p
+    mo = s.p
     v = rng.standard_normal(s.n1)
     dv = (s.Pc1 @ v) - v
     dx, dy = s.grid_eval_v1(dv)
@@ -205,6 +186,8 @@ def test_patch_grid_bounds_and_dims():
 
 
 def test_default_stencil_parameters_follow_degree():
+    # the stencil reaches p+1 DOFs past each interface DOF, on both sides
     s = space(3, 2, 2, False, bounds=UNIT)
-    assert s.moment_order == 3
-    assert s.stencil_radius == 4
+    (L, R), = s.line_x.h1.interfaces()
+    rows = s.Px[:, R].nonzero()[0]
+    assert rows.min() == L - 4 and rows.max() == R + 4

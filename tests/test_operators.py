@@ -8,19 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import DOMAIN, PI, context, rand_coeffs, space
-from oracles import DenseOracle, advection_form
+from oracles import (DenseOracle, advection_form, interior_product,
+                     weak_grad, weak_grad_with_pressure_bc)
 from flowforms.operators import (
     EdgeBC,
     OperatorContext,
     advection_residual,
-    interior_product,
     viscous_form,
     viscous_residual,
     weak_curl,
     weak_curl_with_tangential_bc,
-    weak_grad,
     weak_grad_full,
-    weak_grad_with_pressure_bc,
 )
 from flowforms.spaces import Field, eval_field
 
