@@ -79,6 +79,10 @@ class OperatorContext:
     bc is a dict edge-name -> EdgeBC covering every non-periodic edge, or
     None/empty for no boundary conditions: then every boundary term is
     zero and Pn is the identity.
+
+    The velocity space of the momentum equation has the normal trace on
+    Gamma_n imposed strongly: its test functions have zero Gamma_n flux
+    DOFs (Pn v = v), and `m1_solver` inverts the mass on that subspace.
     """
 
     def __init__(self, space: TensorDeRhamSpace, bc=None, forcing=None):
@@ -121,8 +125,6 @@ class OperatorContext:
         self.Pn = sp.diags(np.concatenate([
             np.kron(self.zn["x"], np.ones(space.line_y.l2.dim)),
             np.kron(np.ones(space.line_x.l2.dim), self.zn["y"])]), format="csr")
-        self.Dn = (self.Dt @ self.Pn).tocsr()
-        self.DnT = self.Dn.T.tocsr()
 
         self._assemble_boundary_terms()
 
@@ -238,14 +240,17 @@ class OperatorContext:
     # Both solver caches hold the latest gamma = dt*alpha/2 only: under CFL
     # control every step has a new dt, so older entries are never reused.
     def m1_solver(self, gamma: float = 0.0):
-        """Exact solver for M1 + gamma * penalization: per block, two GEMMs
-        with the inverses of its 1D Kronecker factors (`h1_inverses` and
-        the lines' l2 mass inverses)."""
+        """Exact solver for A = M1 + gamma * penalization on the velocities
+        with zero Gamma_n flux DOFs: b -> Pn (Pn A Pn + I - Pn)^-1 Pn b,
+        which is zero on those DOFs. Per block, two GEMMs with the inverses
+        of its 1D Kronecker factors (`h1_inverses` and the lines' l2 mass
+        inverses); without Gamma_n edges it is the plain A^-1."""
         return self._m1t(gamma)[1]
 
     def h1_inverses(self, gamma: float = 0.0):
-        """SPDInverse of M_h1 + gamma * J^T M_h1 J, J = I - P the line's
-        conforming projection, for the x and the y line: the h1 factors of
+        """Z (Z Mg Z + I - Z)^-1 Z with Mg = M_h1 + gamma * J^T M_h1 J,
+        J = I - P the line's conforming projection and Z = diag(zn), as an
+        SPDInverse, for the x and the y line: the h1 factors of
         `m1_solver(gamma)`, which the Poisson setup shares."""
         return self._m1t(gamma)[0]
 
@@ -255,11 +260,16 @@ class OperatorContext:
             self._m1t_cache.clear()
             s = self.space
 
-            def h1_inverse(line, P):
-                J = sp.identity(line.h1.dim, format="csr") - P
-                return SPDInverse(line.M_h1 + gamma * (J.T @ line.M_h1 @ J))
+            def h1_inverse(line, P, z):
+                M = line.M_h1.toarray()
+                J = np.identity(line.h1.dim) - P.toarray()
+                Mg = M + gamma * (J.T @ M @ J)
+                inv = SPDInverse(z[:, None] * Mg * z + np.diag(1.0 - z))
+                inv.inv *= np.outer(z, z)
+                return inv
 
-            hx, hy = h1_inverse(s.line_x, s.Px), h1_inverse(s.line_y, s.Py)
+            hx = h1_inverse(s.line_x, s.Px, self.zn["x"])
+            hy = h1_inverse(s.line_y, s.Py, self.zn["y"])
             kx = KroneckerSolver([hx, s.line_y.mass_factor("l2")])
             ky = KroneckerSolver([s.line_x.mass_factor("l2"), hy])
 
@@ -272,7 +282,8 @@ class OperatorContext:
 
     def poisson_solver(self, gamma: float = 0.0):
         """Pressure Poisson solver for the (possibly penalization-modified)
-        Schur system M2 Dn (M1+gamma*Pen)^-1 Dn^T M2. Without pressure
+        Schur system M2 Dt A^-1 Dt^T M2, with A^-1 = `m1_solver(gamma)`
+        acting on the velocities with zero Gamma_n flux. Without pressure
         boundary conditions the system has the constant pressure in its
         kernel; the solver then acts as a pseudoinverse that zeroes the
         mean mode, so the velocity update stays exactly divergence-free."""
@@ -296,16 +307,16 @@ class TensorPoissonSolver:
         s = ctx.space
         self.ctx = ctx
 
-        def one_d(line, P, zn, h1_inv):
+        def one_d(line, P, h1_inv):
             Ml2 = line.M_l2.toarray()
-            G = (line.D @ P).toarray() * zn
+            G = (line.D @ P).toarray()
             K = Ml2 @ G @ h1_inv.inv @ G.T @ Ml2
             K = 0.5 * (K + K.T)
             return scipy.linalg.eigh(K, 0.5 * (Ml2 + Ml2.T))
 
         hx, hy = ctx.h1_inverses(gamma)
-        lam_x, self.Phi_x = one_d(s.line_x, s.Px, ctx.zn["x"], hx)
-        lam_y, self.Phi_y = one_d(s.line_y, s.Py, ctx.zn["y"], hy)
+        lam_x, self.Phi_x = one_d(s.line_x, s.Px, hx)
+        lam_y, self.Phi_y = one_d(s.line_y, s.Py, hy)
         self.singular = not ctx.has_pressure_bc
         denom = lam_x[:, None] + lam_y[None, :]
         if self.singular:
@@ -321,7 +332,7 @@ class TensorPoissonSolver:
     def matvec(self, q):
         """The system matrix applied through the composed sparse operators."""
         ctx, s = self.ctx, self.ctx.space
-        return s.M2 @ (ctx.Dn @ self._m1_solve(ctx.DnT @ (s.M2 @ q)))
+        return s.M2 @ (ctx.Dt @ self._m1_solve(ctx.DtT @ (s.M2 @ q)))
 
     def solve(self, b):
         s = self.ctx.space

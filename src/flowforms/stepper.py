@@ -7,13 +7,16 @@ so that the velocity update is discretely divergence-free. The
 patch-coupling penalization is treated implicitly: the sweep solves with
 M1 + gamma*Pen (gamma = dt*alpha/2), which has the same fixed point as the
 plain midpoint form but keeps the iteration contractive for large alpha.
-Both mass variants are Kronecker products per component, so all solves
-stay exact.
+The velocity keeps the Gamma_n flux DOFs of u^n: every mass solve is the
+inverse on the velocities with zero Gamma_n flux (`ctx.m1_solver`), so a
+gradient force moves only the pressure, and u-bar is a test function of
+the energy identity. These inverses are Kronecker products per component,
+so all solves stay exact.
 
 The functions take the resolved SimulationConfig (config.py); its dt is
 None under CFL control, so the caller passes each step's dt. The same
 code serves every domain: without boundary conditions the boundary data
-vectors are zero and Pn is the identity.
+vectors are zero and the mass solve is the plain M1 + gamma*Pen inverse.
 """
 
 from __future__ import annotations
@@ -41,9 +44,11 @@ class StepReport:
 def midpoint_sweep(ctx: OperatorContext, cfg, un, u_iter, dt: float):
     """One Picard sweep of the midpoint step from u^n with current iterate
     u_iter: returns (u_next, p), where
-    u_next = u^n - dt Pn (M1 + gamma Pen)^{-1} (R - Dn^T M2 p),
-    R is the momentum residual at the midpoint (penalization acting on
-    u^n) and p makes Dt u_next = Dt u^n exactly."""
+    u_next = u^n - dt A^{-1} (R - Dt^T M2 p),
+    A^{-1} = ctx.m1_solver(gamma) is the inverse of M1 + gamma Pen on the
+    velocities with zero Gamma_n flux, R is the momentum residual at the
+    midpoint (penalization acting on u^n) and p makes Dt u_next = Dt u^n
+    exactly."""
     ub = 0.5 * (un + u_iter)
     pen = ctx.space.penalization
     R = advection_residual(ctx, ub, ub)
@@ -56,9 +61,9 @@ def midpoint_sweep(ctx: OperatorContext, cfg, un, u_iter, dt: float):
     R = R - ctx.f_vec + ctx.b_pressure
     m1t = ctx.m1_solver(gamma)
     M2 = ctx.space.M2
-    p = ctx.poisson_solver(gamma).solve(M2 @ (ctx.Dn @ m1t(R)))
-    w = R - ctx.DnT @ (M2 @ p)
-    return un - dt * (ctx.Pn @ m1t(w)), p
+    p = ctx.poisson_solver(gamma).solve(M2 @ (ctx.Dt @ m1t(R)))
+    w = R - ctx.DtT @ (M2 @ p)
+    return un - dt * m1t(w), p
 
 
 def cn_step(ctx: OperatorContext, u_n, cfg, dt=None):
@@ -118,11 +123,12 @@ def set_normal_data(ctx: OperatorContext, u) -> Field:
 
 def leray_project(ctx: OperatorContext, u) -> Field:
     """Remove the discrete divergence without touching the Gamma_n flux
-    data: u <- u + Pn M1^{-1} Dn^T M2 phi, where phi solves the pressure
-    system of poisson_solver(0) with right-hand side -M2 Div u."""
+    data: u <- u + A^{-1} Dt^T M2 phi, with A^{-1} = ctx.m1_solver(0),
+    where phi solves the pressure system of poisson_solver(0) with
+    right-hand side -M2 Dt u."""
     uc = coeffs_of(u)
     phi = ctx.poisson_solver(0.0).solve(-(ctx.space.M2 @ (ctx.Dt @ uc)))
-    corr = ctx.Pn @ ctx.space.solve_M1(ctx.DnT @ (ctx.space.M2 @ phi))
+    corr = ctx.m1_solver(0.0)(ctx.DtT @ (ctx.space.M2 @ phi))
     return Field(ctx.space, 1, uc + corr)
 
 

@@ -406,7 +406,7 @@ def weak_grad_with_pressure_bc(ctx, q) -> Field:
     """Dual gradient with flux BCs and Gamma_p data:
     M1 x = -(Div Pc1 Pn)^T M2 q + b,  b_j = int_{Gamma_p} p_b (Lambda_j . n)."""
     qc = coeffs_of(q)
-    rhs = -(ctx.DnT @ (ctx.space.M2 @ qc)) + ctx.b_pressure
+    rhs = -(ctx.Pn @ (ctx.DtT @ (ctx.space.M2 @ qc))) + ctx.b_pressure
     return Field(ctx.space, 1, ctx.space.solve_M1(rhs))
 
 

@@ -372,7 +372,7 @@ def test_pressure_gradient_defining_identity():
         v = rand_coeffs(s, 1, seed=seed)
         x = weak_grad_with_pressure_bc(ctx, q).coeffs
         lhs = x @ (s.M1 @ v)
-        rhs = -q @ (s.M2 @ (ctx.Dn @ v))
+        rhs = -q @ (s.M2 @ (ctx.Dt @ (ctx.Pn @ v)))
         for edge, data in (("bottom", ctx.bc["bottom"].value),
                            ("top", ctx.bc["top"].value)):
             pts, w, tr, sign = ora.edge_rule(edge)

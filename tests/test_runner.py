@@ -28,19 +28,22 @@ def test_every_case_runs_with_its_defaults(name, tmp_path):
 
 # Final diagnostics row after 5 steps at p=2, recorded from the solver
 # before the space, config and sweep were unified: (case, patches, cells
-# per patch, dt) -> (Picard iterations per step, final record values).
+# per patch, dt) -> (Picard iterations of each step, final record values).
+# The cavity row was re-recorded when the sweep began to invert the mass
+# on the velocities with zero Gamma_n flux (see the pressure-robustness
+# and walled energy tests in test_stepper.py).
 GOLDEN = {
-    ("taylor_green", (1, 1), (8, 8), 1e-3): (4, dict(
+    ("taylor_green", (1, 1), (8, 8), 1e-3): ((4, 4, 4, 4, 4), dict(
         time=0.005, energy=19.73910298584064,
         mom_x=9.869604401089358, mom_y=9.869604401089356,
         div_l2=1.6197122458699203e-15, jump_energy=0.0,
         enstrophy_term=157.913608119791)),
-    ("lid_driven_cavity", (2, 2), (4, 4), 2e-3): (7, dict(
-        time=0.01, energy=0.0006219606329061792,
-        mom_x=1.43982048506075e-16, mom_y=-5.238729372178397e-17,
-        div_l2=1.6459066257381927e-15, jump_energy=4.768627648756639e-09,
-        enstrophy_term=-10.95859234560311)),
-    ("poiseuille", (2, 2), (4, 4), 1e-3): (9, dict(
+    ("lid_driven_cavity", (2, 2), (4, 4), 2e-3): ((7, 7, 7, 7, 6), dict(
+        time=0.01, energy=0.000643679532055514,
+        mom_x=1.4354836763708079e-16, mom_y=-6.535028594656378e-17,
+        div_l2=2.000760056822102e-15, jump_energy=8.79461289873947e-09,
+        enstrophy_term=-11.099379194616155)),
+    ("poiseuille", (2, 2), (4, 4), 1e-3): ((9, 9, 9, 9, 9), dict(
         time=0.005, energy=0.0011579659222851317,
         mom_x=-1.7805579186277166e-18, mom_y=-0.1503940801510305,
         div_l2=9.107822583794419e-15, jump_energy=1.348150961071065e-32,
@@ -56,7 +59,7 @@ def test_final_diagnostics_match_recorded_values(key, tmp_path):
                                n_cells=n_cells, dt=dt, t_final=5 * dt,
                                output_dir=str(tmp_path)))
     assert res.steps == 5 and not res.failed
-    assert [r.picard_iterations for r in res.records[1:]] == [iters] * 5
+    assert [r.picard_iterations for r in res.records[1:]] == list(iters)
     last = res.records[-1]
     got = dict(time=last.time, energy=last.energy, mom_x=last.momentum[0],
                mom_y=last.momentum[1], div_l2=last.div_l2,

@@ -158,7 +158,7 @@ def test_singular_pressure_solve_returns_zero_mean():
     s = ctx.space
     u = tg_state(ctx)
     p = sweep_pressure(ctx, u, stepper_cfg())
-    b = s.M2 @ (ctx.Dn @ s.solve_M1(advection_residual(ctx, u, u)))
+    b = s.M2 @ (ctx.Dt @ ctx.m1_solver()(advection_residual(ctx, u, u)))
     assert pressure_residual(ctx.poisson_solver(), p, b) <= 1e-12
     mean = float(np.ones(ctx.space.n2) @ (ctx.space.M2 @ p))
     assert abs(mean) <= 1e-11 * max(1.0, np.max(np.abs(p)))
@@ -173,7 +173,7 @@ def test_direct_and_cg_pressure_agree():
     s = ctx.space
     u = tg_state(ctx)
     p_dir = sweep_pressure(ctx, u, stepper_cfg())
-    b = s.M2 @ (ctx.Dn @ s.solve_M1(advection_residual(ctx, u, u)))
+    b = s.M2 @ (ctx.Dt @ ctx.m1_solver()(advection_residual(ctx, u, u)))
     ones = np.ones(s.n2)
     p_cg, rep = cg_solve(ctx.poisson_solver().matvec,
                          b - ones * (ones @ b) / (ones @ ones), tol=1e-13)
@@ -213,7 +213,7 @@ def test_velocity_update_satisfies_momentum_equation():
     u1, p = midpoint_sweep(ctx, cfg, u_n, u_n, cfg.dt)
     R = advection_residual(ctx, u_n, u_n) + cfg.nu * viscous_residual(ctx, u_n)
     lhs = ctx.space.M1 @ ((u1 - u_n) / cfg.dt)
-    rhs = -(R - ctx.DnT @ (ctx.space.M2 @ p))
+    rhs = -(R - ctx.DtT @ (ctx.space.M2 @ p))
     assert np.max(np.abs(lhs - rhs)) <= 1e-9 * max(1.0, np.max(np.abs(R)))
 
 
@@ -283,6 +283,46 @@ def test_cn_step_bounded_walls_stays_divergence_free():
         u, p, rep = cn_step(ctx, u, cfg)
         u = u.coeffs
     assert np.max(np.abs(ctx.Dt @ u)) <= 1e-10
+
+
+def _box_flow(X, Y):
+    return np.sin(X) * np.cos(Y), -np.cos(X) * np.sin(Y)
+
+
+@pytest.mark.parametrize("p,npat", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_gradient_forcing_leaves_walled_velocity_alone(p, npat):
+    # pressure robustness: with u.n imposed on every edge, a gradient force
+    # 100 grad(x^2 y + y^3) goes into the pressure and leaves u unchanged
+    bc = {e: EdgeBC("normal", 0.0) for e in ("left", "right", "bottom")}
+    bc["top"] = EdgeBC("normal", 0.0, tangential=0.0)
+    cfg = stepper_cfg(dt=1e-3, nu=0.05, alpha=10.0)
+    sp_ = space(p, 4, npat, periodic=False)
+    finals = []
+    for forcing in (None, lambda X, Y: (200.0 * X * Y,
+                                        100.0 * (X**2 + 3.0 * Y**2))):
+        ctx = OperatorContext(sp_, bc=bc, forcing=forcing)
+        u = initialize(ctx, _box_flow).coeffs
+        for _ in range(5):
+            u = cn_step(ctx, u, cfg)[0].coeffs
+        finals.append(u)
+    moved = np.linalg.norm(finals[1] - finals[0]) / np.linalg.norm(finals[0])
+    assert moved <= 1e-10
+
+
+def test_cn_step_viscous_dissipation_identity_walls():
+    # free-slip walls (u.n = 0, no tangential data): the same energy
+    # identity as on periodic domains, since u-bar is a test function
+    ctx = OperatorContext(space(1, 4, 1, periodic=False),
+                          bc={e: EdgeBC("normal", 0.0)
+                              for e in ("left", "right", "bottom", "top")})
+    cfg = stepper_cfg(dt=1e-3, nu=0.05, picard_tol=1e-11)
+    u = initialize(ctx, _box_flow).coeffs
+    E0 = energy(ctx.space, u)
+    u1 = cn_step(ctx, u, cfg)[0].coeffs
+    ub = 0.5 * (u + u1)
+    drop = E0 - energy(ctx.space, u1)
+    model = cfg.dt * cfg.nu * viscous_form(ctx, ub, ub)
+    assert abs(drop - model) <= 1e-8 * E0
 
 
 def test_cn_step_raises_on_stalled_iteration():
