@@ -1,0 +1,71 @@
+"""Observed convergence orders of the velocity: the L2 error after 10
+steps of dt = 5e-4 on n = 8, 16 and 32 cells per direction must fall at
+order p + 1 (at least p + 0.8 between the two finest meshes), for
+p = 1-3, on three inviscid flows with exact solutions:
+
+- the periodic Taylor-Green flow of the case library;
+- the steady flow u = (sin x cos y, -cos x sin y) in the box [0, pi]^2
+  with u.n = 0 on every edge, on one patch and on 2x2 patches;
+- the same flow with u.n = 0 on the left and right edges and its
+  pressure p = (cos 2x + cos 2y)/4 (u.grad u + grad p = 0) as data on the
+  bottom and top edges.
+"""
+import numpy as np
+import pytest
+
+from conftest import DOMAIN
+from flowforms.cases import case_library
+from flowforms.config import SimulationConfig
+from flowforms.diagnostics import l2_error
+from flowforms.multipatch import build_multipatch
+from flowforms.operators import EdgeBC, OperatorContext
+from flowforms.stepper import cn_step, initialize
+
+MESHES = (8, 16, 32)
+DT, STEPS = 5e-4, 10
+TG = case_library("taylor_green")
+
+
+def box_flow(X, Y):
+    return np.sin(X) * np.cos(Y), -np.cos(X) * np.sin(Y)
+
+
+def box_pressure_on_edge(s):
+    # p = (cos 2x + cos 2y)/4 on y = 0 and y = pi, where cos 2y = 1
+    return 0.25 * (np.cos(2.0 * s) + 1.0)
+
+
+WALLS = {e: EdgeBC("normal", 0.0) for e in ("left", "right", "bottom", "top")}
+GAMMA_P = {"left": EdgeBC("normal", 0.0), "right": EdgeBC("normal", 0.0),
+           "bottom": EdgeBC("pressure", box_pressure_on_edge),
+           "top": EdgeBC("pressure", box_pressure_on_edge)}
+
+# name -> (boundary conditions or None for periodic, patches, initial
+# velocity, exact velocity at time t)
+SETUPS = {
+    "periodic": (None, 1, TG.initial, lambda t: lambda X, Y: TG.exact(X, Y, t)),
+    "walls-1x1": (WALLS, 1, box_flow, lambda t: box_flow),
+    "walls-2x2": (WALLS, 2, box_flow, lambda t: box_flow),
+    "gamma_p-1x1": (GAMMA_P, 1, box_flow, lambda t: box_flow),
+    "gamma_p-2x2": (GAMMA_P, 2, box_flow, lambda t: box_flow),
+}
+
+
+def final_error(setup, p, n):
+    bc, npat, initial, exact = SETUPS[setup]
+    space = build_multipatch(p, npat, n // npat, DOMAIN, periodic=bc is None)
+    ctx = OperatorContext(space, bc=bc)
+    cfg = SimulationConfig(dt=DT, nu=0.0, alpha=10.0,
+                           picard_tol=1e-10).resolve()[0]
+    u = initialize(ctx, initial)
+    for _ in range(STEPS):
+        u = cn_step(ctx, u, cfg)[0]
+    return l2_error(space, u, exact(STEPS * DT))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("setup", list(SETUPS))
+def test_velocity_converges_at_order_p_plus_one(setup, p):
+    errors = [final_error(setup, p, n) for n in MESHES]
+    order = np.log2(errors[-2] / errors[-1])
+    assert order >= p + 0.8, (errors, order)
