@@ -6,9 +6,12 @@ validates the result; the runner and the stepper work from that resolved
 config. dt=None there selects CFL control of the time step.
 
 File sections: [case], [grid], [physics], [stepper], [output] and one
-[boundary.<edge>] per edge. Every key is optional; unset values fall
-back to the case defaults from the library. Unknown keys, and
-none/auto for a setting that has no automatic value, are rejected.
+[boundary.<edge>] per edge (left, right, bottom or top; keys kind,
+value and tangential), which overrides the case's condition on that edge
+and is rejected on a periodic domain. Every key is optional; unset values
+fall back to the case defaults from the library. Unknown keys, edges and
+boundary kinds, and none/auto for a setting that has no automatic value,
+are rejected.
 
 boundary tangential grammar:  free | <float> | <float>@<lo>:<hi>[,...]
 """
@@ -19,7 +22,7 @@ import configparser
 from dataclasses import dataclass, field, fields, replace
 
 from .cases import CaseDefinition, case_library
-from .operators import EdgeBC
+from .operators import EDGES, EdgeBC
 
 
 def _parse_pair(text, conv=int):
@@ -102,12 +105,21 @@ class SimulationConfig:
             out.t_final = d.get("t_final", 1.0)
         if out.steady_tol is None:
             out.steady_tol = out.picard_tol
-        if out.boundary is None:
+        if out.periodic:
+            if self.boundary:
+                raise ValueError("boundary conditions given for a periodic "
+                                 "domain")
+            out.boundary = None
+        elif out.boundary is None:
             out.boundary = case.boundary
         elif case.boundary:
             merged = dict(case.boundary)
             merged.update(out.boundary)
             out.boundary = merged
+        unknown = set(out.boundary or ()) - set(EDGES)
+        if unknown:
+            raise ValueError(f"unknown boundary edges {sorted(unknown)}, "
+                             f"expected some of {list(EDGES)}")
         if out.dt is not None and out.dt <= 0:
             raise ValueError("dt must be positive")
         for name in ("dt_max", "t_final", "picard_tol", "cfl_safety",
@@ -176,6 +188,10 @@ def load_config(path) -> SimulationConfig:
         if section.startswith("boundary."):
             edge = section.split(".", 1)[1]
             sec = parser[section]
+            unknown = sorted(set(sec) - {"kind", "value", "tangential"})
+            if unknown:
+                raise ValueError(
+                    f"unknown config key {unknown[0]!r} in [{section}]")
             bc = EdgeBC(kind=sec.get("kind", "normal").strip(),
                         value=float(sec.get("value", "0.0")),
                         tangential=_parse_tangential(sec.get("tangential", "free")))

@@ -52,6 +52,11 @@ class EdgeBC:
     value: object = 0.0
     tangential: object = None
 
+    def __post_init__(self):
+        if self.kind not in ("normal", "pressure"):
+            raise ValueError(f"unknown boundary kind {self.kind!r}, "
+                             "expected 'normal' or 'pressure'")
+
     def segments(self, lo, hi):
         if self.tangential is None:
             return []
@@ -103,9 +108,6 @@ class OperatorContext:
             if extra:
                 raise ValueError(
                     f"boundary conditions given for periodic edges {sorted(extra)}")
-        for name, edge in bc.items():
-            if edge.kind not in ("normal", "pressure"):
-                raise ValueError(f"edge {name}: unknown kind {edge.kind!r}")
         self.bc = bc
         # Gamma_n masks per line: 0 on the h1 end DOF of an edge with
         # prescribed normal velocity, 1 elsewhere

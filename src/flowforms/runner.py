@@ -39,8 +39,7 @@ def build_simulation(cfg):
         degree=cfg.degree, n_patches=cfg.n_patches,
         cells_per_patch=cfg.n_cells, bounds=((x0, x1), (y0, y1)),
         periodic=cfg.periodic)
-    ctx = OperatorContext(space, bc=None if cfg.periodic else cfg.boundary,
-                          forcing=case.forcing)
+    ctx = OperatorContext(space, bc=cfg.boundary, forcing=case.forcing)
     return ctx, case, cfg
 
 

@@ -155,7 +155,8 @@ def test_save_config_refuses_callable_boundary_data(tmp_path, field, bc):
 
 
 @pytest.mark.parametrize("key", ["cfl_constant", "pressure_solver",
-                                 "pressure_eps"])
+                                 "pressure_eps", "moment_order",
+                                 "stencil_radius"])
 def test_load_config_rejects_removed_keys(tmp_path, key):
     path = tmp_path / "old.cfg"
     path.write_text(f"[stepper]\n{key} = 1.0\n")
@@ -172,6 +173,45 @@ def test_load_config_rejects_auto_without_a_default(tmp_path, section, key, raw)
     path.write_text(f"[{section}]\n{key} = {raw}\n")
     with pytest.raises(ValueError, match=f"{key} in \\[{section}\\] needs a value"):
         load_config(path)
+
+
+BAD_BOUNDARY = {
+    # a misspelt key would drop the cavity lid silently
+    "key": ("[case]\nname = lid_driven_cavity\n"
+            "[boundary.top]\ntangental = 5.0\n",
+            "unknown config key 'tangental' in \\[boundary.top\\]"),
+    "edge": ("[case]\nname = lid_driven_cavity\n"
+             "[boundary.tpo]\ntangential = 1.0\n",
+             "unknown boundary edges \\['tpo'\\]"),
+    "kind": ("[case]\nname = lid_driven_cavity\n"
+             "[boundary.top]\nkind = noraml\n",
+             "unknown boundary kind 'noraml'"),
+    "periodic": ("[case]\nname = taylor_green\n"
+                 "[boundary.left]\nkind = normal\n",
+                 "boundary conditions given for a periodic domain"),
+}
+
+
+@pytest.mark.parametrize("which", list(BAD_BOUNDARY))
+def test_bad_boundary_sections_are_rejected(tmp_path, which):
+    text, message = BAD_BOUNDARY[which]
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_config(path).resolve()
+
+
+def test_resolve_checks_boundary_from_the_api():
+    with pytest.raises(ValueError, match="unknown boundary edges"):
+        SimulationConfig(case="poiseuille",
+                         boundary={"north": EdgeBC()}).resolve()
+    with pytest.raises(ValueError, match="periodic domain"):
+        SimulationConfig(case="lid_driven_cavity", periodic=True,
+                         boundary={"top": EdgeBC()}).resolve()
+    # switching a walled case to periodic drops the case's own walls
+    cfg, _ = SimulationConfig(case="lid_driven_cavity",
+                              periodic=True).resolve()
+    assert cfg.boundary is None
 
 
 def test_load_config_rejects_unknown_section(tmp_path):

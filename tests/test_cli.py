@@ -201,6 +201,35 @@ def test_invalid_config_file_value_is_a_usage_error(cli, tmp_path):
     assert "Traceback" not in out
 
 
+@pytest.mark.parametrize("section, message", [
+    ("[boundary.top]\ntangental = 5.0\n",
+     "unknown config key 'tangental' in [boundary.top]"),
+    ("[boundary.tpo]\ntangential = 1.0\n", "unknown boundary edges ['tpo']"),
+    ("[boundary.top]\nkind = noraml\n", "unknown boundary kind 'noraml'"),
+], ids=["key", "edge", "kind"])
+def test_bad_boundary_section_is_a_usage_error(cli, tmp_path, section,
+                                               message):
+    path = tmp_path / "typo.cfg"
+    path.write_text("[case]\nname = lid_driven_cavity\n" + section)
+    result = cli.invoke(main, ["run", str(path), "--out", str(tmp_path)])
+    out = _all_output(result)
+    assert result.exit_code == 2, out
+    assert f"Error: {message}" in out
+    assert "Traceback" not in out
+    assert not (tmp_path / "diagnostics.csv").exists()
+
+
+def test_boundary_section_on_a_periodic_case_is_a_usage_error(cli, tmp_path):
+    path = tmp_path / "periodic.cfg"
+    path.write_text("[boundary.left]\nkind = normal\n")
+    result = cli.invoke(main, ["run", str(path), "--case", "taylor_green",
+                               "--out", str(tmp_path)])
+    out = _all_output(result)
+    assert result.exit_code == 2, out
+    assert "Error: boundary conditions given for a periodic domain" in out
+    assert "Traceback" not in out
+
+
 def test_snapshot_energy_column_matches_diagnostics(cli, tmp_path):
     # coarse sanity link between the two output formats
     out = tmp_path / "out"
