@@ -6,12 +6,10 @@ validates the result; the runner and the stepper work from that resolved
 config. dt=None there selects CFL control of the time step.
 
 File sections: [case], [grid], [physics], [stepper], [output] and one
-[boundary.<edge>] per edge (left, right, bottom or top; keys kind,
-value and tangential), which overrides the case's condition on that edge
-and is rejected on a periodic domain. Every key is optional; unset values
-fall back to the case defaults from the library. Unknown keys, edges and
-boundary kinds, and none/auto for a setting that has no automatic value,
-are rejected.
+[boundary.<edge>] per walled edge (keys kind, value, tangential). Every
+key is optional; unset values fall back to the case defaults. Unknown
+keys, edges and kinds, boundary sections on a periodic domain, and
+none/auto for a setting without an automatic value are rejected.
 
 boundary tangential grammar:  free | <float> | <float>@<lo>:<hi>[,...]
 """
@@ -188,10 +186,8 @@ def load_config(path) -> SimulationConfig:
         if section.startswith("boundary."):
             edge = section.split(".", 1)[1]
             sec = parser[section]
-            unknown = sorted(set(sec) - {"kind", "value", "tangential"})
-            if unknown:
-                raise ValueError(
-                    f"unknown config key {unknown[0]!r} in [{section}]")
+            for key in set(sec) - {"kind", "value", "tangential"}:
+                raise ValueError(f"unknown config key {key!r} in [{section}]")
             bc = EdgeBC(kind=sec.get("kind", "normal").strip(),
                         value=float(sec.get("value", "0.0")),
                         tangential=_parse_tangential(sec.get("tangential", "free")))

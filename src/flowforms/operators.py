@@ -84,10 +84,6 @@ class OperatorContext:
     bc is a dict edge-name -> EdgeBC covering every non-periodic edge, or
     None/empty for no boundary conditions: then every boundary term is
     zero and Pn is the identity.
-
-    The velocity space of the momentum equation has the normal trace on
-    Gamma_n imposed strongly: its test functions have zero Gamma_n flux
-    DOFs (Pn v = v), and `m1_solver` inverts the mass on that subspace.
     """
 
     def __init__(self, space: TensorDeRhamSpace, bc=None, forcing=None):
@@ -243,16 +239,14 @@ class OperatorContext:
     # control every step has a new dt, so older entries are never reused.
     def m1_solver(self, gamma: float = 0.0):
         """Exact solver for A = M1 + gamma * penalization on the velocities
-        with zero Gamma_n flux DOFs: b -> Pn (Pn A Pn + I - Pn)^-1 Pn b,
-        which is zero on those DOFs. Per block, two GEMMs with the inverses
-        of its 1D Kronecker factors (`h1_inverses` and the lines' l2 mass
-        inverses); without Gamma_n edges it is the plain A^-1."""
+        with zero Gamma_n flux: b -> Pn (Pn A Pn + I - Pn)^-1 Pn b. Per
+        block, two GEMMs with the inverses of its 1D Kronecker factors
+        (`h1_inverses` and the lines' l2 mass inverses)."""
         return self._m1t(gamma)[1]
 
     def h1_inverses(self, gamma: float = 0.0):
-        """Z (Z Mg Z + I - Z)^-1 Z with Mg = M_h1 + gamma * J^T M_h1 J,
-        J = I - P the line's conforming projection and Z = diag(zn), as an
-        SPDInverse, for the x and the y line: the h1 factors of
+        """Z (Z Mg Z + I - Z)^-1 Z, Mg = M_h1 + gamma * J^T M_h1 J with J =
+        I - P and Z = diag(zn), for the x and the y line: the h1 factors of
         `m1_solver(gamma)`, which the Poisson setup shares."""
         return self._m1t(gamma)[0]
 
@@ -383,16 +377,21 @@ def advection_residual(ctx: OperatorContext, u, v) -> np.ndarray:
     uc, vc = coeffs_of(u), coeffs_of(v)
     uvx, uvy = s.grid_eval_v1(uc)
     r = np.zeros(s.n1)
+    # Products are formed in place and released early, so at most four
+    # grid arrays are alive at once: a larger transient peak can pass
+    # glibc's heap trim threshold and make every sweep page-fault afresh.
     for B in (s.B1, s.B2):
         ikv = s.solve_M2(B @ vc)
         # (a) trial-slot gradient acting on i_k v
-        g = weak_grad_full(ctx, ikv)
-        gx, gy = s.grid_eval_v1(g)
-        m = s.grid_moments_v2(uvx * gx + uvy * gy)
-        r += B.T @ s.solve_M2(m)
+        gx, gy = s.grid_eval_v1(weak_grad_full(ctx, ikv))
+        gx *= uvx
+        gx += np.multiply(gy, uvy, out=gy)
+        r += B.T @ s.solve_M2(s.grid_moments_v2(gx))
+        del gx, gy
         # (b) test-slot gradient, rewritten through adjointness
         w2 = s.grid_eval_v2(ikv)
-        f = s.grid_moments_v1(w2 * uvx, w2 * uvy)
+        f = s.grid_moments_v1(w2 * uvx, np.multiply(w2, uvy, out=w2))
+        del w2
         r += B.T @ (ctx.Dt @ s.solve_M1(f))
     return 0.5 * r
 

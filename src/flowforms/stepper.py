@@ -7,11 +7,9 @@ so that the velocity update is discretely divergence-free. The
 patch-coupling penalization is treated implicitly: the sweep solves with
 M1 + gamma*Pen (gamma = dt*alpha/2), which has the same fixed point as the
 plain midpoint form but keeps the iteration contractive for large alpha.
-The velocity keeps the Gamma_n flux DOFs of u^n: every mass solve is the
-inverse on the velocities with zero Gamma_n flux (`ctx.m1_solver`), so a
-gradient force moves only the pressure, and u-bar is a test function of
-the energy identity. These inverses are Kronecker products per component,
-so all solves stay exact.
+Each mass solve inverts on the velocities with zero Gamma_n flux, so an
+update keeps the Gamma_n flux DOFs of u^n and a gradient force moves only
+the pressure; these inverses are exact Kronecker products per component.
 
 The functions take the resolved SimulationConfig (config.py); its dt is
 None under CFL control, so the caller passes each step's dt. The same
@@ -44,11 +42,10 @@ class StepReport:
 def midpoint_sweep(ctx: OperatorContext, cfg, un, u_iter, dt: float):
     """One Picard sweep of the midpoint step from u^n with current iterate
     u_iter: returns (u_next, p), where
-    u_next = u^n - dt A^{-1} (R - Dt^T M2 p),
-    A^{-1} = ctx.m1_solver(gamma) is the inverse of M1 + gamma Pen on the
-    velocities with zero Gamma_n flux, R is the momentum residual at the
-    midpoint (penalization acting on u^n) and p makes Dt u_next = Dt u^n
-    exactly."""
+    u_next = u^n - dt A^{-1} (R - Dt^T M2 p), A^{-1} = ctx.m1_solver(gamma)
+    the inverse of M1 + gamma Pen on the velocities with zero Gamma_n flux,
+    R the momentum residual at the midpoint (penalization acting on u^n),
+    and p makes Dt u_next = Dt u^n exactly."""
     ub = 0.5 * (un + u_iter)
     pen = ctx.space.penalization
     R = advection_residual(ctx, ub, ub)
