@@ -11,7 +11,7 @@ from .spaces import (Field, TensorDeRhamSpace, eval_field, l2_project,
                      projection_stencil_1d)
 from .multipatch import build_multipatch
 from .operators import (EdgeBC, OperatorContext, advection_residual,
-                        viscous_form, viscous_residual, weak_curl,
+                        viscous_form, viscous_residual,
                         weak_curl_with_tangential_bc)
 from .stepper import (StepFailure, StepReport, cfl_dt, cn_step, initialize,
                       leray_project, midpoint_sweep)

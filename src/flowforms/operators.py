@@ -13,6 +13,10 @@ plain L2 adjoints. Boundary integrals all reduce to 1D mass/moment
 matrices placed on trace slices of the tensor layout, since spline trace
 DOFs carry the boundary values.
 
+The interior product, the whole-boundary dual gradient and M2 Div M1^-1
+each act along one axis only: `OperatorContext` keeps them as dense 1D
+factors per line, and the advection residual needs no 2D mass solve.
+
 Boundary conventions (outward normals): u.n is -u_x on the left edge,
 +u_x right, -u_y bottom, +u_y top; the scalar cross u x n = u_x n_y -
 u_y n_x is +u_y left, -u_y right, -u_x bottom, +u_x top.
@@ -64,12 +68,6 @@ class EdgeBC:
                 isinstance(self.tangential[0], (list, tuple)):
             return [(float(a), float(b), d) for a, b, d in self.tangential]
         return [(float(lo), float(hi), self.tangential)]
-
-
-def _csr(blocks, shape):
-    """CSR matrix from (rows, cols, vals) triplet blocks; duplicates sum."""
-    rows, cols, vals = map(np.concatenate, zip(*blocks)) if blocks else ([], [], [])
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
 def _as_values(data, pts):
@@ -125,6 +123,8 @@ class OperatorContext:
             np.kron(np.ones(space.line_x.l2.dim), self.zn["y"])]), format="csr")
 
         self._assemble_boundary_terms()
+        self.Q, self.G, self.L = zip(*map(
+            self._line_factors, (space.line_x, space.line_y), (space.Px, space.Py)))
 
         self.f_vec = np.zeros(space.n1)
         if forcing is not None:
@@ -141,16 +141,14 @@ class OperatorContext:
     # --- index bookkeeping -------------------------------------------------
     def _edge_dofs(self, block, edge):
         """Global indices of the DOFs of one tensor block whose trace lives
-        on the edge, ordered along the edge. The blocks are V0 ('v0'), V2
-        ('v2') and the two V1 components ('v1x', 'v1y'). The V1 component
-        normal to the edge carries the flux, the other one the tangential
-        trace."""
+        on the edge, ordered along the edge. The blocks are V0 ('v0') and
+        the two V1 components ('v1x', 'v1y'). The V1 component normal to
+        the edge carries the flux, the other one the tangential trace."""
         s = self.space
         nh1x, nl2x = s.line_x.h1.dim, s.line_x.l2.dim
         nh1y, nl2y = s.line_y.h1.dim, s.line_y.l2.dim
         offset, nx, ny = {"v0": (0, nh1x, nh1y), "v1x": (0, nh1x, nl2y),
-                          "v1y": (s.n1x, nl2x, nh1y),
-                          "v2": (0, nl2x, nl2y)}[block]
+                          "v1y": (s.n1x, nl2x, nh1y)}[block]
         axis, side = _EDGE_AXIS[edge]
         if axis == "x":
             a = 0 if side == "lo" else nx - 1
@@ -158,16 +156,31 @@ class OperatorContext:
         a = 0 if side == "lo" else ny - 1
         return offset + np.arange(nx) * ny + a
 
+    # --- 1D factors of the dual operators -----------------------------------
+    def _line_factors(self, line, P):
+        """Dense factors of one line, each acting along its own axis only:
+        the interior product Q = M_l2^-1 B, the whole-boundary dual
+        gradient G = M_h1^-1 (T - (D P)^T M_l2), and L = M_l2 D P M_h1^-1.
+        T pairs the h1 and l2 end DOFs of the line's two edges when bc
+        covers them: -1 on the lo edge, +1 on the hi edge."""
+        h1_inv = line.mass_factor("h1").inv
+        Ml2 = line.M_l2.toarray()
+        DP = (line.D @ P).toarray()
+        T = np.zeros(DP.T.shape)
+        if self.bc and not line.periodic:
+            T[0, 0], T[-1, -1] = -1.0, 1.0
+        Q = line.mass_factor("l2").solve(line.B.toarray())
+        return Q, h1_inv @ (T - DP.T @ Ml2), Ml2 @ DP @ h1_inv
+
     # --- boundary matrices and data vectors --------------------------------
     def _assemble_boundary_terms(self):
         s = self.space
-        n0, n1, n2 = s.n0, s.n1, s.n2
-        # (rows, cols, vals) triplet blocks of the two boundary matrices
-        Tp = []             # whole-boundary pairing  q (v.n)
-        Tt = []             # (v x n, omega) over boundary minus Gamma_t
-        t_tang = np.zeros(n0)       # Gamma_t data against omega traces
-        b_press = np.zeros(n1)      # Gamma_p data against v.n traces
-        n_data = np.zeros(n1)       # Gamma_n flux DOFs of the u.n data
+        # (rows, cols, vals) triplet blocks of (v x n, omega) over the
+        # boundary minus Gamma_t; duplicates sum
+        Tt = []
+        t_tang = np.zeros(s.n0)     # Gamma_t data against omega traces
+        b_press = np.zeros(s.n1)    # Gamma_p data against v.n traces
+        n_data = np.zeros(s.n1)     # Gamma_n flux DOFs of the u.n data
 
         for edge, cond in self.bc.items():
             axis, side = _EDGE_AXIS[edge]
@@ -180,13 +193,7 @@ class OperatorContext:
             pts, w = line.data_grid.pts, line.data_grid.w
             El2, Eh1 = line.E_l2, line.E_h1
 
-            # full-boundary pressure-trace pairing (rows: flux DOFs on the
-            # edge, cols: V2 DOFs on the edge) = sigma * tangential l2 mass
             fs = self._edge_dofs(normal, edge)
-            v2s = self._edge_dofs("v2", edge)
-            Ml2 = line.M_l2.tocoo()
-            Tp.append((fs[Ml2.row], v2s[Ml2.col], sigma * Ml2.data))
-
             if cond.kind == "pressure":
                 vals = _as_values(cond.value, pts)
                 b_press[fs] += sigma * (El2.T @ (w * vals))
@@ -214,8 +221,9 @@ class OperatorContext:
                 nz = np.nonzero(Mh1_free)
                 Tt.append((v0s[nz[0]], flux_other[nz[1]], tau * Mh1_free[nz]))
 
-        self.T_pressure = _csr(Tp, (n1, n2))
-        self.T_tangential = _csr(Tt, (n0, n1))
+        rows, cols, vals = map(np.concatenate, zip(*Tt)) if Tt else ([], [], [])
+        self.T_tangential = sp.coo_matrix((vals, (rows, cols)),
+                                          shape=(s.n0, s.n1)).tocsr()
         self.t_tangential_data = t_tang
         self.b_pressure = b_press
         self.normal_data = n_data
@@ -341,17 +349,12 @@ class TensorPoissonSolver:
 # --- dual operators ---------------------------------------------------------
 
 def weak_grad_full(ctx: OperatorContext, qc: np.ndarray) -> np.ndarray:
-    """Full-generality dual gradient (trial slot of s_h): adds the
-    whole-boundary trace pairing. Coefficient-level helper."""
-    rhs = -(ctx.DtT @ (ctx.space.M2 @ qc)) + ctx.T_pressure @ qc
-    return ctx.space.solve_M1(rhs)
-
-
-def weak_curl(ctx: OperatorContext, v) -> Field:
-    """Boundaryless dual curl: M0 w = (Curl Pc0)^T M1 v."""
-    vc = coeffs_of(v)
-    w = ctx.space.solve_M0(ctx.CP0T @ (ctx.space.M1 @ vc))
-    return Field(ctx.space, 0, w)
+    """Full-generality dual gradient (trial slot of s_h), with the
+    whole-boundary trace pairing: (G_x q, q G_y^T) on q as an
+    (n_l2x, n_l2y) array. Coefficient-level helper."""
+    (Gx, Gy), s = ctx.G, ctx.space
+    q = np.asarray(qc).reshape(s.line_x.l2.dim, s.line_y.l2.dim)
+    return np.concatenate([(Gx @ q).ravel(), (q @ Gy.T).ravel()])
 
 
 def weak_curl_with_tangential_bc(ctx: OperatorContext, v) -> Field:
@@ -367,33 +370,41 @@ def weak_curl_with_tangential_bc(ctx: OperatorContext, v) -> Field:
 
 def advection_residual(ctx: OperatorContext, u, v) -> np.ndarray:
     """Dual vector r with r_j = c_h(u, v, Lambda_j), assembled in two
-    quadrature passes without per-basis mass solves.
+    quadrature passes without any mass solve.
+
+    Per component k, i_k v is Q_k along axis k, and block k of r is
+    1/2 Q_k^T along axis k applied to A + L_x F_x + F_y L_y^T: A holds
+    the V2 moments of u . Gt(i_k v), F the V1 moments of (i_k v) u.
 
     u is evaluated once and shared by both halves of the skew form. Both
     run on the exact grid: each integrand is a product of three spline
     factors of degree at most 3p+2 per direction on every cell, and Gauss
     with n points is exact to degree 2n-1 >= 3p+2 (`quad_rule_exact`)."""
     s = ctx.space
-    uc, vc = coeffs_of(u), coeffs_of(v)
-    uvx, uvy = s.grid_eval_v1(uc)
-    r = np.zeros(s.n1)
+    (Qx, Qy), (Lx, Ly) = ctx.Q, ctx.L
+    nl2x, nl2y = s.line_x.l2.dim, s.line_y.l2.dim
+    uvx, uvy = s.grid_eval_v1(coeffs_of(u))
+    vx, vy = s.split_v1(coeffs_of(v))
+    r = []
     # Products are formed in place and released early, so at most four
     # grid arrays are alive at once: a larger transient peak can pass
     # glibc's heap trim threshold and make every sweep page-fault afresh.
-    for B in (s.B1, s.B2):
-        ikv = s.solve_M2(B @ vc)
+    for k, ikv in enumerate((Qx @ vx.reshape(-1, nl2y),
+                             vy.reshape(nl2x, -1) @ Qy.T)):
         # (a) trial-slot gradient acting on i_k v
         gx, gy = s.grid_eval_v1(weak_grad_full(ctx, ikv))
         gx *= uvx
         gx += np.multiply(gy, uvy, out=gy)
-        r += B.T @ s.solve_M2(s.grid_moments_v2(gx))
+        a = s.grid_moments_v2(gx).reshape(nl2x, nl2y)
         del gx, gy
         # (b) test-slot gradient, rewritten through adjointness
         w2 = s.grid_eval_v2(ikv)
-        f = s.grid_moments_v1(w2 * uvx, np.multiply(w2, uvy, out=w2))
+        fx, fy = s.split_v1(s.grid_moments_v1(
+            w2 * uvx, np.multiply(w2, uvy, out=w2)))
         del w2
-        r += B.T @ (ctx.Dt @ s.solve_M1(f))
-    return 0.5 * r
+        a += Lx @ fx.reshape(-1, nl2y) + fy.reshape(nl2x, -1) @ Ly.T
+        r.append(Qx.T @ a if k == 0 else a @ Qy)
+    return 0.5 * np.concatenate([r[0].ravel(), r[1].ravel()])
 
 
 # --- viscosity --------------------------------------------------------------
@@ -406,7 +417,6 @@ def viscous_residual(ctx: OperatorContext, u) -> np.ndarray:
 
 def viscous_form(ctx: OperatorContext, u, v) -> float:
     """d_h(u, v): boundary-aware curl on the trial side, boundaryless on
-    the test side (they coincide on periodic domains)."""
-    wu = weak_curl_with_tangential_bc(ctx, u).coeffs
-    wv = weak_curl(ctx, v).coeffs
-    return float(wu @ (ctx.space.M0 @ wv))
+    the test side (they coincide on periodic domains): the M0^-1 of the
+    boundaryless curl cancels against the M0 of their pairing."""
+    return float(viscous_residual(ctx, u) @ coeffs_of(v))

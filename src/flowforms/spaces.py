@@ -210,19 +210,6 @@ class TensorDeRhamSpace:
         self.M1 = sp.block_diag([self.M1x, self.M1y], format="csr")
         self.M2 = sp.kron(line_x.M_l2, line_y.M_l2, format="csr")
 
-
-        # mixed matrices: B1[m, j] = int L2_m (L1_j)_x, B2 the y-part
-        self.B1 = sp.hstack(
-            [sp.kron(line_x.B, line_y.M_l2, format="csr"),
-             sp.csr_matrix((self.n2, self.n1y))],
-            format="csr",
-        )
-        self.B2 = sp.hstack(
-            [sp.csr_matrix((self.n2, self.n1x)),
-             sp.kron(line_x.M_l2, line_y.B, format="csr")],
-            format="csr",
-        )
-
         self._solver0 = KroneckerSolver(
             [line_x.mass_factor("h1"), line_y.mass_factor("h1")]
         )

@@ -12,14 +12,15 @@ contract tests live in test_multipatch / test_operators.
 The references at the end are written against the package instead: a
 plain conjugate gradient solver (the matrix-free check of the direct
 pressure solve), the trilinear advection form by direct quadrature of
-its integrands (the check of the assembled residual), the dual gradients
-and interior products that no solver path uses, and the least-squares
-convergence order.
+its integrands (the check of the assembled residual), the dual gradients,
+the boundaryless dual curl and the interior products that no solver path
+uses, and the least-squares convergence order.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from flowforms.operators import weak_grad_full
 from flowforms.spaces import Field, coeffs_of
@@ -371,6 +372,17 @@ def cg_solve(A, b, tol: float = 1e-12, max_iter: int | None = None):
     return x, LinearSolveReport(iterations, float(true_res), true_res <= tol)
 
 
+def mixed_matrix(space, k: int):
+    """B_k[m, j] = int L2_m (Lambda_j)_k: the V2 moments of the k-th
+    velocity component, from the 1D factors of the lines."""
+    lx, ly, n2 = space.line_x, space.line_y, space.n2
+    if k == 1:
+        blocks = [sp.kron(lx.B, ly.M_l2), sp.csr_matrix((n2, space.n1y))]
+    else:
+        blocks = [sp.csr_matrix((n2, space.n1x)), sp.kron(lx.M_l2, ly.B)]
+    return sp.hstack(blocks, format="csr")
+
+
 def advection_form(ctx, u, v, w) -> float:
     """Trilinear form c_h(u, v, w), evaluated by direct quadrature of the
     two product integrands (independent composition from the residual).
@@ -381,7 +393,8 @@ def advection_form(ctx, u, v, w) -> float:
     uc, vc, wc = coeffs_of(u), coeffs_of(v), coeffs_of(w)
     uvx, uvy = s.grid_eval_v1(uc, grid)
     total = 0.0
-    for B in (s.B1, s.B2):
+    for k in (1, 2):
+        B = mixed_matrix(s, k)
         ikv = s.solve_M2(B @ vc)
         ikw = s.solve_M2(B @ wc)
         gvx, gvy = s.grid_eval_v1(weak_grad_full(ctx, ikv), grid)
@@ -410,11 +423,18 @@ def weak_grad_with_pressure_bc(ctx, q) -> Field:
     return Field(ctx.space, 1, ctx.space.solve_M1(rhs))
 
 
+def weak_curl(ctx, v) -> Field:
+    """Boundaryless dual curl: M0 w = (Curl Pc0)^T M1 v."""
+    vc = coeffs_of(v)
+    w = ctx.space.solve_M0(ctx.CP0T @ (ctx.space.M1 @ vc))
+    return Field(ctx.space, 0, w)
+
+
 def interior_product(ctx, u, k: int) -> Field:
     """L2 projection of the k-th velocity component onto V2."""
     if k not in (1, 2):
         raise ValueError("component index must be 1 or 2")
-    B = ctx.space.B1 if k == 1 else ctx.space.B2
+    B = mixed_matrix(ctx.space, k)
     return Field(ctx.space, 2, ctx.space.solve_M2(B @ coeffs_of(u)))
 
 

@@ -9,14 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import DOMAIN, PI, context, rand_coeffs, space
 from oracles import (DenseOracle, advection_form, interior_product,
-                     weak_grad, weak_grad_with_pressure_bc)
+                     weak_curl, weak_grad, weak_grad_with_pressure_bc)
 from flowforms.operators import (
     EdgeBC,
     OperatorContext,
     advection_residual,
     viscous_form,
     viscous_residual,
-    weak_curl,
     weak_curl_with_tangential_bc,
     weak_grad_full,
 )
