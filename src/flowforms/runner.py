@@ -102,7 +102,9 @@ def run(cfg, progress=None):
     if cfg.snapshot_cadence > 0:
         snap("000000")
 
-    while t < cfg.t_final - 1e-14:
+    # summed dt carries roundoff of order steps * eps * t_final: a relative
+    # stop keeps a fixed-dt run at round(t_final / dt) steps
+    while t < cfg.t_final * (1.0 - 1e-10):
         dt = min(cfg.dt or cfl_dt(ctx, u, cfg), cfg.t_final - t)
         try:
             u_next, p, rep = cn_step(ctx, u, cfg, dt=dt)

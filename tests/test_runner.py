@@ -1,10 +1,14 @@
 """Whole runs through runner.run: every library case with its own
 defaults, and fixed runs whose final diagnostics are pinned."""
+import numpy as np
 import pytest
 
+from flowforms import runner
 from flowforms.cases import case_library
 from flowforms.config import SimulationConfig
 from flowforms.runner import run
+from flowforms.spaces import Field
+from flowforms.stepper import StepReport
 
 # Short end times for the smoke runs: three steps of the cases with a
 # fixed dt; the CFL-controlled cavity needs 0.1, because a bound that is
@@ -68,3 +72,17 @@ def test_final_diagnostics_match_recorded_values(key, tmp_path):
     # nonzero values to rel 1e-12; values at roundoff level to abs 1e-13
     for name, value in want.items():
         assert got[name] == pytest.approx(value, rel=1e-12, abs=1e-13), name
+
+
+def test_fixed_dt_run_takes_t_final_over_dt_steps(tmp_path, monkeypatch):
+    # 74 steps of 0.1 sum to a few ulps below 7.4; that gap must not
+    # become a 75th sliver step (and an extra diagnostics row)
+    def step(ctx, u, cfg, dt):
+        return (Field(ctx.space, 1, u.coeffs + dt), np.zeros(ctx.space.n2),
+                StepReport(1, 0.0, dt))
+
+    monkeypatch.setattr(runner, "cn_step", step)
+    res = run(SimulationConfig(case="taylor_green", degree=1, n_cells=(4, 4),
+                               dt=0.1, t_final=7.4, output_dir=str(tmp_path)))
+    assert res.steps == 74 and not res.failed and not res.steady
+    assert len(res.records) == 75
