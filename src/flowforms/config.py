@@ -8,8 +8,9 @@ config. dt=None there selects CFL control of the time step.
 File sections: [case], [grid], [physics], [stepper], [output] and one
 [boundary.<edge>] per walled edge (keys kind, value, tangential). Every
 key is optional; unset values fall back to the case defaults. Unknown
-keys, edges and kinds, boundary sections on a periodic domain, and
-none/auto for a setting without an automatic value are rejected.
+keys, edges and kinds, boundary sections on a periodic domain, tangential
+segments that overlap or end off a cell boundary, and none/auto for a
+setting without an automatic value are rejected.
 
 boundary tangential grammar:  free | <float> | <float>@<lo>:<hi>[,...]
 """
@@ -17,7 +18,9 @@ boundary tangential grammar:  free | <float> | <float>@<lo>:<hi>[,...]
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
+
+import numpy as np
 
 from .cases import CaseDefinition, case_library
 from .operators import EDGES, EdgeBC
@@ -137,6 +140,12 @@ class SimulationConfig:
                 raise ValueError(f"{name} must be integers >= 1")
         if out.cfl_safety > 1.0:
             raise ValueError("cfl_safety must lie in (0, 1]")
+        x0, x1, y0, y1 = out.domain
+        (npx, npy), (ncx, ncy) = out.n_patches, out.n_cells
+        for edge, cond in (out.boundary or {}).items():
+            along_y = edge in ("left", "right")
+            cond.segments(edge, np.linspace(y0, y1, npy * ncy + 1) if along_y
+                          else np.linspace(x0, x1, npx * ncx + 1))
         return out, case
 
 

@@ -49,7 +49,7 @@ class EdgeBC:
 
     tangential: None (free), a constant/callable (whole edge in Gamma_t
     with that u x n data), or a list of (lo, hi, data) segments aligned
-    with cell boundaries.
+    with cell boundaries that do not overlap.
     """
 
     kind: str = "normal"
@@ -61,13 +61,32 @@ class EdgeBC:
             raise ValueError(f"unknown boundary kind {self.kind!r}, "
                              "expected 'normal' or 'pressure'")
 
-    def segments(self, lo, hi):
+    def segments(self, edge, breaks):
+        """The (lo, hi, data) segments of Gamma_t on the edge, whose
+        tangent line has the cell boundaries `breaks`. Raises ValueError
+        on an empty, misaligned or overlapping segment."""
         if self.tangential is None:
             return []
-        if isinstance(self.tangential, (list, tuple)) and self.tangential and \
-                isinstance(self.tangential[0], (list, tuple)):
-            return [(float(a), float(b), d) for a, b, d in self.tangential]
-        return [(float(lo), float(hi), self.tangential)]
+        lo, hi = float(breaks[0]), float(breaks[-1])
+        if not (isinstance(self.tangential, (list, tuple)) and self.tangential
+                and isinstance(self.tangential[0], (list, tuple))):
+            return [(lo, hi, self.tangential)]
+        segs = [(float(a), float(b), d) for a, b, d in self.tangential]
+        tol = 1e-9 * (hi - lo)
+        for (a, b, _) in segs:
+            if b <= a:
+                raise ValueError(f"edge {edge}: empty tangential segment ({a}, {b})")
+            for end in (a, b):
+                if np.min(np.abs(breaks - end)) > tol:
+                    raise ValueError(
+                        f"edge {edge}: segment endpoint {end} is not aligned "
+                        "with a cell boundary")
+        ends = sorted((a, b) for a, b, _ in segs)
+        for (a0, b0), (a1, b1) in zip(ends, ends[1:]):
+            if a1 < b0 - tol:
+                raise ValueError(f"edge {edge}: tangential segments ({a0}, {b0}) "
+                                 f"and ({a1}, {b1}) overlap")
+        return segs
 
 
 def _as_values(data, pts):
@@ -188,7 +207,6 @@ class OperatorContext:
             tau = sigma * (1.0 if axis == "y" else -1.0)
             line = s.line_y if axis == "x" else s.line_x
             normal, cross = ("v1x", "v1y") if axis == "x" else ("v1y", "v1x")
-            lo, hi = line.interval
             # boundary data on the data grid of the tangent line
             pts, w = line.data_grid.pts, line.data_grid.w
             El2, Eh1 = line.E_l2, line.E_h1
@@ -203,8 +221,7 @@ class OperatorContext:
                 n_data[fs] = line.mass_factor("l2").solve(El2.T @ (w * vals))
 
             # tangential machinery: segments of Gamma_t on this edge
-            segs = cond.segments(lo, hi)
-            self._validate_segments(edge, line, segs)
+            segs = cond.segments(edge, line.h1.breakpoints)
             in_gt = np.zeros(len(pts), dtype=bool)
             v0s = self._edge_dofs("v0", edge)
             flux_other = self._edge_dofs(cross, edge)
@@ -227,20 +244,6 @@ class OperatorContext:
         self.t_tangential_data = t_tang
         self.b_pressure = b_press
         self.normal_data = n_data
-
-    def _validate_segments(self, edge, line, segs):
-        lo, hi = line.interval
-        breaks = line.h1.breakpoints
-        tol = 1e-9 * (hi - lo)
-        for (a, b, _) in segs:
-            if b <= a:
-                raise ValueError(f"edge {edge}: empty tangential segment ({a}, {b})")
-            for end in (a, b):
-                if np.min(np.abs(breaks - end)) > tol:
-                    raise ValueError(
-                        f"edge {edge}: segment endpoint {end} is not aligned "
-                        "with a cell boundary"
-                    )
 
     # --- modified mass (penalization folded in) ----------------------------
     # Both solver caches hold the latest gamma = dt*alpha/2 only: under CFL

@@ -189,6 +189,14 @@ BAD_BOUNDARY = {
     "periodic": ("[case]\nname = taylor_green\n"
                  "[boundary.left]\nkind = normal\n",
                  "boundary conditions given for a periodic domain"),
+    # overlapping segments would count their data twice
+    "overlap": ("[case]\nname = lid_driven_cavity\n[grid]\nn_cells = 4\n"
+                "[boundary.top]\ntangential = 1.0@0.0:0.5,1.0@0.25:0.75\n",
+                "edge top: tangential segments \\(0.0, 0.5\\) and "
+                "\\(0.25, 0.75\\) overlap"),
+    "aligned": ("[case]\nname = lid_driven_cavity\n[grid]\nn_cells = 4\n"
+                "[boundary.top]\ntangential = 1.0@0.0:0.3\n",
+                "edge top: segment endpoint 0.3 is not aligned"),
 }
 
 

@@ -206,7 +206,11 @@ def test_invalid_config_file_value_is_a_usage_error(cli, tmp_path):
      "unknown config key 'tangental' in [boundary.top]"),
     ("[boundary.tpo]\ntangential = 1.0\n", "unknown boundary edges ['tpo']"),
     ("[boundary.top]\nkind = noraml\n", "unknown boundary kind 'noraml'"),
-], ids=["key", "edge", "kind"])
+    ("[boundary.top]\ntangential = 1.0@0.0:0.5,1.0@0.25:0.75\n",
+     "edge top: tangential segments (0.0, 0.5) and (0.25, 0.75) overlap"),
+    ("[grid]\nn_cells = 4\n[boundary.top]\ntangential = 1.0@0.0:0.3\n",
+     "edge top: segment endpoint 0.3 is not aligned with a cell boundary"),
+], ids=["key", "edge", "kind", "overlap", "aligned"])
 def test_bad_boundary_section_is_a_usage_error(cli, tmp_path, section,
                                                message):
     path = tmp_path / "typo.cfg"
