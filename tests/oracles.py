@@ -12,7 +12,8 @@ contract tests live in test_multipatch / test_operators.
 The references at the end are written against the package instead: a
 plain conjugate gradient solver (the matrix-free check of the direct
 pressure solve), the trilinear advection form by direct quadrature of
-its integrands (the check of the assembled residual), the dual gradients,
+its integrands (the check of the assembled residual) with its
+whole-boundary gradient assembled in 2D, the dual gradients,
 the boundaryless dual curl and the interior products that no solver path
 uses, and the least-squares convergence order.
 """
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from flowforms.operators import weak_grad_full
 from flowforms.spaces import Field, coeffs_of
 
 EDGES = ("left", "right", "bottom", "top")
@@ -383,6 +383,26 @@ def mixed_matrix(space, k: int):
     return sp.hstack(blocks, format="csr")
 
 
+def weak_grad_full_sparse(ctx, q):
+    """Whole-boundary dual gradient by 2D sparse assembly and a 2D mass
+    solve: M1 x = -(Div Pc1)^T M2 q + T q, where T pairs the flux and V2
+    end DOFs of each edge in bc (-1 lo, +1 hi) times the l2 mass along
+    the edge."""
+    s = ctx.space
+    lx, ly = s.line_x, s.line_y
+
+    def ends(line, edges):
+        T = sp.lil_matrix((line.h1.dim, line.l2.dim))
+        if set(edges) & set(ctx.bc):
+            T[0, 0], T[-1, -1] = -1.0, 1.0
+        return T
+
+    T = sp.vstack([sp.kron(ends(lx, ("left", "right")), ly.M_l2),
+                   sp.kron(lx.M_l2, ends(ly, ("bottom", "top")))], format="csr")
+    qc = coeffs_of(q)
+    return s.solve_M1(-(ctx.DtT @ (s.M2 @ qc)) + T @ qc)
+
+
 def advection_form(ctx, u, v, w) -> float:
     """Trilinear form c_h(u, v, w), evaluated by direct quadrature of the
     two product integrands (independent composition from the residual).
@@ -397,7 +417,7 @@ def advection_form(ctx, u, v, w) -> float:
         B = mixed_matrix(s, k)
         ikv = s.solve_M2(B @ vc)
         ikw = s.solve_M2(B @ wc)
-        gvx, gvy = s.grid_eval_v1(weak_grad_full(ctx, ikv), grid)
+        gvx, gvy = s.grid_eval_v1(weak_grad_full_sparse(ctx, ikv), grid)
         gwx, gwy = s.grid_eval_v1(
             s.solve_M1(-(ctx.DtT @ (s.M2 @ ikw))), grid)
         ikw_vals = s.grid_eval_v2(ikw, grid)

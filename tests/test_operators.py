@@ -180,9 +180,16 @@ def test_advection_skew_symmetry_random(seed):
     assert abs(c) <= 1e-12 * max(1.0, float(u @ u), float(v @ v))
 
 
-@pytest.mark.parametrize("mode", ["periodic", "free", "mixed"])
-def test_advection_residual_matches_form(mode):
-    ctx = context(2, 4, 1, mode)
+@pytest.mark.parametrize("p,nc,npat,mode", [
+    pytest.param(2, 4, 1, "periodic", id="periodic"),
+    pytest.param(2, 4, 1, "free", id="free"),
+    pytest.param(2, 4, 1, "mixed", id="mixed"),
+    pytest.param(2, 2, 2, "mixed", id="broken-p2-mixed"),
+    pytest.param(1, 2, 2, "walls", id="broken-p1-walls"),
+    pytest.param(3, 2, 2, "mixed", id="broken-p3-mixed"),
+])
+def test_advection_residual_matches_form(p, nc, npat, mode):
+    ctx = context(p, nc, npat, mode)
     u = rand_coeffs(ctx.space, 1, seed=13)
     v = rand_coeffs(ctx.space, 1, seed=14)
     r = advection_residual(ctx, u, v)
@@ -379,8 +386,13 @@ def test_pressure_gradient_defining_identity():
         assert rel(lhs, rhs) <= 1e-11
 
 
-def test_full_gradient_defining_identity():
-    ctx = context(2, 4, 1, "mixed")
+@pytest.mark.parametrize("p,nc,npat,mode", [
+    pytest.param(2, 4, 1, "mixed", id="mixed"),
+    pytest.param(2, 2, 2, "mixed", id="broken-p2-mixed"),
+    pytest.param(1, 2, 2, "walls", id="broken-p1-walls"),
+])
+def test_full_gradient_defining_identity(p, nc, npat, mode):
+    ctx = context(p, nc, npat, mode)
     s = ctx.space
     ora = oracle(s)
     q = rand_coeffs(s, 2, seed=36)
@@ -521,6 +533,15 @@ def test_context_rejects_misaligned_segment():
     bc = {e: EdgeBC() for e in ("left", "right", "bottom")}
     bc["top"] = EdgeBC(tangential=[(0.0, 0.4, 1.0)])
     with pytest.raises(ValueError, match="aligned"):
+        OperatorContext(space(1, 4, 1, periodic=False), bc=bc)
+
+
+def test_context_rejects_overlapping_segments():
+    # cell boundaries at multiples of pi/4; given out of order on purpose
+    bc = {e: EdgeBC() for e in ("left", "right", "bottom")}
+    bc["top"] = EdgeBC(tangential=[(PI / 4, 3 * PI / 4, 1.0),
+                                   (0.0, PI / 2, 1.0)])
+    with pytest.raises(ValueError, match="edge top: .* overlap"):
         OperatorContext(space(1, 4, 1, periodic=False), bc=bc)
 
 

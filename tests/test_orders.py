@@ -9,6 +9,9 @@ p = 1-3, on three inviscid flows with exact solutions:
 - the same flow with u.n = 0 on the left and right edges and its
   pressure p = (cos 2x + cos 2y)/4 (u.grad u + grad p = 0) as data on the
   bottom and top edges.
+
+Beside the orders, an invariant gate: momentum is conserved to roundoff
+on periodic broken spaces, with the jump penalty and viscosity on.
 """
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ import pytest
 from conftest import DOMAIN
 from flowforms.cases import case_library
 from flowforms.config import SimulationConfig
-from flowforms.diagnostics import l2_error
+from flowforms.diagnostics import l2_error, measure
 from flowforms.multipatch import build_multipatch
 from flowforms.operators import EdgeBC, OperatorContext
 from flowforms.stepper import cn_step, initialize
@@ -69,3 +72,19 @@ def test_velocity_converges_at_order_p_plus_one(setup, p):
     errors = [final_error(setup, p, n) for n in MESHES]
     order = np.log2(errors[-2] / errors[-1])
     assert order >= p + 0.8, (errors, order)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.05])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_momentum_is_conserved_on_periodic_patches(p, nu):
+    # c(u, u, e_i) = 0, and the penalty and the viscous term vanish on
+    # constants, so each step keeps the momentum to roundoff
+    space = build_multipatch(p, 2, 4, DOMAIN, periodic=True)
+    ctx = OperatorContext(space)
+    cfg = SimulationConfig(dt=1e-3, nu=nu, alpha=100.0).resolve()[0]
+    u = initialize(ctx, TG.initial)
+    m0 = measure(ctx, u).momentum
+    for _ in range(5):
+        u = cn_step(ctx, u, cfg)[0]
+        drift = np.max(np.abs(measure(ctx, u).momentum - m0))
+        assert drift <= 1e-13 * max(1.0, np.max(np.abs(m0))), drift
