@@ -110,7 +110,8 @@ def run_cmd(config, quiet, np_=None, **kwargs):
     res = run(cfg, progress=progress)
     wall = time.perf_counter() - t0
     line = (f"finished: t={res.t:.6f} steps={res.steps} steady={res.steady} "
-            f"wall={wall:.2f}s diagnostics={res.diagnostics_path}")
+            f"retries={res.retries} wall={wall:.2f}s "
+            f"diagnostics={res.diagnostics_path}")
     rcfg, case = cfg.resolve()
     if case.exact is not None and not res.failed:
         from .diagnostics import l2_error

@@ -27,6 +27,7 @@ class RunResult:
     steps: int
     steady: bool
     failed: bool
+    retries: int
     diagnostics_path: str
     snapshot_paths: list
 
@@ -82,16 +83,17 @@ def write_snapshot(ctx, u, p, t, path, grid=64):
 
 
 def run(cfg, progress=None):
-    """Advance the configured case to t_final. Returns a RunResult; a
-    doubly-failed step aborts the run (failed=True) after writing the
-    last good state."""
+    """Advance the configured case to t_final. Returns a RunResult. A
+    step that raises StepFailure is retried once at half dt (counted in
+    retries); a doubly-failed step aborts the run (failed=True) after
+    writing the last good state."""
     ctx, case, cfg = build_simulation(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     diag_path = os.path.join(cfg.output_dir, cfg.diagnostics_file)
 
     u = initialize(ctx, case.initial)
     p = np.zeros(ctx.space.n2)
-    t, step, steady, failed = 0.0, 0, False, False
+    t, step, steady, failed, retries = 0.0, 0, False, False, 0
     records = [measure(ctx, u, t)]
     snaps = []
 
@@ -109,6 +111,7 @@ def run(cfg, progress=None):
         try:
             u_next, p, rep = cn_step(ctx, u, cfg, dt=dt)
         except StepFailure:
+            retries += 1
             try:
                 dt = 0.5 * dt
                 u_next, p, rep = cn_step(ctx, u, cfg, dt=dt)
@@ -133,7 +136,7 @@ def run(cfg, progress=None):
         if not snaps or not snaps[-1].endswith(last):
             snap(f"{step:06d}")
     return RunResult(records=records, u=u, p=p, t=t, steps=step,
-                     steady=steady, failed=failed,
+                     steady=steady, failed=failed, retries=retries,
                      diagnostics_path=diag_path, snapshot_paths=snaps)
 
 

@@ -1,9 +1,11 @@
 """Midpoint (Crank-Nicolson) time stepper with exact divergence
 preservation.
 
-Each step solves the midpoint fixed point by Picard iteration, one
-`midpoint_sweep` per iteration; within every sweep the pressure is chosen
-so that the velocity update is discretely divergence-free. The
+Each step solves the midpoint fixed point u = g(u), g one
+`midpoint_sweep`, by Picard sweeps with Anderson mixing (see cn_step).
+Within every sweep the pressure is chosen so that the velocity update is
+discretely divergence-free; a mixed iterate is an affine combination of
+sweep outputs, so it stays divergence-free too. The
 patch-coupling penalization is treated implicitly: the sweep solves with
 M1 + gamma*Pen (gamma = dt*alpha/2), which has the same fixed point as the
 plain midpoint form but keeps the iteration contractive for large alpha.
@@ -26,6 +28,10 @@ import numpy as np
 
 from .operators import OperatorContext, advection_residual, viscous_residual
 from .spaces import Field, coeffs_of, l2_project
+
+
+# number of past sweeps Anderson mixing combines in cn_step
+ANDERSON_DEPTH = 5
 
 
 class StepFailure(RuntimeError):
@@ -65,7 +71,17 @@ def midpoint_sweep(ctx: OperatorContext, cfg, un, u_iter, dt: float):
 
 def cn_step(ctx: OperatorContext, u_n, cfg, dt=None):
     """One midpoint step. Returns (u_next, p, StepReport); raises
-    StepFailure when the Picard iteration stalls."""
+    StepFailure when the iteration stalls or diverges.
+
+    The first sweep is a plain Picard sweep from u^n. Each later iterate
+    is the depth-ANDERSON_DEPTH Anderson mix (Walker-Ni type II)
+    x = g - dG gamma, with gamma minimising |f - dF gamma| through its
+    Gram system, f = g(x) - x the last sweep residual and dF, dG the
+    differences of the last residuals and sweep outputs. The weights of
+    the sweep outputs in x sum to one, so x keeps Dt x = Dt u^n and the
+    Gamma_n flux DOFs of u^n to roundoff. The step returns the last sweep
+    output and its pressure once |g(x) - x| < picard_tol; the report
+    counts sweeps."""
     dt = cfg.dt if dt is None else dt
     un = coeffs_of(u_n).copy()
     div0 = ctx.Dt @ un
@@ -73,20 +89,32 @@ def cn_step(ctx: OperatorContext, u_n, cfg, dt=None):
         warnings.warn("starting velocity is not discretely divergence-free",
                       RuntimeWarning)
 
-    u_new = un.copy()
+    # ring buffers of residual and sweep-output differences
+    dF = np.empty((ANDERSON_DEPTH, un.size))
+    dG = np.empty_like(dF)
+    x, f_prev, g_prev = un, None, None
     upd = np.inf
     for it in range(1, cfg.picard_max_iter + 1):
         # bail out before overflow: squared quantities in the quadrature
         # stay finite below ~1e150, so 1e60 leaves ample headroom
-        if not np.isfinite(u_new).all() or np.abs(u_new).max() > 1e60:
+        if not np.isfinite(x).all() or np.abs(x).max() > 1e60:
             raise StepFailure(
                 f"Picard iteration diverged after {it - 1} iterations")
-        u_next, p = midpoint_sweep(ctx, cfg, un, u_new, dt)
-        upd = float(np.linalg.norm(u_next - u_new))
-        u_new = u_next
+        g, p = midpoint_sweep(ctx, cfg, un, x, dt)
+        f = g - x
+        upd = float(np.linalg.norm(f))
         if upd < cfg.picard_tol:
-            return (Field(ctx.space, 1, u_new), p,
-                    StepReport(it, upd, dt))
+            return Field(ctx.space, 1, g), p, StepReport(it, upd, dt)
+        x = g
+        if f_prev is not None:
+            j = (it - 2) % ANDERSON_DEPTH
+            np.subtract(f, f_prev, out=dF[j])
+            np.subtract(g, g_prev, out=dG[j])
+            m = min(it - 1, ANDERSON_DEPTH)
+            gamma = np.linalg.lstsq(dF[:m] @ dF[:m].T, dF[:m] @ f,
+                                    rcond=None)[0]
+            x = g - gamma @ dG[:m]
+        f_prev, g_prev = f, g
     raise StepFailure(
         f"no Picard convergence in {cfg.picard_max_iter} iterations "
         f"(last update {upd:.3e})")

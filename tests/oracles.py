@@ -15,7 +15,9 @@ pressure solve), the trilinear advection form by direct quadrature of
 its integrands (the check of the assembled residual) with its
 whole-boundary gradient assembled in 2D, the dual gradients,
 the boundaryless dual curl and the interior products that no solver path
-uses, and the least-squares convergence order.
+uses, the least-squares convergence order, and the plain Picard
+iteration of the midpoint step (the fixed-point check of the
+accelerated one).
 """
 
 from dataclasses import dataclass
@@ -24,6 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from flowforms.spaces import Field, coeffs_of
+from flowforms.stepper import StepFailure, StepReport, midpoint_sweep
 
 EDGES = ("left", "right", "bottom", "top")
 
@@ -467,3 +470,26 @@ def convergence_order(hs, errors) -> float:
     if np.any(hs <= 0) or np.any(errors <= 0):
         raise ValueError("mesh sizes and errors must be positive")
     return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
+
+
+def picard_step(ctx, u_n, cfg, dt=None):
+    """The midpoint step by plain Picard iteration: sweep from the last
+    sweep output until it moves by less than picard_tol. Same signature,
+    results and failures as stepper.cn_step, which reaches the same fixed
+    point with Anderson mixing."""
+    dt = cfg.dt if dt is None else dt
+    un = coeffs_of(u_n).copy()
+    u_new = un.copy()
+    upd = np.inf
+    for it in range(1, cfg.picard_max_iter + 1):
+        if not np.isfinite(u_new).all() or np.abs(u_new).max() > 1e60:
+            raise StepFailure(
+                f"Picard iteration diverged after {it - 1} iterations")
+        u_next, p = midpoint_sweep(ctx, cfg, un, u_new, dt)
+        upd = float(np.linalg.norm(u_next - u_new))
+        u_new = u_next
+        if upd < cfg.picard_tol:
+            return Field(ctx.space, 1, u_new), p, StepReport(it, upd, dt)
+    raise StepFailure(
+        f"no Picard convergence in {cfg.picard_max_iter} iterations "
+        f"(last update {upd:.3e})")

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from flowforms import runner
 from flowforms.cli import main
 from flowforms.config import SimulationConfig, save_config
+from flowforms.spaces import Field
+from flowforms.stepper import StepFailure, StepReport
 
 
 @pytest.fixture
@@ -55,6 +58,25 @@ def test_run_progress_lines_and_quiet(cli, tmp_path):
     assert quiet.exit_code == 0
     assert "step " not in quiet.output
     assert "finished:" in quiet.output
+
+
+def test_run_reports_halved_retries(cli, tmp_path, monkeypatch):
+    # every other first attempt fails and is retried at half dt
+    calls = []
+
+    def step(ctx, u, cfg, dt):
+        calls.append(dt)
+        if len(calls) % 3 == 1:
+            raise StepFailure("stub")
+        return (Field(ctx.space, 1, u.coeffs + dt), np.zeros(ctx.space.n2),
+                StepReport(1, 0.0, dt))
+
+    monkeypatch.setattr(runner, "cn_step", step)
+    result = cli.invoke(main, [
+        "run", "--case", "taylor_green", "--nc", "4", "--dt", "1e-3",
+        "--t-final", "2e-3", "--quiet", "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert "steps=4 " in result.output and "retries=2 " in result.output
 
 
 def test_run_from_config_file_with_snapshots(cli, tmp_path):

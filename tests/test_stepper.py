@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import PI, context, rand_coeffs, space
-from oracles import cg_solve
+from oracles import cg_solve, picard_step
 from flowforms.cases import case_library
 from flowforms.config import SimulationConfig
 from flowforms.operators import (
@@ -336,13 +336,33 @@ def test_cn_step_raises_on_stalled_iteration():
 
 
 def test_cn_step_reports_divergence_instead_of_overflowing():
-    # a far-too-large viscous step makes the sweep expand geometrically;
-    # the stepper must fail cleanly before the quadrature overflows
+    # a far-too-large viscous step makes the sweep expand faster than
+    # Anderson mixing can undo; the stepper must fail cleanly before the
+    # quadrature overflows
+    ctx = context(2, 8, 1, "periodic")
+    cfg = stepper_cfg(dt=0.5, nu=10.0, picard_tol=1e-10)
+    u = tg_state(ctx)
+    with pytest.raises(StepFailure, match="diverged"):
+        cn_step(ctx, u, cfg)
+
+
+def test_anderson_converges_where_picard_diverges():
+    # the sweep map expands here: plain Picard diverges, the mixed
+    # iteration reaches the midpoint solution, which the discrete
+    # dissipation identity certifies (it holds only at the fixed point)
     ctx = context(2, 8, 1, "periodic")
     cfg = stepper_cfg(dt=0.5, nu=1.0, picard_tol=1e-10)
     u = tg_state(ctx)
     with pytest.raises(StepFailure, match="diverged"):
-        cn_step(ctx, u, cfg)
+        picard_step(ctx, u, cfg)
+    u1, p, rep = cn_step(ctx, u, cfg)
+    assert rep.final_update_norm < cfg.picard_tol
+    ub = 0.5 * (u + u1.coeffs)
+    drop = energy(ctx.space, u) - energy(ctx.space, u1.coeffs)
+    model = cfg.dt * cfg.nu * viscous_form(ctx, ub, ub)
+    assert drop > 0
+    assert abs(drop - model) <= 1e-8 * drop
+    assert np.max(np.abs(ctx.Dt @ u1.coeffs)) <= 1e-10
 
 
 def test_cn_step_warns_on_divergent_start():
