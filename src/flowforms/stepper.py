@@ -92,7 +92,7 @@ def cn_step(ctx: OperatorContext, u_n, cfg, dt=None):
     # ring buffers of residual and sweep-output differences
     dF = np.empty((ANDERSON_DEPTH, un.size))
     dG = np.empty_like(dF)
-    x, f_prev, g_prev = un, None, None
+    x = un
     upd = np.inf
     for it in range(1, cfg.picard_max_iter + 1):
         # bail out before overflow: squared quantities in the quadrature
@@ -106,7 +106,7 @@ def cn_step(ctx: OperatorContext, u_n, cfg, dt=None):
         if upd < cfg.picard_tol:
             return Field(ctx.space, 1, g), p, StepReport(it, upd, dt)
         x = g
-        if f_prev is not None:
+        if it > 1:
             j = (it - 2) % ANDERSON_DEPTH
             np.subtract(f, f_prev, out=dF[j])
             np.subtract(g, g_prev, out=dG[j])
