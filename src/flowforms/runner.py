@@ -4,6 +4,7 @@ advances it in time, and writes diagnostics/snapshot files."""
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,35 +58,64 @@ def write_diagnostics(records, path):
             fh.write(_record_to_row(rec) + "\n")
 
 
+class _SnapshotLayout:
+    """The parts of a snapshot fixed by the space and the sampling grid:
+    eval_field's sparse collocation matrices at the grid axes (Ex, and
+    EyT transposed), applied in eval_field's order so the values match
+    its own bit for bit, and the file body as one template whose rows
+    hold the fixed "x y " text and a %r slot per field column."""
+
+    def __init__(self, space, grid):
+        lx, ly = space.line_x, space.line_y
+        xs = np.linspace(*lx.interval, grid)
+        ys = np.linspace(*ly.interval, grid)
+        self.Ex = {"h1": lx.h1.collocation(xs), "l2": lx.l2.collocation(xs)}
+        self.EyT = {"h1": ly.h1.collocation(ys).T,
+                    "l2": ly.l2.collocation(ys).T}
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        self.body = "".join(
+            f"{x!r} {y!r} %r %r %r %r\n"
+            for x, y in zip(X.ravel().tolist(), Y.ravel().tolist()))
+
+    def values(self, sx, sy, c):
+        """Grid values, flattened row-major, of the coefficients c on the
+        tensor product of the line spaces sx and sy ("h1" or "l2")."""
+        E, F = self.Ex[sx], self.EyT[sy]
+        return (E @ np.asarray(c).reshape(E.shape[1], F.shape[0]) @ F).ravel()
+
+
+# layouts per space and grid; an entry lives as long as its space
+_LAYOUTS = weakref.WeakKeyDictionary()
+
+
 def write_snapshot(ctx, u, p, t, path, grid=64):
     """Plain-text field dump on a uniform sampling grid."""
     s = ctx.space
-    (x0, x1), (y0, y1) = s.line_x.interval, s.line_y.interval
-    xs = np.linspace(x0, x1, grid)
-    ys = np.linspace(y0, y1, grid)
-    from .spaces import eval_field
+    layout = _LAYOUTS.setdefault(s, {}).get(grid)
+    if layout is None:
+        layout = _LAYOUTS[s][grid] = _SnapshotLayout(s, grid)
     uc = u.coeffs if isinstance(u, Field) else np.asarray(u)
-    uv = eval_field(Field(s, 1, uc), xs, ys)
-    pv = eval_field(Field(s, 2, np.asarray(p)), xs, ys)
-    om = weak_curl_with_tangential_bc(ctx, uc)
-    ov = eval_field(om, xs, ys)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    ux, uy = s.split_v1(uc)
+    om = weak_curl_with_tangential_bc(ctx, uc).coeffs
+    cols = np.column_stack([
+        layout.values("h1", "l2", ux), layout.values("l2", "h1", uy),
+        layout.values("l2", "l2", p), layout.values("h1", "h1", om)])
     with open(path, "w") as fh:
         fh.write(f"# t = {t!r}\n")
         fh.write(f"# grid = {grid} x {grid}\n")
         fh.write("# columns: x y u_x u_y p omega\n")
-        cols = np.column_stack([X.ravel(), Y.ravel(),
-                                uv[..., 0].ravel(), uv[..., 1].ravel(),
-                                pv.ravel(), ov.ravel()])
-        for row in cols:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        fh.write(layout.body % tuple(cols.ravel().tolist()))
     return path
 
 
 def run(cfg, progress=None):
-    """Advance the configured case to t_final. Returns a RunResult. A
-    step that raises StepFailure is retried once at half dt (counted in
-    retries); a doubly-failed step aborts the run (failed=True) after
+    """Advance the configured case to t_final. Returns a RunResult.
+
+    From the second step on, cn_step starts its iteration at the linear
+    extrapolation u^n + (dt/dt_prev)(u^n - u^{n-1}) of the last two
+    accepted states, dt_prev the step the last one actually took. A step
+    that raises StepFailure is retried once at half dt from u^n (counted
+    in retries); a doubly-failed step aborts the run (failed=True) after
     writing the last good state."""
     ctx, case, cfg = build_simulation(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -94,6 +124,8 @@ def run(cfg, progress=None):
     u = initialize(ctx, case.initial)
     p = np.zeros(ctx.space.n2)
     t, step, steady, failed, retries = 0.0, 0, False, False, 0
+    # u^n - u^{n-1} and the step that produced it, for the initial guess
+    du, dt_prev = None, None
     records = [measure(ctx, u, t)]
     snaps = []
 
@@ -108,8 +140,9 @@ def run(cfg, progress=None):
     # stop keeps a fixed-dt run at round(t_final / dt) steps
     while t < cfg.t_final * (1.0 - 1e-10):
         dt = min(cfg.dt or cfl_dt(ctx, u, cfg), cfg.t_final - t)
+        guess = None if du is None else u.coeffs + (dt / dt_prev) * du
         try:
-            u_next, p, rep = cn_step(ctx, u, cfg, dt=dt)
+            u_next, p, rep = cn_step(ctx, u, cfg, dt=dt, guess=guess)
         except StepFailure:
             retries += 1
             try:
@@ -118,7 +151,8 @@ def run(cfg, progress=None):
             except StepFailure:
                 failed = True
                 break
-        delta = float(np.linalg.norm(u_next.coeffs - u.coeffs))
+        du, dt_prev = u_next.coeffs - u.coeffs, rep.dt_used
+        delta = float(np.linalg.norm(du))
         u, t, step = u_next, t + rep.dt_used, step + 1
         records.append(measure(ctx, u, t, rep.picard_iterations))
         if progress is not None:

@@ -3,12 +3,17 @@ preservation.
 
 Each step solves the midpoint fixed point u = g(u), g one
 `midpoint_sweep`, by Picard sweeps with Anderson mixing (see cn_step).
-Within every sweep the pressure is chosen so that the velocity update is
-discretely divergence-free; a mixed iterate is an affine combination of
-sweep outputs, so it stays divergence-free too. The
-patch-coupling penalization is treated implicitly: the sweep solves with
-M1 + gamma*Pen (gamma = dt*alpha/2), which has the same fixed point as the
-plain midpoint form but keeps the iteration contractive for large alpha.
+The iteration starts from u^n, or from the second step of a run from
+the linear extrapolation u^n + (dt/dt_prev)(u^n - u^{n-1}) of the last
+two accepted states, which lies O(dt^2) from the fixed point instead of
+O(dt); its two weights sum to one, so it has the divergence and the
+Gamma_n flux DOFs of u^n. Within every sweep the pressure is chosen so
+that the velocity update is discretely divergence-free; a mixed iterate
+is an affine combination of sweep outputs, so it stays divergence-free
+too. The patch-coupling penalization is treated implicitly: the sweep
+solves with M1 + gamma*Pen (gamma = dt*alpha/2), which has the same fixed
+point as the plain midpoint form but keeps the iteration contractive for
+large alpha.
 Each mass solve inverts on the velocities with zero Gamma_n flux, so an
 update keeps the Gamma_n flux DOFs of u^n and a gradient force moves only
 the pressure; these inverses are exact Kronecker products per component.
@@ -69,11 +74,16 @@ def midpoint_sweep(ctx: OperatorContext, cfg, un, u_iter, dt: float):
     return un - dt * m1t(w), p
 
 
-def cn_step(ctx: OperatorContext, u_n, cfg, dt=None):
+def cn_step(ctx: OperatorContext, u_n, cfg, dt=None, guess=None):
     """One midpoint step. Returns (u_next, p, StepReport); raises
     StepFailure when the iteration stalls or diverges.
 
-    The first sweep is a plain Picard sweep from u^n. Each later iterate
+    The first sweep is a plain Picard sweep from guess, or from u^n when
+    it is None. runner.run passes u^n + (dt/dt_prev)(u^n - u^{n-1}),
+    whose weights sum to one: like u^n it has Dt x = Dt u^n and the
+    Gamma_n flux DOFs of u^n, so the iterates keep them, and the guess
+    changes how many sweeps the step takes, not its fixed point. Each
+    later iterate
     is the depth-ANDERSON_DEPTH Anderson mix (Walker-Ni type II)
     x = g - dG gamma, with gamma minimising |f - dF gamma| through its
     Gram system, f = g(x) - x the last sweep residual and dF, dG the
@@ -92,19 +102,25 @@ def cn_step(ctx: OperatorContext, u_n, cfg, dt=None):
     # ring buffers of residual and sweep-output differences
     dF = np.empty((ANDERSON_DEPTH, un.size))
     dG = np.empty_like(dF)
-    x = un
-    upd = np.inf
+    x = un if guess is None else coeffs_of(guess)
+    upd = best = np.inf
+    best_it = 0
     for it in range(1, cfg.picard_max_iter + 1):
         # bail out before overflow: squared quantities in the quadrature
         # stay finite below ~1e150, so 1e60 leaves ample headroom
         if not np.isfinite(x).all() or np.abs(x).max() > 1e60:
+            # an iteration that stalls near roundoff and then wanders off
+            # ends here too: the smallest update tells the two apart
             raise StepFailure(
-                f"Picard iteration diverged after {it - 1} iterations")
+                f"Picard iteration diverged after {it - 1} iterations "
+                f"(smallest update {best:.3e} at sweep {best_it})")
         g, p = midpoint_sweep(ctx, cfg, un, x, dt)
         f = g - x
         upd = float(np.linalg.norm(f))
         if upd < cfg.picard_tol:
             return Field(ctx.space, 1, g), p, StepReport(it, upd, dt)
+        if upd < best:
+            best, best_it = upd, it
         x = g
         if it > 1:
             j = (it - 2) % ANDERSON_DEPTH
@@ -117,7 +133,7 @@ def cn_step(ctx: OperatorContext, u_n, cfg, dt=None):
         f_prev, g_prev = f, g
     raise StepFailure(
         f"no Picard convergence in {cfg.picard_max_iter} iterations "
-        f"(last update {upd:.3e})")
+        f"(last update {upd:.3e}, smallest {best:.3e} at sweep {best_it})")
 
 
 def cfl_dt(ctx: OperatorContext, u, cfg) -> float:

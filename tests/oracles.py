@@ -17,7 +17,8 @@ whole-boundary gradient assembled in 2D, the dual gradients,
 the boundaryless dual curl and the interior products that no solver path
 uses, the least-squares convergence order, and the plain Picard
 iteration of the midpoint step (the fixed-point check of the
-accelerated one).
+accelerated one), and the snapshot writer that formats each value on its
+own through eval_field (the byte-for-byte check of runner.write_snapshot).
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from flowforms.spaces import Field, coeffs_of
+from flowforms.operators import weak_curl_with_tangential_bc
+from flowforms.spaces import Field, coeffs_of, eval_field
 from flowforms.stepper import StepFailure, StepReport, midpoint_sweep
 
 EDGES = ("left", "right", "bottom", "top")
@@ -472,11 +474,12 @@ def convergence_order(hs, errors) -> float:
     return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
 
 
-def picard_step(ctx, u_n, cfg, dt=None):
-    """The midpoint step by plain Picard iteration: sweep from the last
-    sweep output until it moves by less than picard_tol. Same signature,
-    results and failures as stepper.cn_step, which reaches the same fixed
-    point with Anderson mixing."""
+def picard_step(ctx, u_n, cfg, dt=None, guess=None):
+    """The midpoint step by plain Picard iteration from u^n: sweep from
+    the last sweep output until it moves by less than picard_tol. Same
+    signature, results and failures as stepper.cn_step, which reaches the
+    same fixed point with Anderson mixing from its guess; this reference
+    ignores the guess."""
     dt = cfg.dt if dt is None else dt
     un = coeffs_of(u_n).copy()
     u_new = un.copy()
@@ -493,3 +496,29 @@ def picard_step(ctx, u_n, cfg, dt=None):
     raise StepFailure(
         f"no Picard convergence in {cfg.picard_max_iter} iterations "
         f"(last update {upd:.3e})")
+
+
+def write_snapshot(ctx, u, p, t, path, grid=64):
+    """Plain-text field dump on a uniform sampling grid, one eval_field
+    call and one repr per value. Same signature and file as
+    runner.write_snapshot."""
+    s = ctx.space
+    (x0, x1), (y0, y1) = s.line_x.interval, s.line_y.interval
+    xs = np.linspace(x0, x1, grid)
+    ys = np.linspace(y0, y1, grid)
+    uc = u.coeffs if isinstance(u, Field) else np.asarray(u)
+    uv = eval_field(Field(s, 1, uc), xs, ys)
+    pv = eval_field(Field(s, 2, np.asarray(p)), xs, ys)
+    om = weak_curl_with_tangential_bc(ctx, uc)
+    ov = eval_field(om, xs, ys)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    with open(path, "w") as fh:
+        fh.write(f"# t = {t!r}\n")
+        fh.write(f"# grid = {grid} x {grid}\n")
+        fh.write("# columns: x y u_x u_y p omega\n")
+        cols = np.column_stack([X.ravel(), Y.ravel(),
+                                uv[..., 0].ravel(), uv[..., 1].ravel(),
+                                pv.ravel(), ov.ravel()])
+        for row in cols:
+            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+    return path

@@ -64,7 +64,7 @@ def test_run_reports_halved_retries(cli, tmp_path, monkeypatch):
     # every other first attempt fails and is retried at half dt
     calls = []
 
-    def step(ctx, u, cfg, dt):
+    def step(ctx, u, cfg, dt, guess=None):
         calls.append(dt)
         if len(calls) % 3 == 1:
             raise StepFailure("stub")

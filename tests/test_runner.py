@@ -3,13 +3,15 @@ defaults, and fixed runs whose final diagnostics are pinned."""
 import numpy as np
 import pytest
 
+import oracles
 from oracles import picard_step
 from flowforms import runner
 from flowforms.cases import case_library
 from flowforms.config import SimulationConfig
-from flowforms.runner import run
+from flowforms.runner import build_simulation, run, write_snapshot
 from flowforms.spaces import Field
-from flowforms.stepper import StepFailure, StepReport
+from flowforms.stepper import (StepFailure, StepReport, cn_step,
+                               initialize)
 
 # Short end times for the smoke runs: three steps of the cases with a
 # fixed dt; the CFL-controlled cavity needs 0.1, because a bound that is
@@ -41,23 +43,26 @@ def test_every_case_runs_with_its_defaults(name, tmp_path):
 # by at most 3.7e-9 and 2.8e-8 relative). The old Poiseuille row carried
 # plain Picard's own error at the default picard_tol: the solution at
 # picard_tol = 1e-12 lies 2.7e-8 from it in enstrophy_term and 3e-11
-# from the new row.
+# from the new row. All three were re-recorded when run() began to start
+# each step after the first from the extrapolated velocity (one sweep
+# fewer a step; values moved by at most 2.1e-9 relative, after the
+# fixed-point test below passed at its 1e-11 bound).
 GOLDEN = {
-    ("taylor_green", (1, 1), (8, 8), 1e-3): ((4, 4, 4, 4, 4), dict(
-        time=0.005, energy=19.73910298584064,
+    ("taylor_green", (1, 1), (8, 8), 1e-3): ((4, 3, 3, 3, 3), dict(
+        time=0.005, energy=19.739102985840617,
         mom_x=9.869604401089358, mom_y=9.869604401089356,
-        div_l2=1.6197122458699203e-15, jump_energy=0.0,
-        enstrophy_term=157.913608119791)),
-    ("lid_driven_cavity", (2, 2), (4, 4), 2e-3): ((6, 6, 5, 5, 5), dict(
-        time=0.01, energy=0.0006436795321278369,
-        mom_x=1.43982048506075e-16, mom_y=-6.502502529481813e-17,
-        div_l2=1.6384627594503368e-15, jump_energy=8.794612866580149e-09,
-        enstrophy_term=-11.09937919504293)),
-    ("poiseuille", (2, 2), (4, 4), 1e-3): ((6, 6, 6, 6, 6), dict(
-        time=0.005, energy=0.0011579659215638272,
-        mom_x=1.0172611611413587e-17, mom_y=-0.15039408006046034,
-        div_l2=6.942835535903789e-15, jump_energy=4.574083617919685e-33,
-        enstrophy_term=0.0164099084927887)),
+        div_l2=1.7769900681436076e-15, jump_energy=0.0,
+        enstrophy_term=157.91360811979087)),
+    ("lid_driven_cavity", (2, 2), (4, 4), 2e-3): ((6, 5, 5, 5, 5), dict(
+        time=0.01, energy=0.0006436795322129998,
+        mom_x=1.4311468676808659e-16, mom_y=-6.404924333958117e-17,
+        div_l2=1.870410685448237e-15, jump_energy=8.794612885258471e-09,
+        enstrophy_term=-11.099379195449355)),
+    ("poiseuille", (2, 2), (4, 4), 1e-3): ((6, 5, 5, 5, 5), dict(
+        time=0.005, energy=0.0011579659215600882,
+        mom_x=1.1255715523843526e-17, mom_y=-0.15039408006005878,
+        div_l2=6.882458413750296e-15, jump_energy=5.693530398094766e-33,
+        enstrophy_term=0.01640990849112766)),
 }
 
 
@@ -99,7 +104,7 @@ def test_final_diagnostics_match_recorded_values(key, tmp_path):
 def test_fixed_dt_run_takes_t_final_over_dt_steps(tmp_path, monkeypatch):
     # 74 steps of 0.1 sum to a few ulps below 7.4; that gap must not
     # become a 75th sliver step (and an extra diagnostics row)
-    def step(ctx, u, cfg, dt):
+    def step(ctx, u, cfg, dt, guess=None):
         return (Field(ctx.space, 1, u.coeffs + dt), np.zeros(ctx.space.n2),
                 StepReport(1, 0.0, dt))
 
@@ -114,7 +119,7 @@ def test_halved_retries_are_counted(tmp_path, monkeypatch):
     # every other first attempt fails and is retried at half dt
     calls = []
 
-    def step(ctx, u, cfg, dt):
+    def step(ctx, u, cfg, dt, guess=None):
         calls.append(dt)
         if len(calls) % 3 == 1:
             raise StepFailure("stub")
@@ -127,6 +132,99 @@ def test_halved_retries_are_counted(tmp_path, monkeypatch):
     assert not res.failed and res.t == pytest.approx(0.6, rel=1e-12)
     assert calls[:3] == [0.1, 0.05, 0.1]
     assert res.steps == 2 * res.retries == 8
+
+
+def test_later_steps_start_from_the_extrapolated_velocity(tmp_path,
+                                                         monkeypatch):
+    # attempts as in the retry test above: step 1 and every halved retry
+    # start from u^n (guess None), every other attempt from
+    # u^n + (dt/dt_prev)(u^n - u^{n-1}) with dt_prev the step u^n took
+    calls = []   # (u^n, dt, guess) of every attempt
+
+    def step(ctx, u, cfg, dt, guess=None):
+        calls.append((u.coeffs, dt, guess))
+        if len(calls) % 3 == 1:
+            raise StepFailure("stub")
+        # increments that change from step to step
+        return (Field(ctx.space, 1, u.coeffs + dt * len(calls) ** 2),
+                np.zeros(ctx.space.n2), StepReport(1, 0.0, dt))
+
+    monkeypatch.setattr(runner, "cn_step", step)
+    res = run(SimulationConfig(case="taylor_green", degree=1, n_cells=(4, 4),
+                               dt=0.1, t_final=0.6, output_dir=str(tmp_path)))
+    assert not res.failed and res.retries == 4
+    prev = None   # (u^{n-1}, dt_prev) of the next attempt
+    ratios = set()
+    for k, (un, dt, guess) in enumerate(calls, 1):
+        if prev is None or k % 3 == 2:
+            assert guess is None, k
+        else:
+            u_prev, dt_prev = prev
+            ratios.add(round(dt / dt_prev, 9))
+            np.testing.assert_allclose(
+                guess, un + (dt / dt_prev) * (un - u_prev), rtol=1e-15)
+        if k % 3 != 1:
+            prev = (un, dt)
+    # after a halved retry the next full step extrapolates over twice dt
+    # (the last step, t_final - t, carries the summed roundoff)
+    assert ratios == {1.0, 2.0}
+
+
+def test_extrapolated_start_saves_sweeps(tmp_path, monkeypatch):
+    key = ("taylor_green", (1, 1), (8, 8), 1e-3)
+    res = run(golden_config(key, tmp_path))
+
+    def from_un(ctx, u, cfg, dt, guess=None):
+        return cn_step(ctx, u, cfg, dt=dt)
+
+    monkeypatch.setattr(runner, "cn_step", from_un)
+    ref = run(golden_config(key, tmp_path))
+    sweeps = sum(r.picard_iterations for r in res.records[1:])
+    assert sweeps < sum(r.picard_iterations for r in ref.records[1:])
+    assert (np.linalg.norm(res.u.coeffs - ref.u.coeffs)
+            <= 1e-9 * np.linalg.norm(ref.u.coeffs))
+
+
+def test_snapshots_match_the_reference_writer(tmp_path, monkeypatch):
+    # periodic, walled and Gamma_p runs in one process, each on its own
+    # space and grid and with three snapshots, byte for byte against the
+    # writer that formats every value on its own
+    pairs = []
+
+    def both(ctx, u, p, t, path, grid):
+        pairs.append((write_snapshot(ctx, u, p, t, path, grid),
+                      oracles.write_snapshot(ctx, u, p, t, path + ".ref",
+                                             grid)))
+        return pairs[-1][0]
+
+    monkeypatch.setattr(runner, "write_snapshot", both)
+    for case, grid in (("taylor_green", 16), ("lid_driven_cavity", 12),
+                       ("poiseuille", 9)):
+        res = run(SimulationConfig(
+            case=case, degree=2, n_patches=(2, 2), n_cells=(4, 4), dt=1e-3,
+            t_final=2e-3, snapshot_cadence=1, snapshot_grid=grid,
+            output_dir=str(tmp_path / case)))
+        assert len(res.snapshot_paths) == 3
+    assert len(pairs) == 9
+    for new, ref in pairs:
+        with open(new, "rb") as a, open(ref, "rb") as b:
+            assert a.read() == b.read(), new
+
+
+def test_snapshots_of_one_space_on_two_grids(tmp_path):
+    ctx, case, cfg = build_simulation(SimulationConfig(
+        case="lid_driven_cavity", degree=3, n_patches=(2, 1), n_cells=(3, 5),
+        dt=1e-3))
+    u = initialize(ctx, case.initial)
+    u1, p, _ = cn_step(ctx, u, cfg)
+    for k, (state, pres, grid) in enumerate(
+            ((u, np.zeros(ctx.space.n2), 8), (u1, p, 11), (u1, p, 8))):
+        new = write_snapshot(ctx, state, pres, 0.5 * k,
+                             str(tmp_path / f"new{k}"), grid)
+        ref = oracles.write_snapshot(ctx, state, pres, 0.5 * k,
+                                     str(tmp_path / f"ref{k}"), grid)
+        with open(new, "rb") as a, open(ref, "rb") as b:
+            assert a.read() == b.read(), grid
 
 
 def test_cavity_takes_steps_plain_picard_cannot(tmp_path):

@@ -1,5 +1,6 @@
 """Stepper settings, the midpoint sweep (pressure solve and velocity
 update), midpoint stepping, CFL bound."""
+import re
 import weakref
 
 import numpy as np
@@ -228,6 +229,19 @@ def test_cn_step_of_rest_state_converges_immediately():
     assert np.max(np.abs(p)) <= 1e-13
 
 
+def test_cn_step_from_its_own_solution_takes_one_sweep():
+    # the guess only moves where the iteration starts: started at the
+    # fixed point, the step stops after the sweep that confirms it
+    ctx = context(2, 8, 1, "periodic")
+    cfg = stepper_cfg(dt=1e-2, picard_tol=1e-12)
+    u = tg_state(ctx)
+    u1, p1, rep1 = cn_step(ctx, u, cfg)
+    u2, p2, rep2 = cn_step(ctx, u, cfg, guess=u1)
+    assert rep1.picard_iterations > 1 and rep2.picard_iterations == 1
+    assert (np.linalg.norm(u2.coeffs - u1.coeffs)
+            <= 1e-13 * np.linalg.norm(u1.coeffs))
+
+
 def test_cn_step_conserves_energy_inviscid():
     ctx = context(2, 8, 1, "periodic")
     cfg = stepper_cfg(dt=1e-3, nu=0.0, picard_tol=1e-12)
@@ -331,7 +345,9 @@ def test_cn_step_raises_on_stalled_iteration():
     ctx = context(2, 8, 1, "periodic")
     cfg = stepper_cfg(dt=0.5, picard_tol=1e-12, picard_max_iter=2)
     u = tg_state(ctx)
-    with pytest.raises(StepFailure, match="Picard"):
+    with pytest.raises(StepFailure, match=r"no Picard convergence in 2 "
+                       r"iterations \(last update .*, smallest .* at sweep "
+                       r"[12]\)"):
         cn_step(ctx, u, cfg)
 
 
@@ -344,6 +360,20 @@ def test_cn_step_reports_divergence_instead_of_overflowing():
     u = tg_state(ctx)
     with pytest.raises(StepFailure, match="diverged"):
         cn_step(ctx, u, cfg)
+
+
+def test_stall_near_roundoff_reports_the_smallest_update():
+    # the mixed iteration comes within 1e-11 of the fixed point (17
+    # sweeps at picard_tol = 1e-11), stalls at its roundoff floor and
+    # then wanders off: the failure names that smallest update
+    ctx = context(2, 8, 1, "periodic")
+    cfg = stepper_cfg(dt=0.5, nu=1.0, picard_tol=1e-12)
+    u = tg_state(ctx)
+    with pytest.raises(StepFailure, match="Picard iteration diverged") as err:
+        cn_step(ctx, u, cfg)
+    found = re.search(r"smallest update (\S+) at sweep (\d+)", str(err.value))
+    assert found, str(err.value)
+    assert float(found[1]) < 1e-11 and 1 < int(found[2]) < 30
 
 
 def test_anderson_converges_where_picard_diverges():
