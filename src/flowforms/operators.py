@@ -17,6 +17,10 @@ The interior product, the whole-boundary dual gradient and M2 Div M1^-1
 each act along one axis only: `OperatorContext` keeps them as dense 1D
 factors per line, and the advection residual needs no 2D mass solve.
 
+The solvers that change with dt, the sweep's mass solve A^-1 (A = M1 +
+gamma * penalization, gamma = dt*alpha/2) and the pressure solver on it,
+belong to `TensorPoissonSolver`; the context caches the latest gamma's.
+
 Boundary conventions (outward normals): u.n is -u_x on the left edge,
 +u_x right, -u_y bottom, +u_y top; the scalar cross u x n = u_x n_y -
 u_y n_x is +u_y left, -u_y right, -u_x bottom, +u_x top.
@@ -96,7 +100,9 @@ def _as_values(data, pts):
 
 
 class OperatorContext:
-    """Immutable bundle: space + boundary conditions + cached operators.
+    """Immutable bundle: space + boundary conditions + the operators that
+    do not depend on dt, and one cached `TensorPoissonSolver` for those
+    that do.
 
     bc is a dict edge-name -> EdgeBC covering every non-periodic edge, or
     None/empty for no boundary conditions: then every boundary term is
@@ -142,8 +148,9 @@ class OperatorContext:
             np.kron(np.ones(space.line_x.l2.dim), self.zn["y"])]), format="csr")
 
         self._assemble_boundary_terms()
-        self.Q, self.G, self.L = zip(*map(
-            self._line_factors, (space.line_x, space.line_y), (space.Px, space.Py)))
+        self.Q, self.G, self.L, self.dense = zip(*map(
+            self._line_factors, (space.line_x, space.line_y),
+            (space.Px, space.Py), (self.zn["x"], self.zn["y"])))
 
         self.f_vec = np.zeros(space.n1)
         if forcing is not None:
@@ -154,8 +161,7 @@ class OperatorContext:
             self.f_vec = space.Pc1.T @ space.grid_moments_v1(
                 fx, fy, space.data_grid)
 
-        self._m1t_cache = {}
-        self._poisson_cache = {}
+        self._solver = None
 
     # --- index bookkeeping -------------------------------------------------
     def _edge_dofs(self, block, edge):
@@ -176,20 +182,25 @@ class OperatorContext:
         return offset + np.arange(nx) * ny + a
 
     # --- 1D factors of the dual operators -----------------------------------
-    def _line_factors(self, line, P):
+    def _line_factors(self, line, P, z):
         """Dense factors of one line, each acting along its own axis only:
         the interior product Q = M_l2^-1 B, the whole-boundary dual
         gradient G = M_h1^-1 (T - (D P)^T M_l2), and L = M_l2 D P M_h1^-1.
         T pairs the h1 and l2 end DOFs of the line's two edges when bc
-        covers them: -1 on the lo edge, +1 on the hi edge."""
+        covers them: -1 on the lo edge, +1 on the hi edge. Last, what
+        `TensorPoissonSolver` builds each gamma's solvers from: the dense
+        M_h1, J^T M_h1 J (J = I - P), M_l2 and D P, and the Gamma_n mask z."""
         h1_inv = line.mass_factor("h1").inv
+        M = line.M_h1.toarray()
+        J = np.identity(line.h1.dim) - P.toarray()
         Ml2 = line.M_l2.toarray()
         DP = (line.D @ P).toarray()
         T = np.zeros(DP.T.shape)
         if self.bc and not line.periodic:
             T[0, 0], T[-1, -1] = -1.0, 1.0
         Q = line.mass_factor("l2").solve(line.B.toarray())
-        return Q, h1_inv @ (T - DP.T @ Ml2), Ml2 @ DP @ h1_inv
+        return (Q, h1_inv @ (T - DP.T @ Ml2), Ml2 @ DP @ h1_inv,
+                (M, J.T @ M @ J, Ml2, DP, z))
 
     # --- boundary matrices and data vectors --------------------------------
     def _assemble_boundary_terms(self):
@@ -245,101 +256,66 @@ class OperatorContext:
         self.b_pressure = b_press
         self.normal_data = n_data
 
-    # --- modified mass (penalization folded in) ----------------------------
-    # Both solver caches hold the latest gamma = dt*alpha/2 only: under CFL
-    # control every step has a new dt, so older entries are never reused.
-    def m1_solver(self, gamma: float = 0.0):
-        """Exact solver for A = M1 + gamma * penalization on the velocities
-        with zero Gamma_n flux: b -> Pn (Pn A Pn + I - Pn)^-1 Pn b. Per
-        block, two GEMMs with the inverses of its 1D Kronecker factors
-        (`h1_inverses` and the lines' l2 mass inverses)."""
-        return self._m1t(gamma)[1]
-
-    def h1_inverses(self, gamma: float = 0.0):
-        """Z (Z Mg Z + I - Z)^-1 Z, Mg = M_h1 + gamma * J^T M_h1 J with J =
-        I - P and Z = diag(zn), for the x and the y line: the h1 factors of
-        `m1_solver(gamma)`, which the Poisson setup shares."""
-        return self._m1t(gamma)[0]
-
-    def _m1t(self, gamma):
-        key = float(gamma)
-        if key not in self._m1t_cache:
-            self._m1t_cache.clear()
-            s = self.space
-
-            def h1_inverse(line, P, z):
-                M = line.M_h1.toarray()
-                J = np.identity(line.h1.dim) - P.toarray()
-                Mg = M + gamma * (J.T @ M @ J)
-                inv = SPDInverse(z[:, None] * Mg * z + np.diag(1.0 - z))
-                inv.inv *= np.outer(z, z)
-                return inv
-
-            hx = h1_inverse(s.line_x, s.Px, self.zn["x"])
-            hy = h1_inverse(s.line_y, s.Py, self.zn["y"])
-            kx = KroneckerSolver([hx, s.line_y.mass_factor("l2")])
-            ky = KroneckerSolver([s.line_x.mass_factor("l2"), hy])
-
-            def solve(b):
-                bx, by = s.split_v1(b)
-                return np.concatenate([kx.solve(bx), ky.solve(by)])
-
-            self._m1t_cache[key] = ((hx, hy), solve)
-        return self._m1t_cache[key]
-
+    # --- the gamma-dependent solvers -----------------------------------------
     def poisson_solver(self, gamma: float = 0.0):
-        """Pressure Poisson solver for the (possibly penalization-modified)
-        Schur system M2 Dt A^-1 Dt^T M2, with A^-1 = `m1_solver(gamma)`
-        acting on the velocities with zero Gamma_n flux. Without pressure
-        boundary conditions the system has the constant pressure in its
-        kernel; the solver then acts as a pseudoinverse that zeroes the
-        mean mode, so the velocity update stays exactly divergence-free."""
-        key = float(gamma)
-        if key not in self._poisson_cache:
-            self._poisson_cache.clear()
-            self._poisson_cache[key] = TensorPoissonSolver(self, gamma)
-        return self._poisson_cache[key]
+        """The `TensorPoissonSolver` of gamma = dt*alpha/2. One entry is
+        cached, the latest gamma's: under CFL control every step has a
+        new dt, so an older entry is never reused."""
+        if self._solver is None or self._solver.gamma != float(gamma):
+            self._solver = TensorPoissonSolver(self, gamma)
+        return self._solver
 
-    @property
-    def has_pressure_bc(self) -> bool:
-        return any(c.kind == "pressure" for c in self.bc.values())
+    def m1_solver(self, gamma: float = 0.0):
+        """Exact solver b -> Pn (Pn A Pn + I - Pn)^-1 Pn b for A = M1 +
+        gamma * penalization on the velocities with zero Gamma_n flux:
+        the `m1_solve` of `poisson_solver(gamma)`."""
+        return self.poisson_solver(gamma).m1_solve
 
 
 class TensorPoissonSolver:
-    """Exact fast-diagonalization solver for the pressure system. The
-    system matrix is Kx (x) My + Mx (x) Ky with 1D factors, so two small
-    generalized eigensolves diagonalize it."""
+    """Everything that depends on gamma = dt*alpha/2, from the context's
+    dense line matrices. Per line, the restricted h1 inverse
+    Z (Z Mg Z + I - Z)^-1 Z, Mg = M_h1 + gamma * J^T M_h1 J, Z = diag(zn):
+    with the l2 mass inverses, the Kronecker factors of A^-1 that
+    `m1_solve` applies. The pressure system M2 Dt A^-1 Dt^T M2 is
+    Kx (x) My + Mx (x) Ky, K = M_l2 (D P) h1_inv (D P)^T M_l2, which two
+    small generalized eigensolves diagonalize (fast diagonalization).
+    Without pressure boundary conditions its kernel is the constant
+    pressure; the solver then acts as a pseudoinverse that zeroes the mean
+    mode, so the velocity update stays exactly divergence-free."""
 
     def __init__(self, ctx: OperatorContext, gamma=0.0):
         s = ctx.space
-        self.ctx = ctx
-
-        def one_d(line, P, h1_inv):
-            Ml2 = line.M_l2.toarray()
-            G = (line.D @ P).toarray()
-            K = Ml2 @ G @ h1_inv.inv @ G.T @ Ml2
-            K = 0.5 * (K + K.T)
-            return scipy.linalg.eigh(K, 0.5 * (Ml2 + Ml2.T))
-
-        hx, hy = ctx.h1_inverses(gamma)
-        lam_x, self.Phi_x = one_d(s.line_x, s.Px, hx)
-        lam_y, self.Phi_y = one_d(s.line_y, s.Py, hy)
-        self.singular = not ctx.has_pressure_bc
+        self.ctx, self.gamma = ctx, float(gamma)
+        h1_invs, eigs = [], []
+        for M, JMJ, Ml2, DP, z in ctx.dense:
+            inv = SPDInverse(z[:, None] * (M + gamma * JMJ) * z + np.diag(1.0 - z))
+            inv.inv *= np.outer(z, z)
+            K = Ml2 @ DP @ inv.inv @ DP.T @ Ml2
+            h1_invs.append(inv)
+            eigs.append(scipy.linalg.eigh(0.5 * (K + K.T), 0.5 * (Ml2 + Ml2.T)))
+        (lam_x, self.Phi_x), (lam_y, self.Phi_y) = eigs
         denom = lam_x[:, None] + lam_y[None, :]
-        if self.singular:
-            # pseudoinverse: drop the kernel (constant-pressure) modes
-            drop = denom <= 1e-10 * float(lam_x.max() + lam_y.max())
-            self._inv_denom = np.where(drop, 0.0, 1.0 / np.where(drop, 1.0, denom))
-        else:
-            if np.any(denom <= 0.0):
-                raise FloatingPointError("pressure system not positive definite")
-            self._inv_denom = 1.0 / denom
-        self._m1_solve = ctx.m1_solver(gamma)
+        self.singular = not any(c.kind == "pressure" for c in ctx.bc.values())
+        if not self.singular and np.any(denom <= 0.0):
+            raise FloatingPointError("pressure system not positive definite")
+        # singular: a pseudoinverse that drops the constant-pressure modes
+        drop = self.singular & (denom <= 1e-10 * float(lam_x.max() + lam_y.max()))
+        self._inv_denom = np.where(drop, 0.0, 1.0 / np.where(drop, 1.0, denom))
+
+        kx = KroneckerSolver([h1_invs[0], s.line_y.mass_factor("l2")])
+        ky = KroneckerSolver([s.line_x.mass_factor("l2"), h1_invs[1]])
+
+        def m1_solve(b):
+            bx, by = s.split_v1(b)
+            return np.concatenate([kx.solve(bx), ky.solve(by)])
+
+        self.m1_solve = m1_solve
 
     def matvec(self, q):
         """The system matrix applied through the composed sparse operators."""
         ctx, s = self.ctx, self.ctx.space
-        return s.M2 @ (ctx.Dt @ self._m1_solve(ctx.DtT @ (s.M2 @ q)))
+        return s.M2 @ (ctx.Dt @ self.m1_solve(ctx.DtT @ (s.M2 @ q)))
 
     def solve(self, b):
         s = self.ctx.space

@@ -12,7 +12,7 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord, l2_error, measure
 from .multipatch import build_multipatch
 from .operators import OperatorContext, weak_curl_with_tangential_bc
-from .spaces import Field
+from .spaces import Field, coeffs_of
 from .stepper import StepFailure, cfl_dt, cn_step, initialize
 
 CSV_HEADER = ("time,energy,mom_x,mom_y,div_l2,jump_energy,"
@@ -94,7 +94,7 @@ def write_snapshot(ctx, u, p, t, path, grid=64):
     layout = _LAYOUTS.setdefault(s, {}).get(grid)
     if layout is None:
         layout = _LAYOUTS[s][grid] = _SnapshotLayout(s, grid)
-    uc = u.coeffs if isinstance(u, Field) else np.asarray(u)
+    uc = coeffs_of(u)
     ux, uy = s.split_v1(uc)
     om = weak_curl_with_tangential_bc(ctx, uc).coeffs
     cols = np.column_stack([
@@ -137,9 +137,12 @@ def run(cfg, progress=None):
         snap("000000")
 
     # summed dt carries roundoff of order steps * eps * t_final: a relative
-    # stop keeps a fixed-dt run at round(t_final / dt) steps
+    # stop keeps a fixed-dt run at round(t_final / dt) steps, and a last
+    # step within that of dt takes dt, so one gamma serves the whole run
     while t < cfg.t_final * (1.0 - 1e-10):
-        dt = min(cfg.dt or cfl_dt(ctx, u, cfg), cfg.t_final - t)
+        dt = cfg.dt or cfl_dt(ctx, u, cfg)
+        if cfg.t_final - t < dt - 1e-10 * cfg.t_final:
+            dt = cfg.t_final - t
         guess = None if du is None else u.coeffs + (dt / dt_prev) * du
         try:
             u_next, p, rep = cn_step(ctx, u, cfg, dt=dt, guess=guess)

@@ -204,7 +204,6 @@ class TensorDeRhamSpace:
             format="csr",
         )
 
-        self.M0 = sp.kron(line_x.M_h1, line_y.M_h1, format="csr")
         self.M1x = sp.kron(line_x.M_h1, line_y.M_l2, format="csr")
         self.M1y = sp.kron(line_x.M_l2, line_y.M_h1, format="csr")
         self.M1 = sp.block_diag([self.M1x, self.M1y], format="csr")

@@ -211,14 +211,6 @@ class Broken1D:
             [derivative_incidence_1d(s) for s in self.spaces], format="csr"
         )
 
-    def quadrature(self, n_per_cell):
-        pts, w = [], []
-        for s in self.spaces:
-            pk, wk = cell_quadrature(s.breakpoints, n_per_cell)
-            pts.append(pk)
-            w.append(wk)
-        return np.concatenate(pts), np.concatenate(w)
-
 
 def weighted_gram(Ea: sp.csr_matrix, w, Eb: sp.csr_matrix) -> sp.csr_matrix:
     """Ea^T diag(w) Eb, all sparse."""
@@ -239,7 +231,7 @@ class BasisTable:
     vals[j, c, i, a] is basis function a of the cell at its point i, and
     wvals_t[j, c, a, i] that value times the point's weight. Both come
     from the collocation matrix E at the rule's points (cell by cell, as
-    Broken1D.quadrature orders them): a Gauss point lies inside its cell,
+    cell_quadrature orders them): a Gauss point lies inside its cell,
     so its row holds exactly the cell's k_loc nonzeros.
     """
 
@@ -352,7 +344,7 @@ class DeRhamLine:
     def _grid(self, n_per_cell):
         """The grid of n_per_cell Gauss points a cell, with the
         collocation matrices of h1 and l2 its tables are built from."""
-        pts, w = self.h1.quadrature(n_per_cell)
+        pts, w = cell_quadrature(self.h1.breakpoints, n_per_cell)
         E1 = self.h1.collocation(pts)
         E0 = self.l2.collocation(pts)
         grid = LineGrid(pts, w, BasisTable(self.h1, E1, w, n_per_cell),

@@ -14,11 +14,12 @@ plain conjugate gradient solver (the matrix-free check of the direct
 pressure solve), the trilinear advection form by direct quadrature of
 its integrands (the check of the assembled residual) with its
 whole-boundary gradient assembled in 2D, the dual gradients,
-the boundaryless dual curl and the interior products that no solver path
-uses, the least-squares convergence order, and the plain Picard
-iteration of the midpoint step (the fixed-point check of the
-accelerated one), and the snapshot writer that formats each value on its
-own through eval_field (the byte-for-byte check of runner.write_snapshot).
+the boundaryless dual curl, the interior products and the V0 mass
+matrix that no solver path uses, the least-squares convergence order,
+and the plain Picard iteration of the midpoint step (the fixed-point
+check of the accelerated one), and the snapshot writer that formats each
+value on its own through eval_field (the byte-for-byte check of
+runner.write_snapshot).
 """
 
 from dataclasses import dataclass
@@ -375,6 +376,12 @@ def cg_solve(A, b, tol: float = 1e-12, max_iter: int | None = None):
 
     true_res = np.linalg.norm(b - apply_A(x)) / bnorm
     return x, LinearSolveReport(iterations, float(true_res), true_res <= tol)
+
+
+def mass_v0(space):
+    """The V0 mass matrix M_h1 (x) M_h1 of the lines, which no solver path
+    assembles (solve_M0 applies its inverse as a Kronecker product)."""
+    return sp.kron(space.line_x.M_h1, space.line_y.M_h1, format="csr")
 
 
 def mixed_matrix(space, k: int):

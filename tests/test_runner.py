@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from oracles import picard_step
-from flowforms import runner
+from flowforms import operators, runner
 from flowforms.cases import case_library
 from flowforms.config import SimulationConfig
 from flowforms.runner import build_simulation, run, write_snapshot
@@ -101,18 +101,67 @@ def test_final_diagnostics_match_recorded_values(key, tmp_path):
         assert got[name] == pytest.approx(value, rel=1e-12, abs=1e-13), name
 
 
+def recording_step(dts):
+    """A stub cn_step that records each dt and adds it to the velocity."""
+    def step(ctx, u, cfg, dt, guess=None):
+        dts.append(dt)
+        return (Field(ctx.space, 1, u.coeffs + dt), np.zeros(ctx.space.n2),
+                StepReport(1, 0.0, dt))
+    return step
+
+
+def stub_run(tmp_path, monkeypatch, dt, t_final):
+    dts = []
+    monkeypatch.setattr(runner, "cn_step", recording_step(dts))
+    res = run(SimulationConfig(case="taylor_green", degree=1, n_cells=(4, 4),
+                               dt=dt, t_final=t_final,
+                               output_dir=str(tmp_path)))
+    return res, dts
+
+
 def test_fixed_dt_run_takes_t_final_over_dt_steps(tmp_path, monkeypatch):
     # 74 steps of 0.1 sum to a few ulps below 7.4; that gap must not
     # become a 75th sliver step (and an extra diagnostics row)
-    def step(ctx, u, cfg, dt, guess=None):
-        return (Field(ctx.space, 1, u.coeffs + dt), np.zeros(ctx.space.n2),
-                StepReport(1, 0.0, dt))
-
-    monkeypatch.setattr(runner, "cn_step", step)
-    res = run(SimulationConfig(case="taylor_green", degree=1, n_cells=(4, 4),
-                               dt=0.1, t_final=7.4, output_dir=str(tmp_path)))
+    res, dts = stub_run(tmp_path, monkeypatch, 0.1, 7.4)
     assert res.steps == 74 and not res.failed and not res.steady
     assert len(res.records) == 75
+    assert dts == [0.1] * 74
+
+
+@pytest.mark.parametrize("t_final,steps", [(0.02, 10), (0.04, 20)])
+def test_fixed_dt_steps_all_take_dt(t_final, steps, tmp_path, monkeypatch):
+    # here the time left before the last step, t_final - t, falls a few
+    # ulps short of dt: that step takes dt all the same, so that one
+    # gamma = dt*alpha/2 serves the whole run
+    res, dts = stub_run(tmp_path, monkeypatch, 2e-3, t_final)
+    assert res.steps == steps and dts == [2e-3] * steps
+    assert res.t == pytest.approx(t_final, rel=1e-14)
+
+
+def test_fixed_dt_run_ends_with_a_short_step(tmp_path, monkeypatch):
+    res, dts = stub_run(tmp_path, monkeypatch, 0.3, 1.0)
+    assert res.steps == 4 and dts[:3] == [0.3] * 3
+    assert dts[3] == pytest.approx(0.1, rel=1e-12)
+    assert res.t == pytest.approx(1.0, rel=1e-15)
+
+
+def test_fixed_dt_run_builds_the_solvers_twice(tmp_path, monkeypatch):
+    # gamma = 0 for the initial Leray projection, then one gamma for
+    # every step of a fixed-dt run on broken spaces
+    gammas = []
+
+    class Recording(operators.TensorPoissonSolver):
+        def __init__(self, ctx, gamma=0.0):
+            gammas.append(gamma)
+            super().__init__(ctx, gamma)
+
+    monkeypatch.setattr(operators, "TensorPoissonSolver", Recording)
+    cfg = SimulationConfig(case="lid_driven_cavity", degree=2,
+                           n_patches=(2, 2), n_cells=(4, 4), dt=2e-3,
+                           t_final=0.02, output_dir=str(tmp_path))
+    res = run(cfg)
+    assert res.steps == 10 and not res.failed
+    assert gammas == [0.0, 0.5 * 2e-3 * cfg.resolve()[0].alpha]
 
 
 def test_halved_retries_are_counted(tmp_path, monkeypatch):
@@ -166,7 +215,6 @@ def test_later_steps_start_from_the_extrapolated_velocity(tmp_path,
         if k % 3 != 1:
             prev = (un, dt)
     # after a halved retry the next full step extrapolates over twice dt
-    # (the last step, t_final - t, carries the summed roundoff)
     assert ratios == {1.0, 2.0}
 
 

@@ -178,7 +178,7 @@ def test_broken_collocation_sides_at_interface():
 
 def test_broken_quadrature_covers_interval():
     line = Broken1D(2, 3, 4, (0.0, 2.0), False)
-    pts, w = line.quadrature(4)
+    pts, w = cell_quadrature(line.breakpoints, 4)
     assert w.sum() == pytest.approx(2.0, abs=1e-13)
     assert pts.min() > 0.0 and pts.max() < 2.0
 
