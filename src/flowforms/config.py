@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .cases import CaseDefinition, case_library
-from .operators import EDGES, EdgeBC
+from .operators import EdgeBC, check_boundary
 
 
 def _parse_pair(text, conv=int):
@@ -117,10 +117,6 @@ class SimulationConfig:
             merged = dict(case.boundary)
             merged.update(out.boundary)
             out.boundary = merged
-        unknown = set(out.boundary or ()) - set(EDGES)
-        if unknown:
-            raise ValueError(f"unknown boundary edges {sorted(unknown)}, "
-                             f"expected some of {list(EDGES)}")
         if out.dt is not None and out.dt <= 0:
             raise ValueError("dt must be positive")
         for name in ("dt_max", "t_final", "picard_tol", "cfl_safety",
@@ -142,10 +138,9 @@ class SimulationConfig:
             raise ValueError("cfl_safety must lie in (0, 1]")
         x0, x1, y0, y1 = out.domain
         (npx, npy), (ncx, ncy) = out.n_patches, out.n_cells
-        for edge, cond in (out.boundary or {}).items():
-            along_y = edge in ("left", "right")
-            cond.segments(edge, np.linspace(y0, y1, npy * ncy + 1) if along_y
-                          else np.linspace(x0, x1, npx * ncx + 1))
+        check_boundary(out.boundary, (out.periodic, out.periodic),
+                       np.linspace(x0, x1, npx * ncx + 1),
+                       np.linspace(y0, y1, npy * ncy + 1))
         return out, case
 
 

@@ -10,8 +10,11 @@ plus the boundary pairings of the context's boundary conditions. Without
 boundary conditions (periodic domains, or a clamped space used for
 identity checks) the pairings are empty and the operators reduce to the
 plain L2 adjoints. Boundary integrals all reduce to 1D mass/moment
-matrices placed on trace slices of the tensor layout, since spline trace
-DOFs carry the boundary values.
+matrices along the edge, since spline trace DOFs carry the boundary
+values. Viewed as an (x index, y index) array, each V0 or V1 block holds
+an edge's trace DOFs in one slice: row 0 or -1 for the left and right
+edges, column 0 or -1 for the bottom and top edges. `check_boundary`
+validates the edge set once, for the config and the context alike.
 
 The interior product, the whole-boundary dual gradient and M2 Div M1^-1
 each act along one axis only: `OperatorContext` keeps them as dense 1D
@@ -38,8 +41,9 @@ from .linalg import KroneckerSolver, SPDInverse
 from .spaces import Field, TensorDeRhamSpace, coeffs_of
 
 EDGES = ("left", "right", "bottom", "top")
-_EDGE_AXIS = {"left": ("x", "lo"), "right": ("x", "hi"),
-              "bottom": ("y", "lo"), "top": ("y", "hi")}
+# edge -> (the line across it, the end of that line the edge sits on)
+_EDGE_AXIS = {"left": ("x", 0), "right": ("x", -1),
+              "bottom": ("y", 0), "top": ("y", -1)}
 
 
 @dataclass
@@ -93,6 +97,32 @@ class EdgeBC:
         return segs
 
 
+def check_boundary(bc, periodic, breaks_x, breaks_y):
+    """Check the boundary conditions bc (edge name -> EdgeBC; None or
+    empty for none) of a domain whose x and y lines are periodic as the
+    pair `periodic` says and have the cell boundaries breaks_x and
+    breaks_y. A non-empty bc covers exactly the non-periodic edges.
+    Returns edge -> its Gamma_t segments (`EdgeBC.segments`); raises
+    ValueError on an unknown, missing or periodic edge or a bad segment."""
+    bc = bc or {}
+    unknown = set(bc) - set(EDGES)
+    if unknown:
+        raise ValueError(f"unknown boundary edges {sorted(unknown)}, "
+                         f"expected some of {list(EDGES)}")
+    if bc:
+        needed = {e for e in EDGES if not periodic[_EDGE_AXIS[e][0] == "y"]}
+        missing, extra = needed - set(bc), set(bc) - needed
+        if missing:
+            raise ValueError(
+                f"boundary conditions missing for edges {sorted(missing)}")
+        if extra:
+            raise ValueError(
+                f"boundary conditions given for periodic edges {sorted(extra)}")
+    return {edge: cond.segments(edge, breaks_y if _EDGE_AXIS[edge][0] == "x"
+                                else breaks_x)
+            for edge, cond in bc.items()}
+
+
 def _as_values(data, pts):
     if callable(data):
         return np.asarray(data(pts), dtype=np.float64) * np.ones_like(pts)
@@ -111,46 +141,25 @@ class OperatorContext:
 
     def __init__(self, space: TensorDeRhamSpace, bc=None, forcing=None):
         self.space = space
-        per_x, per_y = space.periodic
-        needed = [e for e in EDGES
-                  if not (per_x if _EDGE_AXIS[e][0] == "x" else per_y)]
-        bc = dict(bc) if bc else {}
-        unknown = set(bc) - set(EDGES)
-        if unknown:
-            raise ValueError(f"unknown edge names: {sorted(unknown)}")
-        if bc:
-            missing = set(needed) - set(bc)
-            extra = set(bc) - set(needed)
-            if missing:
-                raise ValueError(
-                    f"boundary conditions missing for edges {sorted(missing)}")
-            if extra:
-                raise ValueError(
-                    f"boundary conditions given for periodic edges {sorted(extra)}")
-        self.bc = bc
-        # Gamma_n masks per line: 0 on the h1 end DOF of an edge with
-        # prescribed normal velocity, 1 elsewhere
-        self.zn = {"x": np.ones(space.line_x.h1.dim),
-                   "y": np.ones(space.line_y.h1.dim)}
-        for edge, cond in bc.items():
-            if cond.kind == "normal":
-                axis, side = _EDGE_AXIS[edge]
-                self.zn[axis][0 if side == "lo" else -1] = 0.0
+        self.bc = dict(bc) if bc else {}
+        segments = check_boundary(self.bc, space.periodic,
+                                  space.line_x.h1.breakpoints,
+                                  space.line_y.h1.breakpoints)
 
         self.Dt = (space.Div @ space.Pc1).tocsr()      # Div_h
         self.DtT = self.Dt.T.tocsr()
         self.CP0 = (space.Curl @ space.Pc0).tocsr()
         self.CP0T = self.CP0.T.tocsr()
 
+        self._assemble_boundary_terms(segments)
         # Pn = blockdiag(diag(zx) (x) I, I (x) diag(zy)), built from its diagonal
         self.Pn = sp.diags(np.concatenate([
             np.kron(self.zn["x"], np.ones(space.line_y.l2.dim)),
             np.kron(np.ones(space.line_x.l2.dim), self.zn["y"])]), format="csr")
-
-        self._assemble_boundary_terms()
         self.Q, self.G, self.L, self.dense = zip(*map(
             self._line_factors, (space.line_x, space.line_y),
-            (space.Px, space.Py), (self.zn["x"], self.zn["y"])))
+            (space.Px, space.Py), (self.zn["x"], self.zn["y"]),
+            (self._ends["x"], self._ends["y"])))
 
         self.f_vec = np.zeros(space.n1)
         if forcing is not None:
@@ -163,95 +172,89 @@ class OperatorContext:
 
         self._solver = None
 
-    # --- index bookkeeping -------------------------------------------------
-    def _edge_dofs(self, block, edge):
-        """Global indices of the DOFs of one tensor block whose trace lives
-        on the edge, ordered along the edge. The blocks are V0 ('v0') and
-        the two V1 components ('v1x', 'v1y'). The V1 component normal to
-        the edge carries the flux, the other one the tangential trace."""
-        s = self.space
-        nh1x, nl2x = s.line_x.h1.dim, s.line_x.l2.dim
-        nh1y, nl2y = s.line_y.h1.dim, s.line_y.l2.dim
-        offset, nx, ny = {"v0": (0, nh1x, nh1y), "v1x": (0, nh1x, nl2y),
-                          "v1y": (s.n1x, nl2x, nh1y)}[block]
-        axis, side = _EDGE_AXIS[edge]
-        if axis == "x":
-            a = 0 if side == "lo" else nx - 1
-            return offset + a * ny + np.arange(ny)
-        a = 0 if side == "lo" else ny - 1
-        return offset + np.arange(nx) * ny + a
-
     # --- 1D factors of the dual operators -----------------------------------
-    def _line_factors(self, line, P, z):
+    def _line_factors(self, line, P, z, T):
         """Dense factors of one line, each acting along its own axis only:
         the interior product Q = M_l2^-1 B, the whole-boundary dual
         gradient G = M_h1^-1 (T - (D P)^T M_l2), and L = M_l2 D P M_h1^-1.
-        T pairs the h1 and l2 end DOFs of the line's two edges when bc
-        covers them: -1 on the lo edge, +1 on the hi edge. Last, what
-        `TensorPoissonSolver` builds each gamma's solvers from: the dense
-        M_h1, J^T M_h1 J (J = I - P), M_l2 and D P, and the Gamma_n mask z."""
+        T pairs the h1 and l2 end DOFs of the line's edges in bc: -1 on
+        the lo edge, +1 on the hi edge. Last, what `TensorPoissonSolver`
+        builds each gamma's solvers from: the dense M_h1, J^T M_h1 J
+        (J = I - P), M_l2 and D P, and the Gamma_n mask z."""
         h1_inv = line.mass_factor("h1").inv
         M = line.M_h1.toarray()
         J = np.identity(line.h1.dim) - P.toarray()
         Ml2 = line.M_l2.toarray()
         DP = (line.D @ P).toarray()
-        T = np.zeros(DP.T.shape)
-        if self.bc and not line.periodic:
-            T[0, 0], T[-1, -1] = -1.0, 1.0
         Q = line.mass_factor("l2").solve(line.B.toarray())
         return (Q, h1_inv @ (T - DP.T @ Ml2), Ml2 @ DP @ h1_inv,
                 (M, J.T @ M @ J, Ml2, DP, z))
 
     # --- boundary matrices and data vectors --------------------------------
-    def _assemble_boundary_terms(self):
+    def _assemble_boundary_terms(self, segments):
+        """One pass over the edges. An edge on end e of the line across it
+        places its terms on the trace slice [e, :] (left, right) or [:, e]
+        (bottom, top) of the (x index, y index) views of the V0 block and
+        the V1 blocks: the flux block is the V1 component across the edge,
+        the cross block the one along it. Per line it also records the
+        Gamma_n mask zn (0 on the h1 end DOF of a Gamma_n edge) and the
+        end pairing of `_line_factors`."""
         s = self.space
-        # (rows, cols, vals) triplet blocks of (v x n, omega) over the
-        # boundary minus Gamma_t; duplicates sum
-        Tt = []
+        lines = {"x": s.line_x, "y": s.line_y}
+        self.zn = {a: np.ones(ln.h1.dim) for a, ln in lines.items()}
+        self._ends = {a: np.zeros((ln.h1.dim, ln.l2.dim))
+                      for a, ln in lines.items()}
         t_tang = np.zeros(s.n0)     # Gamma_t data against omega traces
         b_press = np.zeros(s.n1)    # Gamma_p data against v.n traces
         n_data = np.zeros(s.n1)     # Gamma_n flux DOFs of the u.n data
+        # (v x n, omega) over the boundary minus Gamma_t, per V1 block
+        Tt = {"x": sp.csr_matrix((s.n0, s.n1x)), "y": sp.csr_matrix((s.n0, s.n1y))}
+
+        def views(vec):
+            return {"x": vec[:s.n1x].reshape(s.line_x.h1.dim, s.line_y.l2.dim),
+                    "y": vec[s.n1x:].reshape(s.line_x.l2.dim, s.line_y.h1.dim)}
+
+        v0 = t_tang.reshape(s.line_x.h1.dim, s.line_y.h1.dim)
+        b_flux, n_flux = views(b_press), views(n_data)
 
         for edge, cond in self.bc.items():
-            axis, side = _EDGE_AXIS[edge]
-            sigma = -1.0 if side == "lo" else 1.0
+            axis, end = _EDGE_AXIS[edge]
+            along = "y" if axis == "x" else "x"
+            at = (end, slice(None)) if axis == "x" else (slice(None), end)
+            sigma = 1.0 if end else -1.0
             tau = sigma * (1.0 if axis == "y" else -1.0)
-            line = s.line_y if axis == "x" else s.line_x
-            normal, cross = ("v1x", "v1y") if axis == "x" else ("v1y", "v1x")
+            pair = np.zeros(self._ends[axis].shape)
+            pair[end, end] = 1.0
+            self._ends[axis] += sigma * pair
             # boundary data on the data grid of the tangent line
+            line = lines[along]
             pts, w = line.data_grid.pts, line.data_grid.w
             El2, Eh1 = line.E_l2, line.E_h1
 
-            fs = self._edge_dofs(normal, edge)
             if cond.kind == "pressure":
                 vals = _as_values(cond.value, pts)
-                b_press[fs] += sigma * (El2.T @ (w * vals))
+                b_flux[axis][at] += sigma * (El2.T @ (w * vals))
             else:
+                self.zn[axis][end] = 0.0
                 # 1D L2 projection of the normal-velocity data
                 vals = sigma * _as_values(cond.value, pts)
-                n_data[fs] = line.mass_factor("l2").solve(El2.T @ (w * vals))
+                n_flux[axis][at] = line.mass_factor("l2").solve(El2.T @ (w * vals))
 
-            # tangential machinery: segments of Gamma_t on this edge
-            segs = cond.segments(edge, line.h1.breakpoints)
             in_gt = np.zeros(len(pts), dtype=bool)
-            v0s = self._edge_dofs("v0", edge)
-            flux_other = self._edge_dofs(cross, edge)
-            for (a, b, data) in segs:
+            for (a, b, data) in segments[edge]:
                 mask = (pts > a) & (pts < b)
                 in_gt |= mask
                 # data is the v x n trace itself, already oriented
                 vals = _as_values(data, pts[mask])
-                t_tang[v0s] += Eh1[mask].T @ (w[mask] * vals)
+                v0[at] += Eh1[mask].T @ (w[mask] * vals)
             # boundary-minus-Gamma_t pairing with the tangential velocity
             free = ~in_gt
             if np.any(free):
                 Mh1_free = Eh1[free].T @ (w[free, None] * Eh1[free])
-                nz = np.nonzero(Mh1_free)
-                Tt.append((v0s[nz[0]], flux_other[nz[1]], tau * Mh1_free[nz]))
+                Tt[along] += (sp.kron(tau * pair, Mh1_free) if axis == "x"
+                              else sp.kron(Mh1_free, tau * pair))
 
-        rows, cols, vals = map(np.concatenate, zip(*Tt)) if Tt else ([], [], [])
-        self.T_tangential = sp.coo_matrix((vals, (rows, cols)),
-                                          shape=(s.n0, s.n1)).tocsr()
+        self.T_tangential = sp.hstack([Tt["x"], Tt["y"]], format="csr")
         self.t_tangential_data = t_tang
         self.b_pressure = b_press
         self.normal_data = n_data

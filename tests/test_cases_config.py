@@ -216,6 +216,11 @@ def test_resolve_checks_boundary_from_the_api():
     with pytest.raises(ValueError, match="periodic domain"):
         SimulationConfig(case="lid_driven_cavity", periodic=True,
                          boundary={"top": EdgeBC()}).resolve()
+    # a non-periodic domain needs every edge once boundary is given
+    with pytest.raises(ValueError, match="boundary conditions missing for "
+                       "edges \\['bottom', 'right', 'top'\\]"):
+        SimulationConfig(case="taylor_green", periodic=False,
+                         boundary={"left": EdgeBC()}).resolve()
     # switching a walled case to periodic drops the case's own walls
     cfg, _ = SimulationConfig(case="lid_driven_cavity",
                               periodic=True).resolve()

@@ -256,6 +256,19 @@ def test_boundary_section_on_a_periodic_case_is_a_usage_error(cli, tmp_path):
     assert "Traceback" not in out
 
 
+def test_partial_boundary_on_a_walled_domain_is_a_usage_error(cli, tmp_path):
+    path = tmp_path / "partial.cfg"
+    path.write_text("[case]\nname = taylor_green\n[grid]\nperiodic = false\n"
+                    "[boundary.left]\nkind = normal\n")
+    result = cli.invoke(main, ["run", str(path), "--out", str(tmp_path)])
+    out = _all_output(result)
+    assert result.exit_code == 2, out
+    assert ("Error: boundary conditions missing for edges "
+            "['bottom', 'right', 'top']") in out
+    assert "Traceback" not in out
+    assert not (tmp_path / "diagnostics.csv").exists()
+
+
 def test_snapshot_energy_column_matches_diagnostics(cli, tmp_path):
     # coarse sanity link between the two output formats
     out = tmp_path / "out"

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import DOMAIN, PI, context, rand_coeffs, space
 from oracles import (DenseOracle, advection_form, interior_product,
                      mass_v0, weak_curl, weak_grad, weak_grad_with_pressure_bc)
+from flowforms.cases import case_library
 from flowforms.operators import (
     EdgeBC,
     OperatorContext,
@@ -494,10 +495,81 @@ def test_lid_data_vector_matches_edge_quadrature():
     assert np.max(np.abs(ctx.t_tangential_data - expected)) <= 1e-12
 
 
+# --- boundary terms against edge quadrature ---------------------------------
+
+def _edge_segments(cond, tline):
+    """(lo, hi, data) pieces of Gamma_t on an edge, read from the raw
+    tangential setting."""
+    tang = cond.tangential
+    if tang is None:
+        return []
+    if isinstance(tang, (list, tuple)):
+        return list(tang)
+    return [(*tline.interval, tang)]
+
+
+def _edge_data(data, pts):
+    return np.broadcast_to(data(pts) if callable(data) else float(data),
+                           pts.shape)
+
+
+def oracle_boundary_terms(ctx):
+    """T_tangential, t_tangential_data, b_pressure, normal_data and the
+    diagonal of Pn, from the dense oracle's 12-point Gauss rule along each
+    edge and its trace matrices."""
+    s = ctx.space
+    ora = oracle(s)
+    T, t = np.zeros((s.n0, s.n1)), np.zeros(s.n0)
+    b, n, pn = np.zeros(s.n1), np.zeros(s.n1), np.ones(s.n1)
+    for edge, cond in ctx.bc.items():
+        pts, w, tr, sign = ora.edge_rule(edge)
+        tline = s.line_y if edge in ("left", "right") else s.line_x
+        data = _edge_data(cond.value, pts)
+        if cond.kind == "pressure":
+            b += sign * (tr["flux"].T @ (w * data))
+        else:
+            # the flux trace is the L2 projection of the u.n data on the
+            # edge, through the flux DOFs whose trace is not zero there
+            on = np.any(tr["flux"] != 0.0, axis=0)
+            F = tr["flux"][:, on]
+            n[on] = np.linalg.solve(F.T @ (w[:, None] * F),
+                                    F.T @ (w * sign * data))
+            pn[on] = 0.0
+        free = np.ones(len(pts), dtype=bool)
+        for lo, hi, d in _edge_segments(cond, tline):
+            seg = (pts > lo) & (pts < hi)
+            free &= ~seg
+            t += tr["v0"][seg].T @ (w[seg] * _edge_data(d, pts[seg]))
+        T += ora.cross_sign(edge) * (
+            tr["v0"][free].T @ (w[free, None] * tr["tang"][free]))
+    return T, t, b, n, pn
+
+
+@pytest.mark.parametrize("npat,nc", [(1, 4), (2, 2)])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("name", ["lid_driven_cavity", "poiseuille", "blasius"])
+def test_boundary_terms_match_edge_quadrature(name, p, npat, nc):
+    # the cavity lid, the Poiseuille pressure edges and the Blasius
+    # inflow, open edges and partial plate segment
+    case = case_library(name)
+    x0, x1, y0, y1 = case.domain
+    ctx = OperatorContext(space(p, nc, npat, periodic=False,
+                                bounds=((x0, x1), (y0, y1))), bc=case.boundary)
+    T, t, b, n, pn = oracle_boundary_terms(ctx)
+    got = (ctx.T_tangential.toarray(), ctx.t_tangential_data, ctx.b_pressure,
+           ctx.normal_data, ctx.Pn.diagonal())
+    for label, a, ref in zip(("T_tangential", "t_tangential_data", "b_pressure",
+                              "normal_data", "Pn"), got, (T, t, b, n, pn)):
+        assert np.max(np.abs(a - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref))), label
+    if name == "blasius":
+        # the free part of the bottom edge and the open edges pair
+        assert np.max(np.abs(T)) > 1e-3
+
+
 # --- context validation and forcing ------------------------------------------
 
 def test_context_rejects_unknown_edge():
-    with pytest.raises(ValueError, match="unknown edge"):
+    with pytest.raises(ValueError, match="unknown boundary edges"):
         OperatorContext(space(1, 4, 1, periodic=False),
                         bc={"north": EdgeBC()})
 

@@ -490,10 +490,9 @@ def test_leray_project_preserves_flux_data():
     ctx = context(2, 4, 1, "walls")
     u = set_normal_data(ctx, rand_coeffs(ctx.space, 1, seed=10))
     u1 = leray_project(ctx, u)
-    for edge, block in (("left", "v1x"), ("right", "v1x"),
-                        ("bottom", "v1y"), ("top", "v1y")):
-        fs = ctx._edge_dofs(block, edge)
-        assert np.array_equal(u1.coeffs[fs], u.coeffs[fs])
+    fs = ctx.Pn.diagonal() == 0.0
+    assert np.any(fs)
+    assert np.array_equal(u1.coeffs[fs], u.coeffs[fs])
 
 
 def test_initialize_taylor_green():
