@@ -255,6 +255,7 @@ class OperatorContext:
                               else sp.kron(Mh1_free, tau * pair))
 
         self.T_tangential = sp.hstack([Tt["x"], Tt["y"]], format="csr")
+        self.T_tangentialT = self.T_tangential.T.tocsr()
         self.t_tangential_data = t_tang
         self.b_pressure = b_press
         self.normal_data = n_data
@@ -392,13 +393,15 @@ def advection_residual(ctx: OperatorContext, u, v) -> np.ndarray:
 # --- viscosity --------------------------------------------------------------
 
 def viscous_residual(ctx: OperatorContext, u) -> np.ndarray:
-    """Dual vector of the viscous term: M1 Curl Pc0 (Ct_bc u)."""
+    """Dual vector of the viscous term: (M1 Curl Pc0 - T1^T) (Ct_bc u)."""
     omega = weak_curl_with_tangential_bc(ctx, u).coeffs
-    return ctx.space.M1 @ (ctx.space.Curl @ (ctx.space.Pc0 @ omega))
+    return ctx.space.M1 @ (ctx.CP0 @ omega) - ctx.T_tangentialT @ omega
 
 
 def viscous_form(ctx: OperatorContext, u, v) -> float:
-    """d_h(u, v): boundary-aware curl on the trial side, boundaryless on
-    the test side (they coincide on periodic domains): the M0^-1 of the
-    boundaryless curl cancels against the M0 of their pairing."""
+    """d_h(u, v) = (Ct_bc u, Ct_0 v)_M0: the boundary-aware curl on both
+    sides, with the Gamma_t data on the trial side only. Its homogeneous
+    part K^T M0^-1 K, K = (Curl Pc0)^T M1 - T1, is symmetric and positive
+    semidefinite on every boundary: on edges outside Gamma_t the pairing
+    T1 enters both sides, and on Gamma_t edges it is empty."""
     return float(viscous_residual(ctx, u) @ coeffs_of(v))

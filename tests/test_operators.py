@@ -247,6 +247,34 @@ def test_viscous_form_nonnegative_and_symmetric(p, nc, npat):
     assert rel(viscous_form(ctx, u, v), viscous_form(ctx, v, u)) <= 1e-12
 
 
+VISCOUS_BOUNDARY = {
+    "free-slip box": (DOMAIN, {e: EdgeBC("normal", 0.0) for e in
+                               ("left", "right", "bottom", "top")}),
+    "gamma_p channel": (DOMAIN, {"left": EdgeBC("normal", 0.0),
+                                 "right": EdgeBC("normal", 0.0),
+                                 "bottom": EdgeBC("pressure", 0.0),
+                                 "top": EdgeBC("pressure", 0.0)}),
+    "blasius": (((-1.0, 1.0), (0.0, 0.5)), case_library("blasius").boundary),
+}
+
+
+@pytest.mark.parametrize("npat,nc", [(1, 8), (2, 4)])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("setup", list(VISCOUS_BOUNDARY))
+def test_viscous_form_is_symmetric_positive_semidefinite_on_walls(setup, p,
+                                                                 npat, nc):
+    # edges outside Gamma_t: the boundary-aware curl on both sides of d_h
+    bounds, bc = VISCOUS_BOUNDARY[setup]
+    ctx = OperatorContext(space(p, nc, npat, periodic=False, bounds=bounds),
+                          bc=bc)
+    r0 = viscous_residual(ctx, np.zeros(ctx.space.n1))
+    D = np.column_stack([viscous_residual(ctx, e) - r0
+                         for e in np.identity(ctx.space.n1)])
+    lam = np.linalg.eigvalsh(0.5 * (D + D.T))
+    assert lam[0] >= -1e-10 * lam[-1], (lam[0], lam[-1])
+    assert np.max(np.abs(D - D.T)) <= 1e-12 * lam[-1]
+
+
 def test_viscous_form_annihilates_weak_gradients():
     ctx = context(2, 4, 1, "periodic")
     q = rand_coeffs(ctx.space, 2, seed=24)
