@@ -159,7 +159,8 @@ class OperatorContext:
         self.Q, self.G, self.L, self.dense = zip(*map(
             self._line_factors, (space.line_x, space.line_y),
             (space.Px, space.Py), (self.zn["x"], self.zn["y"]),
-            (self._ends["x"], self._ends["y"])))
+            (self._ends["x"], self._ends["y"]),
+            (self._walls["x"], self._walls["y"])))
 
         self.f_vec = np.zeros(space.n1)
         if forcing is not None:
@@ -173,21 +174,24 @@ class OperatorContext:
         self._solver = None
 
     # --- 1D factors of the dual operators -----------------------------------
-    def _line_factors(self, line, P, z, T):
+    def _line_factors(self, line, P, z, T, Tw):
         """Dense factors of one line, each acting along its own axis only:
         the interior product Q = M_l2^-1 B, the whole-boundary dual
-        gradient G = M_h1^-1 (T - (D P)^T M_l2), and L = M_l2 D P M_h1^-1.
-        T pairs the h1 and l2 end DOFs of the line's edges in bc: -1 on
-        the lo edge, +1 on the hi edge. Last, what `TensorPoissonSolver`
-        builds each gamma's solvers from: the dense M_h1, J^T M_h1 J
-        (J = I - P), M_l2 and D P, and the Gamma_n mask z."""
+        gradient G = M_h1^-1 (T - (D P)^T M_l2) of the trial slot, and
+        L = (M_l2 D P - Tw^T) M_h1^-1 of the test slot. T pairs the h1 and
+        l2 end DOFs of the line's edges in bc: -1 on the lo edge, +1 on
+        the hi edge; Tw keeps the wall edges of T only. On walls L = -G^T,
+        so c(u, v, v) = 0; on open edges the advective energy flux stays.
+        Last, what `TensorPoissonSolver` builds each gamma's solvers from:
+        the dense M_h1, J^T M_h1 J (J = I - P), M_l2 and D P, and the
+        Gamma_n mask z."""
         h1_inv = line.mass_factor("h1").inv
         M = line.M_h1.toarray()
         J = np.identity(line.h1.dim) - P.toarray()
         Ml2 = line.M_l2.toarray()
         DP = (line.D @ P).toarray()
         Q = line.mass_factor("l2").solve(line.B.toarray())
-        return (Q, h1_inv @ (T - DP.T @ Ml2), Ml2 @ DP @ h1_inv,
+        return (Q, h1_inv @ (T - DP.T @ Ml2), (Ml2 @ DP - Tw.T) @ h1_inv,
                 (M, J.T @ M @ J, Ml2, DP, z))
 
     # --- boundary matrices and data vectors --------------------------------
@@ -198,12 +202,14 @@ class OperatorContext:
         the V1 blocks: the flux block is the V1 component across the edge,
         the cross block the one along it. Per line it also records the
         Gamma_n mask zn (0 on the h1 end DOF of a Gamma_n edge) and the
-        end pairing of `_line_factors`."""
+        end pairings of `_line_factors`, of all edges and of the walls:
+        the Gamma_n edges whose data is the constant 0."""
         s = self.space
         lines = {"x": s.line_x, "y": s.line_y}
         self.zn = {a: np.ones(ln.h1.dim) for a, ln in lines.items()}
         self._ends = {a: np.zeros((ln.h1.dim, ln.l2.dim))
                       for a, ln in lines.items()}
+        self._walls = {a: np.zeros_like(T) for a, T in self._ends.items()}
         t_tang = np.zeros(s.n0)     # Gamma_t data against omega traces
         b_press = np.zeros(s.n1)    # Gamma_p data against v.n traces
         n_data = np.zeros(s.n1)     # Gamma_n flux DOFs of the u.n data
@@ -236,6 +242,8 @@ class OperatorContext:
                 b_flux[axis][at] += sigma * (El2.T @ (w * vals))
             else:
                 self.zn[axis][end] = 0.0
+                if not callable(cond.value) and float(cond.value) == 0.0:
+                    self._walls[axis] += sigma * pair
                 # 1D L2 projection of the normal-velocity data
                 vals = sigma * _as_values(cond.value, pts)
                 n_flux[axis][at] = line.mass_factor("l2").solve(El2.T @ (w * vals))

@@ -229,17 +229,17 @@ class DenseOracle:
         B = self.B1 if k == 1 else self.B2
         return np.linalg.solve(self.M2, B @ np.asarray(u))
 
-    def advection_form(self, Pc1, u, v, w, bounded=False):
+    def advection_form(self, Pc1, u, v, w, trial_edges=(), test_edges=()):
         """c_h(u, v, w) by direct quadrature: the advected slot (second)
-        carries the whole-boundary gradient, the test slot (third) the
-        boundaryless one."""
+        carries the dual gradient paired on `trial_edges`, the test
+        slot (third) the one paired on `test_edges`."""
         acc = 0.0
         ux, uy = self.v1_values(u)
         for k in (1, 2):
             iv = self.interior(v, k)
             iw = self.interior(w, k)
-            gv = self.weak_grad_full(Pc1, iv) if bounded else self.weak_grad(Pc1, iv)
-            gw = self.weak_grad(Pc1, iw)
+            gv = self.weak_grad_full(Pc1, iv, trial_edges)
+            gw = self.weak_grad_full(Pc1, iw, test_edges)
             gvx, gvy = self.v1_values(gv)
             gwx, gwy = self.v1_values(gw)
             ivv = self.v2_values(iv)
@@ -310,10 +310,11 @@ class DenseOracle:
             acc += sign * np.dot(w, (tr["v2"] @ q) * (tr["flux"] @ v))
         return acc
 
-    def weak_grad_full(self, Pc1, q):
-        """Whole-boundary dual gradient (the advected-slot variant)."""
+    def weak_grad_full(self, Pc1, q, edges=EDGES):
+        """Dual gradient with the trace pairing on the given edges (the
+        whole boundary by default; none is the boundaryless gradient)."""
         rhs = -(self.dt_matrix(Pc1).T @ (self.M2 @ np.asarray(q)))
-        for edge in EDGES:
+        for edge in edges:
             pts, w, tr, sign = self.edge_rule(edge)
             rhs = rhs + sign * (tr["flux"].T @ (w * (tr["v2"] @ q)))
         return np.linalg.solve(self.M1, rhs)
@@ -395,22 +396,28 @@ def mixed_matrix(space, k: int):
     return sp.hstack(blocks, format="csr")
 
 
-def weak_grad_full_sparse(ctx, q):
-    """Whole-boundary dual gradient by 2D sparse assembly and a 2D mass
-    solve: M1 x = -(Div Pc1)^T M2 q + T q, where T pairs the flux and V2
-    end DOFs of each edge in bc (-1 lo, +1 hi) times the l2 mass along
-    the edge."""
+def walls(ctx):
+    """The wall edges: u.n prescribed as the constant 0."""
+    return [e for e, c in ctx.bc.items() if c.kind == "normal"
+            and not callable(c.value) and float(c.value) == 0.0]
+
+
+def weak_grad_full_sparse(ctx, q, edges=None):
+    """Dual gradient by 2D sparse assembly and a 2D mass solve:
+    M1 x = -(Div Pc1)^T M2 q + T q, where T pairs the flux and V2 end DOFs
+    of each of the edges (default: every edge in bc; -1 lo, +1 hi) times
+    the l2 mass along the edge."""
     s = ctx.space
     lx, ly = s.line_x, s.line_y
+    edges = ctx.bc if edges is None else edges
 
-    def ends(line, edges):
+    def ends(line, lo, hi):
         T = sp.lil_matrix((line.h1.dim, line.l2.dim))
-        if set(edges) & set(ctx.bc):
-            T[0, 0], T[-1, -1] = -1.0, 1.0
+        T[0, 0], T[-1, -1] = -float(lo in edges), float(hi in edges)
         return T
 
-    T = sp.vstack([sp.kron(ends(lx, ("left", "right")), ly.M_l2),
-                   sp.kron(lx.M_l2, ends(ly, ("bottom", "top")))], format="csr")
+    T = sp.vstack([sp.kron(ends(lx, "left", "right"), ly.M_l2),
+                   sp.kron(lx.M_l2, ends(ly, "bottom", "top"))], format="csr")
     qc = coeffs_of(q)
     return s.solve_M1(-(ctx.DtT @ (s.M2 @ qc)) + T @ qc)
 
@@ -418,6 +425,9 @@ def weak_grad_full_sparse(ctx, q):
 def advection_form(ctx, u, v, w) -> float:
     """Trilinear form c_h(u, v, w), evaluated by direct quadrature of the
     two product integrands (independent composition from the residual).
+    The advected slot v carries the whole-boundary gradient, the test
+    slot w the gradient paired on the walls only, so the form is skew on
+    walled domains and keeps the advective flux through open edges.
     It integrates on the elevated data grid, not on the exact grid the
     residual uses, so it also checks that rule."""
     s = ctx.space
@@ -431,7 +441,7 @@ def advection_form(ctx, u, v, w) -> float:
         ikw = s.solve_M2(B @ wc)
         gvx, gvy = s.grid_eval_v1(weak_grad_full_sparse(ctx, ikv), grid)
         gwx, gwy = s.grid_eval_v1(
-            s.solve_M1(-(ctx.DtT @ (s.M2 @ ikw))), grid)
+            weak_grad_full_sparse(ctx, ikw, walls(ctx)), grid)
         ikw_vals = s.grid_eval_v2(ikw, grid)
         ikv_vals = s.grid_eval_v2(ikv, grid)
         integrand = ikw_vals * (uvx * gvx + uvy * gvy) \

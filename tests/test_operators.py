@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import DOMAIN, PI, context, rand_coeffs, space
 from oracles import (DenseOracle, advection_form, interior_product,
-                     mass_v0, weak_curl, weak_grad, weak_grad_with_pressure_bc)
+                     mass_v0, walls, weak_curl, weak_grad,
+                     weak_grad_with_pressure_bc)
 from flowforms.cases import case_library
 from flowforms.operators import (
     EdgeBC,
@@ -181,6 +182,19 @@ def test_advection_skew_symmetry_random(seed):
     assert abs(c) <= 1e-12 * max(1.0, float(u @ u), float(v @ v))
 
 
+@pytest.mark.parametrize("npat,nc", [(1, 4), (2, 2)])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_advection_residual_is_skew_on_walls(p, npat, nc):
+    # u.n = 0 on every edge: c(u, v, v) = 0 for any u and v, so the
+    # advection does no work on the walled velocity
+    ctx = context(p, nc, npat, "walls")
+    rng = np.random.default_rng(p + 10 * npat)
+    for _ in range(3):
+        u, v = rng.standard_normal((2, ctx.space.n1))
+        r = advection_residual(ctx, u, v)
+        assert abs(r @ v) <= 1e-13 * np.linalg.norm(r) * np.linalg.norm(v)
+
+
 @pytest.mark.parametrize("p,nc,npat,mode", [
     pytest.param(2, 4, 1, "periodic", id="periodic"),
     pytest.param(2, 4, 1, "free", id="free"),
@@ -214,7 +228,7 @@ def test_advection_form_matches_dense_oracle(p, nc, npat, mode):
     w = rand_coeffs(ctx.space, 1, seed=20)
     got = advection_form(ctx, u, v, w)
     ref = ora.advection_form(ctx.space.Pc1.toarray(), u, v, w,
-                             bounded=(mode == "mixed"))
+                             trial_edges=list(ctx.bc), test_edges=walls(ctx))
     assert rel(got, ref) <= 1e-11
     # the residual integrates on the minimal exact grid, the two above on
     # finer rules: all three agree only if that grid is exact
