@@ -13,8 +13,7 @@ plain L2 adjoints. Boundary integrals all reduce to 1D mass/moment
 matrices along the edge, since spline trace DOFs carry the boundary
 values. Viewed as an (x index, y index) array, each V0 or V1 block holds
 an edge's trace DOFs in one slice: row 0 or -1 for the left and right
-edges, column 0 or -1 for the bottom and top edges. `check_boundary`
-validates the edge set once, for the config and the context alike.
+edges, column 0 or -1 for the bottom and top edges.
 
 The interior product, the whole-boundary dual gradient and M2 Div M1^-1
 each act along one axis only: `OperatorContext` keeps them as dense 1D
@@ -152,15 +151,7 @@ class OperatorContext:
         self.CP0T = self.CP0.T.tocsr()
 
         self._assemble_boundary_terms(segments)
-        # Pn = blockdiag(diag(zx) (x) I, I (x) diag(zy)), built from its diagonal
-        self.Pn = sp.diags(np.concatenate([
-            np.kron(self.zn["x"], np.ones(space.line_y.l2.dim)),
-            np.kron(np.ones(space.line_x.l2.dim), self.zn["y"])]), format="csr")
-        self.Q, self.G, self.L, self.dense = zip(*map(
-            self._line_factors, (space.line_x, space.line_y),
-            (space.Px, space.Py), (self.zn["x"], self.zn["y"]),
-            (self._ends["x"], self._ends["y"]),
-            (self._walls["x"], self._walls["y"])))
+        self.Q, self.G, self.L, self.dense = zip(*map(self._line_factors, "xy"))
 
         self.f_vec = np.zeros(space.n1)
         if forcing is not None:
@@ -174,17 +165,18 @@ class OperatorContext:
         self._solver = None
 
     # --- 1D factors of the dual operators -----------------------------------
-    def _line_factors(self, line, P, z, T, Tw):
-        """Dense factors of one line, each acting along its own axis only:
-        the interior product Q = M_l2^-1 B, the whole-boundary dual
-        gradient G = M_h1^-1 (T - (D P)^T M_l2) of the trial slot, and
-        L = (M_l2 D P - Tw^T) M_h1^-1 of the test slot. T pairs the h1 and
-        l2 end DOFs of the line's edges in bc: -1 on the lo edge, +1 on
-        the hi edge; Tw keeps the wall edges of T only. On walls L = -G^T,
-        so c(u, v, v) = 0; on open edges the advective energy flux stays.
+    def _line_factors(self, axis):
+        """Dense factors of the x or y line, each acting along its own axis
+        only: the interior product Q = M_l2^-1 B, the whole-boundary dual
+        gradient G = M_h1^-1 (T - (D P)^T M_l2) and L = (M_l2 D P - Tw^T)
+        M_h1^-1. T pairs the h1 and l2 end DOFs of the line's edges in bc
+        (-1 lo, +1 hi). Tw keeps its walls only: there L = -G^T makes
+        c(u, v, v) = 0, and open edges keep their advective energy flux.
         Last, what `TensorPoissonSolver` builds each gamma's solvers from:
-        the dense M_h1, J^T M_h1 J (J = I - P), M_l2 and D P, and the
-        Gamma_n mask z."""
+        the dense M_h1, J^T M_h1 J (J = I - P), M_l2, D P and the mask z."""
+        s = self.space
+        line, P = (s.line_x, s.Px) if axis == "x" else (s.line_y, s.Py)
+        T, Tw, z = self._ends[axis], self._walls[axis], self.zn[axis]
         h1_inv = line.mass_factor("h1").inv
         M = line.M_h1.toarray()
         J = np.identity(line.h1.dim) - P.toarray()
@@ -197,13 +189,11 @@ class OperatorContext:
     # --- boundary matrices and data vectors --------------------------------
     def _assemble_boundary_terms(self, segments):
         """One pass over the edges. An edge on end e of the line across it
-        places its terms on the trace slice [e, :] (left, right) or [:, e]
-        (bottom, top) of the (x index, y index) views of the V0 block and
-        the V1 blocks: the flux block is the V1 component across the edge,
-        the cross block the one along it. Per line it also records the
-        Gamma_n mask zn (0 on the h1 end DOF of a Gamma_n edge) and the
-        end pairings of `_line_factors`, of all edges and of the walls:
-        the Gamma_n edges whose data is the constant 0."""
+        places its terms on the slice [e, :] (left, right) or [:, e]
+        (bottom, top) of the (x index, y index) views of the V0 and V1
+        blocks, and per line, the Gamma_n mask zn (0 on the h1 end DOF of
+        a Gamma_n edge) and the end pairings of `_line_factors`, of all
+        edges and of the walls: Gamma_n edges with the constant data 0."""
         s = self.space
         lines = {"x": s.line_x, "y": s.line_y}
         self.zn = {a: np.ones(ln.h1.dim) for a, ln in lines.items()}
@@ -213,6 +203,7 @@ class OperatorContext:
         t_tang = np.zeros(s.n0)     # Gamma_t data against omega traces
         b_press = np.zeros(s.n1)    # Gamma_p data against v.n traces
         n_data = np.zeros(s.n1)     # Gamma_n flux DOFs of the u.n data
+        pn = np.ones(s.n1)          # the diagonal of Pn
         # (v x n, omega) over the boundary minus Gamma_t, per V1 block
         Tt = {"x": sp.csr_matrix((s.n0, s.n1x)), "y": sp.csr_matrix((s.n0, s.n1y))}
 
@@ -221,7 +212,7 @@ class OperatorContext:
                     "y": vec[s.n1x:].reshape(s.line_x.l2.dim, s.line_y.h1.dim)}
 
         v0 = t_tang.reshape(s.line_x.h1.dim, s.line_y.h1.dim)
-        b_flux, n_flux = views(b_press), views(n_data)
+        b_flux, n_flux, pn_flux = map(views, (b_press, n_data, pn))
 
         for edge, cond in self.bc.items():
             axis, end = _EDGE_AXIS[edge]
@@ -241,7 +232,7 @@ class OperatorContext:
                 vals = _as_values(cond.value, pts)
                 b_flux[axis][at] += sigma * (El2.T @ (w * vals))
             else:
-                self.zn[axis][end] = 0.0
+                self.zn[axis][end] = pn_flux[axis][at] = 0.0
                 if not callable(cond.value) and float(cond.value) == 0.0:
                     self._walls[axis] += sigma * pair
                 # 1D L2 projection of the normal-velocity data
@@ -257,13 +248,13 @@ class OperatorContext:
                 v0[at] += Eh1[mask].T @ (w[mask] * vals)
             # boundary-minus-Gamma_t pairing with the tangential velocity
             free = ~in_gt
-            if np.any(free):
-                Mh1_free = Eh1[free].T @ (w[free, None] * Eh1[free])
-                Tt[along] += (sp.kron(tau * pair, Mh1_free) if axis == "x"
-                              else sp.kron(Mh1_free, tau * pair))
+            Mh1_free = Eh1[free].T @ (w[free, None] * Eh1[free])
+            Tt[along] += (sp.kron(tau * pair, Mh1_free) if axis == "x"
+                          else sp.kron(Mh1_free, tau * pair))
 
         self.T_tangential = sp.hstack([Tt["x"], Tt["y"]], format="csr")
         self.T_tangentialT = self.T_tangential.T.tocsr()
+        self.Pn = sp.diags(pn, format="csr")
         self.t_tangential_data = t_tang
         self.b_pressure = b_press
         self.normal_data = n_data
@@ -410,6 +401,5 @@ def viscous_form(ctx: OperatorContext, u, v) -> float:
     """d_h(u, v) = (Ct_bc u, Ct_0 v)_M0: the boundary-aware curl on both
     sides, with the Gamma_t data on the trial side only. Its homogeneous
     part K^T M0^-1 K, K = (Curl Pc0)^T M1 - T1, is symmetric and positive
-    semidefinite on every boundary: on edges outside Gamma_t the pairing
-    T1 enters both sides, and on Gamma_t edges it is empty."""
+    semidefinite on every boundary."""
     return float(viscous_residual(ctx, u) @ coeffs_of(v))
