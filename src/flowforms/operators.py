@@ -239,18 +239,18 @@ class OperatorContext:
                 vals = sigma * _as_values(cond.value, pts)
                 n_flux[axis][at] = line.mass_factor("l2").solve(El2.T @ (w * vals))
 
-            in_gt = np.zeros(len(pts), dtype=bool)
+            free = np.ones(len(pts), dtype=bool)    # outside Gamma_t
             for (a, b, data) in segments[edge]:
                 mask = (pts > a) & (pts < b)
-                in_gt |= mask
+                free &= ~mask
                 # data is the v x n trace itself, already oriented
                 vals = _as_values(data, pts[mask])
                 v0[at] += Eh1[mask].T @ (w[mask] * vals)
             # boundary-minus-Gamma_t pairing with the tangential velocity
-            free = ~in_gt
-            Mh1_free = Eh1[free].T @ (w[free, None] * Eh1[free])
-            Tt[along] += (sp.kron(tau * pair, Mh1_free) if axis == "x"
-                          else sp.kron(Mh1_free, tau * pair))
+            if np.any(free):
+                Mh1_free = Eh1[free].T @ (w[free, None] * Eh1[free])
+                Tt[along] += (sp.kron(tau * pair, Mh1_free) if axis == "x"
+                              else sp.kron(Mh1_free, tau * pair))
 
         self.T_tangential = sp.hstack([Tt["x"], Tt["y"]], format="csr")
         self.T_tangentialT = self.T_tangential.T.tocsr()
