@@ -218,7 +218,7 @@ class OperatorContext:
             axis, end = _EDGE_AXIS[edge]
             along = "y" if axis == "x" else "x"
             at = (end, slice(None)) if axis == "x" else (slice(None), end)
-            sigma = 1.0 if end else -1.0
+            sigma = 1.0 if end else -1.0    # the outward normal's sign
             tau = sigma * (1.0 if axis == "y" else -1.0)
             pair = np.zeros(self._ends[axis].shape)
             pair[end, end] = 1.0
