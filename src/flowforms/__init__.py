@@ -5,8 +5,7 @@ object (SimulationConfig) and one midpoint sweep (midpoint_sweep)."""
 
 from .linalg import (KroneckerSolver, QuadratureRule, SPDInverse,
                      gauss_legendre)
-from .splines import (Broken1D, DeRhamLine, SplineSpace1D,
-                      derivative_incidence_1d)
+from .splines import Broken1D, DeRhamLine
 from .spaces import (Field, TensorDeRhamSpace, eval_field, l2_project,
                      projection_stencil_1d)
 from .multipatch import build_multipatch

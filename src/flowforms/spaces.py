@@ -37,13 +37,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linalg import KroneckerSolver
-from .splines import (BasisTable, Broken1D, DeRhamLine, LineGrid, SplineSpace1D,
-                      cell_quadrature, collocation_matrix)
-
-
-class DegenerateStencilError(RuntimeError):
-    """Moment system of the interface stencil is singular, or the stencil
-    does not fit in the patches."""
+from .splines import (BasisTable, Broken1D, DegenerateStencilError, DeRhamLine,
+                      LineGrid, cell_quadrature)
 
 
 def projection_stencil_1d(degree, n_cells=None) -> np.ndarray:
@@ -62,9 +57,9 @@ def projection_stencil_1d(degree, n_cells=None) -> np.ndarray:
         n_cells = r + 1
     # moment integrals I[i, j] = int_patch phi_i(x) x^j dx on unit cells,
     # phi_i = i-th clamped basis function counted from the interface
-    space = SplineSpace1D(degree, n_cells, (0.0, float(n_cells)), False)
+    space = Broken1D(degree, 1, n_cells, (0.0, float(n_cells)), False)
     pts, w = cell_quadrature(space.breakpoints, 2 * degree + 1)
-    E = collocation_matrix(space, pts).toarray()[:, : r + 1]
+    E = space.collocation(pts).toarray()[:, : r + 1]
     powers = pts[:, None] ** np.arange(r)[None, :]
     I = E.T @ (w[:, None] * powers)  # (r+1, r)
 
@@ -74,44 +69,31 @@ def projection_stencil_1d(degree, n_cells=None) -> np.ndarray:
     return np.concatenate([[0.5], np.linalg.solve(A, 0.5 * I[0, :])])
 
 
-def conforming_projection_1d(space: Broken1D, c) -> sp.csr_matrix:
-    """1D conforming projection on a broken degree-(p+1) space.
+def conforming_projection_1d(space: Broken1D) -> sp.csr_matrix:
+    """1D conforming projection on a broken degree-(p+1) space; the
+    identity on a single patch.
 
     Identity away from interfaces; at each interface the two coupled DOF
-    columns are replaced by the averaging stencil c. Requires the stencil
-    to stay inside the two adjacent patches."""
+    columns are replaced by the averaging stencil c of the space's degree.
+    Its integrals depend only on the cell count per patch, not on h, and
+    it fits in the two adjacent patches, which `Broken1D.check` makes at
+    least two cells wide."""
     interfaces = space.interfaces()
     if not interfaces:
         return sp.identity(space.dim, format="csr")
-    r = len(c) - 1
-    per_patch = space.spaces[0].dim
-    if r > per_patch - 2:
-        raise DegenerateStencilError(
-            f"stencil radius {r} does not fit in patches with {per_patch} DOFs"
-        )
-
+    c = projection_stencil_1d(space.degree, n_cells=space.cells_per_patch)
     iface_cols = {idx for pair in interfaces for idx in pair}
     triplets = [(k, k, 1.0) for k in range(space.dim) if k not in iface_cols]
     for L, R in interfaces:
         # column R: the first DOF of the right patch; column L: the last
         # DOF of the left patch
         triplets += [(L, R, 0.5), (R, R, 0.5), (L, L, 0.5), (R, L, 0.5)]
-        for i in range(1, r + 1):
+        for i in range(1, len(c)):
             triplets += [(R + i, R, c[i]), (L - i, R, -c[i]),
                          (L - i, L, c[i]), (R + i, L, -c[i])]
     rows, cols, vals = zip(*triplets)
     return sp.coo_matrix((vals, (rows, cols)),
                          shape=(space.dim, space.dim)).tocsr()
-
-
-def _line_projection(line: DeRhamLine) -> sp.csr_matrix:
-    """Conforming projection of a line's h1 space; the identity when the
-    line has a single patch. Stencil integrals depend only on the cell
-    count per patch, not on h."""
-    if not line.h1.broken:
-        return sp.identity(line.h1.dim, format="csr")
-    c = projection_stencil_1d(line.p + 1, n_cells=line.cells_per_patch)
-    return conforming_projection_1d(line.h1, c)
 
 
 @dataclass
@@ -225,8 +207,8 @@ class TensorDeRhamSpace:
         self.grid = TensorGrid(line_x.grid, line_y.grid)
         self.data_grid = TensorGrid(line_x.data_grid, line_y.data_grid)
 
-        self.Px = _line_projection(line_x)
-        self.Py = _line_projection(line_y)
+        self.Px = conforming_projection_1d(line_x.h1)
+        self.Py = conforming_projection_1d(line_y.h1)
         self.Pc0 = sp.kron(self.Px, self.Py, format="csr")
         self.Pc1 = sp.block_diag(
             [sp.kron(self.Px, Il2y, format="csr"),

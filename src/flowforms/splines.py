@@ -7,9 +7,11 @@ derivative space, the derivative incidence matrix between them, and the
 1D mass/mixed matrices. All global 2D operators are Kronecker products
 of these 1D objects.
 
-Conventions: uniform breakpoints; clamped (open) knot vectors on bounded
-directions, periodic wrap otherwise; broken directions use per-patch
-clamped spaces concatenated patch by patch.
+Conventions: uniform breakpoints; one knot vector a line, clamped (open)
+on bounded directions, periodic wrap on a periodic single patch. A patch
+interface is a knot of multiplicity degree+1, where the basis is
+discontinuous: a broken space is the ordinary B-spline space on that
+knot vector, and a single patch is its case without interfaces.
 """
 
 from __future__ import annotations
@@ -24,88 +26,109 @@ from scipy.interpolate import BSpline
 from .linalg import SPDInverse, gauss_legendre
 
 
-class SplineSpace1D:
-    """One univariate B-spline space on uniform breakpoints."""
+class DegenerateStencilError(ValueError):
+    """Moment system of the interface stencil is singular, or the stencil
+    does not fit in the patches."""
 
-    def __init__(self, degree: int, n_cells: int, interval, periodic: bool):
+
+class Broken1D:
+    """The scalar B-spline space of one degree over n_patches equal
+    patches of uniform cells: one knot vector, clamped at the ends, whose
+    interior patch bounds are knots of multiplicity degree+1, so the
+    space is discontinuous there and its DOFs run patch by patch. A
+    periodic single patch has the uniform knots extended degree cells
+    past both ends instead, with basis k identified with k mod dim."""
+
+    def __init__(self, degree, n_patches, cells_per_patch, interval, periodic):
+        self.check(degree, n_patches, cells_per_patch, interval, periodic)
         a, b = float(interval[0]), float(interval[1])
+        self.degree = degree
+        self.n_patches = n_patches
+        self.cells_per_patch = cells_per_patch
+        self.periodic = periodic
+        self.wraps = periodic and n_patches == 1   # basis folds modulo dim
+        self.interval = (a, b)
+        self.patch_bounds = np.linspace(a, b, n_patches + 1)
+        self.h = (self.patch_bounds[1] - a) / cells_per_patch
+        self.breakpoints = np.append(np.linspace(
+            self.patch_bounds[:-1], self.patch_bounds[1:], cells_per_patch,
+            endpoint=False, axis=1).ravel(), b)
+        if self.wraps:
+            self.knots = a + self.h * np.arange(
+                -degree, cells_per_patch + degree + 1)
+            self.dim = cells_per_patch
+        else:
+            mult = np.ones(len(self.breakpoints), dtype=np.int64)
+            mult[::cells_per_patch] = degree + 1
+            self.knots = np.repeat(self.breakpoints, mult)
+            self.dim = len(self.knots) - degree - 1
+        self.offsets = np.arange(n_patches + 1) * (self.dim // n_patches)
+
+    @staticmethod
+    def check(degree, n_patches, cells_per_patch, interval, periodic):
+        """Raise ValueError unless the arguments make a space: a periodic
+        single patch needs more cells than its degree, and a broken line
+        two cells a patch, or the interface stencil does not fit."""
         if degree < 0:
             raise ValueError(f"degree must be >= 0, got {degree}")
-        if n_cells < 1:
-            raise ValueError(f"n_cells must be >= 1, got {n_cells}")
-        if not b > a:
-            raise ValueError(f"empty interval [{a}, {b}]")
-        if periodic and n_cells <= degree:
+        if n_patches < 1 or cells_per_patch < 1:
+            raise ValueError("need at least one patch and one cell a patch")
+        if not interval[1] > interval[0]:
+            raise ValueError(f"empty interval [{interval[0]}, {interval[1]}]")
+        if periodic and n_patches == 1 and cells_per_patch <= degree:
             raise ValueError(
-                f"periodic space needs n_cells > degree ({n_cells} <= {degree})"
-            )
-        self.degree = degree
-        self.n_cells = n_cells
-        self.periodic = periodic
-        self.breakpoints = np.linspace(a, b, n_cells + 1)
-        self.h = (b - a) / n_cells
-        if periodic:
-            # uniform knots extended degree cells past both ends; basis
-            # functions are identified modulo n_cells
-            self.knots = a + self.h * np.arange(-degree, n_cells + degree + 1)
-            self.dim = n_cells
-        else:
-            interior = self.breakpoints[1:-1]
-            self.knots = np.concatenate(
-                [np.full(degree + 1, a), interior, np.full(degree + 1, b)]
-            )
-            self.dim = n_cells + degree
+                f"a periodic patch of degree {degree} needs more than "
+                f"{degree} cells, got {cells_per_patch}")
+        if n_patches > 1 and cells_per_patch < 2:
+            raise DegenerateStencilError(
+                "a broken line needs at least 2 cells per patch, got 1")
 
     @property
-    def interval(self):
-        return self.breakpoints[0], self.breakpoints[-1]
+    def broken(self) -> bool:
+        return self.n_patches > 1
 
+    def interfaces(self):
+        """(last DOF of left patch, first DOF of right patch) per interior
+        interface; includes the wrap pair when periodic and broken."""
+        pairs = [(int(k) - 1, int(k)) for k in self.offsets[1:-1]]
+        if self.periodic and self.broken:
+            pairs.append((self.dim - 1, 0))
+        return pairs
 
-def collocation_matrix(space: SplineSpace1D, x) -> sp.csr_matrix:
-    """Rows of basis values at the points x. Shape (len(x), space.dim)."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    a, b = space.interval
-    if space.periodic:
-        xf = a + np.mod(x - a, b - a)
-        E = BSpline.design_matrix(xf, space.knots, space.degree)
-        n_ext = E.shape[1]
-        fold = sp.csr_matrix(
-            (np.ones(n_ext), (np.arange(n_ext), np.arange(n_ext) % space.dim)),
-            shape=(n_ext, space.dim),
-        )
-        return (E @ fold).tocsr()
-    if np.any(x < a - 1e-12 * (b - a)) or np.any(x > b + 1e-12 * (b - a)):
-        raise ValueError("evaluation point outside the space interval")
-    return BSpline.design_matrix(np.clip(x, a, b), space.knots, space.degree).tocsr()
+    def collocation(self, x) -> sp.csr_matrix:
+        """Rows of basis values at the points x, shape (len(x), dim). A
+        point on a patch interface takes the right-side patch."""
+        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        a, b = self.interval
+        if self.wraps:
+            E = BSpline.design_matrix(a + np.mod(x - a, b - a), self.knots,
+                                      self.degree)
+            k = np.arange(E.shape[1])     # extended basis k is k mod dim
+            fold = sp.csr_matrix((np.ones(len(k)), (k, k % self.dim)))
+            return (E @ fold).tocsr()
+        if np.any(x < a - 1e-12 * (b - a)) or np.any(x > b + 1e-12 * (b - a)):
+            raise ValueError("evaluation point outside the space interval")
+        return BSpline.design_matrix(np.clip(x, a, b), self.knots,
+                                     self.degree).tocsr()
 
-
-def derivative_incidence_1d(space: SplineSpace1D) -> sp.csr_matrix:
-    """Matrix D with: spline'(coeffs c) = spline of the degree-(p-1) space
-    with coefficients D c. Standard B-spline derivative formula."""
-    d = space.degree
-    if d < 1:
-        raise ValueError("derivative incidence needs degree >= 1")
-    if space.periodic:
-        n = space.dim
-        rows = np.repeat(np.arange(n), 2)
-        cols = np.empty(2 * n, dtype=np.int64)
-        vals = np.empty(2 * n)
-        cols[0::2] = np.arange(n)
-        vals[0::2] = -1.0 / space.h
-        cols[1::2] = (np.arange(n) + 1) % n
-        vals[1::2] = 1.0 / space.h
-        return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    t = space.knots
-    n_out = space.dim - 1
-    span = t[np.arange(n_out) + d + 1] - t[np.arange(n_out) + 1]
-    rows = np.repeat(np.arange(n_out), 2)
-    cols = np.empty(2 * n_out, dtype=np.int64)
-    vals = np.empty(2 * n_out)
-    cols[0::2] = np.arange(n_out)
-    vals[0::2] = -d / span
-    cols[1::2] = np.arange(n_out) + 1
-    vals[1::2] = d / span
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n_out, space.dim))
+    def derivative_matrix(self) -> sp.csr_matrix:
+        """Matrix D with: spline'(coeffs c) = spline of the space one
+        degree lower with coefficients D c. Standard B-spline derivative
+        formula; the one zero-span row at each interface is dropped."""
+        d, n = self.degree, self.dim
+        if d < 1:
+            raise ValueError("derivative incidence needs degree >= 1")
+        if self.wraps:
+            rows, scale = np.arange(n), np.full(n, 1.0 / self.h)
+        else:
+            span = self.knots[d + 1: n + d] - self.knots[1: n]
+            rows = np.nonzero(span)[0]
+            scale = d / span[rows]
+        m = len(rows)
+        vals = np.column_stack([-scale, scale]).ravel()
+        cols = np.column_stack([rows, (rows + 1) % n]).ravel()
+        return sp.csr_matrix((vals, (np.repeat(np.arange(m), 2), cols)),
+                             shape=(m, n))
 
 
 def cell_quadrature(breakpoints, n_per_cell):
@@ -134,84 +157,6 @@ def quad_rule_data(p: int) -> int:
     return int(np.ceil((3 * (p + 1) + 2) / 2)) + 1
 
 
-class Broken1D:
-    """A scalar 1D space over n_patches equal patches, discontinuous at
-    patch interfaces (per-patch clamped bases). A single patch degenerates
-    to one conforming clamped or periodic space."""
-
-    def __init__(self, degree, n_patches, cells_per_patch, interval, periodic):
-        if n_patches < 1:
-            raise ValueError("need at least one patch")
-        a, b = float(interval[0]), float(interval[1])
-        self.degree = degree
-        self.n_patches = n_patches
-        self.cells_per_patch = cells_per_patch
-        self.periodic = periodic
-        self.interval = (a, b)
-        self.patch_bounds = np.linspace(a, b, n_patches + 1)
-        if n_patches == 1:
-            self.spaces = [SplineSpace1D(degree, cells_per_patch, (a, b), periodic)]
-        else:
-            self.spaces = [
-                SplineSpace1D(
-                    degree, cells_per_patch,
-                    (self.patch_bounds[k], self.patch_bounds[k + 1]), False,
-                )
-                for k in range(n_patches)
-            ]
-        dims = [s.dim for s in self.spaces]
-        self.offsets = np.concatenate([[0], np.cumsum(dims)])
-        self.dim = int(self.offsets[-1])
-        self.h = self.spaces[0].h
-        self.breakpoints = np.unique(
-            np.concatenate([s.breakpoints for s in self.spaces])
-        )
-
-    @property
-    def broken(self) -> bool:
-        return self.n_patches > 1
-
-    def interfaces(self):
-        """(last DOF of left patch, first DOF of right patch) per interior
-        interface; includes the wrap pair when periodic and broken."""
-        pairs = [
-            (int(self.offsets[k + 1] - 1), int(self.offsets[k + 1]))
-            for k in range(self.n_patches - 1)
-        ]
-        if self.periodic and self.broken:
-            pairs.append((self.dim - 1, 0))
-        return pairs
-
-    def patch_of(self, x):
-        idx = np.searchsorted(self.patch_bounds, x, side="right") - 1
-        return np.clip(idx, 0, self.n_patches - 1)
-
-    def collocation(self, x) -> sp.csr_matrix:
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        if not self.broken:
-            return collocation_matrix(self.spaces[0], x)
-        # interface points take the right-side patch
-        patch = self.patch_of(x)
-        blocks = []
-        for k in range(self.n_patches):
-            sel = np.nonzero(patch == k)[0]
-            if sel.size == 0:
-                continue
-            Ek = collocation_matrix(self.spaces[k], x[sel])
-            rows = np.repeat(sel, np.diff(Ek.indptr))
-            cols = Ek.indices + self.offsets[k]
-            blocks.append((rows, cols, Ek.data))
-        rows = np.concatenate([blk[0] for blk in blocks])
-        cols = np.concatenate([blk[1] for blk in blocks])
-        data = np.concatenate([blk[2] for blk in blocks])
-        return sp.csr_matrix((data, (rows, cols)), shape=(len(x), self.dim))
-
-    def derivative_matrix(self) -> sp.csr_matrix:
-        return sp.block_diag(
-            [derivative_incidence_1d(s) for s in self.spaces], format="csr"
-        )
-
-
 def weighted_gram(Ea: sp.csr_matrix, w, Eb: sp.csr_matrix) -> sp.csr_matrix:
     """Ea^T diag(w) Eb, all sparse."""
     return (Ea.multiply(np.asarray(w)[:, None]).T @ Eb).tocsr()
@@ -238,7 +183,7 @@ class BasisTable:
     def __init__(self, space: Broken1D, E: sp.csr_matrix, w, n_per_cell):
         self.dim = space.dim
         self.k_loc = space.degree + 1
-        self.wrap = space.degree if (space.periodic and not space.broken) else 0
+        self.wrap = space.degree if space.wraps else 0
         self.patches = space.n_patches
         self.cells = space.cells_per_patch
         self.span = self.cells + self.k_loc - 1    # window rows per patch
@@ -317,8 +262,6 @@ class DeRhamLine:
     """
 
     def __init__(self, p, n_patches, cells_per_patch, interval, periodic):
-        if p < 0:
-            raise ValueError("scheme degree must be >= 0")
         self.p = p
         self.n_patches = n_patches
         self.cells_per_patch = cells_per_patch

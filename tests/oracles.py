@@ -4,10 +4,12 @@ Everything here is deliberately written the slow way: recursive B-spline
 evaluation, dense matrices assembled by quadrature over the full 2D grid,
 plain loops. The production package must agree with these within tight
 tolerances, and none of its assembly, Kronecker, or solve machinery is
-reused. Package objects are only read for their defining metadata (knots,
-degrees, intervals, DOF numbering). The conforming projection and flux
-matrices enter oracle compositions as validated inputs; their own
-contract tests live in test_multipatch / test_operators.
+reused. Package objects are only read for their defining metadata
+(degrees, patch and cell counts, intervals, periodicity): the 1D bases
+are rebuilt from it, with one clamped knot vector a patch, not from the
+package's knot vector. The conforming projection and flux matrices
+enter oracle compositions as validated inputs; their own contract tests
+live in test_multipatch / test_operators.
 
 The references at the end are written against the package instead: a
 plain conjugate gradient solver (the matrix-free check of the direct
@@ -99,42 +101,47 @@ def bspline_deriv_tableau(knots, degree, x):
     return D
 
 
-def _single_space_basis(space, x, deriv=False):
-    """Basis (or derivative) values of one SplineSpace1D, matching its DOF
-    numbering (periodic: extended basis k folds onto k mod dim)."""
-    a, b = space.interval
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+def _patch_basis(degree, n_cells, a, b, periodic, x, deriv=False):
+    """Basis (or derivative) values at x of the clamped space of degree
+    on n_cells uniform cells of [a, b], or of the periodic one, whose
+    extended basis function k folds onto k mod n_cells."""
     tab = bspline_deriv_tableau if deriv else bspline_tableau
-    if space.periodic:
-        xf = a + np.mod(x - a, b - a)
-        ext = tab(space.knots, space.degree, xf)
-        out = np.zeros((len(x), space.dim))
+    if periodic:
+        h = (b - a) / n_cells
+        knots = a + h * np.arange(-degree, n_cells + degree + 1)
+        ext = tab(knots, degree, a + np.mod(x - a, b - a))
+        out = np.zeros((len(x), n_cells))
         for k in range(ext.shape[1]):
-            out[:, k % space.dim] += ext[:, k]
+            out[:, k % n_cells] += ext[:, k]
         return out
-    return tab(space.knots, space.degree, x)
+    knots = np.concatenate([np.full(degree, a), np.linspace(a, b, n_cells + 1),
+                            np.full(degree, b)])
+    return tab(knots, degree, x)
 
 
 def line_basis(line, x, deriv=False):
-    """Dense basis values of a package Broken1D at the points x.
+    """Dense basis values of a package Broken1D at the points x, built
+    from the line's metadata alone (degree, patch and cell counts,
+    interval, periodicity): one clamped space a patch, numbered patch by
+    patch, or one periodic space on a periodic single patch.
 
     Points sitting exactly on an interior interface are assigned to the
     left patch; probe with offsets for two-sided traces."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros((len(x), line.dim))
-    off = 0
-    for k, spc in enumerate(line.spaces):
-        a, b = spc.interval
-        if spc.periodic:
+    n, cells, degree = line.n_patches, line.cells_per_patch, line.degree
+    bounds = np.linspace(line.interval[0], line.interval[1], n + 1)
+    wrap = line.periodic and n == 1
+    dim = cells if wrap else cells + degree
+    out = np.zeros((len(x), n * dim))
+    for k in range(n):
+        a, b = bounds[k], bounds[k + 1]
+        if wrap:
             sel = np.ones(len(x), dtype=bool)
-        elif k == 0:
-            sel = (x >= a) & (x <= b)
         else:
-            sel = (x > a) & (x <= b)
+            sel = ((x >= a) if k == 0 else (x > a)) & (x <= b)
         if np.any(sel):
-            out[np.ix_(sel, off + np.arange(spc.dim))] = _single_space_basis(
-                spc, x[sel], deriv=deriv)
-        off += spc.dim
+            out[np.ix_(sel, k * dim + np.arange(dim))] = _patch_basis(
+                degree, cells, a, b, wrap, x[sel], deriv=deriv)
     return out
 
 

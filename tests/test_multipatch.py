@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import rand_field, space
 from flowforms.multipatch import build_multipatch
-from flowforms.spaces import DegenerateStencilError, projection_stencil_1d
+from flowforms.spaces import (DegenerateStencilError, conforming_projection_1d,
+                             projection_stencil_1d)
 from flowforms.splines import Broken1D
 from oracles import gauss_cells, line_basis
 
@@ -18,7 +19,7 @@ def stencil_moment_integrals(degree, n_cells, n_funcs, moment_order):
     """I[i, j] = int phi_i(x) x^j dx near the patch start, by independent
     Cox-de-Boor evaluation and Gauss quadrature."""
     line = Broken1D(degree, 1, n_cells, (0.0, float(n_cells)), False)
-    pts, w = gauss_cells(line.spaces[0].breakpoints, degree + moment_order + 2)
+    pts, w = gauss_cells(line.breakpoints, degree + moment_order + 2)
     E = line_basis(line, pts)[:, :n_funcs]
     powers = pts[:, None] ** np.arange(moment_order + 1)[None, :]
     return E.T @ (w[:, None] * powers)
@@ -53,6 +54,13 @@ def test_oversized_stencil_rejected_at_build():
     # p=1 on single-cell patches leaves no room for the default stencil
     with pytest.raises(DegenerateStencilError):
         build_multipatch(1, 2, 1, UNIT, periodic=False)
+
+
+@pytest.mark.parametrize("p", range(6))
+def test_two_cells_per_patch_fit_every_stencil(p):
+    # the least cell count Broken1D accepts on a broken line suffices
+    P = conforming_projection_1d(Broken1D(p + 1, 2, 2, (0.0, 1.0), True))
+    assert np.abs((P @ P - P).toarray()).max() <= 1e-12
 
 
 # --- conforming projections -------------------------------------------------------

@@ -7,93 +7,124 @@ from hypothesis import strategies as st
 
 from flowforms.splines import (
     Broken1D,
+    DegenerateStencilError,
     DeRhamLine,
-    SplineSpace1D,
     cell_quadrature,
-    collocation_matrix,
-    derivative_incidence_1d,
 )
 
 UNIT = (0.0, 1.0)
+PATCHES = (1, 3)   # the single-space tests run on one and on three patches
 
 
 def spline_values(space, c, x):
-    return collocation_matrix(space, np.atleast_1d(x)) @ np.asarray(c)
+    return space.collocation(np.atleast_1d(x)) @ np.asarray(c)
+
+
+def off_interfaces(space, x, gap=1e-3):
+    """The points of x at least gap away from every interior patch bound."""
+    bounds = space.patch_bounds[1:-1]
+    return x[np.all(np.abs(x[:, None] - bounds[None, :]) > gap, axis=1)]
 
 
 # --- space construction -------------------------------------------------------
 
 def test_dims_clamped_and_periodic():
-    assert SplineSpace1D(0, 4, UNIT, False).dim == 4
-    assert SplineSpace1D(2, 4, UNIT, False).dim == 6
-    assert SplineSpace1D(1, 8, UNIT, True).dim == 8
+    for n in PATCHES:
+        assert Broken1D(0, n, 4, UNIT, False).dim == 4 * n
+        assert Broken1D(2, n, 4, UNIT, False).dim == 6 * n
+        assert Broken1D(1, n, 8, UNIT, True).dim == (8 if n == 1 else 9 * n)
 
 
 @pytest.mark.parametrize("bad", [
-    (-1, 4, UNIT, False),
-    (2, 0, UNIT, False),
-    (2, 4, (1.0, 1.0), False),
-    (2, 2, UNIT, True),
+    (-1, 1, 4, UNIT, False),
+    (2, 1, 0, UNIT, False),
+    (2, 1, 4, (1.0, 1.0), False),
+    (2, 1, 2, UNIT, True),
+    (2, 0, 4, UNIT, False),
+    (2, 1, 4, (1.0, 0.0), True),
 ])
 def test_invalid_spaces_rejected(bad):
     with pytest.raises(ValueError):
-        SplineSpace1D(*bad)
+        Broken1D(*bad)
+
+
+@pytest.mark.parametrize("degree", range(6))
+@pytest.mark.parametrize("periodic", [False, True])
+def test_broken_line_needs_two_cells_per_patch(degree, periodic):
+    # the interface stencil of radius degree does not fit in one cell
+    with pytest.raises(DegenerateStencilError, match="2 cells per patch"):
+        Broken1D(degree, 2, 1, UNIT, periodic)
+    Broken1D(degree, 2, 2, UNIT, periodic)
+    Broken1D(degree, 1, 1, UNIT, False)
 
 
 def test_partition_of_unity_at_random_points(rng):
-    for periodic in (False, True):
-        space = SplineSpace1D(2, 8, (0.0, 2.0), periodic)
-        x = rng.uniform(0.0, 2.0, size=100)
-        E = collocation_matrix(space, x).toarray()
-        assert np.abs(E.sum(axis=1) - 1.0).max() <= 1e-13
-        assert E.min() >= -1e-14
+    for n in PATCHES:
+        for periodic in (False, True):
+            space = Broken1D(2, n, 8, (0.0, 2.0), periodic)
+            x = rng.uniform(0.0, 2.0, size=100)
+            E = space.collocation(x).toarray()
+            assert np.abs(E.sum(axis=1) - 1.0).max() <= 1e-13
+            assert E.min() >= -1e-14
 
 
 def test_clamped_endpoints_are_interpolatory():
-    space = SplineSpace1D(3, 5, UNIT, False)
-    E = collocation_matrix(space, [0.0, 1.0]).toarray()
-    assert E[0, 0] == pytest.approx(1.0, abs=1e-14)
-    assert E[1, -1] == pytest.approx(1.0, abs=1e-14)
-    assert E.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-14)
+    for n in PATCHES:
+        space = Broken1D(3, n, 5, UNIT, False)
+        E = space.collocation([0.0, 1.0]).toarray()
+        assert E[0, 0] == pytest.approx(1.0, abs=1e-14)
+        assert E[1, -1] == pytest.approx(1.0, abs=1e-14)
+        assert E.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-14)
 
 
 def test_collocation_rejects_outside_points():
-    space = SplineSpace1D(2, 4, UNIT, False)
-    with pytest.raises(ValueError):
-        collocation_matrix(space, [1.001])
-    with pytest.raises(ValueError):
-        collocation_matrix(space, [-0.001])
+    for n in PATCHES:
+        space = Broken1D(2, n, 4, UNIT, False)
+        with pytest.raises(ValueError):
+            space.collocation([1.001])
+        with pytest.raises(ValueError):
+            space.collocation([-0.001])
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     degree=st.integers(0, 4),
+    n_patches=st.sampled_from(PATCHES),
     n_cells=st.integers(1, 10),
     periodic=st.booleans(),
     ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
 )
-def test_basis_partition_of_unity_property(degree, n_cells, periodic, ts):
-    assume(not periodic or n_cells > degree)
-    space = SplineSpace1D(degree, n_cells, (-1.0, 3.0), periodic)
+def test_basis_partition_of_unity_property(degree, n_patches, n_cells,
+                                           periodic, ts):
+    assume(n_cells > (1 if n_patches > 1 else degree if periodic else 0))
+    space = Broken1D(degree, n_patches, n_cells, (-1.0, 3.0), periodic)
     x = -1.0 + 4.0 * np.asarray(ts)
-    E = collocation_matrix(space, x).toarray()
+    E = space.collocation(x).toarray()
     assert np.abs(E.sum(axis=1) - 1.0).max() <= 1e-13
     assert E.min() >= -1e-14
+
+
+def test_broken_knots_repeat_each_interface():
+    line = Broken1D(2, 3, 2, (0.0, 3.0), False)
+    assert list(line.knots) == ([0.0] * 3 + [0.5] + [1.0] * 3 + [1.5]
+                                + [2.0] * 3 + [2.5] + [3.0] * 3)
+    assert len(line.knots) == line.dim + line.degree + 1
 
 
 # --- derivative incidence -----------------------------------------------------
 
 def test_derivative_of_constant_vanishes():
-    for periodic in (False, True):
-        space = SplineSpace1D(3, 6, (0.0, 2.0), periodic)
-        D = derivative_incidence_1d(space)
-        assert np.abs(D @ np.ones(space.dim)).max() == 0.0
+    for n in PATCHES:
+        for periodic in (False, True):
+            space = Broken1D(3, n, 6, (0.0, 2.0), periodic)
+            D = space.derivative_matrix()
+            assert np.abs(D @ np.ones(space.dim)).max() == 0.0
 
 
 def test_derivative_degree_one_is_bidiagonal():
-    space = SplineSpace1D(1, 5, UNIT, False)
+    space = Broken1D(1, 1, 5, UNIT, False)
     h = 0.2
-    D = derivative_incidence_1d(space).toarray()
+    D = space.derivative_matrix().toarray()
     assert D.shape == (5, 6)
     expect = np.zeros_like(D)
     for i in range(5):
@@ -104,39 +135,42 @@ def test_derivative_degree_one_is_bidiagonal():
 
 @pytest.mark.parametrize("periodic", [False, True])
 def test_derivative_matches_finite_differences(periodic, rng):
-    space = SplineSpace1D(3, 6, (0.0, 2.0), periodic)
-    target = SplineSpace1D(2, 6, (0.0, 2.0), periodic)
-    D = derivative_incidence_1d(space)
-    c = rng.standard_normal(space.dim)
-    dc = D @ c
-    eps = 1e-6
-    x = rng.uniform(0.1, 1.9, size=50)
-    fd = (spline_values(space, c, x + eps) - spline_values(space, c, x - eps)) / (2 * eps)
-    exact = spline_values(target, dc, x)
-    assert np.abs(fd - exact).max() <= 1e-6
+    for n in PATCHES:
+        space = Broken1D(3, n, 6, (0.0, 2.0), periodic)
+        target = Broken1D(2, n, 6, (0.0, 2.0), periodic)
+        D = space.derivative_matrix()
+        assert D.shape == (target.dim, space.dim)
+        c = rng.standard_normal(space.dim)
+        dc = D @ c
+        eps = 1e-6
+        x = off_interfaces(space, rng.uniform(0.1, 1.9, size=50))
+        fd = (spline_values(space, c, x + eps)
+              - spline_values(space, c, x - eps)) / (2 * eps)
+        exact = spline_values(target, dc, x)
+        assert np.abs(fd - exact).max() <= 1e-6
 
 
 def test_derivative_rejects_degree_zero():
     with pytest.raises(ValueError):
-        derivative_incidence_1d(SplineSpace1D(0, 4, UNIT, False))
+        Broken1D(0, 1, 4, UNIT, False).derivative_matrix()
 
 
 def test_derivative_exactness_against_dense_tableau(rng):
     # derivative of the evaluated spline equals evaluation in the target
     # space at machine precision (not just FD accuracy)
-    space = SplineSpace1D(2, 7, UNIT, True)
-    target = SplineSpace1D(1, 7, UNIT, True)
-    D = derivative_incidence_1d(space)
-    c = rng.standard_normal(space.dim)
-    x = rng.uniform(0.0, 1.0, 40)
-    # analytic derivative via the lower-degree tableau of the same knots
     from oracles import line_basis
 
-    line = Broken1D(2, 1, 7, (0.0, 1.0), True)
-    dE = line_basis(line, x, deriv=True)
-    lhs = dE @ c
-    rhs = spline_values(target, D @ c, x)
-    assert np.abs(lhs - rhs).max() <= 1e-11
+    for n in PATCHES:
+        space = Broken1D(2, n, 7, UNIT, True)
+        target = Broken1D(1, n, 7, UNIT, True)
+        D = space.derivative_matrix()
+        c = rng.standard_normal(space.dim)
+        x = off_interfaces(space, rng.uniform(0.0, 1.0, 40))
+        # analytic derivative via the lower-degree tableau of the same knots
+        dE = line_basis(space, x, deriv=True)
+        lhs = dE @ c
+        rhs = spline_values(target, D @ c, x)
+        assert np.abs(lhs - rhs).max() <= 1e-11
 
 
 # --- quadrature over breakpoints ------------------------------------------------
@@ -152,7 +186,6 @@ def test_cell_quadrature_weight_sum_and_exactness():
 
 def test_broken_dims_and_offsets():
     line = Broken1D(2, 3, 2, (0.0, 3.0), False)
-    assert [s.dim for s in line.spaces] == [4, 4, 4]
     assert line.dim == 12
     assert list(line.offsets) == [0, 4, 8, 12]
     assert line.broken
