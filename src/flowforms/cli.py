@@ -147,6 +147,9 @@ def converge_cmd(config, meshes, degrees, csv_path, np_=None, **kwargs):
             raise click.UsageError(
                 f"--meshes: {n} cells is not divisible by the patch counts "
                 f"{npx},{npy}")
+        for deg in deg_list:     # every grid of the study loads, too
+            _load(config, {**kwargs, "degree": deg,
+                           "nc": f"{n // npx},{n // npy}"})
     if csv_path is None:
         csv_path = os.path.join(cfg.output_dir, "convergence.csv")
     rows = convergence_study(cfg, mesh_list, deg_list, out_path=csv_path)

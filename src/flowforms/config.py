@@ -8,9 +8,11 @@ config. dt=None there selects CFL control of the time step.
 File sections: [case], [grid], [physics], [stepper], [output] and one
 [boundary.<edge>] per walled edge (keys kind, value, tangential). Every
 key is optional; unset values fall back to the case defaults. Unknown
-keys, edges and kinds, boundary sections on a periodic domain, tangential
-segments that overlap or end off a cell boundary, and none/auto for a
-setting without an automatic value are rejected.
+keys, edges and kinds, boundary sections on a periodic domain, a walled
+domain without one for each edge, tangential segments that overlap or
+end off a cell boundary, a grid whose velocity line `Broken1D.check`
+rejects, and none/auto for a setting without an automatic value are
+rejected.
 
 boundary tangential grammar:  free | <float> | <float>@<lo>:<hi>[,...]
 """
@@ -23,7 +25,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .cases import CaseDefinition, case_library
-from .operators import EdgeBC, check_boundary
+from .operators import EDGES, EdgeBC, check_boundary
+from .splines import Broken1D
 
 
 def _parse_pair(text, conv=int):
@@ -117,6 +120,9 @@ class SimulationConfig:
             merged = dict(case.boundary)
             merged.update(out.boundary)
             out.boundary = merged
+        if not (out.periodic or out.boundary):
+            raise ValueError(
+                f"boundary conditions missing for edges {sorted(EDGES)}")
         if out.dt is not None and out.dt <= 0:
             raise ValueError("dt must be positive")
         for name in ("dt_max", "t_final", "picard_tol", "cfl_safety",
@@ -138,6 +144,8 @@ class SimulationConfig:
             raise ValueError("cfl_safety must lie in (0, 1]")
         x0, x1, y0, y1 = out.domain
         (npx, npy), (ncx, ncy) = out.n_patches, out.n_cells
+        Broken1D.check(out.degree + 1, npx, ncx, (x0, x1), out.periodic)
+        Broken1D.check(out.degree + 1, npy, ncy, (y0, y1), out.periodic)
         check_boundary(out.boundary, (out.periodic, out.periodic),
                        np.linspace(x0, x1, npx * ncx + 1),
                        np.linspace(y0, y1, npy * ncy + 1))

@@ -227,6 +227,30 @@ def test_resolve_checks_boundary_from_the_api():
     assert cfg.boundary is None
 
 
+def test_resolve_rejects_a_walled_domain_without_boundary():
+    # without boundary conditions a clamped domain would run the
+    # boundaryless operators
+    with pytest.raises(ValueError, match="boundary conditions missing for "
+                       "edges \\['bottom', 'left', 'right', 'top'\\]"):
+        SimulationConfig(case="taylor_green", periodic=False).resolve()
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(case="taylor_green", n_cells=(2, 2)), "needs more than 3 cells"),
+    (dict(case="taylor_green", n_cells=(8, 3)), "needs more than 3 cells"),
+    (dict(case="taylor_green", domain=(0.0, 1.0, 1.0, 0.0)),
+     "empty interval"),
+    (dict(case="lid_driven_cavity", n_patches=(2, 2), n_cells=(1, 1)),
+     "2 cells per patch"),
+    (dict(case="lid_driven_cavity", degree=5, n_patches=(1, 2),
+          n_cells=(1, 1)), "2 cells per patch"),
+], ids=["periodic-cells", "periodic-cells-y", "empty-interval",
+        "one-cell-patches", "one-cell-patches-y"])
+def test_resolve_rejects_grids_the_1d_space_rejects(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SimulationConfig(**kwargs).resolve()
+
+
 def test_load_config_rejects_unknown_section(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("[solver]\ndt = 0.1\n")

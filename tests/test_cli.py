@@ -269,6 +269,33 @@ def test_partial_boundary_on_a_walled_domain_is_a_usage_error(cli, tmp_path):
     assert not (tmp_path / "diagnostics.csv").exists()
 
 
+@pytest.mark.parametrize("args, config, message", [
+    (["run", "--case", "taylor_green", "--nc", "2"], None,
+     "a periodic patch of degree 3 needs more than 3 cells, got 2"),
+    (["run"], "[grid]\ndomain = 1,0,0,1\n", "empty interval [1.0, 0.0]"),
+    (["run", "--case", "lid_driven_cavity", "--np", "2,2", "--nc", "1"], None,
+     "a broken line needs at least 2 cells per patch, got 1"),
+    (["converge", "--case", "taylor_green", "--meshes", "2,4"], None,
+     "a periodic patch of degree 3 needs more than 3 cells, got 2"),
+    (["run"], "[case]\nname = taylor_green\n[grid]\nperiodic = false\n",
+     "boundary conditions missing for edges "
+     "['bottom', 'left', 'right', 'top']"),
+], ids=["periodic-cells", "empty-interval", "one-cell-patches", "converge",
+        "walled-without-boundary"])
+def test_invalid_grid_is_a_usage_error(cli, tmp_path, args, config, message):
+    if config is not None:
+        path = tmp_path / "grid.cfg"
+        path.write_text(config)
+        args = [*args, str(path)]
+    result = cli.invoke(main, [*args, "--out", str(tmp_path)])
+    out = _all_output(result)
+    assert result.exit_code == 2, out
+    assert f"Error: {message}" in out
+    assert "Traceback" not in out
+    assert not (tmp_path / "diagnostics.csv").exists()
+    assert not (tmp_path / "convergence.csv").exists()
+
+
 def test_snapshot_energy_column_matches_diagnostics(cli, tmp_path):
     # coarse sanity link between the two output formats
     out = tmp_path / "out"
