@@ -268,12 +268,6 @@ class OperatorContext:
             self._solver = TensorPoissonSolver(self, gamma)
         return self._solver
 
-    def m1_solver(self, gamma: float = 0.0):
-        """Exact solver b -> Pn (Pn A Pn + I - Pn)^-1 Pn b for A = M1 +
-        gamma * penalization on the velocities with zero Gamma_n flux:
-        the `m1_solve` of `poisson_solver(gamma)`."""
-        return self.poisson_solver(gamma).m1_solve
-
 
 class TensorPoissonSolver:
     """Everything that depends on gamma = dt*alpha/2, from the context's

@@ -53,8 +53,9 @@ class StepReport:
 def midpoint_sweep(ctx: OperatorContext, cfg, un, u_iter, dt: float):
     """One Picard sweep of the midpoint step from u^n with current iterate
     u_iter: returns (u_next, p), where
-    u_next = u^n - dt A^{-1} (R - Dt^T M2 p), A^{-1} = ctx.m1_solver(gamma)
-    the inverse of M1 + gamma Pen on the velocities with zero Gamma_n flux,
+    u_next = u^n - dt A^{-1} (R - Dt^T M2 p), A^{-1} (the `m1_solve` of
+    ctx.poisson_solver(gamma)) the inverse of M1 + gamma Pen on the
+    velocities with zero Gamma_n flux,
     R the momentum residual at the midpoint (penalization acting on u^n),
     and p makes Dt u_next = Dt u^n exactly."""
     ub = 0.5 * (un + u_iter)
@@ -67,11 +68,11 @@ def midpoint_sweep(ctx: OperatorContext, cfg, un, u_iter, dt: float):
         R = R + cfg.alpha * (pen @ un)
         gamma = 0.5 * dt * cfg.alpha
     R = R - ctx.f_vec + ctx.b_pressure
-    m1t = ctx.m1_solver(gamma)
+    solver = ctx.poisson_solver(gamma)
     M2 = ctx.space.M2
-    p = ctx.poisson_solver(gamma).solve(M2 @ (ctx.Dt @ m1t(R)))
+    p = solver.solve(M2 @ (ctx.Dt @ solver.m1_solve(R)))
     w = R - ctx.DtT @ (M2 @ p)
-    return un - dt * m1t(w), p
+    return un - dt * solver.m1_solve(w), p
 
 
 def cn_step(ctx: OperatorContext, u_n, cfg, dt=None, guess=None):
@@ -164,12 +165,13 @@ def set_normal_data(ctx: OperatorContext, u) -> Field:
 
 def leray_project(ctx: OperatorContext, u) -> Field:
     """Remove the discrete divergence without touching the Gamma_n flux
-    data: u <- u + A^{-1} Dt^T M2 phi, with A^{-1} = ctx.m1_solver(0),
-    where phi solves the pressure system of poisson_solver(0) with
-    right-hand side -M2 Dt u."""
+    data: u <- u + A^{-1} Dt^T M2 phi, where phi solves the pressure
+    system of ctx.poisson_solver(0) with right-hand side -M2 Dt u and
+    A^{-1} is its `m1_solve`."""
     uc = coeffs_of(u)
-    phi = ctx.poisson_solver(0.0).solve(-(ctx.space.M2 @ (ctx.Dt @ uc)))
-    corr = ctx.m1_solver(0.0)(ctx.DtT @ (ctx.space.M2 @ phi))
+    solver = ctx.poisson_solver(0.0)
+    phi = solver.solve(-(ctx.space.M2 @ (ctx.Dt @ uc)))
+    corr = solver.m1_solve(ctx.DtT @ (ctx.space.M2 @ phi))
     return Field(ctx.space, 1, uc + corr)
 
 

@@ -131,7 +131,7 @@ def test_solver_caches_keep_only_the_latest_gamma():
     # under CFL control every step brings a new gamma = dt*alpha/2
     ctx = OperatorContext(space(2, 4, 2, periodic=True))
     first = weakref.ref(ctx.poisson_solver(1.0))
-    first_m1 = weakref.ref(ctx.m1_solver(1.0))
+    first_m1 = weakref.ref(ctx.poisson_solver(1.0).m1_solve)
     for gamma in (2.0, 3.0):
         ctx.poisson_solver(gamma)
     assert first() is None and first_m1() is None
@@ -159,7 +159,8 @@ def test_singular_pressure_solve_returns_zero_mean():
     s = ctx.space
     u = tg_state(ctx)
     p = sweep_pressure(ctx, u, stepper_cfg())
-    b = s.M2 @ (ctx.Dt @ ctx.m1_solver()(advection_residual(ctx, u, u)))
+    m1_solve = ctx.poisson_solver().m1_solve
+    b = s.M2 @ (ctx.Dt @ m1_solve(advection_residual(ctx, u, u)))
     assert pressure_residual(ctx.poisson_solver(), p, b) <= 1e-12
     mean = float(np.ones(ctx.space.n2) @ (ctx.space.M2 @ p))
     assert abs(mean) <= 1e-11 * max(1.0, np.max(np.abs(p)))
@@ -174,7 +175,8 @@ def test_direct_and_cg_pressure_agree():
     s = ctx.space
     u = tg_state(ctx)
     p_dir = sweep_pressure(ctx, u, stepper_cfg())
-    b = s.M2 @ (ctx.Dt @ ctx.m1_solver()(advection_residual(ctx, u, u)))
+    m1_solve = ctx.poisson_solver().m1_solve
+    b = s.M2 @ (ctx.Dt @ m1_solve(advection_residual(ctx, u, u)))
     ones = np.ones(s.n2)
     p_cg, rep = cg_solve(ctx.poisson_solver().matvec,
                          b - ones * (ones @ b) / (ones @ ones), tol=1e-13)
