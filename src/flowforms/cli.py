@@ -14,12 +14,12 @@ import os
 import click
 
 
-def _load(config_path, kwargs):
-    """The config of a command; an invalid value is a usage error (exit
-    code 2, one line), not a traceback."""
+def _load(config_path, kwargs, resolve=None):
+    """The config of a command, checked by resolve(cfg) or cfg.resolve();
+    an invalid value is a usage error (exit code 2, one line), not a traceback."""
     try:
         cfg = _build_config(config_path, kwargs)
-        cfg.resolve()
+        cfg.resolve() if resolve is None else resolve(cfg)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
     return cfg
@@ -136,8 +136,8 @@ def run_cmd(config, quiet, np_=None, **kwargs):
 def converge_cmd(config, meshes, degrees, csv_path, np_=None, **kwargs):
     """Mesh-refinement study against the case's exact solution."""
     kwargs["np"] = np_
-    cfg = _load(config, kwargs)
-    from .runner import convergence_study
+    from .runner import convergence_study, study_case
+    cfg = _load(config, kwargs, study_case)
 
     mesh_list = _int_list("meshes", meshes, least=1)
     deg_list = _int_list("degrees", degrees, least=0)

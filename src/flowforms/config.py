@@ -144,8 +144,13 @@ class SimulationConfig:
             raise ValueError("cfl_safety must lie in (0, 1]")
         x0, x1, y0, y1 = out.domain
         (npx, npy), (ncx, ncy) = out.n_patches, out.n_cells
-        Broken1D.check(out.degree + 1, npx, ncx, (x0, x1), out.periodic)
-        Broken1D.check(out.degree + 1, npy, ncy, (y0, y1), out.periodic)
+        for n_p, n_c, ab in ((npx, ncx, (x0, x1)), (npy, ncy, (y0, y1))):
+            # the velocity line's condition, in the configured degree
+            if out.periodic and n_p == 1 and n_c < out.degree + 2:
+                raise ValueError(
+                    f"a periodic patch of degree {out.degree} needs at "
+                    f"least {out.degree + 2} cells, got {n_c}")
+            Broken1D.check(out.degree + 1, n_p, n_c, ab, out.periodic)
         check_boundary(out.boundary, (out.periodic, out.periodic),
                        np.linspace(x0, x1, npx * ncx + 1),
                        np.linspace(y0, y1, npy * ncy + 1))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import OperatorContext, viscous_form
-from .spaces import coeffs_of
+from .spaces import coeffs_of, sample
 
 
 @dataclass
@@ -44,19 +44,9 @@ def measure(ctx: OperatorContext, u, t: float = 0.0,
 def l2_error(space, u, exact, slot: int = 1) -> float:
     """Quadrature L2 distance between a discrete field and a callable, on
     the data grid (the callable is not a spline)."""
-    uc = coeffs_of(u)
     grid = space.data_grid
-    X, Y = grid.mesh()
-    if slot == 1:
-        ux, uy = space.grid_eval_v1(uc, grid)
-        ex, ey = exact(X, Y)
-        ex = np.broadcast_to(np.asarray(ex, dtype=np.float64), X.shape)
-        ey = np.broadcast_to(np.asarray(ey, dtype=np.float64), X.shape)
-        err2 = (ux - ex) ** 2 + (uy - ey) ** 2
-    else:
-        vals = (space.grid_eval_v0(uc, grid) if slot == 0
-                else space.grid_eval_v2(uc, grid))
-        ev = np.broadcast_to(np.asarray(exact(X, Y), dtype=np.float64), X.shape)
-        err2 = (vals - ev) ** 2
+    vals = space.grid_eval(slot, coeffs_of(u), grid)
+    err2 = sum((v - e) ** 2
+               for v, e in zip(vals, sample(grid, exact, len(vals))))
     return float(np.sqrt(grid.integrate(err2)))
 

@@ -31,13 +31,14 @@ u_y n_x is +u_y left, -u_y right, -u_x bottom, +u_x top.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
 from .linalg import KroneckerSolver, SPDInverse
-from .spaces import Field, TensorDeRhamSpace, coeffs_of
+from .spaces import KINDS, Field, TensorDeRhamSpace, coeffs_of, sample
 
 EDGES = ("left", "right", "bottom", "top")
 # edge -> (the line across it, the end of that line the edge sits on)
@@ -155,12 +156,9 @@ class OperatorContext:
 
         self.f_vec = np.zeros(space.n1)
         if forcing is not None:
-            X, Y = space.data_grid.mesh()
-            fx, fy = forcing(X, Y)
-            fx = np.broadcast_to(np.asarray(fx, dtype=np.float64), X.shape)
-            fy = np.broadcast_to(np.asarray(fy, dtype=np.float64), X.shape)
-            self.f_vec = space.Pc1.T @ space.grid_moments_v1(
-                fx, fy, space.data_grid)
+            g = space.data_grid
+            self.f_vec = space.Pc1.T @ space.grid_moments(
+                1, sample(g, forcing, 2), g)
 
         self._solver = None
 
@@ -204,15 +202,11 @@ class OperatorContext:
         b_press = np.zeros(s.n1)    # Gamma_p data against v.n traces
         n_data = np.zeros(s.n1)     # Gamma_n flux DOFs of the u.n data
         pn = np.ones(s.n1)          # the diagonal of Pn
+        v0, = s.blocks(0, t_tang)
+        b_flux, n_flux, pn_flux = (dict(zip("xy", s.blocks(1, vec)))
+                                   for vec in (b_press, n_data, pn))
         # (v x n, omega) over the boundary minus Gamma_t, per V1 block
-        Tt = {"x": sp.csr_matrix((s.n0, s.n1x)), "y": sp.csr_matrix((s.n0, s.n1y))}
-
-        def views(vec):
-            return {"x": vec[:s.n1x].reshape(s.line_x.h1.dim, s.line_y.l2.dim),
-                    "y": vec[s.n1x:].reshape(s.line_x.l2.dim, s.line_y.h1.dim)}
-
-        v0 = t_tang.reshape(s.line_x.h1.dim, s.line_y.h1.dim)
-        b_flux, n_flux, pn_flux = map(views, (b_press, n_data, pn))
+        Tt = {a: sp.csr_matrix((s.n0, B.size)) for a, B in pn_flux.items()}
 
         for edge, cond in self.bc.items():
             axis, end = _EDGE_AXIS[edge]
@@ -284,12 +278,12 @@ class TensorPoissonSolver:
     def __init__(self, ctx: OperatorContext, gamma=0.0):
         s = ctx.space
         self.ctx, self.gamma = ctx, float(gamma)
-        h1_invs, eigs = [], []
-        for M, JMJ, Ml2, DP, z in ctx.dense:
+        factors, eigs = [], []    # per line: the inverse of each kind
+        for (M, JMJ, Ml2, DP, z), line in zip(ctx.dense, (s.line_x, s.line_y)):
             inv = SPDInverse(z[:, None] * (M + gamma * JMJ) * z + np.diag(1.0 - z))
             inv.inv *= np.outer(z, z)
             K = Ml2 @ DP @ inv.inv @ DP.T @ Ml2
-            h1_invs.append(inv)
+            factors.append({"h1": inv, "l2": line.mass_factor("l2")})
             eigs.append(scipy.linalg.eigh(0.5 * (K + K.T), 0.5 * (Ml2 + Ml2.T)))
         (lam_x, self.Phi_x), (lam_y, self.Phi_y) = eigs
         denom = lam_x[:, None] + lam_y[None, :]
@@ -300,14 +294,9 @@ class TensorPoissonSolver:
         drop = self.singular & (denom <= 1e-10 * float(lam_x.max() + lam_y.max()))
         self._inv_denom = np.where(drop, 0.0, 1.0 / np.where(drop, 1.0, denom))
 
-        kx = KroneckerSolver([h1_invs[0], s.line_y.mass_factor("l2")])
-        ky = KroneckerSolver([s.line_x.mass_factor("l2"), h1_invs[1]])
-
-        def m1_solve(b):
-            bx, by = s.split_v1(b)
-            return np.concatenate([kx.solve(bx), ky.solve(by)])
-
-        self.m1_solve = m1_solve
+        fx, fy = factors
+        self.m1_solve = partial(s.solve_mass, 1, solvers=[
+            KroneckerSolver([fx[kx], fy[ky]]) for kx, ky in KINDS[1]])
 
     def matvec(self, q):
         """The system matrix applied through the composed sparse operators."""
@@ -315,8 +304,7 @@ class TensorPoissonSolver:
         return s.M2 @ (ctx.Dt @ self.m1_solve(ctx.DtT @ (s.M2 @ q)))
 
     def solve(self, b):
-        s = self.ctx.space
-        B = np.asarray(b).reshape(s.line_x.l2.dim, s.line_y.l2.dim)
+        B, = self.ctx.space.blocks(2, b)
         Z = self.Phi_x.T @ B @ self.Phi_y
         Z *= self._inv_denom
         return (self.Phi_x @ Z @ self.Phi_y.T).ravel()
@@ -328,8 +316,8 @@ def weak_grad_full(ctx: OperatorContext, qc: np.ndarray) -> np.ndarray:
     """Full-generality dual gradient (trial slot of s_h), with the
     whole-boundary trace pairing: (G_x q, q G_y^T) on q as an
     (n_l2x, n_l2y) array. Coefficient-level helper."""
-    (Gx, Gy), s = ctx.G, ctx.space
-    q = np.asarray(qc).reshape(s.line_x.l2.dim, s.line_y.l2.dim)
+    Gx, Gy = ctx.G
+    q, = ctx.space.blocks(2, qc)
     return np.concatenate([(Gx @ q).ravel(), (q @ Gy.T).ravel()])
 
 
@@ -339,7 +327,7 @@ def weak_curl_with_tangential_bc(ctx: OperatorContext, v) -> Field:
     vc = coeffs_of(v)
     rhs = (ctx.CP0T @ (ctx.space.M1 @ vc) - ctx.T_tangential @ vc
            - ctx.t_tangential_data)
-    return Field(ctx.space, 0, ctx.space.solve_M0(rhs))
+    return Field(ctx.space, 0, ctx.space.solve_mass(0, rhs))
 
 
 # --- advection --------------------------------------------------------------
@@ -358,27 +346,25 @@ def advection_residual(ctx: OperatorContext, u, v) -> np.ndarray:
     with n points is exact to degree 2n-1 >= 3p+2 (`quad_rule_exact`)."""
     s = ctx.space
     (Qx, Qy), (Lx, Ly) = ctx.Q, ctx.L
-    nl2x, nl2y = s.line_x.l2.dim, s.line_y.l2.dim
     uvx, uvy = s.grid_eval_v1(coeffs_of(u))
-    vx, vy = s.split_v1(coeffs_of(v))
+    vx, vy = s.blocks(1, coeffs_of(v))
     r = []
     # Products are formed in place and released early, so at most four
     # grid arrays are alive at once: a larger transient peak can pass
     # glibc's heap trim threshold and make every sweep page-fault afresh.
-    for k, ikv in enumerate((Qx @ vx.reshape(-1, nl2y),
-                             vy.reshape(nl2x, -1) @ Qy.T)):
+    for k, ikv in enumerate((Qx @ vx, vy @ Qy.T)):
         # (a) trial-slot gradient acting on i_k v
         gx, gy = s.grid_eval_v1(weak_grad_full(ctx, ikv))
         gx *= uvx
         gx += np.multiply(gy, uvy, out=gy)
-        a = s.grid_moments_v2(gx).reshape(nl2x, nl2y)
+        a, = s.blocks(2, s.grid_moments_v2([gx]))
         del gx, gy
         # (b) test-slot gradient, rewritten through adjointness
-        w2 = s.grid_eval_v2(ikv)
-        fx, fy = s.split_v1(s.grid_moments_v1(
-            w2 * uvx, np.multiply(w2, uvy, out=w2)))
+        w2, = s.grid_eval_v2(ikv)
+        fx, fy = s.blocks(1, s.grid_moments_v1(
+            [w2 * uvx, np.multiply(w2, uvy, out=w2)]))
         del w2
-        a += Lx @ fx.reshape(-1, nl2y) + fy.reshape(nl2x, -1) @ Ly.T
+        a += Lx @ fx + fy @ Ly.T
         r.append(Qx.T @ a if k == 0 else a @ Qy)
     return 0.5 * np.concatenate([r[0].ravel(), r[1].ravel()])
 

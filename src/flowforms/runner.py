@@ -12,7 +12,7 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord, l2_error, measure
 from .multipatch import build_multipatch
 from .operators import OperatorContext, weak_curl_with_tangential_bc
-from .spaces import Field, coeffs_of
+from .spaces import Field, PointSampler, coeffs_of
 from .stepper import StepFailure, cfl_dt, cn_step, initialize
 
 CSV_HEADER = ("time,energy,mom_x,mom_y,div_l2,jump_energy,"
@@ -58,53 +58,34 @@ def write_diagnostics(records, path):
             fh.write(_record_to_row(rec) + "\n")
 
 
-class _SnapshotLayout:
-    """The parts of a snapshot fixed by the space and the sampling grid:
-    eval_field's sparse collocation matrices at the grid axes (Ex, and
-    EyT transposed), applied in eval_field's order so the values match
-    its own bit for bit, and the file body as one template whose rows
-    hold the fixed "x y " text and a %r slot per field column."""
-
-    def __init__(self, space, grid):
-        lx, ly = space.line_x, space.line_y
-        xs = np.linspace(*lx.interval, grid)
-        ys = np.linspace(*ly.interval, grid)
-        self.Ex = {"h1": lx.h1.collocation(xs), "l2": lx.l2.collocation(xs)}
-        self.EyT = {"h1": ly.h1.collocation(ys).T,
-                    "l2": ly.l2.collocation(ys).T}
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        self.body = "".join(
-            f"{x!r} {y!r} %r %r %r %r\n"
-            for x, y in zip(X.ravel().tolist(), Y.ravel().tolist()))
-
-    def values(self, sx, sy, c):
-        """Grid values, flattened row-major, of the coefficients c on the
-        tensor product of the line spaces sx and sy ("h1" or "l2")."""
-        E, F = self.Ex[sx], self.EyT[sy]
-        return (E @ np.asarray(c).reshape(E.shape[1], F.shape[0]) @ F).ravel()
-
-
-# layouts per space and grid; an entry lives as long as its space
-_LAYOUTS = weakref.WeakKeyDictionary()
+# space -> sampling grid -> (PointSampler of its axes, file body template
+# of fixed "x y " text and a %r per field column); lives with its space
+_SAMPLERS = weakref.WeakKeyDictionary()
 
 
 def write_snapshot(ctx, u, p, t, path, grid=64):
-    """Plain-text field dump on a uniform sampling grid."""
+    """Plain-text field dump on a uniform sampling grid: u_x, u_y, p and
+    the vorticity, sampled as eval_field samples them."""
     s = ctx.space
-    layout = _LAYOUTS.setdefault(s, {}).get(grid)
-    if layout is None:
-        layout = _LAYOUTS[s][grid] = _SnapshotLayout(s, grid)
-    uc = coeffs_of(u)
-    ux, uy = s.split_v1(uc)
-    om = weak_curl_with_tangential_bc(ctx, uc).coeffs
-    cols = np.column_stack([
-        layout.values("h1", "l2", ux), layout.values("l2", "h1", uy),
-        layout.values("l2", "l2", p), layout.values("h1", "h1", om)])
+    cached = _SAMPLERS.setdefault(s, {}).get(grid)
+    if cached is None:
+        xs, ys = (np.linspace(*line.interval, grid)
+                  for line in (s.line_x, s.line_y))
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        body = "".join(
+            f"{x!r} {y!r} %r %r %r %r\n"
+            for x, y in zip(X.ravel().tolist(), Y.ravel().tolist()))
+        cached = _SAMPLERS[s][grid] = (PointSampler(s, xs, ys), body)
+    sampler, body = cached
+    fields = (Field(s, 1, coeffs_of(u)), Field(s, 2, p),
+              weak_curl_with_tangential_bc(ctx, u))
+    cols = np.column_stack([v.ravel() for f in fields
+                            for v in sampler.values(f)])
     with open(path, "w") as fh:
         fh.write(f"# t = {t!r}\n")
         fh.write(f"# grid = {grid} x {grid}\n")
         fh.write("# columns: x y u_x u_y p omega\n")
-        fh.write(layout.body % tuple(cols.ravel().tolist()))
+        fh.write(body % tuple(cols.ravel().tolist()))
     return path
 
 
@@ -177,13 +158,20 @@ def run(cfg, progress=None):
                      diagnostics_path=diag_path, snapshot_paths=snaps)
 
 
+def study_case(cfg):
+    """(resolved cfg, case) of a convergence study; raises ValueError
+    when the config is invalid or the case has no exact solution."""
+    base, case = cfg.resolve()
+    if case.exact is None:
+        raise ValueError(f"case {base.case!r} has no exact solution")
+    return base, case
+
+
 def convergence_study(cfg, meshes, degrees, out_path=None):
     """Refinement sweep against the case's exact solution. meshes count
     total cells per direction; rows are (degree, n, h, error, order) with
     'failed' markers when a run does not finish."""
-    base, case = cfg.resolve()
-    if case.exact is None:
-        raise ValueError(f"case {base.case!r} has no exact solution")
+    base, case = study_case(cfg)
     rows = []
     for deg in degrees:
         prev = None

@@ -1,10 +1,15 @@
 """The 2D tensor-product de Rham complex V0 --curl--> V1 --div--> V2,
 conforming or broken across a grid of patches.
 
-V0 = S_{p+1} (x) S_{p+1},  V1 = (S_{p+1} (x) S_p) x (S_p (x) S_{p+1}),
-V2 = S_p (x) S_p, with Curl q = (d_y q, -d_x q) and Div v = d_x v_x + d_y v_y.
-Every global matrix is a Kronecker product (or block thereof) of the 1D
-line matrices, so Div.Curl = 0 holds entrywise exactly.
+Each slot is a tensor product of the two spaces of a line, h1 of degree
+p+1 and l2 of degree p: V0 = h1 (x) h1, V1 = (h1 (x) l2) x (l2 (x) h1),
+V2 = l2 (x) l2. `KINDS` is the one owner of this layout: a slot's
+coefficients are its component blocks in KINDS order, each row-major (x
+index major), and masses, mass solves, projections, values and moments
+all work block by block (`TensorDeRhamSpace.blocks`). With Curl q =
+(d_y q, -d_x q) and Div v = d_x v_x + d_y v_y, every global matrix is a
+Kronecker product (or block thereof) of the line matrices, so Div.Curl = 0
+holds entrywise exactly.
 
 A single patch is the broken space whose conforming projections are the
 identity. Across a patch interface, conformity is restored by averaging
@@ -13,9 +18,6 @@ each side with one stencil, the one that preserves the polynomial moments
 up to order p (`projection_stencil_1d`).
 The 2D projections are tensor products of the 1D ones; the V1 projection
 acts on the normal-direction factor of each component only.
-
-V1 coefficient layout: x-component block then y-component block, each in
-row-major (x-index major) tensor order.
 
 Quadrature grids: a space carries two tensor Gauss grids built from its
 lines. `grid` has the exact rule: Gauss with n points a cell is exact to
@@ -32,13 +34,19 @@ so their cost is linear in the number of cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partialmethod
 
 import numpy as np
 import scipy.sparse as sp
 
 from .linalg import KroneckerSolver
-from .splines import (BasisTable, Broken1D, DegenerateStencilError, DeRhamLine,
-                      LineGrid, cell_quadrature)
+from .splines import (Broken1D, DegenerateStencilError, DeRhamLine, LineGrid,
+                      cell_quadrature)
+
+# slot -> the (x kind, y kind) line spaces of each of its component blocks
+KINDS = {0: (("h1", "h1"),),
+         1: (("h1", "l2"), ("l2", "h1")),
+         2: (("l2", "l2"),)}
 
 
 def projection_stencil_1d(degree, n_cells=None) -> np.ndarray:
@@ -49,12 +57,11 @@ def projection_stencil_1d(degree, n_cells=None) -> np.ndarray:
     outgoing side uses c'_0 = c_0 and c'_i = -c_i (i > 0), which is what
     makes the operator a projection. c_1..c_r solve the square system that
     preserves the polynomial moments up to order degree-1. n_cells is the
-    per-patch cell count used for the moment integrals; it defaults to
-    r+1, which leaves all stencil supports untruncated.
+    per-patch cell count (default r+1); the moment integrals run over the
+    first min(n_cells, r+1) cells, which hold the system's basis functions.
     """
     r = degree
-    if n_cells is None:
-        n_cells = r + 1
+    n_cells = r + 1 if n_cells is None else min(n_cells, r + 1)
     # moment integrals I[i, j] = int_patch phi_i(x) x^j dx on unit cells,
     # phi_i = i-th clamped basis function counted from the interface
     space = Broken1D(degree, 1, n_cells, (0.0, float(n_cells)), False)
@@ -117,19 +124,6 @@ def coeffs_of(u) -> np.ndarray:
     return u.coeffs if isinstance(u, Field) else np.asarray(u, dtype=np.float64)
 
 
-def _grid_eval(tx: BasisTable, ty: BasisTable, c) -> np.ndarray:
-    """Values Ex C Ey^T of the coefficients c on the tables' points,
-    sum-factorised: the cell-local products along y, then along x."""
-    C = np.asarray(c).reshape(tx.dim, ty.dim)
-    return tx.to_points(ty.to_points(C.T).T)
-
-
-def _grid_moments(tx: BasisTable, ty: BasisTable, vals) -> np.ndarray:
-    """Moments Ex^T Wx V Wy Ey of point values V against the basis, the
-    transposed products along x, then along y."""
-    return ty.moments(tx.moments(vals).T).T.ravel()
-
-
 class TensorGrid:
     """Tensor product of two line grids: points x (along x) and y, and
     the line grids gx, gy with their basis tables."""
@@ -145,6 +139,13 @@ class TensorGrid:
     def integrate(self, vals) -> float:
         """Quadrature of point values of shape (len(x), len(y))."""
         return float(self.gx.w @ vals @ self.gy.w)
+
+
+def _kron(slot, fx, fy) -> sp.csr_matrix:
+    """The block-diagonal matrix on the slot whose block of kinds (kx, ky)
+    is fx[kx] (x) fy[ky]; a single block skips block_diag's copy."""
+    blocks = [sp.kron(fx[kx], fy[ky], format="csr") for kx, ky in KINDS[slot]]
+    return blocks[0] if len(blocks) == 1 else sp.block_diag(blocks, format="csr")
 
 
 class TensorDeRhamSpace:
@@ -163,68 +164,59 @@ class TensorDeRhamSpace:
         self.periodic = (line_x.periodic, line_y.periodic)
         self.bounds = (line_x.interval, line_y.interval)
 
-        nh1x, nl2x = line_x.h1.dim, line_x.l2.dim
-        nh1y, nl2y = line_y.h1.dim, line_y.l2.dim
-        self.n0 = nh1x * nh1y
-        self.n1x = nh1x * nl2y
-        self.n1y = nl2x * nh1y
-        self.n1 = self.n1x + self.n1y
-        self.n2 = nl2x * nl2y
+        # slot -> the (n_x, n_y) shape of each component block, and where
+        # each block ends in the slot's coefficient vector
+        self.shapes = {slot: [(line_x.spaces[kx].dim, line_y.spaces[ky].dim)
+                              for kx, ky in kinds]
+                       for slot, kinds in KINDS.items()}
+        self._ends = {slot: np.cumsum([nx * ny for nx, ny in shapes]).tolist()
+                      for slot, shapes in self.shapes.items()}
+        self.n0, self.n1, self.n2 = map(self.dim, KINDS)
 
         Dx, Dy = line_x.D, line_y.D
-        Ih1x = sp.identity(nh1x, format="csr")
-        Ih1y = sp.identity(nh1y, format="csr")
-        Il2x = sp.identity(nl2x, format="csr")
-        Il2y = sp.identity(nl2y, format="csr")
+        Ix, Iy = ({k: sp.identity(s.dim, format="csr") for k, s in
+                   line.spaces.items()} for line in (line_x, line_y))
 
         self.Curl = sp.vstack(
-            [sp.kron(Ih1x, Dy, format="csr"), -sp.kron(Dx, Ih1y, format="csr")],
+            [sp.kron(Ix["h1"], Dy, format="csr"), -sp.kron(Dx, Iy["h1"], format="csr")],
             format="csr",
         )
         self.Div = sp.hstack(
-            [sp.kron(Dx, Il2y, format="csr"), sp.kron(Il2x, Dy, format="csr")],
+            [sp.kron(Dx, Iy["l2"], format="csr"), sp.kron(Ix["l2"], Dy, format="csr")],
             format="csr",
         )
 
-        self.M1x = sp.kron(line_x.M_h1, line_y.M_l2, format="csr")
-        self.M1y = sp.kron(line_x.M_l2, line_y.M_h1, format="csr")
-        self.M1 = sp.block_diag([self.M1x, self.M1y], format="csr")
-        self.M2 = sp.kron(line_x.M_l2, line_y.M_l2, format="csr")
-
-        self._solver0 = KroneckerSolver(
-            [line_x.mass_factor("h1"), line_y.mass_factor("h1")]
-        )
-        self._solver1x = KroneckerSolver(
-            [line_x.mass_factor("h1"), line_y.mass_factor("l2")]
-        )
-        self._solver1y = KroneckerSolver(
-            [line_x.mass_factor("l2"), line_y.mass_factor("h1")]
-        )
-        self._solver2 = KroneckerSolver(
-            [line_x.mass_factor("l2"), line_y.mass_factor("l2")]
-        )
+        self.M1 = _kron(1, line_x.mass, line_y.mass)
+        self.M2 = _kron(2, line_x.mass, line_y.mass)
+        self._mass_solvers = {
+            slot: [KroneckerSolver([line_x.mass_factor(kx), line_y.mass_factor(ky)])
+                   for kx, ky in kinds]
+            for slot, kinds in KINDS.items()}
 
         self.grid = TensorGrid(line_x.grid, line_y.grid)
         self.data_grid = TensorGrid(line_x.data_grid, line_y.data_grid)
 
         self.Px = conforming_projection_1d(line_x.h1)
         self.Py = conforming_projection_1d(line_y.h1)
-        self.Pc0 = sp.kron(self.Px, self.Py, format="csr")
-        self.Pc1 = sp.block_diag(
-            [sp.kron(self.Px, Il2y, format="csr"),
-             sp.kron(Il2x, self.Py, format="csr")],
-            format="csr",
-        )
+        proj_x, proj_y = {**Ix, "h1": self.Px}, {**Iy, "h1": self.Py}
+        self.Pc0 = _kron(0, proj_x, proj_y)
+        self.Pc1 = _kron(1, proj_x, proj_y)
         J = (sp.identity(self.n1, format="csr") - self.Pc1).tocsr()
         self.penalization = (J.T @ self.M1 @ J).tocsr()
 
     # --- bookkeeping -----------------------------------------------------
     def dim(self, slot: int) -> int:
-        return {0: self.n0, 1: self.n1, 2: self.n2}[slot]
+        return self._ends[slot][-1]
 
-    def split_v1(self, u):
-        u = np.asarray(u)
-        return u[: self.n1x], u[self.n1x:]
+    def blocks(self, slot: int, c) -> list:
+        """The component blocks of the slot's coefficients c (any array of
+        the slot's size), in KINDS order, as (n_x, n_y) views."""
+        c = np.asarray(c).reshape(-1)
+        if c.size != self.dim(slot):
+            raise ValueError(f"slot V{slot} needs {self.dim(slot)} coeffs, "
+                             f"got {c.size}")
+        return [c[end - nx * ny: end].reshape(nx, ny)
+                for end, (nx, ny) in zip(self._ends[slot], self.shapes[slot])]
 
     @property
     def area(self) -> float:
@@ -232,51 +224,60 @@ class TensorDeRhamSpace:
         return (x1 - x0) * (y1 - y0)
 
     # --- exact mass solves ------------------------------------------------
-    def solve_M0(self, b):
-        return self._solver0.solve(b)
-
-    def solve_M1(self, b):
-        bx, by = self.split_v1(b)
-        return np.concatenate([self._solver1x.solve(bx), self._solver1y.solve(by)])
-
-    def solve_M2(self, b):
-        return self._solver2.solve(b)
+    def solve_mass(self, slot: int, b, solvers=None) -> np.ndarray:
+        """M^-1 b on the slot, one Kronecker solve a component block: by
+        the mass factors, or by the given solvers, one a block."""
+        solvers = self._mass_solvers[slot] if solvers is None else solvers
+        return np.concatenate([k.solve(B).ravel() for k, B in
+                               zip(solvers, self.blocks(slot, b), strict=True)])
 
     # --- values and moments on a quadrature grid ---------------------------
     # grid defaults to the exact grid (see the module docstring); values
-    # have shape (len(grid.x), len(grid.y)).
-    def grid_eval_v0(self, c, grid=None):
+    # have shape (len(grid.x), len(grid.y)), one array per component.
+    def grid_eval(self, slot: int, c, grid=None) -> list:
+        """Values E_x C E_y^T of each block C of the coefficients c,
+        sum-factorised: the cell-local products along y, then along x."""
         g = grid or self.grid
-        return _grid_eval(g.gx.h1, g.gy.h1, c)
+        return [g.gx.tables[kx].to_points(g.gy.tables[ky].to_points(C.T).T)
+                for (kx, ky), C in zip(KINDS[slot], self.blocks(slot, c))]
 
-    def grid_eval_v2(self, c, grid=None):
-        g = grid or self.grid
-        return _grid_eval(g.gx.l2, g.gy.l2, c)
+    def grid_moments(self, slot: int, vals, grid=None) -> np.ndarray:
+        """The coefficient vector of the moments E_x^T W_x V W_y E_y of
+        the point values V of each component, along x, then along y."""
+        g, out = grid or self.grid, np.empty(self.dim(slot))
+        for (kx, ky), V, B in zip(KINDS[slot], vals, self.blocks(slot, out),
+                                  strict=True):
+            B[...] = g.gy.tables[ky].moments(g.gx.tables[kx].moments(V).T).T
+        return out
 
-    def grid_eval_v1(self, u, grid=None):
-        g = grid or self.grid
-        ux, uy = self.split_v1(u)
-        return (_grid_eval(g.gx.h1, g.gy.l2, ux),
-                _grid_eval(g.gx.l2, g.gy.h1, uy))
-
-    def grid_moments_v0(self, vals, grid=None):
-        g = grid or self.grid
-        return _grid_moments(g.gx.h1, g.gy.h1, vals)
-
-    def grid_moments_v2(self, vals, grid=None):
-        g = grid or self.grid
-        return _grid_moments(g.gx.l2, g.gy.l2, vals)
-
-    def grid_moments_v1(self, vals_x, vals_y, grid=None):
-        g = grid or self.grid
-        return np.concatenate([_grid_moments(g.gx.h1, g.gy.l2, vals_x),
-                               _grid_moments(g.gx.l2, g.gy.h1, vals_y)])
+    # The same with the slot in the name: benchmarks/tracer.py patches
+    # these to time the grid work, so the advection kernel calls them.
+    grid_eval_v0 = partialmethod(grid_eval, 0)
+    grid_eval_v1 = partialmethod(grid_eval, 1)
+    grid_eval_v2 = partialmethod(grid_eval, 2)
+    grid_moments_v0 = partialmethod(grid_moments, 0)
+    grid_moments_v1 = partialmethod(grid_moments, 1)
+    grid_moments_v2 = partialmethod(grid_moments, 2)
 
     def constant_v1(self, cx: float, cy: float) -> np.ndarray:
         """Coefficients of a constant vector field (partition of unity)."""
-        return np.concatenate(
-            [np.full(self.n1x, float(cx)), np.full(self.n1y, float(cy))]
-        )
+        return np.concatenate([np.full(nx * ny, float(c)) for (nx, ny), c
+                               in zip(self.shapes[1], (cx, cy))])
+
+
+def sample(grid: TensorGrid, f, n: int) -> list:
+    """The n components of the callable f(x, y) on the grid's mesh, each
+    broadcast to the mesh's shape: f returns one array when n is 1 and n
+    of them otherwise. Raises ValueError on a non-finite value."""
+    X, Y = grid.mesh()
+    out = f(X, Y)
+    vals = [np.broadcast_to(np.asarray(v, dtype=np.float64), X.shape)
+            for v in ((out,) if n == 1 else out)]
+    if len(vals) != n:
+        raise ValueError(f"expected {n} components, got {len(vals)}")
+    if not all(np.all(np.isfinite(v)) for v in vals):
+        raise ValueError("data is not finite at quadrature points")
+    return vals
 
 
 def l2_project(space: TensorDeRhamSpace, slot: int, f) -> Field:
@@ -284,45 +285,32 @@ def l2_project(space: TensorDeRhamSpace, slot: int, f) -> Field:
     on the data grid.
 
     For slot 1 the callable must return the pair (u_x, u_y)."""
+    if slot not in KINDS:
+        raise ValueError(f"unknown slot {slot}")
     grid = space.data_grid
-    X, Y = grid.mesh()
-    if slot == 1:
-        fx, fy = f(X, Y)
-        fx = np.broadcast_to(np.asarray(fx, dtype=np.float64), X.shape)
-        fy = np.broadcast_to(np.asarray(fy, dtype=np.float64), X.shape)
-        if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(fy))):
-            raise ValueError("initial data is not finite at quadrature points")
-        rhs = space.grid_moments_v1(fx, fy, grid)
-        return Field(space, 1, space.solve_M1(rhs))
-    vals = np.broadcast_to(np.asarray(f(X, Y), dtype=np.float64), X.shape)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("data is not finite at quadrature points")
-    if slot == 0:
-        return Field(space, 0, space.solve_M0(space.grid_moments_v0(vals, grid)))
-    if slot == 2:
-        return Field(space, 2, space.solve_M2(space.grid_moments_v2(vals, grid)))
-    raise ValueError(f"unknown slot {slot}")
+    rhs = space.grid_moments(slot, sample(grid, f, len(KINDS[slot])), grid)
+    return Field(space, slot, space.solve_mass(slot, rhs))
+
+
+class PointSampler:
+    """Values of fields at the points of the tensor grid of the 1D axes
+    xs and ys, from the sparse collocation matrices of the lines' spaces
+    there (Ex, and EyT transposed)."""
+
+    def __init__(self, space: TensorDeRhamSpace, xs, ys):
+        self.Ex = {k: s.collocation(xs) for k, s in space.line_x.spaces.items()}
+        self.EyT = {k: s.collocation(ys).T
+                    for k, s in space.line_y.spaces.items()}
+
+    def values(self, field: Field) -> list:
+        """Ex C EyT for each component block C of the field: one
+        (len(xs), len(ys)) array per component."""
+        return [self.Ex[kx] @ C @ self.EyT[ky] for (kx, ky), C in
+                zip(KINDS[field.slot], field.space.blocks(field.slot, field.coeffs))]
 
 
 def eval_field(field: Field, xs, ys):
     """Values of a field on the tensor grid of the 1D axes xs and ys: shape
     (len(xs), len(ys)) for the scalar slots, (len(xs), len(ys), 2) for V1."""
-    space = field.space
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    ys = np.atleast_1d(np.asarray(ys, dtype=np.float64))
-    lx, ly = space.line_x, space.line_y
-    if field.slot == 0:
-        spaces = [(lx.h1, ly.h1, field.coeffs)]
-    elif field.slot == 2:
-        spaces = [(lx.l2, ly.l2, field.coeffs)]
-    else:
-        ux, uy = space.split_v1(field.coeffs)
-        spaces = [(lx.h1, ly.l2, ux), (lx.l2, ly.h1, uy)]
-
-    out = []
-    for sx, sy, c in spaces:
-        C = np.asarray(c).reshape(sx.dim, sy.dim)
-        out.append(sx.collocation(xs) @ C @ sy.collocation(ys).T)
-    if field.slot == 1:
-        return np.stack(out, axis=-1)
-    return out[0]
+    vals = PointSampler(field.space, xs, ys).values(field)
+    return vals[0] if len(vals) == 1 else np.stack(vals, axis=-1)

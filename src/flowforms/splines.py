@@ -229,11 +229,11 @@ class BasisTable:
 
 class LineGrid:
     """A cell-wise Gauss rule on a line (points, weights) with the basis
-    tables of the line's h1 and l2 spaces on it."""
+    tables of the line's spaces on it, by kind ("h1", "l2")."""
 
-    def __init__(self, pts, w, h1: BasisTable, l2: BasisTable):
+    def __init__(self, pts, w, tables: dict):
         self.pts, self.w = pts, w
-        self.h1, self.l2 = h1, l2
+        self.tables = tables
 
 
 class DeRhamLine:
@@ -244,11 +244,12 @@ class DeRhamLine:
     Attributes
     ----------
     h1, l2 : Broken1D
-        The degree-(p+1) and degree-p spaces.
+        The degree-(p+1) and degree-p spaces, by kind in `spaces`.
     D : csr_matrix
         Derivative incidence, shape (l2.dim, h1.dim).
     M_h1, M_l2, B : csr_matrix
-        Mass matrices and the mixed matrix B[a, c] = int l2_a * h1_c.
+        Mass matrices (by kind in `mass`) and the mixed matrix
+        B[a, c] = int l2_a * h1_c.
     grid : LineGrid
         The exact rule (`quad_rule_exact`): the mass matrices are
         assembled on it, and every spline integrand of the solver, the
@@ -269,6 +270,7 @@ class DeRhamLine:
         self.periodic = periodic
         self.h1 = Broken1D(p + 1, n_patches, cells_per_patch, interval, periodic)
         self.l2 = Broken1D(p, n_patches, cells_per_patch, interval, periodic)
+        self.spaces = {"h1": self.h1, "l2": self.l2}
         self.D = self.h1.derivative_matrix()
         self.h = self.h1.h
 
@@ -277,6 +279,7 @@ class DeRhamLine:
         self.M_h1 = weighted_gram(E1, w, E1)
         self.M_l2 = weighted_gram(E0, w, E0)
         self.B = weighted_gram(E0, w, E1)
+        self.mass = {"h1": self.M_h1, "l2": self.M_l2}
 
         self.data_grid, E1, E0 = self._grid(quad_rule_data(p))
         self.E_h1 = E1.toarray()
@@ -290,15 +293,14 @@ class DeRhamLine:
         pts, w = cell_quadrature(self.h1.breakpoints, n_per_cell)
         E1 = self.h1.collocation(pts)
         E0 = self.l2.collocation(pts)
-        grid = LineGrid(pts, w, BasisTable(self.h1, E1, w, n_per_cell),
-                        BasisTable(self.l2, E0, w, n_per_cell))
+        grid = LineGrid(pts, w, {"h1": BasisTable(self.h1, E1, w, n_per_cell),
+                                 "l2": BasisTable(self.l2, E0, w, n_per_cell)})
         return grid, E1, E0
 
     def mass_factor(self, which: str):
-        """Cached SPDInverse of M_h1 ('h1') or M_l2 ('l2')."""
+        """Cached SPDInverse of the mass matrix of kind which."""
         if which not in self._fact:
-            M = self.M_h1 if which == "h1" else self.M_l2
-            self._fact[which] = SPDInverse(M)
+            self._fact[which] = SPDInverse(self.mass[which])
         return self._fact[which]
 
     @cached_property

@@ -20,8 +20,8 @@ the boundaryless dual curl, the interior products and the V0 mass
 matrix that no solver path uses, the least-squares convergence order,
 and the plain Picard iteration of the midpoint step (the fixed-point
 check of the accelerated one), and the snapshot writer that formats each
-value on its own through eval_field (the byte-for-byte check of
-runner.write_snapshot).
+value on its own (the byte-for-byte check of the text template of
+runner.write_snapshot, which samples through the same PointSampler).
 """
 
 from dataclasses import dataclass
@@ -388,7 +388,7 @@ def cg_solve(A, b, tol: float = 1e-12, max_iter: int | None = None):
 
 def mass_v0(space):
     """The V0 mass matrix M_h1 (x) M_h1 of the lines, which no solver path
-    assembles (solve_M0 applies its inverse as a Kronecker product)."""
+    assembles (solve_mass applies its inverse as a Kronecker product)."""
     return sp.kron(space.line_x.M_h1, space.line_y.M_h1, format="csr")
 
 
@@ -396,10 +396,11 @@ def mixed_matrix(space, k: int):
     """B_k[m, j] = int L2_m (Lambda_j)_k: the V2 moments of the k-th
     velocity component, from the 1D factors of the lines."""
     lx, ly, n2 = space.line_x, space.line_y, space.n2
+    n1x, n1y = lx.h1.dim * ly.l2.dim, lx.l2.dim * ly.h1.dim
     if k == 1:
-        blocks = [sp.kron(lx.B, ly.M_l2), sp.csr_matrix((n2, space.n1y))]
+        blocks = [sp.kron(lx.B, ly.M_l2), sp.csr_matrix((n2, n1y))]
     else:
-        blocks = [sp.csr_matrix((n2, space.n1x)), sp.kron(lx.M_l2, ly.B)]
+        blocks = [sp.csr_matrix((n2, n1x)), sp.kron(lx.M_l2, ly.B)]
     return sp.hstack(blocks, format="csr")
 
 
@@ -426,7 +427,7 @@ def weak_grad_full_sparse(ctx, q, edges=None):
     T = sp.vstack([sp.kron(ends(lx, "left", "right"), ly.M_l2),
                    sp.kron(lx.M_l2, ends(ly, "bottom", "top"))], format="csr")
     qc = coeffs_of(q)
-    return s.solve_M1(-(ctx.DtT @ (s.M2 @ qc)) + T @ qc)
+    return s.solve_mass(1, -(ctx.DtT @ (s.M2 @ qc)) + T @ qc)
 
 
 def advection_form(ctx, u, v, w) -> float:
@@ -440,17 +441,17 @@ def advection_form(ctx, u, v, w) -> float:
     s = ctx.space
     grid = s.data_grid
     uc, vc, wc = coeffs_of(u), coeffs_of(v), coeffs_of(w)
-    uvx, uvy = s.grid_eval_v1(uc, grid)
+    uvx, uvy = s.grid_eval(1, uc, grid)
     total = 0.0
     for k in (1, 2):
         B = mixed_matrix(s, k)
-        ikv = s.solve_M2(B @ vc)
-        ikw = s.solve_M2(B @ wc)
-        gvx, gvy = s.grid_eval_v1(weak_grad_full_sparse(ctx, ikv), grid)
-        gwx, gwy = s.grid_eval_v1(
-            weak_grad_full_sparse(ctx, ikw, walls(ctx)), grid)
-        ikw_vals = s.grid_eval_v2(ikw, grid)
-        ikv_vals = s.grid_eval_v2(ikv, grid)
+        ikv = s.solve_mass(2, B @ vc)
+        ikw = s.solve_mass(2, B @ wc)
+        gvx, gvy = s.grid_eval(1, weak_grad_full_sparse(ctx, ikv), grid)
+        gwx, gwy = s.grid_eval(
+            1, weak_grad_full_sparse(ctx, ikw, walls(ctx)), grid)
+        ikw_vals, = s.grid_eval(2, ikw, grid)
+        ikv_vals, = s.grid_eval(2, ikv, grid)
         integrand = ikw_vals * (uvx * gvx + uvy * gvy) \
             - ikv_vals * (uvx * gwx + uvy * gwy)
         total += grid.integrate(integrand)
@@ -460,7 +461,7 @@ def advection_form(ctx, u, v, w) -> float:
 def weak_grad(ctx, q) -> Field:
     """Boundaryless dual gradient: M1 x = -(Div Pc1)^T M2 q."""
     qc = coeffs_of(q)
-    x = ctx.space.solve_M1(-(ctx.DtT @ (ctx.space.M2 @ qc)))
+    x = ctx.space.solve_mass(1, -(ctx.DtT @ (ctx.space.M2 @ qc)))
     return Field(ctx.space, 1, x)
 
 
@@ -469,13 +470,13 @@ def weak_grad_with_pressure_bc(ctx, q) -> Field:
     M1 x = -(Div Pc1 Pn)^T M2 q + b,  b_j = int_{Gamma_p} p_b (Lambda_j . n)."""
     qc = coeffs_of(q)
     rhs = -(ctx.Pn @ (ctx.DtT @ (ctx.space.M2 @ qc))) + ctx.b_pressure
-    return Field(ctx.space, 1, ctx.space.solve_M1(rhs))
+    return Field(ctx.space, 1, ctx.space.solve_mass(1, rhs))
 
 
 def weak_curl(ctx, v) -> Field:
     """Boundaryless dual curl: M0 w = (Curl Pc0)^T M1 v."""
     vc = coeffs_of(v)
-    w = ctx.space.solve_M0(ctx.CP0T @ (ctx.space.M1 @ vc))
+    w = ctx.space.solve_mass(0, ctx.CP0T @ (ctx.space.M1 @ vc))
     return Field(ctx.space, 0, w)
 
 
@@ -484,7 +485,7 @@ def interior_product(ctx, u, k: int) -> Field:
     if k not in (1, 2):
         raise ValueError("component index must be 1 or 2")
     B = mixed_matrix(ctx.space, k)
-    return Field(ctx.space, 2, ctx.space.solve_M2(B @ coeffs_of(u)))
+    return Field(ctx.space, 2, ctx.space.solve_mass(2, B @ coeffs_of(u)))
 
 
 def convergence_order(hs, errors) -> float:

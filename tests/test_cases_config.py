@@ -236,8 +236,10 @@ def test_resolve_rejects_a_walled_domain_without_boundary():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    (dict(case="taylor_green", n_cells=(2, 2)), "needs more than 3 cells"),
-    (dict(case="taylor_green", n_cells=(8, 3)), "needs more than 3 cells"),
+    (dict(case="taylor_green", n_cells=(2, 2)),
+     "degree 2 needs at least 4 cells, got 2"),
+    (dict(case="taylor_green", n_cells=(8, 3)),
+     "degree 2 needs at least 4 cells, got 3"),
     (dict(case="taylor_green", domain=(0.0, 1.0, 1.0, 0.0)),
      "empty interval"),
     (dict(case="lid_driven_cavity", n_patches=(2, 2), n_cells=(1, 1)),

@@ -189,6 +189,20 @@ def test_invalid_option_value_is_a_usage_error(cli, tmp_path, command):
     assert not (tmp_path / "diagnostics.csv").exists()
 
 
+@pytest.mark.parametrize("case", ["lid_driven_cavity", "blasius",
+                                  "double_shear_layer"])
+def test_converge_without_exact_solution_is_a_usage_error(cli, tmp_path,
+                                                          case):
+    csv_path = tmp_path / "convergence.csv"
+    result = cli.invoke(main, ["converge", "--case", case, "--meshes", "4,8",
+                               "--out", str(tmp_path), "--csv", str(csv_path)])
+    out = _all_output(result)
+    assert result.exit_code == 2, out
+    assert f"Error: case {case!r} has no exact solution" in out
+    assert "Traceback" not in out
+    assert list(tmp_path.iterdir()) == []     # no run started
+
+
 @pytest.mark.parametrize("args, message", [
     (["--meshes", "8,x"], "--meshes must be comma-separated integers >= 1, "
                           "got '8,x'"),
@@ -271,12 +285,12 @@ def test_partial_boundary_on_a_walled_domain_is_a_usage_error(cli, tmp_path):
 
 @pytest.mark.parametrize("args, config, message", [
     (["run", "--case", "taylor_green", "--nc", "2"], None,
-     "a periodic patch of degree 3 needs more than 3 cells, got 2"),
+     "a periodic patch of degree 2 needs at least 4 cells, got 2"),
     (["run"], "[grid]\ndomain = 1,0,0,1\n", "empty interval [1.0, 0.0]"),
     (["run", "--case", "lid_driven_cavity", "--np", "2,2", "--nc", "1"], None,
      "a broken line needs at least 2 cells per patch, got 1"),
     (["converge", "--case", "taylor_green", "--meshes", "2,4"], None,
-     "a periodic patch of degree 3 needs more than 3 cells, got 2"),
+     "a periodic patch of degree 2 needs at least 4 cells, got 2"),
     (["run"], "[case]\nname = taylor_green\n[grid]\nperiodic = false\n",
      "boundary conditions missing for edges "
      "['bottom', 'left', 'right', 'top']"),

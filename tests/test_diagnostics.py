@@ -44,7 +44,7 @@ def test_energy_matches_quadrature_route():
     s = ctx.space
     u = rand_coeffs(s, 1, seed=1)
     rec = measure(ctx, u)
-    ux, uy = s.grid_eval_v1(u)
+    ux, uy = s.grid_eval(1, u)
     eq = 0.5 * s.grid.integrate(ux * ux + uy * uy)
     assert abs(rec.energy - eq) <= 1e-12 * max(1.0, eq)
 

@@ -39,15 +39,22 @@ def test_first_order_stencil_coefficient_ratio():
     assert expect == pytest.approx(0.25, abs=1e-13)
 
 
-@pytest.mark.parametrize("degree", [2, 3, 4])
-def test_stencil_moment_conditions(degree):
-    # radius = degree, moments up to degree - 1: a square system
-    c = projection_stencil_1d(degree)
+@pytest.mark.parametrize("degree,n_cells", [
+    *(pytest.param(d, None, id=str(d)) for d in (2, 3, 4)),
+    (1, 2), (1, 69), (2, 4), (3, 5), (3, 17), (4, 40), (5, 6), (5, 69),
+])
+def test_stencil_moment_conditions(degree, n_cells):
+    # radius = degree, moments up to degree - 1: a square system. On a
+    # patch of degree+1 cells or more, the moments over the whole patch
+    # hold and the stencil is the one of degree+1 cells, bit for bit.
+    c = projection_stencil_1d(degree, n_cells)
     r = len(c) - 1
     assert r == degree
-    I = stencil_moment_integrals(degree, r + 1, r + 1, degree - 1)
+    n = r + 1 if n_cells is None else n_cells
+    I = stencil_moment_integrals(degree, n, r + 1, degree - 1)
     lhs = c[1:] @ I[1:, :]
     assert np.abs(lhs - 0.5 * I[0, :]).max() <= 1e-12
+    assert np.array_equal(c, projection_stencil_1d(degree))
 
 
 def test_oversized_stencil_rejected_at_build():
@@ -99,7 +106,7 @@ def _interface_row_pairs(s):
     for L, R in s.line_x.h1.interfaces():
         for b in range(ny_l2):
             pairs.append((L * ny_l2 + b, R * ny_l2 + b))
-    off = s.n1x
+    off = nx_h1 * ny_l2
     for L, R in s.line_y.h1.interfaces():
         for a in range(nx_l2):
             pairs.append((off + a * ny_h1 + L, off + a * ny_h1 + R))
@@ -131,7 +138,7 @@ def test_projection_preserves_polynomial_moments(rng):
     mo = s.p
     v = rng.standard_normal(s.n1)
     dv = (s.Pc1 @ v) - v
-    dx, dy = s.grid_eval_v1(dv)
+    dx, dy = s.grid_eval(1, dv)
     X, Y = s.grid.mesh()
     for a in range(mo + 1):
         for b in range(s.p + 1):
@@ -170,7 +177,7 @@ def test_penalization_energy_equals_jump_norm(rng):
     u = rng.standard_normal(s.n1)
     quad_form = float(u @ (s.penalization @ u))
     jump = u - s.Pc1 @ u
-    jx, jy = s.grid_eval_v1(jump)
+    jx, jy = s.grid_eval(1, jump)
     direct = s.grid.integrate(jx**2 + jy**2)
     assert quad_form == pytest.approx(direct, rel=1e-12)
 

@@ -141,11 +141,11 @@ def test_interior_product_moments_match_quadrature():
     ctx = context(2, 4, 1, "periodic")
     s = ctx.space
     u = rand_coeffs(s, 1, seed=9)
-    ux_vals, uy_vals = s.grid_eval_v1(u)
+    ux_vals, uy_vals = s.grid_eval(1, u)
     for k, vals in ((1, ux_vals), (2, uy_vals)):
         w = interior_product(ctx, u, k).coeffs
         lhs = s.M2 @ w
-        rhs = s.grid_moments_v2(vals)
+        rhs = s.grid_moments(2, [vals])
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 
@@ -501,8 +501,9 @@ def _tangential_trace_indices(s):
     # are interpolatory, so zeroing these kills the trace exactly)
     nh1x, nl2x = s.line_x.h1.dim, s.line_x.l2.dim
     nh1y, nl2y = s.line_y.h1.dim, s.line_y.l2.dim
-    idx = [s.n1x + 0 * nh1y + np.arange(nh1y),
-           s.n1x + (nl2x - 1) * nh1y + np.arange(nh1y),
+    n1x = nh1x * nl2y
+    idx = [n1x + 0 * nh1y + np.arange(nh1y),
+           n1x + (nl2x - 1) * nh1y + np.arange(nh1y),
            np.arange(nh1x) * nl2y + 0,
            np.arange(nh1x) * nl2y + (nl2y - 1)]
     return np.unique(np.concatenate(idx))
@@ -666,6 +667,14 @@ def test_forcing_vector_pairs_exactly_with_constants(npat):
     area = sp_.area
     assert rel(float(ctx.f_vec @ sp_.constant_v1(1.0, 0.0)), 2.0 * area) <= 1e-12
     assert rel(float(ctx.f_vec @ sp_.constant_v1(0.0, 1.0)), -3.0 * area) <= 1e-12
+
+
+def test_context_rejects_non_finite_forcing():
+    # a NaN in the forcing would otherwise reach the first solve
+    with pytest.raises(ValueError, match="not finite"):
+        OperatorContext(space(2, 4, 1, periodic=True),
+                        forcing=lambda X, Y: (np.where(X > 1.0, np.nan, 0.0),
+                                              0.0))
 
 
 def test_m1_solve_with_penalization():

@@ -43,9 +43,13 @@ def test_div_curl_is_structurally_zero(p, nc, npatch, periodic):
 def test_v1_block_splitting_roundtrip(rng):
     s = space(2, 4, 1, True)
     u = rng.standard_normal(s.n1)
-    ux, uy = s.split_v1(u)
-    assert ux.size == s.n1x and uy.size == s.n1y
-    assert np.array_equal(np.concatenate([ux, uy]), u)
+    ux, uy = s.blocks(1, u)
+    assert ux.shape == (s.line_x.h1.dim, s.line_y.l2.dim)
+    assert uy.shape == (s.line_x.l2.dim, s.line_y.h1.dim)
+    assert np.shares_memory(ux, u) and np.shares_memory(uy, u)
+    assert np.array_equal(np.concatenate([ux.ravel(), uy.ravel()]), u)
+    with pytest.raises(ValueError):
+        s.blocks(1, u[:-1])
 
 
 def test_area():
@@ -75,21 +79,15 @@ def test_mass_quadrature_consistency(slot, rng):
     u = rand_field(s, slot, seed=slot + 1)
     M = {0: mass_v0(s), 1: s.M1, 2: s.M2}[slot]
     quad_form = float(u.coeffs @ (M @ u.coeffs))
-    if slot == 1:
-        vx, vy = s.grid_eval_v1(u.coeffs)
-        direct = s.grid.integrate(vx**2 + vy**2)
-    else:
-        vals = s.grid_eval_v0(u.coeffs) if slot == 0 else s.grid_eval_v2(u.coeffs)
-        direct = s.grid.integrate(vals**2)
+    direct = s.grid.integrate(sum(v**2 for v in s.grid_eval(slot, u.coeffs)))
     assert abs(quad_form - direct) <= 1e-12 * abs(direct)
 
 
 def test_exact_mass_solves(rng):
     s = space(3, 2, 2, False)
-    for M, solve in ((mass_v0(s), s.solve_M0), (s.M1, s.solve_M1),
-                     (s.M2, s.solve_M2)):
+    for slot, M in enumerate((mass_v0(s), s.M1, s.M2)):
         b = rng.standard_normal(M.shape[0])
-        x = solve(b)
+        x = s.solve_mass(slot, b)
         assert np.linalg.norm(M @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
@@ -133,8 +131,7 @@ def test_l2_project_residual_is_tiny():
     s = space(2, 4, 1, True)
     u = l2_project(s, 1, tg_velocity)
     X, Y = s.data_grid.mesh()
-    fx, fy = tg_velocity(X, Y)
-    rhs = s.grid_moments_v1(fx, fy, s.data_grid)
+    rhs = s.grid_moments(1, tg_velocity(X, Y), s.data_grid)
     assert np.linalg.norm(s.M1 @ u.coeffs - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
@@ -144,7 +141,7 @@ def test_l2_project_rejects_non_finite_data():
         l2_project(s, 2, lambda X, Y: np.where(X > 1.0, np.nan, 1.0))
     with pytest.raises(ValueError):
         l2_project(s, 1, lambda X, Y: (X * np.inf, Y))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown slot 3"):
         l2_project(s, 3, lambda X, Y: 1.0)
 
 
@@ -176,7 +173,8 @@ def test_v1_basis_integral_equals_mass_row_sum():
     from oracles import DenseOracle
 
     ora = DenseOracle(s)
-    for j in (0, s.n1x // 2, s.n1x + 1, s.n1 - 1):
+    n1x = s.line_x.h1.dim * s.line_y.l2.dim
+    for j in (0, n1x // 2, n1x + 1, s.n1 - 1):
         e = np.zeros(s.n1)
         e[j] = 1.0
         vx, vy = ora.v1_values(e)
@@ -201,44 +199,41 @@ def test_sum_factorised_grid_kernels_match_dense_products(p, npatch, nc,
                          periodic=periodic)
     rng = np.random.default_rng(p)
     for grid in (s.grid, s.data_grid):
-        E = {(axis, kind): getattr(line, kind).collocation(g.pts).toarray()
+        E = {(axis, kind): line.spaces[kind].collocation(g.pts).toarray()
              for axis, line, g in (("x", s.line_x, grid.gx),
                                    ("y", s.line_y, grid.gy))
              for kind in ("h1", "l2")}
         W = np.multiply.outer(grid.gx.w, grid.gy.w)
 
-        def dense_eval(kx, ky, c):
-            Ex, Ey = E["x", kx], E["y", ky]
-            return Ex @ c.reshape(Ex.shape[1], Ey.shape[1]) @ Ey.T
-
-        def dense_moments(kx, ky, vals):
-            return (E["x", kx].T @ (W * vals) @ E["y", ky]).ravel()
-
         def close(got, want):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
-        c0, c1, c2 = (rng.standard_normal(s.dim(k)) for k in (0, 1, 2))
-        ux, uy = s.split_v1(c1)
-        close(s.grid_eval_v0(c0, grid), dense_eval("h1", "h1", c0))
-        close(s.grid_eval_v2(c2, grid), dense_eval("l2", "l2", c2))
-        gx, gy = s.grid_eval_v1(c1, grid)
-        close(gx, dense_eval("h1", "l2", ux))
-        close(gy, dense_eval("l2", "h1", uy))
-
-        vx, vy = rng.standard_normal((2, len(grid.x), len(grid.y)))
-        close(s.grid_moments_v0(vx, grid), dense_moments("h1", "h1", vx))
-        close(s.grid_moments_v2(vx, grid), dense_moments("l2", "l2", vx))
-        close(s.grid_moments_v1(vx, vy, grid),
-              np.concatenate([dense_moments("h1", "l2", vx),
-                              dense_moments("l2", "h1", vy)]))
+        # each slot's (x kind, y kind) blocks, in coefficient order
+        for slot, kinds in enumerate([[("h1", "h1")],
+                                      [("h1", "l2"), ("l2", "h1")],
+                                      [("l2", "l2")]]):
+            c = rng.standard_normal(s.dim(slot))
+            vals = list(rng.standard_normal((len(kinds), len(grid.x),
+                                             len(grid.y))))
+            got = s.grid_eval(slot, c, grid)
+            assert len(got) == len(kinds)
+            moments, start = [], 0
+            for (kx, ky), g, V in zip(kinds, got, vals):
+                Ex, Ey = E["x", kx], E["y", ky]
+                n = Ex.shape[1] * Ey.shape[1]
+                C = c[start: start + n].reshape(Ex.shape[1], Ey.shape[1])
+                close(g, Ex @ C @ Ey.T)
+                moments.append((Ex.T @ (W * V) @ Ey).ravel())
+                start += n
+            close(s.grid_moments(slot, vals, grid), np.concatenate(moments))
 
 
 def test_grid_eval_matches_eval_field():
     s = space(2, 2, 1, False)
     u = rand_field(s, 1, seed=11)
     for grid in (s.grid, s.data_grid):
-        gx, gy = s.grid_eval_v1(u.coeffs, grid)
+        gx, gy = s.grid_eval(1, u.coeffs, grid)
         vals = eval_field(u, grid.x, grid.y)
         assert np.abs(vals[..., 0] - gx).max() <= 1e-12
         assert np.abs(vals[..., 1] - gy).max() <= 1e-12
