@@ -1,12 +1,14 @@
 """Benchmark case library.
 
-Each case bundles the domain, boundary conditions, initial data, an
-exact solution where one exists, and default physical/stepper settings.
+Each case bundles boundary conditions, initial data, an exact solution
+where one exists, and the domain, periodic, nu, alpha, dt and t_final
+that SimulationConfig.resolve() puts in each unset config field of the
+same name (a dt of None stays None: CFL control).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,11 +23,14 @@ class CaseDefinition:
     domain: tuple                 # (x0, x1, y0, y1)
     periodic: bool
     initial: object               # (X, Y) -> (ux, uy)
+    nu: float
+    alpha: float
+    t_final: float
+    dt: float = None              # None = CFL-controlled
     exact: object = None          # (X, Y, t, nu) -> (ux, uy)
     exact_pressure: object = None  # (X, Y) -> p, steady cases only
     boundary: dict = None         # edge name -> EdgeBC
     forcing: object = None
-    defaults: dict = field(default_factory=dict)
 
 
 def _taylor_green():
@@ -41,7 +46,7 @@ def _taylor_green():
         periodic=True,
         initial=lambda X, Y: exact(X, Y, 0.0),
         exact=exact,
-        defaults=dict(nu=0.0, alpha=1000.0, dt=1e-4, t_final=1.0),
+        nu=0.0, alpha=1000.0, dt=1e-4, t_final=1.0,
     )
 
 
@@ -65,7 +70,7 @@ def _poiseuille():
             "bottom": EdgeBC("pressure", -PI * PI / 2.0, tangential=0.0),
             "top": EdgeBC("pressure", PI * PI / 2.0, tangential=0.0),
         },
-        defaults=dict(nu=1.0, alpha=10.0, dt=1e-3, t_final=30.0),
+        nu=1.0, alpha=10.0, dt=1e-3, t_final=30.0,
     )
 
 
@@ -81,7 +86,7 @@ def _lid_driven_cavity():
             "bottom": EdgeBC("normal", 0.0, tangential=0.0),
             "top": EdgeBC("normal", 0.0, tangential=1.0),
         },
-        defaults=dict(nu=1e-2, alpha=100.0, dt=None, t_final=30.0),
+        nu=1e-2, alpha=100.0, t_final=30.0,
     )
 
 
@@ -99,7 +104,7 @@ def _blasius():
             # impermeable bottom; no-slip only on the plate x >= 0
             "bottom": EdgeBC("normal", 0.0, tangential=[(0.0, 1.0, 0.0)]),
         },
-        defaults=dict(nu=1e-3, alpha=100.0, dt=None, t_final=10.0),
+        nu=1e-3, alpha=100.0, t_final=10.0,
     )
 
 
@@ -116,7 +121,7 @@ def _double_shear_layer():
         domain=(-1.0, 1.0, -1.0, 1.0),
         periodic=True,
         initial=initial,
-        defaults=dict(nu=2e-4, alpha=1000.0, dt=None, t_final=4.0),
+        nu=2e-4, alpha=1000.0, t_final=4.0,
     )
 
 

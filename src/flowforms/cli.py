@@ -1,28 +1,29 @@
 """Command line interface: `flowforms run` and `flowforms converge`.
 
-Both commands build one SimulationConfig (from an optional INI file plus
-the command line options) and hand it to the runner.
+Each option is named after the SimulationConfig field it sets (--nc
+sets n_cells, --np n_patches, --tol picard_tol, --out output_dir), and
+both commands set the options given on the config of an optional INI
+file. An invalid config or study is a usage error before any run.
 
-Environment variables: FLOWFORMS_OUTPUT_DIR overrides the output
-directory. The BLAS thread count follows the standard variables
-OPENBLAS_NUM_THREADS and OMP_NUM_THREADS, which must be set before the
-process starts.
+Environment variables: FLOWFORMS_OUTPUT_DIR is declared as the envvar
+of --out, so an explicit --out beats it. The BLAS thread count follows
+OPENBLAS_NUM_THREADS and OMP_NUM_THREADS, set before the process starts.
 """
 
 import os
+from contextlib import contextmanager
 
 import click
 
 
-def _load(config_path, kwargs, resolve=None):
-    """The config of a command, checked by resolve(cfg) or cfg.resolve();
-    an invalid value is a usage error (exit code 2, one line), not a traceback."""
+@contextmanager
+def _usage_errors():
+    """An invalid value raised as ValueError is a usage error (exit code
+    2, one line), not a traceback."""
     try:
-        cfg = _build_config(config_path, kwargs)
-        cfg.resolve() if resolve is None else resolve(cfg)
+        yield
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
-    return cfg
 
 
 def _int_list(option, text, least):
@@ -38,41 +39,34 @@ def _int_list(option, text, least):
                            f">= {least}, got {text!r}")
 
 
-def _build_config(config_path, kwargs):
+def _build_config(config_path, options):
+    """The config file's SimulationConfig (or the default one) with every
+    option given set on the field it is named after."""
     from dataclasses import replace
-    from .config import load_config, SimulationConfig
+    from .config import load_config, parse_pair, SimulationConfig
 
     cfg = load_config(config_path) if config_path else SimulationConfig()
-    updates = {}
-    mapping = {"dt": "dt", "degree": "degree", "alpha": "alpha", "nu": "nu",
-               "tol": "picard_tol", "out": "output_dir", "case": "case",
-               "t_final": "t_final"}
-    for opt, attr in mapping.items():
-        if kwargs.get(opt) is not None:
-            updates[attr] = kwargs[opt]
-    for opt, attr in (("nc", "n_cells"), ("np", "n_patches")):
-        if kwargs.get(opt) is not None:
-            from .config import _parse_pair
-            updates[attr] = _parse_pair(kwargs[opt], int)
-    env_out = os.environ.get("FLOWFORMS_OUTPUT_DIR")
-    if env_out and kwargs.get("out") is None:
-        updates["output_dir"] = env_out
-    return replace(cfg, **updates)
+    return replace(cfg, **{
+        name: parse_pair(v) if name in ("n_cells", "n_patches") else v
+        for name, v in options.items() if v is not None})
 
 
+# each option's destination is the SimulationConfig field it sets
 _shared = [
-    click.option("--dt", type=float, default=None, help="fixed time step"),
-    click.option("--p", "--degree", "degree", type=int, default=None,
+    click.option("--dt", type=float, help="fixed time step"),
+    click.option("--p", "--degree", "degree", type=int,
                  help="spline degree of the pressure space"),
-    click.option("--nc", type=str, default=None, help="cells per patch"),
-    click.option("--np", "np_", type=str, default=None, help="patch counts"),
-    click.option("--alpha", type=float, default=None,
+    click.option("--nc", "n_cells", type=str, help="cells per patch"),
+    click.option("--np", "n_patches", type=str, help="patch counts"),
+    click.option("--alpha", type=float,
                  help="interface penalization strength"),
-    click.option("--nu", type=float, default=None, help="viscosity"),
-    click.option("--tol", type=float, default=None, help="Picard tolerance"),
-    click.option("--out", type=str, default=None, help="output directory"),
-    click.option("--case", type=str, default=None, help="case name"),
-    click.option("--t-final", "t_final", type=float, default=None),
+    click.option("--nu", type=float, help="viscosity"),
+    click.option("--tol", "picard_tol", type=float, help="Picard tolerance"),
+    click.option("--out", "output_dir", type=str,
+                 envvar="FLOWFORMS_OUTPUT_DIR", show_envvar=True,
+                 help="output directory"),
+    click.option("--case", type=str, help="case name"),
+    click.option("--t-final", "t_final", type=float),
 ]
 
 
@@ -86,18 +80,18 @@ def _with_shared(cmd):
 def main():
     """Structure-preserving incompressible flow solver on spline spaces.
 
-    FLOWFORMS_OUTPUT_DIR sets the default output directory. Set
-    OPENBLAS_NUM_THREADS / OMP_NUM_THREADS to cap the BLAS threads."""
+    Set OPENBLAS_NUM_THREADS / OMP_NUM_THREADS to cap the BLAS threads."""
 
 
 @main.command("run")
 @click.argument("config", type=click.Path(exists=True), required=False)
 @_with_shared
 @click.option("--quiet", is_flag=True, help="suppress per-step output")
-def run_cmd(config, quiet, np_=None, **kwargs):
+def run_cmd(config, quiet, **options):
     """Run one simulation described by CONFIG (or case defaults)."""
-    kwargs["np"] = np_
-    cfg = _load(config, kwargs)
+    with _usage_errors():
+        cfg = _build_config(config, options)
+        rcfg, case = cfg.resolve()
     from .runner import run
 
     def progress(step, t, rec):
@@ -112,7 +106,6 @@ def run_cmd(config, quiet, np_=None, **kwargs):
     line = (f"finished: t={res.t:.6f} steps={res.steps} steady={res.steady} "
             f"retries={res.retries} wall={wall:.2f}s "
             f"diagnostics={res.diagnostics_path}")
-    rcfg, case = cfg.resolve()
     if case.exact is not None and not res.failed:
         from .diagnostics import l2_error
         err = l2_error(res.u.space, res.u,
@@ -133,25 +126,15 @@ def run_cmd(config, quiet, np_=None, **kwargs):
               help="spline degrees, comma separated")
 @click.option("--csv", "csv_path", type=str, default=None,
               help="write results to this CSV file")
-def converge_cmd(config, meshes, degrees, csv_path, np_=None, **kwargs):
+def converge_cmd(config, meshes, degrees, csv_path, **options):
     """Mesh-refinement study against the case's exact solution."""
-    kwargs["np"] = np_
-    from .runner import convergence_study, study_case
-    cfg = _load(config, kwargs, study_case)
-
+    from .runner import convergence_study, study_grids
     mesh_list = _int_list("meshes", meshes, least=1)
     deg_list = _int_list("degrees", degrees, least=0)
-    npx, npy = cfg.n_patches
-    for n in mesh_list:
-        if n % npx or n % npy:
-            raise click.UsageError(
-                f"--meshes: {n} cells is not divisible by the patch counts "
-                f"{npx},{npy}")
-        for deg in deg_list:     # every grid of the study loads, too
-            _load(config, {**kwargs, "degree": deg,
-                           "nc": f"{n // npx},{n // npy}"})
-    if csv_path is None:
-        csv_path = os.path.join(cfg.output_dir, "convergence.csv")
+    with _usage_errors():
+        cfg = _build_config(config, options)
+        study_grids(cfg, mesh_list, deg_list)
+    csv_path = csv_path or os.path.join(cfg.output_dir, "convergence.csv")
     rows = convergence_study(cfg, mesh_list, deg_list, out_path=csv_path)
     click.echo(f"{'deg':>4} {'n':>6} {'h':>12} {'error':>14} {'order':>8}")
     for deg, n, h, err, order in rows:

@@ -1,18 +1,19 @@
 """Simulation configuration: the one config object, plus its INI-style
 file format.
 
-SimulationConfig.resolve() fills unset values from the case library and
-validates the result; the runner and the stepper work from that resolved
-config. dt=None there selects CFL control of the time step.
+SimulationConfig.resolve() validates a config and fills each of its
+unset (None) domain, periodic, nu, alpha, dt and t_final from the case's
+field of that name, and steady_tol from picard_tol; the runner and the
+stepper work from the result, where dt=None selects CFL control.
 
 File sections: [case], [grid], [physics], [stepper], [output] and one
 [boundary.<edge>] per walled edge (keys kind, value, tangential). Every
-key is optional; unset values fall back to the case defaults. Unknown
-keys, edges and kinds, boundary sections on a periodic domain, a walled
-domain without one for each edge, tangential segments that overlap or
-end off a cell boundary, a grid whose velocity line `Broken1D.check`
-rejects, and none/auto for a setting without an automatic value are
-rejected.
+key is optional, and an unset one keeps its default or takes the case's
+value as above. Unknown keys, edges and kinds, boundary sections on a
+periodic domain, a walled domain without one for each edge, tangential
+segments that overlap or end off a cell boundary, a grid whose velocity
+line `Broken1D.check` rejects, and none/auto for a setting without an
+automatic value are rejected.
 
 boundary tangential grammar:  free | <float> | <float>@<lo>:<hi>[,...]
 """
@@ -24,17 +25,16 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .cases import CaseDefinition, case_library
+from .cases import case_library
 from .operators import EDGES, EdgeBC, check_boundary
 from .splines import Broken1D
 
 
-def _parse_pair(text, conv=int):
-    parts = [p.strip() for p in str(text).split(",") if p.strip()]
-    if len(parts) == 1:
-        return (conv(parts[0]), conv(parts[0]))
-    if len(parts) == 2:
-        return (conv(parts[0]), conv(parts[1]))
+def parse_pair(text):
+    """(a, b) from the integers "a,b", or (a, a) from "a"."""
+    parts = [int(p) for p in str(text).split(",") if p.strip()]
+    if len(parts) in (1, 2):
+        return (parts[0], parts[-1])
     raise ValueError(f"expected one or two comma-separated values, got {text!r}")
 
 
@@ -93,20 +93,9 @@ class SimulationConfig:
         """Fill unset values from the case library and validate them;
         returns (cfg, case). Raises ValueError on an invalid value."""
         case = case_library(self.case)
-        d = case.defaults
-        out = replace(self)
-        if out.domain is None:
-            out.domain = case.domain
-        if out.periodic is None:
-            out.periodic = case.periodic
-        if out.nu is None:
-            out.nu = d.get("nu", 0.0)
-        if out.alpha is None:
-            out.alpha = d.get("alpha", 0.0)
-        if out.dt is None:
-            out.dt = d.get("dt")     # may stay None: CFL-controlled
-        if out.t_final is None:
-            out.t_final = d.get("t_final", 1.0)
+        unset = [k for k in ("domain", "periodic", "nu", "alpha", "dt",
+                             "t_final") if getattr(self, k) is None]
+        out = replace(self, **{k: getattr(case, k) for k in unset})
         if out.steady_tol is None:
             out.steady_tol = out.picard_tol
         if out.periodic:
@@ -181,7 +170,7 @@ def _convert(key, raw):
             return False
         raise ValueError(f"periodic must be true or false, got {raw!r}")
     if key in ("n_patches", "n_cells"):
-        return _parse_pair(raw, int)
+        return parse_pair(raw)
     if key == "domain":
         vals = [float(v) for v in raw.split(",")]
         if len(vals) != 4:

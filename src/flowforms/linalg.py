@@ -26,14 +26,13 @@ class QuadratureRule:
 
     points: np.ndarray
     weights: np.ndarray
-    order: int  # number of points; exact for polynomials up to degree 2*order-1
 
 
 def gauss_legendre(n: int) -> QuadratureRule:
     if n < 1:
         raise ValueError(f"Gauss-Legendre rule needs n >= 1 points, got {n}")
     x, w = np.polynomial.legendre.leggauss(n)
-    return QuadratureRule(points=x, weights=w, order=n)
+    return QuadratureRule(points=x, weights=w)
 
 
 class SPDInverse:

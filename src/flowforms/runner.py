@@ -158,47 +158,50 @@ def run(cfg, progress=None):
                      diagnostics_path=diag_path, snapshot_paths=snaps)
 
 
-def study_case(cfg):
-    """(resolved cfg, case) of a convergence study; raises ValueError
-    when the config is invalid or the case has no exact solution."""
+def study_grids(cfg, meshes, degrees):
+    """(resolved config of each run in order, case) of a refinement study,
+    meshes counting total cells per direction. Raises ValueError when the
+    case has no exact solution, the patch counts do not divide a mesh or
+    resolve() rejects a grid."""
     base, case = cfg.resolve()
     if case.exact is None:
         raise ValueError(f"case {base.case!r} has no exact solution")
-    return base, case
+    npx, npy = base.n_patches
+    for n in meshes:
+        if n % npx or n % npy:
+            raise ValueError(f"--meshes: {n} cells is not divisible by "
+                             f"the patch counts {npx},{npy}")
+    grids = [replace(base, degree=deg, n_cells=(n // npx, n // npy),
+                     snapshot_cadence=0).resolve()[0]
+             for deg in degrees for n in meshes]
+    return grids, case
 
 
 def convergence_study(cfg, meshes, degrees, out_path=None):
-    """Refinement sweep against the case's exact solution. meshes count
-    total cells per direction; rows are (degree, n, h, error, order) with
-    'failed' markers when a run does not finish."""
-    base, case = study_case(cfg)
+    """Refinement sweep against the case's exact solution over the grids
+    of study_grids; rows are (degree, n, h, error, order) with 'failed'
+    markers when a run does not finish. The directory of out_path is
+    made before the first run."""
+    grids, case = study_grids(cfg, meshes, degrees)
+    if out_path:
+        os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     rows = []
-    for deg in degrees:
-        prev = None
-        for n in meshes:
-            npx, npy = base.n_patches
-            if n % npx or n % npy:
-                raise ValueError(
-                    f"mesh {n} not divisible by patch counts {base.n_patches}")
-            sub = replace(base, degree=deg,
-                          n_cells=(n // npx, n // npy),
-                          snapshot_cadence=0)
-            x0, x1, _, _ = sub.domain
-            h = (x1 - x0) / n
-            try:
-                res = run(sub)
-                if res.failed:
-                    raise StepFailure("run aborted")
-                nu = sub.resolve()[0].nu
-                err = l2_error(res.u.space, res.u,
-                               lambda X, Y: case.exact(X, Y, res.t, nu))
-                order = (float(np.log(prev[1] / err) / np.log(prev[0] / h))
-                         if prev else float("nan"))
-                rows.append((deg, n, h, err, order))
-                prev = (h, err)
-            except (StepFailure, FloatingPointError):
-                rows.append((deg, n, h, float("nan"), float("nan")))
-                prev = None
+    for sub in grids:
+        n = sub.n_patches[0] * sub.n_cells[0]
+        h = (sub.domain[1] - sub.domain[0]) / n
+        try:
+            res = run(sub)
+            if res.failed:
+                raise StepFailure("run aborted")
+            err = l2_error(res.u.space, res.u,
+                           lambda X, Y: case.exact(X, Y, res.t, sub.nu))
+        except (StepFailure, FloatingPointError):
+            err = float("nan")
+        # against the last mesh of the degree; nan next to a failed run
+        prev = rows[-1] if rows and rows[-1][0] == sub.degree else None
+        order = (float(np.log(prev[3] / err) / np.log(prev[2] / h))
+                 if prev else float("nan"))
+        rows.append((sub.degree, n, h, err, order))
     if out_path:
         with open(out_path, "w") as fh:
             fh.write("degree,n_cells,h,error,order\n")

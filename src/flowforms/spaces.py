@@ -218,11 +218,6 @@ class TensorDeRhamSpace:
         return [c[end - nx * ny: end].reshape(nx, ny)
                 for end, (nx, ny) in zip(self._ends[slot], self.shapes[slot])]
 
-    @property
-    def area(self) -> float:
-        (x0, x1), (y0, y1) = self.bounds
-        return (x1 - x0) * (y1 - y0)
-
     # --- exact mass solves ------------------------------------------------
     def solve_mass(self, slot: int, b, solvers=None) -> np.ndarray:
         """M^-1 b on the slot, one Kronecker solve a component block: by

@@ -16,12 +16,13 @@ plain conjugate gradient solver (the matrix-free check of the direct
 pressure solve), the trilinear advection form by direct quadrature of
 its integrands (the check of the assembled residual) with its
 whole-boundary gradient assembled in 2D, the dual gradients,
-the boundaryless dual curl, the interior products and the V0 mass
-matrix that no solver path uses, the least-squares convergence order,
-and the plain Picard iteration of the midpoint step (the fixed-point
-check of the accelerated one), and the snapshot writer that formats each
-value on its own (the byte-for-byte check of the text template of
-runner.write_snapshot, which samples through the same PointSampler).
+the boundaryless dual curl, the interior products, the domain area and
+the V0 mass matrix that no solver path uses, the least-squares
+convergence order, and the plain Picard iteration of the midpoint step
+(the fixed-point check of the accelerated one), and the snapshot writer
+that formats each value on its own (the byte-for-byte check of the text
+template of runner.write_snapshot, which samples through the same
+PointSampler).
 """
 
 from dataclasses import dataclass
@@ -384,6 +385,12 @@ def cg_solve(A, b, tol: float = 1e-12, max_iter: int | None = None):
 
     true_res = np.linalg.norm(b - apply_A(x)) / bnorm
     return x, LinearSolveReport(iterations, float(true_res), true_res <= tol)
+
+
+def area(space) -> float:
+    """The area of the space's rectangle, which no solver path reads."""
+    (x0, x1), (y0, y1) = space.bounds
+    return (x1 - x0) * (y1 - y0)
 
 
 def mass_v0(space):

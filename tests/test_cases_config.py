@@ -8,9 +8,9 @@ from conftest import PI
 from flowforms.cases import case_library
 from flowforms.config import (
     SimulationConfig,
-    _parse_pair,
     _parse_tangential,
     load_config,
+    parse_pair,
     save_config,
 )
 from flowforms.operators import EdgeBC
@@ -103,10 +103,10 @@ def test_blasius_structure():
 # --- config parsing ----------------------------------------------------------
 
 def test_parse_pair_grammar():
-    assert _parse_pair("8") == (8, 8)
-    assert _parse_pair(" 8, 16 ") == (8, 16)
+    assert parse_pair("8") == (8, 8)
+    assert parse_pair(" 8, 16 ") == (8, 16)
     with pytest.raises(ValueError, match="one or two"):
-        _parse_pair("1,2,3")
+        parse_pair("1,2,3")
 
 
 def test_parse_tangential_grammar():

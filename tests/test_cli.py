@@ -1,4 +1,5 @@
 """End-to-end command line tests through click's test runner."""
+import dataclasses
 import os
 
 import numpy as np
@@ -142,6 +143,28 @@ def test_converge_writes_table_and_csv(cli, tmp_path):
     assert float(second[4]) > 1.0
 
 
+def test_converge_makes_the_csv_directory(cli, tmp_path):
+    csv_path = tmp_path / "missing" / "dir" / "c.csv"
+    result = cli.invoke(main, [
+        "converge", "--case", "taylor_green", "--meshes", "4,8",
+        "--degrees", "1", "--dt", "1e-3", "--t-final", "0.002",
+        "--out", str(tmp_path / "out"), "--csv", str(csv_path)])
+    assert result.exit_code == 0, _all_output(result)
+    assert "   1      8 " in result.output      # the table's second row
+    assert f"wrote {csv_path}" in result.output
+    assert len(csv_path.read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("command, own", [
+    ("run", {"config", "quiet"}),
+    ("converge", {"config", "meshes", "degrees", "csv_path"}),
+])
+def test_options_are_named_after_config_fields(command, own):
+    names = {p.name for p in main.commands[command].params} - own
+    assert len(names) == 10
+    assert names <= {f.name for f in dataclasses.fields(SimulationConfig)}
+
+
 def test_run_is_deterministic(cli, tmp_path):
     args = ["run", "--case", "taylor_green", "--nc", "4", "--dt", "1e-3",
             "--t-final", "0.005", "--quiet"]
@@ -171,6 +194,19 @@ def test_output_dir_env_var(cli, tmp_path):
     assert result.exit_code == 0
     assert (explicit / "diagnostics.csv").exists()
     assert not (tmp_path / "ignored").exists()
+    # the environment beats the config file, unless it is empty
+    path = tmp_path / "sim.cfg"
+    save_config(SimulationConfig(n_cells=(4, 4), dt=1e-3, t_final=0.002,
+                                 output_dir=str(tmp_path / "file")), path)
+    result = cli.invoke(main, ["run", str(path), "--quiet"],
+                        env={"FLOWFORMS_OUTPUT_DIR": str(envdir / "2")})
+    assert result.exit_code == 0, result.output
+    assert (envdir / "2" / "diagnostics.csv").exists()
+    assert not (tmp_path / "file").exists()
+    result = cli.invoke(main, ["run", str(path), "--quiet"],
+                        env={"FLOWFORMS_OUTPUT_DIR": ""})
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "file" / "diagnostics.csv").exists()
 
 
 def test_run_rejects_missing_config_path(cli, tmp_path):

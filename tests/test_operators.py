@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import DOMAIN, PI, context, rand_coeffs, space
-from oracles import (DenseOracle, advection_form, interior_product,
+from oracles import (DenseOracle, advection_form, area, interior_product,
                      mass_v0, walls, weak_curl, weak_grad,
                      weak_grad_with_pressure_bc)
 from flowforms.cases import case_library
@@ -664,9 +664,9 @@ def test_context_rejects_overlapping_segments():
 def test_forcing_vector_pairs_exactly_with_constants(npat):
     sp_ = space(2, 4, npat, periodic=True)
     ctx = OperatorContext(sp_, forcing=lambda X, Y: (2.0, -3.0))
-    area = sp_.area
-    assert rel(float(ctx.f_vec @ sp_.constant_v1(1.0, 0.0)), 2.0 * area) <= 1e-12
-    assert rel(float(ctx.f_vec @ sp_.constant_v1(0.0, 1.0)), -3.0 * area) <= 1e-12
+    a = area(sp_)
+    assert rel(float(ctx.f_vec @ sp_.constant_v1(1.0, 0.0)), 2.0 * a) <= 1e-12
+    assert rel(float(ctx.f_vec @ sp_.constant_v1(0.0, 1.0)), -3.0 * a) <= 1e-12
 
 
 def test_context_rejects_non_finite_forcing():

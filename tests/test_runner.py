@@ -1,5 +1,8 @@
 """Whole runs through runner.run: every library case with its own
-defaults, and fixed runs whose final diagnostics are pinned."""
+defaults, fixed runs whose final diagnostics are pinned, and the checks
+and order column of a refinement study."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -286,3 +289,61 @@ def test_cavity_takes_steps_plain_picard_cannot(tmp_path):
                                t_final=4 * 5e-3, output_dir=str(tmp_path)))
     assert res.steps == 4 and not res.failed and res.retries == 0
     assert max(r.div_l2 for r in res.records) <= 1e-12
+
+
+# --- refinement studies --------------------------------------------------------
+
+@pytest.mark.parametrize("case, n_patches, meshes, message", [
+    ("taylor_green", (2, 2), [8, 9],
+     "--meshes: 9 cells is not divisible by the patch counts 2,2"),
+    ("lid_driven_cavity", (1, 1), [4, 8],
+     "case 'lid_driven_cavity' has no exact solution"),
+    ("taylor_green", (1, 1), [8, 2],
+     "a periodic patch of degree 2 needs at least 4 cells, got 2"),
+], ids=["indivisible-mesh", "no-exact-solution", "rejected-grid"])
+def test_invalid_study_raises_before_any_run(case, n_patches, meshes,
+                                             message, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(runner, "run", lambda cfg: calls.append(cfg))
+    cfg = SimulationConfig(case=case, n_patches=n_patches,
+                           output_dir=str(tmp_path / "out"))
+    with pytest.raises(ValueError) as err:
+        runner.convergence_study(cfg, meshes, [2],
+                                 out_path=str(tmp_path / "csv" / "c.csv"))
+    assert str(err.value) == message
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_study_grids_are_resolved_in_run_order():
+    grids, case = runner.study_grids(
+        SimulationConfig(case="taylor_green", n_patches=(2, 1),
+                         snapshot_cadence=5), [8, 16], [1, 2])
+    assert case.name == "taylor_green"
+    assert [(g.degree, g.n_cells) for g in grids] == [
+        (1, (4, 8)), (1, (8, 16)), (2, (4, 8)), (2, (8, 16))]
+    # resolved: the case's values fill what the config leaves unset
+    assert all(g.nu == 0.0 and g.dt == 1e-4 and g.snapshot_cadence == 0
+               for g in grids)
+
+
+def test_study_orders_restart_per_degree_and_skip_failed_runs(monkeypatch):
+    # a run's error is h^(degree + 1) up to a constant; the degree-2 run
+    # on 8 cells fails
+    def stub_run(cfg):
+        n = cfg.n_cells[0]
+        return SimpleNamespace(failed=(cfg.degree, n) == (2, 8), t=0.0,
+                               u=SimpleNamespace(space=None,
+                                                 err=n ** -(cfg.degree + 1)))
+
+    monkeypatch.setattr(runner, "run", stub_run)
+    monkeypatch.setattr(runner, "l2_error", lambda space, u, f: u.err)
+    rows = runner.convergence_study(SimulationConfig(case="taylor_green"),
+                                    [4, 8, 16], [1, 2])
+    assert [(deg, n) for deg, n, *_ in rows] == [
+        (1, 4), (1, 8), (1, 16), (2, 4), (2, 8), (2, 16)]
+    orders = [order for *_, order in rows]
+    assert np.isnan(orders[0]) and np.isnan(orders[3])
+    assert orders[1] == pytest.approx(2.0) and orders[2] == pytest.approx(2.0)
+    assert np.isnan(rows[4][3]) and np.isnan(orders[4])
+    assert np.isnan(orders[5])       # next to the failed run
