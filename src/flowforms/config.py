@@ -6,13 +6,15 @@ unset (None) domain, periodic, nu, alpha, dt and t_final from the case's
 field of that name, and steady_tol from picard_tol; the runner and the
 stepper work from the result, where dt=None selects CFL control.
 
-File sections: [case], [grid], [physics], [stepper], [output] and one
-[boundary.<edge>] per walled edge (keys kind, value, tangential). Every
-key is optional, and an unset one keeps its default or takes the case's
-value as above. Unknown keys, edges and kinds, boundary sections on a
-periodic domain, a walled domain without one for each edge, tangential
-segments that overlap or end off a cell boundary, a grid whose velocity
-line `Broken1D.check` rejects, and none/auto for a setting without an
+File sections: [case] (key name), [grid], [physics], [stepper],
+[output] and one [boundary.<edge>] per walled edge (keys kind, value,
+tangential); each setting has one section, the one save_config writes
+it in. Every key is optional, and an unset one keeps its default or
+takes the case's value as above. Unknown keys, a key outside its own
+section, unknown edges and kinds, boundary sections on a periodic
+domain, a walled domain without one for each edge, tangential segments
+that overlap or end off a cell boundary, a grid whose velocity line
+`Broken1D.check` rejects, and none/auto for a setting without an
 automatic value are rejected.
 
 boundary tangential grammar:  free | <float> | <float>@<lo>:<hi>[,...]
@@ -152,6 +154,9 @@ _STEPPER_KEYS = {"dt", "dt_max", "t_final", "picard_tol", "picard_max_iter",
                  "cfl_safety", "steady_tol"}
 _OUTPUT_KEYS = {"output_dir", "diagnostics_file", "snapshot_prefix",
                 "snapshot_grid", "snapshot_cadence"}
+# section -> the keys it holds; [case] holds the case name
+_SECTIONS = {"case": {"name"}, "grid": _GRID_KEYS, "physics": _PHYSICS_KEYS,
+             "stepper": _STEPPER_KEYS, "output": _OUTPUT_KEYS}
 _INT_KEYS = {"degree", "picard_max_iter", "snapshot_grid", "snapshot_cadence"}
 _STR_KEYS = {"output_dir", "diagnostics_file", "snapshot_prefix", "case"}
 
@@ -199,12 +204,12 @@ def load_config(path) -> SimulationConfig:
                         tangential=_parse_tangential(sec.get("tangential", "free")))
             kwargs.setdefault("boundary", {})[edge] = bc
             continue
-        if section not in ("case", "grid", "physics", "stepper", "output"):
+        if section not in _SECTIONS:
             raise ValueError(f"unknown config section [{section}]")
         for key, raw in parser[section].items():
-            name = "case" if (section == "case" and key == "name") else key
-            if name not in known:
+            if key not in _SECTIONS[section]:
                 raise ValueError(f"unknown config key {key!r} in [{section}]")
+            name = "case" if section == "case" else key
             kwargs[name] = _convert(name, raw)
             if kwargs[name] is None and known[name] is not None:
                 raise ValueError(f"{name} in [{section}] needs a value, "
@@ -227,9 +232,9 @@ def save_config(cfg: SimulationConfig, path):
             return repr(v)
         return str(v)
 
-    for section, keys in (("grid", _GRID_KEYS), ("physics", _PHYSICS_KEYS),
-                          ("stepper", _STEPPER_KEYS), ("output", _OUTPUT_KEYS)):
-        parser[section] = {k: _fmt(getattr(cfg, k)) for k in sorted(keys)}
+    for section, keys in _SECTIONS.items():
+        if section != "case":
+            parser[section] = {k: _fmt(getattr(cfg, k)) for k in sorted(keys)}
     for edge, bc in (cfg.boundary or {}).items():
         # a callable has no file form: refuse it rather than lose it
         tang = bc.tangential

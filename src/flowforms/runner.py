@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 import weakref
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -89,15 +90,55 @@ def write_snapshot(ctx, u, p, t, path, grid=64):
     return path
 
 
+# highest order of the time extrapolation that starts each step
+PREDICTOR_ORDER = 3
+
+
+def extrapolate(states, t):
+    """The Lagrange polynomial in time through states [(t_j, u_j)],
+    evaluated at t. Its weights sum to one; it is formed as
+    u_last + sum_j w_j (u_j - u_last), so entries that are equal in
+    every state come out bit for bit."""
+    *rest, (_, u_last) = states
+    out = u_last
+    for j, (tj, uj) in enumerate(rest):
+        w = 1.0
+        for m, (tm, _) in enumerate(states):
+            if m != j:
+                w *= (t - tm) / (tj - tm)
+        out = out + w * (uj - u_last)
+    return out
+
+
+def predict(history, t):
+    """Where cn_step starts the step to time t, from the accepted states
+    history [(t_j, u_j)], oldest first and u^n last: the extrapolation
+    of order k through the last k + 1 states, or None (u^n itself) for
+    k = 0. k is the order, up to PREDICTOR_ORDER, whose extrapolation
+    from the states before u^n landed closest to u^n; step 2, with no
+    order above 0 to score yet, takes k = 1."""
+    if len(history) < 2:
+        return None
+    *past, (tn, un) = history
+    if len(history) == 2:
+        k = 1
+    else:
+        k = int(np.argmin([
+            np.linalg.norm(extrapolate(past[-j - 1:], tn) - un)
+            for j in range(min(PREDICTOR_ORDER + 1, len(past)))]))
+    return None if k == 0 else extrapolate(list(history)[-k - 1:], t)
+
+
 def run(cfg, progress=None):
     """Advance the configured case to t_final. Returns a RunResult.
 
-    From the second step on, cn_step starts its iteration at the linear
-    extrapolation u^n + (dt/dt_prev)(u^n - u^{n-1}) of the last two
-    accepted states, dt_prev the step the last one actually took. A step
-    that raises StepFailure is retried once at half dt from u^n (counted
-    in retries); a doubly-failed step aborts the run (failed=True) after
-    writing the last good state."""
+    From the second step on, cn_step starts its iteration at `predict`:
+    the extrapolation in time through the last accepted states, at the
+    order that best predicted u^n. Its weights sum to one, so the guess
+    keeps Dt u^n and the Gamma_n flux DOFs of u^n. Step 1 starts from
+    u^n. A step that raises StepFailure is retried once at half dt from
+    u^n (counted in retries); a doubly-failed step aborts the run
+    (failed=True) after writing the last good state."""
     ctx, case, cfg = build_simulation(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     diag_path = os.path.join(cfg.output_dir, cfg.diagnostics_file)
@@ -105,8 +146,8 @@ def run(cfg, progress=None):
     u = initialize(ctx, case.initial)
     p = np.zeros(ctx.space.n2)
     t, step, steady, failed, retries = 0.0, 0, False, False, 0
-    # u^n - u^{n-1} and the step that produced it, for the initial guess
-    du, dt_prev = None, None
+    # the last accepted (t, coefficients), oldest first, for predict
+    history = deque([(t, u.coeffs)], maxlen=PREDICTOR_ORDER + 2)
     records = [measure(ctx, u, t)]
     snaps = []
 
@@ -124,7 +165,7 @@ def run(cfg, progress=None):
         dt = cfg.dt or cfl_dt(ctx, u, cfg)
         if cfg.t_final - t < dt - 1e-10 * cfg.t_final:
             dt = cfg.t_final - t
-        guess = None if du is None else u.coeffs + (dt / dt_prev) * du
+        guess = predict(history, t + dt)
         try:
             u_next, p, rep = cn_step(ctx, u, cfg, dt=dt, guess=guess)
         except StepFailure:
@@ -135,9 +176,9 @@ def run(cfg, progress=None):
             except StepFailure:
                 failed = True
                 break
-        du, dt_prev = u_next.coeffs - u.coeffs, rep.dt_used
-        delta = float(np.linalg.norm(du))
+        delta = float(np.linalg.norm(u_next.coeffs - u.coeffs))
         u, t, step = u_next, t + rep.dt_used, step + 1
+        history.append((t, u.coeffs))
         records.append(measure(ctx, u, t, rep.picard_iterations))
         if progress is not None:
             progress(step, t, records[-1])

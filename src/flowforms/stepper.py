@@ -3,17 +3,24 @@ preservation.
 
 Each step solves the midpoint fixed point u = g(u), g one
 `midpoint_sweep`, by Picard sweeps with Anderson mixing (see cn_step).
-The iteration starts from u^n, or from the second step of a run from
-the linear extrapolation u^n + (dt/dt_prev)(u^n - u^{n-1}) of the last
-two accepted states, which lies O(dt^2) from the fixed point instead of
-O(dt); its two weights sum to one, so it has the divergence and the
-Gamma_n flux DOFs of u^n. Within every sweep the pressure is chosen so
-that the velocity update is discretely divergence-free; a mixed iterate
-is an affine combination of sweep outputs, so it stays divergence-free
-too. The patch-coupling penalization is treated implicitly: the sweep
-solves with M1 + gamma*Pen (gamma = dt*alpha/2), which has the same fixed
-point as the plain midpoint form but keeps the iteration contractive for
-large alpha.
+The iteration starts from a guess, or from u^n when there is none. In
+a run (runner.predict) the guess is the Lagrange extrapolation in time
+of order k <= 3 through the last k + 1 accepted states at the times
+they were reached, which lies O(dt^(k+1)) from the fixed point instead
+of O(dt). k is the order whose extrapolation from the states before u^n
+landed closest to u^n, so a trajectory that is not smooth in time falls
+back to a lower order or to u^n; step 2 takes the linear guess, and
+step 1 and a halved retry start from u^n. Every accepted state has the
+divergence and the Gamma_n flux DOFs of u^n, and the extrapolation
+weights sum to one, so the guess has them too.
+
+Within every sweep the pressure is chosen so that the velocity update
+is discretely divergence-free; a mixed iterate is an affine combination
+of sweep outputs, so it stays divergence-free too. The patch-coupling
+penalization is treated implicitly: the sweep solves with
+M1 + gamma*Pen (gamma = dt*alpha/2), which has the same fixed point as
+the plain midpoint form but keeps the iteration contractive for large
+alpha.
 Each mass solve inverts on the velocities with zero Gamma_n flux, so an
 update keeps the Gamma_n flux DOFs of u^n and a gradient force moves only
 the pressure; these inverses are exact Kronecker products per component.
@@ -80,12 +87,13 @@ def cn_step(ctx: OperatorContext, u_n, cfg, dt=None, guess=None):
     StepFailure when the iteration stalls or diverges.
 
     The first sweep is a plain Picard sweep from guess, or from u^n when
-    it is None. runner.run passes u^n + (dt/dt_prev)(u^n - u^{n-1}),
-    whose weights sum to one: like u^n it has Dt x = Dt u^n and the
-    Gamma_n flux DOFs of u^n, so the iterates keep them, and the guess
-    changes how many sweeps the step takes, not its fixed point. Each
-    later iterate
-    is the depth-ANDERSON_DEPTH Anderson mix (Walker-Ni type II)
+    it is None. runner.run passes the extrapolation in time of
+    runner.predict, at the order that best predicted u^n: an affine
+    combination of accepted states, whose weights sum to one. Like u^n
+    it has Dt x = Dt u^n and the Gamma_n flux DOFs of u^n, so the
+    iterates keep them, and the guess changes how many sweeps the step
+    takes, not its fixed point. Each later iterate is the
+    depth-ANDERSON_DEPTH Anderson mix (Walker-Ni type II)
     x = g - dG gamma, with gamma minimising |f - dF gamma| through its
     Gram system, f = g(x) - x the last sweep residual and dF, dG the
     differences of the last residuals and sweep outputs. The weights of

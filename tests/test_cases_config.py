@@ -267,6 +267,38 @@ def test_load_config_rejects_unknown_key(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("section,key,raw", [
+    ("grid", "nu", "0.5"), ("output", "dt", "1e-3"), ("case", "degree", "2"),
+    ("stepper", "name", "poiseuille"), ("physics", "case", "poiseuille")])
+def test_load_config_rejects_a_key_outside_its_section(tmp_path, section,
+                                                       key, raw):
+    # each setting lives in the one section save_config writes it in
+    path = tmp_path / "misplaced.cfg"
+    path.write_text(f"[{section}]\n{key} = {raw}\n")
+    with pytest.raises(ValueError, match=f"unknown config key '{key}' in "
+                                         f"\\[{section}\\]"):
+        load_config(path)
+
+
+def test_config_roundtrip_of_every_field(tmp_path):
+    # no field keeps its default, so each must load from the section
+    # save_config wrote it in
+    cfg = SimulationConfig(
+        case="lid_driven_cavity", degree=3, n_patches=(2, 3),
+        n_cells=(5, 4), domain=(0.0, 2.0, -1.0, 1.0), periodic=False,
+        nu=0.25, alpha=7.5, dt=0.002, dt_max=0.5, t_final=0.75,
+        picard_tol=1e-9, picard_max_iter=17, cfl_safety=0.3,
+        steady_tol=1e-7, output_dir="out", diagnostics_file="d.csv",
+        snapshot_prefix="snap", snapshot_grid=33, snapshot_cadence=4,
+        boundary={"top": EdgeBC("normal", 0.0, tangential=1.0)})
+    defaults = SimulationConfig()
+    assert all(getattr(cfg, f.name) != getattr(defaults, f.name)
+               for f in dataclasses.fields(SimulationConfig))
+    path = tmp_path / "sim.cfg"
+    save_config(cfg, path)
+    assert load_config(path) == cfg
+
+
 @pytest.mark.parametrize("raw,want", [
     ("true", True), ("Yes", True), ("on", True), ("1", True),
     ("false", False), ("NO", False), ("off", False), ("0", False),

@@ -273,6 +273,17 @@ def test_invalid_config_file_value_is_a_usage_error(cli, tmp_path):
     assert "Traceback" not in out
 
 
+def test_key_outside_its_section_is_a_usage_error(cli, tmp_path):
+    path = tmp_path / "misplaced.cfg"
+    path.write_text("[grid]\nnu = 0.5\n")
+    result = cli.invoke(main, ["run", str(path), "--out", str(tmp_path)])
+    out = _all_output(result)
+    assert result.exit_code == 2, out
+    assert "Error: unknown config key 'nu' in [grid]" in out
+    assert "Traceback" not in out
+    assert not (tmp_path / "diagnostics.csv").exists()
+
+
 @pytest.mark.parametrize("section, message", [
     ("[boundary.top]\ntangental = 5.0\n",
      "unknown config key 'tangental' in [boundary.top]"),

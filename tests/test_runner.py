@@ -53,23 +53,27 @@ def test_every_case_runs_with_its_defaults(name, tmp_path):
 # re-recorded once more when the advection form became skew on walls, after
 # the c(u, v, v) = 0 and walled energy tests passed and the advection
 # oracle took the new form (energy moved by 2.5e-7 relative, the
-# enstrophy term by 6.1e-7).
+# enstrophy term by 6.1e-7). All three were re-recorded when run() began
+# to start each step from the adaptive-order extrapolation of predict
+# (a sweep fewer in the later steps; values above roundoff moved by at
+# most 4.2e-9 relative, after the fixed-point test below passed at its 1e-11
+# bound).
 GOLDEN = {
-    ("taylor_green", (1, 1), (8, 8), 1e-3): ((4, 3, 3, 3, 3), dict(
-        time=0.005, energy=19.739102985840617,
+    ("taylor_green", (1, 1), (8, 8), 1e-3): ((4, 3, 3, 2, 1), dict(
+        time=0.005, energy=19.739102985840585,
         mom_x=9.869604401089358, mom_y=9.869604401089356,
-        div_l2=1.7769900681436076e-15, jump_energy=0.0,
-        enstrophy_term=157.91360811979087)),
-    ("lid_driven_cavity", (2, 2), (4, 4), 2e-3): ((6, 5, 5, 5, 5), dict(
-        time=0.01, energy=0.0006436796906864618,
-        mom_x=1.4268100589909238e-16, mom_y=-6.521476067500309e-17,
-        div_l2=1.6577476763607785e-15, jump_energy=8.79760667747147e-09,
-        enstrophy_term=-11.099385933790474)),
-    ("poiseuille", (2, 2), (4, 4), 1e-3): ((6, 5, 5, 5, 5), dict(
-        time=0.005, energy=0.0011579659215600882,
-        mom_x=1.1255715523843526e-17, mom_y=-0.15039408006005878,
-        div_l2=6.882458413750296e-15, jump_energy=5.693530398094766e-33,
-        enstrophy_term=0.01640990849112766)),
+        div_l2=1.78269906054206e-15, jump_energy=0.0,
+        enstrophy_term=157.91360811979035)),
+    ("lid_driven_cavity", (2, 2), (4, 4), 2e-3): ((6, 5, 5, 4, 4), dict(
+        time=0.01, energy=0.0006436796906862277,
+        mom_x=1.43982048506075e-16, mom_y=-6.406279586673724e-17,
+        div_l2=1.7729512353081045e-15, jump_energy=8.797606677668568e-09,
+        enstrophy_term=-11.099385933785069)),
+    ("poiseuille", (2, 2), (4, 4), 1e-3): ((6, 5, 5, 4, 4), dict(
+        time=0.005, energy=0.001157965921437478,
+        mom_x=-4.498635599273044e-18, mom_y=-0.1503940800454768,
+        div_l2=7.0287184236163986e-15, jump_energy=6.006494014057692e-33,
+        enstrophy_term=0.01640990842250196)),
 }
 
 
@@ -190,39 +194,100 @@ def test_halved_retries_are_counted(tmp_path, monkeypatch):
     assert res.steps == 2 * res.retries == 8
 
 
-def test_later_steps_start_from_the_extrapolated_velocity(tmp_path,
-                                                         monkeypatch):
-    # attempts as in the retry test above: step 1 and every halved retry
-    # start from u^n (guess None), every other attempt from
-    # u^n + (dt/dt_prev)(u^n - u^{n-1}) with dt_prev the step u^n took
-    calls = []   # (u^n, dt, guess) of every attempt
+def test_later_steps_start_from_the_cubic_through_the_last_states(
+        tmp_path, monkeypatch):
+    # a stub trajectory that is cubic in t, with attempts as in the retry
+    # test above, so steps alternate between dt/2 and dt: step 1 and
+    # every halved retry start from u^n (guess None), step 2 from the
+    # linear extrapolation, and once the history can score order 3 (five
+    # states) the rule takes it and the guess is the cubic at t + dt
+    rng = np.random.default_rng(7)
+    coef = []      # u^0, then the t, t^2, t^3 coefficient vectors
+    t_now = [0.0]
+    calls = []     # (step, u^n, dt, guess) of every attempt
+
+    def cubic(t):
+        return coef[0] + t * coef[1] + t ** 2 * coef[2] + t ** 3 * coef[3]
 
     def step(ctx, u, cfg, dt, guess=None):
-        calls.append((u.coeffs, dt, guess))
+        if not coef:
+            coef.append(u.coeffs.copy())
+            coef.extend(rng.standard_normal((3, u.coeffs.size)))
+        calls.append((len(t_now), u.coeffs, dt, guess))
         if len(calls) % 3 == 1:
             raise StepFailure("stub")
-        # increments that change from step to step
-        return (Field(ctx.space, 1, u.coeffs + dt * len(calls) ** 2),
+        t_now.append(t_now[-1] + dt)
+        return (Field(ctx.space, 1, cubic(t_now[-1])),
                 np.zeros(ctx.space.n2), StepReport(1, 0.0, dt))
 
     monkeypatch.setattr(runner, "cn_step", step)
     res = run(SimulationConfig(case="taylor_green", degree=1, n_cells=(4, 4),
-                               dt=0.1, t_final=0.6, output_dir=str(tmp_path)))
-    assert not res.failed and res.retries == 4
-    prev = None   # (u^{n-1}, dt_prev) of the next attempt
-    ratios = set()
-    for k, (un, dt, guess) in enumerate(calls, 1):
-        if prev is None or k % 3 == 2:
+                               dt=0.1, t_final=0.9, output_dir=str(tmp_path)))
+    assert not res.failed and res.retries == 6 and res.steps == 12
+    cubic_starts = 0
+    for k, (n, un, dt, guess) in enumerate(calls, 1):
+        t = t_now[n - 1]
+        if n == 1 or k % 3 == 2:
             assert guess is None, k
-        else:
-            u_prev, dt_prev = prev
-            ratios.add(round(dt / dt_prev, 9))
-            np.testing.assert_allclose(
-                guess, un + (dt / dt_prev) * (un - u_prev), rtol=1e-15)
-        if k % 3 != 1:
-            prev = (un, dt)
-    # after a halved retry the next full step extrapolates over twice dt
-    assert ratios == {1.0, 2.0}
+        elif n == 2:
+            # the last step took half of dt
+            np.testing.assert_allclose(guess, un + 2.0 * (un - coef[0]),
+                                       rtol=1e-12)
+        elif n >= 5:
+            want = cubic(t + dt)
+            assert (np.linalg.norm(guess - want)
+                    <= 1e-12 * np.linalg.norm(want)), k
+            cubic_starts += 1
+    assert cubic_starts == 8
+
+
+def test_alternating_increments_drop_below_order_3(tmp_path, monkeypatch):
+    # increments (-1)^n dt: the extrapolations of order 0, 1, 2 and 3
+    # miss u^n by 1, 2, 4 and 8 increments, so from step 3 on the rule
+    # takes order 0 and every step starts from u^n
+    guesses = []
+
+    def step(ctx, u, cfg, dt, guess=None):
+        guesses.append(guess)
+        sign = (-1) ** len(guesses)
+        return (Field(ctx.space, 1, u.coeffs + sign * dt),
+                np.zeros(ctx.space.n2), StepReport(1, 0.0, dt))
+
+    monkeypatch.setattr(runner, "cn_step", step)
+    res = run(SimulationConfig(case="taylor_green", degree=1, n_cells=(4, 4),
+                               dt=0.1, t_final=0.8, output_dir=str(tmp_path)))
+    assert res.steps == 8 and not res.failed
+    assert guesses[0] is None and guesses[1] is not None
+    assert all(g is None for g in guesses[2:])
+
+
+@pytest.mark.parametrize("case", ["lid_driven_cavity", "blasius"])
+def test_every_guess_keeps_the_divergence_and_the_flux_of_u_n(
+        case, tmp_path, monkeypatch):
+    # walled runs: the weights of every extrapolation sum to one, so
+    # each guess has Dt x = Dt u^n to roundoff (Dt has entries of 1/h)
+    # and the Gamma_n flux DOFs of u^n (nonzero inflow data on the
+    # Blasius edge) bit for bit
+    starts = []
+
+    def recording(ctx, u, cfg, dt, guess=None):
+        starts.append((ctx, u.coeffs, guess))
+        return cn_step(ctx, u, cfg, dt=dt, guess=guess)
+
+    monkeypatch.setattr(runner, "cn_step", recording)
+    res = run(SimulationConfig(case=case, degree=2, n_patches=(2, 2),
+                               n_cells=(4, 4), dt=2e-3, t_final=16e-3,
+                               output_dir=str(tmp_path)))
+    assert res.steps == 8 and not res.failed
+    guessed = [(ctx, un, x) for ctx, un, x in starts if x is not None]
+    assert len(guessed) == 7
+    for ctx, un, x in guessed:
+        flux = ctx.Pn.diagonal() == 0
+        assert flux.any() and np.array_equal(x[flux], un[flux])
+        assert (np.linalg.norm(ctx.Dt @ (x - un))
+                <= 1e-12 * np.linalg.norm(un))
+    if case == "blasius":
+        assert np.abs(un[flux]).max() > 0
 
 
 def test_extrapolated_start_saves_sweeps(tmp_path, monkeypatch):
