@@ -115,13 +115,12 @@ def predict(history, t):
     history [(t_j, u_j)], oldest first and u^n last: the extrapolation
     of order k through the last k + 1 states, or None (u^n itself) for
     k = 0. k is the order, up to PREDICTOR_ORDER, whose extrapolation
-    from the states before u^n landed closest to u^n; step 2, with no
-    order above 0 to score yet, takes k = 1."""
-    if len(history) < 2:
-        return None
+    from the states before u^n landed closest to u^n. With fewer than
+    two past states no order above 0 can be scored: step 1 takes k = 0
+    and step 2 k = 1."""
     *past, (tn, un) = history
-    if len(history) == 2:
-        k = 1
+    if len(past) < 2:
+        k = len(past)
     else:
         k = int(np.argmin([
             np.linalg.norm(extrapolate(past[-j - 1:], tn) - un)
