@@ -3,12 +3,11 @@ equations on tensor-product spline spaces: one space class
 (TensorDeRhamSpace, conforming or broken across patches), one config
 object (SimulationConfig) and one midpoint sweep (midpoint_sweep)."""
 
-from .linalg import (KroneckerSolver, QuadratureRule, SPDInverse,
-                     gauss_legendre)
-from .splines import Broken1D, DeRhamLine
-from .spaces import (Field, TensorDeRhamSpace, eval_field, l2_project,
-                     projection_stencil_1d)
-from .multipatch import build_multipatch
+from .linalg import KroneckerSolver, SPDInverse
+from .splines import (Broken1D, DeRhamLine, gauss_legendre,
+                      projection_stencil_1d)
+from .spaces import (Field, TensorDeRhamSpace, build_multipatch, eval_field,
+                     l2_project)
 from .operators import (EdgeBC, OperatorContext, advection_residual,
                         viscous_form, viscous_residual,
                         weak_curl_with_tangential_bc)

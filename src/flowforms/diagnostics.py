@@ -32,8 +32,7 @@ def measure(ctx: OperatorContext, u, t: float = 0.0,
     momentum = np.array([float(e1 @ Mu), float(e2 @ Mu)])
     d = ctx.Dt @ uc
     div_l2 = float(np.sqrt(max(d @ (s.M2 @ d), 0.0)))
-    pen = s.penalization
-    jump = float(uc @ (pen @ uc)) if pen.nnz else 0.0
+    jump = float(uc @ (s.penalization @ uc))
     enstrophy = viscous_form(ctx, uc, uc)
     return DiagnosticsRecord(time=t, energy=energy, momentum=momentum,
                              div_l2=div_l2, jump_energy=jump,

@@ -1,15 +1,10 @@
-"""Kronecker linear algebra plus Gauss quadrature.
-
-Everything downstream (spline assembly, weak operators, the time stepper)
-goes through the primitives in this module: Gauss-Legendre rules and the
-explicit inverses of the 1D mass matrices (clamped, periodic or broken)
-that appear as Kronecker factors of every 2D mass matrix, so that each 2D
-mass solve is two matrix products.
+"""Kronecker linear algebra: the explicit inverses of the 1D mass
+matrices (clamped, periodic or broken) that appear as Kronecker factors
+of every 2D mass matrix, and the solve by a pair of them, so that each
+2D mass solve is two matrix products.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -18,21 +13,6 @@ import scipy.sparse as sp
 
 class FactorizationError(RuntimeError):
     """Cholesky factorization hit a non-SPD pivot."""
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss rule on [-1, 1]."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-
-def gauss_legendre(n: int) -> QuadratureRule:
-    if n < 1:
-        raise ValueError(f"Gauss-Legendre rule needs n >= 1 points, got {n}")
-    x, w = np.polynomial.legendre.leggauss(n)
-    return QuadratureRule(points=x, weights=w)
 
 
 class SPDInverse:
@@ -61,16 +41,16 @@ class SPDInverse:
 
 
 class KroneckerSolver:
-    """Solves (A_x (x) A_y) x = b given the SPDInverse of each factor.
+    """Solves (A_x (x) A_y) x = b given the inverse arrays inv_x, inv_y
+    of the two factors.
 
     Row-major vec convention: (A (x) B) vec(C) = vec(A C B^T), so the
     solve is A_x^-1 C A_y^-T on the right-hand side reshaped to
     (n_x, n_y): two GEMMs."""
 
-    def __init__(self, factors):
-        fx, fy = factors
-        self.inv_x, self.inv_y = fx.inv, fy.inv
-        self.dims = (fx.n, fy.n)
+    def __init__(self, inv_x, inv_y):
+        self.inv_x, self.inv_y = inv_x, inv_y
+        self.dims = (inv_x.shape[0], inv_y.shape[0])
 
     def solve(self, b):
         """The solution in the shape of b, a vector or an (n_x, n_y)

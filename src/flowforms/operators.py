@@ -16,12 +16,13 @@ an edge's trace DOFs in one slice: row 0 or -1 for the left and right
 edges, column 0 or -1 for the bottom and top edges.
 
 The interior product, the whole-boundary dual gradient and M2 Div M1^-1
-each act along one axis only: `OperatorContext` keeps them as dense 1D
-factors per line, and the advection residual needs no 2D mass solve.
-
-The solvers that change with dt, the sweep's mass solve A^-1 (A = M1 +
-gamma * penalization, gamma = dt*alpha/2) and the pressure solver on it,
-belong to `TensorPoissonSolver`; the context caches the latest gamma's.
+each act along one axis only, as dense 1D factors per line, so the
+advection residual needs no 2D mass solve. The line (`DeRhamLine`) owns
+the arrays of its grid alone, such as the interior product Q; the
+context keeps those its boundary conditions change (the Gamma_n mask
+zn, G and L); `TensorPoissonSolver` keeps those gamma = dt*alpha/2
+changes: the sweep's mass solve A^-1 (A = M1 + gamma * penalization) and
+the pressure solver on it. The context caches the latest gamma's.
 
 Boundary conventions (outward normals): u.n is -u_x on the left edge,
 +u_x right, -u_y bottom, +u_y top; the scalar cross u x n = u_x n_y -
@@ -37,8 +38,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .linalg import KroneckerSolver, SPDInverse
-from .spaces import KINDS, Field, TensorDeRhamSpace, coeffs_of, sample
+from .linalg import SPDInverse
+from .spaces import Field, TensorDeRhamSpace, coeffs_of, sample
 
 EDGES = ("left", "right", "bottom", "top")
 # edge -> (the line across it, the end of that line the edge sits on)
@@ -57,7 +58,8 @@ class EdgeBC:
 
     tangential: None (free), a constant/callable (whole edge in Gamma_t
     with that u x n data), or a list of (lo, hi, data) segments aligned
-    with cell boundaries that do not overlap.
+    with cell boundaries that do not overlap. A constant that is not
+    finite raises ValueError; a callable is checked where it is sampled.
     """
 
     kind: str = "normal"
@@ -68,6 +70,17 @@ class EdgeBC:
         if self.kind not in ("normal", "pressure"):
             raise ValueError(f"unknown boundary kind {self.kind!r}, "
                              "expected 'normal' or 'pressure'")
+        tang = ([d for *_, d in self.tangential] if self._segmented()
+                else [] if self.tangential is None else [self.tangential])
+        for name, data in [("value", self.value),
+                           *(("tangential", d) for d in tang)]:
+            if not callable(data) and not np.isfinite(float(data)):
+                raise ValueError(f"boundary {name} must be finite, got {data!r}")
+
+    def _segmented(self) -> bool:
+        t = self.tangential
+        return bool(isinstance(t, (list, tuple)) and t
+                    and isinstance(t[0], (list, tuple)))
 
     def segments(self, edge, breaks):
         """The (lo, hi, data) segments of Gamma_t on the edge, whose
@@ -76,8 +89,7 @@ class EdgeBC:
         if self.tangential is None:
             return []
         lo, hi = float(breaks[0]), float(breaks[-1])
-        if not (isinstance(self.tangential, (list, tuple)) and self.tangential
-                and isinstance(self.tangential[0], (list, tuple))):
+        if not self._segmented():
             return [(lo, hi, self.tangential)]
         segs = [(float(a), float(b), d) for a, b, d in self.tangential]
         tol = 1e-9 * (hi - lo)
@@ -123,10 +135,15 @@ def check_boundary(bc, periodic, breaks_x, breaks_y):
             for edge, cond in bc.items()}
 
 
-def _as_values(data, pts):
-    if callable(data):
-        return np.asarray(data(pts), dtype=np.float64) * np.ones_like(pts)
-    return float(data) * np.ones_like(pts)
+def _as_values(data, pts, edge):
+    """The edge's constant or callable data at the points pts along it.
+    Raises ValueError on a value that is not finite."""
+    vals = (np.asarray(data(pts), dtype=np.float64) if callable(data)
+            else float(data)) * np.ones_like(pts)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"edge {edge}: boundary data is not finite at "
+                         "quadrature points")
+    return vals
 
 
 class OperatorContext:
@@ -152,7 +169,7 @@ class OperatorContext:
         self.CP0T = self.CP0.T.tocsr()
 
         self._assemble_boundary_terms(segments)
-        self.Q, self.G, self.L, self.dense = zip(*map(self._line_factors, "xy"))
+        self.G, self.L = zip(*map(self._line_factors, "xy"))
 
         self.f_vec = np.zeros(space.n1)
         if forcing is not None:
@@ -165,24 +182,15 @@ class OperatorContext:
     # --- 1D factors of the dual operators -----------------------------------
     def _line_factors(self, axis):
         """Dense factors of the x or y line, each acting along its own axis
-        only: the interior product Q = M_l2^-1 B, the whole-boundary dual
-        gradient G = M_h1^-1 (T - (D P)^T M_l2) and L = (M_l2 D P - Tw^T)
-        M_h1^-1. T pairs the h1 and l2 end DOFs of the line's edges in bc
-        (-1 lo, +1 hi). Tw keeps its walls only: there L = -G^T makes
-        c(u, v, v) = 0, and open edges keep their advective energy flux.
-        Last, what `TensorPoissonSolver` builds each gamma's solvers from:
-        the dense M_h1, J^T M_h1 J (J = I - P), M_l2, D P and the mask z."""
-        s = self.space
-        line, P = (s.line_x, s.Px) if axis == "x" else (s.line_y, s.Py)
-        T, Tw, z = self._ends[axis], self._walls[axis], self.zn[axis]
-        h1_inv = line.mass_factor("h1").inv
-        M = line.M_h1.toarray()
-        J = np.identity(line.h1.dim) - P.toarray()
-        Ml2 = line.M_l2.toarray()
-        DP = (line.D @ P).toarray()
-        Q = line.mass_factor("l2").solve(line.B.toarray())
-        return (Q, h1_inv @ (T - DP.T @ Ml2), (Ml2 @ DP - Tw.T) @ h1_inv,
-                (M, J.T @ M @ J, Ml2, DP, z))
+        only: the whole-boundary dual gradient G = M_h1^-1 (T - (D P)^T
+        M_l2) and L = (M_l2 D P - Tw^T) M_h1^-1. T pairs the h1 and l2 end
+        DOFs of the line's edges in bc (-1 lo, +1 hi). Tw keeps its walls
+        only: there L = -G^T makes c(u, v, v) = 0, and open edges keep
+        their advective energy flux."""
+        line = self.space.line_x if axis == "x" else self.space.line_y
+        T, Tw = self._ends[axis], self._walls[axis]
+        h1_inv, Ml2, DP = line.inverse["h1"].inv, line.dense_mass["l2"], line.DP
+        return h1_inv @ (T - DP.T @ Ml2), (Ml2 @ DP - Tw.T) @ h1_inv
 
     # --- boundary matrices and data vectors --------------------------------
     def _assemble_boundary_terms(self, segments):
@@ -223,22 +231,22 @@ class OperatorContext:
             El2, Eh1 = line.E_l2, line.E_h1
 
             if cond.kind == "pressure":
-                vals = _as_values(cond.value, pts)
+                vals = _as_values(cond.value, pts, edge)
                 b_flux[axis][at] += sigma * (El2.T @ (w * vals))
             else:
                 self.zn[axis][end] = pn_flux[axis][at] = 0.0
                 if not callable(cond.value) and float(cond.value) == 0.0:
                     self._walls[axis] += sigma * pair
                 # 1D L2 projection of the normal-velocity data
-                vals = sigma * _as_values(cond.value, pts)
-                n_flux[axis][at] = line.mass_factor("l2").solve(El2.T @ (w * vals))
+                vals = sigma * _as_values(cond.value, pts, edge)
+                n_flux[axis][at] = line.inverse["l2"].solve(El2.T @ (w * vals))
 
             free = np.ones(len(pts), dtype=bool)    # outside Gamma_t
             for (a, b, data) in segments[edge]:
                 mask = (pts > a) & (pts < b)
                 free &= ~mask
                 # data is the v x n trace itself, already oriented
-                vals = _as_values(data, pts[mask])
+                vals = _as_values(data, pts[mask], edge)
                 v0[at] += Eh1[mask].T @ (w[mask] * vals)
             # boundary-minus-Gamma_t pairing with the tangential velocity
             if np.any(free):
@@ -264,8 +272,8 @@ class OperatorContext:
 
 
 class TensorPoissonSolver:
-    """Everything that depends on gamma = dt*alpha/2, from the context's
-    dense line matrices. Per line, the restricted h1 inverse
+    """Everything that depends on gamma = dt*alpha/2, from the dense line
+    arrays and the context's zn. Per line, the restricted h1 inverse
     Z (Z Mg Z + I - Z)^-1 Z, Mg = M_h1 + gamma * J^T M_h1 J, Z = diag(zn):
     with the l2 mass inverses, the Kronecker factors of A^-1 that
     `m1_solve` applies. The pressure system M2 Dt A^-1 Dt^T M2 is
@@ -279,11 +287,12 @@ class TensorPoissonSolver:
         s = ctx.space
         self.ctx, self.gamma = ctx, float(gamma)
         factors, eigs = [], []    # per line: the inverse of each kind
-        for (M, JMJ, Ml2, DP, z), line in zip(ctx.dense, (s.line_x, s.line_y)):
-            inv = SPDInverse(z[:, None] * (M + gamma * JMJ) * z + np.diag(1.0 - z))
-            inv.inv *= np.outer(z, z)
-            K = Ml2 @ DP @ inv.inv @ DP.T @ Ml2
-            factors.append({"h1": inv, "l2": line.mass_factor("l2")})
+        for line, z in ((s.line_x, ctx.zn["x"]), (s.line_y, ctx.zn["y"])):
+            M, Ml2, DP = line.dense_mass["h1"], line.dense_mass["l2"], line.DP
+            inv = SPDInverse(z[:, None] * (M + gamma * line.JMJ) * z
+                             + np.diag(1.0 - z)).inv * np.outer(z, z)
+            K = Ml2 @ DP @ inv @ DP.T @ Ml2
+            factors.append({"h1": inv, "l2": line.inverse["l2"].inv})
             eigs.append(scipy.linalg.eigh(0.5 * (K + K.T), 0.5 * (Ml2 + Ml2.T)))
         (lam_x, self.Phi_x), (lam_y, self.Phi_y) = eigs
         denom = lam_x[:, None] + lam_y[None, :]
@@ -293,10 +302,7 @@ class TensorPoissonSolver:
         # singular: a pseudoinverse that drops the constant-pressure modes
         drop = self.singular & (denom <= 1e-10 * float(lam_x.max() + lam_y.max()))
         self._inv_denom = np.where(drop, 0.0, 1.0 / np.where(drop, 1.0, denom))
-
-        fx, fy = factors
-        self.m1_solve = partial(s.solve_mass, 1, solvers=[
-            KroneckerSolver([fx[kx], fy[ky]]) for kx, ky in KINDS[1]])
+        self.m1_solve = partial(s.solve_mass, 1, inverses=factors)
 
     def matvec(self, q):
         """The system matrix applied through the composed sparse operators."""
@@ -345,7 +351,7 @@ def advection_residual(ctx: OperatorContext, u, v) -> np.ndarray:
     factors of degree at most 3p+2 per direction on every cell, and Gauss
     with n points is exact to degree 2n-1 >= 3p+2 (`quad_rule_exact`)."""
     s = ctx.space
-    (Qx, Qy), (Lx, Ly) = ctx.Q, ctx.L
+    (Qx, Qy), (Lx, Ly) = (s.line_x.Q, s.line_y.Q), ctx.L
     uvx, uvy = s.grid_eval_v1(coeffs_of(u))
     vx, vy = s.blocks(1, coeffs_of(v))
     r = []

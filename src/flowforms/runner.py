@@ -11,9 +11,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord, l2_error, measure
-from .multipatch import build_multipatch
 from .operators import OperatorContext, weak_curl_with_tangential_bc
-from .spaces import Field, PointSampler, coeffs_of
+from .spaces import Field, PointSampler, build_multipatch, coeffs_of
 from .stepper import StepFailure, cfl_dt, cn_step, initialize
 
 CSV_HEADER = ("time,energy,mom_x,mom_y,div_l2,jump_energy,"

@@ -11,13 +11,11 @@ all work block by block (`TensorDeRhamSpace.blocks`). With Curl q =
 Kronecker product (or block thereof) of the line matrices, so Div.Curl = 0
 holds entrywise exactly.
 
-A single patch is the broken space whose conforming projections are the
-identity. Across a patch interface, conformity is restored by averaging
-the two interface DOFs and correcting the p+1 nearest coefficients on
-each side with one stencil, the one that preserves the polynomial moments
-up to order p (`projection_stencil_1d`).
-The 2D projections are tensor products of the 1D ones; the V1 projection
-acts on the normal-direction factor of each component only.
+`build_multipatch` is the one builder of the complex, over equal
+axis-aligned patches; a single patch is the broken space whose conforming
+projections are the identity. The 2D projections are tensor products of
+each line's `DeRhamLine.P`; the V1 projection acts on the
+normal-direction factor of each component only.
 
 Quadrature grids: a space carries two tensor Gauss grids built from its
 lines. `grid` has the exact rule: Gauss with n points a cell is exact to
@@ -40,67 +38,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linalg import KroneckerSolver
-from .splines import (Broken1D, DegenerateStencilError, DeRhamLine, LineGrid,
-                      cell_quadrature)
+from .splines import DeRhamLine, LineGrid
 
 # slot -> the (x kind, y kind) line spaces of each of its component blocks
 KINDS = {0: (("h1", "h1"),),
          1: (("h1", "l2"), ("l2", "h1")),
          2: (("l2", "l2"),)}
-
-
-def projection_stencil_1d(degree, n_cells=None) -> np.ndarray:
-    """Interface-averaging stencil c_0..c_r of a broken space of the given
-    (h1) degree, with r = degree and c_0 = 1/2.
-
-    The coefficients act on the incoming side of the interface; the
-    outgoing side uses c'_0 = c_0 and c'_i = -c_i (i > 0), which is what
-    makes the operator a projection. c_1..c_r solve the square system that
-    preserves the polynomial moments up to order degree-1. n_cells is the
-    per-patch cell count (default r+1); the moment integrals run over the
-    first min(n_cells, r+1) cells, which hold the system's basis functions.
-    """
-    r = degree
-    n_cells = r + 1 if n_cells is None else min(n_cells, r + 1)
-    # moment integrals I[i, j] = int_patch phi_i(x) x^j dx on unit cells,
-    # phi_i = i-th clamped basis function counted from the interface
-    space = Broken1D(degree, 1, n_cells, (0.0, float(n_cells)), False)
-    pts, w = cell_quadrature(space.breakpoints, 2 * degree + 1)
-    E = space.collocation(pts).toarray()[:, : r + 1]
-    powers = pts[:, None] ** np.arange(r)[None, :]
-    I = E.T @ (w[:, None] * powers)  # (r+1, r)
-
-    A = I[1:, :].T  # rows: moment j, cols: c_1..c_r
-    if np.linalg.cond(A) > 1e12:
-        raise DegenerateStencilError("moment system is numerically singular")
-    return np.concatenate([[0.5], np.linalg.solve(A, 0.5 * I[0, :])])
-
-
-def conforming_projection_1d(space: Broken1D) -> sp.csr_matrix:
-    """1D conforming projection on a broken degree-(p+1) space; the
-    identity on a single patch.
-
-    Identity away from interfaces; at each interface the two coupled DOF
-    columns are replaced by the averaging stencil c of the space's degree.
-    Its integrals depend only on the cell count per patch, not on h, and
-    it fits in the two adjacent patches, which `Broken1D.check` makes at
-    least two cells wide."""
-    interfaces = space.interfaces()
-    if not interfaces:
-        return sp.identity(space.dim, format="csr")
-    c = projection_stencil_1d(space.degree, n_cells=space.cells_per_patch)
-    iface_cols = {idx for pair in interfaces for idx in pair}
-    triplets = [(k, k, 1.0) for k in range(space.dim) if k not in iface_cols]
-    for L, R in interfaces:
-        # column R: the first DOF of the right patch; column L: the last
-        # DOF of the left patch
-        triplets += [(L, R, 0.5), (R, R, 0.5), (L, L, 0.5), (R, L, 0.5)]
-        for i in range(1, len(c)):
-            triplets += [(R + i, R, c[i]), (L - i, R, -c[i]),
-                         (L - i, L, c[i]), (R + i, L, -c[i])]
-    rows, cols, vals = zip(*triplets)
-    return sp.coo_matrix((vals, (rows, cols)),
-                         shape=(space.dim, space.dim)).tocsr()
 
 
 @dataclass
@@ -150,14 +93,13 @@ def _kron(slot, fx, fy) -> sp.csr_matrix:
 
 class TensorDeRhamSpace:
     """The assembled 2D complex over two 1D lines, with its conforming
-    projections Px, Py (per line), Pc0, Pc1 and the jump penalization
+    projections Pc0, Pc1 (from the lines' P) and the jump penalization
     (I-Pc1)^T M1 (I-Pc1). On a line with a single patch the projection is
     the identity; with one patch in both directions Pc0 and Pc1 are the
     identity and the penalization is zero."""
 
     def __init__(self, line_x: DeRhamLine, line_y: DeRhamLine):
-        self.line_x = line_x
-        self.line_y = line_y
+        self.line_x, self.line_y = line_x, line_y
         self.p = line_x.p
         if line_y.p != line_x.p:
             raise ValueError("mixed degrees between directions are not supported")
@@ -177,28 +119,20 @@ class TensorDeRhamSpace:
         Ix, Iy = ({k: sp.identity(s.dim, format="csr") for k, s in
                    line.spaces.items()} for line in (line_x, line_y))
 
-        self.Curl = sp.vstack(
-            [sp.kron(Ix["h1"], Dy, format="csr"), -sp.kron(Dx, Iy["h1"], format="csr")],
-            format="csr",
-        )
-        self.Div = sp.hstack(
-            [sp.kron(Dx, Iy["l2"], format="csr"), sp.kron(Ix["l2"], Dy, format="csr")],
-            format="csr",
-        )
+        self.Curl = sp.vstack([sp.kron(Ix["h1"], Dy, format="csr"),
+                               -sp.kron(Dx, Iy["h1"], format="csr")], format="csr")
+        self.Div = sp.hstack([sp.kron(Dx, Iy["l2"], format="csr"),
+                              sp.kron(Ix["l2"], Dy, format="csr")], format="csr")
 
         self.M1 = _kron(1, line_x.mass, line_y.mass)
         self.M2 = _kron(2, line_x.mass, line_y.mass)
-        self._mass_solvers = {
-            slot: [KroneckerSolver([line_x.mass_factor(kx), line_y.mass_factor(ky)])
-                   for kx, ky in kinds]
-            for slot, kinds in KINDS.items()}
+        self._inverses = tuple({k: f.inv for k, f in line.inverse.items()}
+                               for line in (line_x, line_y))
 
         self.grid = TensorGrid(line_x.grid, line_y.grid)
         self.data_grid = TensorGrid(line_x.data_grid, line_y.data_grid)
 
-        self.Px = conforming_projection_1d(line_x.h1)
-        self.Py = conforming_projection_1d(line_y.h1)
-        proj_x, proj_y = {**Ix, "h1": self.Px}, {**Iy, "h1": self.Py}
+        proj_x, proj_y = {**Ix, "h1": line_x.P}, {**Iy, "h1": line_y.P}
         self.Pc0 = _kron(0, proj_x, proj_y)
         self.Pc1 = _kron(1, proj_x, proj_y)
         J = (sp.identity(self.n1, format="csr") - self.Pc1).tocsr()
@@ -219,12 +153,14 @@ class TensorDeRhamSpace:
                 for end, (nx, ny) in zip(self._ends[slot], self.shapes[slot])]
 
     # --- exact mass solves ------------------------------------------------
-    def solve_mass(self, slot: int, b, solvers=None) -> np.ndarray:
+    def solve_mass(self, slot: int, b, inverses=None) -> np.ndarray:
         """M^-1 b on the slot, one Kronecker solve a component block: by
-        the mass factors, or by the given solvers, one a block."""
-        solvers = self._mass_solvers[slot] if solvers is None else solvers
-        return np.concatenate([k.solve(B).ravel() for k, B in
-                               zip(solvers, self.blocks(slot, b), strict=True)])
+        the lines' mass inverses, or by inverses, the (x, y) pair of
+        inverse arrays by kind to use in their place."""
+        fx, fy = inverses or self._inverses
+        return np.concatenate([
+            KroneckerSolver(fx[kx], fy[ky]).solve(B).ravel() for (kx, ky), B
+            in zip(KINDS[slot], self.blocks(slot, b), strict=True)])
 
     # --- values and moments on a quadrature grid ---------------------------
     # grid defaults to the exact grid (see the module docstring); values
@@ -258,6 +194,17 @@ class TensorDeRhamSpace:
         """Coefficients of a constant vector field (partition of unity)."""
         return np.concatenate([np.full(nx * ny, float(c)) for (nx, ny), c
                                in zip(self.shapes[1], (cx, cy))])
+
+
+def build_multipatch(degree, n_patches, cells_per_patch,
+                     bounds=((0.0, 1.0), (0.0, 1.0)),
+                     periodic=(False, False)) -> TensorDeRhamSpace:
+    """The complex over n_patches equal patches of cells_per_patch cells;
+    each a count, or one per direction, as periodic may be one bool."""
+    n, cells, per = ((v, v) if np.isscalar(v) else v
+                     for v in (n_patches, cells_per_patch, periodic))
+    return TensorDeRhamSpace(*(DeRhamLine(degree, n[i], cells[i], bounds[i], per[i])
+                               for i in (0, 1)))
 
 
 def sample(grid: TensorGrid, f, n: int) -> list:

@@ -5,13 +5,18 @@ The 2D discrete de Rham sequence used by the solver factorizes into two
 periodic, possibly broken across patches) together with its degree-p
 derivative space, the derivative incidence matrix between them, and the
 1D mass/mixed matrices. All global 2D operators are Kronecker products
-of these 1D objects.
+of these 1D objects. A `DeRhamLine` owns every 1D array of its grid
+alone: these matrices, the conforming projection, the mass inverses and
+the dense products the operators and solvers are formed from.
 
 Conventions: uniform breakpoints; one knot vector a line, clamped (open)
 on bounded directions, periodic wrap on a periodic single patch. A patch
 interface is a knot of multiplicity degree+1, where the basis is
 discontinuous: a broken space is the ordinary B-spline space on that
-knot vector, and a single patch is its case without interfaces.
+knot vector, and a single patch is its case without interfaces. The
+conforming projection averages the two DOFs of an interface and corrects
+the p+1 nearest on each side by the stencil that preserves the
+polynomial moments up to order p (`projection_stencil_1d`).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.interpolate import BSpline
 
-from .linalg import SPDInverse, gauss_legendre
+from .linalg import SPDInverse
 
 
 class DegenerateStencilError(ValueError):
@@ -131,15 +136,22 @@ class Broken1D:
                              shape=(m, n))
 
 
+def gauss_legendre(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1]: (points, weights)."""
+    if n < 1:
+        raise ValueError(f"Gauss-Legendre rule needs n >= 1 points, got {n}")
+    return np.polynomial.legendre.leggauss(n)
+
+
 def cell_quadrature(breakpoints, n_per_cell):
     """Physical Gauss points and weights, concatenated cell by cell."""
-    rule = gauss_legendre(n_per_cell)
+    x, wx = gauss_legendre(n_per_cell)
     lo = np.asarray(breakpoints[:-1])
     hi = np.asarray(breakpoints[1:])
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    pts = (mid[:, None] + half[:, None] * rule.points[None, :]).ravel()
-    w = (half[:, None] * rule.weights[None, :]).ravel()
+    pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    w = (half[:, None] * wx[None, :]).ravel()
     return pts, w
 
 
@@ -160,6 +172,60 @@ def quad_rule_data(p: int) -> int:
 def weighted_gram(Ea: sp.csr_matrix, w, Eb: sp.csr_matrix) -> sp.csr_matrix:
     """Ea^T diag(w) Eb, all sparse."""
     return (Ea.multiply(np.asarray(w)[:, None]).T @ Eb).tocsr()
+
+
+def projection_stencil_1d(degree, n_cells=None) -> np.ndarray:
+    """Interface-averaging stencil c_0..c_r of a broken space of the given
+    (h1) degree, with r = degree and c_0 = 1/2.
+
+    The coefficients act on the incoming side of the interface; the
+    outgoing side uses c'_0 = c_0 and c'_i = -c_i (i > 0), which is what
+    makes the operator a projection. c_1..c_r solve the square system that
+    preserves the polynomial moments up to order degree-1. n_cells is the
+    per-patch cell count (default r+1); the moment integrals run over the
+    first min(n_cells, r+1) cells, which hold the system's basis functions.
+    """
+    r = degree
+    n_cells = r + 1 if n_cells is None else min(n_cells, r + 1)
+    # moment integrals I[i, j] = int_patch phi_i(x) x^j dx on unit cells,
+    # phi_i = i-th clamped basis function counted from the interface
+    space = Broken1D(degree, 1, n_cells, (0.0, float(n_cells)), False)
+    pts, w = cell_quadrature(space.breakpoints, 2 * degree + 1)
+    E = space.collocation(pts).toarray()[:, : r + 1]
+    powers = pts[:, None] ** np.arange(r)[None, :]
+    I = E.T @ (w[:, None] * powers)  # (r+1, r)
+
+    A = I[1:, :].T  # rows: moment j, cols: c_1..c_r
+    if np.linalg.cond(A) > 1e12:
+        raise DegenerateStencilError("moment system is numerically singular")
+    return np.concatenate([[0.5], np.linalg.solve(A, 0.5 * I[0, :])])
+
+
+def conforming_projection_1d(space: Broken1D) -> sp.csr_matrix:
+    """1D conforming projection on a broken degree-(p+1) space; the
+    identity on a single patch.
+
+    Identity away from interfaces; at each interface the two coupled DOF
+    columns are replaced by the averaging stencil c of the space's degree.
+    Its integrals depend only on the cell count per patch, not on h, and
+    it fits in the two adjacent patches, which `Broken1D.check` makes at
+    least two cells wide."""
+    interfaces = space.interfaces()
+    if not interfaces:
+        return sp.identity(space.dim, format="csr")
+    c = projection_stencil_1d(space.degree, n_cells=space.cells_per_patch)
+    iface_cols = {idx for pair in interfaces for idx in pair}
+    triplets = [(k, k, 1.0) for k in range(space.dim) if k not in iface_cols]
+    for L, R in interfaces:
+        # column R: the first DOF of the right patch; column L: the last
+        # DOF of the left patch
+        triplets += [(L, R, 0.5), (R, R, 0.5), (L, L, 0.5), (R, L, 0.5)]
+        for i in range(1, len(c)):
+            triplets += [(R + i, R, c[i]), (L - i, R, -c[i]),
+                         (L - i, L, c[i]), (R + i, L, -c[i])]
+    rows, cols, vals = zip(*triplets)
+    return sp.coo_matrix((vals, (rows, cols)),
+                         shape=(space.dim, space.dim)).tocsr()
 
 
 class BasisTable:
@@ -238,8 +304,9 @@ class LineGrid:
 
 class DeRhamLine:
     """The 1D de Rham pair of one direction: degree-(p+1) space, degree-p
-    space, the derivative incidence between them, mass/mixed matrices, and
-    its two quadrature grids.
+    space, the derivative incidence between them, mass/mixed matrices,
+    its two quadrature grids, and every dense product of these that the
+    operators and solvers read, each built once.
 
     Attributes
     ----------
@@ -250,6 +317,11 @@ class DeRhamLine:
     M_h1, M_l2, B : csr_matrix
         Mass matrices (by kind in `mass`) and the mixed matrix
         B[a, c] = int l2_a * h1_c.
+    P : csr_matrix
+        Conforming projection on h1; the identity on a single patch.
+    dense_mass, inverse, DP, JMJ, Q
+        Dense masses and their SPDInverse (by kind), and dense D P,
+        J^T M_h1 J (J = I - P) and the interior product Q = M_l2^-1 B.
     grid : LineGrid
         The exact rule (`quad_rule_exact`): the mass matrices are
         assembled on it, and every spline integrand of the solver, the
@@ -282,10 +354,15 @@ class DeRhamLine:
         self.mass = {"h1": self.M_h1, "l2": self.M_l2}
 
         self.data_grid, E1, E0 = self._grid(quad_rule_data(p))
-        self.E_h1 = E1.toarray()
-        self.E_l2 = E0.toarray()
+        self.E_h1, self.E_l2 = E1.toarray(), E0.toarray()
 
-        self._fact = {}
+        self.dense_mass = {k: M.toarray() for k, M in self.mass.items()}
+        self.inverse = {k: SPDInverse(M) for k, M in self.dense_mass.items()}
+        self.P = conforming_projection_1d(self.h1)
+        self.DP = (self.D @ self.P).toarray()
+        J = np.identity(self.h1.dim) - self.P.toarray()
+        self.JMJ = J.T @ self.dense_mass["h1"] @ J
+        self.Q = self.inverse["l2"].solve(self.B.toarray())
 
     def _grid(self, n_per_cell):
         """The grid of n_per_cell Gauss points a cell, with the
@@ -297,16 +374,10 @@ class DeRhamLine:
                                  "l2": BasisTable(self.l2, E0, w, n_per_cell)})
         return grid, E1, E0
 
-    def mass_factor(self, which: str):
-        """Cached SPDInverse of the mass matrix of kind which."""
-        if which not in self._fact:
-            self._fact[which] = SPDInverse(self.mass[which])
-        return self._fact[which]
-
     @cached_property
     def lambda_max(self) -> float:
         """Largest eigenvalue of the pencil (D^T M_l2 D, M_h1), the sharp
         inverse-inequality constant |v'|^2 <= lambda_max |v|^2 on h1."""
         K = (self.D.T @ self.M_l2 @ self.D).toarray()
-        return float(scipy.linalg.eigh(K, self.M_h1.toarray(),
+        return float(scipy.linalg.eigh(K, self.dense_mass["h1"],
                                        eigvals_only=True)[-1])

@@ -71,6 +71,8 @@ def midpoint_sweep(ctx: OperatorContext, cfg, un, u_iter, dt: float):
     if cfg.nu != 0.0:
         R = R + cfg.nu * viscous_residual(ctx, ub)
     gamma = 0.0
+    # on one patch Pen is zero: gamma stays 0, so the sweep reuses the
+    # solver `initialize` cached instead of building one for dt*alpha/2
     if cfg.alpha != 0.0 and pen.nnz:
         R = R + cfg.alpha * (pen @ un)
         gamma = 0.5 * dt * cfg.alpha

@@ -10,9 +10,8 @@ import functools
 import numpy as np
 import pytest
 
-from flowforms.multipatch import build_multipatch
 from flowforms.operators import EdgeBC, OperatorContext
-from flowforms.spaces import Field
+from flowforms.spaces import Field, build_multipatch
 
 PI = np.pi
 DOMAIN = ((0.0, PI), (0.0, PI))

@@ -306,6 +306,25 @@ def test_bad_boundary_section_is_a_usage_error(cli, tmp_path, section,
     assert not (tmp_path / "diagnostics.csv").exists()
 
 
+@pytest.mark.parametrize("section, message", [
+    ("kind = pressure\nvalue = nan\n", "boundary value must be finite, got nan"),
+    ("tangential = inf\n", "boundary tangential must be finite, got inf"),
+    ("tangential = 1.0@0.0:0.5,nan@0.5:1.0\n",
+     "boundary tangential must be finite, got nan"),
+], ids=["pressure-nan", "tangential-inf", "segment-nan"])
+def test_non_finite_boundary_data_is_a_usage_error(cli, tmp_path, section,
+                                                   message):
+    path = tmp_path / "nonfinite.cfg"
+    path.write_text("[case]\nname = lid_driven_cavity\n[boundary.top]\n"
+                    + section)
+    result = cli.invoke(main, ["run", str(path), "--out", str(tmp_path)])
+    out = _all_output(result)
+    assert result.exit_code == 2, out
+    assert f"Error: {message}" in out
+    assert "Traceback" not in out
+    assert not (tmp_path / "diagnostics.csv").exists()
+
+
 def test_boundary_section_on_a_periodic_case_is_a_usage_error(cli, tmp_path):
     path = tmp_path / "periodic.cfg"
     path.write_text("[boundary.left]\nkind = normal\n")

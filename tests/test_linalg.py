@@ -10,9 +10,8 @@ from flowforms.linalg import (
     FactorizationError,
     KroneckerSolver,
     SPDInverse,
-    gauss_legendre,
 )
-from flowforms.splines import DeRhamLine
+from flowforms.splines import DeRhamLine, gauss_legendre
 from oracles import NumericalBreakdown, cg_solve
 
 
@@ -24,36 +23,36 @@ def test_gauss_rejects_zero_points():
 
 
 def test_gauss_one_point_is_midpoint_rule():
-    rule = gauss_legendre(1)
-    assert rule.points == pytest.approx([0.0], abs=1e-15)
-    assert rule.weights == pytest.approx([2.0], abs=1e-15)
+    points, weights = gauss_legendre(1)
+    assert points == pytest.approx([0.0], abs=1e-15)
+    assert weights == pytest.approx([2.0], abs=1e-15)
 
 
 def test_gauss_two_point_closed_form():
-    rule = gauss_legendre(2)
-    assert np.sort(rule.points) == pytest.approx(
+    points, weights = gauss_legendre(2)
+    assert np.sort(points) == pytest.approx(
         [-1 / np.sqrt(3), 1 / np.sqrt(3)], abs=1e-15)
-    assert rule.weights == pytest.approx([1.0, 1.0], abs=1e-15)
+    assert weights == pytest.approx([1.0, 1.0], abs=1e-15)
 
 
 def test_gauss_five_points_integrate_x8():
-    rule = gauss_legendre(5)
-    val = float(rule.weights @ rule.points**8)
+    points, weights = gauss_legendre(5)
+    val = float(weights @ points**8)
     assert abs(val - 2.0 / 9.0) <= 1e-14
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_gauss_weights_sum_to_two(n):
-    assert abs(gauss_legendre(n).weights.sum() - 2.0) <= 1e-14
+    assert abs(gauss_legendre(n)[1].sum() - 2.0) <= 1e-14
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_gauss_monomial_exactness(n):
     # a rule of n points is exact for degrees up to 2n - 1
-    rule = gauss_legendre(n)
+    points, weights = gauss_legendre(n)
     for d in range(2 * n):
         exact = 0.0 if d % 2 else 2.0 / (d + 1)
-        got = float(rule.weights @ rule.points**d)
+        got = float(weights @ points**d)
         assert got == pytest.approx(exact, abs=1e-13)
 
 
@@ -67,8 +66,8 @@ def test_gauss_random_polynomials(n, coeffs):
     if deg > 2 * n - 1:
         coeffs = coeffs[: 2 * n]
     poly = np.polynomial.Polynomial(coeffs)
-    rule = gauss_legendre(n)
-    got = float(rule.weights @ poly(rule.points))
+    points, weights = gauss_legendre(n)
+    got = float(weights @ poly(points))
     exact = float(poly.integ()(1.0) - poly.integ()(-1.0))
     assert got == pytest.approx(exact, abs=1e-12 * (1 + abs(exact)))
 
@@ -192,7 +191,7 @@ _LINES = [(p, n_patches, periodic)
 def test_spd_inverse_of_derham_line_masses(rng, p, n_patches, periodic):
     line = DeRhamLine(p, n_patches, 6 // n_patches + p, (0.0, 2.0), periodic)
     for which, M in (("h1", line.M_h1), ("l2", line.M_l2)):
-        f = line.mass_factor(which)
+        f = line.inverse[which]
         assert np.array_equal(f.inv, f.inv.T)
         B = rng.standard_normal((f.n, 3))
         ref = np.linalg.solve(M.toarray(), B)
@@ -202,7 +201,7 @@ def test_spd_inverse_of_derham_line_masses(rng, p, n_patches, periodic):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_solves_reject_non_finite_input(bad):
     M = _linear_spline_mass(4, 0.25)
-    K = KroneckerSolver([SPDInverse(M), SPDInverse(M)])
+    K = KroneckerSolver(SPDInverse(M).inv, SPDInverse(M).inv)
     b = np.ones(M.shape[0])
     b[2] = bad
     with pytest.raises(ValueError):
@@ -218,7 +217,7 @@ def test_solves_reject_non_finite_input(bad):
 def test_kronecker_solve_keeps_the_input_shape(rng):
     Mx = _linear_spline_mass(4, 0.25)
     My = _linear_spline_mass(6, 1.0 / 6.0)
-    K = KroneckerSolver([SPDInverse(Mx), SPDInverse(My)])
+    K = KroneckerSolver(SPDInverse(Mx).inv, SPDInverse(My).inv)
     B = rng.standard_normal((Mx.shape[0], My.shape[0]))
     X = K.solve(B)
     x = K.solve(B.ravel())
@@ -233,7 +232,7 @@ def test_kronecker_pair_matches_cg(rng):
     My = _linear_spline_mass(7, 0.125)
     K = np.kron(Mx, My)
     b = rng.standard_normal(K.shape[0])
-    x_kron = KroneckerSolver([SPDInverse(Mx), SPDInverse(My)]).solve(b)
+    x_kron = KroneckerSolver(SPDInverse(Mx).inv, SPDInverse(My).inv).solve(b)
     x_cg, rep = cg_solve(K, b, tol=1e-14, max_iter=10000)
     assert rep.converged
     assert np.linalg.norm(x_kron - x_cg) <= 1e-11 * np.linalg.norm(x_cg)
@@ -244,5 +243,5 @@ def test_kronecker_matches_assembled_solve(rng):
     My = _linear_spline_mass(6, 1.0 / 6.0)
     K = np.kron(Mx, My)
     b = rng.standard_normal(K.shape[0])
-    x = KroneckerSolver([SPDInverse(Mx), SPDInverse(My)]).solve(b)
+    x = KroneckerSolver(SPDInverse(Mx).inv, SPDInverse(My).inv).solve(b)
     assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_field, space
-from flowforms.multipatch import build_multipatch
-from flowforms.spaces import (DegenerateStencilError, conforming_projection_1d,
-                             projection_stencil_1d)
-from flowforms.splines import Broken1D
+from flowforms.spaces import build_multipatch
+from flowforms.splines import (Broken1D, DegenerateStencilError,
+                               conforming_projection_1d, projection_stencil_1d)
 from oracles import gauss_cells, line_basis
 
 UNIT = ((0.0, 1.0), (0.0, 1.0))
@@ -204,5 +203,5 @@ def test_default_stencil_parameters_follow_degree():
     # the stencil reaches p+1 DOFs past each interface DOF, on both sides
     s = space(3, 2, 2, False, bounds=UNIT)
     (L, R), = s.line_x.h1.interfaces()
-    rows = s.Px[:, R].nonzero()[0]
+    rows = s.line_x.P[:, R].nonzero()[0]
     assert rows.min() == L - 4 and rows.max() == R + 4

@@ -660,6 +660,31 @@ def test_context_rejects_overlapping_segments():
         OperatorContext(space(1, 4, 1, periodic=False), bc=bc)
 
 
+@pytest.mark.parametrize("kw, name", [
+    (dict(kind="pressure", value=np.nan), "value"),
+    (dict(value=-np.inf), "value"),
+    (dict(tangential=np.inf), "tangential"),
+    (dict(tangential=[(0.0, PI / 2, 1.0), (PI / 2, PI, np.nan)]),
+     "tangential"),
+], ids=["pressure-nan", "normal-inf", "tangential-inf", "segment-nan"])
+def test_edge_rejects_non_finite_constant_data(kw, name):
+    with pytest.raises(ValueError, match=f"boundary {name} must be finite"):
+        EdgeBC(**kw)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(kind="pressure", value=lambda x: np.where(x > 1.0, np.nan, 0.0)),
+    dict(value=lambda x: np.inf * x),
+    dict(tangential=lambda x: np.where(x > 1.0, np.inf, 1.0)),
+], ids=["pressure", "normal", "tangential"])
+def test_context_rejects_non_finite_callable_boundary_data(kw):
+    # sampled on the edge's quadrature points, named by the edge
+    bc = {e: EdgeBC() for e in ("left", "right", "bottom")}
+    bc["top"] = EdgeBC(**kw)
+    with pytest.raises(ValueError, match="edge top: .* not finite"):
+        OperatorContext(space(1, 4, 1, periodic=False), bc=bc)
+
+
 @pytest.mark.parametrize("npat", [1, 2])
 def test_forcing_vector_pairs_exactly_with_constants(npat):
     sp_ = space(2, 4, npat, periodic=True)
@@ -689,3 +714,5 @@ def test_m1_solve_with_penalization():
     assert ctx.poisson_solver(gamma).m1_solve is m1_solve
     x0 = ctx.poisson_solver(0.0).m1_solve(b)
     assert np.max(np.abs(sp_.M1 @ x0 - b)) <= 1e-10
+    # without Gamma_n edges the restricted inverse is the mass inverse
+    assert np.array_equal(x0, sp_.solve_mass(1, b))

@@ -10,6 +10,10 @@ p = 1-3, on three inviscid flows with exact solutions:
   pressure p = (cos 2x + cos 2y)/4 (u.grad u + grad p = 0) as data on the
   bottom and top edges.
 
+On the box flow the pressure that the last step returns must fall at
+order p + 1 too, against (cos 2x + cos 2y)/4 with its mean removed on
+the walled box, within the same runs.
+
 With viscosity nu = 0.05 the box flow decays as exp(-2 nu t) with u.n = 0
 and no tangential condition on every edge: its vorticity 2 sin x sin y
 vanishes on the walls, the natural condition there. Its order is measured
@@ -23,12 +27,12 @@ on periodic broken spaces, with the jump penalty and viscosity on.
 import numpy as np
 import pytest
 
-from conftest import DOMAIN
+from conftest import DOMAIN, PI
 from flowforms.cases import case_library
 from flowforms.config import SimulationConfig
 from flowforms.diagnostics import l2_error, measure
-from flowforms.multipatch import build_multipatch
 from flowforms.operators import EdgeBC, OperatorContext
+from flowforms.spaces import build_multipatch
 from flowforms.stepper import cn_step, initialize
 
 MESHES = (8, 16, 32)
@@ -45,9 +49,13 @@ def box_flow_at(t, nu):
     return lambda X, Y: tuple(decay * c for c in box_flow(X, Y))
 
 
+def box_pressure(X, Y):
+    return 0.25 * (np.cos(2.0 * X) + np.cos(2.0 * Y))
+
+
 def box_pressure_on_edge(s):
     # p = (cos 2x + cos 2y)/4 on y = 0 and y = pi, where cos 2y = 1
-    return 0.25 * (np.cos(2.0 * s) + 1.0)
+    return box_pressure(s, 0.0)
 
 
 WALLS = {e: EdgeBC("normal", 0.0) for e in ("left", "right", "bottom", "top")}
@@ -68,6 +76,9 @@ SETUPS = {
 
 
 def final_error(setup, p, n, nu=0.0, steps=STEPS):
+    """L2 errors of the velocity and of the last step's pressure against
+    box_pressure, mean-free on the walled box; the pressure's is None on
+    the periodic setup."""
     bc, npat, initial, exact = SETUPS[setup]
     space = build_multipatch(p, npat, n // npat, DOMAIN, periodic=bc is None)
     ctx = OperatorContext(space, bc=bc)
@@ -75,22 +86,32 @@ def final_error(setup, p, n, nu=0.0, steps=STEPS):
                            picard_tol=1e-10).resolve()[0]
     u = initialize(ctx, initial)
     for _ in range(steps):
-        u = cn_step(ctx, u, cfg)[0]
-    return l2_error(space, u, exact(steps * DT, nu))
+        u, pres, _ = cn_step(ctx, u, cfg)
+    if bc is None:
+        return l2_error(space, u, exact(steps * DT, nu)), None
+    if bc is WALLS:
+        g = space.data_grid
+        pres = pres - g.integrate(space.grid_eval(2, pres, g)[0]) / (PI * PI)
+    return (l2_error(space, u, exact(steps * DT, nu)),
+            l2_error(space, pres, box_pressure, slot=2))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("setup", list(SETUPS))
 def test_velocity_converges_at_order_p_plus_one(setup, p):
-    errors = [final_error(setup, p, n) for n in MESHES]
+    errors, p_errors = zip(*(final_error(setup, p, n) for n in MESHES))
     order = np.log2(errors[-2] / errors[-1])
     assert order >= p + 0.8, (errors, order)
+    if setup != "periodic":
+        p_order = np.log2(p_errors[-2] / p_errors[-1])
+        assert p_order >= p + 0.8, (p_errors, p_order)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("setup", ["walls-1x1", "walls-2x2"])
 def test_walled_viscous_velocity_converges_at_order_p_plus_one(setup, p):
-    errors = [final_error(setup, p, n, nu=0.05, steps=100) for n in (16, 32)]
+    errors = [final_error(setup, p, n, nu=0.05, steps=100)[0]
+              for n in (16, 32)]
     order = np.log2(errors[0] / errors[1])
     assert order >= p + 0.8, (errors, order)
 

@@ -5,8 +5,7 @@ import pytest
 
 from conftest import rand_field, space
 from flowforms.diagnostics import l2_error
-from flowforms.multipatch import build_multipatch
-from flowforms.spaces import Field, eval_field, l2_project
+from flowforms.spaces import Field, build_multipatch, eval_field, l2_project
 from oracles import area, convergence_order, mass_v0
 
 PI = np.pi

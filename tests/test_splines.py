@@ -238,7 +238,7 @@ def test_derham_line_mass_factor_solves(rng):
     line = DeRhamLine(3, 1, 5, (0.0, np.pi), True)
     for which, M in (("h1", line.M_h1), ("l2", line.M_l2)):
         b = rng.standard_normal(M.shape[0])
-        x = line.mass_factor(which).solve(b)
+        x = line.inverse[which].solve(b)
         assert np.linalg.norm(M @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
