@@ -25,13 +25,12 @@ def measure(ctx: OperatorContext, u, t: float = 0.0,
             picard_iterations: int = 0) -> DiagnosticsRecord:
     s = ctx.space
     uc = coeffs_of(u)
-    Mu = s.M1 @ uc
+    Mu = s.mass(1, uc)
     energy = 0.5 * float(uc @ Mu)
-    e1 = s.constant_v1(1.0, 0.0)
-    e2 = s.constant_v1(0.0, 1.0)
-    momentum = np.array([float(e1 @ Mu), float(e2 @ Mu)])
+    # the constant fields (1, 0) and (0, 1) have all-ones coefficients
+    momentum = np.array([float(B.sum()) for B in s.blocks(1, Mu)])
     d = ctx.Dt @ uc
-    div_l2 = float(np.sqrt(max(d @ (s.M2 @ d), 0.0)))
+    div_l2 = float(np.sqrt(max(d @ s.mass(2, d), 0.0)))
     jump = float(uc @ (s.penalization @ uc))
     enstrophy = viscous_form(ctx, uc, uc)
     return DiagnosticsRecord(time=t, energy=energy, momentum=momentum,

@@ -15,8 +15,9 @@ values. Viewed as an (x index, y index) array, each V0 or V1 block holds
 an edge's trace DOFs in one slice: row 0 or -1 for the left and right
 edges, column 0 or -1 for the bottom and top edges.
 
-The interior product, the whole-boundary dual gradient and M2 Div M1^-1
-each act along one axis only, as dense 1D factors per line, so the
+Dt = Div Pc1 and CP0 = Curl Pc0 are Kronecker products of the lines' D P
+and P. The interior product, the whole-boundary dual gradient and M2 Div
+M1^-1 act along one axis only, as dense 1D factors per line, so the
 advection residual needs no 2D mass solve. The line (`DeRhamLine`) owns
 the arrays of its grid alone, such as the interior product Q; the
 context keeps those its boundary conditions change (the Gamma_n mask
@@ -39,7 +40,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .linalg import SPDInverse
-from .spaces import Field, TensorDeRhamSpace, coeffs_of, sample
+from .spaces import Field, TensorDeRhamSpace, coeffs_of, kron_blocks, sample
 
 EDGES = ("left", "right", "bottom", "top")
 # edge -> (the line across it, the end of that line the edge sits on)
@@ -163,9 +164,11 @@ class OperatorContext:
                                   space.line_x.h1.breakpoints,
                                   space.line_y.h1.breakpoints)
 
-        self.Dt = (space.Div @ space.Pc1).tocsr()      # Div_h
+        lx, ly = space.line_x, space.line_y
+        Ix, Iy = (np.identity(line.l2.dim) for line in (lx, ly))
+        self.Dt = kron_blocks([[(lx.DP, Iy), (Ix, ly.DP)]])    # Div Pc1
         self.DtT = self.Dt.T.tocsr()
-        self.CP0 = (space.Curl @ space.Pc0).tocsr()
+        self.CP0 = kron_blocks([[(lx.P, ly.DP)], [(-lx.DP, ly.P)]])
         self.CP0T = self.CP0.T.tocsr()
 
         self._assemble_boundary_terms(segments)
@@ -174,9 +177,12 @@ class OperatorContext:
         self.f_vec = np.zeros(space.n1)
         if forcing is not None:
             g = space.data_grid
-            self.f_vec = space.Pc1.T @ space.grid_moments(
-                1, sample(g, forcing, 2), g)
-
+            fx, fy = space.blocks(1, space.grid_moments(
+                1, sample(g, forcing, 2), g))
+            self.f_vec = np.concatenate([(lx.P.T @ fx).ravel(),
+                                         (fy @ ly.P).ravel()])   # Pc1^T
+        # exact-grid arrays that advection_residual writes its values into
+        self._grid_work = np.empty((4, len(space.grid.x), len(space.grid.y)))
         self._solver = None
 
     # --- 1D factors of the dual operators -----------------------------------
@@ -211,10 +217,13 @@ class OperatorContext:
         n_data = np.zeros(s.n1)     # Gamma_n flux DOFs of the u.n data
         pn = np.ones(s.n1)          # the diagonal of Pn
         v0, = s.blocks(0, t_tang)
-        b_flux, n_flux, pn_flux = (dict(zip("xy", s.blocks(1, vec)))
-                                   for vec in (b_press, n_data, pn))
-        # (v x n, omega) over the boundary minus Gamma_t, per V1 block
-        Tt = {a: sp.csr_matrix((s.n0, B.size)) for a, B in pn_flux.items()}
+        b_flux, n_flux, pn_flux, ids1 = (
+            dict(zip("xy", s.blocks(1, vec)))
+            for vec in (b_press, n_data, pn, np.arange(s.n1)))
+        ids0, = s.blocks(0, np.arange(s.n0))
+        # (v x n, omega) over the boundary minus Gamma_t, assembled once
+        # from the (V0 index, V1 index, value) triplets of its edges
+        tt = [np.zeros((3, 0))]
 
         for edge, cond in self.bc.items():
             axis, end = _EDGE_AXIS[edge]
@@ -249,12 +258,13 @@ class OperatorContext:
                 vals = _as_values(data, pts[mask], edge)
                 v0[at] += Eh1[mask].T @ (w[mask] * vals)
             # boundary-minus-Gamma_t pairing with the tangential velocity
-            if np.any(free):
-                Mh1_free = Eh1[free].T @ (w[free, None] * Eh1[free])
-                Tt[along] += (sp.kron(tau * pair, Mh1_free) if axis == "x"
-                              else sp.kron(Mh1_free, tau * pair))
+            Mh1_free = Eh1[free].T @ (w[free, None] * Eh1[free])
+            i, j = np.nonzero(Mh1_free)
+            tt.append([ids0[at][i], ids1[along][at][j], tau * Mh1_free[i, j]])
 
-        self.T_tangential = sp.hstack([Tt["x"], Tt["y"]], format="csr")
+        rows, cols, vals = np.hstack(tt)
+        self.T_tangential = sp.csr_matrix(
+            (vals, (rows.astype(int), cols.astype(int))), shape=(s.n0, s.n1))
         self.T_tangentialT = self.T_tangential.T.tocsr()
         self.Pn = sp.diags(pn, format="csr")
         self.t_tangential_data = t_tang
@@ -307,7 +317,7 @@ class TensorPoissonSolver:
     def matvec(self, q):
         """The system matrix applied through the composed sparse operators."""
         ctx, s = self.ctx, self.ctx.space
-        return s.M2 @ (ctx.Dt @ self.m1_solve(ctx.DtT @ (s.M2 @ q)))
+        return s.mass(2, ctx.Dt @ self.m1_solve(ctx.DtT @ s.mass(2, q)))
 
     def solve(self, b):
         B, = self.ctx.space.blocks(2, b)
@@ -331,7 +341,7 @@ def weak_curl_with_tangential_bc(ctx: OperatorContext, v) -> Field:
     """Dual curl with tangential boundary data:
     M0 w = (Curl Pc0)^T M1 v - T1 v - t2."""
     vc = coeffs_of(v)
-    rhs = (ctx.CP0T @ (ctx.space.M1 @ vc) - ctx.T_tangential @ vc
+    rhs = (ctx.CP0T @ ctx.space.mass(1, vc) - ctx.T_tangential @ vc
            - ctx.t_tangential_data)
     return Field(ctx.space, 0, ctx.space.solve_mass(0, rhs))
 
@@ -349,27 +359,25 @@ def advection_residual(ctx: OperatorContext, u, v) -> np.ndarray:
     u is evaluated once and shared by both halves of the skew form. Both
     run on the exact grid: each integrand is a product of three spline
     factors of degree at most 3p+2 per direction on every cell, and Gauss
-    with n points is exact to degree 2n-1 >= 3p+2 (`quad_rule_exact`)."""
+    with n points is exact to degree 2n-1 >= 3p+2 (`quad_rule_exact`).
+    Values go into the context's grid arrays: a grid-sized transient can
+    pass glibc's heap trim threshold and make every sweep page-fault."""
     s = ctx.space
     (Qx, Qy), (Lx, Ly) = (s.line_x.Q, s.line_y.Q), ctx.L
-    uvx, uvy = s.grid_eval_v1(coeffs_of(u))
+    uv, g = ctx._grid_work[:2], ctx._grid_work[2:]
+    uvx, uvy = s.grid_eval_v1(coeffs_of(u), out=uv)
     vx, vy = s.blocks(1, coeffs_of(v))
     r = []
-    # Products are formed in place and released early, so at most four
-    # grid arrays are alive at once: a larger transient peak can pass
-    # glibc's heap trim threshold and make every sweep page-fault afresh.
     for k, ikv in enumerate((Qx @ vx, vy @ Qy.T)):
         # (a) trial-slot gradient acting on i_k v
-        gx, gy = s.grid_eval_v1(weak_grad_full(ctx, ikv))
+        gx, gy = s.grid_eval_v1(weak_grad_full(ctx, ikv), out=g)
         gx *= uvx
         gx += np.multiply(gy, uvy, out=gy)
         a, = s.blocks(2, s.grid_moments_v2([gx]))
-        del gx, gy
         # (b) test-slot gradient, rewritten through adjointness
-        w2, = s.grid_eval_v2(ikv)
+        w2, = s.grid_eval_v2(ikv, out=g[1:])
         fx, fy = s.blocks(1, s.grid_moments_v1(
-            [w2 * uvx, np.multiply(w2, uvy, out=w2)]))
-        del w2
+            [np.multiply(w2, uvx, out=gx), np.multiply(w2, uvy, out=w2)]))
         a += Lx @ fx + fy @ Ly.T
         r.append(Qx.T @ a if k == 0 else a @ Qy)
     return 0.5 * np.concatenate([r[0].ravel(), r[1].ravel()])
@@ -380,7 +388,7 @@ def advection_residual(ctx: OperatorContext, u, v) -> np.ndarray:
 def viscous_residual(ctx: OperatorContext, u) -> np.ndarray:
     """Dual vector of the viscous term: (M1 Curl Pc0 - T1^T) (Ct_bc u)."""
     omega = weak_curl_with_tangential_bc(ctx, u).coeffs
-    return ctx.space.M1 @ (ctx.CP0 @ omega) - ctx.T_tangentialT @ omega
+    return ctx.space.mass(1, ctx.CP0 @ omega) - ctx.T_tangentialT @ omega
 
 
 def viscous_form(ctx: OperatorContext, u, v) -> float:

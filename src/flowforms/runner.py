@@ -93,20 +93,20 @@ def write_snapshot(ctx, u, p, t, path, grid=64):
 PREDICTOR_ORDER = 3
 
 
-def extrapolate(states, t):
-    """The Lagrange polynomial in time through states [(t_j, u_j)],
-    evaluated at t. Its weights sum to one; it is formed as
-    u_last + sum_j w_j (u_j - u_last), so entries that are equal in
-    every state come out bit for bit."""
-    *rest, (_, u_last) = states
-    out = u_last
-    for j, (tj, uj) in enumerate(rest):
-        w = 1.0
-        for m, (tm, _) in enumerate(states):
-            if m != j:
-                w *= (t - tm) / (tj - tm)
-        out = out + w * (uj - u_last)
-    return out
+def extrapolate(states, t, orders):
+    """The Lagrange extrapolations in time to t through states
+    [(t_j, u_j)], one row per order k < orders, through the last k + 1
+    states: u_last + W D, with D the stacked u_j - u_last and row k of W
+    the order-k weights. Each row's weights sum to one, so entries that
+    are equal in every state come out bit for bit."""
+    times, us = zip(*states)
+    n = len(times) - 1
+    W = np.zeros((orders, n))
+    for k in range(1, orders):
+        ts = times[-k - 1:]
+        W[k, n - k:] = [np.prod([(t - tm) / (tj - tm) for tm in ts if tm != tj])
+                        for tj in ts[:-1]]
+    return us[-1] + W @ (np.stack(us[:-1]) - us[-1])
 
 
 def predict(history, t):
@@ -121,10 +121,10 @@ def predict(history, t):
     if len(past) < 2:
         k = len(past)
     else:
-        k = int(np.argmin([
-            np.linalg.norm(extrapolate(past[-j - 1:], tn) - un)
-            for j in range(min(PREDICTOR_ORDER + 1, len(past)))]))
-    return None if k == 0 else extrapolate(list(history)[-k - 1:], t)
+        past = past[-PREDICTOR_ORDER - 1:]
+        k = int(np.argmin(np.linalg.norm(
+            extrapolate(past, tn, len(past)) - un, axis=1)))
+    return None if k == 0 else extrapolate(list(history)[-k - 1:], t, k + 1)[k]
 
 
 def run(cfg, progress=None):

@@ -7,9 +7,9 @@ V2 = l2 (x) l2. `KINDS` is the one owner of this layout: a slot's
 coefficients are its component blocks in KINDS order, each row-major (x
 index major), and masses, mass solves, projections, values and moments
 all work block by block (`TensorDeRhamSpace.blocks`). With Curl q =
-(d_y q, -d_x q) and Div v = d_x v_x + d_y v_y, every global matrix is a
-Kronecker product (or block thereof) of the line matrices, so Div.Curl = 0
-holds entrywise exactly.
+(d_y q, -d_x q) and Div v = d_x v_x + d_y v_y, every 2D operator is a
+Kronecker product (or block thereof) of the line matrices; masses and
+mass solves apply theirs to each block, and no 2D mass is assembled.
 
 `build_multipatch` is the one builder of the complex, over equal
 axis-aligned patches; a single patch is the broken space whose conforming
@@ -26,7 +26,8 @@ elevated rule for callables, which are not splines: l2_project, forcing,
 boundary data and l2_error. Values and moments on either grid are
 sum-factorised: per cell, a (q x k) basis table meets the k coefficients
 the cell touches, first along one direction and then along the other,
-so their cost is linear in the number of cells.
+so their cost is linear in the number of cells, and they allocate no
+grid-sized array when given one to write into.
 """
 
 from __future__ import annotations
@@ -84,19 +85,19 @@ class TensorGrid:
         return float(self.gx.w @ vals @ self.gy.w)
 
 
-def _kron(slot, fx, fy) -> sp.csr_matrix:
-    """The block-diagonal matrix on the slot whose block of kinds (kx, ky)
-    is fx[kx] (x) fy[ky]; a single block skips block_diag's copy."""
-    blocks = [sp.kron(fx[kx], fy[ky], format="csr") for kx, ky in KINDS[slot]]
-    return blocks[0] if len(blocks) == 1 else sp.block_diag(blocks, format="csr")
+def kron_blocks(blocks) -> sp.csr_matrix:
+    """The sparse matrix of a grid of blocks (a list of rows), each a pair
+    (A, B) of line arrays standing for A (x) B, or None for zero."""
+    return sp.bmat([[None if pair is None else sp.kron(*pair, format="coo")
+                     for pair in row] for row in blocks], format="csr")
 
 
 class TensorDeRhamSpace:
-    """The assembled 2D complex over two 1D lines, with its conforming
-    projections Pc0, Pc1 (from the lines' P) and the jump penalization
-    (I-Pc1)^T M1 (I-Pc1). On a line with a single patch the projection is
-    the identity; with one patch in both directions Pc0 and Pc1 are the
-    identity and the penalization is zero."""
+    """The 2D complex over two 1D lines, with the jump penalization
+    (I-Pc1)^T M1 (I-Pc1), Pc1 the conforming projection: its x block is
+    J^T M_h1 J (x) M_l2 with J = I - P of the x line. On a line with a
+    single patch the projection is the identity; with one patch in both
+    directions the penalization is zero."""
 
     def __init__(self, line_x: DeRhamLine, line_y: DeRhamLine):
         self.line_x, self.line_y = line_x, line_y
@@ -115,28 +116,15 @@ class TensorDeRhamSpace:
                       for slot, shapes in self.shapes.items()}
         self.n0, self.n1, self.n2 = map(self.dim, KINDS)
 
-        Dx, Dy = line_x.D, line_y.D
-        Ix, Iy = ({k: sp.identity(s.dim, format="csr") for k, s in
-                   line.spaces.items()} for line in (line_x, line_y))
-
-        self.Curl = sp.vstack([sp.kron(Ix["h1"], Dy, format="csr"),
-                               -sp.kron(Dx, Iy["h1"], format="csr")], format="csr")
-        self.Div = sp.hstack([sp.kron(Dx, Iy["l2"], format="csr"),
-                              sp.kron(Ix["l2"], Dy, format="csr")], format="csr")
-
-        self.M1 = _kron(1, line_x.mass, line_y.mass)
-        self.M2 = _kron(2, line_x.mass, line_y.mass)
+        self._masses = (line_x.dense_mass, line_y.dense_mass)
         self._inverses = tuple({k: f.inv for k, f in line.inverse.items()}
                                for line in (line_x, line_y))
 
         self.grid = TensorGrid(line_x.grid, line_y.grid)
         self.data_grid = TensorGrid(line_x.data_grid, line_y.data_grid)
 
-        proj_x, proj_y = {**Ix, "h1": line_x.P}, {**Iy, "h1": line_y.P}
-        self.Pc0 = _kron(0, proj_x, proj_y)
-        self.Pc1 = _kron(1, proj_x, proj_y)
-        J = (sp.identity(self.n1, format="csr") - self.Pc1).tocsr()
-        self.penalization = (J.T @ self.M1 @ J).tocsr()
+        self.penalization = kron_blocks([[(line_x.JMJ, line_y.M_l2), None],
+                                         [None, (line_x.M_l2, line_y.JMJ)]])
 
     # --- bookkeeping -----------------------------------------------------
     def dim(self, slot: int) -> int:
@@ -152,11 +140,15 @@ class TensorDeRhamSpace:
         return [c[end - nx * ny: end].reshape(nx, ny)
                 for end, (nx, ny) in zip(self._ends[slot], self.shapes[slot])]
 
-    # --- exact mass solves ------------------------------------------------
+    # --- masses and exact mass solves -------------------------------------
+    def mass(self, slot: int, c) -> np.ndarray:
+        """M c on the slot, by the lines' masses in place of inverses."""
+        return self.solve_mass(slot, c, self._masses)
+
     def solve_mass(self, slot: int, b, inverses=None) -> np.ndarray:
-        """M^-1 b on the slot, one Kronecker solve a component block: by
-        the lines' mass inverses, or by inverses, the (x, y) pair of
-        inverse arrays by kind to use in their place."""
+        """M^-1 b on the slot, one Kronecker product F_x B F_y^T a component
+        block B: by the lines' mass inverses, or by inverses, the (x, y)
+        pair of arrays by kind to use in their place."""
         fx, fy = inverses or self._inverses
         return np.concatenate([
             KroneckerSolver(fx[kx], fy[ky]).solve(B).ravel() for (kx, ky), B
@@ -165,12 +157,16 @@ class TensorDeRhamSpace:
     # --- values and moments on a quadrature grid ---------------------------
     # grid defaults to the exact grid (see the module docstring); values
     # have shape (len(grid.x), len(grid.y)), one array per component.
-    def grid_eval(self, slot: int, c, grid=None) -> list:
-        """Values E_x C E_y^T of each block C of the coefficients c,
-        sum-factorised: the cell-local products along y, then along x."""
-        g = grid or self.grid
-        return [g.gx.tables[kx].to_points(g.gy.tables[ky].to_points(C.T).T)
-                for (kx, ky), C in zip(KINDS[slot], self.blocks(slot, c))]
+    def grid_eval(self, slot: int, c, grid=None, out=None) -> list:
+        """Values E_x C E_y^T of each block C of the coefficients c, into
+        out (C-contiguous arrays) if given: along y, then along x."""
+        g, vals = grid or self.grid, []
+        for (kx, ky), C, o in zip(KINDS[slot], self.blocks(slot, c),
+                                  [None] * 2 if out is None else out):
+            tx, ty = g.gx.tables[kx], g.gy.tables[ky]
+            mid = ty.scratch("values", (ty.n_points, len(C)))
+            vals.append(tx.to_points(ty.to_points(C.T, mid).T, o))
+        return vals
 
     def grid_moments(self, slot: int, vals, grid=None) -> np.ndarray:
         """The coefficient vector of the moments E_x^T W_x V W_y E_y of
@@ -178,7 +174,9 @@ class TensorDeRhamSpace:
         g, out = grid or self.grid, np.empty(self.dim(slot))
         for (kx, ky), V, B in zip(KINDS[slot], vals, self.blocks(slot, out),
                                   strict=True):
-            B[...] = g.gy.tables[ky].moments(g.gx.tables[kx].moments(V).T).T
+            tx, ty = g.gx.tables[kx], g.gy.tables[ky]
+            mid = ty.scratch("moments", (V.shape[1], tx.dim))
+            ty.moments(tx.moments(V, mid.T).T, B.T)
         return out
 
     # The same with the slot in the name: benchmarks/tracer.py patches
@@ -189,11 +187,6 @@ class TensorDeRhamSpace:
     grid_moments_v0 = partialmethod(grid_moments, 0)
     grid_moments_v1 = partialmethod(grid_moments, 1)
     grid_moments_v2 = partialmethod(grid_moments, 2)
-
-    def constant_v1(self, cx: float, cy: float) -> np.ndarray:
-        """Coefficients of a constant vector field (partition of unity)."""
-        return np.concatenate([np.full(nx * ny, float(c)) for (nx, ny), c
-                               in zip(self.shapes[1], (cx, cy))])
 
 
 def build_multipatch(degree, n_patches, cells_per_patch,

@@ -260,37 +260,56 @@ class BasisTable:
         if np.any(local >= self.k_loc):
             raise ValueError("collocation matrix does not have the cell "
                              "structure of the space")
+        self.n_points = E.shape[0]
         vals = np.zeros((E.shape[0], self.k_loc))
         vals[rows, local] = E.data
         shape = (self.patches, self.cells, n_per_cell, self.k_loc)
         self.vals = vals.reshape(shape)
         self.wvals_t = (np.asarray(w)[:, None] * vals).reshape(shape).swapaxes(
             -1, -2).copy()
+        self._buffers = {}    # (name, shape) -> array, see scratch
 
-    def to_points(self, A: np.ndarray) -> np.ndarray:
+    def scratch(self, name, shape):
+        """The table's own array of that name and shape, made once and
+        overwritten by every later call: a table serves one caller at once."""
+        if (name, shape) not in self._buffers:
+            self._buffers[name, shape] = np.empty(shape)
+        return self._buffers[name, shape]
+
+    def to_points(self, A: np.ndarray, out=None) -> np.ndarray:
         """E @ A for coefficient rows A of shape (dim, m): values at the
-        rule's points, shape (points, m), as one batched (q x k)(k x m)
-        product over the cells."""
-        A = np.concatenate((A, A[: self.wrap]))     # contiguous, wrapped
+        rule's points, shape (points, m), into out or a new array, as one
+        batched (q x k)(k x m) product over the cells."""
         m = A.shape[1]
-        s0, s1 = A.strides
-        # view of A with windows[j, c] = A[j*span + c : j*span + c + k_loc]
+        W = np.concatenate((A, A[: self.wrap]),     # contiguous, wrapped
+                           out=self.scratch("rows", (self.dim + self.wrap, m)))
+        s0, s1 = W.strides
+        # view of W with windows[j, c] = W[j*span + c : j*span + c + k_loc]
         windows = np.ndarray((self.patches, self.cells, self.k_loc, m),
-                             A.dtype, A, 0, (self.span * s0, s0, s0, s1))
-        return np.matmul(self.vals, windows).reshape(-1, m)
+                             W.dtype, W, 0, (self.span * s0, s0, s0, s1))
+        out = np.empty((self.n_points, m)) if out is None else out
+        if not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        np.matmul(self.vals, windows, out=out.reshape(self.vals.shape[:3] + (m,)))
+        return out
 
-    def moments(self, V: np.ndarray) -> np.ndarray:
+    def moments(self, V: np.ndarray, out=None) -> np.ndarray:
         """E.T @ diag(w) @ V for point rows V of shape (points, m): shape
-        (dim, m), as the transposed products and one add per local offset."""
+        (dim, m), into out or a new array, as the transposed products and
+        one add per local offset."""
         m = V.shape[1]
-        R = np.matmul(self.wvals_t,
-                      V.reshape(self.patches, self.cells, -1, m))
-        out = np.zeros((self.patches, self.span, m))
+        R = self.scratch("products", (self.patches, self.cells, self.k_loc, m))
+        np.matmul(self.wvals_t, V.reshape(self.patches, self.cells, -1, m),
+                  out=R)
+        acc = self.scratch("sums", (self.patches, self.span, m))
+        acc[...] = 0.0
         for a in range(self.k_loc):
-            out[:, a: a + self.cells] += R[:, :, a]
-        out = out.reshape(-1, m)
-        out[: self.wrap] += out[self.dim:]
-        return out[: self.dim]
+            acc[:, a: a + self.cells] += R[:, :, a]
+        acc = acc.reshape(-1, m)
+        acc[: self.wrap] += acc[self.dim:]
+        out = np.empty((self.dim, m)) if out is None else out
+        out[...] = acc[: self.dim]
+        return out
 
 
 class LineGrid:
@@ -315,7 +334,7 @@ class DeRhamLine:
     D : csr_matrix
         Derivative incidence, shape (l2.dim, h1.dim).
     M_h1, M_l2, B : csr_matrix
-        Mass matrices (by kind in `mass`) and the mixed matrix
+        Mass matrices and the mixed matrix
         B[a, c] = int l2_a * h1_c.
     P : csr_matrix
         Conforming projection on h1; the identity on a single patch.
@@ -351,12 +370,11 @@ class DeRhamLine:
         self.M_h1 = weighted_gram(E1, w, E1)
         self.M_l2 = weighted_gram(E0, w, E0)
         self.B = weighted_gram(E0, w, E1)
-        self.mass = {"h1": self.M_h1, "l2": self.M_l2}
 
         self.data_grid, E1, E0 = self._grid(quad_rule_data(p))
         self.E_h1, self.E_l2 = E1.toarray(), E0.toarray()
 
-        self.dense_mass = {k: M.toarray() for k, M in self.mass.items()}
+        self.dense_mass = {"h1": self.M_h1.toarray(), "l2": self.M_l2.toarray()}
         self.inverse = {k: SPDInverse(M) for k, M in self.dense_mass.items()}
         self.P = conforming_projection_1d(self.h1)
         self.DP = (self.D @ self.P).toarray()

@@ -78,9 +78,8 @@ def midpoint_sweep(ctx: OperatorContext, cfg, un, u_iter, dt: float):
         gamma = 0.5 * dt * cfg.alpha
     R = R - ctx.f_vec + ctx.b_pressure
     solver = ctx.poisson_solver(gamma)
-    M2 = ctx.space.M2
-    p = solver.solve(M2 @ (ctx.Dt @ solver.m1_solve(R)))
-    w = R - ctx.DtT @ (M2 @ p)
+    p = solver.solve(ctx.space.mass(2, ctx.Dt @ solver.m1_solve(R)))
+    w = R - ctx.DtT @ ctx.space.mass(2, p)
     return un - dt * solver.m1_solve(w), p
 
 
@@ -180,8 +179,8 @@ def leray_project(ctx: OperatorContext, u) -> Field:
     A^{-1} is its `m1_solve`."""
     uc = coeffs_of(u)
     solver = ctx.poisson_solver(0.0)
-    phi = solver.solve(-(ctx.space.M2 @ (ctx.Dt @ uc)))
-    corr = solver.m1_solve(ctx.DtT @ (ctx.space.M2 @ phi))
+    phi = solver.solve(-ctx.space.mass(2, ctx.Dt @ uc))
+    corr = solver.m1_solve(ctx.DtT @ ctx.space.mass(2, phi))
     return Field(ctx.space, 1, uc + corr)
 
 

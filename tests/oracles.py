@@ -15,16 +15,18 @@ The references at the end are written against the package instead: a
 plain conjugate gradient solver (the matrix-free check of the direct
 pressure solve), the trilinear advection form by direct quadrature of
 its integrands (the check of the assembled residual) with its
-whole-boundary gradient assembled in 2D, the dual gradients,
-the boundaryless dual curl, the interior products, the domain area and
-the V0 mass matrix that no solver path uses, the least-squares
-convergence order, and the plain Picard iteration of the midpoint step
-(the fixed-point check of the accelerated one), and the snapshot writer
-that formats each value on its own (the byte-for-byte check of the text
-template of runner.write_snapshot, which samples through the same
-PointSampler).
+whole-boundary gradient assembled in 2D, the dual gradients, the
+boundaryless dual curl, the interior products, the domain area, the
+coefficients of a constant vector field, the 2D matrices of the complex
+that no solver path assembles (masses, Curl, Div, the conforming
+projections and the penalization), the least-squares convergence order,
+the plain Picard iteration of the midpoint step (the fixed-point check
+of the accelerated one), and the snapshot writer that formats each value
+on its own (the byte-for-byte check of the text template of
+runner.write_snapshot, which samples through the same PointSampler).
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -393,10 +395,49 @@ def area(space) -> float:
     return (x1 - x0) * (y1 - y0)
 
 
-def mass_v0(space):
-    """The V0 mass matrix M_h1 (x) M_h1 of the lines, which no solver path
-    assembles (solve_mass applies its inverse as a Kronecker product)."""
-    return sp.kron(space.line_x.M_h1, space.line_y.M_h1, format="csr")
+class Assembled:
+    """The 2D matrices of the complex that no solver path assembles, as
+    sparse Kronecker products of the line matrices: the masses M0, M1
+    and M2, the primal Curl and Div and the conforming projections Pc0
+    and Pc1. The package applies the masses through their line factors
+    (`TensorDeRhamSpace.mass`, `solve_mass`) and builds Div Pc1, Curl Pc0
+    and the penalization from the lines' D P, P and J^T M_h1 J."""
+
+    def __init__(self, space):
+        lx, ly = space.line_x, space.line_y
+        Ix, Iy = ({k: sp.identity(s.dim, format="csr")
+                   for k, s in line.spaces.items()} for line in (lx, ly))
+        self.Curl = sp.vstack([sp.kron(Ix["h1"], ly.D),
+                               -sp.kron(lx.D, Iy["h1"])], format="csr")
+        self.Div = sp.hstack([sp.kron(lx.D, Iy["l2"]),
+                              sp.kron(Ix["l2"], ly.D)], format="csr")
+        self.M0 = sp.kron(lx.M_h1, ly.M_h1, format="csr")
+        self.M1 = sp.block_diag([sp.kron(lx.M_h1, ly.M_l2),
+                                 sp.kron(lx.M_l2, ly.M_h1)], format="csr")
+        self.M2 = sp.kron(lx.M_l2, ly.M_l2, format="csr")
+        self.Pc0 = sp.kron(lx.P, ly.P, format="csr")
+        self.Pc1 = sp.block_diag([sp.kron(lx.P, Iy["l2"]),
+                                  sp.kron(Ix["l2"], ly.P)], format="csr")
+        J = sp.identity(space.n1, format="csr") - self.Pc1
+        self.penalization = (J.T @ self.M1 @ J).tocsr()
+
+
+# space -> its Assembled matrices, which live as long as the space
+_ASSEMBLED = weakref.WeakKeyDictionary()
+
+
+def assembled(space) -> Assembled:
+    """The `Assembled` matrices of the space, built once a space."""
+    if space not in _ASSEMBLED:
+        _ASSEMBLED[space] = Assembled(space)
+    return _ASSEMBLED[space]
+
+
+def constant_v1(space, cx: float, cy: float) -> np.ndarray:
+    """Coefficients of the constant vector field (cx, cy): by the
+    partition of unity, cx on every x DOF and cy on every y DOF."""
+    return np.concatenate([np.full(nx * ny, float(c)) for (nx, ny), c
+                           in zip(space.shapes[1], (cx, cy))])
 
 
 def mixed_matrix(space, k: int):
@@ -434,7 +475,7 @@ def weak_grad_full_sparse(ctx, q, edges=None):
     T = sp.vstack([sp.kron(ends(lx, "left", "right"), ly.M_l2),
                    sp.kron(lx.M_l2, ends(ly, "bottom", "top"))], format="csr")
     qc = coeffs_of(q)
-    return s.solve_mass(1, -(ctx.DtT @ (s.M2 @ qc)) + T @ qc)
+    return s.solve_mass(1, -(ctx.DtT @ s.mass(2, qc)) + T @ qc)
 
 
 def advection_form(ctx, u, v, w) -> float:
@@ -468,7 +509,7 @@ def advection_form(ctx, u, v, w) -> float:
 def weak_grad(ctx, q) -> Field:
     """Boundaryless dual gradient: M1 x = -(Div Pc1)^T M2 q."""
     qc = coeffs_of(q)
-    x = ctx.space.solve_mass(1, -(ctx.DtT @ (ctx.space.M2 @ qc)))
+    x = ctx.space.solve_mass(1, -(ctx.DtT @ ctx.space.mass(2, qc)))
     return Field(ctx.space, 1, x)
 
 
@@ -476,14 +517,14 @@ def weak_grad_with_pressure_bc(ctx, q) -> Field:
     """Dual gradient with flux BCs and Gamma_p data:
     M1 x = -(Div Pc1 Pn)^T M2 q + b,  b_j = int_{Gamma_p} p_b (Lambda_j . n)."""
     qc = coeffs_of(q)
-    rhs = -(ctx.Pn @ (ctx.DtT @ (ctx.space.M2 @ qc))) + ctx.b_pressure
+    rhs = -(ctx.Pn @ (ctx.DtT @ ctx.space.mass(2, qc))) + ctx.b_pressure
     return Field(ctx.space, 1, ctx.space.solve_mass(1, rhs))
 
 
 def weak_curl(ctx, v) -> Field:
     """Boundaryless dual curl: M0 w = (Curl Pc0)^T M1 v."""
     vc = coeffs_of(v)
-    w = ctx.space.solve_mass(0, ctx.CP0T @ (ctx.space.M1 @ vc))
+    w = ctx.space.solve_mass(0, ctx.CP0T @ ctx.space.mass(1, vc))
     return Field(ctx.space, 0, w)
 
 

@@ -3,14 +3,17 @@
 The defining identities are checked against the dense quadrature oracle
 in oracles.py, which shares no assembly code with the package.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from conftest import DOMAIN, PI, context, rand_coeffs, space
-from oracles import (DenseOracle, advection_form, area, interior_product,
-                     mass_v0, walls, weak_curl, weak_grad,
-                     weak_grad_with_pressure_bc)
+from oracles import (DenseOracle, advection_form, area, assembled,
+                     constant_v1, interior_product, walls, weak_curl,
+                     weak_grad, weak_grad_with_pressure_bc)
 from flowforms.cases import case_library
 from flowforms.operators import (
     EdgeBC,
@@ -21,7 +24,7 @@ from flowforms.operators import (
     weak_curl_with_tangential_bc,
     weak_grad_full,
 )
-from flowforms.spaces import Field, eval_field
+from flowforms.spaces import Field, eval_field, sample
 
 _ORACLES = {}
 
@@ -50,7 +53,7 @@ def test_weak_grad_of_constant_vanishes_periodic(p, nc, npat):
 @pytest.mark.parametrize("p,nc,npat", [(1, 4, 1), (2, 4, 1), (1, 4, 2)])
 def test_weak_curl_of_constant_field_vanishes_periodic(p, nc, npat):
     ctx = context(p, nc, npat, "periodic")
-    v = ctx.space.constant_v1(0.7, -1.3)
+    v = constant_v1(ctx.space, 0.7, -1.3)
     w = weak_curl(ctx, v).coeffs
     assert np.max(np.abs(w)) <= 1e-12
 
@@ -62,8 +65,8 @@ def test_weak_grad_adjointness(p, nc, npat, mode):
     q = rand_coeffs(ctx.space, 2, seed=1)
     v = rand_coeffs(ctx.space, 1, seed=2)
     x = weak_grad(ctx, q).coeffs
-    lhs = x @ (ctx.space.M1 @ v)
-    rhs = -q @ (ctx.space.M2 @ (ctx.Dt @ v))
+    lhs = x @ (assembled(ctx.space).M1 @ v)
+    rhs = -q @ (assembled(ctx.space).M2 @ (ctx.Dt @ v))
     assert rel(lhs, rhs) <= 1e-12
 
 
@@ -74,8 +77,8 @@ def test_weak_curl_adjointness(p, nc, npat, mode):
     v = rand_coeffs(ctx.space, 1, seed=3)
     phi = rand_coeffs(ctx.space, 0, seed=4)
     w = weak_curl(ctx, v).coeffs
-    lhs = w @ (mass_v0(ctx.space) @ phi)
-    rhs = (ctx.CP0 @ phi) @ (ctx.space.M1 @ v)
+    lhs = w @ (assembled(ctx.space).M0 @ phi)
+    rhs = (ctx.CP0 @ phi) @ (assembled(ctx.space).M1 @ v)
     assert rel(lhs, rhs) <= 1e-12
 
 
@@ -107,8 +110,8 @@ def test_dual_sequence_composes_to_zero_walls():
 def test_weak_operators_match_dense_oracle(p, nc, npat, mode):
     ctx = context(p, nc, npat, mode)
     ora = oracle(ctx.space)
-    Pc1 = ctx.space.Pc1.toarray()
-    Pc0 = ctx.space.Pc0.toarray()
+    Pc1 = assembled(ctx.space).Pc1.toarray()
+    Pc0 = assembled(ctx.space).Pc0.toarray()
     q = rand_coeffs(ctx.space, 2, seed=7)
     v = rand_coeffs(ctx.space, 1, seed=8)
     g = weak_grad(ctx, q).coeffs
@@ -128,7 +131,7 @@ def test_weak_operators_match_dense_oracle(p, nc, npat, mode):
 @pytest.mark.parametrize("p,nc,npat,mode", [(1, 4, 1, "periodic"), (2, 3, 2, "free")])
 def test_interior_product_of_unit_fields(p, nc, npat, mode):
     ctx = context(p, nc, npat, mode)
-    ex = ctx.space.constant_v1(1.0, 0.0)
+    ex = constant_v1(ctx.space, 1.0, 0.0)
     # first component of e_x projects to the constant 1 (partition of unity)
     c = interior_product(ctx, ex, 1).coeffs
     assert np.max(np.abs(c - 1.0)) <= 1e-13
@@ -144,14 +147,14 @@ def test_interior_product_moments_match_quadrature():
     ux_vals, uy_vals = s.grid_eval(1, u)
     for k, vals in ((1, ux_vals), (2, uy_vals)):
         w = interior_product(ctx, u, k).coeffs
-        lhs = s.M2 @ w
+        lhs = assembled(s).M2 @ w
         rhs = s.grid_moments(2, [vals])
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 
 def test_interior_product_rejects_bad_component():
     ctx = context(1, 4, 1, "periodic")
-    u = ctx.space.constant_v1(1.0, 0.0)
+    u = constant_v1(ctx.space, 1.0, 0.0)
     with pytest.raises(ValueError, match="component"):
         interior_product(ctx, u, 3)
 
@@ -227,7 +230,7 @@ def test_advection_form_matches_dense_oracle(p, nc, npat, mode):
     v = rand_coeffs(ctx.space, 1, seed=19)
     w = rand_coeffs(ctx.space, 1, seed=20)
     got = advection_form(ctx, u, v, w)
-    ref = ora.advection_form(ctx.space.Pc1.toarray(), u, v, w,
+    ref = ora.advection_form(assembled(ctx.space).Pc1.toarray(), u, v, w,
                              trial_edges=list(ctx.bc), test_edges=walls(ctx))
     assert rel(got, ref) <= 1e-11
     # the residual integrates on the minimal exact grid, the two above on
@@ -241,12 +244,33 @@ def test_advection_conserves_momentum_for_solenoidal_fields(npat):
     ctx = context(2, 4, npat, "periodic")
     s = ctx.space
     psi = rand_coeffs(s, 0, seed=21)
-    u = s.Curl @ (s.Pc0 @ psi)
+    u = assembled(s).Curl @ (assembled(s).Pc0 @ psi)
     assert np.max(np.abs(ctx.Dt @ u)) <= 1e-12 * max(1.0, np.max(np.abs(u)))
     r = advection_residual(ctx, u, u)
     scale = max(1.0, float(u @ u))
-    for e in (s.constant_v1(1.0, 0.0), s.constant_v1(0.0, 1.0)):
+    for e in (constant_v1(s, 1.0, 0.0), constant_v1(s, 0.0, 1.0)):
         assert abs(r @ e) <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("npat,mode", [(1, "periodic"), (2, "periodic"),
+                                       (2, "walls")])
+def test_warm_advection_residual_allocates_no_grid_array(npat, mode):
+    # a grid-sized transient can pass glibc's heap trim threshold and make
+    # every sweep page-fault afresh; a warm call writes into the context's
+    # and the basis tables' own arrays instead
+    ctx = context(2, 16, npat, mode)
+    s = ctx.space
+    u = rand_coeffs(s, 1, seed=5)
+    advection_residual(ctx, u, u)
+    grid_bytes = 8 * len(s.grid.x) * len(s.grid.y)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        advection_residual(ctx, u, u)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * grid_bytes, f"peak {peak / grid_bytes:.2f} grid arrays"
 
 
 # --- viscosity ---------------------------------------------------------------
@@ -354,7 +378,6 @@ def test_normal_projector_is_identity_without_flux_edges():
     bc = {e: EdgeBC(kind="pressure", value=0.0) for e in
           ("left", "right", "bottom", "top")}
     ctx = OperatorContext(sp_, bc=bc)
-    import scipy.sparse as sp
     assert (ctx.Pn - sp.identity(sp_.n1, format="csr")).nnz == 0
 
 
@@ -408,8 +431,8 @@ def test_pressure_gradient_range_is_flux_constrained():
     x = weak_grad_with_pressure_bc(ctx, q).coeffs
     for seed in (31, 32):
         v = rand_coeffs(s, 1, seed=seed)
-        comp = (v - ctx.Pn @ v) @ (s.M1 @ x)
-        assert abs(comp) <= 1e-12 * max(1.0, abs(v @ (s.M1 @ x)))
+        comp = (v - ctx.Pn @ v) @ (assembled(s).M1 @ x)
+        assert abs(comp) <= 1e-12 * max(1.0, abs(v @ (assembled(s).M1 @ x)))
 
 
 def test_pressure_gradient_defining_identity():
@@ -420,8 +443,8 @@ def test_pressure_gradient_defining_identity():
     for seed in (34, 35):
         v = rand_coeffs(s, 1, seed=seed)
         x = weak_grad_with_pressure_bc(ctx, q).coeffs
-        lhs = x @ (s.M1 @ v)
-        rhs = -q @ (s.M2 @ (ctx.Dt @ (ctx.Pn @ v)))
+        lhs = x @ (assembled(s).M1 @ v)
+        rhs = -q @ (assembled(s).M2 @ (ctx.Dt @ (ctx.Pn @ v)))
         for edge, data in (("bottom", ctx.bc["bottom"].value),
                            ("top", ctx.bc["top"].value)):
             pts, w, tr, sign = ora.edge_rule(edge)
@@ -442,8 +465,8 @@ def test_full_gradient_defining_identity(p, nc, npat, mode):
     x = weak_grad_full(ctx, q)
     for seed in (37, 38):
         v = rand_coeffs(s, 1, seed=seed)
-        lhs = x @ (s.M1 @ v)
-        rhs = -q @ (s.M2 @ (ctx.Dt @ v)) + ora.boundary_pairing_v2(q, v)
+        lhs = x @ (assembled(s).M1 @ v)
+        rhs = -q @ (assembled(s).M2 @ (ctx.Dt @ v)) + ora.boundary_pairing_v2(q, v)
         assert rel(lhs, rhs) <= 1e-11
 
 
@@ -470,8 +493,8 @@ def test_tangential_curl_defining_identity():
     w = weak_curl_with_tangential_bc(ctx, v).coeffs
     for seed in (40, 41):
         phi = rand_coeffs(s, 0, seed=seed)
-        lhs = w @ (mass_v0(s) @ phi)
-        rhs = (ctx.CP0 @ phi) @ (s.M1 @ v)
+        lhs = w @ (assembled(s).M0 @ phi)
+        rhs = (ctx.CP0 @ phi) @ (assembled(s).M1 @ v)
         for edge in ("left", "right", "bottom", "top"):
             pts, wq, tr, _ = ora.edge_rule(edge)
             cross = ora.cross_sign(edge)
@@ -690,8 +713,33 @@ def test_forcing_vector_pairs_exactly_with_constants(npat):
     sp_ = space(2, 4, npat, periodic=True)
     ctx = OperatorContext(sp_, forcing=lambda X, Y: (2.0, -3.0))
     a = area(sp_)
-    assert rel(float(ctx.f_vec @ sp_.constant_v1(1.0, 0.0)), 2.0 * a) <= 1e-12
-    assert rel(float(ctx.f_vec @ sp_.constant_v1(0.0, 1.0)), -3.0 * a) <= 1e-12
+    assert rel(float(ctx.f_vec @ constant_v1(sp_, 1.0, 0.0)), 2.0 * a) <= 1e-12
+    assert rel(float(ctx.f_vec @ constant_v1(sp_, 0.0, 1.0)), -3.0 * a) <= 1e-12
+
+
+@pytest.mark.parametrize("p,nc,npat,periodic", [
+    (2, 5, 1, True), (1, 4, 1, False), (2, 3, 2, False), (3, 5, (2, 1), True)])
+def test_line_factor_operators_match_assembled(p, nc, npat, periodic):
+    # Dt, CP0, the penalization and the forcing load, built from the
+    # lines' D P, P, J^T M J and M_l2, against the 2D sparse products on
+    # periodic, clamped and broken spaces
+    sp_ = space(p, nc, npat, periodic)
+    A = assembled(sp_)
+    force = lambda X, Y: (np.sin(X) * Y, np.cos(X + 2.0 * Y))  # noqa: E731
+    ctx = OperatorContext(sp_, forcing=force)
+
+    def close(got, want):
+        got, want = (m.toarray() if sp.issparse(m) else m for m in (got, want))
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
+
+    close(ctx.Dt, A.Div @ A.Pc1)
+    close(ctx.DtT, (A.Div @ A.Pc1).T)
+    close(ctx.CP0, A.Curl @ A.Pc0)
+    close(ctx.CP0T, (A.Curl @ A.Pc0).T)
+    close(sp_.penalization, A.penalization)
+    g = sp_.data_grid
+    close(ctx.f_vec, A.Pc1.T @ sp_.grid_moments(1, sample(g, force, 2), g))
 
 
 def test_context_rejects_non_finite_forcing():
@@ -709,10 +757,10 @@ def test_m1_solve_with_penalization():
     b = rand_coeffs(sp_, 1, seed=46)
     m1_solve = ctx.poisson_solver(gamma).m1_solve
     x = m1_solve(b)
-    A = sp_.M1 + gamma * sp_.penalization
+    A = assembled(sp_).M1 + gamma * sp_.penalization
     assert np.max(np.abs(A @ x - b)) <= 1e-10 * max(1.0, np.max(np.abs(b)))
     assert ctx.poisson_solver(gamma).m1_solve is m1_solve
     x0 = ctx.poisson_solver(0.0).m1_solve(b)
-    assert np.max(np.abs(sp_.M1 @ x0 - b)) <= 1e-10
+    assert np.max(np.abs(assembled(sp_).M1 @ x0 - b)) <= 1e-10
     # without Gamma_n edges the restricted inverse is the mass inverse
     assert np.array_equal(x0, sp_.solve_mass(1, b))

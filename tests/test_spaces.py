@@ -6,7 +6,7 @@ import pytest
 from conftest import rand_field, space
 from flowforms.diagnostics import l2_error
 from flowforms.spaces import Field, build_multipatch, eval_field, l2_project
-from oracles import area, convergence_order, mass_v0
+from oracles import area, assembled, constant_v1, convergence_order
 
 PI = np.pi
 
@@ -34,7 +34,7 @@ def test_dims_degree_one_two_by_two():
 ])
 def test_div_curl_is_structurally_zero(p, nc, npatch, periodic):
     s = space(p, nc, npatch, periodic)
-    prod = (s.Div @ s.Curl).tocsr()
+    prod = (assembled(s).Div @ assembled(s).Curl).tocsr()
     prod.eliminate_zeros()
     assert prod.nnz == 0
 
@@ -61,14 +61,14 @@ def test_area():
 @pytest.mark.parametrize("npatch,periodic", [(1, True), (1, False), (2, False)])
 def test_mass_symmetry_and_positivity(npatch, periodic, rng):
     s = space(2, 4 if periodic else 2, npatch, periodic)
-    for M in (mass_v0(s), s.M1, s.M2):
+    for M in (assembled(s).M0, assembled(s).M1, assembled(s).M2):
         assert np.abs((M - M.T).toarray()).max() <= 1e-14
         assert np.linalg.eigvalsh(M.toarray()).min() > 0.0
 
 
 def test_m2_total_mass_is_domain_area():
     s = space(2, 3, 2, False, bounds=((0.0, 2.0), (0.0, 1.5)))
-    assert s.M2.sum() == pytest.approx(area(s), abs=1e-13)
+    assert assembled(s).M2.sum() == pytest.approx(area(s), abs=1e-13)
 
 
 @pytest.mark.parametrize("slot", [0, 1, 2])
@@ -76,15 +76,27 @@ def test_mass_quadrature_consistency(slot, rng):
     # c^T M c equals the quadrature integral of the squared field
     s = space(2, 3, 2, False)
     u = rand_field(s, slot, seed=slot + 1)
-    M = {0: mass_v0(s), 1: s.M1, 2: s.M2}[slot]
+    M = {0: assembled(s).M0, 1: assembled(s).M1, 2: assembled(s).M2}[slot]
     quad_form = float(u.coeffs @ (M @ u.coeffs))
     direct = s.grid.integrate(sum(v**2 for v in s.grid_eval(slot, u.coeffs)))
     assert abs(quad_form - direct) <= 1e-12 * abs(direct)
 
 
+@pytest.mark.parametrize("p,nc,npatch,periodic", [
+    (2, 5, 1, True), (1, 4, 1, False), (2, 3, 2, False), (3, 5, (2, 1), True)])
+def test_mass_by_line_factors_matches_assembled(p, nc, npatch, periodic, rng):
+    # periodic, clamped and broken (in both directions, or in x only)
+    s = space(p, nc, npatch, periodic)
+    for slot, M in enumerate((assembled(s).M0, assembled(s).M1,
+                              assembled(s).M2)):
+        c = rng.standard_normal(s.dim(slot))
+        want = M @ c
+        assert np.abs(s.mass(slot, c) - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_exact_mass_solves(rng):
     s = space(3, 2, 2, False)
-    for slot, M in enumerate((mass_v0(s), s.M1, s.M2)):
+    for slot, M in enumerate((assembled(s).M0, assembled(s).M1, assembled(s).M2)):
         b = rng.standard_normal(M.shape[0])
         x = s.solve_mass(slot, b)
         assert np.linalg.norm(M @ x - b) <= 1e-12 * np.linalg.norm(b)
@@ -94,7 +106,7 @@ def test_exact_mass_solves(rng):
 
 def test_constant_vector_fields_are_exact():
     s = space(1, 3, 2, False, bounds=((0.0, 2.0), (-1.0, 1.0)))
-    u = Field(s, 1, s.constant_v1(2.0, -3.0))
+    u = Field(s, 1, constant_v1(s, 2.0, -3.0))
     xs = np.linspace(0.01, 1.99, 7)
     ys = np.linspace(-0.99, 0.99, 7)
     vals = eval_field(u, xs, ys)
@@ -131,7 +143,8 @@ def test_l2_project_residual_is_tiny():
     u = l2_project(s, 1, tg_velocity)
     X, Y = s.data_grid.mesh()
     rhs = s.grid_moments(1, tg_velocity(X, Y), s.data_grid)
-    assert np.linalg.norm(s.M1 @ u.coeffs - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    M1 = assembled(s).M1
+    assert np.linalg.norm(M1 @ u.coeffs - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
 def test_l2_project_rejects_non_finite_data():
@@ -159,7 +172,7 @@ def test_l2_projection_order_matches_degree():
 
 def test_eval_field_rejects_outside_domain():
     s = space(1, 2, 1, False)
-    u = Field(s, 1, s.constant_v1(1.0, 1.0))
+    u = Field(s, 1, constant_v1(s, 1.0, 1.0))
     with pytest.raises(ValueError):
         eval_field(u, [PI + 0.1], [0.5])
 
@@ -167,8 +180,8 @@ def test_eval_field_rejects_outside_domain():
 def test_v1_basis_integral_equals_mass_row_sum():
     # integrating one basis function equals pairing with the constant field
     s = space(1, 2, 1, False)
-    ones = s.constant_v1(1.0, 1.0)
-    row_sums = np.asarray(s.M1 @ ones)
+    ones = constant_v1(s, 1.0, 1.0)
+    row_sums = np.asarray(assembled(s).M1 @ ones)
     from oracles import DenseOracle
 
     ora = DenseOracle(s)
@@ -217,6 +230,10 @@ def test_sum_factorised_grid_kernels_match_dense_products(p, npatch, nc,
                                              len(grid.y))))
             got = s.grid_eval(slot, c, grid)
             assert len(got) == len(kinds)
+            out = np.empty((len(kinds), len(grid.x), len(grid.y)))
+            for g, o, want in zip(s.grid_eval(slot, c, grid, out=out), out, got,
+                                  strict=True):
+                assert np.shares_memory(g, o) and np.array_equal(o, want)
             moments, start = [], 0
             for (kx, ky), g, V in zip(kinds, got, vals):
                 Ex, Ey = E["x", kx], E["y", ky]
@@ -226,6 +243,23 @@ def test_sum_factorised_grid_kernels_match_dense_products(p, npatch, nc,
                 moments.append((Ex.T @ (W * V) @ Ey).ravel())
                 start += n
             close(s.grid_moments(slot, vals, grid), np.concatenate(moments))
+
+
+def test_table_results_without_out_are_new_arrays():
+    # the basis tables keep their scratch arrays between calls; a result
+    # returned without out must not be one of them
+    rng = np.random.default_rng(4)
+    for table in (t for s in (space(2, 5, 1, True), space(2, 3, 2, False))
+                  for t in s.grid.gx.tables.values()):
+        for method, rows in (("to_points", table.dim),
+                             ("moments", table.n_points)):
+            A = rng.standard_normal((rows, 3))
+            first = getattr(table, method)(A)
+            kept = first.copy()
+            second = getattr(table, method)(2.0 * A)
+            assert not np.shares_memory(first, second)
+            assert np.array_equal(first, kept)
+            assert np.array_equal(second, 2.0 * kept)
 
 
 def test_grid_eval_matches_eval_field():
