@@ -43,11 +43,12 @@ def _build_config(config_path, options):
     """The config file's SimulationConfig (or the default one) with every
     option given set on the field it is named after."""
     from dataclasses import replace
-    from .config import load_config, parse_pair, SimulationConfig
+    from .config import labelled, load_config, parse_pair, SimulationConfig
 
     cfg = load_config(config_path) if config_path else SimulationConfig()
+    pairs = {"n_cells": "--nc", "n_patches": "--np"}
     return replace(cfg, **{
-        name: parse_pair(v) if name in ("n_cells", "n_patches") else v
+        name: labelled(pairs[name], parse_pair, v) if name in pairs else v
         for name, v in options.items() if v is not None})
 
 

@@ -114,15 +114,15 @@ class SimulationConfig:
         if not (out.periodic or out.boundary):
             raise ValueError(
                 f"boundary conditions missing for edges {sorted(EDGES)}")
-        if out.dt is not None and out.dt <= 0:
-            raise ValueError("dt must be positive")
+        if out.dt is not None and not 0 < out.dt < np.inf:   # NaN fails too
+            raise ValueError("dt must be positive and finite")
         for name in ("dt_max", "t_final", "picard_tol", "cfl_safety",
                      "steady_tol"):
-            if getattr(out, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(out, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         for name in ("nu", "alpha"):
-            if getattr(out, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(out, name) < np.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
         for name, least in (("degree", 0), ("picard_max_iter", 1),
                             ("snapshot_grid", 1), ("snapshot_cadence", 0)):
             value = getattr(out, name)
@@ -186,6 +186,14 @@ def _convert(key, raw):
     return float(raw)
 
 
+def labelled(label, parse, *args):
+    """parse(*args), its ValueError prefixed with label (key or option)."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise ValueError(f"{label}: {exc}") from None
+
+
 def load_config(path) -> SimulationConfig:
     parser = configparser.ConfigParser()
     with open(path) as fh:
@@ -199,9 +207,11 @@ def load_config(path) -> SimulationConfig:
             sec = parser[section]
             for key in set(sec) - {"kind", "value", "tangential"}:
                 raise ValueError(f"unknown config key {key!r} in [{section}]")
+            value, tang = sec.get("value", "0.0"), sec.get("tangential", "free")
             bc = EdgeBC(kind=sec.get("kind", "normal").strip(),
-                        value=float(sec.get("value", "0.0")),
-                        tangential=_parse_tangential(sec.get("tangential", "free")))
+                        value=labelled(f"value in [{section}]", float, value),
+                        tangential=labelled(f"tangential in [{section}]",
+                                            _parse_tangential, tang))
             kwargs.setdefault("boundary", {})[edge] = bc
             continue
         if section not in _SECTIONS:
@@ -210,7 +220,7 @@ def load_config(path) -> SimulationConfig:
             if key not in _SECTIONS[section]:
                 raise ValueError(f"unknown config key {key!r} in [{section}]")
             name = "case" if section == "case" else key
-            kwargs[name] = _convert(name, raw)
+            kwargs[name] = labelled(f"{key} in [{section}]", _convert, name, raw)
             if kwargs[name] is None and known[name] is not None:
                 raise ValueError(f"{name} in [{section}] needs a value, "
                                  f"got {raw.strip()!r}")

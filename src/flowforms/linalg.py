@@ -8,36 +8,28 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 
 class FactorizationError(RuntimeError):
     """Cholesky factorization hit a non-SPD pivot."""
 
 
-class SPDInverse:
-    """Explicit inverse of an SPD matrix, formed once from its Cholesky
-    factor and symmetrised; solve(B) is one GEMM.
+def spd_inverse(M) -> np.ndarray:
+    """The explicit inverse of the SPD array M, formed from its Cholesky
+    factor and symmetrised; raises FactorizationError if M is not SPD.
 
     The 1D mass matrices are small (a few hundred rows at most), and
     LAPACK's pbtrs/potrs solve them one right-hand-side column at a time
     with BLAS-2 kernels: a product with the stored inverse is several
     times faster than either, on clamped (banded) and periodic (cyclic)
     lines alike."""
-
-    def __init__(self, M):
-        M = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=np.float64)
-        self.n = M.shape[0]
-        try:
-            cf = scipy.linalg.cho_factor(M, lower=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise FactorizationError(f"Cholesky failed: {exc}") from exc
-        inv = scipy.linalg.cho_solve(cf, np.eye(self.n))
-        self.inv = 0.5 * (inv + inv.T)
-
-    def solve(self, B):
-        """M^-1 B; raises ValueError on non-finite input."""
-        return self.inv @ np.asarray_chkfinite(B, dtype=np.float64)
+    M = np.asarray(M, dtype=np.float64)
+    try:
+        cf = scipy.linalg.cho_factor(M, lower=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise FactorizationError(f"Cholesky failed: {exc}") from exc
+    inv = scipy.linalg.cho_solve(cf, np.eye(M.shape[0]))
+    return 0.5 * (inv + inv.T)
 
 
 class KroneckerSolver:

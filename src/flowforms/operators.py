@@ -20,10 +20,11 @@ and P. The interior product, the whole-boundary dual gradient and M2 Div
 M1^-1 act along one axis only, as dense 1D factors per line, so the
 advection residual needs no 2D mass solve. The line (`DeRhamLine`) owns
 the arrays of its grid alone, such as the interior product Q; the
-context keeps those its boundary conditions change (the Gamma_n mask
-zn, G and L); `TensorPoissonSolver` keeps those gamma = dt*alpha/2
-changes: the sweep's mass solve A^-1 (A = M1 + gamma * penalization) and
-the pressure solver on it. The context caches the latest gamma's.
+context keeps those its boundary conditions change (G, L and the Gamma_n
+mask zn, which masks the h1 factor of the V1 blocks); `TensorPoissonSolver`
+keeps those gamma = dt*alpha/2 changes: the sweep's mass solve A^-1
+(A = M1 + gamma * penalization) and the pressure solver on it. The
+context caches the latest gamma's; a zero penalization makes every gamma 0.
 
 Boundary conventions (outward normals): u.n is -u_x on the left edge,
 +u_x right, -u_y bottom, +u_y top; the scalar cross u x n = u_x n_y -
@@ -39,7 +40,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .linalg import SPDInverse
+from .linalg import spd_inverse
 from .spaces import Field, TensorDeRhamSpace, coeffs_of, kron_blocks, sample
 
 EDGES = ("left", "right", "bottom", "top")
@@ -154,7 +155,7 @@ class OperatorContext:
 
     bc is a dict edge-name -> EdgeBC covering every non-periodic edge, or
     None/empty for no boundary conditions: then every boundary term is
-    zero and Pn is the identity.
+    zero and the Gamma_n mask zn is one everywhere.
     """
 
     def __init__(self, space: TensorDeRhamSpace, bc=None, forcing=None):
@@ -195,7 +196,7 @@ class OperatorContext:
         their advective energy flux."""
         line = self.space.line_x if axis == "x" else self.space.line_y
         T, Tw = self._ends[axis], self._walls[axis]
-        h1_inv, Ml2, DP = line.inverse["h1"].inv, line.dense_mass["l2"], line.DP
+        h1_inv, Ml2, DP = line.inv["h1"], line.mass["l2"], line.DP
         return h1_inv @ (T - DP.T @ Ml2), (Ml2 @ DP - Tw.T) @ h1_inv
 
     # --- boundary matrices and data vectors --------------------------------
@@ -215,11 +216,9 @@ class OperatorContext:
         t_tang = np.zeros(s.n0)     # Gamma_t data against omega traces
         b_press = np.zeros(s.n1)    # Gamma_p data against v.n traces
         n_data = np.zeros(s.n1)     # Gamma_n flux DOFs of the u.n data
-        pn = np.ones(s.n1)          # the diagonal of Pn
         v0, = s.blocks(0, t_tang)
-        b_flux, n_flux, pn_flux, ids1 = (
-            dict(zip("xy", s.blocks(1, vec)))
-            for vec in (b_press, n_data, pn, np.arange(s.n1)))
+        b_flux, n_flux, ids1 = (dict(zip("xy", s.blocks(1, vec)))
+                                for vec in (b_press, n_data, np.arange(s.n1)))
         ids0, = s.blocks(0, np.arange(s.n0))
         # (v x n, omega) over the boundary minus Gamma_t, assembled once
         # from the (V0 index, V1 index, value) triplets of its edges
@@ -243,12 +242,12 @@ class OperatorContext:
                 vals = _as_values(cond.value, pts, edge)
                 b_flux[axis][at] += sigma * (El2.T @ (w * vals))
             else:
-                self.zn[axis][end] = pn_flux[axis][at] = 0.0
+                self.zn[axis][end] = 0.0
                 if not callable(cond.value) and float(cond.value) == 0.0:
                     self._walls[axis] += sigma * pair
                 # 1D L2 projection of the normal-velocity data
                 vals = sigma * _as_values(cond.value, pts, edge)
-                n_flux[axis][at] = line.inverse["l2"].solve(El2.T @ (w * vals))
+                n_flux[axis][at] = line.inv["l2"] @ (El2.T @ (w * vals))
 
             free = np.ones(len(pts), dtype=bool)    # outside Gamma_t
             for (a, b, data) in segments[edge]:
@@ -266,7 +265,6 @@ class OperatorContext:
         self.T_tangential = sp.csr_matrix(
             (vals, (rows.astype(int), cols.astype(int))), shape=(s.n0, s.n1))
         self.T_tangentialT = self.T_tangential.T.tocsr()
-        self.Pn = sp.diags(pn, format="csr")
         self.t_tangential_data = t_tang
         self.b_pressure = b_press
         self.normal_data = n_data
@@ -275,8 +273,10 @@ class OperatorContext:
     def poisson_solver(self, gamma: float = 0.0):
         """The `TensorPoissonSolver` of gamma = dt*alpha/2. One entry is
         cached, the latest gamma's: under CFL control every step has a
-        new dt, so an older entry is never reused."""
-        if self._solver is None or self._solver.gamma != float(gamma):
+        new dt, so an older entry is never reused. Where the penalization
+        is zero (one patch) every gamma is gamma = 0 and reuses it."""
+        gamma = float(gamma) if self.space.penalization.nnz else 0.0
+        if self._solver is None or self._solver.gamma != gamma:
             self._solver = TensorPoissonSolver(self, gamma)
         return self._solver
 
@@ -298,11 +298,11 @@ class TensorPoissonSolver:
         self.ctx, self.gamma = ctx, float(gamma)
         factors, eigs = [], []    # per line: the inverse of each kind
         for line, z in ((s.line_x, ctx.zn["x"]), (s.line_y, ctx.zn["y"])):
-            M, Ml2, DP = line.dense_mass["h1"], line.dense_mass["l2"], line.DP
-            inv = SPDInverse(z[:, None] * (M + gamma * line.JMJ) * z
-                             + np.diag(1.0 - z)).inv * np.outer(z, z)
+            M, Ml2, DP = line.mass["h1"], line.mass["l2"], line.DP
+            inv = spd_inverse(z[:, None] * (M + gamma * line.JMJ) * z
+                              + np.diag(1.0 - z)) * np.outer(z, z)
             K = Ml2 @ DP @ inv @ DP.T @ Ml2
-            factors.append({"h1": inv, "l2": line.inverse["l2"].inv})
+            factors.append({"h1": inv, "l2": line.inv["l2"]})
             eigs.append(scipy.linalg.eigh(0.5 * (K + K.T), 0.5 * (Ml2 + Ml2.T)))
         (lam_x, self.Phi_x), (lam_y, self.Phi_y) = eigs
         denom = lam_x[:, None] + lam_y[None, :]

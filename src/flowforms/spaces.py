@@ -8,8 +8,9 @@ coefficients are its component blocks in KINDS order, each row-major (x
 index major), and masses, mass solves, projections, values and moments
 all work block by block (`TensorDeRhamSpace.blocks`). With Curl q =
 (d_y q, -d_x q) and Div v = d_x v_x + d_y v_y, every 2D operator is a
-Kronecker product (or block thereof) of the line matrices; masses and
-mass solves apply theirs to each block, and no 2D mass is assembled.
+Kronecker product (or block thereof) of the line matrices. Masses and
+mass solves apply the lines' `mass` and `inv` arrays to each block; the
+space keeps no copy of them, and no 2D mass is assembled.
 
 `build_multipatch` is the one builder of the complex, over equal
 axis-aligned patches; a single patch is the broken space whose conforming
@@ -116,15 +117,12 @@ class TensorDeRhamSpace:
                       for slot, shapes in self.shapes.items()}
         self.n0, self.n1, self.n2 = map(self.dim, KINDS)
 
-        self._masses = (line_x.dense_mass, line_y.dense_mass)
-        self._inverses = tuple({k: f.inv for k, f in line.inverse.items()}
-                               for line in (line_x, line_y))
-
         self.grid = TensorGrid(line_x.grid, line_y.grid)
         self.data_grid = TensorGrid(line_x.data_grid, line_y.data_grid)
 
-        self.penalization = kron_blocks([[(line_x.JMJ, line_y.M_l2), None],
-                                         [None, (line_x.M_l2, line_y.JMJ)]])
+        self.penalization = kron_blocks(
+            [[(line_x.JMJ, line_y.mass["l2"]), None],
+             [None, (line_x.mass["l2"], line_y.JMJ)]])
 
     # --- bookkeeping -----------------------------------------------------
     def dim(self, slot: int) -> int:
@@ -143,13 +141,13 @@ class TensorDeRhamSpace:
     # --- masses and exact mass solves -------------------------------------
     def mass(self, slot: int, c) -> np.ndarray:
         """M c on the slot, by the lines' masses in place of inverses."""
-        return self.solve_mass(slot, c, self._masses)
+        return self.solve_mass(slot, c, (self.line_x.mass, self.line_y.mass))
 
     def solve_mass(self, slot: int, b, inverses=None) -> np.ndarray:
         """M^-1 b on the slot, one Kronecker product F_x B F_y^T a component
-        block B: by the lines' mass inverses, or by inverses, the (x, y)
-        pair of arrays by kind to use in their place."""
-        fx, fy = inverses or self._inverses
+        block B: by the lines' mass inverses `inv`, or by inverses, the
+        (x, y) pair of arrays by kind to use in their place."""
+        fx, fy = inverses or (self.line_x.inv, self.line_y.inv)
         return np.concatenate([
             KroneckerSolver(fx[kx], fy[ky]).solve(B).ravel() for (kx, ky), B
             in zip(KINDS[slot], self.blocks(slot, b), strict=True)])

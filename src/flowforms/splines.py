@@ -4,10 +4,11 @@ The 2D discrete de Rham sequence used by the solver factorizes into two
 1D "lines": per direction we carry a degree-(p+1) space (clamped or
 periodic, possibly broken across patches) together with its degree-p
 derivative space, the derivative incidence matrix between them, and the
-1D mass/mixed matrices. All global 2D operators are Kronecker products
-of these 1D objects. A `DeRhamLine` owns every 1D array of its grid
-alone: these matrices, the conforming projection, the mass inverses and
-the dense products the operators and solvers are formed from.
+1D mass matrices. All global 2D operators are Kronecker products of
+these 1D objects. A `DeRhamLine` owns every 1D array of its grid alone,
+each in one form: the dense masses and their inverses, the conforming
+projection and the dense products the operators and solvers are formed
+from.
 
 Conventions: uniform breakpoints; one knot vector a line, clamped (open)
 on bounded directions, periodic wrap on a periodic single patch. A patch
@@ -28,7 +29,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.interpolate import BSpline
 
-from .linalg import SPDInverse
+from .linalg import spd_inverse
 
 
 class DegenerateStencilError(ValueError):
@@ -323,7 +324,7 @@ class LineGrid:
 
 class DeRhamLine:
     """The 1D de Rham pair of one direction: degree-(p+1) space, degree-p
-    space, the derivative incidence between them, mass/mixed matrices,
+    space, the derivative incidence between them, the mass matrices,
     its two quadrature grids, and every dense product of these that the
     operators and solvers read, each built once.
 
@@ -333,14 +334,13 @@ class DeRhamLine:
         The degree-(p+1) and degree-p spaces, by kind in `spaces`.
     D : csr_matrix
         Derivative incidence, shape (l2.dim, h1.dim).
-    M_h1, M_l2, B : csr_matrix
-        Mass matrices and the mixed matrix
-        B[a, c] = int l2_a * h1_c.
+    mass, inv : dict
+        Dense mass matrices and their inverses (`spd_inverse`), by kind.
     P : csr_matrix
         Conforming projection on h1; the identity on a single patch.
-    dense_mass, inverse, DP, JMJ, Q
-        Dense masses and their SPDInverse (by kind), and dense D P,
-        J^T M_h1 J (J = I - P) and the interior product Q = M_l2^-1 B.
+    DP, JMJ, Q : ndarray
+        D P, J^T M_h1 J (J = I - P) and the interior product
+        Q = M_l2^-1 B, B[a, c] = int l2_a * h1_c the mixed matrix.
     grid : LineGrid
         The exact rule (`quad_rule_exact`): the mass matrices are
         assembled on it, and every spline integrand of the solver, the
@@ -367,20 +367,18 @@ class DeRhamLine:
 
         self.grid, E1, E0 = self._grid(quad_rule_exact(p))
         w = self.grid.w
-        self.M_h1 = weighted_gram(E1, w, E1)
-        self.M_l2 = weighted_gram(E0, w, E0)
-        self.B = weighted_gram(E0, w, E1)
+        self.mass = {"h1": weighted_gram(E1, w, E1).toarray(),
+                     "l2": weighted_gram(E0, w, E0).toarray()}
+        self.inv = {k: spd_inverse(M) for k, M in self.mass.items()}
+        self.Q = self.inv["l2"] @ weighted_gram(E0, w, E1).toarray()
 
         self.data_grid, E1, E0 = self._grid(quad_rule_data(p))
         self.E_h1, self.E_l2 = E1.toarray(), E0.toarray()
 
-        self.dense_mass = {"h1": self.M_h1.toarray(), "l2": self.M_l2.toarray()}
-        self.inverse = {k: SPDInverse(M) for k, M in self.dense_mass.items()}
         self.P = conforming_projection_1d(self.h1)
         self.DP = (self.D @ self.P).toarray()
         J = np.identity(self.h1.dim) - self.P.toarray()
-        self.JMJ = J.T @ self.dense_mass["h1"] @ J
-        self.Q = self.inverse["l2"].solve(self.B.toarray())
+        self.JMJ = J.T @ self.mass["h1"] @ J
 
     def _grid(self, n_per_cell):
         """The grid of n_per_cell Gauss points a cell, with the
@@ -396,6 +394,6 @@ class DeRhamLine:
     def lambda_max(self) -> float:
         """Largest eigenvalue of the pencil (D^T M_l2 D, M_h1), the sharp
         inverse-inequality constant |v'|^2 <= lambda_max |v|^2 on h1."""
-        K = (self.D.T @ self.M_l2 @ self.D).toarray()
-        return float(scipy.linalg.eigh(K, self.dense_mass["h1"],
+        K = (self.D.T @ self.mass["l2"]) @ self.D
+        return float(scipy.linalg.eigh(K, self.mass["h1"],
                                        eigvals_only=True)[-1])

@@ -3,16 +3,9 @@ preservation.
 
 Each step solves the midpoint fixed point u = g(u), g one
 `midpoint_sweep`, by Picard sweeps with Anderson mixing (see cn_step).
-The iteration starts from a guess, or from u^n when there is none. In
-a run (runner.predict) the guess is the Lagrange extrapolation in time
-of order k <= 3 through the last k + 1 accepted states at the times
-they were reached, which lies O(dt^(k+1)) from the fixed point instead
-of O(dt). k is the order whose extrapolation from the states before u^n
-landed closest to u^n, so a trajectory that is not smooth in time falls
-back to a lower order or to u^n; step 2 takes the linear guess, and
-step 1 and a halved retry start from u^n. Every accepted state has the
-divergence and the Gamma_n flux DOFs of u^n, and the extrapolation
-weights sum to one, so the guess has them too.
+The iteration starts from a guess, or from u^n when there is none: in a
+run, the extrapolation in time of order k of runner.predict, which lies
+O(dt^(k+1)) from the fixed point instead of O(dt).
 
 Within every sweep the pressure is chosen so that the velocity update
 is discretely divergence-free; a mixed iterate is an affine combination
@@ -20,7 +13,7 @@ of sweep outputs, so it stays divergence-free too. The patch-coupling
 penalization is treated implicitly: the sweep solves with
 M1 + gamma*Pen (gamma = dt*alpha/2), which has the same fixed point as
 the plain midpoint form but keeps the iteration contractive for large
-alpha.
+alpha (on one patch Pen is zero, and poisson_solver maps every gamma to 0).
 Each mass solve inverts on the velocities with zero Gamma_n flux, so an
 update keeps the Gamma_n flux DOFs of u^n and a gradient force moves only
 the pressure; these inverses are exact Kronecker products per component.
@@ -66,18 +59,12 @@ def midpoint_sweep(ctx: OperatorContext, cfg, un, u_iter, dt: float):
     R the momentum residual at the midpoint (penalization acting on u^n),
     and p makes Dt u_next = Dt u^n exactly."""
     ub = 0.5 * (un + u_iter)
-    pen = ctx.space.penalization
     R = advection_residual(ctx, ub, ub)
     if cfg.nu != 0.0:
         R = R + cfg.nu * viscous_residual(ctx, ub)
-    gamma = 0.0
-    # on one patch Pen is zero: gamma stays 0, so the sweep reuses the
-    # solver `initialize` cached instead of building one for dt*alpha/2
-    if cfg.alpha != 0.0 and pen.nnz:
-        R = R + cfg.alpha * (pen @ un)
-        gamma = 0.5 * dt * cfg.alpha
-    R = R - ctx.f_vec + ctx.b_pressure
-    solver = ctx.poisson_solver(gamma)
+    R = (R + cfg.alpha * (ctx.space.penalization @ un) - ctx.f_vec
+         + ctx.b_pressure)
+    solver = ctx.poisson_solver(0.5 * dt * cfg.alpha)
     p = solver.solve(ctx.space.mass(2, ctx.Dt @ solver.m1_solve(R)))
     w = R - ctx.DtT @ ctx.space.mass(2, p)
     return un - dt * solver.m1_solve(w), p
@@ -168,8 +155,12 @@ def cfl_dt(ctx: OperatorContext, u, cfg) -> float:
 
 def set_normal_data(ctx: OperatorContext, u) -> Field:
     """Overwrite the flux trace coefficients on Gamma_n edges with the 1D
-    L2 projection of the prescribed normal-velocity data."""
-    return Field(ctx.space, 1, ctx.Pn @ coeffs_of(u) + ctx.normal_data)
+    L2 projection of the prescribed normal-velocity data: each V1 block
+    is masked by the Gamma_n mask zn of its h1 factor's line."""
+    ux, uy = ctx.space.blocks(1, coeffs_of(u))
+    masked = np.concatenate([(ctx.zn["x"][:, None] * ux).ravel(),
+                             (uy * ctx.zn["y"]).ravel()])
+    return Field(ctx.space, 1, masked + ctx.normal_data)
 
 
 def leray_project(ctx: OperatorContext, u) -> Field:

@@ -17,9 +17,10 @@ pressure solve), the trilinear advection form by direct quadrature of
 its integrands (the check of the assembled residual) with its
 whole-boundary gradient assembled in 2D, the dual gradients, the
 boundaryless dual curl, the interior products, the domain area, the
-coefficients of a constant vector field, the 2D matrices of the complex
-that no solver path assembles (masses, Curl, Div, the conforming
-projections and the penalization), the least-squares convergence order,
+coefficients of a constant vector field, the sparse line masses and the
+2D matrices of the complex that no solver path assembles (masses, Curl,
+Div, the conforming projections, the penalization and the Gamma_n
+projector Pn), the least-squares convergence order,
 the plain Picard iteration of the midpoint step (the fixed-point check
 of the accelerated one), and the snapshot writer that formats each value
 on its own (the byte-for-byte check of the text template of
@@ -395,6 +396,33 @@ def area(space) -> float:
     return (x1 - x0) * (y1 - y0)
 
 
+def line_gram(line, a, b) -> sp.csr_matrix:
+    """int a_i b_j over the line, for the line's spaces of kinds a and b,
+    on its exact grid and sparse: the mass of a kind (a = b) or the mixed
+    matrix B (a = "l2", b = "h1"). The line itself holds the masses dense
+    and B only inside its interior product Q = M_l2^-1 B."""
+    pts, w = line.grid.pts, line.grid.w
+    Ea, Eb = (line.spaces[k].collocation(pts) for k in (a, b))
+    return (Ea.multiply(w[:, None]).T @ Eb).tocsr()
+
+
+def normal_projector(ctx) -> sp.csr_matrix:
+    """Pn, the diagonal matrix that zeroes the flux DOFs of the Gamma_n
+    edges and keeps every other V1 DOF: on an edge of kind 'normal', the
+    DOFs of the V1 block normal to it whose h1 basis function across the
+    edge (by the recursive evaluation) is not zero there."""
+    s = ctx.space
+    pn = np.ones(s.n1)
+    px, py = s.blocks(1, pn)
+    for edge, cond in ctx.bc.items():
+        if cond.kind == "normal":
+            line, block = ((s.line_x, px) if edge in ("left", "right")
+                           else (s.line_y, py.T))
+            at = line.interval[edge in ("right", "top")]
+            block[line_basis(line.h1, at)[0] != 0.0] = 0.0
+    return sp.diags(pn, format="csr")
+
+
 class Assembled:
     """The 2D matrices of the complex that no solver path assembles, as
     sparse Kronecker products of the line matrices: the masses M0, M1
@@ -405,16 +433,18 @@ class Assembled:
 
     def __init__(self, space):
         lx, ly = space.line_x, space.line_y
+        (Mx1, Mx0), (My1, My0) = ([line_gram(line, k, k) for k in ("h1", "l2")]
+                                  for line in (lx, ly))
         Ix, Iy = ({k: sp.identity(s.dim, format="csr")
                    for k, s in line.spaces.items()} for line in (lx, ly))
         self.Curl = sp.vstack([sp.kron(Ix["h1"], ly.D),
                                -sp.kron(lx.D, Iy["h1"])], format="csr")
         self.Div = sp.hstack([sp.kron(lx.D, Iy["l2"]),
                               sp.kron(Ix["l2"], ly.D)], format="csr")
-        self.M0 = sp.kron(lx.M_h1, ly.M_h1, format="csr")
-        self.M1 = sp.block_diag([sp.kron(lx.M_h1, ly.M_l2),
-                                 sp.kron(lx.M_l2, ly.M_h1)], format="csr")
-        self.M2 = sp.kron(lx.M_l2, ly.M_l2, format="csr")
+        self.M0 = sp.kron(Mx1, My1, format="csr")
+        self.M1 = sp.block_diag([sp.kron(Mx1, My0), sp.kron(Mx0, My1)],
+                                format="csr")
+        self.M2 = sp.kron(Mx0, My0, format="csr")
         self.Pc0 = sp.kron(lx.P, ly.P, format="csr")
         self.Pc1 = sp.block_diag([sp.kron(lx.P, Iy["l2"]),
                                   sp.kron(Ix["l2"], ly.P)], format="csr")
@@ -446,9 +476,11 @@ def mixed_matrix(space, k: int):
     lx, ly, n2 = space.line_x, space.line_y, space.n2
     n1x, n1y = lx.h1.dim * ly.l2.dim, lx.l2.dim * ly.h1.dim
     if k == 1:
-        blocks = [sp.kron(lx.B, ly.M_l2), sp.csr_matrix((n2, n1y))]
+        blocks = [sp.kron(line_gram(lx, "l2", "h1"), line_gram(ly, "l2", "l2")),
+                  sp.csr_matrix((n2, n1y))]
     else:
-        blocks = [sp.csr_matrix((n2, n1x)), sp.kron(lx.M_l2, ly.B)]
+        blocks = [sp.csr_matrix((n2, n1x)),
+                  sp.kron(line_gram(lx, "l2", "l2"), line_gram(ly, "l2", "h1"))]
     return sp.hstack(blocks, format="csr")
 
 
@@ -472,8 +504,9 @@ def weak_grad_full_sparse(ctx, q, edges=None):
         T[0, 0], T[-1, -1] = -float(lo in edges), float(hi in edges)
         return T
 
-    T = sp.vstack([sp.kron(ends(lx, "left", "right"), ly.M_l2),
-                   sp.kron(lx.M_l2, ends(ly, "bottom", "top"))], format="csr")
+    Mx, My = line_gram(lx, "l2", "l2"), line_gram(ly, "l2", "l2")
+    T = sp.vstack([sp.kron(ends(lx, "left", "right"), My),
+                   sp.kron(Mx, ends(ly, "bottom", "top"))], format="csr")
     qc = coeffs_of(q)
     return s.solve_mass(1, -(ctx.DtT @ s.mass(2, qc)) + T @ qc)
 
@@ -517,7 +550,8 @@ def weak_grad_with_pressure_bc(ctx, q) -> Field:
     """Dual gradient with flux BCs and Gamma_p data:
     M1 x = -(Div Pc1 Pn)^T M2 q + b,  b_j = int_{Gamma_p} p_b (Lambda_j . n)."""
     qc = coeffs_of(q)
-    rhs = -(ctx.Pn @ (ctx.DtT @ ctx.space.mass(2, qc))) + ctx.b_pressure
+    rhs = (-(normal_projector(ctx) @ (ctx.DtT @ ctx.space.mass(2, qc)))
+           + ctx.b_pressure)
     return Field(ctx.space, 1, ctx.space.solve_mass(1, rhs))
 
 

@@ -175,6 +175,22 @@ def test_load_config_rejects_auto_without_a_default(tmp_path, section, key, raw)
         load_config(path)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("[grid]\ndegree = two\n", "degree in \\[grid\\]: invalid literal"),
+    ("[stepper]\ndt = fast\n", "dt in \\[stepper\\]: could not convert"),
+    ("[grid]\nn_cells = 4,x\n", "n_cells in \\[grid\\]: invalid literal"),
+    ("[case]\nname = lid_driven_cavity\n[boundary.top]\nvalue = abc\n",
+     "value in \\[boundary.top\\]: could not convert"),
+    ("[case]\nname = lid_driven_cavity\n[boundary.top]\ntangential = 1@a:b\n",
+     "tangential in \\[boundary.top\\]: could not convert"),
+])
+def test_conversion_errors_name_the_key_and_section(tmp_path, text, message):
+    path = tmp_path / "typo.cfg"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_config(path)
+
+
 BAD_BOUNDARY = {
     # a misspelt key would drop the cavity lid silently
     "key": ("[case]\nname = lid_driven_cavity\n"

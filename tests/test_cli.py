@@ -263,6 +263,26 @@ def test_invalid_converge_lists_are_usage_errors(cli, tmp_path, args,
     assert not csv_path.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--t-final", "nan"], "t_final must be positive and finite"),
+    (["--t-final", "inf", "--dt", "1e-3"], "t_final must be positive and finite"),
+    (["--nu", "nan"], "nu must be nonnegative and finite"),
+    (["--tol", "nan"], "picard_tol must be positive and finite"),
+    (["--alpha", "inf"], "alpha must be nonnegative and finite"),
+    (["--nc", "4,x"], "--nc: invalid literal for int() with base 10: 'x'"),
+    (["--np", "1,2,3"], "--np: expected one or two comma-separated values"),
+])
+def test_invalid_run_option_is_a_usage_error_that_names_it(cli, tmp_path, args,
+                                                           message):
+    result = cli.invoke(main, ["run", "--case", "taylor_green", *args,
+                               "--out", str(tmp_path)])
+    out = _all_output(result)
+    assert result.exit_code == 2, out
+    assert f"Error: {message}" in out
+    assert "Traceback" not in out
+    assert not (tmp_path / "diagnostics.csv").exists()
+
+
 def test_invalid_config_file_value_is_a_usage_error(cli, tmp_path):
     path = tmp_path / "typo.cfg"
     path.write_text("[grid]\nperiodic = ture\n")

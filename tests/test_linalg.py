@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from flowforms.linalg import (
     FactorizationError,
     KroneckerSolver,
-    SPDInverse,
+    spd_inverse,
 )
 from flowforms.splines import DeRhamLine, gauss_legendre
-from oracles import NumericalBreakdown, cg_solve
+from oracles import NumericalBreakdown, cg_solve, line_gram
 
 
 # --- Gauss-Legendre ---------------------------------------------------------
@@ -150,7 +150,7 @@ def test_cg_iteration_cap_reports_nonconverged(rng):
 
 def test_banded_identity_roundtrip(rng):
     b = rng.standard_normal(9)
-    assert np.allclose(SPDInverse(np.eye(9)).solve(b), b, atol=1e-14)
+    assert np.allclose(spd_inverse(np.eye(9)) @ b, b, atol=1e-14)
 
 
 def _linear_spline_mass(n_cells, h):
@@ -170,16 +170,25 @@ def test_banded_solve_matches_dense_on_spline_mass(rng):
     assert M[1, 0] == pytest.approx(h / 6.0)
     assert M[1, 1] == pytest.approx(4.0 * h / 6.0)
     b = rng.standard_normal(M.shape[0])
-    x = SPDInverse(M).solve(b)
+    x = spd_inverse(M) @ b
     assert np.linalg.norm(x - np.linalg.solve(M, b)) <= 1e-12
     assert np.linalg.norm(M @ x - b) <= 1e-13 * np.linalg.norm(b)
 
 
 def test_banded_rejects_non_spd():
     with pytest.raises(FactorizationError):
-        SPDInverse(np.diag([1.0, -1.0, 1.0]))
+        spd_inverse(np.diag([1.0, -1.0, 1.0]))
     with pytest.raises(FactorizationError):
-        SPDInverse(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        spd_inverse(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("n", [1, 7, 40])
+def test_spd_inverse_is_exactly_symmetric(rng, n):
+    # the Cholesky solve alone leaves the inverse symmetric to roundoff
+    R = rng.standard_normal((n, n))
+    inv = spd_inverse(R @ R.T + n * np.eye(n))
+    assert np.array_equal(inv, inv.T)
+    assert np.allclose(inv @ (R @ R.T + n * np.eye(n)), np.eye(n), atol=1e-12)
 
 
 _LINES = [(p, n_patches, periodic)
@@ -190,22 +199,19 @@ _LINES = [(p, n_patches, periodic)
 @pytest.mark.parametrize("p, n_patches, periodic", _LINES)
 def test_spd_inverse_of_derham_line_masses(rng, p, n_patches, periodic):
     line = DeRhamLine(p, n_patches, 6 // n_patches + p, (0.0, 2.0), periodic)
-    for which, M in (("h1", line.M_h1), ("l2", line.M_l2)):
-        f = line.inverse[which]
-        assert np.array_equal(f.inv, f.inv.T)
-        B = rng.standard_normal((f.n, 3))
-        ref = np.linalg.solve(M.toarray(), B)
-        assert np.linalg.norm(f.solve(B) - ref) <= 1e-12 * np.linalg.norm(ref)
+    for which in ("h1", "l2"):
+        M, inv = line.mass[which], line.inv[which]
+        assert np.array_equal(M, line_gram(line, which, which).toarray())
+        assert np.array_equal(inv, inv.T)
+        B = rng.standard_normal((M.shape[0], 3))
+        ref = np.linalg.solve(M, B)
+        assert np.linalg.norm(inv @ B - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_solves_reject_non_finite_input(bad):
     M = _linear_spline_mass(4, 0.25)
-    K = KroneckerSolver(SPDInverse(M).inv, SPDInverse(M).inv)
-    b = np.ones(M.shape[0])
-    b[2] = bad
-    with pytest.raises(ValueError):
-        SPDInverse(M).solve(b)
+    K = KroneckerSolver(spd_inverse(M), spd_inverse(M))
     B = np.ones((M.shape[0], M.shape[0]))
     B[1, 3] = bad
     with pytest.raises(ValueError):
@@ -217,7 +223,7 @@ def test_solves_reject_non_finite_input(bad):
 def test_kronecker_solve_keeps_the_input_shape(rng):
     Mx = _linear_spline_mass(4, 0.25)
     My = _linear_spline_mass(6, 1.0 / 6.0)
-    K = KroneckerSolver(SPDInverse(Mx).inv, SPDInverse(My).inv)
+    K = KroneckerSolver(spd_inverse(Mx), spd_inverse(My))
     B = rng.standard_normal((Mx.shape[0], My.shape[0]))
     X = K.solve(B)
     x = K.solve(B.ravel())
@@ -232,7 +238,7 @@ def test_kronecker_pair_matches_cg(rng):
     My = _linear_spline_mass(7, 0.125)
     K = np.kron(Mx, My)
     b = rng.standard_normal(K.shape[0])
-    x_kron = KroneckerSolver(SPDInverse(Mx).inv, SPDInverse(My).inv).solve(b)
+    x_kron = KroneckerSolver(spd_inverse(Mx), spd_inverse(My)).solve(b)
     x_cg, rep = cg_solve(K, b, tol=1e-14, max_iter=10000)
     assert rep.converged
     assert np.linalg.norm(x_kron - x_cg) <= 1e-11 * np.linalg.norm(x_cg)
@@ -243,5 +249,5 @@ def test_kronecker_matches_assembled_solve(rng):
     My = _linear_spline_mass(6, 1.0 / 6.0)
     K = np.kron(Mx, My)
     b = rng.standard_normal(K.shape[0])
-    x = KroneckerSolver(SPDInverse(Mx).inv, SPDInverse(My).inv).solve(b)
+    x = KroneckerSolver(spd_inverse(Mx), spd_inverse(My)).solve(b)
     assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)

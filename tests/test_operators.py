@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import DOMAIN, PI, context, rand_coeffs, space
 from oracles import (DenseOracle, advection_form, area, assembled,
-                     constant_v1, interior_product, walls, weak_curl,
-                     weak_grad, weak_grad_with_pressure_bc)
+                     constant_v1, interior_product, normal_projector, walls,
+                     weak_curl, weak_grad, weak_grad_with_pressure_bc)
 from flowforms.cases import case_library
 from flowforms.operators import (
     EdgeBC,
@@ -360,7 +360,7 @@ def _flux_dof_count(sp_, edges):
 
 def test_normal_projector_idempotent_and_counts():
     ctx = context(2, 4, 1, "walls")
-    Pn = ctx.Pn
+    Pn = normal_projector(ctx)
     assert (Pn @ Pn - Pn).nnz == 0
     diag = Pn.diagonal()
     assert set(np.unique(diag)) <= {0.0, 1.0}
@@ -368,7 +368,7 @@ def test_normal_projector_idempotent_and_counts():
     assert int(np.sum(diag == 0.0)) == expected
 
     ctx_m = context(2, 4, 1, "mixed")
-    diag_m = ctx_m.Pn.diagonal()
+    diag_m = normal_projector(ctx_m).diagonal()
     expected_m = _flux_dof_count(ctx_m.space, ("left", "right", "bottom"))
     assert int(np.sum(diag_m == 0.0)) == expected_m
 
@@ -378,14 +378,15 @@ def test_normal_projector_is_identity_without_flux_edges():
     bc = {e: EdgeBC(kind="pressure", value=0.0) for e in
           ("left", "right", "bottom", "top")}
     ctx = OperatorContext(sp_, bc=bc)
-    assert (ctx.Pn - sp.identity(sp_.n1, format="csr")).nnz == 0
+    assert (normal_projector(ctx) - sp.identity(sp_.n1, format="csr")).nnz == 0
+    assert all(z.all() for z in ctx.zn.values())
 
 
 def test_normal_projector_zeroes_normal_traces_pointwise():
     ctx = context(2, 4, 1, "mixed")
     s = ctx.space
     v = rand_coeffs(s, 1, seed=29)
-    w = Field(s, 1, ctx.Pn @ v)
+    w = Field(s, 1, normal_projector(ctx) @ v)
     (x0, x1), (y0, y1) = DOMAIN
     ys = np.linspace(y0 + 0.1, y1 - 0.1, 7)
     xs = np.linspace(x0 + 0.1, x1 - 0.1, 7)
@@ -431,7 +432,7 @@ def test_pressure_gradient_range_is_flux_constrained():
     x = weak_grad_with_pressure_bc(ctx, q).coeffs
     for seed in (31, 32):
         v = rand_coeffs(s, 1, seed=seed)
-        comp = (v - ctx.Pn @ v) @ (assembled(s).M1 @ x)
+        comp = (v - normal_projector(ctx) @ v) @ (assembled(s).M1 @ x)
         assert abs(comp) <= 1e-12 * max(1.0, abs(v @ (assembled(s).M1 @ x)))
 
 
@@ -444,7 +445,7 @@ def test_pressure_gradient_defining_identity():
         v = rand_coeffs(s, 1, seed=seed)
         x = weak_grad_with_pressure_bc(ctx, q).coeffs
         lhs = x @ (assembled(s).M1 @ v)
-        rhs = -q @ (assembled(s).M2 @ (ctx.Dt @ (ctx.Pn @ v)))
+        rhs = -q @ (assembled(s).M2 @ (ctx.Dt @ (normal_projector(ctx) @ v)))
         for edge, data in (("bottom", ctx.bc["bottom"].value),
                            ("top", ctx.bc["top"].value)):
             pts, w, tr, sign = ora.edge_rule(edge)
@@ -623,7 +624,7 @@ def test_boundary_terms_match_edge_quadrature(name, p, npat, nc):
                                 bounds=((x0, x1), (y0, y1))), bc=case.boundary)
     T, t, b, n, pn = oracle_boundary_terms(ctx)
     got = (ctx.T_tangential.toarray(), ctx.t_tangential_data, ctx.b_pressure,
-           ctx.normal_data, ctx.Pn.diagonal())
+           ctx.normal_data, normal_projector(ctx).diagonal())
     for label, a, ref in zip(("T_tangential", "t_tangential_data", "b_pressure",
                               "normal_data", "Pn"), got, (T, t, b, n, pn)):
         assert np.max(np.abs(a - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref))), label

@@ -282,7 +282,7 @@ def test_every_guess_keeps_the_divergence_and_the_flux_of_u_n(
     guessed = [(ctx, un, x) for ctx, un, x in starts if x is not None]
     assert len(guessed) == 7
     for ctx, un, x in guessed:
-        flux = ctx.Pn.diagonal() == 0
+        flux = oracles.normal_projector(ctx).diagonal() == 0
         assert flux.any() and np.array_equal(x[flux], un[flux])
         assert (np.linalg.norm(ctx.Dt @ (x - un))
                 <= 1e-12 * np.linalg.norm(un))

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import PI, context, rand_coeffs, space
-from oracles import assembled, cg_solve, constant_v1, picard_step
+from oracles import (assembled, cg_solve, constant_v1, normal_projector,
+                     picard_step)
 from flowforms.cases import case_library
 from flowforms.config import SimulationConfig
 from flowforms.operators import (
@@ -79,6 +80,19 @@ def pressure_residual(solver, p, b):
     (dict(degree=None), "degree"),
     (dict(n_patches=(0, 1)), "n_patches"),
     (dict(n_cells=(4, 0)), "n_cells"),
+    # NaN passes every ordered comparison's negation, inf every bound below
+    (dict(dt=np.nan), "^dt must be positive and finite"),
+    (dict(dt=np.inf), "^dt must be positive and finite"),
+    (dict(dt_max=np.inf), "dt_max must be positive and finite"),
+    (dict(t_final=np.nan), "t_final must be positive and finite"),
+    (dict(t_final=np.inf), "t_final must be positive and finite"),
+    (dict(picard_tol=np.nan), "picard_tol must be positive and finite"),
+    (dict(cfl_safety=np.nan), "cfl_safety must be positive and finite"),
+    (dict(steady_tol=np.inf), "steady_tol must be positive and finite"),
+    (dict(nu=np.nan), "nu must be nonnegative and finite"),
+    (dict(nu=np.inf), "nu must be nonnegative and finite"),
+    (dict(alpha=np.nan), "alpha must be nonnegative and finite"),
+    (dict(alpha=-np.inf), "alpha must be nonnegative and finite"),
 ])
 def test_stepper_config_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -136,6 +150,18 @@ def test_solver_caches_keep_only_the_latest_gamma():
         ctx.poisson_solver(gamma)
     assert first() is None and first_m1() is None
     assert ctx.poisson_solver(3.0) is ctx.poisson_solver(3.0)
+
+
+def test_zero_penalization_maps_every_gamma_to_zero():
+    # one patch: the penalization is zero, so every sweep of a run reuses
+    # the solver that initialize built; 2x2 patches: gamma is a new solver
+    one = OperatorContext(space(2, 4, 1, periodic=True))
+    solver = one.poisson_solver(0.0)
+    assert one.poisson_solver(0.5) is solver and solver.gamma == 0.0
+    two = OperatorContext(space(2, 4, 2, periodic=True))
+    solver = two.poisson_solver(0.0)
+    assert two.poisson_solver(0.5) is not solver
+    assert two.poisson_solver(0.5).gamma == 0.5
 
 
 @pytest.mark.parametrize("which,gamma", [
@@ -495,6 +521,20 @@ def test_set_normal_data_projects_edge_traces():
     assert np.max(np.abs(uy_edge)) <= 1e-13
 
 
+@pytest.mark.parametrize("npat,nc", [(1, 4), (2, 2)])
+@pytest.mark.parametrize("name", ["lid_driven_cavity", "poiseuille", "blasius"])
+def test_set_normal_data_matches_the_assembled_projector(name, npat, nc):
+    case = case_library(name)
+    x0, x1, y0, y1 = case.domain
+    ctx = OperatorContext(space(2, nc, npat, periodic=False,
+                                bounds=((x0, x1), (y0, y1))), bc=case.boundary)
+    v = rand_coeffs(ctx.space, 1, seed=12)
+    Pn = normal_projector(ctx)
+    assert np.array_equal(set_normal_data(ctx, v).coeffs,
+                          Pn @ v + ctx.normal_data)
+    assert (Pn.diagonal() == 0.0).any()
+
+
 def test_leray_project_removes_divergence_only():
     ctx = context(2, 4, 1, "periodic")
     u = rand_coeffs(ctx.space, 1, seed=9)
@@ -508,7 +548,7 @@ def test_leray_project_preserves_flux_data():
     ctx = context(2, 4, 1, "walls")
     u = set_normal_data(ctx, rand_coeffs(ctx.space, 1, seed=10))
     u1 = leray_project(ctx, u)
-    fs = ctx.Pn.diagonal() == 0.0
+    fs = normal_projector(ctx).diagonal() == 0.0
     assert np.any(fs)
     assert np.array_equal(u1.coeffs[fs], u.coeffs[fs])
 
