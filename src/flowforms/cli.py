@@ -2,8 +2,10 @@
 
 Each option is named after the SimulationConfig field it sets (--nc
 sets n_cells, --np n_patches, --tol picard_tol, --out output_dir), and
-both commands set the options given on the config of an optional INI
-file. An invalid config or study is a usage error before any run.
+its text is parsed as its config key's text (so `--dt auto` means
+`dt = auto`). Both commands set the options given on the config of an
+optional INI file. An invalid config or study is a usage error before
+any run.
 
 Environment variables: FLOWFORMS_OUTPUT_DIR is declared as the envvar
 of --out, so an explicit --out beats it. The BLAS thread count follows
@@ -40,34 +42,31 @@ def _int_list(option, text, least):
 
 
 def _build_config(config_path, options):
-    """The config file's SimulationConfig (or the default one) with every
-    option given set on the field it is named after."""
+    """The config file's SimulationConfig (or the default one) with the
+    setting of each option given parsed from its text."""
     from dataclasses import replace
-    from .config import labelled, load_config, parse_pair, SimulationConfig
+    from .config import load_config, parse_setting, SimulationConfig
 
     cfg = load_config(config_path) if config_path else SimulationConfig()
-    pairs = {"n_cells": "--nc", "n_patches": "--np"}
-    return replace(cfg, **{
-        name: labelled(pairs[name], parse_pair, v) if name in pairs else v
-        for name, v in options.items() if v is not None})
+    label = {p.name: p.opts[0] for p in click.get_current_context().command.params}
+    return replace(cfg, **{name: parse_setting(name, text, label[name])
+                           for name, text in options.items() if text is not None})
 
 
 # each option's destination is the SimulationConfig field it sets
 _shared = [
-    click.option("--dt", type=float, help="fixed time step"),
-    click.option("--p", "--degree", "degree", type=int,
+    click.option("--dt", help="fixed time step, or auto for CFL control"),
+    click.option("--p", "--degree", "degree",
                  help="spline degree of the pressure space"),
-    click.option("--nc", "n_cells", type=str, help="cells per patch"),
-    click.option("--np", "n_patches", type=str, help="patch counts"),
-    click.option("--alpha", type=float,
-                 help="interface penalization strength"),
-    click.option("--nu", type=float, help="viscosity"),
-    click.option("--tol", "picard_tol", type=float, help="Picard tolerance"),
-    click.option("--out", "output_dir", type=str,
-                 envvar="FLOWFORMS_OUTPUT_DIR", show_envvar=True,
-                 help="output directory"),
-    click.option("--case", type=str, help="case name"),
-    click.option("--t-final", "t_final", type=float),
+    click.option("--nc", "n_cells", help="cells per patch"),
+    click.option("--np", "n_patches", help="patch counts"),
+    click.option("--alpha", help="interface penalization strength"),
+    click.option("--nu", help="viscosity"),
+    click.option("--tol", "picard_tol", help="Picard tolerance"),
+    click.option("--out", "output_dir", envvar="FLOWFORMS_OUTPUT_DIR",
+                 show_envvar=True, help="output directory"),
+    click.option("--case", help="case name"),
+    click.option("--t-final", "t_final"),
 ]
 
 

@@ -1,6 +1,13 @@
 """Simulation configuration: the one config object, plus its INI-style
 file format.
 
+Each SimulationConfig field but boundary is a setting declared once, by
+`setting(section, parse, default, check)`: the config section of its
+key, the parser of its text and the (test, "must ...") pair resolve()
+applies. That table owns sections, grammar and checks; load_config,
+save_config, resolve() and the CLI read it, EDGE_KEYS owns the
+[boundary.<edge>] keys, and one formatter writes every value.
+
 SimulationConfig.resolve() validates a config and fills each of its
 unset (None) domain, periodic, nu, alpha, dt and t_final from the case's
 field of that name, and steady_tol from picard_tol; the runner and the
@@ -8,14 +15,13 @@ stepper work from the result, where dt=None selects CFL control.
 
 File sections: [case] (key name), [grid], [physics], [stepper],
 [output] and one [boundary.<edge>] per walled edge (keys kind, value,
-tangential); each setting has one section, the one save_config writes
-it in. Every key is optional, and an unset one keeps its default or
-takes the case's value as above. Unknown keys, a key outside its own
+tangential). Every key is optional, and an unset one keeps its default
+or takes the case's value as above. Unknown keys, a key outside its own
 section, unknown edges and kinds, boundary sections on a periodic
 domain, a walled domain without one for each edge, tangential segments
 that overlap or end off a cell boundary, a grid whose velocity line
 `Broken1D.check` rejects, and none/auto for a setting without an
-automatic value are rejected.
+automatic value (a None default) are rejected.
 
 boundary tangential grammar:  free | <float> | <float>@<lo>:<hi>[,...]
 """
@@ -23,7 +29,7 @@ boundary tangential grammar:  free | <float> | <float>@<lo>:<hi>[,...]
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -40,6 +46,22 @@ def parse_pair(text):
     raise ValueError(f"expected one or two comma-separated values, got {text!r}")
 
 
+def _parse_domain(text):
+    vals = tuple(float(v) for v in text.split(","))
+    if len(vals) != 4:
+        raise ValueError("domain needs four values: x0,x1,y0,y1")
+    return vals
+
+
+def _parse_periodic(text):
+    word = text.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"periodic must be true or false, got {text!r}")
+
+
 def _parse_tangential(text):
     text = text.strip()
     if text.lower() in ("free", "none", ""):
@@ -54,42 +76,67 @@ def _parse_tangential(text):
     return segs
 
 
-def _format_tangential(tang):
-    if tang is None:
-        return "free"
-    if isinstance(tang, (list, tuple)):
-        return ",".join(f"{d!r}@{lo!r}:{hi!r}" for lo, hi, d in tang)
-    return repr(float(tang))
+# [boundary.<edge>] key -> (the parser of its text, the text of an unset key)
+EDGE_KEYS = {"kind": (str.strip, "normal"), "value": (float, "0.0"),
+             "tangential": (_parse_tangential, "free")}
+
+
+def _fmt(value, key=None):
+    """The text of a setting or boundary value that its parser reads back
+    to an equal value; a callable (boundary data `key`) has none."""
+    if callable(value):
+        raise ValueError(f"callable {key} cannot be saved to a config file")
+    if isinstance(value, (list, tuple)):        # a pair, domain or segments
+        return ",".join(f"{_fmt(x[2], key)}@{_fmt(x[0])}:{_fmt(x[1])}"
+                        if isinstance(x, (list, tuple)) else _fmt(x)
+                        for x in value)
+    if value is None or isinstance(value, bool):
+        return str(value).lower()
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def setting(section, parse, default=None, check=None):
+    """A SimulationConfig field: the config section of its key, the parser
+    of its text and the (test, "must ...") pair resolve() applies. A None
+    default is the automatic value that none/auto stands for."""
+    return field(default=default, metadata={"section": section,
+                                            "parse": parse, "check": check})
+
+
+# comparisons that NaN fails too
+_POSITIVE = (lambda v: 0 < v < np.inf, "must be positive and finite")
+_NONNEGATIVE = (lambda v: 0 <= v < np.inf, "must be nonnegative and finite")
+_COUNTS = (lambda v: min(v) >= 1, "must be integers >= 1")
+
+
+def _at_least(least):
+    return (lambda v: v >= least, f"must be an integer >= {least}")
 
 
 @dataclass
 class SimulationConfig:
-    case: str = "taylor_green"
-    # grid
-    degree: int = 2
-    n_patches: tuple = (1, 1)
-    n_cells: tuple = (8, 8)          # per patch, per direction
-    domain: tuple = None             # (x0, x1, y0, y1); None = case default
-    periodic: bool = None
-    # physics
-    nu: float = None
-    alpha: float = None
-    # stepper
-    dt: float = None                 # None = CFL-controlled
-    dt_max: float = 1.0
-    t_final: float = None
-    picard_tol: float = 1e-8
-    picard_max_iter: int = 200
-    cfl_safety: float = 0.5
-    steady_tol: float = None         # None = follow picard_tol
-    # output
-    output_dir: str = "."
-    diagnostics_file: str = "diagnostics.csv"
-    snapshot_prefix: str = "snapshot"
-    snapshot_grid: int = 64
-    snapshot_cadence: int = 0        # steps between snapshots, 0 = none
-    # boundary overrides (edge name -> EdgeBC)
-    boundary: dict = None
+    case: str = setting("case", str, "taylor_green")
+    degree: int = setting("grid", int, 2, _at_least(0))
+    n_patches: tuple = setting("grid", parse_pair, (1, 1), _COUNTS)
+    n_cells: tuple = setting("grid", parse_pair, (8, 8), _COUNTS)  # per patch
+    domain: tuple = setting("grid", _parse_domain)    # (x0, x1, y0, y1)
+    periodic: bool = setting("grid", _parse_periodic)
+    nu: float = setting("physics", float, check=_NONNEGATIVE)
+    alpha: float = setting("physics", float, check=_NONNEGATIVE)
+    dt: float = setting("stepper", float, check=_POSITIVE)  # None = CFL
+    dt_max: float = setting("stepper", float, 1.0, _POSITIVE)
+    t_final: float = setting("stepper", float, check=_POSITIVE)
+    picard_tol: float = setting("stepper", float, 1e-8, _POSITIVE)
+    picard_max_iter: int = setting("stepper", int, 200, _at_least(1))
+    cfl_safety: float = setting("stepper", float, 0.5, (
+        lambda v: 0 < v <= 1, "must be positive and finite, at most 1"))
+    steady_tol: float = setting("stepper", float, check=_POSITIVE)
+    output_dir: str = setting("output", str, ".")
+    diagnostics_file: str = setting("output", str, "diagnostics.csv")
+    snapshot_prefix: str = setting("output", str, "snapshot")
+    snapshot_grid: int = setting("output", int, 64, _at_least(1))
+    snapshot_cadence: int = setting("output", int, 0, _at_least(0))  # 0 = none
+    boundary: dict = None        # edge name -> EdgeBC, [boundary.<edge>]
 
     def resolve(self):
         """Fill unset values from the case library and validate them;
@@ -114,25 +161,12 @@ class SimulationConfig:
         if not (out.periodic or out.boundary):
             raise ValueError(
                 f"boundary conditions missing for edges {sorted(EDGES)}")
-        if out.dt is not None and not 0 < out.dt < np.inf:   # NaN fails too
-            raise ValueError("dt must be positive and finite")
-        for name in ("dt_max", "t_final", "picard_tol", "cfl_safety",
-                     "steady_tol"):
-            if not 0 < getattr(out, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        for name in ("nu", "alpha"):
-            if not 0 <= getattr(out, name) < np.inf:
-                raise ValueError(f"{name} must be nonnegative and finite")
-        for name, least in (("degree", 0), ("picard_max_iter", 1),
-                            ("snapshot_grid", 1), ("snapshot_cadence", 0)):
-            value = getattr(out, name)
-            if value is None or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}")
-        for name in ("n_patches", "n_cells"):
-            if min(getattr(out, name)) < 1:
-                raise ValueError(f"{name} must be integers >= 1")
-        if out.cfl_safety > 1.0:
-            raise ValueError("cfl_safety must lie in (0, 1]")
+        for f in fields(out):
+            value, check = getattr(out, f.name), f.metadata.get("check")
+            # None passes where it is the automatic value (a None default)
+            if check and not (f.default is None if value is None
+                              else check[0](value)):
+                raise ValueError(f"{f.name} {check[1]}")
         x0, x1, y0, y1 = out.domain
         (npx, npy), (ncx, ncy) = out.n_patches, out.n_cells
         for n_p, n_c, ab in ((npx, ncx, (x0, x1)), (npy, ncy, (y0, y1))):
@@ -148,50 +182,31 @@ class SimulationConfig:
         return out, case
 
 
-_GRID_KEYS = {"degree", "n_patches", "n_cells", "domain", "periodic"}
-_PHYSICS_KEYS = {"nu", "alpha"}
-_STEPPER_KEYS = {"dt", "dt_max", "t_final", "picard_tol", "picard_max_iter",
-                 "cfl_safety", "steady_tol"}
-_OUTPUT_KEYS = {"output_dir", "diagnostics_file", "snapshot_prefix",
-                "snapshot_grid", "snapshot_cadence"}
-# section -> the keys it holds; [case] holds the case name
-_SECTIONS = {"case": {"name"}, "grid": _GRID_KEYS, "physics": _PHYSICS_KEYS,
-             "stepper": _STEPPER_KEYS, "output": _OUTPUT_KEYS}
-_INT_KEYS = {"degree", "picard_max_iter", "snapshot_grid", "snapshot_cadence"}
-_STR_KEYS = {"output_dir", "diagnostics_file", "snapshot_prefix", "case"}
+SETTINGS = {f.name: f for f in fields(SimulationConfig) if f.metadata}
+# (section, key) -> the setting it sets; [case] holds the case as `name`
+_FILE_KEYS = {(f.metadata["section"], "name" if f.name == "case" else f.name):
+              f.name for f in SETTINGS.values()}
 
 
-def _convert(key, raw):
-    raw = raw.strip()
-    if raw.lower() in ("none", "auto", ""):
-        return None
-    if key in _STR_KEYS:
-        return raw
-    if key == "periodic":
-        word = raw.lower()
-        if word in ("1", "true", "yes", "on"):
-            return True
-        if word in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"periodic must be true or false, got {raw!r}")
-    if key in ("n_patches", "n_cells"):
-        return parse_pair(raw)
-    if key == "domain":
-        vals = [float(v) for v in raw.split(",")]
-        if len(vals) != 4:
-            raise ValueError("domain needs four values: x0,x1,y0,y1")
-        return tuple(vals)
-    if key in _INT_KEYS:
-        return int(raw)
-    return float(raw)
-
-
-def labelled(label, parse, *args):
-    """parse(*args), its ValueError prefixed with label (key or option)."""
+def labelled(label, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError prefixed with label (where the
+    text came from: key and section, or option)."""
     try:
-        return parse(*args)
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise ValueError(f"{label}: {exc}") from None
+
+
+def parse_setting(name, text, label):
+    """The value of setting `name` from its text, read alike from the
+    config file and the command line; none/auto (or nothing) is the
+    automatic value. A ValueError names label."""
+    text = text.strip()
+    if text.lower() in ("none", "auto", ""):
+        if SETTINGS[name].default is not None:
+            raise ValueError(f"{label} needs a value, got {text!r}")
+        return None
+    return labelled(label, SETTINGS[name].metadata["parse"], text)
 
 
 def load_config(path) -> SimulationConfig:
@@ -199,65 +214,35 @@ def load_config(path) -> SimulationConfig:
     with open(path) as fh:
         parser.read_file(fh)
     kwargs = {}
-    # name -> default; a None default marks a setting with an automatic value
-    known = {f.name: f.default for f in fields(SimulationConfig)}
     for section in parser.sections():
-        if section.startswith("boundary."):
-            edge = section.split(".", 1)[1]
-            sec = parser[section]
-            for key in set(sec) - {"kind", "value", "tangential"}:
-                raise ValueError(f"unknown config key {key!r} in [{section}]")
-            value, tang = sec.get("value", "0.0"), sec.get("tangential", "free")
-            bc = EdgeBC(kind=sec.get("kind", "normal").strip(),
-                        value=labelled(f"value in [{section}]", float, value),
-                        tangential=labelled(f"tangential in [{section}]",
-                                            _parse_tangential, tang))
-            kwargs.setdefault("boundary", {})[edge] = bc
-            continue
-        if section not in _SECTIONS:
+        sec, is_edge = parser[section], section.startswith("boundary.")
+        keys = EDGE_KEYS if is_edge else {k for s, k in _FILE_KEYS if s == section}
+        if not keys:
             raise ValueError(f"unknown config section [{section}]")
-        for key, raw in parser[section].items():
-            if key not in _SECTIONS[section]:
+        for key, raw in sec.items():
+            if key not in keys:
                 raise ValueError(f"unknown config key {key!r} in [{section}]")
-            name = "case" if section == "case" else key
-            kwargs[name] = labelled(f"{key} in [{section}]", _convert, name, raw)
-            if kwargs[name] is None and known[name] is not None:
-                raise ValueError(f"{name} in [{section}] needs a value, "
-                                 f"got {raw.strip()!r}")
+            if not is_edge:
+                name = _FILE_KEYS[section, key]
+                kwargs[name] = parse_setting(name, raw, f"{key} in [{section}]")
+        if is_edge:
+            data = {k: labelled(f"{k} in [{section}]", parse, sec.get(k, unset))
+                    for k, (parse, unset) in EDGE_KEYS.items()}
+            kwargs.setdefault("boundary", {})[section.partition(".")[2]] = \
+                labelled(f"[{section}]", EdgeBC, **data)
     return SimulationConfig(**kwargs)
 
 
 def save_config(cfg: SimulationConfig, path):
-    parser = configparser.ConfigParser()
-    parser["case"] = {"name": cfg.case}
-
-    def _fmt(v):
-        if v is None:
-            return "none"
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, tuple):
-            return ",".join(repr(x) if isinstance(x, float) else str(x) for x in v)
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
-    for section, keys in _SECTIONS.items():
-        if section != "case":
-            parser[section] = {k: _fmt(getattr(cfg, k)) for k in sorted(keys)}
+    text = {}
+    for (section, key), name in _FILE_KEYS.items():
+        text.setdefault(section, {})[key] = _fmt(getattr(cfg, name))
     for edge, bc in (cfg.boundary or {}).items():
         # a callable has no file form: refuse it rather than lose it
-        tang = bc.tangential
-        tang_data = ([d for _, _, d in tang] if isinstance(tang, (list, tuple))
-                     else [tang])
-        for name, data in (("value", [bc.value]), ("tangential", tang_data)):
-            if any(callable(d) for d in data):
-                raise ValueError(f"boundary.{edge}: callable {name} cannot be "
-                                 "saved to a config file")
-        parser[f"boundary.{edge}"] = {
-            "kind": bc.kind,
-            "value": repr(float(bc.value)),
-            "tangential": _format_tangential(tang),
-        }
+        text[f"boundary.{edge}"] = {
+            k: labelled(f"boundary.{edge}", _fmt, getattr(bc, k), k)
+            for k in EDGE_KEYS}
+    parser = configparser.ConfigParser()
+    parser.read_dict(text)
     with open(path, "w") as fh:
         parser.write(fh)

@@ -72,15 +72,18 @@ class Broken1D:
 
     @staticmethod
     def check(degree, n_patches, cells_per_patch, interval, periodic):
-        """Raise ValueError unless the arguments make a space: a periodic
-        single patch needs more cells than its degree, and a broken line
-        two cells a patch, or the interface stencil does not fit."""
+        """Raise ValueError unless the arguments make a space: the interval
+        is finite and nonempty, a periodic single patch has more cells than
+        its degree, and a broken line two a patch (the interface stencil)."""
         if degree < 0:
             raise ValueError(f"degree must be >= 0, got {degree}")
         if n_patches < 1 or cells_per_patch < 1:
             raise ValueError("need at least one patch and one cell a patch")
-        if not interval[1] > interval[0]:
-            raise ValueError(f"empty interval [{interval[0]}, {interval[1]}]")
+        a, b = interval
+        if not b > a:
+            raise ValueError(f"empty interval [{a}, {b}]")
+        if not np.isfinite(b - a):
+            raise ValueError(f"interval [{a}, {b}] is not finite")
         if periodic and n_patches == 1 and cells_per_patch <= degree:
             raise ValueError(
                 f"a periodic patch of degree {degree} needs more than "

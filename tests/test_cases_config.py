@@ -116,6 +116,16 @@ def test_parse_tangential_grammar():
         (0.0, 0.5, 1.0), (0.5, 1.0, 2.0)]
 
 
+def test_every_setting_declares_its_section_and_parser():
+    sections = {"case", "grid", "physics", "stepper", "output"}
+    for f in dataclasses.fields(SimulationConfig):
+        if f.name == "boundary":        # the [boundary.<edge>] sections
+            assert not f.metadata
+        else:
+            assert f.metadata["section"] in sections, f.name
+            assert callable(f.metadata["parse"]), f.name
+
+
 def test_config_roundtrip_defaults(tmp_path):
     cfg = SimulationConfig()
     path = tmp_path / "sim.cfg"
@@ -199,9 +209,14 @@ BAD_BOUNDARY = {
     "edge": ("[case]\nname = lid_driven_cavity\n"
              "[boundary.tpo]\ntangential = 1.0\n",
              "unknown boundary edges \\['tpo'\\]"),
+    # the EdgeBC checks name the section they read
     "kind": ("[case]\nname = lid_driven_cavity\n"
              "[boundary.top]\nkind = noraml\n",
-             "unknown boundary kind 'noraml'"),
+             "^\\[boundary.top\\]: unknown boundary kind 'noraml'"),
+    "value-nan": ("[case]\nname = lid_driven_cavity\n"
+                  "[boundary.top]\nkind = pressure\nvalue = nan\n",
+                  "^\\[boundary.top\\]: boundary value must be finite, "
+                  "got nan"),
     "periodic": ("[case]\nname = taylor_green\n"
                  "[boundary.left]\nkind = normal\n",
                  "boundary conditions given for a periodic domain"),
@@ -258,12 +273,14 @@ def test_resolve_rejects_a_walled_domain_without_boundary():
      "degree 2 needs at least 4 cells, got 3"),
     (dict(case="taylor_green", domain=(0.0, 1.0, 1.0, 0.0)),
      "empty interval"),
+    (dict(case="lid_driven_cavity", domain=(0.0, np.inf, 0.0, 1.0)),
+     "interval \\[0.0, inf\\] is not finite"),
     (dict(case="lid_driven_cavity", n_patches=(2, 2), n_cells=(1, 1)),
      "2 cells per patch"),
     (dict(case="lid_driven_cavity", degree=5, n_patches=(1, 2),
           n_cells=(1, 1)), "2 cells per patch"),
 ], ids=["periodic-cells", "periodic-cells-y", "empty-interval",
-        "one-cell-patches", "one-cell-patches-y"])
+        "infinite-interval", "one-cell-patches", "one-cell-patches-y"])
 def test_resolve_rejects_grids_the_1d_space_rejects(kwargs, message):
     with pytest.raises(ValueError, match=message):
         SimulationConfig(**kwargs).resolve()

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from flowforms import runner
 from flowforms.cli import main
-from flowforms.config import SimulationConfig, save_config
+from flowforms.config import SimulationConfig, load_config, save_config
 from flowforms.spaces import Field
 from flowforms.stepper import StepFailure, StepReport
 
@@ -283,6 +283,62 @@ def test_invalid_run_option_is_a_usage_error_that_names_it(cli, tmp_path, args,
     assert not (tmp_path / "diagnostics.csv").exists()
 
 
+# shared option -> (its config key's section, the key, a text that fails)
+SHARED_BAD = {
+    "--dt": ("stepper", "dt", "fast"), "--p": ("grid", "degree", "two"),
+    "--nc": ("grid", "n_cells", "4,x"), "--np": ("grid", "n_patches", "1,2,3"),
+    "--alpha": ("physics", "alpha", "big"), "--nu": ("physics", "nu", "1e"),
+    "--tol": ("stepper", "picard_tol", "tight"),
+    "--out": ("output", "output_dir", "none"), "--case": ("case", "name", "auto"),
+    "--t-final": ("stepper", "t_final", "1s"),
+}
+
+
+@pytest.mark.parametrize("option", list(SHARED_BAD))
+def test_option_text_fails_as_its_config_key_text_does(cli, tmp_path, option):
+    shared = {p.opts[0] for p in main.commands["run"].params
+              if p.name not in ("config", "quiet")}
+    assert shared == set(SHARED_BAD)
+    section, key, text = SHARED_BAD[option]
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[{section}]\n{key} = {text}\n")
+    with pytest.raises(ValueError) as in_file:
+        load_config(path)
+    where, message = f"{key} in [{section}]", str(in_file.value)
+    assert message.startswith(where)
+    # the option's text comes last, so it wins for --out too
+    result = cli.invoke(main, ["run", "--out", str(tmp_path), option, text])
+    out = _all_output(result)
+    assert result.exit_code == 2, out
+    assert f"Error: {option}{message[len(where):]}\n" in out
+    assert "Traceback" not in out
+    assert not (tmp_path / "diagnostics.csv").exists()
+
+
+def test_dt_auto_is_what_it_is_in_a_config_file(cli, tmp_path, monkeypatch):
+    class Ran(Exception):
+        pass
+
+    seen = []
+
+    def capture(cfg, progress=None):
+        seen.append(cfg)
+        raise Ran
+
+    monkeypatch.setattr(runner, "run", capture)
+    fixed, auto = tmp_path / "fixed.cfg", tmp_path / "auto.cfg"
+    fixed.write_text("[stepper]\ndt = 1e-3\n")
+    auto.write_text("[stepper]\ndt = auto\n")
+    for args in (["--case", "lid_driven_cavity"],
+                 ["--case", "lid_driven_cavity", "--dt", "auto"],
+                 [str(auto)], [str(fixed), "--dt", "auto"], [str(fixed)]):
+        result = cli.invoke(main, ["run", *args, "--out", str(tmp_path)])
+        assert isinstance(result.exception, Ran), _all_output(result)
+    assert seen[0] == seen[1] and seen[0].dt is None
+    assert seen[2] == seen[3] and seen[3].dt is None
+    assert seen[4].dt == 1e-3
+
+
 def test_invalid_config_file_value_is_a_usage_error(cli, tmp_path):
     path = tmp_path / "typo.cfg"
     path.write_text("[grid]\nperiodic = ture\n")
@@ -308,7 +364,8 @@ def test_key_outside_its_section_is_a_usage_error(cli, tmp_path):
     ("[boundary.top]\ntangental = 5.0\n",
      "unknown config key 'tangental' in [boundary.top]"),
     ("[boundary.tpo]\ntangential = 1.0\n", "unknown boundary edges ['tpo']"),
-    ("[boundary.top]\nkind = noraml\n", "unknown boundary kind 'noraml'"),
+    ("[boundary.top]\nkind = noraml\n",
+     "[boundary.top]: unknown boundary kind 'noraml'"),
     ("[boundary.top]\ntangential = 1.0@0.0:0.5,1.0@0.25:0.75\n",
      "edge top: tangential segments (0.0, 0.5) and (0.25, 0.75) overlap"),
     ("[grid]\nn_cells = 4\n[boundary.top]\ntangential = 1.0@0.0:0.3\n",
@@ -327,10 +384,12 @@ def test_bad_boundary_section_is_a_usage_error(cli, tmp_path, section,
 
 
 @pytest.mark.parametrize("section, message", [
-    ("kind = pressure\nvalue = nan\n", "boundary value must be finite, got nan"),
-    ("tangential = inf\n", "boundary tangential must be finite, got inf"),
+    ("kind = pressure\nvalue = nan\n",
+     "[boundary.top]: boundary value must be finite, got nan"),
+    ("tangential = inf\n",
+     "[boundary.top]: boundary tangential must be finite, got inf"),
     ("tangential = 1.0@0.0:0.5,nan@0.5:1.0\n",
-     "boundary tangential must be finite, got nan"),
+     "[boundary.top]: boundary tangential must be finite, got nan"),
 ], ids=["pressure-nan", "tangential-inf", "segment-nan"])
 def test_non_finite_boundary_data_is_a_usage_error(cli, tmp_path, section,
                                                    message):
@@ -373,6 +432,8 @@ def test_partial_boundary_on_a_walled_domain_is_a_usage_error(cli, tmp_path):
     (["run", "--case", "taylor_green", "--nc", "2"], None,
      "a periodic patch of degree 2 needs at least 4 cells, got 2"),
     (["run"], "[grid]\ndomain = 1,0,0,1\n", "empty interval [1.0, 0.0]"),
+    (["run"], "[case]\nname = lid_driven_cavity\n[grid]\ndomain = 0,inf,0,1\n",
+     "interval [0.0, inf] is not finite"),
     (["run", "--case", "lid_driven_cavity", "--np", "2,2", "--nc", "1"], None,
      "a broken line needs at least 2 cells per patch, got 1"),
     (["converge", "--case", "taylor_green", "--meshes", "2,4"], None,
@@ -380,8 +441,8 @@ def test_partial_boundary_on_a_walled_domain_is_a_usage_error(cli, tmp_path):
     (["run"], "[case]\nname = taylor_green\n[grid]\nperiodic = false\n",
      "boundary conditions missing for edges "
      "['bottom', 'left', 'right', 'top']"),
-], ids=["periodic-cells", "empty-interval", "one-cell-patches", "converge",
-        "walled-without-boundary"])
+], ids=["periodic-cells", "empty-interval", "infinite-interval",
+        "one-cell-patches", "converge", "walled-without-boundary"])
 def test_invalid_grid_is_a_usage_error(cli, tmp_path, args, config, message):
     if config is not None:
         path = tmp_path / "grid.cfg"
