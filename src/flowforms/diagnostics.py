@@ -29,9 +29,9 @@ def measure(ctx: OperatorContext, u, t: float = 0.0,
     energy = 0.5 * float(uc @ Mu)
     # the constant fields (1, 0) and (0, 1) have all-ones coefficients
     momentum = np.array([float(B.sum()) for B in s.blocks(1, Mu)])
-    d = ctx.Dt @ uc
+    d = s.div(uc)
     div_l2 = float(np.sqrt(max(d @ s.mass(2, d), 0.0)))
-    jump = float(uc @ (s.penalization @ uc))
+    jump = float(uc @ s.penalize(uc))
     enstrophy = viscous_form(ctx, uc, uc)
     return DiagnosticsRecord(time=t, energy=energy, momentum=momentum,
                              div_l2=div_l2, jump_energy=jump,

@@ -13,9 +13,10 @@ plain L2 adjoints. Boundary integrals all reduce to 1D mass/moment
 matrices along the edge, since spline trace DOFs carry the boundary
 values. Viewed as an (x index, y index) array, each V0 or V1 block holds
 an edge's trace DOFs in one slice: row 0 or -1 for the left and right
-edges, column 0 or -1 for the bottom and top edges.
+edges, column 0 or -1 for the bottom and top edges; so the tangential
+pairing T1 is one 1D array an edge, applied on that slice.
 
-Dt = Div Pc1 and CP0 = Curl Pc0 are Kronecker products of the lines' D P
+The space applies Dt = Div Pc1 and CP0 = Curl Pc0 through the lines' D P
 and P. The interior product, the whole-boundary dual gradient and M2 Div
 M1^-1 act along one axis only, as dense 1D factors per line, so the
 advection residual needs no 2D mass solve. The line (`DeRhamLine`) owns
@@ -38,10 +39,9 @@ from functools import partial
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .linalg import spd_inverse
-from .spaces import Field, TensorDeRhamSpace, coeffs_of, kron_blocks, sample
+from .spaces import Field, TensorDeRhamSpace, coeffs_of, sample
 
 EDGES = ("left", "right", "bottom", "top")
 # edge -> (the line across it, the end of that line the edge sits on)
@@ -166,12 +166,6 @@ class OperatorContext:
                                   space.line_y.h1.breakpoints)
 
         lx, ly = space.line_x, space.line_y
-        Ix, Iy = (np.identity(line.l2.dim) for line in (lx, ly))
-        self.Dt = kron_blocks([[(lx.DP, Iy), (Ix, ly.DP)]])    # Div Pc1
-        self.DtT = self.Dt.T.tocsr()
-        self.CP0 = kron_blocks([[(lx.P, ly.DP)], [(-lx.DP, ly.P)]])
-        self.CP0T = self.CP0.T.tocsr()
-
         self._assemble_boundary_terms(segments)
         self.G, self.L = zip(*map(self._line_factors, "xy"))
 
@@ -206,7 +200,9 @@ class OperatorContext:
         (bottom, top) of the (x index, y index) views of the V0 and V1
         blocks, and per line, the Gamma_n mask zn (0 on the h1 end DOF of
         a Gamma_n edge) and the end pairings of `_line_factors`, of all
-        edges and of the walls: Gamma_n edges with the constant data 0."""
+        edges and of the walls: Gamma_n edges with the constant data 0.
+        T1 holds an edge's (slice, V1 block, tau M) pairing of v x n with
+        omega outside Gamma_t: M the tangent line's h1 mass there."""
         s = self.space
         lines = {"x": s.line_x, "y": s.line_y}
         self.zn = {a: np.ones(ln.h1.dim) for a, ln in lines.items()}
@@ -217,12 +213,9 @@ class OperatorContext:
         b_press = np.zeros(s.n1)    # Gamma_p data against v.n traces
         n_data = np.zeros(s.n1)     # Gamma_n flux DOFs of the u.n data
         v0, = s.blocks(0, t_tang)
-        b_flux, n_flux, ids1 = (dict(zip("xy", s.blocks(1, vec)))
-                                for vec in (b_press, n_data, np.arange(s.n1)))
-        ids0, = s.blocks(0, np.arange(s.n0))
-        # (v x n, omega) over the boundary minus Gamma_t, assembled once
-        # from the (V0 index, V1 index, value) triplets of its edges
-        tt = [np.zeros((3, 0))]
+        b_flux, n_flux = (dict(zip("xy", s.blocks(1, vec)))
+                          for vec in (b_press, n_data))
+        self.T1 = []
 
         for edge, cond in self.bc.items():
             axis, end = _EDGE_AXIS[edge]
@@ -258,13 +251,7 @@ class OperatorContext:
                 v0[at] += Eh1[mask].T @ (w[mask] * vals)
             # boundary-minus-Gamma_t pairing with the tangential velocity
             Mh1_free = Eh1[free].T @ (w[free, None] * Eh1[free])
-            i, j = np.nonzero(Mh1_free)
-            tt.append([ids0[at][i], ids1[along][at][j], tau * Mh1_free[i, j]])
-
-        rows, cols, vals = np.hstack(tt)
-        self.T_tangential = sp.csr_matrix(
-            (vals, (rows.astype(int), cols.astype(int))), shape=(s.n0, s.n1))
-        self.T_tangentialT = self.T_tangential.T.tocsr()
+            self.T1.append((at, "xy".index(along), tau * Mh1_free))
         self.t_tangential_data = t_tang
         self.b_pressure = b_press
         self.normal_data = n_data
@@ -275,7 +262,7 @@ class OperatorContext:
         cached, the latest gamma's: under CFL control every step has a
         new dt, so an older entry is never reused. Where the penalization
         is zero (one patch) every gamma is gamma = 0 and reuses it."""
-        gamma = float(gamma) if self.space.penalization.nnz else 0.0
+        gamma = float(gamma) if self.space.broken else 0.0
         if self._solver is None or self._solver.gamma != gamma:
             self._solver = TensorPoissonSolver(self, gamma)
         return self._solver
@@ -315,9 +302,9 @@ class TensorPoissonSolver:
         self.m1_solve = partial(s.solve_mass, 1, inverses=factors)
 
     def matvec(self, q):
-        """The system matrix applied through the composed sparse operators."""
-        ctx, s = self.ctx, self.ctx.space
-        return s.mass(2, ctx.Dt @ self.m1_solve(ctx.DtT @ s.mass(2, q)))
+        """The system matrix applied through the composed operators."""
+        s = self.ctx.space
+        return s.mass(2, s.div(self.m1_solve(s.div_transpose(s.mass(2, q)))))
 
     def solve(self, b):
         B, = self.ctx.space.blocks(2, b)
@@ -340,10 +327,12 @@ def weak_grad_full(ctx: OperatorContext, qc: np.ndarray) -> np.ndarray:
 def weak_curl_with_tangential_bc(ctx: OperatorContext, v) -> Field:
     """Dual curl with tangential boundary data:
     M0 w = (Curl Pc0)^T M1 v - T1 v - t2."""
-    vc = coeffs_of(v)
-    rhs = (ctx.CP0T @ ctx.space.mass(1, vc) - ctx.T_tangential @ vc
-           - ctx.t_tangential_data)
-    return Field(ctx.space, 0, ctx.space.solve_mass(0, rhs))
+    s, vc = ctx.space, coeffs_of(v)
+    rhs = s.curl_transpose(s.mass(1, vc)) - ctx.t_tangential_data
+    (r,), vb = s.blocks(0, rhs), s.blocks(1, vc)
+    for at, k, M in ctx.T1:
+        r[at] -= M @ vb[k][at]
+    return Field(s, 0, s.solve_mass(0, rhs))
 
 
 # --- advection --------------------------------------------------------------
@@ -387,8 +376,13 @@ def advection_residual(ctx: OperatorContext, u, v) -> np.ndarray:
 
 def viscous_residual(ctx: OperatorContext, u) -> np.ndarray:
     """Dual vector of the viscous term: (M1 Curl Pc0 - T1^T) (Ct_bc u)."""
+    s = ctx.space
     omega = weak_curl_with_tangential_bc(ctx, u).coeffs
-    return ctx.space.mass(1, ctx.CP0 @ omega) - ctx.T_tangentialT @ omega
+    r = s.mass(1, s.curl(omega))
+    (W,), rb = s.blocks(0, omega), s.blocks(1, r)
+    for at, k, M in ctx.T1:
+        rb[k][at] -= M.T @ W[at]
+    return r
 
 
 def viscous_form(ctx: OperatorContext, u, v) -> float:

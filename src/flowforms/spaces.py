@@ -8,9 +8,9 @@ coefficients are its component blocks in KINDS order, each row-major (x
 index major), and masses, mass solves, projections, values and moments
 all work block by block (`TensorDeRhamSpace.blocks`). With Curl q =
 (d_y q, -d_x q) and Div v = d_x v_x + d_y v_y, every 2D operator is a
-Kronecker product (or block thereof) of the line matrices. Masses and
-mass solves apply the lines' `mass` and `inv` arrays to each block; the
-space keeps no copy of them, and no 2D mass is assembled.
+Kronecker product (or block thereof) of the line matrices, applied so:
+two products of the lines' arrays a block. The space keeps no copy of
+them, and no 2D operator is assembled.
 
 `build_multipatch` is the one builder of the complex, over equal
 axis-aligned patches; a single patch is the broken space whose conforming
@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from functools import partialmethod
 
 import numpy as np
-import scipy.sparse as sp
 
 from .linalg import KroneckerSolver
 from .splines import DeRhamLine, LineGrid
@@ -86,13 +85,6 @@ class TensorGrid:
         return float(self.gx.w @ vals @ self.gy.w)
 
 
-def kron_blocks(blocks) -> sp.csr_matrix:
-    """The sparse matrix of a grid of blocks (a list of rows), each a pair
-    (A, B) of line arrays standing for A (x) B, or None for zero."""
-    return sp.bmat([[None if pair is None else sp.kron(*pair, format="coo")
-                     for pair in row] for row in blocks], format="csr")
-
-
 class TensorDeRhamSpace:
     """The 2D complex over two 1D lines, with the jump penalization
     (I-Pc1)^T M1 (I-Pc1), Pc1 the conforming projection: its x block is
@@ -106,6 +98,7 @@ class TensorDeRhamSpace:
         if line_y.p != line_x.p:
             raise ValueError("mixed degrees between directions are not supported")
         self.periodic = (line_x.periodic, line_y.periodic)
+        self.broken = line_x.h1.broken or line_y.h1.broken
         self.bounds = (line_x.interval, line_y.interval)
 
         # slot -> the (n_x, n_y) shape of each component block, and where
@@ -119,10 +112,8 @@ class TensorDeRhamSpace:
 
         self.grid = TensorGrid(line_x.grid, line_y.grid)
         self.data_grid = TensorGrid(line_x.data_grid, line_y.data_grid)
-
-        self.penalization = kron_blocks(
-            [[(line_x.JMJ, line_y.mass["l2"]), None],
-             [None, (line_x.mass["l2"], line_y.JMJ)]])
+        self._pen = tuple({"h1": line.JMJ, "l2": line.mass["l2"]}
+                          for line in (line_x, line_y))
 
     # --- bookkeeping -----------------------------------------------------
     def dim(self, slot: int) -> int:
@@ -151,6 +142,36 @@ class TensorDeRhamSpace:
         return np.concatenate([
             KroneckerSolver(fx[kx], fy[ky]).solve(B).ravel() for (kx, ky), B
             in zip(KINDS[slot], self.blocks(slot, b), strict=True)])
+
+    def penalize(self, c) -> np.ndarray:
+        """The jump penalization applied to the V1 coefficients c: exactly
+        zero, with no products formed, on a space with no broken line."""
+        if not self.broken:
+            return np.zeros(self.n1)
+        return self.solve_mass(1, c, self._pen)
+
+    # --- Dt = Div Pc1 and CP0 = Curl Pc0, and their transposes -------------
+    def div(self, c) -> np.ndarray:
+        """Dt c = D_x P_x C_x + C_y (D_y P_y)^T on the V1 blocks C."""
+        cx, cy = self.blocks(1, c)
+        return (self.line_x.DP @ cx + cy @ self.line_y.DP.T).ravel()
+
+    def div_transpose(self, q) -> np.ndarray:
+        """Dt^T q = ((D_x P_x)^T Q, Q D_y P_y) on the V2 block Q."""
+        Q, = self.blocks(2, q)
+        return np.concatenate([(self.line_x.DP.T @ Q).ravel(),
+                               (Q @ self.line_y.DP).ravel()])
+
+    def curl(self, w) -> np.ndarray:
+        """CP0 w = (P_x W (D_y P_y)^T, -D_x P_x W P_y^T) on the V0 block W."""
+        (W,), lx, ly = self.blocks(0, w), self.line_x, self.line_y
+        return np.concatenate([(lx.P @ W @ ly.DP.T).ravel(),
+                               (-(lx.DP @ W @ ly.P.T)).ravel()])
+
+    def curl_transpose(self, v) -> np.ndarray:
+        """CP0^T v = P_x^T V_x D_y P_y - (D_x P_x)^T V_y P_y on blocks V."""
+        (vx, vy), lx, ly = self.blocks(1, v), self.line_x, self.line_y
+        return (lx.P.T @ vx @ ly.DP - lx.DP.T @ vy @ ly.P).ravel()
 
     # --- values and moments on a quadrature grid ---------------------------
     # grid defaults to the exact grid (see the module docstring); values

@@ -205,8 +205,8 @@ def projection_stencil_1d(degree, n_cells=None) -> np.ndarray:
     return np.concatenate([[0.5], np.linalg.solve(A, 0.5 * I[0, :])])
 
 
-def conforming_projection_1d(space: Broken1D) -> sp.csr_matrix:
-    """1D conforming projection on a broken degree-(p+1) space; the
+def conforming_projection_1d(space: Broken1D) -> np.ndarray:
+    """1D conforming projection on a broken degree-(p+1) space, dense; the
     identity on a single patch.
 
     Identity away from interfaces; at each interface the two coupled DOF
@@ -214,22 +214,19 @@ def conforming_projection_1d(space: Broken1D) -> sp.csr_matrix:
     Its integrals depend only on the cell count per patch, not on h, and
     it fits in the two adjacent patches, which `Broken1D.check` makes at
     least two cells wide."""
+    P = np.identity(space.dim)
     interfaces = space.interfaces()
     if not interfaces:
-        return sp.identity(space.dim, format="csr")
+        return P
     c = projection_stencil_1d(space.degree, n_cells=space.cells_per_patch)
-    iface_cols = {idx for pair in interfaces for idx in pair}
-    triplets = [(k, k, 1.0) for k in range(space.dim) if k not in iface_cols]
     for L, R in interfaces:
         # column R: the first DOF of the right patch; column L: the last
         # DOF of the left patch
-        triplets += [(L, R, 0.5), (R, R, 0.5), (L, L, 0.5), (R, L, 0.5)]
+        P[[L, R], L] = P[[L, R], R] = 0.5
         for i in range(1, len(c)):
-            triplets += [(R + i, R, c[i]), (L - i, R, -c[i]),
-                         (L - i, L, c[i]), (R + i, L, -c[i])]
-    rows, cols, vals = zip(*triplets)
-    return sp.coo_matrix((vals, (rows, cols)),
-                         shape=(space.dim, space.dim)).tocsr()
+            P[R + i, R] = P[L - i, L] = c[i]
+            P[L - i, R] = P[R + i, L] = -c[i]
+    return P
 
 
 class BasisTable:
@@ -339,7 +336,7 @@ class DeRhamLine:
         Derivative incidence, shape (l2.dim, h1.dim).
     mass, inv : dict
         Dense mass matrices and their inverses (`spd_inverse`), by kind.
-    P : csr_matrix
+    P : ndarray
         Conforming projection on h1; the identity on a single patch.
     DP, JMJ, Q : ndarray
         D P, J^T M_h1 J (J = I - P) and the interior product
@@ -379,8 +376,8 @@ class DeRhamLine:
         self.E_h1, self.E_l2 = E1.toarray(), E0.toarray()
 
         self.P = conforming_projection_1d(self.h1)
-        self.DP = (self.D @ self.P).toarray()
-        J = np.identity(self.h1.dim) - self.P.toarray()
+        self.DP = self.D @ self.P
+        J = np.identity(self.h1.dim) - self.P
         self.JMJ = J.T @ self.mass["h1"] @ J
 
     def _grid(self, n_per_cell):

@@ -62,11 +62,11 @@ def midpoint_sweep(ctx: OperatorContext, cfg, un, u_iter, dt: float):
     R = advection_residual(ctx, ub, ub)
     if cfg.nu != 0.0:
         R = R + cfg.nu * viscous_residual(ctx, ub)
-    R = (R + cfg.alpha * (ctx.space.penalization @ un) - ctx.f_vec
-         + ctx.b_pressure)
+    s = ctx.space
+    R = R + cfg.alpha * s.penalize(un) - ctx.f_vec + ctx.b_pressure
     solver = ctx.poisson_solver(0.5 * dt * cfg.alpha)
-    p = solver.solve(ctx.space.mass(2, ctx.Dt @ solver.m1_solve(R)))
-    w = R - ctx.DtT @ ctx.space.mass(2, p)
+    p = solver.solve(s.mass(2, s.div(solver.m1_solve(R))))
+    w = R - s.div_transpose(s.mass(2, p))
     return un - dt * solver.m1_solve(w), p
 
 
@@ -91,7 +91,7 @@ def cn_step(ctx: OperatorContext, u_n, cfg, dt=None, guess=None):
     counts sweeps."""
     dt = cfg.dt if dt is None else dt
     un = coeffs_of(u_n).copy()
-    div0 = ctx.Dt @ un
+    div0 = ctx.space.div(un)
     if np.linalg.norm(div0) > 1e-6 * max(1.0, np.linalg.norm(un)):
         warnings.warn("starting velocity is not discretely divergence-free",
                       RuntimeWarning)
@@ -168,10 +168,10 @@ def leray_project(ctx: OperatorContext, u) -> Field:
     data: u <- u + A^{-1} Dt^T M2 phi, where phi solves the pressure
     system of ctx.poisson_solver(0) with right-hand side -M2 Dt u and
     A^{-1} is its `m1_solve`."""
-    uc = coeffs_of(u)
+    s, uc = ctx.space, coeffs_of(u)
     solver = ctx.poisson_solver(0.0)
-    phi = solver.solve(-ctx.space.mass(2, ctx.Dt @ uc))
-    corr = solver.m1_solve(ctx.DtT @ ctx.space.mass(2, phi))
+    phi = solver.solve(-s.mass(2, s.div(uc)))
+    corr = solver.m1_solve(s.div_transpose(s.mass(2, phi)))
     return Field(ctx.space, 1, uc + corr)
 
 

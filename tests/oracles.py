@@ -427,9 +427,9 @@ class Assembled:
     """The 2D matrices of the complex that no solver path assembles, as
     sparse Kronecker products of the line matrices: the masses M0, M1
     and M2, the primal Curl and Div and the conforming projections Pc0
-    and Pc1. The package applies the masses through their line factors
-    (`TensorDeRhamSpace.mass`, `solve_mass`) and builds Div Pc1, Curl Pc0
-    and the penalization from the lines' D P, P and J^T M_h1 J."""
+    and Pc1, and the penalization. The package applies each of these (or
+    Div Pc1 and Curl Pc0) through its line factors: `TensorDeRhamSpace.mass`,
+    `solve_mass`, `div`, `curl`, their transposes and `penalize`."""
 
     def __init__(self, space):
         lx, ly = space.line_x, space.line_y
@@ -508,7 +508,7 @@ def weak_grad_full_sparse(ctx, q, edges=None):
     T = sp.vstack([sp.kron(ends(lx, "left", "right"), My),
                    sp.kron(Mx, ends(ly, "bottom", "top"))], format="csr")
     qc = coeffs_of(q)
-    return s.solve_mass(1, -(ctx.DtT @ s.mass(2, qc)) + T @ qc)
+    return s.solve_mass(1, -s.div_transpose(s.mass(2, qc)) + T @ qc)
 
 
 def advection_form(ctx, u, v, w) -> float:
@@ -541,25 +541,24 @@ def advection_form(ctx, u, v, w) -> float:
 
 def weak_grad(ctx, q) -> Field:
     """Boundaryless dual gradient: M1 x = -(Div Pc1)^T M2 q."""
-    qc = coeffs_of(q)
-    x = ctx.space.solve_mass(1, -(ctx.DtT @ ctx.space.mass(2, qc)))
-    return Field(ctx.space, 1, x)
+    s, qc = ctx.space, coeffs_of(q)
+    return Field(s, 1, s.solve_mass(1, -s.div_transpose(s.mass(2, qc))))
 
 
 def weak_grad_with_pressure_bc(ctx, q) -> Field:
     """Dual gradient with flux BCs and Gamma_p data:
     M1 x = -(Div Pc1 Pn)^T M2 q + b,  b_j = int_{Gamma_p} p_b (Lambda_j . n)."""
-    qc = coeffs_of(q)
-    rhs = (-(normal_projector(ctx) @ (ctx.DtT @ ctx.space.mass(2, qc)))
+    s, qc = ctx.space, coeffs_of(q)
+    rhs = (-(normal_projector(ctx) @ s.div_transpose(s.mass(2, qc)))
            + ctx.b_pressure)
-    return Field(ctx.space, 1, ctx.space.solve_mass(1, rhs))
+    return Field(s, 1, s.solve_mass(1, rhs))
 
 
 def weak_curl(ctx, v) -> Field:
-    """Boundaryless dual curl: M0 w = (Curl Pc0)^T M1 v."""
-    vc = coeffs_of(v)
-    w = ctx.space.solve_mass(0, ctx.CP0T @ ctx.space.mass(1, vc))
-    return Field(ctx.space, 0, w)
+    """Boundaryless dual curl: M0 w = (Curl Pc0)^T M1 v, through the
+    package's transposed curl."""
+    s, vc = ctx.space, coeffs_of(v)
+    return Field(s, 0, s.solve_mass(0, s.curl_transpose(s.mass(1, vc))))
 
 
 def interior_product(ctx, u, k: int) -> Field:

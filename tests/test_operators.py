@@ -66,7 +66,7 @@ def test_weak_grad_adjointness(p, nc, npat, mode):
     v = rand_coeffs(ctx.space, 1, seed=2)
     x = weak_grad(ctx, q).coeffs
     lhs = x @ (assembled(ctx.space).M1 @ v)
-    rhs = -q @ (assembled(ctx.space).M2 @ (ctx.Dt @ v))
+    rhs = -q @ (assembled(ctx.space).M2 @ ctx.space.div(v))
     assert rel(lhs, rhs) <= 1e-12
 
 
@@ -78,7 +78,7 @@ def test_weak_curl_adjointness(p, nc, npat, mode):
     phi = rand_coeffs(ctx.space, 0, seed=4)
     w = weak_curl(ctx, v).coeffs
     lhs = w @ (assembled(ctx.space).M0 @ phi)
-    rhs = (ctx.CP0 @ phi) @ (assembled(ctx.space).M1 @ v)
+    rhs = ctx.space.curl(phi) @ (assembled(ctx.space).M1 @ v)
     assert rel(lhs, rhs) <= 1e-12
 
 
@@ -245,7 +245,7 @@ def test_advection_conserves_momentum_for_solenoidal_fields(npat):
     s = ctx.space
     psi = rand_coeffs(s, 0, seed=21)
     u = assembled(s).Curl @ (assembled(s).Pc0 @ psi)
-    assert np.max(np.abs(ctx.Dt @ u)) <= 1e-12 * max(1.0, np.max(np.abs(u)))
+    assert np.max(np.abs(ctx.space.div(u))) <= 1e-12 * max(1.0, np.max(np.abs(u)))
     r = advection_residual(ctx, u, u)
     scale = max(1.0, float(u @ u))
     for e in (constant_v1(s, 1.0, 0.0), constant_v1(s, 0.0, 1.0)):
@@ -445,7 +445,7 @@ def test_pressure_gradient_defining_identity():
         v = rand_coeffs(s, 1, seed=seed)
         x = weak_grad_with_pressure_bc(ctx, q).coeffs
         lhs = x @ (assembled(s).M1 @ v)
-        rhs = -q @ (assembled(s).M2 @ (ctx.Dt @ (normal_projector(ctx) @ v)))
+        rhs = -q @ (assembled(s).M2 @ s.div(normal_projector(ctx) @ v))
         for edge, data in (("bottom", ctx.bc["bottom"].value),
                            ("top", ctx.bc["top"].value)):
             pts, w, tr, sign = ora.edge_rule(edge)
@@ -467,7 +467,7 @@ def test_full_gradient_defining_identity(p, nc, npat, mode):
     for seed in (37, 38):
         v = rand_coeffs(s, 1, seed=seed)
         lhs = x @ (assembled(s).M1 @ v)
-        rhs = -q @ (assembled(s).M2 @ (ctx.Dt @ v)) + ora.boundary_pairing_v2(q, v)
+        rhs = -q @ (assembled(s).M2 @ s.div(v)) + ora.boundary_pairing_v2(q, v)
         assert rel(lhs, rhs) <= 1e-11
 
 
@@ -495,7 +495,7 @@ def test_tangential_curl_defining_identity():
     for seed in (40, 41):
         phi = rand_coeffs(s, 0, seed=seed)
         lhs = w @ (assembled(s).M0 @ phi)
-        rhs = (ctx.CP0 @ phi) @ (assembled(s).M1 @ v)
+        rhs = ctx.space.curl(phi) @ (assembled(s).M1 @ v)
         for edge in ("left", "right", "bottom", "top"):
             pts, wq, tr, _ = ora.edge_rule(edge)
             cross = ora.cross_sign(edge)
@@ -623,9 +623,15 @@ def test_boundary_terms_match_edge_quadrature(name, p, npat, nc):
     ctx = OperatorContext(space(p, nc, npat, periodic=False,
                                 bounds=((x0, x1), (y0, y1))), bc=case.boundary)
     T, t, b, n, pn = oracle_boundary_terms(ctx)
-    got = (ctx.T_tangential.toarray(), ctx.t_tangential_data, ctx.b_pressure,
+    # T1 from its (slice, V1 block, tau M) triple of each edge
+    s = ctx.space
+    (ids0,), ids1 = s.blocks(0, np.arange(s.n0)), s.blocks(1, np.arange(s.n1))
+    T1 = np.zeros((s.n0, s.n1))
+    for at, k, M in ctx.T1:
+        T1[np.ix_(ids0[at], ids1[k][at])] += M
+    got = (T1, ctx.t_tangential_data, ctx.b_pressure,
            ctx.normal_data, normal_projector(ctx).diagonal())
-    for label, a, ref in zip(("T_tangential", "t_tangential_data", "b_pressure",
+    for label, a, ref in zip(("T1", "t_tangential_data", "b_pressure",
                               "normal_data", "Pn"), got, (T, t, b, n, pn)):
         assert np.max(np.abs(a - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref))), label
     if name == "blasius":
@@ -721,24 +727,29 @@ def test_forcing_vector_pairs_exactly_with_constants(npat):
 @pytest.mark.parametrize("p,nc,npat,periodic", [
     (2, 5, 1, True), (1, 4, 1, False), (2, 3, 2, False), (3, 5, (2, 1), True)])
 def test_line_factor_operators_match_assembled(p, nc, npat, periodic):
-    # Dt, CP0, the penalization and the forcing load, built from the
-    # lines' D P, P, J^T M J and M_l2, against the 2D sparse products on
-    # periodic, clamped and broken spaces
+    # Dt, CP0, their transposes, the penalization and the forcing load,
+    # applied through the lines' D P, P, J^T M J and M_l2 (to the columns
+    # of the identity), against the 2D sparse products on periodic,
+    # clamped and broken spaces
     sp_ = space(p, nc, npat, periodic)
     A = assembled(sp_)
     force = lambda X, Y: (np.sin(X) * Y, np.cos(X + 2.0 * Y))  # noqa: E731
     ctx = OperatorContext(sp_, forcing=force)
 
     def close(got, want):
-        got, want = (m.toarray() if sp.issparse(m) else m for m in (got, want))
+        want = want.toarray() if sp.issparse(want) else want
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
 
-    close(ctx.Dt, A.Div @ A.Pc1)
-    close(ctx.DtT, (A.Div @ A.Pc1).T)
-    close(ctx.CP0, A.Curl @ A.Pc0)
-    close(ctx.CP0T, (A.Curl @ A.Pc0).T)
-    close(sp_.penalization, A.penalization)
+    def matrix(apply, n):
+        return np.column_stack([apply(e) for e in np.identity(n)])
+
+    Dt, CP0 = A.Div @ A.Pc1, A.Curl @ A.Pc0
+    close(matrix(sp_.div, sp_.n1), Dt)
+    close(matrix(sp_.div_transpose, sp_.n2), Dt.T)
+    close(matrix(sp_.curl, sp_.n0), CP0)
+    close(matrix(sp_.curl_transpose, sp_.n1), CP0.T)
+    close(matrix(sp_.penalize, sp_.n1), A.penalization)
     g = sp_.data_grid
     close(ctx.f_vec, A.Pc1.T @ sp_.grid_moments(1, sample(g, force, 2), g))
 
@@ -758,7 +769,7 @@ def test_m1_solve_with_penalization():
     b = rand_coeffs(sp_, 1, seed=46)
     m1_solve = ctx.poisson_solver(gamma).m1_solve
     x = m1_solve(b)
-    A = assembled(sp_).M1 + gamma * sp_.penalization
+    A = assembled(sp_).M1 + gamma * assembled(sp_).penalization
     assert np.max(np.abs(A @ x - b)) <= 1e-10 * max(1.0, np.max(np.abs(b)))
     assert ctx.poisson_solver(gamma).m1_solve is m1_solve
     x0 = ctx.poisson_solver(0.0).m1_solve(b)
