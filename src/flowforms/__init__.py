@@ -12,7 +12,7 @@ from .operators import (EdgeBC, OperatorContext, advection_residual,
                         viscous_form, viscous_residual,
                         weak_curl_with_tangential_bc)
 from .stepper import (StepFailure, StepReport, cfl_dt, cn_step, initialize,
-                      leray_project, midpoint_sweep)
+                      leray_project, midpoint_sweep, project)
 from .diagnostics import DiagnosticsRecord, l2_error, measure
 from .cases import CaseDefinition, case_library
 from .config import SimulationConfig, load_config, save_config

@@ -13,8 +13,7 @@ plain L2 adjoints. Boundary integrals all reduce to 1D mass/moment
 matrices along the edge, since spline trace DOFs carry the boundary
 values. Viewed as an (x index, y index) array, each V0 or V1 block holds
 an edge's trace DOFs in one slice: row 0 or -1 for the left and right
-edges, column 0 or -1 for the bottom and top edges; so the tangential
-pairing T1 is one 1D array an edge, applied on that slice.
+edges, column 0 or -1 for the bottom and top edges.
 
 The space applies Dt = Div Pc1 and CP0 = Curl Pc0 through the lines' D P
 and P. The interior product, the whole-boundary dual gradient and M2 Div
@@ -165,7 +164,6 @@ class OperatorContext:
                                   space.line_x.h1.breakpoints,
                                   space.line_y.h1.breakpoints)
 
-        lx, ly = space.line_x, space.line_y
         self._assemble_boundary_terms(segments)
         self.G, self.L = zip(*map(self._line_factors, "xy"))
 
@@ -174,8 +172,8 @@ class OperatorContext:
             g = space.data_grid
             fx, fy = space.blocks(1, space.grid_moments(
                 1, sample(g, forcing, 2), g))
-            self.f_vec = np.concatenate([(lx.P.T @ fx).ravel(),
-                                         (fy @ ly.P).ravel()])   # Pc1^T
+            self.f_vec = np.concatenate([(space.line_x.P.T @ fx).ravel(),
+                                         (fy @ space.line_y.P).ravel()])  # Pc1^T
         # exact-grid arrays that advection_residual writes its values into
         self._grid_work = np.empty((4, len(space.grid.x), len(space.grid.y)))
         self._solver = None
@@ -200,9 +198,7 @@ class OperatorContext:
         (bottom, top) of the (x index, y index) views of the V0 and V1
         blocks, and per line, the Gamma_n mask zn (0 on the h1 end DOF of
         a Gamma_n edge) and the end pairings of `_line_factors`, of all
-        edges and of the walls: Gamma_n edges with the constant data 0.
-        T1 holds an edge's (slice, V1 block, tau M) pairing of v x n with
-        omega outside Gamma_t: M the tangent line's h1 mass there."""
+        edges and of the walls: Gamma_n edges with the constant data 0."""
         s = self.space
         lines = {"x": s.line_x, "y": s.line_y}
         self.zn = {a: np.ones(ln.h1.dim) for a, ln in lines.items()}
@@ -249,7 +245,7 @@ class OperatorContext:
                 # data is the v x n trace itself, already oriented
                 vals = _as_values(data, pts[mask], edge)
                 v0[at] += Eh1[mask].T @ (w[mask] * vals)
-            # boundary-minus-Gamma_t pairing with the tangential velocity
+            # T1: (slice, V1 block, tau M) pairs v x n with omega off Gamma_t
             Mh1_free = Eh1[free].T @ (w[free, None] * Eh1[free])
             self.T1.append((at, "xy".index(along), tau * Mh1_free))
         self.t_tangential_data = t_tang

@@ -133,7 +133,7 @@ def run(cfg, progress=None):
     From the second step on, cn_step starts its iteration at `predict`:
     the extrapolation in time through the last accepted states, at the
     order that best predicted u^n. Its weights sum to one, so the guess
-    keeps Dt u^n and the Gamma_n flux DOFs of u^n. Step 1 starts from
+    keeps Dt u = 0 and the Gamma_n flux DOFs of u^n. Step 1 starts from
     u^n. A step that raises StepFailure is retried once at half dt from
     u^n (counted in retries); a doubly-failed step aborts the run
     (failed=True) after writing the last good state."""

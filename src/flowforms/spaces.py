@@ -112,8 +112,6 @@ class TensorDeRhamSpace:
 
         self.grid = TensorGrid(line_x.grid, line_y.grid)
         self.data_grid = TensorGrid(line_x.data_grid, line_y.data_grid)
-        self._pen = tuple({"h1": line.JMJ, "l2": line.mass["l2"]}
-                          for line in (line_x, line_y))
 
     # --- bookkeeping -----------------------------------------------------
     def dim(self, slot: int) -> int:
@@ -148,7 +146,8 @@ class TensorDeRhamSpace:
         zero, with no products formed, on a space with no broken line."""
         if not self.broken:
             return np.zeros(self.n1)
-        return self.solve_mass(1, c, self._pen)
+        return self.solve_mass(1, c, [{"h1": line.JMJ, "l2": line.mass["l2"]}
+                                      for line in (self.line_x, self.line_y)])
 
     # --- Dt = Div Pc1 and CP0 = Curl Pc0, and their transposes -------------
     def div(self, c) -> np.ndarray:

@@ -7,13 +7,14 @@ The iteration starts from a guess, or from u^n when there is none: in a
 run, the extrapolation in time of order k of runner.predict, which lies
 O(dt^(k+1)) from the fixed point instead of O(dt).
 
-Within every sweep the pressure is chosen so that the velocity update
-is discretely divergence-free; a mixed iterate is an affine combination
-of sweep outputs, so it stays divergence-free too. The patch-coupling
-penalization is treated implicitly: the sweep solves with
-M1 + gamma*Pen (gamma = dt*alpha/2), which has the same fixed point as
-the plain midpoint form but keeps the iteration contractive for large
-alpha (on one patch Pen is zero, and poisson_solver maps every gamma to 0).
+Every sweep ends in `project`, the one projection onto Dt u = 0, so the
+roundoff divergence of u^n does not build up over the steps; a mixed
+iterate is an affine combination of sweep outputs, so it stays
+divergence-free too. The patch-coupling penalization is treated
+implicitly: the sweep solves with M1 + gamma*Pen (gamma = dt*alpha/2),
+which has the same fixed point as the plain midpoint form but keeps the
+iteration contractive for large alpha (on one patch Pen is zero, and
+poisson_solver maps every gamma to 0).
 Each mass solve inverts on the velocities with zero Gamma_n flux, so an
 update keeps the Gamma_n flux DOFs of u^n and a gradient force moves only
 the pressure; these inverses are exact Kronecker products per component.
@@ -50,42 +51,42 @@ class StepReport:
     dt_used: float
 
 
+def project(solver, z):
+    """(z - A^{-1} Dt^T M2 q, q): z projected onto Dt u = 0, A^{-1} the
+    solver's m1_solve and q its pressure solution for M2 Dt z."""
+    s = solver.ctx.space
+    q = solver.solve(s.mass(2, s.div(z)))
+    return z - solver.m1_solve(s.div_transpose(s.mass(2, q))), q
+
+
 def midpoint_sweep(ctx: OperatorContext, cfg, un, u_iter, dt: float):
     """One Picard sweep of the midpoint step from u^n with current iterate
-    u_iter: returns (u_next, p), where
-    u_next = u^n - dt A^{-1} (R - Dt^T M2 p), A^{-1} (the `m1_solve` of
-    ctx.poisson_solver(gamma)) the inverse of M1 + gamma Pen on the
-    velocities with zero Gamma_n flux,
-    R the momentum residual at the midpoint (penalization acting on u^n),
-    and p makes Dt u_next = Dt u^n exactly."""
+    u_iter: (u_next, p), with (u_next, -dt p) the `project`ion of
+    u^n - dt A^{-1} R by ctx.poisson_solver(gamma), A^{-1} its m1_solve
+    (M1 + gamma Pen inverted on the velocities with zero Gamma_n flux)
+    and R the momentum residual at the midpoint (Pen acting on u^n)."""
     ub = 0.5 * (un + u_iter)
     R = advection_residual(ctx, ub, ub)
     if cfg.nu != 0.0:
         R = R + cfg.nu * viscous_residual(ctx, ub)
-    s = ctx.space
-    R = R + cfg.alpha * s.penalize(un) - ctx.f_vec + ctx.b_pressure
+    R = R + cfg.alpha * ctx.space.penalize(un) - ctx.f_vec + ctx.b_pressure
     solver = ctx.poisson_solver(0.5 * dt * cfg.alpha)
-    p = solver.solve(s.mass(2, s.div(solver.m1_solve(R))))
-    w = R - s.div_transpose(s.mass(2, p))
-    return un - dt * solver.m1_solve(w), p
+    u_next, q = project(solver, un - dt * solver.m1_solve(R))
+    return u_next, -q / dt
 
 
 def cn_step(ctx: OperatorContext, u_n, cfg, dt=None, guess=None):
     """One midpoint step. Returns (u_next, p, StepReport); raises
     StepFailure when the iteration stalls or diverges.
 
-    The first sweep is a plain Picard sweep from guess, or from u^n when
-    it is None. runner.run passes the extrapolation in time of
-    runner.predict, at the order that best predicted u^n: an affine
-    combination of accepted states, whose weights sum to one. Like u^n
-    it has Dt x = Dt u^n and the Gamma_n flux DOFs of u^n, so the
-    iterates keep them, and the guess changes how many sweeps the step
-    takes, not its fixed point. Each later iterate is the
-    depth-ANDERSON_DEPTH Anderson mix (Walker-Ni type II)
+    The first sweep is a plain Picard sweep from guess (runner.run passes
+    runner.predict's), or from u^n when it is None: the guess changes how
+    many sweeps the step takes, not its fixed point. Each later iterate
+    is the depth-ANDERSON_DEPTH Anderson mix (Walker-Ni type II)
     x = g - dG gamma, with gamma minimising |f - dF gamma| through its
     Gram system, f = g(x) - x the last sweep residual and dF, dG the
     differences of the last residuals and sweep outputs. The weights of
-    the sweep outputs in x sum to one, so x keeps Dt x = Dt u^n and the
+    the sweep outputs in x sum to one, so x keeps Dt x = 0 and the
     Gamma_n flux DOFs of u^n to roundoff. The step returns the last sweep
     output and its pressure once |g(x) - x| < picard_tol; the report
     counts sweeps."""
@@ -165,14 +166,9 @@ def set_normal_data(ctx: OperatorContext, u) -> Field:
 
 def leray_project(ctx: OperatorContext, u) -> Field:
     """Remove the discrete divergence without touching the Gamma_n flux
-    data: u <- u + A^{-1} Dt^T M2 phi, where phi solves the pressure
-    system of ctx.poisson_solver(0) with right-hand side -M2 Dt u and
-    A^{-1} is its `m1_solve`."""
-    s, uc = ctx.space, coeffs_of(u)
-    solver = ctx.poisson_solver(0.0)
-    phi = solver.solve(-s.mass(2, s.div(uc)))
-    corr = solver.m1_solve(s.div_transpose(s.mass(2, phi)))
-    return Field(ctx.space, 1, uc + corr)
+    data: `project` by ctx.poisson_solver(0)."""
+    uc, _ = project(ctx.poisson_solver(0.0), coeffs_of(u))
+    return Field(ctx.space, 1, uc)
 
 
 def initialize(ctx: OperatorContext, initial) -> Field:

@@ -290,6 +290,21 @@ def test_every_guess_keeps_the_divergence_and_the_flux_of_u_n(
         assert np.abs(un[flux]).max() > 0
 
 
+@pytest.mark.parametrize("case, kwargs", [
+    ("taylor_green", dict(nu=0.0, n_cells=(16, 16), dt=1e-3)),
+    ("lid_driven_cavity", dict(n_cells=(8, 8), dt=2e-3))])
+def test_divergence_does_not_build_up_over_a_long_run(case, kwargs, tmp_path):
+    # every sweep projects onto Dt u = 0, so the roundoff divergence of
+    # u^n is not carried into the next step: after 300 steps div_l2 is
+    # where it was at step 30. A sweep that kept Dt u^n instead lets it
+    # grow to 1.1e-13 and 5.9e-14 here.
+    res = run(SimulationConfig(case=case, degree=2, t_final=300 * kwargs["dt"],
+                               output_dir=str(tmp_path), **kwargs))
+    div = [r.div_l2 for r in res.records]
+    assert res.steps == 300 and not res.failed
+    assert div[-1] <= 1e-14 and div[-1] <= 2.0 * div[30], (div[30], div[-1])
+
+
 def test_extrapolated_start_saves_sweeps(tmp_path, monkeypatch):
     key = ("taylor_green", (1, 1), (8, 8), 1e-3)
     res = run(golden_config(key, tmp_path))
