@@ -20,8 +20,8 @@ or takes the case's value as above. Unknown keys, a key outside its own
 section, unknown edges and kinds, boundary sections on a periodic
 domain, a walled domain without one for each edge, tangential segments
 that overlap or end off a cell boundary, a grid whose velocity line
-`Broken1D.check` rejects, and none/auto for a setting without an
-automatic value (a None default) are rejected.
+`Broken1D.check` rejects, none/auto for a setting without an automatic
+value (a None default) and a file configparser cannot parse are rejected.
 
 boundary tangential grammar:  free | <float> | <float>@<lo>:<hi>[,...]
 """
@@ -82,8 +82,8 @@ EDGE_KEYS = {"kind": (str.strip, "normal"), "value": (float, "0.0"),
 
 
 def _fmt(value, key=None):
-    """The text of a setting or boundary value that its parser reads back
-    to an equal value; a callable (boundary data `key`) has none."""
+    """The config file text of a setting or boundary value (% written %%),
+    which its parser reads back to an equal value; a callable has none."""
     if callable(value):
         raise ValueError(f"callable {key} cannot be saved to a config file")
     if isinstance(value, (list, tuple)):        # a pair, domain or segments
@@ -92,7 +92,8 @@ def _fmt(value, key=None):
                         for x in value)
     if value is None or isinstance(value, bool):
         return str(value).lower()
-    return repr(float(value)) if isinstance(value, float) else str(value)
+    return (repr(float(value)) if isinstance(value, float)
+            else str(value).replace("%", "%%"))
 
 
 def setting(section, parse, default=None, check=None):
@@ -211,11 +212,18 @@ def parse_setting(name, text, label):
 
 def load_config(path) -> SimulationConfig:
     parser = configparser.ConfigParser()
-    with open(path) as fh:
-        parser.read_file(fh)
+    try:
+        with open(path) as fh:
+            parser.read_file(fh)
+        text = {section: dict(parser[section]) for section in parser.sections()}
+    except configparser.InterpolationError as exc:    # in a value
+        raise ValueError(f"{path}: {exc.option} in [{exc.section}]: "
+                         f"{exc.message}") from None
+    except configparser.Error as exc:     # in reading: names file and line
+        raise ValueError(" ".join(exc.message.split())) from None
     kwargs = {}
-    for section in parser.sections():
-        sec, is_edge = parser[section], section.startswith("boundary.")
+    for section, sec in text.items():
+        is_edge = section.startswith("boundary.")
         keys = EDGE_KEYS if is_edge else {k for s, k in _FILE_KEYS if s == section}
         if not keys:
             raise ValueError(f"unknown config section [{section}]")

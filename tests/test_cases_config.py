@@ -133,6 +133,14 @@ def test_config_roundtrip_defaults(tmp_path):
     assert load_config(path) == cfg
 
 
+def test_config_roundtrip_of_a_percent_sign(tmp_path):
+    # the file interpolates %, so save_config writes a literal one as %%
+    cfg = SimulationConfig(snapshot_prefix="a%b", output_dir="%(x)s%%")
+    path = tmp_path / "sim.cfg"
+    save_config(cfg, path)
+    assert load_config(path) == cfg
+
+
 def test_config_roundtrip_with_boundary(tmp_path):
     cfg = SimulationConfig(
         case="poiseuille", degree=3, n_cells=(4, 8), n_patches=(2, 2),

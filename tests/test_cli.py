@@ -360,6 +360,25 @@ def test_key_outside_its_section_is_a_usage_error(cli, tmp_path):
     assert not (tmp_path / "diagnostics.csv").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[output]\nsnapshot_prefix = run%1\n",
+     "malformed.cfg: snapshot_prefix in [output]: '%' must be followed by"),
+    ("dt = 0.1\n", "File contains no section headers. file: '"),
+    ("[stepper]\ndt = 0.1\ndt = 0.2\n",
+     "option 'dt' in section 'stepper' already exists"),
+], ids=["percent", "no-section", "key-twice"])
+def test_malformed_config_file_is_a_usage_error(cli, tmp_path, text, message):
+    # configparser's own errors, one line that names the file, and the
+    # section and key where known
+    path = tmp_path / "malformed.cfg"
+    path.write_text(text)
+    result = cli.invoke(main, ["run", str(path), "--out", str(tmp_path)])
+    out = _all_output(result)
+    assert result.exit_code == 2, out
+    assert message in out and str(path) in out
+    assert "Traceback" not in out
+
+
 @pytest.mark.parametrize("section, message", [
     ("[boundary.top]\ntangental = 5.0\n",
      "unknown config key 'tangental' in [boundary.top]"),
