@@ -8,8 +8,8 @@ coefficients are its component blocks in KINDS order, each row-major (x
 index major), and masses, mass solves, projections, values and moments
 all work block by block (`TensorDeRhamSpace.blocks`). With Curl q =
 (d_y q, -d_x q) and Div v = d_x v_x + d_y v_y, every 2D operator is a
-Kronecker product (or block thereof) of the line matrices, applied so:
-two products of the lines' arrays a block. The space keeps no copy of
+Kronecker product (or block thereof) of the line matrices and is applied
+as one, two products of line arrays a block: the space keeps no copy of
 them, and no 2D operator is assembled.
 
 `build_multipatch` is the one builder of the complex, over equal
