@@ -40,7 +40,7 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import spd_inverse
-from .spaces import Field, TensorDeRhamSpace, coeffs_of, sample
+from .spaces import KINDS, Field, TensorDeRhamSpace, coeffs_of, sample
 
 EDGES = ("left", "right", "bottom", "top")
 # edge -> (the line across it, the end of that line the edge sits on)
@@ -255,9 +255,9 @@ class OperatorContext:
     # --- the gamma-dependent solvers -----------------------------------------
     def poisson_solver(self, gamma: float = 0.0):
         """The `TensorPoissonSolver` of gamma = dt*alpha/2. One entry is
-        cached, the latest gamma's: under CFL control every step has a
-        new dt, so an older entry is never reused. Where the penalization
-        is zero (one patch) every gamma is gamma = 0 and reuses it."""
+        cached, the latest gamma's: under CFL control runner.run holds dt
+        on rungs that change rarely. Where the penalization is zero (one
+        patch) every gamma is gamma = 0 and reuses it."""
         gamma = float(gamma) if self.space.broken else 0.0
         if self._solver is None or self._solver.gamma != gamma:
             self._solver = TensorPoissonSolver(self, gamma)
@@ -296,6 +296,7 @@ class TensorPoissonSolver:
         drop = self.singular & (denom <= 1e-10 * float(lam_x.max() + lam_y.max()))
         self._inv_denom = np.where(drop, 0.0, 1.0 / np.where(drop, 1.0, denom))
         self.m1_solve = partial(s.solve_mass, 1, inverses=factors)
+        self._viscous = None    # (theta, its factors), see viscous_correction
 
     def matvec(self, q):
         """The system matrix applied through the composed operators."""
@@ -307,6 +308,37 @@ class TensorPoissonSolver:
         Z = self.Phi_x.T @ B @ self.Phi_y
         Z *= self._inv_denom
         return (self.Phi_x @ Z @ self.Phi_y.T).ravel()
+
+    def viscous_correction(self, theta, f):
+        """S^-1 A f on the velocities with zero Gamma_n flux, S = A + theta
+        (V + Dt^T M2 Dt) less T1 and the x-y coupling: exact on one patch
+        away from T1. Its x block, A_x (x) M_l2 + theta C_x (x) S_y, with
+        A_x = Mg + theta (D P)^T M_l2 D P, C_x = M_h1 P M_h1^-1 P^T M_h1 and
+        S_y = M_l2 D P M_h1^-1 (D P)^T M_l2, is diagonalized by eigh(C_x,
+        A_x) and eigh(S_y, M_l2); the y block mirrors it (Lynch et al.)."""
+        if self._viscous is None or self._viscous[0] != theta:
+            self._viscous = (theta, self._viscous_factors(theta))
+        blocks = zip(self._viscous[1], self.ctx.space.blocks(1, f))
+        return np.concatenate([(ux @ (scale * (ax @ F @ ay.T)) @ uy.T).ravel()
+                               for (ux, ax, uy, ay, scale), F in blocks])
+
+    def _viscous_factors(self, theta):
+        """Per V1 block: U_x, U_x^T A_x, U_y, U_y^T A_y, 1/(1 + theta e_x e_y^T)."""
+        s, lines = self.ctx.space, []
+        for line, z in ((s.line_x, self.ctx.zn["x"]), (s.line_y, self.ctx.zn["y"])):
+            M, Ml2, DP, inv = line.mass["h1"], line.mass["l2"], line.DP, line.inv["h1"]
+            Mg = z[:, None] * (M + self.gamma * line.JMJ) * z
+            A = Mg + theta * z[:, None] * (DP.T @ Ml2 @ DP) * z + np.diag(1.0 - z)
+            C = z[:, None] * (M @ line.P @ inv @ line.P.T @ M) * z
+            S = Ml2 @ DP @ inv @ DP.T @ Ml2
+            lines.append({})
+            for kind, K, B, factor, mask in (("h1", C, A, Mg, z),
+                                             ("l2", S, Ml2, Ml2, 1.0)):
+                e, U = scipy.linalg.eigh(0.5 * (K + K.T), 0.5 * (B + B.T))
+                lines[-1][kind] = (e, np.reshape(mask, (-1, 1)) * U, U.T @ factor)
+        return [(ux, ax, uy, ay, 1.0 / (1.0 + theta * np.outer(ex, ey)))
+                for (ex, ux, ax), (ey, uy, ay)
+                in ((lines[0][kx], lines[1][ky]) for kx, ky in KINDS[1])]
 
 
 # --- dual operators ---------------------------------------------------------

@@ -3,6 +3,7 @@ advances it in time, and writes diagnostics/snapshot files."""
 
 from __future__ import annotations
 
+import math
 import os
 import weakref
 from collections import deque
@@ -91,6 +92,14 @@ def write_snapshot(ctx, u, p, t, path, grid=64):
 
 # highest order of the time extrapolation that starts each step
 PREDICTOR_ORDER = 3
+# ratio of neighbouring dt rungs under CFL control (see run)
+DT_RATIO = 2.0 ** 0.125
+
+
+def rung(dt, dt_max):
+    """The largest dt_max * DT_RATIO^-k (k >= 0) that is not above dt."""
+    k = max(0, math.ceil(math.log(dt_max / dt, DT_RATIO)))
+    return dt_max * DT_RATIO ** -(k + (dt_max * DT_RATIO ** -k > dt))
 
 
 def extrapolate(states, t, orders):
@@ -136,7 +145,9 @@ def run(cfg, progress=None):
     keeps Dt u = 0 and the Gamma_n flux DOFs of u^n. Step 1 starts from
     u^n. A step that raises StepFailure is retried once at half dt from
     u^n (counted in retries); a doubly-failed step aborts the run
-    (failed=True) after writing the last good state."""
+    (failed=True) after writing the last good state. Under CFL control
+    (dt None) a step takes the `rung` below cfl_dt's bound; it changes
+    rarely, so the solvers cached for the latest dt are mostly reused."""
     ctx, case, cfg = build_simulation(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     diag_path = os.path.join(cfg.output_dir, cfg.diagnostics_file)
@@ -160,7 +171,7 @@ def run(cfg, progress=None):
     # stop keeps a fixed-dt run at round(t_final / dt) steps, and a last
     # step within that of dt takes dt, so one gamma serves the whole run
     while t < cfg.t_final * (1.0 - 1e-10):
-        dt = cfg.dt or cfl_dt(ctx, u, cfg)
+        dt = cfg.dt or rung(cfl_dt(ctx, u, cfg), cfg.dt_max)
         if cfg.t_final - t < dt - 1e-10 * cfg.t_final:
             dt = cfg.t_final - t
         guess = predict(history, t + dt)

@@ -142,12 +142,15 @@ class TensorDeRhamSpace:
             in zip(KINDS[slot], self.blocks(slot, b), strict=True)])
 
     def penalize(self, c) -> np.ndarray:
-        """The jump penalization applied to the V1 coefficients c: exactly
-        zero, with no products formed, on a space with no broken line."""
-        if not self.broken:
-            return np.zeros(self.n1)
-        return self.solve_mass(1, c, [{"h1": line.JMJ, "l2": line.mass["l2"]}
-                                      for line in (self.line_x, self.line_y)])
+        """The jump penalization applied to the V1 coefficients c, on the
+        interface DOFs' rows of each block only (where JMJ lies): none,
+        and exactly zero, on a space with no broken line."""
+        out = np.zeros(self.n1)
+        (cx, cy), (ox, oy) = self.blocks(1, c), self.blocks(1, out)
+        lx, ly = self.line_x, self.line_y
+        ox[lx.jumps] = lx.JMJ_jumps @ cx[lx.jumps] @ ly.mass["l2"]
+        oy[:, ly.jumps] = lx.mass["l2"] @ cy[:, ly.jumps] @ ly.JMJ_jumps
+        return out
 
     # --- Dt = Div Pc1 and CP0 = Curl Pc0, and their transposes -------------
     def div(self, c) -> np.ndarray:

@@ -2,10 +2,12 @@
 preservation.
 
 Each step solves the midpoint fixed point u = g(u), g one
-`midpoint_sweep`, by Picard sweeps with Anderson mixing (see cn_step).
-The iteration starts from a guess, or from u^n when there is none: in a
-run, the extrapolation in time of order k of runner.predict, which lies
-O(dt^(k+1)) from the fixed point instead of O(dt).
+`midpoint_sweep`, by Picard sweeps with Anderson mixing (see cn_step),
+from a guess: in a run, the extrapolation in time of order k of
+runner.predict, which lies O(dt^(k+1)) from the fixed point, not O(dt).
+Viscosity is explicit in the sweep, so cn_step corrects each update by
+the viscous operator solved at Kronecker cost; the correction vanishes
+only at the fixed point, so it changes the path, not the solution.
 
 Every sweep ends in `project`, the one projection onto Dt u = 0, so the
 roundoff divergence of u^n does not build up over the steps; a mixed
@@ -14,10 +16,9 @@ divergence-free too. The patch-coupling penalization is treated
 implicitly: the sweep solves with M1 + gamma*Pen (gamma = dt*alpha/2),
 which has the same fixed point as the plain midpoint form but keeps the
 iteration contractive for large alpha (on one patch Pen is zero, and
-poisson_solver maps every gamma to 0).
-Each mass solve inverts on the velocities with zero Gamma_n flux, so an
-update keeps the Gamma_n flux DOFs of u^n and a gradient force moves only
-the pressure; these inverses are exact Kronecker products per component.
+poisson_solver maps every gamma to 0). Each mass solve inverts on the
+velocities with zero Gamma_n flux, so an update keeps the Gamma_n flux
+DOFs of u^n and a gradient force moves only the pressure.
 
 The functions take the resolved SimulationConfig (config.py); its dt is
 None under CFL control, so the caller passes each step's dt. The same
@@ -59,19 +60,29 @@ def project(solver, z):
     return z - solver.m1_solve(s.div_transpose(s.mass(2, q))), q
 
 
-def midpoint_sweep(ctx: OperatorContext, cfg, un, u_iter, dt: float):
+def step_base(ctx: OperatorContext, cfg, un, dt: float):
+    """u^n - dt A^{-1} (alpha Pen u^n - f + b), the part of each sweep that
+    the iterate does not change; u^n where Pen, f and b are 0."""
+    solver = ctx.poisson_solver(0.5 * dt * cfg.alpha)
+    return un - dt * solver.m1_solve(cfg.alpha * ctx.space.penalize(un)
+                                     - ctx.f_vec + ctx.b_pressure)
+
+
+def midpoint_sweep(ctx: OperatorContext, cfg, un, u_iter, dt: float,
+                   base=None):
     """One Picard sweep of the midpoint step from u^n with current iterate
     u_iter: (u_next, p), with (u_next, -dt p) the `project`ion of
     u^n - dt A^{-1} R by ctx.poisson_solver(gamma), A^{-1} its m1_solve
     (M1 + gamma Pen inverted on the velocities with zero Gamma_n flux)
-    and R the momentum residual at the midpoint (Pen acting on u^n)."""
+    and R the momentum residual at the midpoint (Pen acting on u^n). base
+    is the step's `step_base`, formed here when None."""
     ub = 0.5 * (un + u_iter)
     R = advection_residual(ctx, ub, ub)
     if cfg.nu != 0.0:
-        R = R + cfg.nu * viscous_residual(ctx, ub)
-    R = R + cfg.alpha * ctx.space.penalize(un) - ctx.f_vec + ctx.b_pressure
+        R += cfg.nu * viscous_residual(ctx, ub)
+    base = step_base(ctx, cfg, un, dt) if base is None else base
     solver = ctx.poisson_solver(0.5 * dt * cfg.alpha)
-    u_next, q = project(solver, un - dt * solver.m1_solve(R))
+    u_next, q = project(solver, base - dt * solver.m1_solve(R))
     return u_next, -q / dt
 
 
@@ -81,21 +92,26 @@ def cn_step(ctx: OperatorContext, u_n, cfg, dt=None, guess=None):
 
     The first sweep is a plain Picard sweep from guess (runner.run passes
     runner.predict's), or from u^n when it is None: the guess changes how
-    many sweeps the step takes, not its fixed point. Each later iterate
-    is the depth-ANDERSON_DEPTH Anderson mix (Walker-Ni type II)
-    x = g - dG gamma, with gamma minimising |f - dF gamma| through its
-    Gram system, f = g(x) - x the last sweep residual and dF, dG the
-    differences of the last residuals and sweep outputs. The weights of
-    the sweep outputs in x sum to one, so x keeps Dt x = 0 and the
-    Gamma_n flux DOFs of u^n to roundoff. The step returns the last sweep
-    output and its pressure once |g(x) - x| < picard_tol; the report
-    counts sweeps."""
+    many sweeps the step takes, not its fixed point. A sweep g(x) whose
+    update f = g(x) - x is not below picard_tol is corrected: f becomes
+    the `project`ion of S^-1 A f (`TensorPoissonSolver.viscous_correction`,
+    theta = dt*nu/2; skipped at theta = 0, where it is the identity), and
+    g becomes x + f. This map is linear and one-to-one, so it vanishes
+    only where f does, at the midpoint solution: the path changes, not
+    the fixed point. Each later iterate is the depth-ANDERSON_DEPTH
+    Anderson mix (Walker-Ni type II) x = g - dG gamma, gamma minimising
+    |f - dF gamma| by its Gram system, dF and dG the differences of the
+    last f and g; its weights sum to one, so x keeps Dt x = 0 and the
+    Gamma_n flux DOFs of u^n. The step returns the sweep output and its
+    pressure once the sweep's own |g(x) - x| < picard_tol."""
     dt = cfg.dt if dt is None else dt
+    theta = 0.5 * dt * cfg.nu
     un = coeffs_of(u_n).copy()
     div0 = ctx.space.div(un)
     if np.linalg.norm(div0) > 1e-6 * max(1.0, np.linalg.norm(un)):
         warnings.warn("starting velocity is not discretely divergence-free",
                       RuntimeWarning)
+    base = step_base(ctx, cfg, un, dt)
 
     # ring buffers of residual and sweep-output differences
     dF = np.empty((ANDERSON_DEPTH, un.size))
@@ -112,13 +128,17 @@ def cn_step(ctx: OperatorContext, u_n, cfg, dt=None, guess=None):
             raise StepFailure(
                 f"Picard iteration diverged after {it - 1} iterations "
                 f"(smallest update {best:.3e} at sweep {best_it})")
-        g, p = midpoint_sweep(ctx, cfg, un, x, dt)
+        g, p = midpoint_sweep(ctx, cfg, un, x, dt, base)
         f = g - x
         upd = float(np.linalg.norm(f))
         if upd < cfg.picard_tol:
             return Field(ctx.space, 1, g), p, StepReport(it, upd, dt)
         if upd < best:
             best, best_it = upd, it
+        if theta != 0.0:
+            solver = ctx.poisson_solver(0.5 * dt * cfg.alpha)
+            f = project(solver, solver.viscous_correction(theta, f))[0]
+            g = x + f
         x = g
         if it > 1:
             j = (it - 2) % ANDERSON_DEPTH

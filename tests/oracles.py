@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from flowforms.operators import weak_curl_with_tangential_bc
+from flowforms.operators import (viscous_residual,
+                                 weak_curl_with_tangential_bc)
 from flowforms.spaces import Field, coeffs_of, eval_field
 from flowforms.stepper import StepFailure, StepReport, midpoint_sweep
 
@@ -461,6 +462,16 @@ def assembled(space) -> Assembled:
     if space not in _ASSEMBLED:
         _ASSEMBLED[space] = Assembled(space)
     return _ASSEMBLED[space]
+
+
+def viscous_matrix(ctx) -> np.ndarray:
+    """The viscous operator V of d_h(u, v) = v^T V u + (Gamma_t data), the
+    tangential pairing T1 included, dense: column j is the viscous
+    residual of the unit vector e_j less that of zero."""
+    n1 = ctx.space.n1
+    r0 = viscous_residual(ctx, np.zeros(n1))
+    return np.column_stack([viscous_residual(ctx, e) - r0
+                            for e in np.identity(n1)])
 
 
 def constant_v1(space, cx: float, cy: float) -> np.ndarray:

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import DOMAIN, PI, context, rand_coeffs, space
 from oracles import (DenseOracle, advection_form, area, assembled,
-                     constant_v1, interior_product, normal_projector, walls,
-                     weak_curl, weak_grad, weak_grad_with_pressure_bc)
+                     constant_v1, interior_product, normal_projector,
+                     viscous_matrix, walls, weak_curl, weak_grad,
+                     weak_grad_with_pressure_bc)
 from flowforms.cases import case_library
 from flowforms.operators import (
     EdgeBC,
@@ -776,3 +777,25 @@ def test_m1_solve_with_penalization():
     assert np.max(np.abs(assembled(sp_).M1 @ x0 - b)) <= 1e-10
     # without Gamma_n edges the restricted inverse is the mass inverse
     assert np.array_equal(x0, sp_.solve_mass(1, b))
+
+
+@pytest.mark.parametrize("mode", ["periodic", "walls"])
+def test_viscous_correction_inverts_the_assembled_operator_on_one_patch(mode):
+    # on one patch the x-y coupling of curl-curl + grad-div vanishes on the
+    # velocities with zero Gamma_n flux, and without a free tangential
+    # edge T1 is zero: S^-1 is then exact
+    ctx = context(2, 6, 1, mode)
+    s, a, theta = ctx.space, assembled(ctx.space), 0.37
+    Dt = (a.Div @ a.Pc1).toarray()
+    S = a.M1 + theta * (viscous_matrix(ctx) + Dt.T @ (a.M2 @ Dt))
+    Z = normal_projector(ctx)
+    f = Z @ rand_coeffs(s, 1, seed=47)
+    solver = ctx.poisson_solver(0.0)
+    y = solver.viscous_correction(theta, f)
+    b = Z @ (a.M1 @ f)
+    assert np.array_equal(Z @ y, y)
+    assert np.linalg.norm(Z @ (S @ y) - b) <= 1e-12 * np.linalg.norm(b)
+    # the factors are kept for the latest theta
+    kept = solver._viscous
+    assert np.array_equal(solver.viscous_correction(theta, f), y)
+    assert solver._viscous is kept
