@@ -148,17 +148,10 @@ class SimulationConfig:
         out = replace(self, **{k: getattr(case, k) for k in unset})
         if out.steady_tol is None:
             out.steady_tol = out.picard_tol
-        if out.periodic:
-            if self.boundary:
-                raise ValueError("boundary conditions given for a periodic "
-                                 "domain")
-            out.boundary = None
-        elif out.boundary is None:
-            out.boundary = case.boundary
-        elif case.boundary:
-            merged = dict(case.boundary)
-            merged.update(out.boundary)
-            out.boundary = merged
+        if out.periodic and self.boundary:
+            raise ValueError("boundary conditions given for a periodic domain")
+        out.boundary = (None if out.periodic else
+                        {**(case.boundary or {}), **(out.boundary or {})})
         if not (out.periodic or out.boundary):
             raise ValueError(
                 f"boundary conditions missing for edges {sorted(EDGES)}")

@@ -1,7 +1,7 @@
 """Kronecker linear algebra: the explicit inverses of the 1D mass
 matrices (clamped, periodic or broken) that appear as Kronecker factors
-of every 2D mass matrix, and the solve by a pair of them: each 2D mass
-solve, or product with the masses themselves, is two matrix products.
+of every 2D mass matrix, and the reference solve by a pair of them: the
+spaces write each 2D mass solve or product out as its two matrix products.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ def spd_inverse(M) -> np.ndarray:
 class KroneckerSolver:
     """Solves (A_x (x) A_y) x = b given the inverse arrays inv_x, inv_y
     of the two factors; handed the factors themselves, it applies them.
+    No solver path uses it: it is the reference that tests hold
+    `TensorDeRhamSpace.solve_mass` to, and benchmarks/tracer.py hooks it.
 
     Row-major vec convention: (A (x) B) vec(C) = vec(A C B^T), so the
     solve is A_x^-1 C A_y^-T on the right-hand side reshaped to

@@ -219,9 +219,7 @@ class OperatorContext:
             at = (end, slice(None)) if axis == "x" else (slice(None), end)
             sigma = 1.0 if end else -1.0    # the outward normal's sign
             tau = sigma * (1.0 if axis == "y" else -1.0)
-            pair = np.zeros(self._ends[axis].shape)
-            pair[end, end] = 1.0
-            self._ends[axis] += sigma * pair
+            self._ends[axis][end, end] += sigma
             # boundary data on the data grid of the tangent line
             line = lines[along]
             pts, w = line.data_grid.pts, line.data_grid.w
@@ -233,7 +231,7 @@ class OperatorContext:
             else:
                 self.zn[axis][end] = 0.0
                 if not callable(cond.value) and float(cond.value) == 0.0:
-                    self._walls[axis] += sigma * pair
+                    self._walls[axis][end, end] += sigma
                 # 1D L2 projection of the normal-velocity data
                 vals = sigma * _as_values(cond.value, pts, edge)
                 n_flux[axis][at] = line.inv["l2"] @ (El2.T @ (w * vals))
@@ -271,7 +269,8 @@ class TensorPoissonSolver:
     with the l2 mass inverses, the Kronecker factors of A^-1 that
     `m1_solve` applies. The pressure system M2 Dt A^-1 Dt^T M2 is
     Kx (x) My + Mx (x) Ky, K = M_l2 (D P) h1_inv (D P)^T M_l2, which two
-    small generalized eigensolves diagonalize (fast diagonalization).
+    small generalized eigensolves diagonalize (fast diagonalization;
+    `solve` and `viscous_correction` apply it by `_diagonal`).
     Without pressure boundary conditions its kernel is the constant
     pressure; the solver then acts as a pseudoinverse that zeroes the mean
     mode, so the velocity update stays exactly divergence-free."""
@@ -279,23 +278,26 @@ class TensorPoissonSolver:
     def __init__(self, ctx: OperatorContext, gamma=0.0):
         s = ctx.space
         self.ctx, self.gamma = ctx, float(gamma)
-        factors, eigs = [], []    # per line: the inverse of each kind
+        # per line: the inverse of each kind, K's eigensystem, (line, zn, Z Mg Z)
+        factors, eigs, self._lines = [], [], []
         for line, z in ((s.line_x, ctx.zn["x"]), (s.line_y, ctx.zn["y"])):
             M, Ml2, DP = line.mass["h1"], line.mass["l2"], line.DP
-            inv = spd_inverse(z[:, None] * (M + gamma * line.JMJ) * z
-                              + np.diag(1.0 - z)) * np.outer(z, z)
+            Mg = z[:, None] * (M + gamma * line.JMJ) * z
+            inv = spd_inverse(Mg + np.diag(1.0 - z)) * np.outer(z, z)
             K = Ml2 @ DP @ inv @ DP.T @ Ml2
             factors.append({"h1": inv, "l2": line.inv["l2"]})
             eigs.append(scipy.linalg.eigh(0.5 * (K + K.T), 0.5 * (Ml2 + Ml2.T)))
-        (lam_x, self.Phi_x), (lam_y, self.Phi_y) = eigs
+            self._lines.append((line, z, Mg))
+        (lam_x, phi_x), (lam_y, phi_y) = eigs
         denom = lam_x[:, None] + lam_y[None, :]
         self.singular = not any(c.kind == "pressure" for c in ctx.bc.values())
         if not self.singular and np.any(denom <= 0.0):
             raise FloatingPointError("pressure system not positive definite")
         # singular: a pseudoinverse that drops the constant-pressure modes
         drop = self.singular & (denom <= 1e-10 * float(lam_x.max() + lam_y.max()))
-        self._inv_denom = np.where(drop, 0.0, 1.0 / np.where(drop, 1.0, denom))
-        self.m1_solve = partial(s.solve_mass, 1, inverses=factors)
+        inv_denom = np.where(drop, 0.0, 1.0 / np.where(drop, 1.0, denom))
+        self._pressure = [(phi_x, phi_x.T, phi_y, phi_y.T, inv_denom)]
+        self.m1_solve = partial(s.solve_mass, 1, factors=factors)
         self._viscous = None    # (theta, its factors), see viscous_correction
 
     def matvec(self, q):
@@ -304,10 +306,8 @@ class TensorPoissonSolver:
         return s.mass(2, s.div(self.m1_solve(s.div_transpose(s.mass(2, q)))))
 
     def solve(self, b):
-        B, = self.ctx.space.blocks(2, b)
-        Z = self.Phi_x.T @ B @ self.Phi_y
-        Z *= self._inv_denom
-        return (self.Phi_x @ Z @ self.Phi_y.T).ravel()
+        """q of M2 Dt A^-1 Dt^T M2 q = b (the pseudoinverse where singular)."""
+        return _diagonal(self._pressure, self.ctx.space.blocks(2, b))
 
     def viscous_correction(self, theta, f):
         """S^-1 A f on the velocities with zero Gamma_n flux, S = A + theta
@@ -318,16 +318,13 @@ class TensorPoissonSolver:
         A_x) and eigh(S_y, M_l2); the y block mirrors it (Lynch et al.)."""
         if self._viscous is None or self._viscous[0] != theta:
             self._viscous = (theta, self._viscous_factors(theta))
-        blocks = zip(self._viscous[1], self.ctx.space.blocks(1, f))
-        return np.concatenate([(ux @ (scale * (ax @ F @ ay.T)) @ uy.T).ravel()
-                               for (ux, ax, uy, ay, scale), F in blocks])
+        return _diagonal(self._viscous[1], self.ctx.space.blocks(1, f))
 
     def _viscous_factors(self, theta):
         """Per V1 block: U_x, U_x^T A_x, U_y, U_y^T A_y, 1/(1 + theta e_x e_y^T)."""
-        s, lines = self.ctx.space, []
-        for line, z in ((s.line_x, self.ctx.zn["x"]), (s.line_y, self.ctx.zn["y"])):
+        lines = []
+        for line, z, Mg in self._lines:
             M, Ml2, DP, inv = line.mass["h1"], line.mass["l2"], line.DP, line.inv["h1"]
-            Mg = z[:, None] * (M + self.gamma * line.JMJ) * z
             A = Mg + theta * z[:, None] * (DP.T @ Ml2 @ DP) * z + np.diag(1.0 - z)
             C = z[:, None] * (M @ line.P @ inv @ line.P.T @ M) * z
             S = Ml2 @ DP @ inv @ DP.T @ Ml2
@@ -341,15 +338,19 @@ class TensorPoissonSolver:
                 in ((lines[0][kx], lines[1][ky]) for kx, ky in KINDS[1])]
 
 
+def _diagonal(factors, blocks):
+    """U (s * (W B V^T)) Y^T on each block B by its factors (U, W, Y, V, s)."""
+    return np.concatenate([(U @ (s * (W @ B @ V.T)) @ Y.T).ravel() for
+                           (U, W, Y, V, s), B in zip(factors, blocks, strict=True)])
+
+
 # --- dual operators ---------------------------------------------------------
 
 def weak_grad_full(ctx: OperatorContext, qc: np.ndarray) -> np.ndarray:
     """Full-generality dual gradient (trial slot of s_h), with the
     whole-boundary trace pairing: (G_x q, q G_y^T) on q as an
-    (n_l2x, n_l2y) array. Coefficient-level helper."""
-    Gx, Gy = ctx.G
-    q, = ctx.space.blocks(2, qc)
-    return np.concatenate([(Gx @ q).ravel(), (q @ Gy.T).ravel()])
+    (n_l2x, n_l2y) array, `div_transpose` by the line factors G."""
+    return ctx.space.div_transpose(qc, ctx.G)
 
 
 def weak_curl_with_tangential_bc(ctx: OperatorContext, v) -> Field:

@@ -38,7 +38,6 @@ from functools import partialmethod
 
 import numpy as np
 
-from .linalg import KroneckerSolver
 from .splines import DeRhamLine, LineGrid
 
 # slot -> the (x kind, y kind) line spaces of each of its component blocks
@@ -129,17 +128,16 @@ class TensorDeRhamSpace:
 
     # --- masses and exact mass solves -------------------------------------
     def mass(self, slot: int, c) -> np.ndarray:
-        """M c on the slot, by the lines' masses in place of inverses."""
+        """M c on the slot, by the lines' masses as the factors."""
         return self.solve_mass(slot, c, (self.line_x.mass, self.line_y.mass))
 
-    def solve_mass(self, slot: int, b, inverses=None) -> np.ndarray:
+    def solve_mass(self, slot: int, b, factors=None) -> np.ndarray:
         """M^-1 b on the slot, one Kronecker product F_x B F_y^T a component
-        block B: by the lines' mass inverses `inv`, or by inverses, the
-        (x, y) pair of arrays by kind to use in their place."""
-        fx, fy = inverses or (self.line_x.inv, self.line_y.inv)
-        return np.concatenate([
-            KroneckerSolver(fx[kx], fy[ky]).solve(B).ravel() for (kx, ky), B
-            in zip(KINDS[slot], self.blocks(slot, b), strict=True)])
+        block B: by the lines' mass inverses `inv`, or by factors, the (x, y)
+        pair of arrays by kind to use in their place (unchecked for NaN)."""
+        fx, fy = factors or (self.line_x.inv, self.line_y.inv)
+        return np.concatenate([(fx[kx] @ B @ fy[ky].T).ravel() for (kx, ky), B
+                               in zip(KINDS[slot], self.blocks(slot, b), strict=True)])
 
     def penalize(self, c) -> np.ndarray:
         """The jump penalization applied to the V1 coefficients c, on the
@@ -158,11 +156,12 @@ class TensorDeRhamSpace:
         cx, cy = self.blocks(1, c)
         return (self.line_x.DP @ cx + cy @ self.line_y.DP.T).ravel()
 
-    def div_transpose(self, q) -> np.ndarray:
-        """Dt^T q = ((D_x P_x)^T Q, Q D_y P_y) on the V2 block Q."""
+    def div_transpose(self, q, factors=None) -> np.ndarray:
+        """Dt^T q = (F_x Q, Q F_y^T) on the V2 block Q, by F = (D P)^T or by
+        factors, the (x, y) pair of line arrays to use in its place."""
+        Fx, Fy = factors or (self.line_x.DP.T, self.line_y.DP.T)
         Q, = self.blocks(2, q)
-        return np.concatenate([(self.line_x.DP.T @ Q).ravel(),
-                               (Q @ self.line_y.DP).ravel()])
+        return np.concatenate([(Fx @ Q).ravel(), (Q @ Fy.T).ravel()])
 
     def curl(self, w) -> np.ndarray:
         """CP0 w = (P_x W (D_y P_y)^T, -D_x P_x W P_y^T) on the V0 block W."""

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import rand_field, space
+from conftest import context, rand_field, space
 from flowforms.diagnostics import l2_error
-from flowforms.spaces import Field, build_multipatch, eval_field, l2_project
+from flowforms.linalg import KroneckerSolver
+from flowforms.spaces import (KINDS, Field, build_multipatch, eval_field,
+                              l2_project)
 from oracles import area, assembled, constant_v1, convergence_order
 
 PI = np.pi
@@ -100,6 +102,24 @@ def test_exact_mass_solves(rng):
         b = rng.standard_normal(M.shape[0])
         x = s.solve_mass(slot, b)
         assert np.linalg.norm(M @ x - b) <= 1e-12 * np.linalg.norm(b)
+    # mass, solve_mass and a solver's penalised, restricted m1_solve write
+    # out KroneckerSolver's two products: the same bits, block by block,
+    # on one periodic patch and on 2x2 walled patches
+    for ctx in (context(2, 5, 1, "periodic"), context(2, 3, 2, "walls")):
+        s, solver = ctx.space, ctx.poisson_solver(0.75)
+        lx, ly = s.line_x, s.line_y
+        for slot in (0, 1, 2):
+            b = rng.standard_normal(s.dim(slot))
+            applied = [(s.mass(slot, b), (lx.mass, ly.mass)),
+                       (s.solve_mass(slot, b), (lx.inv, ly.inv))]
+            if slot == 1:
+                applied.append((solver.m1_solve(b),
+                                solver.m1_solve.keywords["factors"]))
+            for x, (fx, fy) in applied:
+                for (kx, ky), B, X in zip(KINDS[slot], s.blocks(slot, b),
+                                          s.blocks(slot, x), strict=True):
+                    want = KroneckerSolver(fx[kx], fy[ky]).solve(B)
+                    assert X.tobytes() == want.tobytes()
 
 
 # --- constants and push-forwards -------------------------------------------------

@@ -441,6 +441,24 @@ def test_anderson_converges_where_picard_diverges():
     assert np.max(np.abs(ctx.space.div(u1.coeffs))) <= 1e-10
 
 
+@pytest.mark.parametrize("where", ["one DOF", "everywhere"])
+def test_cn_step_reports_a_non_finite_start_as_step_failure(where):
+    # a NaN anywhere in u^n, with or without a finite guess, ends the step
+    # in StepFailure, which runner.run retries and convergence_study
+    # catches, and not in an error from a mass solve inside the sweep
+    cfg, case = SimulationConfig(case="lid_driven_cavity", n_patches=(2, 2),
+                                 n_cells=(4, 4), dt=2e-3).resolve()
+    x0, x1, y0, y1 = cfg.domain
+    ctx = OperatorContext(space(2, 4, 2, periodic=False,
+                                bounds=((x0, x1), (y0, y1))), bc=cfg.boundary)
+    u = initialize(ctx, case.initial).coeffs
+    un = u.copy()
+    un[un.size // 3 if where == "one DOF" else slice(None)] = np.nan
+    for guess in (None, u):
+        with pytest.raises(StepFailure, match="diverged"):
+            cn_step(ctx, un, cfg, guess=guess)
+
+
 def test_cn_step_warns_on_divergent_start():
     ctx = context(2, 4, 1, "periodic")
     cfg = stepper_cfg(dt=1e-4, picard_tol=1e-9)
