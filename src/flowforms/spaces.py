@@ -146,8 +146,8 @@ class TensorDeRhamSpace:
         out = np.zeros(self.n1)
         (cx, cy), (ox, oy) = self.blocks(1, c), self.blocks(1, out)
         lx, ly = self.line_x, self.line_y
-        ox[lx.jumps] = lx.JMJ_jumps @ cx[lx.jumps] @ ly.mass["l2"]
-        oy[:, ly.jumps] = lx.mass["l2"] @ cy[:, ly.jumps] @ ly.JMJ_jumps
+        ox[lx.jumps] = lx.JMJ[lx.jumps] @ cx @ ly.mass["l2"]
+        oy[:, ly.jumps] = lx.mass["l2"] @ (cy @ ly.JMJ[:, ly.jumps])
         return out
 
     # --- Dt = Div Pc1 and CP0 = Curl Pc0, and their transposes -------------

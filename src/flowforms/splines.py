@@ -341,8 +341,9 @@ class DeRhamLine:
     DP, JMJ, Q : ndarray
         D P, J^T M_h1 J (J = I - P) and the interior product
         Q = M_l2^-1 B, B[a, c] = int l2_a * h1_c the mixed matrix.
-    jumps, JMJ_jumps : ndarray
-        The DOFs of J's nonzero columns, and JMJ on them, all of JMJ.
+    jumps : ndarray
+        The DOFs of J's nonzero columns, the only rows and columns where
+        JMJ is nonzero.
     grid : LineGrid
         The exact rule (`quad_rule_exact`): the mass matrices are
         assembled on it, and every spline integrand of the solver, the
@@ -382,7 +383,6 @@ class DeRhamLine:
         J = np.identity(self.h1.dim) - self.P
         self.JMJ = J.T @ self.mass["h1"] @ J
         self.jumps = np.flatnonzero(J.any(axis=0))
-        self.JMJ_jumps = self.JMJ[np.ix_(self.jumps, self.jumps)]
 
     def _grid(self, n_per_cell):
         """The grid of n_per_cell Gauss points a cell, with the

@@ -60,29 +60,19 @@ def project(solver, z):
     return z - solver.m1_solve(s.div_transpose(s.mass(2, q))), q
 
 
-def step_base(ctx: OperatorContext, cfg, un, dt: float):
-    """u^n - dt A^{-1} (alpha Pen u^n - f + b), the part of each sweep that
-    the iterate does not change; u^n where Pen, f and b are 0."""
-    solver = ctx.poisson_solver(0.5 * dt * cfg.alpha)
-    return un - dt * solver.m1_solve(cfg.alpha * ctx.space.penalize(un)
-                                     - ctx.f_vec + ctx.b_pressure)
-
-
-def midpoint_sweep(ctx: OperatorContext, cfg, un, u_iter, dt: float,
-                   base=None):
+def midpoint_sweep(ctx: OperatorContext, cfg, un, u_iter, dt: float):
     """One Picard sweep of the midpoint step from u^n with current iterate
     u_iter: (u_next, p), with (u_next, -dt p) the `project`ion of
     u^n - dt A^{-1} R by ctx.poisson_solver(gamma), A^{-1} its m1_solve
     (M1 + gamma Pen inverted on the velocities with zero Gamma_n flux)
-    and R the momentum residual at the midpoint (Pen acting on u^n). base
-    is the step's `step_base`, formed here when None."""
+    and R the momentum residual at the midpoint plus alpha Pen u^n - f + b."""
     ub = 0.5 * (un + u_iter)
     R = advection_residual(ctx, ub, ub)
     if cfg.nu != 0.0:
         R += cfg.nu * viscous_residual(ctx, ub)
-    base = step_base(ctx, cfg, un, dt) if base is None else base
+    R += cfg.alpha * ctx.space.penalize(un) - ctx.f_vec + ctx.b_pressure
     solver = ctx.poisson_solver(0.5 * dt * cfg.alpha)
-    u_next, q = project(solver, base - dt * solver.m1_solve(R))
+    u_next, q = project(solver, un - dt * solver.m1_solve(R))
     return u_next, -q / dt
 
 
@@ -111,7 +101,6 @@ def cn_step(ctx: OperatorContext, u_n, cfg, dt=None, guess=None):
     if np.linalg.norm(div0) > 1e-6 * max(1.0, np.linalg.norm(un)):
         warnings.warn("starting velocity is not discretely divergence-free",
                       RuntimeWarning)
-    base = step_base(ctx, cfg, un, dt)
 
     # ring buffers of residual and sweep-output differences
     dF = np.empty((ANDERSON_DEPTH, un.size))
@@ -128,7 +117,7 @@ def cn_step(ctx: OperatorContext, u_n, cfg, dt=None, guess=None):
             raise StepFailure(
                 f"Picard iteration diverged after {it - 1} iterations "
                 f"(smallest update {best:.3e} at sweep {best_it})")
-        g, p = midpoint_sweep(ctx, cfg, un, x, dt, base)
+        g, p = midpoint_sweep(ctx, cfg, un, x, dt)
         f = g - x
         upd = float(np.linalg.norm(f))
         if upd < cfg.picard_tol:

@@ -1,6 +1,7 @@
 """Whole runs through runner.run: every library case with its own
 defaults, fixed runs whose final diagnostics are pinned, and the checks
 and order column of a refinement study."""
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -444,6 +445,50 @@ def test_invalid_study_raises_before_any_run(case, n_patches, meshes,
     assert str(err.value) == message
     assert calls == []
     assert list(tmp_path.iterdir()) == []
+
+
+BENCHMARKS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "benchmarks")
+
+# Picard sweeps (at most) and TensorPoissonSolver builds of the
+# benchmark's three workloads and of the CI's CFL cavity. A build is one
+# solver; the context keeps it while gamma, and so dt on the CFL ladder,
+# stays the same.
+PINNED_RUNS = {"tg_advect": (44, 1), "cavity_picard": (96, 2),
+               "dsl_output": (55, 2), "cfl_cavity": (222, 9)}
+
+
+def test_workloads_keep_their_sweeps_and_solver_builds(tmp_path,
+                                                       monkeypatch):
+    # the workload configs as benchmarks/worker.py builds them, with
+    # t_final = steps * dt
+    monkeypatch.syspath_prepend(BENCHMARKS)
+    import worker
+    from workloads import WORKLOADS
+
+    configs = {name: worker.sim_config(
+        {"config": w.config, "steps": w.steps}, str(tmp_path / name))
+        for name, w in WORKLOADS.items()}
+    configs["cfl_cavity"] = SimulationConfig(
+        case="lid_driven_cavity", n_patches=(2, 2), n_cells=(8, 8),
+        t_final=0.1, output_dir=str(tmp_path / "cfl_cavity"))
+    builds = []
+    init = operators.TensorPoissonSolver.__init__
+
+    def counted(self, ctx, gamma=0.0):
+        builds.append(gamma)
+        init(self, ctx, gamma)
+
+    monkeypatch.setattr(operators.TensorPoissonSolver, "__init__", counted)
+    assert list(configs) == list(PINNED_RUNS)
+    for name, cfg in configs.items():
+        builds.clear()
+        res = run(cfg)
+        sweeps = sum(r.picard_iterations for r in res.records[1:])
+        most, n_builds = PINNED_RUNS[name]
+        assert not res.failed and res.retries == 0, name
+        assert sweeps <= most and len(builds) == n_builds, (name, sweeps,
+                                                            len(builds))
 
 
 def test_study_grids_are_resolved_in_run_order():
