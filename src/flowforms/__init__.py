@@ -3,7 +3,7 @@ equations on tensor-product spline spaces: one space class
 (TensorDeRhamSpace, conforming or broken across patches), one config
 object (SimulationConfig) and one midpoint sweep (midpoint_sweep)."""
 
-from .linalg import KroneckerSolver, spd_inverse
+from .linalg import spd_inverse
 from .splines import (Broken1D, DeRhamLine, gauss_legendre,
                       projection_stencil_1d)
 from .spaces import (Field, TensorDeRhamSpace, build_multipatch, eval_field,

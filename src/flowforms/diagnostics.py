@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import OperatorContext, viscous_form
-from .spaces import coeffs_of, sample
+from .spaces import Field, sample
 
 
 @dataclass
@@ -24,26 +24,25 @@ class DiagnosticsRecord:
 def measure(ctx: OperatorContext, u, t: float = 0.0,
             picard_iterations: int = 0) -> DiagnosticsRecord:
     s = ctx.space
-    uc = coeffs_of(u)
-    Mu = s.mass(1, uc)
-    energy = 0.5 * float(uc @ Mu)
+    Mu = s.mass(1, u)
+    energy = 0.5 * float(u @ Mu)
     # the constant fields (1, 0) and (0, 1) have all-ones coefficients
     momentum = np.array([float(B.sum()) for B in s.blocks(1, Mu)])
-    d = s.div(uc)
+    d = s.div(u)
     div_l2 = float(np.sqrt(max(d @ s.mass(2, d), 0.0)))
-    jump = float(uc @ s.penalize(uc))
-    enstrophy = viscous_form(ctx, uc, uc)
+    jump = float(u @ s.penalize(u))
+    enstrophy = viscous_form(ctx, u, u)
     return DiagnosticsRecord(time=t, energy=energy, momentum=momentum,
                              div_l2=div_l2, jump_energy=jump,
                              enstrophy_term=enstrophy,
                              picard_iterations=picard_iterations)
 
 
-def l2_error(space, u, exact, slot: int = 1) -> float:
-    """Quadrature L2 distance between a discrete field and a callable, on
-    the data grid (the callable is not a spline)."""
+def l2_error(space, u: Field, exact) -> float:
+    """Quadrature L2 distance between the Field u, in its own slot, and a
+    callable, on the data grid (the callable is not a spline)."""
     grid = space.data_grid
-    vals = space.grid_eval(slot, coeffs_of(u), grid)
+    vals = space.grid_eval(u.slot, u.coeffs, grid)
     err2 = sum((v - e) ** 2
                for v, e in zip(vals, sample(grid, exact, len(vals))))
     return float(np.sqrt(grid.integrate(err2)))

@@ -40,7 +40,7 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import spd_inverse
-from .spaces import KINDS, Field, TensorDeRhamSpace, coeffs_of, sample
+from .spaces import KINDS, TensorDeRhamSpace, sample
 
 EDGES = ("left", "right", "bottom", "top")
 # edge -> (the line across it, the end of that line the edge sits on)
@@ -353,15 +353,15 @@ def weak_grad_full(ctx: OperatorContext, qc: np.ndarray) -> np.ndarray:
     return ctx.space.div_transpose(qc, ctx.G)
 
 
-def weak_curl_with_tangential_bc(ctx: OperatorContext, v) -> Field:
+def weak_curl_with_tangential_bc(ctx: OperatorContext, v) -> np.ndarray:
     """Dual curl with tangential boundary data:
     M0 w = (Curl Pc0)^T M1 v - T1 v - t2."""
-    s, vc = ctx.space, coeffs_of(v)
-    rhs = s.curl_transpose(s.mass(1, vc)) - ctx.t_tangential_data
-    (r,), vb = s.blocks(0, rhs), s.blocks(1, vc)
+    s = ctx.space
+    rhs = s.curl_transpose(s.mass(1, v)) - ctx.t_tangential_data
+    (r,), vb = s.blocks(0, rhs), s.blocks(1, v)
     for at, k, M in ctx.T1:
         r[at] -= M @ vb[k][at]
-    return Field(s, 0, s.solve_mass(0, rhs))
+    return s.solve_mass(0, rhs)
 
 
 # --- advection --------------------------------------------------------------
@@ -383,8 +383,8 @@ def advection_residual(ctx: OperatorContext, u, v) -> np.ndarray:
     s = ctx.space
     (Qx, Qy), (Lx, Ly) = (s.line_x.Q, s.line_y.Q), ctx.L
     uv, g = ctx._grid_work[:2], ctx._grid_work[2:]
-    uvx, uvy = s.grid_eval_v1(coeffs_of(u), out=uv)
-    vx, vy = s.blocks(1, coeffs_of(v))
+    uvx, uvy = s.grid_eval_v1(u, out=uv)
+    vx, vy = s.blocks(1, v)
     r = []
     for k, ikv in enumerate((Qx @ vx, vy @ Qy.T)):
         # (a) trial-slot gradient acting on i_k v
@@ -406,7 +406,7 @@ def advection_residual(ctx: OperatorContext, u, v) -> np.ndarray:
 def viscous_residual(ctx: OperatorContext, u) -> np.ndarray:
     """Dual vector of the viscous term: (M1 Curl Pc0 - T1^T) (Ct_bc u)."""
     s = ctx.space
-    omega = weak_curl_with_tangential_bc(ctx, u).coeffs
+    omega = weak_curl_with_tangential_bc(ctx, u)
     r = s.mass(1, s.curl(omega))
     (W,), rb = s.blocks(0, omega), s.blocks(1, r)
     for at, k, M in ctx.T1:
@@ -419,4 +419,4 @@ def viscous_form(ctx: OperatorContext, u, v) -> float:
     sides, with the Gamma_t data on the trial side only. Its homogeneous
     part K^T M0^-1 K, K = (Curl Pc0)^T M1 - T1, is symmetric and positive
     semidefinite on every boundary."""
-    return float(viscous_residual(ctx, u) @ coeffs_of(v))
+    return float(viscous_residual(ctx, u) @ v)

@@ -1,5 +1,6 @@
 """Simulation driver: builds the discrete problem from a configuration,
-advances it in time, and writes diagnostics/snapshot files."""
+advances its coefficient arrays in time, writes diagnostics/snapshot
+files, and hands out the final velocity as a Field (RunResult.u)."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord, l2_error, measure
 from .operators import OperatorContext, weak_curl_with_tangential_bc
-from .spaces import Field, PointSampler, build_multipatch, coeffs_of
+from .spaces import Field, PointSampler, build_multipatch
 from .stepper import StepFailure, cfl_dt, cn_step, initialize
 
 CSV_HEADER = ("time,energy,mom_x,mom_y,div_l2,jump_energy,"
@@ -65,8 +66,8 @@ _SAMPLERS = weakref.WeakKeyDictionary()
 
 
 def write_snapshot(ctx, u, p, t, path, grid=64):
-    """Plain-text field dump on a uniform sampling grid: u_x, u_y, p and
-    the vorticity, sampled as eval_field samples them."""
+    """Plain-text dump of the coefficients u (V1) and p (V2) on a uniform
+    sampling grid: u_x, u_y, p and the vorticity, as eval_field samples them."""
     s = ctx.space
     cached = _SAMPLERS.setdefault(s, {}).get(grid)
     if cached is None:
@@ -78,10 +79,9 @@ def write_snapshot(ctx, u, p, t, path, grid=64):
             for x, y in zip(X.ravel().tolist(), Y.ravel().tolist()))
         cached = _SAMPLERS[s][grid] = (PointSampler(s, xs, ys), body)
     sampler, body = cached
-    fields = (Field(s, 1, coeffs_of(u)), Field(s, 2, p),
-              weak_curl_with_tangential_bc(ctx, u))
-    cols = np.column_stack([v.ravel() for f in fields
-                            for v in sampler.values(f)])
+    fields = ((1, u), (2, p), (0, weak_curl_with_tangential_bc(ctx, u)))
+    cols = np.column_stack([v.ravel() for slot, c in fields
+                            for v in sampler.values(slot, c)])
     with open(path, "w") as fh:
         fh.write(f"# t = {t!r}\n")
         fh.write(f"# grid = {grid} x {grid}\n")
@@ -156,7 +156,7 @@ def run(cfg, progress=None):
     p = np.zeros(ctx.space.n2)
     t, step, steady, failed, retries = 0.0, 0, False, False, 0
     # the last accepted (t, coefficients), oldest first, for predict
-    history = deque([(t, u.coeffs)], maxlen=PREDICTOR_ORDER + 2)
+    history = deque([(t, u)], maxlen=PREDICTOR_ORDER + 2)
     records = [measure(ctx, u, t)]
     snaps = []
 
@@ -185,15 +185,15 @@ def run(cfg, progress=None):
             except StepFailure:
                 failed = True
                 break
-        delta = float(np.linalg.norm(u_next.coeffs - u.coeffs))
-        u, t, step = u_next, t + rep.dt_used, step + 1
-        history.append((t, u.coeffs))
+        delta = float(np.linalg.norm(u_next - u))
+        u, t, step = u_next, t + dt, step + 1
+        history.append((t, u))
         records.append(measure(ctx, u, t, rep.picard_iterations))
         if progress is not None:
             progress(step, t, records[-1])
         if cfg.snapshot_cadence > 0 and step % cfg.snapshot_cadence == 0:
             snap(f"{step:06d}")
-        if delta / rep.dt_used < cfg.steady_tol:
+        if delta / dt < cfg.steady_tol:
             steady = True
             break
 
@@ -203,8 +203,8 @@ def run(cfg, progress=None):
         last = f"{cfg.snapshot_prefix}_{step:06d}.dat"
         if not snaps or not snaps[-1].endswith(last):
             snap(f"{step:06d}")
-    return RunResult(records=records, u=u, p=p, t=t, steps=step,
-                     steady=steady, failed=failed, retries=retries,
+    return RunResult(records=records, u=Field(ctx.space, 1, u), p=p, t=t,
+                     steps=step, steady=steady, failed=failed, retries=retries,
                      diagnostics_path=diag_path, snapshot_paths=snaps)
 
 

@@ -48,7 +48,8 @@ KINDS = {0: (("h1", "h1"),),
 
 @dataclass
 class Field:
-    """Coefficient vector tagged with its slot in the complex."""
+    """Coefficient vector tagged with its slot in the complex, as a run
+    hands it out (RunResult.u) to eval_field and l2_error."""
 
     space: "TensorDeRhamSpace"
     slot: int  # 0, 1 or 2
@@ -61,10 +62,6 @@ class Field:
                 f"slot V{self.slot} needs {self.space.dim(self.slot)} coeffs, "
                 f"got {self.coeffs.shape}"
             )
-
-
-def coeffs_of(u) -> np.ndarray:
-    return u.coeffs if isinstance(u, Field) else np.asarray(u, dtype=np.float64)
 
 
 class TensorGrid:
@@ -163,16 +160,19 @@ class TensorDeRhamSpace:
         Q, = self.blocks(2, q)
         return np.concatenate([(Fx @ Q).ravel(), (Q @ Fy.T).ravel()])
 
+    # P is the identity on a line whose h1 is not broken: skip it there
     def curl(self, w) -> np.ndarray:
         """CP0 w = (P_x W (D_y P_y)^T, -D_x P_x W P_y^T) on the V0 block W."""
         (W,), lx, ly = self.blocks(0, w), self.line_x, self.line_y
-        return np.concatenate([(lx.P @ W @ ly.DP.T).ravel(),
-                               (-(lx.DP @ W @ ly.P.T)).ravel()])
+        PW, DW = lx.P @ W if lx.h1.broken else W, lx.DP @ W
+        return np.concatenate([(PW @ ly.DP.T).ravel(),
+                               (-(DW @ ly.P.T if ly.h1.broken else DW)).ravel()])
 
     def curl_transpose(self, v) -> np.ndarray:
         """CP0^T v = P_x^T V_x D_y P_y - (D_x P_x)^T V_y P_y on blocks V."""
         (vx, vy), lx, ly = self.blocks(1, v), self.line_x, self.line_y
-        return (lx.P.T @ vx @ ly.DP - lx.DP.T @ vy @ ly.P).ravel()
+        PV, DV = lx.P.T @ vx if lx.h1.broken else vx, lx.DP.T @ vy
+        return (PV @ ly.DP - (DV @ ly.P if ly.h1.broken else DV)).ravel()
 
     # --- values and moments on a quadrature grid ---------------------------
     # grid defaults to the exact grid (see the module docstring); values
@@ -235,7 +235,7 @@ def sample(grid: TensorGrid, f, n: int) -> list:
     return vals
 
 
-def l2_project(space: TensorDeRhamSpace, slot: int, f) -> Field:
+def l2_project(space: TensorDeRhamSpace, slot: int, f) -> np.ndarray:
     """L2 projection of a callable f(x, y) onto the given slot, integrated
     on the data grid.
 
@@ -244,7 +244,7 @@ def l2_project(space: TensorDeRhamSpace, slot: int, f) -> Field:
         raise ValueError(f"unknown slot {slot}")
     grid = space.data_grid
     rhs = space.grid_moments(slot, sample(grid, f, len(KINDS[slot])), grid)
-    return Field(space, slot, space.solve_mass(slot, rhs))
+    return space.solve_mass(slot, rhs)
 
 
 class PointSampler:
@@ -253,19 +253,22 @@ class PointSampler:
     there (Ex, and EyT transposed)."""
 
     def __init__(self, space: TensorDeRhamSpace, xs, ys):
+        self.shapes = space.shapes  # not the space: runner caches samplers by it
         self.Ex = {k: s.collocation(xs) for k, s in space.line_x.spaces.items()}
         self.EyT = {k: s.collocation(ys).T
                     for k, s in space.line_y.spaces.items()}
 
-    def values(self, field: Field) -> list:
-        """Ex C EyT for each component block C of the field: one
-        (len(xs), len(ys)) array per component."""
-        return [self.Ex[kx] @ C @ self.EyT[ky] for (kx, ky), C in
-                zip(KINDS[field.slot], field.space.blocks(field.slot, field.coeffs))]
+    def values(self, slot: int, c) -> list:
+        """Ex C EyT for each component block C of the slot's coefficients
+        c: one (len(xs), len(ys)) array per component."""
+        shapes = self.shapes[slot]
+        blocks = np.split(np.asarray(c), np.cumsum([nx * ny for nx, ny in shapes])[:-1])
+        return [self.Ex[kx] @ C.reshape(shape) @ self.EyT[ky] for (kx, ky), shape, C
+                in zip(KINDS[slot], shapes, blocks, strict=True)]
 
 
 def eval_field(field: Field, xs, ys):
     """Values of a field on the tensor grid of the 1D axes xs and ys: shape
     (len(xs), len(ys)) for the scalar slots, (len(xs), len(ys), 2) for V1."""
-    vals = PointSampler(field.space, xs, ys).values(field)
+    vals = PointSampler(field.space, xs, ys).values(field.slot, field.coeffs)
     return vals[0] if len(vals) == 1 else np.stack(vals, axis=-1)

@@ -1,5 +1,5 @@
 """Midpoint (Crank-Nicolson) time stepper with exact divergence
-preservation.
+preservation, on the plain float64 coefficient arrays of V1 and V2.
 
 Each step solves the midpoint fixed point u = g(u), g one
 `midpoint_sweep`, by Picard sweeps with Anderson mixing (see cn_step),
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import OperatorContext, advection_residual, viscous_residual
-from .spaces import Field, coeffs_of, l2_project
+from .spaces import l2_project
 
 
 # number of past sweeps Anderson mixing combines in cn_step
@@ -49,7 +49,6 @@ class StepFailure(RuntimeError):
 class StepReport:
     picard_iterations: int
     final_update_norm: float
-    dt_used: float
 
 
 def project(solver, z):
@@ -76,9 +75,9 @@ def midpoint_sweep(ctx: OperatorContext, cfg, un, u_iter, dt: float):
     return u_next, -q / dt
 
 
-def cn_step(ctx: OperatorContext, u_n, cfg, dt=None, guess=None):
-    """One midpoint step. Returns (u_next, p, StepReport); raises
-    StepFailure when the iteration stalls or diverges.
+def cn_step(ctx: OperatorContext, un, cfg, dt=None, guess=None):
+    """One midpoint step. Returns the arrays (u_next, p) and a StepReport;
+    raises StepFailure when the iteration stalls or diverges.
 
     The first sweep is a plain Picard sweep from guess (runner.run passes
     runner.predict's), or from u^n when it is None: the guess changes how
@@ -96,7 +95,6 @@ def cn_step(ctx: OperatorContext, u_n, cfg, dt=None, guess=None):
     pressure once the sweep's own |g(x) - x| < picard_tol."""
     dt = cfg.dt if dt is None else dt
     theta = 0.5 * dt * cfg.nu
-    un = coeffs_of(u_n).copy()
     div0 = ctx.space.div(un)
     if np.linalg.norm(div0) > 1e-6 * max(1.0, np.linalg.norm(un)):
         warnings.warn("starting velocity is not discretely divergence-free",
@@ -105,7 +103,7 @@ def cn_step(ctx: OperatorContext, u_n, cfg, dt=None, guess=None):
     # ring buffers of residual and sweep-output differences
     dF = np.empty((ANDERSON_DEPTH, un.size))
     dG = np.empty_like(dF)
-    x = un if guess is None else coeffs_of(guess)
+    x = un if guess is None else guess
     upd = best = np.inf
     best_it = 0
     for it in range(1, cfg.picard_max_iter + 1):
@@ -121,7 +119,7 @@ def cn_step(ctx: OperatorContext, u_n, cfg, dt=None, guess=None):
         f = g - x
         upd = float(np.linalg.norm(f))
         if upd < cfg.picard_tol:
-            return Field(ctx.space, 1, g), p, StepReport(it, upd, dt)
+            return g, p, StepReport(it, upd)
         if upd < best:
             best, best_it = upd, it
         if theta != 0.0:
@@ -153,7 +151,7 @@ def cfl_dt(ctx: OperatorContext, u, cfg) -> float:
     partition-of-unity basis it bounds |u|_inf and is exact for constants,
     which keeps the velocity scaling of the bound free of evaluation
     roundoff. The constants are computed on the first call only."""
-    vmax = float(np.abs(coeffs_of(u)).max())
+    vmax = float(np.abs(u).max())
     mu = ctx.space.line_x.lambda_max + ctx.space.line_y.lambda_max
     denom = vmax * np.sqrt(mu) + cfg.nu * mu
     if denom == 0.0:
@@ -163,24 +161,23 @@ def cfl_dt(ctx: OperatorContext, u, cfg) -> float:
 
 # --- initialization ---------------------------------------------------------
 
-def set_normal_data(ctx: OperatorContext, u) -> Field:
+def set_normal_data(ctx: OperatorContext, u) -> np.ndarray:
     """Overwrite the flux trace coefficients on Gamma_n edges with the 1D
     L2 projection of the prescribed normal-velocity data: each V1 block
     is masked by the Gamma_n mask zn of its h1 factor's line."""
-    ux, uy = ctx.space.blocks(1, coeffs_of(u))
+    ux, uy = ctx.space.blocks(1, u)
     masked = np.concatenate([(ctx.zn["x"][:, None] * ux).ravel(),
                              (uy * ctx.zn["y"]).ravel()])
-    return Field(ctx.space, 1, masked + ctx.normal_data)
+    return masked + ctx.normal_data
 
 
-def leray_project(ctx: OperatorContext, u) -> Field:
+def leray_project(ctx: OperatorContext, u) -> np.ndarray:
     """Remove the discrete divergence without touching the Gamma_n flux
     data: `project` by ctx.poisson_solver(0)."""
-    uc, _ = project(ctx.poisson_solver(0.0), coeffs_of(u))
-    return Field(ctx.space, 1, uc)
+    return project(ctx.poisson_solver(0.0), u)[0]
 
 
-def initialize(ctx: OperatorContext, initial) -> Field:
+def initialize(ctx: OperatorContext, initial) -> np.ndarray:
     """L2-project the initial velocity, impose the normal boundary data
     strongly, then Leray-project onto the divergence-free subspace."""
     u = set_normal_data(ctx, l2_project(ctx.space, 1, initial))

@@ -35,7 +35,7 @@ import scipy.sparse as sp
 
 from flowforms.operators import (viscous_residual,
                                  weak_curl_with_tangential_bc)
-from flowforms.spaces import Field, coeffs_of, eval_field
+from flowforms.spaces import Field, eval_field
 from flowforms.stepper import StepFailure, StepReport, midpoint_sweep
 
 EDGES = ("left", "right", "bottom", "top")
@@ -518,8 +518,7 @@ def weak_grad_full_sparse(ctx, q, edges=None):
     Mx, My = line_gram(lx, "l2", "l2"), line_gram(ly, "l2", "l2")
     T = sp.vstack([sp.kron(ends(lx, "left", "right"), My),
                    sp.kron(Mx, ends(ly, "bottom", "top"))], format="csr")
-    qc = coeffs_of(q)
-    return s.solve_mass(1, -s.div_transpose(s.mass(2, qc)) + T @ qc)
+    return s.solve_mass(1, -s.div_transpose(s.mass(2, q)) + T @ q)
 
 
 def advection_form(ctx, u, v, w) -> float:
@@ -532,13 +531,12 @@ def advection_form(ctx, u, v, w) -> float:
     residual uses, so it also checks that rule."""
     s = ctx.space
     grid = s.data_grid
-    uc, vc, wc = coeffs_of(u), coeffs_of(v), coeffs_of(w)
-    uvx, uvy = s.grid_eval(1, uc, grid)
+    uvx, uvy = s.grid_eval(1, u, grid)
     total = 0.0
     for k in (1, 2):
         B = mixed_matrix(s, k)
-        ikv = s.solve_mass(2, B @ vc)
-        ikw = s.solve_mass(2, B @ wc)
+        ikv = s.solve_mass(2, B @ v)
+        ikw = s.solve_mass(2, B @ w)
         gvx, gvy = s.grid_eval(1, weak_grad_full_sparse(ctx, ikv), grid)
         gwx, gwy = s.grid_eval(
             1, weak_grad_full_sparse(ctx, ikw, walls(ctx)), grid)
@@ -550,34 +548,34 @@ def advection_form(ctx, u, v, w) -> float:
     return 0.5 * total
 
 
-def weak_grad(ctx, q) -> Field:
+def weak_grad(ctx, q) -> np.ndarray:
     """Boundaryless dual gradient: M1 x = -(Div Pc1)^T M2 q."""
-    s, qc = ctx.space, coeffs_of(q)
-    return Field(s, 1, s.solve_mass(1, -s.div_transpose(s.mass(2, qc))))
+    s = ctx.space
+    return s.solve_mass(1, -s.div_transpose(s.mass(2, q)))
 
 
-def weak_grad_with_pressure_bc(ctx, q) -> Field:
+def weak_grad_with_pressure_bc(ctx, q) -> np.ndarray:
     """Dual gradient with flux BCs and Gamma_p data:
     M1 x = -(Div Pc1 Pn)^T M2 q + b,  b_j = int_{Gamma_p} p_b (Lambda_j . n)."""
-    s, qc = ctx.space, coeffs_of(q)
-    rhs = (-(normal_projector(ctx) @ s.div_transpose(s.mass(2, qc)))
+    s = ctx.space
+    rhs = (-(normal_projector(ctx) @ s.div_transpose(s.mass(2, q)))
            + ctx.b_pressure)
-    return Field(s, 1, s.solve_mass(1, rhs))
+    return s.solve_mass(1, rhs)
 
 
-def weak_curl(ctx, v) -> Field:
+def weak_curl(ctx, v) -> np.ndarray:
     """Boundaryless dual curl: M0 w = (Curl Pc0)^T M1 v, through the
     package's transposed curl."""
-    s, vc = ctx.space, coeffs_of(v)
-    return Field(s, 0, s.solve_mass(0, s.curl_transpose(s.mass(1, vc))))
+    s = ctx.space
+    return s.solve_mass(0, s.curl_transpose(s.mass(1, v)))
 
 
-def interior_product(ctx, u, k: int) -> Field:
+def interior_product(ctx, u, k: int) -> np.ndarray:
     """L2 projection of the k-th velocity component onto V2."""
     if k not in (1, 2):
         raise ValueError("component index must be 1 or 2")
     B = mixed_matrix(ctx.space, k)
-    return Field(ctx.space, 2, ctx.space.solve_mass(2, B @ coeffs_of(u)))
+    return ctx.space.solve_mass(2, B @ u)
 
 
 def convergence_order(hs, errors) -> float:
@@ -591,14 +589,13 @@ def convergence_order(hs, errors) -> float:
     return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
 
 
-def picard_step(ctx, u_n, cfg, dt=None, guess=None):
+def picard_step(ctx, un, cfg, dt=None, guess=None):
     """The midpoint step by plain Picard iteration from u^n: sweep from
     the last sweep output until it moves by less than picard_tol. Same
     signature, results and failures as stepper.cn_step, which reaches the
     same fixed point with Anderson mixing from its guess; this reference
     ignores the guess."""
     dt = cfg.dt if dt is None else dt
-    un = coeffs_of(u_n).copy()
     u_new = un.copy()
     upd = np.inf
     for it in range(1, cfg.picard_max_iter + 1):
@@ -609,7 +606,7 @@ def picard_step(ctx, u_n, cfg, dt=None, guess=None):
         upd = float(np.linalg.norm(u_next - u_new))
         u_new = u_next
         if upd < cfg.picard_tol:
-            return Field(ctx.space, 1, u_new), p, StepReport(it, upd, dt)
+            return u_new, p, StepReport(it, upd)
     raise StepFailure(
         f"no Picard convergence in {cfg.picard_max_iter} iterations "
         f"(last update {upd:.3e})")
@@ -623,11 +620,9 @@ def write_snapshot(ctx, u, p, t, path, grid=64):
     (x0, x1), (y0, y1) = s.line_x.interval, s.line_y.interval
     xs = np.linspace(x0, x1, grid)
     ys = np.linspace(y0, y1, grid)
-    uc = u.coeffs if isinstance(u, Field) else np.asarray(u)
-    uv = eval_field(Field(s, 1, uc), xs, ys)
-    pv = eval_field(Field(s, 2, np.asarray(p)), xs, ys)
-    om = weak_curl_with_tangential_bc(ctx, uc)
-    ov = eval_field(om, xs, ys)
+    uv = eval_field(Field(s, 1, u), xs, ys)
+    pv = eval_field(Field(s, 2, p), xs, ys)
+    ov = eval_field(Field(s, 0, weak_curl_with_tangential_bc(ctx, u)), xs, ys)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     with open(path, "w") as fh:
         fh.write(f"# t = {t!r}\n")

@@ -9,7 +9,6 @@ from click.testing import CliRunner
 from flowforms import runner
 from flowforms.cli import main
 from flowforms.config import SimulationConfig, load_config, save_config
-from flowforms.spaces import Field
 from flowforms.stepper import StepFailure, StepReport
 
 
@@ -69,8 +68,7 @@ def test_run_reports_halved_retries(cli, tmp_path, monkeypatch):
         calls.append(dt)
         if len(calls) % 3 == 1:
             raise StepFailure("stub")
-        return (Field(ctx.space, 1, u.coeffs + dt), np.zeros(ctx.space.n2),
-                StepReport(1, 0.0, dt))
+        return u + dt, np.zeros(ctx.space.n2), StepReport(1, 0.0)
 
     monkeypatch.setattr(runner, "cn_step", step)
     result = cli.invoke(main, [

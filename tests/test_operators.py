@@ -47,7 +47,7 @@ def rel(a, b):
 def test_weak_grad_of_constant_vanishes_periodic(p, nc, npat):
     ctx = context(p, nc, npat, "periodic")
     q = np.ones(ctx.space.n2)
-    x = weak_grad(ctx, q).coeffs
+    x = weak_grad(ctx, q)
     assert np.max(np.abs(x)) <= 1e-12
 
 
@@ -55,7 +55,7 @@ def test_weak_grad_of_constant_vanishes_periodic(p, nc, npat):
 def test_weak_curl_of_constant_field_vanishes_periodic(p, nc, npat):
     ctx = context(p, nc, npat, "periodic")
     v = constant_v1(ctx.space, 0.7, -1.3)
-    w = weak_curl(ctx, v).coeffs
+    w = weak_curl(ctx, v)
     assert np.max(np.abs(w)) <= 1e-12
 
 
@@ -65,7 +65,7 @@ def test_weak_grad_adjointness(p, nc, npat, mode):
     ctx = context(p, nc, npat, mode)
     q = rand_coeffs(ctx.space, 2, seed=1)
     v = rand_coeffs(ctx.space, 1, seed=2)
-    x = weak_grad(ctx, q).coeffs
+    x = weak_grad(ctx, q)
     lhs = x @ (assembled(ctx.space).M1 @ v)
     rhs = -q @ (assembled(ctx.space).M2 @ ctx.space.div(v))
     assert rel(lhs, rhs) <= 1e-12
@@ -77,7 +77,7 @@ def test_weak_curl_adjointness(p, nc, npat, mode):
     ctx = context(p, nc, npat, mode)
     v = rand_coeffs(ctx.space, 1, seed=3)
     phi = rand_coeffs(ctx.space, 0, seed=4)
-    w = weak_curl(ctx, v).coeffs
+    w = weak_curl(ctx, v)
     lhs = w @ (assembled(ctx.space).M0 @ phi)
     rhs = ctx.space.curl(phi) @ (assembled(ctx.space).M1 @ v)
     assert rel(lhs, rhs) <= 1e-12
@@ -90,7 +90,7 @@ def test_dual_sequence_composes_to_zero(p, nc, npat, mode):
     ctx = context(p, nc, npat, mode)
     q = rand_coeffs(ctx.space, 2, seed=5)
     g = weak_grad(ctx, q)
-    w = weak_curl(ctx, g).coeffs
+    w = weak_curl(ctx, g)
     assert np.max(np.abs(w)) <= 1e-11 * max(1.0, np.max(np.abs(q)))
 
 
@@ -100,7 +100,7 @@ def test_dual_sequence_composes_to_zero_walls():
     ctx = context(2, 4, 1, "walls")
     q = rand_coeffs(ctx.space, 2, seed=6)
     g = weak_grad(ctx, q)
-    w = weak_curl_with_tangential_bc(ctx, g).coeffs
+    w = weak_curl_with_tangential_bc(ctx, g)
     assert np.max(np.abs(w)) <= 1e-11
 
 
@@ -115,14 +115,14 @@ def test_weak_operators_match_dense_oracle(p, nc, npat, mode):
     Pc0 = assembled(ctx.space).Pc0.toarray()
     q = rand_coeffs(ctx.space, 2, seed=7)
     v = rand_coeffs(ctx.space, 1, seed=8)
-    g = weak_grad(ctx, q).coeffs
+    g = weak_grad(ctx, q)
     g_ref = ora.weak_grad(Pc1, q)
     assert np.max(np.abs(g - g_ref) / np.maximum(1.0, np.abs(g_ref))) <= 1e-12
-    w = weak_curl(ctx, v).coeffs
+    w = weak_curl(ctx, v)
     w_ref = ora.weak_curl(Pc0, v)
     assert np.max(np.abs(w - w_ref) / np.maximum(1.0, np.abs(w_ref))) <= 1e-12
     for k in (1, 2):
-        iw = interior_product(ctx, v, k).coeffs
+        iw = interior_product(ctx, v, k)
         iw_ref = ora.interior(v, k)
         assert np.max(np.abs(iw - iw_ref)) <= 1e-12 * max(1.0, np.max(np.abs(iw_ref)))
 
@@ -134,10 +134,10 @@ def test_interior_product_of_unit_fields(p, nc, npat, mode):
     ctx = context(p, nc, npat, mode)
     ex = constant_v1(ctx.space, 1.0, 0.0)
     # first component of e_x projects to the constant 1 (partition of unity)
-    c = interior_product(ctx, ex, 1).coeffs
+    c = interior_product(ctx, ex, 1)
     assert np.max(np.abs(c - 1.0)) <= 1e-13
     # second component is exactly zero: the y-block of e_x is untouched
-    c = interior_product(ctx, ex, 2).coeffs
+    c = interior_product(ctx, ex, 2)
     assert np.max(np.abs(c)) <= 1e-14
 
 
@@ -147,7 +147,7 @@ def test_interior_product_moments_match_quadrature():
     u = rand_coeffs(s, 1, seed=9)
     ux_vals, uy_vals = s.grid_eval(1, u)
     for k, vals in ((1, ux_vals), (2, uy_vals)):
-        w = interior_product(ctx, u, k).coeffs
+        w = interior_product(ctx, u, k)
         lhs = assembled(s).M2 @ w
         rhs = s.grid_moments(2, [vals])
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
@@ -419,8 +419,8 @@ def _pressure_ctx(p=2, nc=4):
 def test_pressure_gradient_periodic_context_is_plain_gradient():
     ctx = context(2, 4, 1, "periodic")
     q = rand_coeffs(ctx.space, 2, seed=28)
-    a = weak_grad_with_pressure_bc(ctx, q).coeffs
-    b = weak_grad(ctx, q).coeffs
+    a = weak_grad_with_pressure_bc(ctx, q)
+    b = weak_grad(ctx, q)
     assert np.array_equal(a, b)
 
 
@@ -430,7 +430,7 @@ def test_pressure_gradient_range_is_flux_constrained():
     ctx = _pressure_ctx()
     s = ctx.space
     q = rand_coeffs(s, 2, seed=30)
-    x = weak_grad_with_pressure_bc(ctx, q).coeffs
+    x = weak_grad_with_pressure_bc(ctx, q)
     for seed in (31, 32):
         v = rand_coeffs(s, 1, seed=seed)
         comp = (v - normal_projector(ctx) @ v) @ (assembled(s).M1 @ x)
@@ -444,7 +444,7 @@ def test_pressure_gradient_defining_identity():
     q = rand_coeffs(s, 2, seed=33)
     for seed in (34, 35):
         v = rand_coeffs(s, 1, seed=seed)
-        x = weak_grad_with_pressure_bc(ctx, q).coeffs
+        x = weak_grad_with_pressure_bc(ctx, q)
         lhs = x @ (assembled(s).M1 @ v)
         rhs = -q @ (assembled(s).M2 @ s.div(normal_projector(ctx) @ v))
         for edge, data in (("bottom", ctx.bc["bottom"].value),
@@ -492,7 +492,7 @@ def test_tangential_curl_defining_identity():
     s = ctx.space
     ora = oracle(s)
     v = rand_coeffs(s, 1, seed=39)
-    w = weak_curl_with_tangential_bc(ctx, v).coeffs
+    w = weak_curl_with_tangential_bc(ctx, v)
     for seed in (40, 41):
         phi = rand_coeffs(s, 0, seed=seed)
         lhs = w @ (assembled(s).M0 @ phi)
@@ -516,8 +516,8 @@ def test_tangential_curl_defining_identity():
 def test_tangential_curl_periodic_context_is_plain_curl():
     ctx = context(2, 4, 1, "periodic")
     v = rand_coeffs(ctx.space, 1, seed=42)
-    a = weak_curl_with_tangential_bc(ctx, v).coeffs
-    b = weak_curl(ctx, v).coeffs
+    a = weak_curl_with_tangential_bc(ctx, v)
+    b = weak_curl(ctx, v)
     assert np.array_equal(a, b)
 
 
@@ -543,8 +543,8 @@ def test_tangential_curl_reduces_for_zero_trace_fields():
     ctx = OperatorContext(sp_, bc=bc)
     v = rand_coeffs(sp_, 1, seed=43)
     v[_tangential_trace_indices(sp_)] = 0.0
-    a = weak_curl_with_tangential_bc(ctx, v).coeffs
-    b = weak_curl(ctx, v).coeffs
+    a = weak_curl_with_tangential_bc(ctx, v)
+    b = weak_curl(ctx, v)
     assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
 
 

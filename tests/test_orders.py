@@ -40,7 +40,7 @@ from flowforms.cases import case_library
 from flowforms.config import SimulationConfig
 from flowforms.diagnostics import l2_error, measure
 from flowforms.operators import EdgeBC, OperatorContext
-from flowforms.spaces import build_multipatch
+from flowforms.spaces import Field, build_multipatch
 from flowforms.stepper import cn_step, initialize
 
 MESHES = (8, 16, 32)
@@ -95,13 +95,14 @@ def final_error(setup, p, n, nu=0.0, steps=STEPS):
     u = initialize(ctx, initial)
     for _ in range(steps):
         u, pres, _ = cn_step(ctx, u, cfg)
+    u = Field(space, 1, u)
     if bc is None:
         return l2_error(space, u, exact(steps * DT, nu)), None
     if bc is WALLS:
         g = space.data_grid
         pres = pres - g.integrate(space.grid_eval(2, pres, g)[0]) / (PI * PI)
     return (l2_error(space, u, exact(steps * DT, nu)),
-            l2_error(space, pres, box_pressure, slot=2))
+            l2_error(space, Field(space, 2, pres), box_pressure))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -148,7 +149,7 @@ def taylor_green_at(space, dt, nu, t_final=0.2):
     u = initialize(ctx, TG.initial)
     for _ in range(round(t_final / dt)):
         u = cn_step(ctx, u, cfg)[0]
-    return u.coeffs
+    return u
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.05])

@@ -121,8 +121,7 @@ def recording_step(dts):
     """A stub cn_step that records each dt and adds it to the velocity."""
     def step(ctx, u, cfg, dt, guess=None):
         dts.append(dt)
-        return (Field(ctx.space, 1, u.coeffs + dt), np.zeros(ctx.space.n2),
-                StepReport(1, 0.0, dt))
+        return u + dt, np.zeros(ctx.space.n2), StepReport(1, 0.0)
     return step
 
 
@@ -133,6 +132,14 @@ def stub_run(tmp_path, monkeypatch, dt, t_final):
                                dt=dt, t_final=t_final,
                                output_dir=str(tmp_path)))
     return res, dts
+
+
+def test_run_hands_out_the_velocity_as_a_field(tmp_path):
+    res = run(SimulationConfig(case="taylor_green", degree=1, n_cells=(4, 4),
+                               dt=1e-3, t_final=2e-3, output_dir=str(tmp_path)))
+    assert type(res.u) is Field and res.u.slot == 1
+    assert res.u.coeffs.shape == (res.u.space.n1,)
+    assert type(res.p) is np.ndarray and res.p.shape == (res.u.space.n2,)
 
 
 def test_fixed_dt_run_takes_t_final_over_dt_steps(tmp_path, monkeypatch):
@@ -188,8 +195,7 @@ def test_halved_retries_are_counted(tmp_path, monkeypatch):
         calls.append(dt)
         if len(calls) % 3 == 1:
             raise StepFailure("stub")
-        return (Field(ctx.space, 1, u.coeffs + dt), np.zeros(ctx.space.n2),
-                StepReport(1, 0.0, dt))
+        return u + dt, np.zeros(ctx.space.n2), StepReport(1, 0.0)
 
     monkeypatch.setattr(runner, "cn_step", step)
     res = run(SimulationConfig(case="taylor_green", degree=1, n_cells=(4, 4),
@@ -216,14 +222,13 @@ def test_later_steps_start_from_the_cubic_through_the_last_states(
 
     def step(ctx, u, cfg, dt, guess=None):
         if not coef:
-            coef.append(u.coeffs.copy())
-            coef.extend(rng.standard_normal((3, u.coeffs.size)))
-        calls.append((len(t_now), u.coeffs, dt, guess))
+            coef.append(u.copy())
+            coef.extend(rng.standard_normal((3, u.size)))
+        calls.append((len(t_now), u, dt, guess))
         if len(calls) % 3 == 1:
             raise StepFailure("stub")
         t_now.append(t_now[-1] + dt)
-        return (Field(ctx.space, 1, cubic(t_now[-1])),
-                np.zeros(ctx.space.n2), StepReport(1, 0.0, dt))
+        return cubic(t_now[-1]), np.zeros(ctx.space.n2), StepReport(1, 0.0)
 
     monkeypatch.setattr(runner, "cn_step", step)
     res = run(SimulationConfig(case="taylor_green", degree=1, n_cells=(4, 4),
@@ -255,8 +260,7 @@ def test_alternating_increments_drop_below_order_3(tmp_path, monkeypatch):
     def step(ctx, u, cfg, dt, guess=None):
         guesses.append(guess)
         sign = (-1) ** len(guesses)
-        return (Field(ctx.space, 1, u.coeffs + sign * dt),
-                np.zeros(ctx.space.n2), StepReport(1, 0.0, dt))
+        return u + sign * dt, np.zeros(ctx.space.n2), StepReport(1, 0.0)
 
     monkeypatch.setattr(runner, "cn_step", step)
     res = run(SimulationConfig(case="taylor_green", degree=1, n_cells=(4, 4),
@@ -276,7 +280,7 @@ def test_every_guess_keeps_the_divergence_and_the_flux_of_u_n(
     starts = []
 
     def recording(ctx, u, cfg, dt, guess=None):
-        starts.append((ctx, u.coeffs, guess))
+        starts.append((ctx, u, guess))
         return cn_step(ctx, u, cfg, dt=dt, guess=guess)
 
     monkeypatch.setattr(runner, "cn_step", recording)
