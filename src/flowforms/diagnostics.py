@@ -41,6 +41,8 @@ def measure(ctx: OperatorContext, u, t: float = 0.0,
 def l2_error(space, u: Field, exact) -> float:
     """Quadrature L2 distance between the Field u, in its own slot, and a
     callable, on the data grid (the callable is not a spline)."""
+    if u.space is not space:
+        raise ValueError("u is a Field of another space")
     grid = space.data_grid
     vals = space.grid_eval(u.slot, u.coeffs, grid)
     err2 = sum((v - e) ** 2

@@ -22,9 +22,10 @@ advection residual needs no 2D mass solve. The line (`DeRhamLine`) owns
 the arrays of its grid alone, such as the interior product Q; the
 context keeps those its boundary conditions change (G, L and the Gamma_n
 mask zn, which masks the h1 factor of the V1 blocks); `TensorPoissonSolver`
-keeps those gamma = dt*alpha/2 changes: the sweep's mass solve A^-1
-(A = M1 + gamma * penalization) and the pressure solver on it. The
-context caches the latest gamma's; a zero penalization makes every gamma 0.
+keeps those one dt changes, by gamma = dt*alpha/2 and theta = dt*nu/2:
+the sweep's mass solve A^-1 (A = M1 + gamma * penalization), the pressure
+solver on it and the viscous correction. The context caches the latest
+(gamma, theta)'s; a zero penalization makes every gamma 0.
 
 Boundary conventions (outward normals): u.n is -u_x on the left edge,
 +u_x right, -u_y bottom, +u_y top; the scalar cross u x n = u_x n_y -
@@ -250,36 +251,39 @@ class OperatorContext:
         self.b_pressure = b_press
         self.normal_data = n_data
 
-    # --- the gamma-dependent solvers -----------------------------------------
-    def poisson_solver(self, gamma: float = 0.0):
-        """The `TensorPoissonSolver` of gamma = dt*alpha/2. One entry is
-        cached, the latest gamma's: under CFL control runner.run holds dt
-        on rungs that change rarely. Where the penalization is zero (one
-        patch) every gamma is gamma = 0 and reuses it."""
-        gamma = float(gamma) if self.space.broken else 0.0
-        if self._solver is None or self._solver.gamma != gamma:
-            self._solver = TensorPoissonSolver(self, gamma)
+    # --- the dt-dependent solvers --------------------------------------------
+    def poisson_solver(self, gamma: float = 0.0, theta: float = 0.0):
+        """The `TensorPoissonSolver` of gamma = dt*alpha/2 and theta =
+        dt*nu/2, cached for the latest pair: a step asks for one, and under
+        CFL control runner.run holds dt on rungs that change rarely. A zero
+        penalization (one patch) maps every gamma to 0."""
+        key = (float(gamma) if self.space.broken else 0.0, float(theta))
+        if self._solver is None or (self._solver.gamma, self._solver.theta) != key:
+            self._solver = TensorPoissonSolver(self, *key)
         return self._solver
 
 
 class TensorPoissonSolver:
-    """Everything that depends on gamma = dt*alpha/2, from the dense line
-    arrays and the context's zn. Per line, the restricted h1 inverse
-    Z (Z Mg Z + I - Z)^-1 Z, Mg = M_h1 + gamma * J^T M_h1 J, Z = diag(zn):
-    with the l2 mass inverses, the Kronecker factors of A^-1 that
-    `m1_solve` applies. The pressure system M2 Dt A^-1 Dt^T M2 is
-    Kx (x) My + Mx (x) Ky, K = M_l2 (D P) h1_inv (D P)^T M_l2, which two
-    small generalized eigensolves diagonalize (fast diagonalization;
-    `solve` and `viscous_correction` apply it by `_diagonal`).
+    """Everything one dt determines through gamma = dt*alpha/2 and theta =
+    dt*nu/2, from the dense line arrays and the context's zn. Per line, the
+    restricted h1 inverse Z (Z Mg Z + I - Z)^-1 Z, Mg = M_h1 + gamma * J^T
+    M_h1 J, Z = diag(zn): with the l2 mass inverses, the Kronecker factors
+    of A^-1 that `m1_solve` applies. The pressure system M2 Dt A^-1 Dt^T M2
+    is Kx (x) My + Mx (x) Ky, K = M_l2 (D P) h1_inv (D P)^T M_l2, which two
+    small generalized eigensolves diagonalize (fast diagonalization):
+    `solve` and `viscous_correction` apply U (scale * (W b)), with W and U
+    `solve_mass` factors and scale a vector of the slot.
     Without pressure boundary conditions its kernel is the constant
     pressure; the solver then acts as a pseudoinverse that zeroes the mean
     mode, so the velocity update stays exactly divergence-free."""
 
-    def __init__(self, ctx: OperatorContext, gamma=0.0):
+    def __init__(self, ctx: OperatorContext, gamma=0.0, theta=0.0):
         s = ctx.space
-        self.ctx, self.gamma = ctx, float(gamma)
-        # per line: the inverse of each kind, K's eigensystem, (line, zn, Z Mg Z)
-        factors, eigs, self._lines = [], [], []
+        self.ctx, self.gamma, self.theta = ctx, float(gamma), float(theta)
+        self._viscous = None    # (W, scale, U) of viscous_correction
+        # per line: the inverse of each kind, K's eigensystem and at theta != 0
+        # viscous_correction's eigenvalues e, W = V^T (Mg or M_l2) and U = Z V
+        factors, eigs, visc = [], [], []
         for line, z in ((s.line_x, ctx.zn["x"]), (s.line_y, ctx.zn["y"])):
             M, Ml2, DP = line.mass["h1"], line.mass["l2"], line.DP
             Mg = z[:, None] * (M + gamma * line.JMJ) * z
@@ -287,7 +291,17 @@ class TensorPoissonSolver:
             K = Ml2 @ DP @ inv @ DP.T @ Ml2
             factors.append({"h1": inv, "l2": line.inv["l2"]})
             eigs.append(scipy.linalg.eigh(0.5 * (K + K.T), 0.5 * (Ml2 + Ml2.T)))
-            self._lines.append((line, z, Mg))
+            if theta == 0.0:
+                continue
+            h1_inv, e, W, U = line.inv["h1"], {}, {}, {}
+            A = Mg + theta * z[:, None] * (DP.T @ Ml2 @ DP) * z + np.diag(1.0 - z)
+            C = z[:, None] * (M @ line.P @ h1_inv @ line.P.T @ M) * z
+            S = Ml2 @ DP @ h1_inv @ DP.T @ Ml2
+            for kind, K, B, factor, mask in (("h1", C, A, Mg, z),
+                                             ("l2", S, Ml2, Ml2, 1.0)):
+                e[kind], V = scipy.linalg.eigh(0.5 * (K + K.T), 0.5 * (B + B.T))
+                U[kind], W[kind] = np.reshape(mask, (-1, 1)) * V, V.T @ factor
+            visc.append((e, W, U))
         (lam_x, phi_x), (lam_y, phi_y) = eigs
         denom = lam_x[:, None] + lam_y[None, :]
         self.singular = not any(c.kind == "pressure" for c in ctx.bc.values())
@@ -296,9 +310,13 @@ class TensorPoissonSolver:
         # singular: a pseudoinverse that drops the constant-pressure modes
         drop = self.singular & (denom <= 1e-10 * float(lam_x.max() + lam_y.max()))
         inv_denom = np.where(drop, 0.0, 1.0 / np.where(drop, 1.0, denom))
-        self._pressure = [(phi_x, phi_x.T, phi_y, phi_y.T, inv_denom)]
+        self._pressure = (({"l2": phi_x.T}, {"l2": phi_y.T}), inv_denom.ravel(),
+                          ({"l2": phi_x}, {"l2": phi_y}))
+        if visc:
+            (ex, ey), W, U = zip(*visc)
+            self._viscous = W, np.concatenate([1.0 / (1.0 + theta * np.outer(
+                ex[kx], ey[ky])) for kx, ky in KINDS[1]], axis=None), U
         self.m1_solve = partial(s.solve_mass, 1, factors=factors)
-        self._viscous = None    # (theta, its factors), see viscous_correction
 
     def matvec(self, q):
         """The system matrix applied through the composed operators."""
@@ -307,41 +325,18 @@ class TensorPoissonSolver:
 
     def solve(self, b):
         """q of M2 Dt A^-1 Dt^T M2 q = b (the pseudoinverse where singular)."""
-        return _diagonal(self._pressure, self.ctx.space.blocks(2, b))
+        s, (W, scale, U) = self.ctx.space, self._pressure
+        return s.solve_mass(2, scale * s.solve_mass(2, b, W), U)
 
-    def viscous_correction(self, theta, f):
+    def viscous_correction(self, f):
         """S^-1 A f on the velocities with zero Gamma_n flux, S = A + theta
         (V + Dt^T M2 Dt) less T1 and the x-y coupling: exact on one patch
-        away from T1. Its x block, A_x (x) M_l2 + theta C_x (x) S_y, with
-        A_x = Mg + theta (D P)^T M_l2 D P, C_x = M_h1 P M_h1^-1 P^T M_h1 and
-        S_y = M_l2 D P M_h1^-1 (D P)^T M_l2, is diagonalized by eigh(C_x,
-        A_x) and eigh(S_y, M_l2); the y block mirrors it (Lynch et al.)."""
-        if self._viscous is None or self._viscous[0] != theta:
-            self._viscous = (theta, self._viscous_factors(theta))
-        return _diagonal(self._viscous[1], self.ctx.space.blocks(1, f))
-
-    def _viscous_factors(self, theta):
-        """Per V1 block: U_x, U_x^T A_x, U_y, U_y^T A_y, 1/(1 + theta e_x e_y^T)."""
-        lines = []
-        for line, z, Mg in self._lines:
-            M, Ml2, DP, inv = line.mass["h1"], line.mass["l2"], line.DP, line.inv["h1"]
-            A = Mg + theta * z[:, None] * (DP.T @ Ml2 @ DP) * z + np.diag(1.0 - z)
-            C = z[:, None] * (M @ line.P @ inv @ line.P.T @ M) * z
-            S = Ml2 @ DP @ inv @ DP.T @ Ml2
-            lines.append({})
-            for kind, K, B, factor, mask in (("h1", C, A, Mg, z),
-                                             ("l2", S, Ml2, Ml2, 1.0)):
-                e, U = scipy.linalg.eigh(0.5 * (K + K.T), 0.5 * (B + B.T))
-                lines[-1][kind] = (e, np.reshape(mask, (-1, 1)) * U, U.T @ factor)
-        return [(ux, ax, uy, ay, 1.0 / (1.0 + theta * np.outer(ex, ey)))
-                for (ex, ux, ax), (ey, uy, ay)
-                in ((lines[0][kx], lines[1][ky]) for kx, ky in KINDS[1])]
-
-
-def _diagonal(factors, blocks):
-    """U (s * (W B V^T)) Y^T on each block B by its factors (U, W, Y, V, s)."""
-    return np.concatenate([(U @ (s * (W @ B @ V.T)) @ Y.T).ravel() for
-                           (U, W, Y, V, s), B in zip(factors, blocks, strict=True)])
+        away from T1 (theta != 0). Its x block, A_x (x) M_l2 + theta C_x (x)
+        S_y, with A_x = Mg + theta (D P)^T M_l2 D P, C_x = M_h1 P M_h1^-1 P^T
+        M_h1 and S_y = M_l2 D P M_h1^-1 (D P)^T M_l2, is diagonalized by
+        eigh(C_x, A_x) and eigh(S_y, M_l2); the y block mirrors it."""
+        s, (W, scale, U) = self.ctx.space, self._viscous
+        return s.solve_mass(1, scale * s.solve_mass(1, f, W), U)
 
 
 # --- dual operators ---------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord, l2_error, measure
 from .operators import OperatorContext, weak_curl_with_tangential_bc
-from .spaces import Field, PointSampler, build_multipatch
+from .spaces import Field, build_multipatch, collocation
 from .stepper import StepFailure, cfl_dt, cn_step, initialize
 
 CSV_HEADER = ("time,energy,mom_x,mom_y,div_l2,jump_energy,"
@@ -60,8 +60,8 @@ def write_diagnostics(records, path):
             fh.write(_record_to_row(rec) + "\n")
 
 
-# space -> sampling grid -> (PointSampler of its axes, file body template
-# of fixed "x y " text and a %r per field column); lives with its space
+# space -> sampling grid -> (the collocation factors of its axes, file body
+# template of fixed "x y " text and a %r per field column); lives with its space
 _SAMPLERS = weakref.WeakKeyDictionary()
 
 
@@ -71,17 +71,14 @@ def write_snapshot(ctx, u, p, t, path, grid=64):
     s = ctx.space
     cached = _SAMPLERS.setdefault(s, {}).get(grid)
     if cached is None:
-        xs, ys = (np.linspace(*line.interval, grid)
-                  for line in (s.line_x, s.line_y))
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        body = "".join(
-            f"{x!r} {y!r} %r %r %r %r\n"
-            for x, y in zip(X.ravel().tolist(), Y.ravel().tolist()))
-        cached = _SAMPLERS[s][grid] = (PointSampler(s, xs, ys), body)
-    sampler, body = cached
+        xs, ys = (np.linspace(*bounds, grid) for bounds in s.bounds)
+        body = "".join(f"{x!r} {y!r} %r %r %r %r\n"
+                       for x in xs.tolist() for y in ys.tolist())
+        cached = _SAMPLERS[s][grid] = (collocation(s, xs, ys), body)
+    factors, body = cached
     fields = ((1, u), (2, p), (0, weak_curl_with_tangential_bc(ctx, u)))
-    cols = np.column_stack([v.ravel() for slot, c in fields
-                            for v in sampler.values(slot, c)])
+    cols = np.concatenate([s.solve_mass(slot, c, factors)
+                           for slot, c in fields]).reshape(4, -1).T
     with open(path, "w") as fh:
         fh.write(f"# t = {t!r}\n")
         fh.write(f"# grid = {grid} x {grid}\n")

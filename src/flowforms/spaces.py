@@ -10,7 +10,8 @@ all work block by block (`TensorDeRhamSpace.blocks`). With Curl q =
 (d_y q, -d_x q) and Div v = d_x v_x + d_y v_y, every 2D operator is a
 Kronecker product (or block thereof) of the line matrices and is applied
 as one, two products of line arrays a block: the space keeps no copy of
-them, and no 2D operator is assembled.
+them, and no 2D operator is assembled. `solve_mass` is that product, by
+mass inverses, masses, collocation matrices (`eval_field`) or eigenvectors.
 
 `build_multipatch` is the one builder of the complex, over equal
 axis-aligned patches; a single patch is the broken space whose conforming
@@ -247,28 +248,17 @@ def l2_project(space: TensorDeRhamSpace, slot: int, f) -> np.ndarray:
     return space.solve_mass(slot, rhs)
 
 
-class PointSampler:
-    """Values of fields at the points of the tensor grid of the 1D axes
-    xs and ys, from the sparse collocation matrices of the lines' spaces
-    there (Ex, and EyT transposed)."""
-
-    def __init__(self, space: TensorDeRhamSpace, xs, ys):
-        self.shapes = space.shapes  # not the space: runner caches samplers by it
-        self.Ex = {k: s.collocation(xs) for k, s in space.line_x.spaces.items()}
-        self.EyT = {k: s.collocation(ys).T
-                    for k, s in space.line_y.spaces.items()}
-
-    def values(self, slot: int, c) -> list:
-        """Ex C EyT for each component block C of the slot's coefficients
-        c: one (len(xs), len(ys)) array per component."""
-        shapes = self.shapes[slot]
-        blocks = np.split(np.asarray(c), np.cumsum([nx * ny for nx, ny in shapes])[:-1])
-        return [self.Ex[kx] @ C.reshape(shape) @ self.EyT[ky] for (kx, ky), shape, C
-                in zip(KINDS[slot], shapes, blocks, strict=True)]
+def collocation(space: TensorDeRhamSpace, xs, ys) -> tuple:
+    """The `solve_mass` factors that sample on the grid of the 1D axes xs and
+    ys: the lines' sparse collocation matrices there, which hold no space."""
+    return tuple({k: s.collocation(pts) for k, s in line.spaces.items()}
+                 for line, pts in ((space.line_x, xs), (space.line_y, ys)))
 
 
 def eval_field(field: Field, xs, ys):
     """Values of a field on the tensor grid of the 1D axes xs and ys: shape
     (len(xs), len(ys)) for the scalar slots, (len(xs), len(ys), 2) for V1."""
-    vals = PointSampler(field.space, xs, ys).values(field.slot, field.coeffs)
+    s = field.space
+    vals = s.solve_mass(field.slot, field.coeffs, collocation(s, xs, ys))
+    vals = vals.reshape(-1, np.size(xs), np.size(ys))
     return vals[0] if len(vals) == 1 else np.stack(vals, axis=-1)

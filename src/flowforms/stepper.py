@@ -7,7 +7,8 @@ from a guess: in a run, the extrapolation in time of order k of
 runner.predict, which lies O(dt^(k+1)) from the fixed point, not O(dt).
 Viscosity is explicit in the sweep, so cn_step corrects each update by
 the viscous operator solved at Kronecker cost; the correction vanishes
-only at the fixed point, so it changes the path, not the solution.
+only at the fixed point, so it changes the path, not the solution. A
+step's sweeps and corrections share the solver of dt (alpha, nu) / 2.
 
 Every sweep ends in `project`, the one projection onto Dt u = 0, so the
 roundoff divergence of u^n does not build up over the steps; a mixed
@@ -62,22 +63,23 @@ def project(solver, z):
 def midpoint_sweep(ctx: OperatorContext, cfg, un, u_iter, dt: float):
     """One Picard sweep of the midpoint step from u^n with current iterate
     u_iter: (u_next, p), with (u_next, -dt p) the `project`ion of
-    u^n - dt A^{-1} R by ctx.poisson_solver(gamma), A^{-1} its m1_solve
-    (M1 + gamma Pen inverted on the velocities with zero Gamma_n flux)
+    u^n - dt A^{-1} R by ctx.poisson_solver(gamma, theta), A^{-1} its
+    m1_solve (M1 + gamma Pen inverted on the velocities of zero Gamma_n flux)
     and R the momentum residual at the midpoint plus alpha Pen u^n - f + b."""
     ub = 0.5 * (un + u_iter)
     R = advection_residual(ctx, ub, ub)
     if cfg.nu != 0.0:
         R += cfg.nu * viscous_residual(ctx, ub)
     R += cfg.alpha * ctx.space.penalize(un) - ctx.f_vec + ctx.b_pressure
-    solver = ctx.poisson_solver(0.5 * dt * cfg.alpha)
+    solver = ctx.poisson_solver(0.5 * dt * cfg.alpha, 0.5 * dt * cfg.nu)
     u_next, q = project(solver, un - dt * solver.m1_solve(R))
     return u_next, -q / dt
 
 
 def cn_step(ctx: OperatorContext, un, cfg, dt=None, guess=None):
     """One midpoint step. Returns the arrays (u_next, p) and a StepReport;
-    raises StepFailure when the iteration stalls or diverges.
+    raises StepFailure when the iteration stalls or diverges, and
+    ValueError when neither dt nor cfg.dt is given.
 
     The first sweep is a plain Picard sweep from guess (runner.run passes
     runner.predict's), or from u^n when it is None: the guess changes how
@@ -94,7 +96,9 @@ def cn_step(ctx: OperatorContext, un, cfg, dt=None, guess=None):
     Gamma_n flux DOFs of u^n. The step returns the sweep output and its
     pressure once the sweep's own |g(x) - x| < picard_tol."""
     dt = cfg.dt if dt is None else dt
-    theta = 0.5 * dt * cfg.nu
+    if dt is None:
+        raise ValueError("cn_step needs dt when the config's dt is None (CFL)")
+    solver = ctx.poisson_solver(0.5 * dt * cfg.alpha, 0.5 * dt * cfg.nu)
     div0 = ctx.space.div(un)
     if np.linalg.norm(div0) > 1e-6 * max(1.0, np.linalg.norm(un)):
         warnings.warn("starting velocity is not discretely divergence-free",
@@ -122,9 +126,8 @@ def cn_step(ctx: OperatorContext, un, cfg, dt=None, guess=None):
             return g, p, StepReport(it, upd)
         if upd < best:
             best, best_it = upd, it
-        if theta != 0.0:
-            solver = ctx.poisson_solver(0.5 * dt * cfg.alpha)
-            f = project(solver, solver.viscous_correction(theta, f))[0]
+        if solver.theta != 0.0:
+            f = project(solver, solver.viscous_correction(f))[0]
             g = x + f
         x = g
         if it > 1:

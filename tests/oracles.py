@@ -24,7 +24,8 @@ projector Pn), the least-squares convergence order,
 the plain Picard iteration of the midpoint step (the fixed-point check
 of the accelerated one), and the snapshot writer that formats each value
 on its own (the byte-for-byte check of the text template of
-runner.write_snapshot, which samples through the same PointSampler).
+runner.write_snapshot, which samples through the same collocation
+factors and `solve_mass` as eval_field).
 """
 
 import weakref

@@ -128,6 +128,18 @@ def test_l2_error_scalar_slots():
     assert 0.0 < l2_error(s, Field(s, 0, phi), f) < err
 
 
+def test_l2_error_rejects_a_field_of_another_space():
+    # same DOF counts on another domain: its coefficients integrated on
+    # the first space's grid would read a wrong error without a sign
+    a = space(2, 4, 1, periodic=False)
+    b = space(2, 4, 1, periodic=False, bounds=((0.0, 2.0), (0.0, 2.0)))
+    f = lambda X, Y: (np.sin(X), np.cos(Y))
+    u = Field(b, 1, l2_project(b, 1, f))
+    with pytest.raises(ValueError, match="another space"):
+        l2_error(a, u, f)
+    assert l2_error(b, u, f) <= 1e-2
+
+
 def test_l2_error_agrees_with_midpoint_riemann():
     s = space(2, 6, 1, periodic=True)
     f = lambda X, Y: (np.sin(X) * np.cos(Y), np.cos(2 * X))

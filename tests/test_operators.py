@@ -790,12 +790,10 @@ def test_viscous_correction_inverts_the_assembled_operator_on_one_patch(mode):
     S = a.M1 + theta * (viscous_matrix(ctx) + Dt.T @ (a.M2 @ Dt))
     Z = normal_projector(ctx)
     f = Z @ rand_coeffs(s, 1, seed=47)
-    solver = ctx.poisson_solver(0.0)
-    y = solver.viscous_correction(theta, f)
+    solver = ctx.poisson_solver(0.0, theta)
+    y = solver.viscous_correction(f)
     b = Z @ (a.M1 @ f)
     assert np.array_equal(Z @ y, y)
     assert np.linalg.norm(Z @ (S @ y) - b) <= 1e-12 * np.linalg.norm(b)
-    # the factors are kept for the latest theta
-    kept = solver._viscous
-    assert np.array_equal(solver.viscous_correction(theta, f), y)
-    assert solver._viscous is kept
+    # the context keeps the solver of the latest (gamma, theta)
+    assert ctx.poisson_solver(0.0, theta) is solver

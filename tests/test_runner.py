@@ -169,22 +169,27 @@ def test_fixed_dt_run_ends_with_a_short_step(tmp_path, monkeypatch):
 
 
 def test_fixed_dt_run_builds_the_solvers_twice(tmp_path, monkeypatch):
-    # gamma = 0 for the initial Leray projection, then one gamma for
-    # every step of a fixed-dt run on broken spaces
-    gammas = []
+    # (gamma, theta) = (0, 0) for the initial Leray projection, then one
+    # dt * (alpha, nu) / 2 for every step of a fixed-dt viscous run, on
+    # broken spaces and on one patch, which maps gamma to 0 and keeps theta
+    builds = []
 
     class Recording(operators.TensorPoissonSolver):
-        def __init__(self, ctx, gamma=0.0):
-            gammas.append(gamma)
-            super().__init__(ctx, gamma)
+        def __init__(self, ctx, gamma=0.0, theta=0.0):
+            builds.append((gamma, theta))
+            super().__init__(ctx, gamma, theta)
 
     monkeypatch.setattr(operators, "TensorPoissonSolver", Recording)
-    cfg = SimulationConfig(case="lid_driven_cavity", degree=2,
-                           n_patches=(2, 2), n_cells=(4, 4), dt=2e-3,
-                           t_final=0.02, output_dir=str(tmp_path))
-    res = run(cfg)
-    assert res.steps == 10 and not res.failed
-    assert gammas == [0.0, 0.5 * 2e-3 * cfg.resolve()[0].alpha]
+    for n_patches in ((2, 2), (1, 1)):
+        builds.clear()
+        cfg = SimulationConfig(case="lid_driven_cavity", degree=2,
+                               n_patches=n_patches, n_cells=(4, 4), dt=2e-3,
+                               t_final=0.02, output_dir=str(tmp_path))
+        res = run(cfg)
+        rcfg = cfg.resolve()[0]
+        gamma = 0.5 * 2e-3 * rcfg.alpha if n_patches == (2, 2) else 0.0
+        assert res.steps == 10 and not res.failed and rcfg.nu > 0.0
+        assert builds == [(0.0, 0.0), (gamma, 0.5 * 2e-3 * rcfg.nu)], n_patches
 
 
 def test_halved_retries_are_counted(tmp_path, monkeypatch):
@@ -404,9 +409,9 @@ def test_cfl_dt_lies_on_a_rung_below_the_bound(tmp_path, monkeypatch):
         return cn_step(ctx, u, cfg, dt=dt, guess=guess)
 
     class Recording(operators.TensorPoissonSolver):
-        def __init__(self, ctx, gamma=0.0):
+        def __init__(self, ctx, gamma=0.0, theta=0.0):
             gammas.append(gamma)
-            super().__init__(ctx, gamma)
+            super().__init__(ctx, gamma, theta)
 
     monkeypatch.setattr(runner, "cfl_dt", bound)
     monkeypatch.setattr(runner, "cn_step", step)
@@ -479,9 +484,9 @@ def test_workloads_keep_their_sweeps_and_solver_builds(tmp_path,
     builds = []
     init = operators.TensorPoissonSolver.__init__
 
-    def counted(self, ctx, gamma=0.0):
+    def counted(self, ctx, gamma=0.0, theta=0.0):
         builds.append(gamma)
-        init(self, ctx, gamma)
+        init(self, ctx, gamma, theta)
 
     monkeypatch.setattr(operators.TensorPoissonSolver, "__init__", counted)
     assert list(configs) == list(PINNED_RUNS)

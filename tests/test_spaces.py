@@ -283,10 +283,17 @@ def test_table_results_without_out_are_new_arrays():
 
 
 def test_grid_eval_matches_eval_field():
-    s = space(2, 2, 1, False)
-    u = rand_field(s, 1, seed=11)
-    for grid in (s.grid, s.data_grid):
-        gx, gy = s.grid_eval(1, u.coeffs, grid)
-        vals = eval_field(u, grid.x, grid.y)
-        assert np.abs(vals[..., 0] - gx).max() <= 1e-12
-        assert np.abs(vals[..., 1] - gy).max() <= 1e-12
+    # every slot on a clamped patch, a wrapped periodic patch and 2x2
+    # clamped and periodic patches, on both quadrature grids
+    for s in (space(2, 2, 1, False), space(2, 4, 1, True),
+              space(2, 3, 2, False), space(2, 3, 2, True)):
+        for slot in KINDS:
+            u = rand_field(s, slot, seed=11 + slot)
+            for grid in (s.grid, s.data_grid):
+                vals = eval_field(u, grid.x, grid.y)
+                shape = (len(grid.x), len(grid.y))
+                assert vals.shape == (shape if slot != 1 else (*shape, 2))
+                got = [vals] if slot != 1 else [vals[..., 0], vals[..., 1]]
+                for g, want in zip(got, s.grid_eval(slot, u.coeffs, grid),
+                                   strict=True):
+                    assert np.abs(g - want).max() <= 1e-12

@@ -400,6 +400,17 @@ def test_cn_step_viscous_dissipation_identity_walls():
     assert abs(drop - model) <= 1e-8 * drop
 
 
+def test_cn_step_needs_dt_under_cfl_control():
+    # a CFL config's dt is None: cn_step says so instead of failing on it
+    ctx, case, cfg = build_simulation(SimulationConfig(
+        case="lid_driven_cavity", n_cells=(4, 4)))
+    u = initialize(ctx, case.initial)
+    assert cfg.dt is None
+    with pytest.raises(ValueError, match="needs dt"):
+        cn_step(ctx, u, cfg)
+    assert np.isfinite(cn_step(ctx, u, cfg, dt=1e-3)[0]).all()
+
+
 def test_cn_step_raises_on_stalled_iteration():
     ctx = context(2, 8, 1, "periodic")
     cfg = stepper_cfg(dt=0.5, picard_tol=1e-12, picard_max_iter=2)
