@@ -15,7 +15,7 @@ from .stepper import (StepFailure, StepReport, cfl_dt, cn_step, initialize,
                       leray_project, midpoint_sweep, project)
 from .diagnostics import DiagnosticsRecord, l2_error, measure
 from .cases import CaseDefinition, case_library
-from .config import SimulationConfig, load_config, save_config
+from .config import SimulationConfig, load_config
 from .runner import RunResult, build_simulation, convergence_study, run
 
 __version__ = "0.1.0"

@@ -70,7 +70,7 @@ def _poiseuille():
             "bottom": EdgeBC("pressure", -PI * PI / 2.0, tangential=0.0),
             "top": EdgeBC("pressure", PI * PI / 2.0, tangential=0.0),
         },
-        nu=1.0, alpha=10.0, dt=1e-3, t_final=30.0,
+        nu=1.0, alpha=10.0, dt=0.1, t_final=30.0,
     )
 
 

@@ -3,9 +3,10 @@
 Each option is named after the SimulationConfig field it sets (--nc
 sets n_cells, --np n_patches, --tol picard_tol, --out output_dir), and
 its text is parsed as its config key's text (so `--dt auto` means
-`dt = auto`). Both commands set the options given on the config of an
-optional INI file. An invalid config or study is a usage error before
-any run.
+`dt = auto`: the case's own dt, which is CFL control only where the
+case has none). Both commands set the options given on the config of an
+optional INI file. An invalid config or study, or a CONFIG that is a
+directory, is a usage error before any run.
 
 Environment variables: FLOWFORMS_OUTPUT_DIR is declared as the envvar
 of --out, so an explicit --out beats it. The BLAS thread count follows
@@ -55,7 +56,8 @@ def _build_config(config_path, options):
 
 # each option's destination is the SimulationConfig field it sets
 _shared = [
-    click.option("--dt", help="fixed time step, or auto for CFL control"),
+    click.option("--dt", help="fixed time step, or auto for the case's own "
+                 "(CFL control where the case has none)"),
     click.option("--p", "--degree", "degree",
                  help="spline degree of the pressure space"),
     click.option("--nc", "n_cells", help="cells per patch"),
@@ -84,7 +86,7 @@ def main():
 
 
 @main.command("run")
-@click.argument("config", type=click.Path(exists=True), required=False)
+@click.argument("config", type=click.Path(exists=True, dir_okay=False), required=False)
 @_with_shared
 @click.option("--quiet", is_flag=True, help="suppress per-step output")
 def run_cmd(config, quiet, **options):
@@ -118,7 +120,7 @@ def run_cmd(config, quiet, **options):
 
 
 @main.command("converge")
-@click.argument("config", type=click.Path(exists=True), required=False)
+@click.argument("config", type=click.Path(exists=True, dir_okay=False), required=False)
 @_with_shared
 @click.option("--meshes", type=str, default="8,16,32",
               help="total cells per direction, comma separated")

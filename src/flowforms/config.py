@@ -1,17 +1,18 @@
-"""Simulation configuration: the one config object, plus its INI-style
-file format.
+"""Simulation configuration: the one config object, plus the reader of
+its INI-style file format.
 
 Each SimulationConfig field but boundary is a setting declared once, by
 `setting(section, parse, default, check)`: the config section of its
 key, the parser of its text and the (test, "must ...") pair resolve()
 applies. That table owns sections, grammar and checks; load_config,
-save_config, resolve() and the CLI read it, EDGE_KEYS owns the
-[boundary.<edge>] keys, and one formatter writes every value.
+resolve() and the CLI read it, and EDGE_KEYS owns the [boundary.<edge>]
+keys.
 
 SimulationConfig.resolve() validates a config and fills each of its
 unset (None) domain, periodic, nu, alpha, dt and t_final from the case's
-field of that name, and steady_tol from picard_tol; the runner and the
-stepper work from the result, where dt=None selects CFL control.
+field of that name; runner.run works from the result, where dt=None
+selects CFL control. So an unset dt (none/auto) is the case's own dt,
+which is CFL control only where the case has none.
 
 File sections: [case] (key name), [grid], [physics], [stepper],
 [output] and one [boundary.<edge>] per walled edge (keys kind, value,
@@ -81,21 +82,6 @@ EDGE_KEYS = {"kind": (str.strip, "normal"), "value": (float, "0.0"),
              "tangential": (_parse_tangential, "free")}
 
 
-def _fmt(value, key=None):
-    """The config file text of a setting or boundary value (% written %%),
-    which its parser reads back to an equal value; a callable has none."""
-    if callable(value):
-        raise ValueError(f"callable {key} cannot be saved to a config file")
-    if isinstance(value, (list, tuple)):        # a pair, domain or segments
-        return ",".join(f"{_fmt(x[2], key)}@{_fmt(x[0])}:{_fmt(x[1])}"
-                        if isinstance(x, (list, tuple)) else _fmt(x)
-                        for x in value)
-    if value is None or isinstance(value, bool):
-        return str(value).lower()
-    return (repr(float(value)) if isinstance(value, float)
-            else str(value).replace("%", "%%"))
-
-
 def setting(section, parse, default=None, check=None):
     """A SimulationConfig field: the config section of its key, the parser
     of its text and the (test, "must ...") pair resolve() applies. A None
@@ -131,7 +117,6 @@ class SimulationConfig:
     picard_max_iter: int = setting("stepper", int, 200, _at_least(1))
     cfl_safety: float = setting("stepper", float, 0.5, (
         lambda v: 0 < v <= 1, "must be positive and finite, at most 1"))
-    steady_tol: float = setting("stepper", float, check=_POSITIVE)
     output_dir: str = setting("output", str, ".")
     diagnostics_file: str = setting("output", str, "diagnostics.csv")
     snapshot_prefix: str = setting("output", str, "snapshot")
@@ -146,8 +131,6 @@ class SimulationConfig:
         unset = [k for k in ("domain", "periodic", "nu", "alpha", "dt",
                              "t_final") if getattr(self, k) is None]
         out = replace(self, **{k: getattr(case, k) for k in unset})
-        if out.steady_tol is None:
-            out.steady_tol = out.picard_tol
         if out.periodic and self.boundary:
             raise ValueError("boundary conditions given for a periodic domain")
         out.boundary = (None if out.periodic else
@@ -232,18 +215,3 @@ def load_config(path) -> SimulationConfig:
             kwargs.setdefault("boundary", {})[section.partition(".")[2]] = \
                 labelled(f"[{section}]", EdgeBC, **data)
     return SimulationConfig(**kwargs)
-
-
-def save_config(cfg: SimulationConfig, path):
-    text = {}
-    for (section, key), name in _FILE_KEYS.items():
-        text.setdefault(section, {})[key] = _fmt(getattr(cfg, name))
-    for edge, bc in (cfg.boundary or {}).items():
-        # a callable has no file form: refuse it rather than lose it
-        text[f"boundary.{edge}"] = {
-            k: labelled(f"boundary.{edge}", _fmt, getattr(bc, k), k)
-            for k in EDGE_KEYS}
-    parser = configparser.ConfigParser()
-    parser.read_dict(text)
-    with open(path, "w") as fh:
-        parser.write(fh)

@@ -244,9 +244,11 @@ class OperatorContext:
                 # data is the v x n trace itself, already oriented
                 vals = _as_values(data, pts[mask], edge)
                 v0[at] += Eh1[mask].T @ (w[mask] * vals)
-            # T1: (slice, V1 block, tau M) pairs v x n with omega off Gamma_t
-            Mh1_free = Eh1[free].T @ (w[free, None] * Eh1[free])
-            self.T1.append((at, "xy".index(along), tau * Mh1_free))
+            # T1: (slice, V1 block, tau M) pairs v x n with omega off
+            # Gamma_t; an edge wholly in Gamma_t has none
+            if free.any():
+                Mh1_free = Eh1[free].T @ (w[free, None] * Eh1[free])
+                self.T1.append((at, "xy".index(along), tau * Mh1_free))
         self.t_tangential_data = t_tang
         self.b_pressure = b_press
         self.normal_data = n_data

@@ -190,7 +190,7 @@ def run(cfg, progress=None):
             progress(step, t, records[-1])
         if cfg.snapshot_cadence > 0 and step % cfg.snapshot_cadence == 0:
             snap(f"{step:06d}")
-        if delta / dt < cfg.steady_tol:
+        if delta / dt < cfg.picard_tol:
             steady = True
             break
 

@@ -21,10 +21,11 @@ poisson_solver maps every gamma to 0). Each mass solve inverts on the
 velocities with zero Gamma_n flux, so an update keeps the Gamma_n flux
 DOFs of u^n and a gradient force moves only the pressure.
 
-The functions take the resolved SimulationConfig (config.py); its dt is
-None under CFL control, so the caller passes each step's dt. The same
-code serves every domain: without boundary conditions the boundary data
-vectors are zero and the mass solve is the plain M1 + gamma*Pen inverse.
+The functions take the resolved SimulationConfig (config.py) and the
+step's dt from the caller: only runner.run reads the config's dt (None
+under CFL control) and picks each step's. The same code serves every
+domain: without boundary conditions the boundary data vectors are zero
+and the mass solve is the plain M1 + gamma*Pen inverse.
 """
 
 from __future__ import annotations
@@ -76,10 +77,9 @@ def midpoint_sweep(ctx: OperatorContext, cfg, un, u_iter, dt: float):
     return u_next, -q / dt
 
 
-def cn_step(ctx: OperatorContext, un, cfg, dt=None, guess=None):
-    """One midpoint step. Returns the arrays (u_next, p) and a StepReport;
-    raises StepFailure when the iteration stalls or diverges, and
-    ValueError when neither dt nor cfg.dt is given.
+def cn_step(ctx: OperatorContext, un, cfg, dt, guess=None):
+    """One midpoint step of dt. Returns the arrays (u_next, p) and a
+    StepReport; raises StepFailure when the iteration stalls or diverges.
 
     The first sweep is a plain Picard sweep from guess (runner.run passes
     runner.predict's), or from u^n when it is None: the guess changes how
@@ -95,9 +95,6 @@ def cn_step(ctx: OperatorContext, un, cfg, dt=None, guess=None):
     last f and g; its weights sum to one, so x keeps Dt x = 0 and the
     Gamma_n flux DOFs of u^n. The step returns the sweep output and its
     pressure once the sweep's own |g(x) - x| < picard_tol."""
-    dt = cfg.dt if dt is None else dt
-    if dt is None:
-        raise ValueError("cn_step needs dt when the config's dt is None (CFL)")
     solver = ctx.poisson_solver(0.5 * dt * cfg.alpha, 0.5 * dt * cfg.nu)
     div0 = ctx.space.div(un)
     if np.linalg.norm(div0) > 1e-6 * max(1.0, np.linalg.norm(un)):

@@ -22,18 +22,21 @@ coefficients of a constant vector field, the sparse line masses and the
 Div, the conforming projections, the penalization and the Gamma_n
 projector Pn), the least-squares convergence order,
 the plain Picard iteration of the midpoint step (the fixed-point check
-of the accelerated one), and the snapshot writer that formats each value
+of the accelerated one), the snapshot writer that formats each value
 on its own (the byte-for-byte check of the text template of
 runner.write_snapshot, which samples through the same collocation
-factors and `solve_mass` as eval_field).
+factors and `solve_mass` as eval_field), and the config file writer
+that the round-trip tests read back through config.load_config.
 """
 
+import configparser
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
+from flowforms.config import _FILE_KEYS, EDGE_KEYS
 from flowforms.operators import (viscous_residual,
                                  weak_curl_with_tangential_bc)
 from flowforms.spaces import Field, eval_field
@@ -590,13 +593,12 @@ def convergence_order(hs, errors) -> float:
     return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
 
 
-def picard_step(ctx, un, cfg, dt=None, guess=None):
+def picard_step(ctx, un, cfg, dt, guess=None):
     """The midpoint step by plain Picard iteration from u^n: sweep from
     the last sweep output until it moves by less than picard_tol. Same
     signature, results and failures as stepper.cn_step, which reaches the
     same fixed point with Anderson mixing from its guess; this reference
     ignores the guess."""
-    dt = cfg.dt if dt is None else dt
     u_new = un.copy()
     upd = np.inf
     for it in range(1, cfg.picard_max_iter + 1):
@@ -635,3 +637,31 @@ def write_snapshot(ctx, u, p, t, path, grid=64):
         for row in cols:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
     return path
+
+
+def _fmt(value):
+    """The config file text of a setting or boundary value (% written %%),
+    which its parser reads back to an equal value."""
+    if isinstance(value, (list, tuple)):        # a pair, domain or segments
+        return ",".join(f"{_fmt(x[2])}@{_fmt(x[0])}:{_fmt(x[1])}"
+                        if isinstance(x, (list, tuple)) else _fmt(x)
+                        for x in value)
+    if value is None or isinstance(value, bool):
+        return str(value).lower()
+    return (repr(float(value)) if isinstance(value, float)
+            else str(value).replace("%", "%%"))
+
+
+def save_config(cfg, path):
+    """Write every setting of cfg, and each edge's boundary keys, to the
+    config file at path; load_config reads it back to an equal config.
+    Boundary data must be numbers: a callable has no file form."""
+    text = {}
+    for (section, key), name in _FILE_KEYS.items():
+        text.setdefault(section, {})[key] = _fmt(getattr(cfg, name))
+    for edge, bc in (cfg.boundary or {}).items():
+        text[f"boundary.{edge}"] = {k: _fmt(getattr(bc, k)) for k in EDGE_KEYS}
+    parser = configparser.ConfigParser()
+    parser.read_dict(text)
+    with open(path, "w") as fh:
+        parser.write(fh)

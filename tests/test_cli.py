@@ -8,8 +8,9 @@ from click.testing import CliRunner
 
 from flowforms import runner
 from flowforms.cli import main
-from flowforms.config import SimulationConfig, load_config, save_config
+from flowforms.config import SimulationConfig, load_config
 from flowforms.stepper import StepFailure, StepReport
+from oracles import save_config
 
 
 @pytest.fixture
@@ -213,6 +214,17 @@ def test_run_rejects_missing_config_path(cli, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["run", "converge"])
+def test_a_directory_as_config_is_a_usage_error(cli, tmp_path, command):
+    result = cli.invoke(main, [command, str(tmp_path), "--out",
+                               str(tmp_path / "out")])
+    out = _all_output(result)
+    assert result.exit_code == 2, out
+    assert "is a directory" in out
+    assert "Traceback" not in out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "converge"])
 def test_invalid_option_value_is_a_usage_error(cli, tmp_path, command):
     result = cli.invoke(main, [command, "--t-final", "0",
                                "--out", str(tmp_path)])
@@ -329,12 +341,17 @@ def test_dt_auto_is_what_it_is_in_a_config_file(cli, tmp_path, monkeypatch):
     auto.write_text("[stepper]\ndt = auto\n")
     for args in (["--case", "lid_driven_cavity"],
                  ["--case", "lid_driven_cavity", "--dt", "auto"],
-                 [str(auto)], [str(fixed), "--dt", "auto"], [str(fixed)]):
+                 [str(auto)], [str(fixed), "--dt", "auto"], [str(fixed)],
+                 ["--case", "taylor_green", "--dt", "auto"]):
         result = cli.invoke(main, ["run", *args, "--out", str(tmp_path)])
         assert isinstance(result.exception, Ran), _all_output(result)
     assert seen[0] == seen[1] and seen[0].dt is None
     assert seen[2] == seen[3] and seen[3].dt is None
     assert seen[4].dt == 1e-3
+    # auto is unset, so it resolves to the case's own dt: CFL control
+    # (None) on the cavity, which has none, and 1e-4 on Taylor-Green
+    assert seen[1].resolve()[0].dt is None
+    assert seen[5].dt is None and seen[5].resolve()[0].dt == 1e-4
 
 
 def test_invalid_config_file_value_is_a_usage_error(cli, tmp_path):

@@ -640,6 +640,18 @@ def test_boundary_terms_match_edge_quadrature(name, p, npat, nc):
         assert np.max(np.abs(T)) > 1e-3
 
 
+@pytest.mark.parametrize("name,pairs", [
+    ("lid_driven_cavity", 0), ("poiseuille", 0), ("blasius", 3)])
+def test_an_edge_wholly_in_gamma_t_adds_no_tangential_pairing(name, pairs):
+    # its free part is empty, so a T1 entry would apply a zero matrix in
+    # every dual curl and viscous residual; only Blasius has free edges
+    case = case_library(name)
+    x0, x1, y0, y1 = case.domain
+    ctx = OperatorContext(space(2, 4, 2, periodic=False,
+                                bounds=((x0, x1), (y0, y1))), bc=case.boundary)
+    assert len(ctx.T1) == pairs
+
+
 # --- context validation and forcing ------------------------------------------
 
 def test_context_rejects_unknown_edge():

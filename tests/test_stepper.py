@@ -90,7 +90,7 @@ def pressure_residual(solver, p, b):
     (dict(t_final=np.inf), "t_final must be positive and finite"),
     (dict(picard_tol=np.nan), "picard_tol must be positive and finite"),
     (dict(cfl_safety=np.nan), "cfl_safety must be positive and finite"),
-    (dict(steady_tol=np.inf), "steady_tol must be positive and finite"),
+    (dict(picard_tol=np.inf), "picard_tol must be positive and finite"),
     (dict(nu=np.nan), "nu must be nonnegative and finite"),
     (dict(nu=np.inf), "nu must be nonnegative and finite"),
     (dict(alpha=np.nan), "alpha must be nonnegative and finite"),
@@ -268,7 +268,7 @@ def test_velocity_update_satisfies_momentum_equation():
 def test_cn_step_of_rest_state_converges_immediately():
     ctx = context(2, 4, 1, "periodic")
     cfg = stepper_cfg(dt=1e-3, picard_tol=1e-12)
-    u1, p, rep = cn_step(ctx, np.zeros(ctx.space.n1), cfg)
+    u1, p, rep = cn_step(ctx, np.zeros(ctx.space.n1), cfg, cfg.dt)
     assert rep.picard_iterations == 1
     assert np.max(np.abs(u1)) == 0.0
     assert np.max(np.abs(p)) <= 1e-13
@@ -280,8 +280,8 @@ def test_cn_step_from_its_own_solution_takes_one_sweep():
     ctx = context(2, 8, 1, "periodic")
     cfg = stepper_cfg(dt=1e-2, picard_tol=1e-12)
     u = tg_state(ctx)
-    u1, p1, rep1 = cn_step(ctx, u, cfg)
-    u2, p2, rep2 = cn_step(ctx, u, cfg, guess=u1)
+    u1, p1, rep1 = cn_step(ctx, u, cfg, cfg.dt)
+    u2, p2, rep2 = cn_step(ctx, u, cfg, cfg.dt, guess=u1)
     assert rep1.picard_iterations > 1 and rep2.picard_iterations == 1
     assert (np.linalg.norm(u2 - u1)
             <= 1e-13 * np.linalg.norm(u1))
@@ -294,7 +294,7 @@ def test_cn_step_conserves_energy_inviscid():
     E0 = energy(ctx.space, u)
     m0 = momentum(ctx.space, u)
     for _ in range(5):
-        u, p, rep = cn_step(ctx, u, cfg)
+        u, p, rep = cn_step(ctx, u, cfg, cfg.dt)
     assert abs(energy(ctx.space, u) - E0) <= 1e-10 * E0
     assert np.max(np.abs(momentum(ctx.space, u) - m0)) <= 1e-11 * max(1.0, E0)
     assert np.max(np.abs(ctx.space.div(u))) <= 1e-10
@@ -306,7 +306,7 @@ def test_cn_step_viscous_dissipation_identity():
     u = tg_state(ctx)
     for _ in range(3):
         E0 = energy(ctx.space, u)
-        u1, p, rep = cn_step(ctx, u, cfg)
+        u1, p, rep = cn_step(ctx, u, cfg, cfg.dt)
         ub = 0.5 * (u + u1)
         drop = E0 - energy(ctx.space, u1)
         model = cfg.dt * cfg.nu * viscous_form(ctx, ub, ub)
@@ -321,7 +321,7 @@ def test_cn_step_penalization_dissipation_identity():
     u = initialize(ctx, TG.initial)
     for _ in range(3):
         E0 = energy(ctx.space, u)
-        u1, p, rep = cn_step(ctx, u, cfg)
+        u1, p, rep = cn_step(ctx, u, cfg, cfg.dt)
         ub = 0.5 * (u + u1)
         drop = E0 - energy(ctx.space, u1)
         model = cfg.dt * cfg.alpha * float(ub @ ctx.space.penalize(ub))
@@ -338,7 +338,7 @@ def test_cn_step_bounded_walls_stays_divergence_free():
     u = initialize(ctx, lambda X, Y: (np.sin(X) * np.cos(Y),
                                       -np.cos(X) * np.sin(Y)))
     for _ in range(3):
-        u, p, rep = cn_step(ctx, u, cfg)
+        u, p, rep = cn_step(ctx, u, cfg, cfg.dt)
     assert np.max(np.abs(ctx.space.div(u))) <= 1e-10
 
 
@@ -360,7 +360,7 @@ def test_gradient_forcing_leaves_walled_velocity_alone(p, npat):
         ctx = OperatorContext(sp_, bc=bc, forcing=forcing)
         u = initialize(ctx, _box_flow)
         for _ in range(5):
-            u = cn_step(ctx, u, cfg)[0]
+            u = cn_step(ctx, u, cfg, cfg.dt)[0]
         finals.append(u)
     moved = np.linalg.norm(finals[1] - finals[0]) / np.linalg.norm(finals[0])
     assert moved <= 1e-10
@@ -379,7 +379,7 @@ def test_cn_step_conserves_energy_on_free_slip_walls(p, npat):
                                       np.sin(X + 2.0 * Y)))
     E0 = energy(ctx.space, u)
     for _ in range(20):
-        u = cn_step(ctx, u, cfg)[0]
+        u = cn_step(ctx, u, cfg, cfg.dt)[0]
     assert abs(energy(ctx.space, u) - E0) <= 1e-13 * E0
 
 
@@ -392,7 +392,7 @@ def test_cn_step_viscous_dissipation_identity_walls():
     cfg = stepper_cfg(dt=1e-3, nu=0.05, picard_tol=1e-11)
     u = initialize(ctx, _box_flow)
     E0 = energy(ctx.space, u)
-    u1 = cn_step(ctx, u, cfg)[0]
+    u1 = cn_step(ctx, u, cfg, cfg.dt)[0]
     ub = 0.5 * (u + u1)
     drop = E0 - energy(ctx.space, u1)
     model = cfg.dt * cfg.nu * viscous_form(ctx, ub, ub)
@@ -401,12 +401,13 @@ def test_cn_step_viscous_dissipation_identity_walls():
 
 
 def test_cn_step_needs_dt_under_cfl_control():
-    # a CFL config's dt is None: cn_step says so instead of failing on it
+    # dt is the caller's to pick (a CFL config's is None): cn_step has no
+    # fallback to the config's, and a call without one names it
     ctx, case, cfg = build_simulation(SimulationConfig(
         case="lid_driven_cavity", n_cells=(4, 4)))
     u = initialize(ctx, case.initial)
     assert cfg.dt is None
-    with pytest.raises(ValueError, match="needs dt"):
+    with pytest.raises(TypeError, match="'dt'"):
         cn_step(ctx, u, cfg)
     assert np.isfinite(cn_step(ctx, u, cfg, dt=1e-3)[0]).all()
 
@@ -418,7 +419,7 @@ def test_cn_step_raises_on_stalled_iteration():
     with pytest.raises(StepFailure, match=r"no Picard convergence in 2 "
                        r"iterations \(last update .*, smallest .* at sweep "
                        r"[12]\)"):
-        cn_step(ctx, u, cfg)
+        cn_step(ctx, u, cfg, cfg.dt)
 
 
 def test_cn_step_reports_divergence_instead_of_overflowing():
@@ -430,7 +431,7 @@ def test_cn_step_reports_divergence_instead_of_overflowing():
     cfg = stepper_cfg(dt=2.0, nu=0.0, picard_tol=1e-10)
     u = initialize(ctx, case_library("double_shear_layer").initial)
     with pytest.raises(StepFailure, match="diverged"):
-        cn_step(ctx, u, cfg)
+        cn_step(ctx, u, cfg, cfg.dt)
 
 
 def test_stall_near_roundoff_reports_the_smallest_update():
@@ -442,7 +443,7 @@ def test_stall_near_roundoff_reports_the_smallest_update():
     cfg = stepper_cfg(dt=0.5, nu=1.0, picard_tol=1e-14, picard_max_iter=25)
     u = tg_state(ctx)
     with pytest.raises(StepFailure, match="no Picard convergence in 25") as err:
-        cn_step(ctx, u, cfg)
+        cn_step(ctx, u, cfg, cfg.dt)
     found = re.search(r"smallest (\S+) at sweep (\d+)", str(err.value))
     assert found, str(err.value)
     assert float(found[1]) < 1e-11 and 1 < int(found[2]) <= 25
@@ -456,8 +457,8 @@ def test_anderson_converges_where_picard_diverges():
     cfg = stepper_cfg(dt=0.5, nu=1.0, picard_tol=1e-10)
     u = tg_state(ctx)
     with pytest.raises(StepFailure, match="diverged"):
-        picard_step(ctx, u, cfg)
-    u1, p, rep = cn_step(ctx, u, cfg)
+        picard_step(ctx, u, cfg, cfg.dt)
+    u1, p, rep = cn_step(ctx, u, cfg, cfg.dt)
     assert rep.final_update_norm < cfg.picard_tol
     ub = 0.5 * (u + u1)
     drop = energy(ctx.space, u) - energy(ctx.space, u1)
@@ -482,7 +483,7 @@ def test_cn_step_reports_a_non_finite_start_as_step_failure(where):
     un[un.size // 3 if where == "one DOF" else slice(None)] = np.nan
     for guess in (None, u):
         with pytest.raises(StepFailure, match="diverged"):
-            cn_step(ctx, un, cfg, guess=guess)
+            cn_step(ctx, un, cfg, cfg.dt, guess=guess)
 
 
 def test_cn_step_warns_on_divergent_start():
@@ -490,7 +491,7 @@ def test_cn_step_warns_on_divergent_start():
     cfg = stepper_cfg(dt=1e-4, picard_tol=1e-9)
     u = rand_coeffs(ctx.space, 1, seed=8)
     with pytest.warns(RuntimeWarning, match="divergence"):
-        cn_step(ctx, u, cfg)
+        cn_step(ctx, u, cfg, cfg.dt)
 
 
 # --- CFL bound ---------------------------------------------------------------
@@ -630,7 +631,7 @@ def test_layers_pass_plain_coefficient_arrays(name):
         "initialize": lambda: (1, u),
         "weak_curl_with_tangential_bc":
             lambda: (0, weak_curl_with_tangential_bc(ctx, u)),
-        "cn_step": lambda: (1, cn_step(ctx, u, stepper_cfg())[0]),
+        "cn_step": lambda: (1, cn_step(ctx, u, stepper_cfg(), 1e-3)[0]),
     }[name]()
     assert type(out) is np.ndarray and out.dtype == np.float64
     assert out.shape == (s.dim(slot),)
