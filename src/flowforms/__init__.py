@@ -11,11 +11,11 @@ from .spaces import (Field, TensorDeRhamSpace, build_multipatch, eval_field,
 from .operators import (EdgeBC, OperatorContext, advection_residual,
                         viscous_form, viscous_residual,
                         weak_curl_with_tangential_bc)
-from .stepper import (StepFailure, StepReport, cfl_dt, cn_step, initialize,
+from .stepper import (StepFailure, StepReport, cn_step, initialize,
                       leray_project, midpoint_sweep, project)
 from .diagnostics import DiagnosticsRecord, l2_error, measure
 from .cases import CaseDefinition, case_library
 from .config import SimulationConfig, load_config
-from .runner import RunResult, build_simulation, convergence_study, run
+from .runner import RunResult, build_simulation, cfl_dt, convergence_study, run
 
 __version__ = "0.1.0"

@@ -12,7 +12,8 @@ SimulationConfig.resolve() validates a config and fills each of its
 unset (None) domain, periodic, nu, alpha, dt and t_final from the case's
 field of that name; runner.run works from the result, where dt=None
 selects CFL control. So an unset dt (none/auto) is the case's own dt,
-which is CFL control only where the case has none.
+which is CFL control only where the case has none. Constants, not
+settings: runner.CFL_SAFETY and DT_MAX, stepper.PICARD_MAX_ITER.
 
 File sections: [case] (key name), [grid], [physics], [stepper],
 [output] and one [boundary.<edge>] per walled edge (keys kind, value,
@@ -111,12 +112,8 @@ class SimulationConfig:
     nu: float = setting("physics", float, check=_NONNEGATIVE)
     alpha: float = setting("physics", float, check=_NONNEGATIVE)
     dt: float = setting("stepper", float, check=_POSITIVE)  # None = CFL
-    dt_max: float = setting("stepper", float, 1.0, _POSITIVE)
     t_final: float = setting("stepper", float, check=_POSITIVE)
     picard_tol: float = setting("stepper", float, 1e-8, _POSITIVE)
-    picard_max_iter: int = setting("stepper", int, 200, _at_least(1))
-    cfl_safety: float = setting("stepper", float, 0.5, (
-        lambda v: 0 < v <= 1, "must be positive and finite, at most 1"))
     output_dir: str = setting("output", str, ".")
     diagnostics_file: str = setting("output", str, "diagnostics.csv")
     snapshot_prefix: str = setting("output", str, "snapshot")

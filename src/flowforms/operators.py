@@ -59,9 +59,9 @@ class EdgeBC:
     coordinate running along the edge.
 
     tangential: None (free), a constant/callable (whole edge in Gamma_t
-    with that u x n data), or a list of (lo, hi, data) segments aligned
-    with cell boundaries that do not overlap. A constant that is not
-    finite raises ValueError; a callable is checked where it is sampled.
+    with that u x n data), or a nonempty list of (lo, hi, data) segments
+    aligned with cell boundaries that do not overlap. A constant that is
+    not finite raises ValueError; a callable is checked where it is sampled.
     """
 
     kind: str = "normal"
@@ -72,6 +72,8 @@ class EdgeBC:
         if self.kind not in ("normal", "pressure"):
             raise ValueError(f"unknown boundary kind {self.kind!r}, "
                              "expected 'normal' or 'pressure'")
+        if isinstance(self.tangential, (list, tuple)) and not self.tangential:
+            raise ValueError("boundary tangential segment list is empty")
         tang = ([d for *_, d in self.tangential] if self._segmented()
                 else [] if self.tangential is None else [self.tangential])
         for name, data in [("value", self.value),
@@ -81,8 +83,7 @@ class EdgeBC:
 
     def _segmented(self) -> bool:
         t = self.tangential
-        return bool(isinstance(t, (list, tuple)) and t
-                    and isinstance(t[0], (list, tuple)))
+        return isinstance(t, (list, tuple)) and isinstance(t[0], (list, tuple))
 
     def segments(self, edge, breaks):
         """The (lo, hi, data) segments of Gamma_t on the edge, whose

@@ -21,11 +21,11 @@ poisson_solver maps every gamma to 0). Each mass solve inverts on the
 velocities with zero Gamma_n flux, so an update keeps the Gamma_n flux
 DOFs of u^n and a gradient force moves only the pressure.
 
-The functions take the resolved SimulationConfig (config.py) and the
-step's dt from the caller: only runner.run reads the config's dt (None
-under CFL control) and picks each step's. The same code serves every
-domain: without boundary conditions the boundary data vectors are zero
-and the mass solve is the plain M1 + gamma*Pen inverse.
+The functions take the resolved SimulationConfig (config.py), of which
+they read nu, alpha and picard_tol, and the step's dt from runner.run,
+which owns the time-step policy. The same code serves every domain:
+without boundary conditions the boundary data vectors are zero and the
+mass solve is the plain M1 + gamma*Pen inverse.
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ from .operators import OperatorContext, advection_residual, viscous_residual
 from .spaces import l2_project
 
 
-# number of past sweeps Anderson mixing combines in cn_step
+# past sweeps Anderson mixing combines, and sweeps before a StepFailure
 ANDERSON_DEPTH = 5
+PICARD_MAX_ITER = 200
 
 
 class StepFailure(RuntimeError):
@@ -107,7 +108,7 @@ def cn_step(ctx: OperatorContext, un, cfg, dt, guess=None):
     x = un if guess is None else guess
     upd = best = np.inf
     best_it = 0
-    for it in range(1, cfg.picard_max_iter + 1):
+    for it in range(1, PICARD_MAX_ITER + 1):
         # bail out before overflow: squared quantities in the quadrature
         # stay finite below ~1e150, so 1e60 leaves ample headroom
         if not np.isfinite(x).all() or np.abs(x).max() > 1e60:
@@ -137,26 +138,8 @@ def cn_step(ctx: OperatorContext, un, cfg, dt, guess=None):
             x = g - gamma @ dG[:m]
         f_prev, g_prev = f, g
     raise StepFailure(
-        f"no Picard convergence in {cfg.picard_max_iter} iterations "
+        f"no Picard convergence in {PICARD_MAX_ITER} iterations "
         f"(last update {upd:.3e}, smallest {best:.3e} at sweep {best_it})")
-
-
-def cfl_dt(ctx: OperatorContext, u, cfg) -> float:
-    """Advective/viscous time step bound
-    dt = safety / (|u|_inf sqrt(mu) + nu mu), capped at dt_max, with
-    mu = lambda_max(x) + lambda_max(y) the inverse-inequality constants of
-    the two lines (about 50/h^2 per clamped line at p=2, not 1/h^2).
-
-    The velocity scale is the coefficient max norm: with a nonnegative
-    partition-of-unity basis it bounds |u|_inf and is exact for constants,
-    which keeps the velocity scaling of the bound free of evaluation
-    roundoff. The constants are computed on the first call only."""
-    vmax = float(np.abs(u).max())
-    mu = ctx.space.line_x.lambda_max + ctx.space.line_y.lambda_max
-    denom = vmax * np.sqrt(mu) + cfg.nu * mu
-    if denom == 0.0:
-        return cfg.dt_max
-    return min(cfg.cfl_safety / denom, cfg.dt_max)
 
 
 # --- initialization ---------------------------------------------------------

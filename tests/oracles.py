@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from flowforms import stepper
 from flowforms.config import _FILE_KEYS, EDGE_KEYS
 from flowforms.operators import (viscous_residual,
                                  weak_curl_with_tangential_bc)
@@ -601,7 +602,7 @@ def picard_step(ctx, un, cfg, dt, guess=None):
     ignores the guess."""
     u_new = un.copy()
     upd = np.inf
-    for it in range(1, cfg.picard_max_iter + 1):
+    for it in range(1, stepper.PICARD_MAX_ITER + 1):
         if not np.isfinite(u_new).all() or np.abs(u_new).max() > 1e60:
             raise StepFailure(
                 f"Picard iteration diverged after {it - 1} iterations")
@@ -611,7 +612,7 @@ def picard_step(ctx, un, cfg, dt, guess=None):
         if upd < cfg.picard_tol:
             return u_new, p, StepReport(it, upd)
     raise StepFailure(
-        f"no Picard convergence in {cfg.picard_max_iter} iterations "
+        f"no Picard convergence in {stepper.PICARD_MAX_ITER} iterations "
         f"(last update {upd:.3e})")
 
 

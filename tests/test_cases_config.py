@@ -162,7 +162,8 @@ def test_config_roundtrip_with_boundary(tmp_path):
 
 @pytest.mark.parametrize("key", ["cfl_constant", "pressure_solver",
                                  "pressure_eps", "moment_order",
-                                 "stencil_radius", "steady_tol"])
+                                 "stencil_radius", "steady_tol", "dt_max",
+                                 "picard_max_iter", "cfl_safety"])
 def test_load_config_rejects_removed_keys(tmp_path, key):
     path = tmp_path / "old.cfg"
     path.write_text(f"[stepper]\n{key} = 1.0\n")
@@ -315,8 +316,7 @@ def test_config_roundtrip_of_every_field(tmp_path):
     cfg = SimulationConfig(
         case="lid_driven_cavity", degree=3, n_patches=(2, 3),
         n_cells=(5, 4), domain=(0.0, 2.0, -1.0, 1.0), periodic=False,
-        nu=0.25, alpha=7.5, dt=0.002, dt_max=0.5, t_final=0.75,
-        picard_tol=1e-9, picard_max_iter=17, cfl_safety=0.3,
+        nu=0.25, alpha=7.5, dt=0.002, t_final=0.75, picard_tol=1e-9,
         output_dir="out", diagnostics_file="d.csv",
         snapshot_prefix="snap", snapshot_grid=33, snapshot_cadence=4,
         boundary={"top": EdgeBC("normal", 0.0, tangential=1.0)})

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from flowforms import runner
+from flowforms import runner, stepper
 from flowforms.cli import main
 from flowforms.config import SimulationConfig, load_config
 from flowforms.stepper import StepFailure, StepReport
@@ -105,11 +105,13 @@ def test_run_without_cadence_writes_no_snapshots(cli, tmp_path):
     assert list(tmp_path.glob("snapshot_*.dat")) == []
 
 
-def test_run_failure_exits_nonzero_and_keeps_last_state(cli, tmp_path):
+def test_run_failure_exits_nonzero_and_keeps_last_state(cli, tmp_path,
+                                                       monkeypatch):
+    # the CLI runs in this process, so the sweep cap can be patched
+    monkeypatch.setattr(stepper, "PICARD_MAX_ITER", 1)
     out = tmp_path / "out"
     cfg = SimulationConfig(case="taylor_green", n_cells=(4, 4), dt=0.5,
-                           t_final=1.0, picard_max_iter=1,
-                           snapshot_grid=8, output_dir=str(out))
+                           t_final=1.0, snapshot_grid=8, output_dir=str(out))
     path = tmp_path / "sim.cfg"
     save_config(cfg, path)
     result = cli.invoke(main, ["run", str(path), "--quiet"])

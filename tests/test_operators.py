@@ -703,15 +703,19 @@ def test_context_rejects_overlapping_segments():
         OperatorContext(space(1, 4, 1, periodic=False), bc=bc)
 
 
-@pytest.mark.parametrize("kw, name", [
-    (dict(kind="pressure", value=np.nan), "value"),
-    (dict(value=-np.inf), "value"),
-    (dict(tangential=np.inf), "tangential"),
+@pytest.mark.parametrize("kw, message", [
+    (dict(kind="pressure", value=np.nan), "boundary value must be finite"),
+    (dict(value=-np.inf), "boundary value must be finite"),
+    (dict(tangential=np.inf), "boundary tangential must be finite"),
     (dict(tangential=[(0.0, PI / 2, 1.0), (PI / 2, PI, np.nan)]),
-     "tangential"),
-], ids=["pressure-nan", "normal-inf", "tangential-inf", "segment-nan"])
-def test_edge_rejects_non_finite_constant_data(kw, name):
-    with pytest.raises(ValueError, match=f"boundary {name} must be finite"):
+     "boundary tangential must be finite"),
+    # no segment, so no data to check
+    (dict(tangential=[]), "tangential segment list is empty"),
+    (dict(tangential=()), "tangential segment list is empty"),
+], ids=["pressure-nan", "normal-inf", "tangential-inf", "segment-nan",
+        "segments-empty-list", "segments-empty-tuple"])
+def test_edge_rejects_non_finite_constant_data(kw, message):
+    with pytest.raises(ValueError, match=message):
         EdgeBC(**kw)
 
 

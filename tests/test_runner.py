@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from oracles import picard_step
-from flowforms import operators, runner, stepper
+from flowforms import operators, runner
 from flowforms.cases import case_library
 from flowforms.config import SimulationConfig
 from flowforms.runner import build_simulation, run, write_snapshot
@@ -396,12 +396,13 @@ def test_poiseuille_takes_stiff_viscous_steps(tmp_path):
 
 
 def test_cfl_dt_lies_on_a_rung_below_the_bound(tmp_path, monkeypatch):
-    # each CFL step takes dt_max over a whole power of DT_RATIO, the
+    # each CFL step takes DT_MAX over a whole power of DT_RATIO, the
     # largest not above cfl_dt's bound, so few solvers are built
     bounds, dts, gammas = [], [], []
+    cfl_dt = runner.cfl_dt
 
     def bound(ctx, u, cfg):
-        bounds.append(stepper.cfl_dt(ctx, u, cfg))
+        bounds.append(cfl_dt(ctx, u, cfg))
         return bounds[-1]
 
     def step(ctx, u, cfg, dt, guess=None):
@@ -420,7 +421,7 @@ def test_cfl_dt_lies_on_a_rung_below_the_bound(tmp_path, monkeypatch):
                            n_patches=(2, 2), n_cells=(4, 4), t_final=0.1,
                            output_dir=str(tmp_path))
     res = run(cfg)
-    dt_max = cfg.resolve()[0].dt_max
+    dt_max = runner.DT_MAX
     assert not res.failed and res.retries == 0 and len(dts) > 10
     # the last step may be shortened to land on t_final
     for b, dt in zip(bounds[:-1], dts[:-1]):
@@ -429,7 +430,7 @@ def test_cfl_dt_lies_on_a_rung_below_the_bound(tmp_path, monkeypatch):
         assert dt <= b < dt * runner.DT_RATIO
     # one build for the initial projection, at most one a rung after it
     assert len(gammas) <= len(set(dts)) + 1 < len(dts) // 2
-    assert runner.rung(dt_max, dt_max) == dt_max
+    assert runner.rung(dt_max) == dt_max
 
 
 # --- refinement studies --------------------------------------------------------
@@ -460,11 +461,14 @@ BENCHMARKS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "benchmarks")
 
 # Picard sweeps (at most) and TensorPoissonSolver builds of the
-# benchmark's three workloads and of the CI's CFL cavity. A build is one
-# solver; the context keeps it while gamma, and so dt on the CFL ladder,
-# stays the same.
+# benchmark's three workloads, of the CI's CFL cavity and of Poiseuille
+# 8^2 at dt = 0.1, whose states near steady take low predictor orders
+# (a fixed order 3 takes 138 sweeps there, a fixed order 2 132). A build
+# is one solver; the context keeps it while gamma, and so dt on the CFL
+# ladder, stays the same.
 PINNED_RUNS = {"tg_advect": (44, 1), "cavity_picard": (96, 2),
-               "dsl_output": (55, 2), "cfl_cavity": (222, 9)}
+               "dsl_output": (55, 2), "cfl_cavity": (222, 9),
+               "poiseuille": (126, 2)}
 
 
 def test_workloads_keep_their_sweeps_and_solver_builds(tmp_path,
@@ -481,6 +485,9 @@ def test_workloads_keep_their_sweeps_and_solver_builds(tmp_path,
     configs["cfl_cavity"] = SimulationConfig(
         case="lid_driven_cavity", n_patches=(2, 2), n_cells=(8, 8),
         t_final=0.1, output_dir=str(tmp_path / "cfl_cavity"))
+    configs["poiseuille"] = SimulationConfig(
+        case="poiseuille", degree=2, n_cells=(8, 8), dt=0.1, t_final=3.0,
+        output_dir=str(tmp_path / "poiseuille"))
     builds = []
     init = operators.TensorPoissonSolver.__init__
 

@@ -9,6 +9,7 @@ import pytest
 from conftest import PI, context, rand_coeffs, space
 from oracles import (assembled, cg_solve, constant_v1, normal_projector,
                      picard_step)
+from flowforms import runner, stepper
 from flowforms.cases import case_library
 from flowforms.config import SimulationConfig
 from flowforms.operators import (
@@ -19,11 +20,10 @@ from flowforms.operators import (
     viscous_residual,
     weak_curl_with_tangential_bc,
 )
-from flowforms.runner import build_simulation
+from flowforms.runner import build_simulation, cfl_dt
 from flowforms.spaces import Field, eval_field, l2_project
 from flowforms.stepper import (
     StepFailure,
-    cfl_dt,
     cn_step,
     initialize,
     leray_project,
@@ -73,8 +73,8 @@ def pressure_residual(solver, p, b):
     (dict(picard_tol=-1.0), "picard_tol"),
     (dict(nu=-0.1), "nu"),
     (dict(alpha=-5.0), "alpha"),
-    (dict(picard_max_iter=0), "picard_max_iter"),
-    (dict(cfl_safety=1.5), "cfl_safety"),
+    (dict(degree=-1), "degree"),
+    (dict(domain=(1.0, 0.0, 0.0, 1.0)), "empty interval"),
     (dict(t_final=0.0), "t_final"),
     (dict(t_final=-1.0), "t_final"),
     (dict(snapshot_cadence=-1), "snapshot_cadence"),
@@ -85,11 +85,11 @@ def pressure_residual(solver, p, b):
     # NaN passes every ordered comparison's negation, inf every bound below
     (dict(dt=np.nan), "^dt must be positive and finite"),
     (dict(dt=np.inf), "^dt must be positive and finite"),
-    (dict(dt_max=np.inf), "dt_max must be positive and finite"),
+    (dict(degree=np.nan), "degree must be an integer >= 0"),
     (dict(t_final=np.nan), "t_final must be positive and finite"),
     (dict(t_final=np.inf), "t_final must be positive and finite"),
     (dict(picard_tol=np.nan), "picard_tol must be positive and finite"),
-    (dict(cfl_safety=np.nan), "cfl_safety must be positive and finite"),
+    (dict(snapshot_cadence=np.nan), "snapshot_cadence must be an integer"),
     (dict(picard_tol=np.inf), "picard_tol must be positive and finite"),
     (dict(nu=np.nan), "nu must be nonnegative and finite"),
     (dict(nu=np.inf), "nu must be nonnegative and finite"),
@@ -103,7 +103,7 @@ def test_stepper_config_validation(kwargs, match):
 
 def test_stepper_config_defaults_are_valid():
     cfg, _ = SimulationConfig().resolve()
-    assert cfg.dt > 0 and cfg.picard_max_iter >= 1
+    assert cfg.dt > 0 and cfg.picard_tol > 0
 
 
 # --- pressure solve inside the sweep -----------------------------------------
@@ -412,9 +412,10 @@ def test_cn_step_needs_dt_under_cfl_control():
     assert np.isfinite(cn_step(ctx, u, cfg, dt=1e-3)[0]).all()
 
 
-def test_cn_step_raises_on_stalled_iteration():
+def test_cn_step_raises_on_stalled_iteration(monkeypatch):
+    monkeypatch.setattr(stepper, "PICARD_MAX_ITER", 2)
     ctx = context(2, 8, 1, "periodic")
-    cfg = stepper_cfg(dt=0.5, picard_tol=1e-12, picard_max_iter=2)
+    cfg = stepper_cfg(dt=0.5, picard_tol=1e-12)
     u = tg_state(ctx)
     with pytest.raises(StepFailure, match=r"no Picard convergence in 2 "
                        r"iterations \(last update .*, smallest .* at sweep "
@@ -434,13 +435,14 @@ def test_cn_step_reports_divergence_instead_of_overflowing():
         cn_step(ctx, u, cfg, cfg.dt)
 
 
-def test_stall_near_roundoff_reports_the_smallest_update():
+def test_stall_near_roundoff_reports_the_smallest_update(monkeypatch):
     # the iteration comes within 1e-12 of the fixed point in a few sweeps
     # (it converges at picard_tol = 1e-12), then wanders at its roundoff
     # floor, some 3e-13 here, which a tolerance of 1e-14 lies well below:
     # the failure names the smallest update
+    monkeypatch.setattr(stepper, "PICARD_MAX_ITER", 25)
     ctx = context(2, 8, 1, "periodic")
-    cfg = stepper_cfg(dt=0.5, nu=1.0, picard_tol=1e-14, picard_max_iter=25)
+    cfg = stepper_cfg(dt=0.5, nu=1.0, picard_tol=1e-14)
     u = tg_state(ctx)
     with pytest.raises(StepFailure, match="no Picard convergence in 25") as err:
         cn_step(ctx, u, cfg, cfg.dt)
@@ -511,34 +513,36 @@ def inverse_constant(ctx):
     return ctx.space.line_x.lambda_max + ctx.space.line_y.lambda_max
 
 
-def test_cfl_dt_quarters_with_mesh_quartering():
+def test_cfl_dt_quarters_with_mesh_quartering(monkeypatch):
     # inviscid: dt |u| sqrt(mu) = safety; a periodic line's lambda_max
     # scales exactly as 1/h^2, so dt scales as h
-    cfg = stepper_cfg(nu=0.0, dt_max=100.0)
+    monkeypatch.setattr(runner, "DT_MAX", 100.0)
+    cfg = stepper_cfg(nu=0.0)
     dts = []
     for nc, mode in ((4, "periodic"), (16, "periodic"), (4, "walls")):
         ctx = context(2, nc, 1, mode)
         u = constant_v1(ctx.space, 1.3, 0.9)
         dt = cfl_dt(ctx, u, cfg)
         assert dt * 1.3 * np.sqrt(inverse_constant(ctx)) == pytest.approx(
-            cfg.cfl_safety, rel=1e-14)
+            runner.CFL_SAFETY, rel=1e-14)
         dts.append(dt)
     assert dts[1] == pytest.approx(dts[0] / 4.0, rel=1e-10)
 
 
-def test_cfl_dt_viscous_scaling_and_cap():
+def test_cfl_dt_viscous_scaling_and_cap(monkeypatch):
     ctx4 = context(2, 4, 1, "periodic")
     ctx16 = context(2, 16, 1, "periodic")
-    cfg = stepper_cfg(nu=0.02, dt_max=100.0)
+    monkeypatch.setattr(runner, "DT_MAX", 100.0)
+    cfg = stepper_cfg(nu=0.02)
     z4 = np.zeros(ctx4.space.n1)
     z16 = np.zeros(ctx16.space.n1)
     for ctx, z in ((ctx4, z4), (ctx16, z16), (context(2, 4, 1, "walls"), z4)):
         assert cfl_dt(ctx, z, cfg) * cfg.nu * inverse_constant(ctx) == \
-            pytest.approx(cfg.cfl_safety, rel=1e-14)
+            pytest.approx(runner.CFL_SAFETY, rel=1e-14)
     assert cfl_dt(ctx16, z16, cfg) == pytest.approx(
         cfl_dt(ctx4, z4, cfg) / 16.0, rel=1e-10)
-    calm = stepper_cfg(nu=0.0, dt_max=0.25)
-    assert cfl_dt(ctx4, z4, calm) == 0.25
+    monkeypatch.setattr(runner, "DT_MAX", 0.25)
+    assert cfl_dt(ctx4, z4, stepper_cfg(nu=0.0)) == 0.25
 
 
 # --- initialization ----------------------------------------------------------
