@@ -31,6 +31,7 @@ boundary tangential grammar:  free | <float> | <float>@<lo>:<hi>[,...]
 from __future__ import annotations
 
 import configparser
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -94,11 +95,16 @@ def setting(section, parse, default=None, check=None):
 # comparisons that NaN fails too
 _POSITIVE = (lambda v: 0 < v < np.inf, "must be positive and finite")
 _NONNEGATIVE = (lambda v: 0 <= v < np.inf, "must be nonnegative and finite")
-_COUNTS = (lambda v: min(v) >= 1, "must be integers >= 1")
 
 
 def _at_least(least):
-    return (lambda v: v >= least, f"must be an integer >= {least}")
+    # bool is an Integral too, but no count
+    return (lambda v: isinstance(v, numbers.Integral)
+            and not isinstance(v, bool) and v >= least,
+            f"must be an integer >= {least}")
+
+
+_COUNTS = (lambda v: all(map(_at_least(1)[0], v)), "must be integers >= 1")
 
 
 @dataclass

@@ -72,18 +72,22 @@ class EdgeBC:
         if self.kind not in ("normal", "pressure"):
             raise ValueError(f"unknown boundary kind {self.kind!r}, "
                              "expected 'normal' or 'pressure'")
-        if isinstance(self.tangential, (list, tuple)) and not self.tangential:
-            raise ValueError("boundary tangential segment list is empty")
-        tang = ([d for *_, d in self.tangential] if self._segmented()
-                else [] if self.tangential is None else [self.tangential])
+        tang = [] if self.tangential is None else [self.tangential]
+        if self._segmented():
+            if not self.tangential:
+                raise ValueError("boundary tangential segment list is empty")
+            for seg in self.tangential:
+                if not (isinstance(seg, (list, tuple)) and len(seg) == 3):
+                    raise ValueError(f"boundary tangential segment {seg!r} "
+                                     "is not (lo, hi, data)")
+            tang = [d for *_, d in self.tangential]
         for name, data in [("value", self.value),
                            *(("tangential", d) for d in tang)]:
             if not callable(data) and not np.isfinite(float(data)):
                 raise ValueError(f"boundary {name} must be finite, got {data!r}")
 
     def _segmented(self) -> bool:
-        t = self.tangential
-        return isinstance(t, (list, tuple)) and isinstance(t[0], (list, tuple))
+        return isinstance(self.tangential, (list, tuple))
 
     def segments(self, edge, breaks):
         """The (lo, hi, data) segments of Gamma_t on the edge, whose

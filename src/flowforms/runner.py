@@ -84,8 +84,8 @@ def write_snapshot(ctx, u, p, t, path, grid=64):
     return path
 
 
-# highest order of the time extrapolation that starts each step
-PREDICTOR_ORDER = 3
+# highest order of the time extrapolation that starts each step (see predict)
+PREDICTOR_ORDER = 5
 # CFL control (see run): cfl_dt's safety factor, top rung and rung ratio
 CFL_SAFETY = 0.5
 DT_MAX = 1.0
@@ -124,7 +124,7 @@ def extrapolate(states, t, orders):
     W = np.zeros((orders, n))
     for k in range(1, orders):
         ts = times[-k - 1:]
-        W[k, n - k:] = [np.prod([(t - tm) / (tj - tm) for tm in ts if tm != tj])
+        W[k, n - k:] = [math.prod([(t - tm) / (tj - tm) for tm in ts if tm != tj])
                         for tj in ts[:-1]]
     return us[-1] + W @ (np.stack(us[:-1]) - us[-1])
 
@@ -136,13 +136,14 @@ def predict(history, t):
     k = 0. k is the order, up to PREDICTOR_ORDER, whose extrapolation
     from the states before u^n landed closest to u^n. With fewer than
     two past states no order above 0 can be scored: step 1 takes k = 0
-    and step 2 k = 1.
+    and step 2 k = 1; orders above 3 wait for step 6.
 
-    The order is scored, not fixed, as the best one changes with the flow:
-    a smooth transient gains from order 3, but near a steady state the
-    states differ by little more than their Picard error, which a high
-    order amplifies. Sweeps, scored vs fixed order 3: 1744 vs 1864 on the
-    CFL cavity 2x2x16^2 to t = 0.5, 1294 vs 1480 on Poiseuille's defaults."""
+    At cap 5 a smooth step's guess lands within picard_tol of its fixed
+    point: tg_advect takes 29 sweeps, against 44 at cap 3 and 29 at cap
+    4, whose energy drift is 1.3e-14 there, not 2.2e-15. The order is
+    scored, as near steady a high order amplifies the states' Picard
+    error. Sweeps, scored vs fixed order 5: 1654 vs 2192 on the CFL
+    cavity 2x2x16^2 to t = 0.5, 1294 vs 1891 on Poiseuille's defaults."""
     *past, (tn, un) = history
     if len(past) < 2:
         k = len(past)

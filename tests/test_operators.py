@@ -712,8 +712,12 @@ def test_context_rejects_overlapping_segments():
     # no segment, so no data to check
     (dict(tangential=[]), "tangential segment list is empty"),
     (dict(tangential=()), "tangential segment list is empty"),
+    (dict(tangential=[1.0]), r"segment 1\.0 is not \(lo, hi, data\)"),
+    (dict(tangential=[(0.0, 1.0)]),
+     r"segment \(0\.0, 1\.0\) is not \(lo, hi, data\)"),
 ], ids=["pressure-nan", "normal-inf", "tangential-inf", "segment-nan",
-        "segments-empty-list", "segments-empty-tuple"])
+        "segments-empty-list", "segments-empty-tuple", "segment-number",
+        "segment-without-data"])
 def test_edge_rejects_non_finite_constant_data(kw, message):
     with pytest.raises(ValueError, match=message):
         EdgeBC(**kw)

@@ -95,6 +95,14 @@ def pressure_residual(solver, p, b):
     (dict(nu=np.inf), "nu must be nonnegative and finite"),
     (dict(alpha=np.nan), "alpha must be nonnegative and finite"),
     (dict(alpha=-np.inf), "alpha must be nonnegative and finite"),
+    # a non-integer count from the Python API (a file's parser is int);
+    # a bool is an Integral too
+    (dict(snapshot_grid=np.inf), "^snapshot_grid must be an integer >= 1$"),
+    (dict(snapshot_cadence=2.5), "^snapshot_cadence must be an integer >= 0$"),
+    (dict(snapshot_cadence=True), "^snapshot_cadence must be an integer >= 0$"),
+    (dict(degree=2.0), "^degree must be an integer >= 0$"),
+    (dict(n_cells=(4.5, 4)), "^n_cells must be integers >= 1$"),
+    (dict(n_patches=(True, 1)), "^n_patches must be integers >= 1$"),
 ])
 def test_stepper_config_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
