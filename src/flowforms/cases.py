@@ -22,15 +22,15 @@ class CaseDefinition:
     name: str
     domain: tuple                 # (x0, x1, y0, y1)
     periodic: bool
-    initial: object               # (X, Y) -> (ux, uy)
+    initial: object               # (X, Y) -> (ux, uy), as spaces.sample
     nu: float
     alpha: float
     t_final: float
     dt: float = None              # None = CFL-controlled
-    exact: object = None          # (X, Y, t, nu) -> (ux, uy)
-    exact_pressure: object = None  # (X, Y) -> p, steady cases only
+    exact: object = None          # (X, Y, t, nu) -> (ux, uy), as spaces.sample
+    exact_pressure: object = None  # (X, Y) -> p, steady only, as spaces.sample
     boundary: dict = None         # edge name -> EdgeBC
-    forcing: object = None
+    forcing: object = None        # (X, Y) -> (fx, fy), as spaces.sample
 
 
 def _taylor_green():

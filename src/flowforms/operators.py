@@ -160,7 +160,8 @@ class OperatorContext:
 
     bc is a dict edge-name -> EdgeBC covering every non-periodic edge, or
     None/empty for no boundary conditions: then every boundary term is
-    zero and the Gamma_n mask zn is one everywhere.
+    zero and the Gamma_n mask zn is one everywhere. forcing is None or a
+    callable f(X, Y) -> (f_x, f_y) as `spaces.sample` calls it.
     """
 
     def __init__(self, space: TensorDeRhamSpace, bc=None, forcing=None):
@@ -291,7 +292,10 @@ class TensorPoissonSolver:
         # per line: the inverse of each kind, K's eigensystem and at theta != 0
         # viscous_correction's eigenvalues e, W = V^T (Mg or M_l2) and U = Z V
         factors, eigs, visc = [], [], []
-        for line, z in ((s.line_x, ctx.zn["x"]), (s.line_y, ctx.zn["y"])):
+        axes = [(s.line_x, ctx.zn["x"]), (s.line_y, ctx.zn["y"])]
+        if s.line_y is s.line_x and np.array_equal(ctx.zn["x"], ctx.zn["y"]):
+            axes = axes[:1]     # both axes have the same arrays: make them once
+        for line, z in axes:
             M, Ml2, DP = line.mass["h1"], line.mass["l2"], line.DP
             Mg = z[:, None] * (M + gamma * line.JMJ) * z
             inv = spd_inverse(Mg + np.diag(1.0 - z)) * np.outer(z, z)
@@ -309,6 +313,7 @@ class TensorPoissonSolver:
                 e[kind], V = scipy.linalg.eigh(0.5 * (K + K.T), 0.5 * (B + B.T))
                 U[kind], W[kind] = np.reshape(mask, (-1, 1)) * V, V.T @ factor
             visc.append((e, W, U))
+        factors, eigs, visc = (v * (3 - len(axes)) for v in (factors, eigs, visc))
         (lam_x, phi_x), (lam_y, phi_y) = eigs
         denom = lam_x[:, None] + lam_y[None, :]
         self.singular = not any(c.kind == "pressure" for c in ctx.bc.values())

@@ -113,20 +113,20 @@ def rung(dt):
     return DT_MAX * DT_RATIO ** -(k + (DT_MAX * DT_RATIO ** -k > dt))
 
 
-def extrapolate(states, t, orders):
-    """The Lagrange extrapolations in time to t through states
-    [(t_j, u_j)], one row per order k < orders, through the last k + 1
-    states: u_last + W D, with D the stacked u_j - u_last and row k of W
-    the order-k weights. Each row's weights sum to one, so entries that
-    are equal in every state come out bit for bit."""
-    times, us = zip(*states)
+def extrapolate(times, S, t, orders):
+    """The Lagrange extrapolations in time to t through the stacked states
+    S at times, less S[-1], one row per order k < orders, through the last
+    k + 1 states: W D, D the stacked S_j - S[-1] and row k of W the order-k
+    weights, which sum to one with S[-1]'s, so entries equal in every state
+    come out bit for bit. Every row is formed, as numpy runs a one-row
+    product as a GEMV, which rounds unlike a row of the GEMM."""
     n = len(times) - 1
     W = np.zeros((orders, n))
     for k in range(1, orders):
         ts = times[-k - 1:]
         W[k, n - k:] = [math.prod([(t - tm) / (tj - tm) for tm in ts if tm != tj])
                         for tj in ts[:-1]]
-    return us[-1] + W @ (np.stack(us[:-1]) - us[-1])
+    return W @ (S[:-1] - S[-1])
 
 
 def predict(history, t):
@@ -136,7 +136,8 @@ def predict(history, t):
     k = 0. k is the order, up to PREDICTOR_ORDER, whose extrapolation
     from the states before u^n landed closest to u^n. With fewer than
     two past states no order above 0 can be scored: step 1 takes k = 0
-    and step 2 k = 1; orders above 3 wait for step 6.
+    and step 2 k = 1; orders above 3 wait for step 6. The states are
+    stacked once, for the scores and the guess.
 
     At cap 5 a smooth step's guess lands within picard_tol of its fixed
     point: tg_advect takes 29 sweeps, against 44 at cap 3 and 29 at cap
@@ -144,14 +145,12 @@ def predict(history, t):
     scored, as near steady a high order amplifies the states' Picard
     error. Sweeps, scored vs fixed order 5: 1654 vs 2192 on the CFL
     cavity 2x2x16^2 to t = 0.5, 1294 vs 1891 on Poiseuille's defaults."""
-    *past, (tn, un) = history
-    if len(past) < 2:
-        k = len(past)
-    else:
-        past = past[-PREDICTOR_ORDER - 1:]
-        k = int(np.argmin(np.linalg.norm(
-            extrapolate(past, tn, len(past)) - un, axis=1)))
-    return None if k == 0 else extrapolate(list(history)[-k - 1:], t, k + 1)[k]
+    times, us = zip(*list(history)[-PREDICTOR_ORDER - 2:])
+    S, n = np.stack(us), len(us) - 1    # n past states before u^n
+    k = n if n < 2 else int(np.argmin(np.linalg.norm(
+        S[-2] + extrapolate(times[:-1], S[:-1], times[-1], n) - S[-1], axis=1)))
+    return None if k == 0 else (
+        S[-1] + extrapolate(times[-k - 1:], S[-k - 1:], t, k + 1)[k])
 
 
 def run(cfg, progress=None):

@@ -15,9 +15,10 @@ mass inverses, masses, collocation matrices (`eval_field`) or eigenvectors.
 
 `build_multipatch` is the one builder of the complex, over equal
 axis-aligned patches; a single patch is the broken space whose conforming
-projections are the identity. The 2D projections are tensor products of
-each line's `DeRhamLine.P`; the V1 projection acts on the
-normal-direction factor of each component only.
+projections are the identity, and two equal axes share one `DeRhamLine`.
+The 2D projections are tensor products of each line's `DeRhamLine.P`;
+the V1 projection acts on the normal-direction factor of each component
+only.
 
 Quadrature grids: a space carries two tensor Gauss grids built from its
 lines. `grid` has the exact rule: Gauss with n points a cell is exact to
@@ -72,10 +73,6 @@ class TensorGrid:
     def __init__(self, gx: LineGrid, gy: LineGrid):
         self.gx, self.gy = gx, gy
         self.x, self.y = gx.pts, gy.pts
-
-    def mesh(self):
-        """Meshgrid (ij) of the points."""
-        return np.meshgrid(self.x, self.y, indexing="ij")
 
     def integrate(self, vals) -> float:
         """Quadrature of point values of shape (len(x), len(y))."""
@@ -217,17 +214,24 @@ def build_multipatch(degree, n_patches, cells_per_patch,
     each a count, or one per direction, as periodic may be one bool."""
     n, cells, per = ((v, v) if np.isscalar(v) else v
                      for v in (n_patches, cells_per_patch, periodic))
-    return TensorDeRhamSpace(*(DeRhamLine(degree, n[i], cells[i], bounds[i], per[i])
-                               for i in (0, 1)))
+    args = [(degree, n[i], cells[i], tuple(map(float, bounds[i])), bool(per[i]))
+            for i in (0, 1)]
+    line_x = DeRhamLine(*args[0])
+    return TensorDeRhamSpace(line_x, line_x if args[1] == args[0]
+                             else DeRhamLine(*args[1]))
 
 
 def sample(grid: TensorGrid, f, n: int) -> list:
-    """The n components of the callable f(x, y) on the grid's mesh, each
-    broadcast to the mesh's shape: f returns one array when n is 1 and n
-    of them otherwise. Raises ValueError on a non-finite value."""
-    X, Y = grid.mesh()
-    out = f(X, Y)
-    vals = [np.broadcast_to(np.asarray(v, dtype=np.float64), X.shape)
+    """The n components of the callable f(X, Y) on the grid, each broadcast
+    to its shape (len(grid.x), len(grid.y)). The contract of every callable
+    of (x, y): X = grid.x[:, None] is the column of x points, Y =
+    grid.y[None, :] the row of y points, and f returns one component when
+    n is 1 and n of them otherwise, each one that broadcasts to the grid
+    (a scalar, row, column or full array), so a separable f evaluates on
+    len(x) + len(y) points. Raises ValueError on a non-finite value."""
+    shape = (len(grid.x), len(grid.y))
+    out = f(grid.x[:, None], grid.y[None, :])
+    vals = [np.broadcast_to(np.asarray(v, dtype=np.float64), shape)
             for v in ((out,) if n == 1 else out)]
     if len(vals) != n:
         raise ValueError(f"expected {n} components, got {len(vals)}")
@@ -237,10 +241,8 @@ def sample(grid: TensorGrid, f, n: int) -> list:
 
 
 def l2_project(space: TensorDeRhamSpace, slot: int, f) -> np.ndarray:
-    """L2 projection of a callable f(x, y) onto the given slot, integrated
-    on the data grid.
-
-    For slot 1 the callable must return the pair (u_x, u_y)."""
+    """L2 projection of a callable f(X, Y) (see `sample`) onto the given
+    slot, integrated on the data grid; for slot 1 f returns (u_x, u_y)."""
     if slot not in KINDS:
         raise ValueError(f"unknown slot {slot}")
     grid = space.data_grid

@@ -272,7 +272,9 @@ class BasisTable:
 
     def scratch(self, name, shape):
         """The table's own array of that name and shape, made once and
-        overwritten by every later call: a table serves one caller at once."""
+        overwritten by every later call: a table serves one caller at once.
+        A table both axes share serves both passes of a grid product safely:
+        m counts points on the x pass and DOFs (fewer) on the y pass."""
         if (name, shape) not in self._buffers:
             self._buffers[name, shape] = np.empty(shape)
         return self._buffers[name, shape]

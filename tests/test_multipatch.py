@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_field, space
-from flowforms.spaces import build_multipatch
-from flowforms.splines import (Broken1D, DegenerateStencilError,
+from conftest import DOMAIN, rand_field, space
+from flowforms.config import SimulationConfig
+from flowforms.operators import (EdgeBC, OperatorContext, TensorPoissonSolver,
+                                 advection_residual)
+from flowforms.runner import build_simulation
+from flowforms.spaces import KINDS, TensorDeRhamSpace, build_multipatch
+from flowforms.splines import (Broken1D, DeRhamLine, DegenerateStencilError,
                                conforming_projection_1d, projection_stencil_1d)
 from oracles import assembled, constant_v1, gauss_cells, line_basis
 
@@ -140,7 +144,7 @@ def test_projection_preserves_polynomial_moments(rng):
     v = rng.standard_normal(s.n1)
     dv = (assembled(s).Pc1 @ v) - v
     dx, dy = s.grid_eval(1, dv)
-    X, Y = s.grid.mesh()
+    X, Y = np.meshgrid(s.grid.x, s.grid.y, indexing="ij")
     for a in range(mo + 1):
         for b in range(s.p + 1):
             w = X**a * Y**b
@@ -207,3 +211,48 @@ def test_default_stencil_parameters_follow_degree():
     (L, R), = s.line_x.h1.interfaces()
     rows = s.line_x.P[:, R].nonzero()[0]
     assert rows.min() == L - 4 and rows.max() == R + 4
+
+
+# --- equal axes share one line ---------------------------------------------------
+
+@pytest.mark.parametrize("case,cells,shared", [
+    ("taylor_green", (4, 4), True), ("lid_driven_cavity", (4, 4), True),
+    ("double_shear_layer", (4, 4), True), ("blasius", (4, 4), False),
+    ("taylor_green", (8, 4), False)])
+def test_equal_axes_share_one_line(case, cells, shared):
+    # Blasius's domain is (-1, 1) x (0, 0.5): its axes differ in interval
+    ctx, _, _ = build_simulation(SimulationConfig(
+        case=case, n_patches=(2, 2), n_cells=cells, dt=1e-3))
+    s = ctx.space
+    assert (s.line_x is s.line_y) == shared
+
+
+@pytest.mark.parametrize("npat,periodic", [(1, True), (2, False)])
+def test_a_shared_line_computes_what_two_equal_lines_do(npat, periodic):
+    # the shared line's basis tables serve both passes of every grid
+    # product; bit for bit the results of two equal lines
+    shared = build_multipatch(2, npat, 4, DOMAIN, periodic)
+    line = shared.line_x
+    assert shared.line_y is line
+    twin = TensorDeRhamSpace(line, DeRhamLine(2, npat, 4, DOMAIN[1], periodic))
+    bc = None if periodic else {e: EdgeBC("normal", 0.0, tangential=0.0)
+                                for e in ("left", "right", "bottom", "top")}
+    rng = np.random.default_rng(7)
+    c = {slot: rng.standard_normal(shared.dim(slot)) for slot in KINDS}
+    u, v = rng.standard_normal((2, shared.n1))
+    b = rng.standard_normal(shared.n2)
+
+    def results(s):
+        out = []
+        for slot in KINDS:
+            for grid in (s.grid, s.data_grid):
+                vals = s.grid_eval(slot, c[slot], grid)
+                out += [*vals, s.grid_moments(slot, vals, grid)]
+            out += [s.mass(slot, c[slot]), s.solve_mass(slot, c[slot])]
+        ctx = OperatorContext(s, bc=bc)
+        solver = TensorPoissonSolver(ctx, gamma=0.5, theta=0.01)
+        return out + [advection_residual(ctx, u, v), solver.solve(b),
+                      solver.m1_solve(u), solver.viscous_correction(v)]
+
+    for got, want in zip(results(shared), results(twin), strict=True):
+        assert np.array_equal(got, want)

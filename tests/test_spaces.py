@@ -7,7 +7,7 @@ from conftest import context, rand_coeffs, rand_field, space
 from flowforms.diagnostics import l2_error
 from flowforms.linalg import KroneckerSolver
 from flowforms.spaces import (KINDS, Field, build_multipatch, eval_field,
-                              l2_project)
+                              l2_project, sample)
 from oracles import area, assembled, constant_v1, convergence_order
 
 PI = np.pi
@@ -161,7 +161,7 @@ def test_l2_project_reproduces_constant_vector():
 def test_l2_project_residual_is_tiny():
     s = space(2, 4, 1, True)
     u = l2_project(s, 1, tg_velocity)
-    X, Y = s.data_grid.mesh()
+    X, Y = np.meshgrid(s.data_grid.x, s.data_grid.y, indexing="ij")
     rhs = s.grid_moments(1, tg_velocity(X, Y), s.data_grid)
     M1 = assembled(s).M1
     assert np.linalg.norm(M1 @ u - rhs) <= 1e-12 * np.linalg.norm(rhs)
@@ -175,6 +175,41 @@ def test_l2_project_rejects_non_finite_data():
         l2_project(s, 1, lambda X, Y: (X * np.inf, Y))
     with pytest.raises(ValueError, match="unknown slot 3"):
         l2_project(s, 3, lambda X, Y: 1.0)
+
+
+def test_sample_calls_f_on_the_open_grid_and_broadcasts_each_component():
+    # f sees the column of x points and the row of y points, len(x) +
+    # len(y) points in all; a scalar, a row, a column and a full component
+    # all come back with the grid's shape
+    g = space(2, 4, 2, False).data_grid
+    nx, ny = len(g.x), len(g.y)
+    seen = []
+
+    def f(X, Y):
+        seen.append((X.copy(), Y.copy()))
+        return 2.0, np.sin(Y), np.cos(X), X * Y
+
+    vals = sample(g, f, 4)
+    (X, Y), = seen
+    assert X.shape == (nx, 1) and Y.shape == (1, ny)
+    assert X.size + Y.size == nx + ny
+    assert np.array_equal(X.ravel(), g.x) and np.array_equal(Y.ravel(), g.y)
+    Xm, Ym = np.meshgrid(g.x, g.y, indexing="ij")
+    for v, want in zip(vals, (np.full((nx, ny), 2.0), np.sin(Ym), np.cos(Xm),
+                              Xm * Ym), strict=True):
+        assert v.shape == (nx, ny) and np.array_equal(v, want)
+
+
+@pytest.mark.parametrize("bad", [
+    lambda X, Y: np.nan,
+    lambda X, Y: np.where(Y > 1.0, np.inf, 0.0),
+    lambda X, Y: np.where(X > 1.0, np.nan, 0.0),
+    lambda X, Y: np.where(X > Y, -np.inf, 0.0),
+], ids=["scalar", "row", "column", "full"])
+def test_sample_rejects_a_non_finite_value_in_a_broadcast_component(bad):
+    g = space(1, 2, 1, False).data_grid
+    with pytest.raises(ValueError, match="not finite"):
+        sample(g, lambda X, Y: (1.0, bad(X, Y)), 2)
 
 
 def test_l2_projection_order_matches_degree():
