@@ -16,6 +16,6 @@ from .stepper import (StepFailure, StepReport, cn_step, initialize,
 from .diagnostics import DiagnosticsRecord, l2_error, measure
 from .cases import CaseDefinition, case_library
 from .config import SimulationConfig, load_config
-from .runner import RunResult, build_simulation, cfl_dt, convergence_study, run
+from .runner import RunResult, build_simulation, convergence_study, run
 
 __version__ = "0.1.0"

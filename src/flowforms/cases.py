@@ -3,7 +3,7 @@
 Each case bundles boundary conditions, initial data, an exact solution
 where one exists, and the domain, periodic, nu, alpha, dt and t_final
 that SimulationConfig.resolve() puts in each unset config field of the
-same name (a dt of None stays None: CFL control).
+same name (a dt of None stays None: error control).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class CaseDefinition:
     nu: float
     alpha: float
     t_final: float
-    dt: float = None              # None = CFL-controlled
+    dt: float = None              # None = error-controlled
     exact: object = None          # (X, Y, t, nu) -> (ux, uy), as spaces.sample
     exact_pressure: object = None  # (X, Y) -> p, steady only, as spaces.sample
     boundary: dict = None         # edge name -> EdgeBC

@@ -3,10 +3,11 @@
 Each option is named after the SimulationConfig field it sets (--nc
 sets n_cells, --np n_patches, --tol picard_tol, --out output_dir), and
 its text is parsed as its config key's text (so `--dt auto` means
-`dt = auto`: the case's own dt, which is CFL control only where the
+`dt = auto`: the case's own dt, which is error control only where the
 case has none). Both commands set the options given on the config of an
 optional INI file. An invalid config or study, or a CONFIG that is a
-directory, is a usage error before any run.
+directory, is a usage error before any run. `run`'s retries= counts the
+redone attempts (RunResult.retries): halved on StepFailure, or rejected.
 
 Environment variables: FLOWFORMS_OUTPUT_DIR is declared as the envvar
 of --out, so an explicit --out beats it. The BLAS thread count follows
@@ -57,7 +58,7 @@ def _build_config(config_path, options):
 # each option's destination is the SimulationConfig field it sets
 _shared = [
     click.option("--dt", help="fixed time step, or auto for the case's own "
-                 "(CFL control where the case has none)"),
+                 "(error control where the case has none)"),
     click.option("--p", "--degree", "degree",
                  help="spline degree of the pressure space"),
     click.option("--nc", "n_cells", help="cells per patch"),

@@ -11,9 +11,9 @@ keys.
 SimulationConfig.resolve() validates a config and fills each of its
 unset (None) domain, periodic, nu, alpha, dt and t_final from the case's
 field of that name; runner.run works from the result, where dt=None
-selects CFL control. So an unset dt (none/auto) is the case's own dt,
-which is CFL control only where the case has none. Constants, not
-settings: runner.CFL_SAFETY and DT_MAX, stepper.PICARD_MAX_ITER.
+selects error control. So an unset dt (none/auto) is the case's own dt,
+which is error control only where the case has none. Constants, not
+settings: runner.ERROR_TOL, DT_*, stepper.PICARD_MAX_ITER.
 
 File sections: [case] (key name), [grid], [physics], [stepper],
 [output] and one [boundary.<edge>] per walled edge (keys kind, value,
@@ -117,7 +117,7 @@ class SimulationConfig:
     periodic: bool = setting("grid", _parse_periodic)
     nu: float = setting("physics", float, check=_NONNEGATIVE)
     alpha: float = setting("physics", float, check=_NONNEGATIVE)
-    dt: float = setting("stepper", float, check=_POSITIVE)  # None = CFL
+    dt: float = setting("stepper", float, check=_POSITIVE)  # None = error control
     t_final: float = setting("stepper", float, check=_POSITIVE)
     picard_tol: float = setting("stepper", float, 1e-8, _POSITIVE)
     output_dir: str = setting("output", str, ".")

@@ -263,8 +263,8 @@ class OperatorContext:
     def poisson_solver(self, gamma: float = 0.0, theta: float = 0.0):
         """The `TensorPoissonSolver` of gamma = dt*alpha/2 and theta =
         dt*nu/2, cached for the latest pair: a step asks for one, and under
-        CFL control runner.run holds dt on rungs that change rarely. A zero
-        penalization (one patch) maps every gamma to 0."""
+        error control a new one is built only when dt moves to another
+        rung. A zero penalization (one patch) maps every gamma to 0."""
         key = (float(gamma) if self.space.broken else 0.0, float(theta))
         if self._solver is None or (self._solver.gamma, self._solver.theta) != key:
             self._solver = TensorPoissonSolver(self, *key)

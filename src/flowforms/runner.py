@@ -1,6 +1,6 @@
 """Simulation driver: builds the discrete problem from a configuration,
-picks each step's dt (cfl_dt, rung) and advances the coefficient arrays
-in time, writes diagnostics/snapshot files, and hands out RunResult.u."""
+picks each step's dt (error control, rung) and advances the coefficient
+arrays in time, writes diagnostics/snapshot files, and hands out RunResult.u."""
 
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ class RunResult:
     steps: int
     steady: bool
     failed: bool
-    retries: int
+    retries: int       # redone attempts: halved on StepFailure, or rejected
     diagnostics_path: str
     snapshot_paths: list
 
@@ -86,31 +86,19 @@ def write_snapshot(ctx, u, p, t, path, grid=64):
 
 # highest order of the time extrapolation that starts each step (see predict)
 PREDICTOR_ORDER = 5
-# CFL control (see run): cfl_dt's safety factor, top rung and rung ratio
-CFL_SAFETY = 0.5
+# error control (see run): tolerance, first dt, top rung, failing dt
+ERROR_TOL = 1e-6
+DT_START = 2.0 ** -20
 DT_MAX = 1.0
-DT_RATIO = 2.0 ** 0.125
-
-
-def cfl_dt(ctx: OperatorContext, u, cfg) -> float:
-    """Advective/viscous time step bound
-    dt = CFL_SAFETY / (|u|_inf sqrt(mu) + nu mu), capped at DT_MAX, with
-    mu = lambda_max(x) + lambda_max(y) the inverse-inequality constants of
-    the two lines (about 50/h^2 per clamped line at p=2, not 1/h^2).
-
-    The velocity scale is the coefficient max norm: with a nonnegative
-    partition-of-unity basis it bounds |u|_inf and is exact for constants,
-    which keeps the velocity scaling of the bound free of evaluation
-    roundoff. The constants are computed on the first call only."""
-    mu = ctx.space.line_x.lambda_max + ctx.space.line_y.lambda_max
-    denom = float(np.abs(u).max()) * np.sqrt(mu) + cfg.nu * mu
-    return min(CFL_SAFETY / denom, DT_MAX) if denom else DT_MAX
+DT_FLOOR = 1e-8
 
 
 def rung(dt):
-    """The largest DT_MAX * DT_RATIO^-k (k >= 0) that is not above dt."""
-    k = max(0, math.ceil(math.log(DT_MAX / dt, DT_RATIO)))
-    return DT_MAX * DT_RATIO ** -(k + (DT_MAX * DT_RATIO ** -k > dt))
+    """The largest DT_MAX 2^(-k/8), k >= 0, not above dt; 8 rungs are exactly 2x."""
+    def ladder(k):
+        return DT_MAX * 2.0 ** (-(k % 8) / 8) * 2.0 ** -(k // 8)
+    k = max(0, round(8 * math.log2(DT_MAX / dt)))
+    return ladder(k + (ladder(k) > dt))
 
 
 def extrapolate(times, S, t, orders):
@@ -129,42 +117,54 @@ def extrapolate(times, S, t, orders):
     return W @ (S[:-1] - S[-1])
 
 
-def predict(history, t):
-    """Where cn_step starts the step to time t, from the accepted states
-    history [(t_j, u_j)], oldest first and u^n last: the extrapolation
-    of order k through the last k + 1 states, or None (u^n itself) for
-    k = 0. k is the order, up to PREDICTOR_ORDER, whose extrapolation
-    from the states before u^n landed closest to u^n. With fewer than
-    two past states no order above 0 can be scored: step 1 takes k = 0
-    and step 2 k = 1; orders above 3 wait for step 6. The states are
-    stacked once, for the scores and the guess.
-
-    At cap 5 a smooth step's guess lands within picard_tol of its fixed
-    point: tg_advect takes 29 sweeps, against 44 at cap 3 and 29 at cap
-    4, whose energy drift is 1.3e-14 there, not 2.2e-15. The order is
-    scored, as near steady a high order amplifies the states' Picard
-    error. Sweeps, scored vs fixed order 5: 1654 vs 2192 on the CFL
-    cavity 2x2x16^2 to t = 0.5, 1294 vs 1891 on Poiseuille's defaults."""
+def predict(history, t, estimate=False):
+    """(guess, P2) for the step to t from the accepted states history
+    [(t_j, u_j)], oldest first and u^n last, stacked once. The guess, where
+    cn_step starts, is the extrapolation of order k through the last k + 1
+    states (None, u^n itself, for k = 0), k <= PREDICTOR_ORDER the order
+    that best extrapolated u^n from the states before it. At cap 5 a smooth
+    step's guess lands within picard_tol of its fixed point (tg_advect: 29
+    sweeps, 44 at cap 3); scoring keeps near-steady Picard error from being
+    amplified (Poiseuille's defaults: 1294 sweeps, 1891 at a fixed order
+    5). With estimate, one `extrapolate` call also gives the order-2 P2
+    (None before three states)."""
     times, us = zip(*list(history)[-PREDICTOR_ORDER - 2:])
     S, n = np.stack(us), len(us) - 1    # n past states before u^n
     k = n if n < 2 else int(np.argmin(np.linalg.norm(
         S[-2] + extrapolate(times[:-1], S[:-1], times[-1], n) - S[-1], axis=1)))
-    return None if k == 0 else (
-        S[-1] + extrapolate(times[-k - 1:], S[-k - 1:], t, k + 1)[k])
+    m = max(k, 2) if estimate and n >= 2 else k
+    if m == 0:
+        return None, None
+    W = extrapolate(times[-m - 1:], S[-m - 1:], t, m + 1)
+    return (None if k == 0 else S[-1] + W[k],
+            S[-1] + W[2] if estimate and m > 1 else None)
+
+
+def local_error(ctx, records, t, e):
+    """Milne's estimate |e|_M1 / (C max(|u^n|_M1, 1)), e = u^n+1 - P2, of the
+    step to t from u^n (record records[-1]): the midpoint rule errs by h^3
+    u'''/12 and P2 by u''' (t - t_n)(t - t_n-1)(t - t_n-2)/6, so C = 1 + 2
+    (t - t_n-1)(t - t_n-2) / h^2, h = t - t_n (13 at equal steps)."""
+    t2, t1, t0 = (r.time for r in records[-3:])
+    c = 1.0 + 2.0 * (t - t1) * (t - t2) / (t - t0) ** 2
+    return math.sqrt(e @ ctx.space.mass(1, e) / max(2.0 * records[-1].energy, 1.0)) / c
 
 
 def run(cfg, progress=None):
     """Advance the configured case to t_final. Returns a RunResult.
 
-    From the second step on, cn_step starts its iteration at `predict`:
-    the extrapolation in time through the last accepted states, at the
-    order that best predicted u^n. Its weights sum to one, so the guess
-    keeps Dt u = 0 and the Gamma_n flux DOFs of u^n. Step 1 starts from
+    From the second step on, cn_step starts from `predict`'s guess, whose
+    weights sum to one, so it keeps Dt u = 0 and the Gamma_n flux DOFs of
     u^n. A step that raises StepFailure is retried once at half dt from
     u^n (counted in retries); a doubly-failed step aborts the run
-    (failed=True) after writing the last good state. Under CFL control
-    (dt None) a step takes the `rung` below cfl_dt's bound; it changes
-    rarely, so the solvers cached for the latest dt are mostly reused."""
+    (failed=True) after writing the last good state.
+
+    Under error control (dt None) the run starts at DT_START. From step 3
+    on a step whose `local_error` est > 2 ERROR_TOL is redone (counted in
+    retries) at rung(dt f), f = max(0.3, 0.9 (ERROR_TOL / est)^(1/3)); an
+    accepted one sets the next dt to rung(dt min(f, 2)), or min(f, 1)
+    after a StepFailure or over 15 sweeps. The run fails once dt would
+    drop below DT_FLOOR. A fixed dt estimates nothing."""
     ctx, case, cfg = build_simulation(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     diag_path = os.path.join(cfg.output_dir, cfg.diagnostics_file)
@@ -187,20 +187,31 @@ def run(cfg, progress=None):
     # summed dt carries roundoff of order steps * eps * t_final: a relative
     # stop keeps a fixed-dt run at round(t_final / dt) steps, and a last
     # step within that of dt takes dt, so one gamma serves the whole run
+    h = cfg.dt or DT_START
     while t < cfg.t_final * (1.0 - 1e-10):
-        dt = cfg.dt or rung(cfl_dt(ctx, u, cfg))
-        if cfg.t_final - t < dt - 1e-10 * cfg.t_final:
-            dt = cfg.t_final - t
-        guess = predict(history, t + dt)
+        failed = cfg.dt is None and h < DT_FLOOR
+        if failed:
+            break
+        dt = cfg.t_final - t if cfg.t_final - t < h - 1e-10 * cfg.t_final else h
+        guess, p2 = predict(history, t + dt, cfg.dt is None)
         try:
             u_next, p, rep = cn_step(ctx, u, cfg, dt=dt, guess=guess)
+            most = 2.0 if rep.picard_iterations <= 15 else 1.0
         except StepFailure:
-            retries, dt = retries + 1, 0.5 * dt
+            retries, dt, most = retries + 1, 0.5 * dt, 1.0
+            p2 = p2 if p2 is None else predict(history, t + dt, True)[1]
             try:
                 u_next, p, rep = cn_step(ctx, u, cfg, dt=dt)
             except StepFailure:
                 failed = True
                 break
+        if p2 is not None:
+            est = local_error(ctx, records, t + dt, u_next - p2)
+            f = 0.9 * (ERROR_TOL / max(est, 1e-300)) ** (1 / 3)
+            h = rung(dt * min(most, max(0.3, f)))
+            if est > 2.0 * ERROR_TOL:
+                retries += 1
+                continue
         delta = float(np.linalg.norm(u_next - u))
         u, t, step = u_next, t + dt, step + 1
         history.append((t, u))
@@ -257,11 +268,9 @@ def convergence_study(cfg, meshes, degrees, out_path=None):
         h = (sub.domain[1] - sub.domain[0]) / n
         try:
             res = run(sub)
-            if res.failed:
-                raise StepFailure("run aborted")
-            err = l2_error(res.u.space, res.u,
-                           lambda X, Y: case.exact(X, Y, res.t, sub.nu))
-        except (StepFailure, FloatingPointError):
+            err = float("nan") if res.failed else l2_error(
+                res.u.space, res.u, lambda X, Y: case.exact(X, Y, res.t, sub.nu))
+        except FloatingPointError:
             err = float("nan")
         # against the last mesh of the degree; nan next to a failed run
         prev = rows[-1] if rows and rows[-1][0] == sub.degree else None

@@ -22,10 +22,7 @@ polynomial moments up to order p (`projection_stencil_1d`).
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.interpolate import BSpline
 
@@ -395,11 +392,3 @@ class DeRhamLine:
         grid = LineGrid(pts, w, {"h1": BasisTable(self.h1, E1, w, n_per_cell),
                                  "l2": BasisTable(self.l2, E0, w, n_per_cell)})
         return grid, E1, E0
-
-    @cached_property
-    def lambda_max(self) -> float:
-        """Largest eigenvalue of the pencil (D^T M_l2 D, M_h1), the sharp
-        inverse-inequality constant |v'|^2 <= lambda_max |v|^2 on h1."""
-        K = (self.D.T @ self.mass["l2"]) @ self.D
-        return float(scipy.linalg.eigh(K, self.mass["h1"],
-                                       eigvals_only=True)[-1])

@@ -350,7 +350,7 @@ def test_dt_auto_is_what_it_is_in_a_config_file(cli, tmp_path, monkeypatch):
     assert seen[0] == seen[1] and seen[0].dt is None
     assert seen[2] == seen[3] and seen[3].dt is None
     assert seen[4].dt == 1e-3
-    # auto is unset, so it resolves to the case's own dt: CFL control
+    # auto is unset, so it resolves to the case's own dt: error control
     # (None) on the cavity, which has none, and 1e-4 on Taylor-Green
     assert seen[1].resolve()[0].dt is None
     assert seen[5].dt is None and seen[5].resolve()[0].dt == 1e-4

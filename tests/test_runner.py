@@ -1,6 +1,7 @@
 """Whole runs through runner.run: every library case with its own
 defaults, fixed runs whose final diagnostics are pinned, and the checks
 and order column of a refinement study."""
+import math
 import os
 from types import SimpleNamespace
 
@@ -13,13 +14,13 @@ from flowforms import operators, runner
 from flowforms.cases import case_library
 from flowforms.config import SimulationConfig
 from flowforms.runner import build_simulation, run, write_snapshot
-from flowforms.spaces import Field
+from flowforms.spaces import Field, eval_field
 from flowforms.stepper import (StepFailure, StepReport, cn_step,
                                initialize)
 
 # Short end times for the smoke runs: three steps of the cases with a
-# fixed dt; the CFL-controlled cavity needs 0.1, because a bound that is
-# too large only makes it fail after the first steps.
+# fixed dt; the error-controlled ones start at runner.DT_START, and by
+# these times their dt has grown by three to five orders of magnitude.
 SMOKE_T_FINAL = dict(taylor_green=3e-4, poiseuille=0.3,
                      lid_driven_cavity=0.1, blasius=0.05,
                      double_shear_layer=0.05)
@@ -28,7 +29,7 @@ SMOKE_T_FINAL = dict(taylor_green=3e-4, poiseuille=0.3,
 @pytest.mark.parametrize("name", case_library())
 def test_every_case_runs_with_its_defaults(name, tmp_path):
     # default grid (8x8 cells) and stepper settings; three of the cases
-    # default to dt=None (CFL control)
+    # default to dt=None (error control)
     t_final = SMOKE_T_FINAL[name]
     res = run(SimulationConfig(case=name, t_final=t_final,
                                output_dir=str(tmp_path)))
@@ -409,15 +410,11 @@ def test_poiseuille_takes_stiff_viscous_steps(tmp_path):
     assert max(r.div_l2 for r in res.records) <= 1e-12
 
 
-def test_cfl_dt_lies_on_a_rung_below_the_bound(tmp_path, monkeypatch):
-    # each CFL step takes DT_MAX over a whole power of DT_RATIO, the
-    # largest not above cfl_dt's bound, so few solvers are built
-    bounds, dts, gammas = [], [], []
-    cfl_dt = runner.cfl_dt
-
-    def bound(ctx, u, cfg):
-        bounds.append(cfl_dt(ctx, u, cfg))
-        return bounds[-1]
+def test_every_automatic_dt_lies_on_the_ladder(tmp_path, monkeypatch):
+    # under error control the run starts at DT_START and each step takes
+    # DT_MAX over a whole power of 2^(1/8), at most twice the last; the
+    # context rebuilds its solver only when dt moves
+    dts, gammas = [], []
 
     def step(ctx, u, cfg, dt, guess=None):
         dts.append(dt)
@@ -428,23 +425,205 @@ def test_cfl_dt_lies_on_a_rung_below_the_bound(tmp_path, monkeypatch):
             gammas.append(gamma)
             super().__init__(ctx, gamma, theta)
 
-    monkeypatch.setattr(runner, "cfl_dt", bound)
     monkeypatch.setattr(runner, "cn_step", step)
     monkeypatch.setattr(operators, "TensorPoissonSolver", Recording)
-    cfg = SimulationConfig(case="lid_driven_cavity", degree=2,
-                           n_patches=(2, 2), n_cells=(4, 4), t_final=0.1,
-                           output_dir=str(tmp_path))
-    res = run(cfg)
-    dt_max = runner.DT_MAX
-    assert not res.failed and res.retries == 0 and len(dts) > 10
+    res = run(SimulationConfig(case="lid_driven_cavity", degree=2,
+                               n_patches=(2, 2), n_cells=(4, 4), t_final=0.1,
+                               output_dir=str(tmp_path)))
+    assert not res.failed and res.retries == 0 and len(dts) == res.steps > 10
+    assert dts[0] == runner.DT_START == runner.rung(1e-6)
     # the last step may be shortened to land on t_final
-    for b, dt in zip(bounds[:-1], dts[:-1]):
-        k = np.log(dt_max / dt) / np.log(runner.DT_RATIO)
-        assert abs(k - round(k)) <= 1e-9 and round(k) >= 0
-        assert dt <= b < dt * runner.DT_RATIO
-    # one build for the initial projection, at most one a rung after it
-    assert len(gammas) <= len(set(dts)) + 1 < len(dts) // 2
-    assert runner.rung(dt_max) == dt_max
+    for dt in dts[:-1]:
+        k = 8.0 * np.log2(runner.DT_MAX / dt)
+        assert dt == runner.rung(dt) and abs(k - round(k)) <= 1e-9
+    assert all(after <= 2.0 * dt for dt, after in zip(dts, dts[1:-1]))
+    moves = sum(a != b for a, b in zip([None] + dts, dts))
+    assert len(gammas) == moves + 1    # and one for the initial projection
+    assert runner.rung(runner.DT_MAX) == runner.DT_MAX
+
+
+def controlled_run(tmp_path, monkeypatch, path, sweeps=lambda k: 1):
+    """run() under error control (the cavity's dt None, 4x4 cells, p = 1)
+    with cn_step a stub whose step from (t, u^n) returns path(u^0, t + dt),
+    t looked up from u^n, in sweeps(k) sweeps at attempt k (which may raise
+    StepFailure). Returns the result, the (t, dt) of every attempt and the
+    (t, dt, est) of every local_error call."""
+    times, attempts, ests = {}, [], []
+
+    def step(ctx, u, cfg, dt, guess=None):
+        t = times.setdefault(u.tobytes(), 0.0)
+        attempts.append((t, dt))
+        if len(attempts) == 1:
+            step.u0 = u.copy()
+        report = StepReport(sweeps(len(attempts)), 0.0)
+        out = path(ctx, step.u0, t + dt)
+        times[out.tobytes()] = t + dt
+        return out, np.zeros(ctx.space.n2), report
+
+    local_error = runner.local_error
+
+    def measured(ctx, records, t, e):
+        est = local_error(ctx, records, t, e)
+        ests.append((records[-1].time, t - records[-1].time, est))
+        return est
+
+    monkeypatch.setattr(runner, "cn_step", step)
+    monkeypatch.setattr(runner, "local_error", measured)
+    res = run(SimulationConfig(case="lid_driven_cavity", degree=1,
+                               n_cells=(4, 4), t_final=4.0,
+                               output_dir=str(tmp_path)))
+    return res, attempts, ests
+
+
+def m1_norm(ctx, v):
+    return float(np.sqrt(v @ ctx.space.mass(1, v)))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_quadratic_trajectory_doubles_dt_up_to_the_top_rung(
+        exact, tmp_path, monkeypatch):
+    # P2 is exact on a quadratic, so est is roundoff and from step 3 on
+    # each step doubles dt (on the ladder) until it reaches DT_MAX; an
+    # estimate of exactly 0 does the same
+    rng = np.random.default_rng(3)
+    if exact:
+        monkeypatch.setattr(runner, "local_error", lambda *args: 0.0)
+
+    def path(ctx, u0, t):
+        if not hasattr(path, "c"):
+            path.c = rng.standard_normal((2, u0.size))
+        return u0 + t * path.c[0] + t ** 2 * path.c[1]
+
+    res, attempts, ests = controlled_run(tmp_path, monkeypatch, path)
+    dts = [dt for _, dt in attempts]
+    assert not res.failed and res.retries == 0 and len(dts) == res.steps
+    assert dts[:3] == [runner.DT_START] * 3
+    assert max(est for *_, est in ests) <= 1e-12
+    top = dts.index(runner.DT_MAX)
+    assert top == 2 + 20      # DT_START is 2^-20
+    for dt, after in zip(dts[2:top], dts[3:top + 1]):
+        assert after == 2.0 * dt == runner.rung(2.0 * dt)
+    assert dts[top:-1] == [runner.DT_MAX] * (len(dts) - top - 1)
+
+
+def test_dt_does_not_grow_after_a_slow_or_a_failed_step(tmp_path,
+                                                        monkeypatch):
+    # on a quadratic every estimate asks for 2x: attempt 6 takes 16
+    # sweeps, so attempt 7 keeps its dt; attempt 9 fails, so its halved
+    # retry (attempt 10) is estimated and attempt 11 keeps that dt
+    rng = np.random.default_rng(3)
+    c = []
+
+    def path(ctx, u0, t):
+        c.extend([] if c else rng.standard_normal((2, u0.size)))
+        return u0 + t * c[0] + t ** 2 * c[1]
+
+    def sweeps(k):
+        if k == 9:
+            raise StepFailure("stub")
+        return 16 if k == 6 else 1
+
+    res, attempts, ests = controlled_run(tmp_path, monkeypatch, path, sweeps)
+    dts = [dt / runner.DT_START for _, dt in attempts[:12]]
+    assert not res.failed and res.retries == 1
+    assert dts == [1, 1, 1, 2, 4, 8, 8, 16, 32, 16, 16, 32]
+    assert len(ests) == len(attempts) - 3     # all but 1, 2 and the failure
+
+
+def test_a_cubic_trajectory_is_rejected_above_twice_the_tolerance(
+        tmp_path, monkeypatch):
+    # u = u^0 + A c t^3, |c|_M1 = 1: P2 misses it by A c (t - t_n)(t -
+    # t_n-1)(t - t_n-2), so est = A Pi / (C max(|u^n|_M1, 1)), with C =
+    # 1 + 2 Pi / h^3 (13 at equal steps) and h = t - t_n, all O(h^3). A is
+    # so large that the relative error at DT_START is far above the
+    # tolerance: the first estimated attempt is redone at smaller dt
+    A = 1e15
+
+    def path(ctx, u0, t):
+        if not hasattr(path, "c"):
+            c = np.random.default_rng(5).standard_normal(u0.size)
+            path.c = c / m1_norm(ctx, c)
+        return u0 + A * t ** 3 * path.c
+
+    ctx = build_simulation(SimulationConfig(case="lid_driven_cavity",
+                                            degree=1, n_cells=(4, 4)))[0]
+    res, attempts, ests = controlled_run(tmp_path, monkeypatch, path)
+    assert not res.failed and res.t == pytest.approx(4.0, rel=1e-12)
+    states = {}        # t_n -> (t_n-2, t_n-1)
+    accepted = sorted({t for t, _ in attempts} | {res.t})
+    for t2, t1, t0 in zip(accepted, accepted[1:], accepted[2:]):
+        states[t0] = (t2, t1)
+    tol = runner.ERROR_TOL
+    rejected = 0
+    # from step 3 on every attempt is estimated: est k is attempt k + 2's
+    assert len(ests) == len(attempts) - 2
+    for k, ((t0, h), (_, _, est)) in enumerate(zip(attempts[2:], ests)):
+        t2, t1 = states[t0]
+        t = t0 + h
+        pi = (t - t0) * (t - t1) * (t - t2)
+        un = m1_norm(ctx, A * t0 ** 3 * path.c)
+        assert est == pytest.approx(
+            A * pi / ((1.0 + 2.0 * pi / h ** 3) * max(un, 1.0)), rel=1e-6)
+        if est > 2.0 * tol:
+            rejected += 1
+            f = max(0.3, 0.9 * (tol / est) ** (1 / 3))
+            assert attempts[k + 3] == (t0, runner.rung(h * f)), k
+        elif k + 3 < len(attempts):
+            assert attempts[k + 3][0] == t, k
+    assert ests[0][2] > 2.0 * tol and res.retries == rejected > 0
+    assert len(attempts) == res.steps + rejected
+
+
+def test_an_estimate_that_never_falls_fails_the_run(tmp_path, monkeypatch):
+    # every step adds a fresh random vector, so each estimate from step 3
+    # on is of order one: the attempt is redone at 0.3 dt (on the ladder)
+    # until dt would drop below DT_FLOOR, and the run fails after a
+    # bounded number of attempts, at the state of step 2
+    rng = np.random.default_rng(11)
+    res, attempts, ests = controlled_run(
+        tmp_path, monkeypatch,
+        lambda ctx, u0, t: u0 + rng.standard_normal(u0.size))
+    bound = math.log(runner.DT_START / runner.DT_FLOOR) / math.log(1 / 0.3)
+    assert res.failed and res.steps == 2 and res.t == 2 * runner.DT_START
+    assert min(est for *_, est in ests) > 2.0 * runner.ERROR_TOL
+    assert res.retries == len(ests) == len(attempts) - 2 <= math.ceil(bound)
+    dts = [dt for _, dt in attempts[2:]]
+    assert dts[-1] >= runner.DT_FLOOR > runner.rung(0.3 * dts[-1])
+    assert all(after == runner.rung(0.3 * dt)
+               for dt, after in zip(dts, dts[1:]))
+    assert len(res.snapshot_paths) == 1
+
+
+def test_fixed_dt_runs_estimate_nothing(tmp_path, monkeypatch):
+    estimates = []
+    predict = runner.predict
+
+    def watched(history, t, estimate=False):
+        estimates.append(estimate)
+        return predict(history, t, estimate)
+
+    monkeypatch.setattr(runner, "predict", watched)
+    monkeypatch.setattr(runner, "local_error", None)
+    res, dts = stub_run(tmp_path, monkeypatch, 0.1, 1.0)
+    assert res.steps == 10 and not res.failed
+    assert estimates == [False] * 10
+
+
+def test_steady_cavity_matches_published_centreline_extrema(tmp_path):
+    # the Re = 100 cavity with its defaults (8^2 cells, p = 2, t = 30)
+    # against the 32^2 run of this scheme and Ghia, Ghia & Shin (JCP
+    # 1982): min u on x = 0.5, max v and min v on y = 0.5
+    res = run(SimulationConfig(case="lid_driven_cavity",
+                               output_dir=str(tmp_path)))
+    assert not res.failed and res.t == 30.0 and res.steps <= 9134 // 20
+    s = np.linspace(0.0, 1.0, 2001)
+    u = eval_field(res.u, [0.5], s)[0, :, 0]
+    v = eval_field(res.u, s, [0.5])[:, 0, 1]
+    got = np.array([u.min(), v.max(), v.min()])
+    fine = np.array([-0.21404, 0.17958, -0.25380])
+    ghia = np.array([-0.21090, 0.17527, -0.24533])
+    assert np.all(np.abs(got / fine - 1.0) <= 5e-3), got
+    assert np.all(np.abs(got / ghia - 1.0) <= 4e-2), got
 
 
 # --- refinement studies --------------------------------------------------------
@@ -475,13 +654,13 @@ BENCHMARKS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "benchmarks")
 
 # Picard sweeps (at most) and TensorPoissonSolver builds of the
-# benchmark's three workloads, of the CI's CFL cavity and of Poiseuille
-# 8^2 at dt = 0.1, whose states near steady take low predictor orders
-# (a fixed order 5 takes 184 sweeps there). A build is one solver; the
-# context keeps it while gamma, and so dt on the CFL ladder, stays the
-# same.
+# benchmark's three workloads, of the CI's error-controlled cavity and
+# of Poiseuille 8^2 at dt = 0.1, whose states near steady take low
+# predictor orders (a fixed order 5 takes 184 sweeps there). A build is
+# one solver; the context keeps it while gamma, and so dt on the ladder,
+# stays the same.
 PINNED_RUNS = {"tg_advect": (29, 1), "cavity_picard": (92, 2),
-               "dsl_output": (40, 2), "cfl_cavity": (177, 9),
+               "dsl_output": (40, 2), "controlled_cavity": (219, 40),
                "poiseuille": (126, 2)}
 
 
@@ -496,9 +675,9 @@ def test_workloads_keep_their_sweeps_and_solver_builds(tmp_path,
     configs = {name: worker.sim_config(
         {"config": w.config, "steps": w.steps}, str(tmp_path / name))
         for name, w in WORKLOADS.items()}
-    configs["cfl_cavity"] = SimulationConfig(
+    configs["controlled_cavity"] = SimulationConfig(
         case="lid_driven_cavity", n_patches=(2, 2), n_cells=(8, 8),
-        t_final=0.1, output_dir=str(tmp_path / "cfl_cavity"))
+        t_final=0.1, output_dir=str(tmp_path / "controlled_cavity"))
     configs["poiseuille"] = SimulationConfig(
         case="poiseuille", degree=2, n_cells=(8, 8), dt=0.1, t_final=3.0,
         output_dir=str(tmp_path / "poiseuille"))

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +11,6 @@ from flowforms.splines import (
     DeRhamLine,
     cell_quadrature,
 )
-from oracles import line_gram
 
 UNIT = (0.0, 1.0)
 PATCHES = (1, 3)   # the single-space tests run on one and on three patches
@@ -247,19 +245,3 @@ def test_derham_line_mass_factor_solves(rng):
 def test_derham_line_cell_size():
     line = DeRhamLine(1, 4, 5, (0.0, 2.0), False)
     assert line.h == pytest.approx(2.0 / 20.0, abs=1e-15)
-
-
-@pytest.mark.parametrize("n_patches,periodic", [(1, False), (1, True), (2, False)])
-def test_derham_line_lambda_max_is_the_inverse_inequality_constant(
-        n_patches, periodic, rng):
-    line = DeRhamLine(2, n_patches, 5, (0.0, 2.0), periodic)
-    # K by the sparse product of the assembled line mass
-    K = (line.D.T @ line_gram(line, "l2", "l2") @ line.D).toarray()
-    M = line.mass["h1"]
-    assert line.lambda_max == float(
-        scipy.linalg.eigh(K, M, eigvals_only=True)[-1])
-    ref = np.linalg.eigvals(np.linalg.solve(M, K)).real.max()
-    assert line.lambda_max == pytest.approx(ref, rel=1e-10)
-    V = rng.standard_normal((line.h1.dim, 30))
-    ratios = np.sum(V * (K @ V), axis=0) / np.sum(V * (M @ V), axis=0)
-    assert ratios.max() <= line.lambda_max

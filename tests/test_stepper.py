@@ -1,5 +1,5 @@
 """Stepper settings, the midpoint sweep (pressure solve and velocity
-update), midpoint stepping, CFL bound."""
+update), midpoint stepping."""
 import re
 import weakref
 
@@ -9,7 +9,7 @@ import pytest
 from conftest import PI, context, rand_coeffs, space
 from oracles import (assembled, cg_solve, constant_v1, normal_projector,
                      picard_step)
-from flowforms import runner, stepper
+from flowforms import stepper
 from flowforms.cases import case_library
 from flowforms.config import SimulationConfig
 from flowforms.operators import (
@@ -20,7 +20,7 @@ from flowforms.operators import (
     viscous_residual,
     weak_curl_with_tangential_bc,
 )
-from flowforms.runner import build_simulation, cfl_dt
+from flowforms.runner import build_simulation
 from flowforms.spaces import Field, eval_field, l2_project
 from flowforms.stepper import (
     StepFailure,
@@ -152,7 +152,7 @@ def test_pressure_system_symmetric_with_penalization():
 
 
 def test_solver_caches_keep_only_the_latest_gamma():
-    # under CFL control each new dt rung brings a new gamma = dt*alpha/2
+    # under error control each new dt rung brings a new gamma = dt*alpha/2
     ctx = OperatorContext(space(2, 4, 2, periodic=True))
     first = weakref.ref(ctx.poisson_solver(1.0))
     first_m1 = weakref.ref(ctx.poisson_solver(1.0).m1_solve)
@@ -409,8 +409,9 @@ def test_cn_step_viscous_dissipation_identity_walls():
 
 
 def test_cn_step_needs_dt_under_cfl_control():
-    # dt is the caller's to pick (a CFL config's is None): cn_step has no
-    # fallback to the config's, and a call without one names it
+    # dt is the caller's to pick (an error-controlled config's is None):
+    # cn_step has no fallback to the config's, and a call without one
+    # names it
     ctx, case, cfg = build_simulation(SimulationConfig(
         case="lid_driven_cavity", n_cells=(4, 4)))
     u = initialize(ctx, case.initial)
@@ -502,55 +503,6 @@ def test_cn_step_warns_on_divergent_start():
     u = rand_coeffs(ctx.space, 1, seed=8)
     with pytest.warns(RuntimeWarning, match="divergence"):
         cn_step(ctx, u, cfg, cfg.dt)
-
-
-# --- CFL bound ---------------------------------------------------------------
-
-def test_cfl_dt_halves_exactly_with_velocity_doubling():
-    ctx = context(2, 8, 1, "periodic")
-    cfg = stepper_cfg(nu=0.0)
-    u = constant_v1(ctx.space, 1.7, -0.3)
-    dt1 = cfl_dt(ctx, u, cfg)
-    dt2 = cfl_dt(ctx, 2.0 * u, cfg)
-    assert dt2 == dt1 / 2.0
-    assert cfl_dt(ctx, 4.0 * u, cfg) == dt1 / 4.0
-
-
-def inverse_constant(ctx):
-    """mu = lambda_max(x) + lambda_max(y) of the CFL bound."""
-    return ctx.space.line_x.lambda_max + ctx.space.line_y.lambda_max
-
-
-def test_cfl_dt_quarters_with_mesh_quartering(monkeypatch):
-    # inviscid: dt |u| sqrt(mu) = safety; a periodic line's lambda_max
-    # scales exactly as 1/h^2, so dt scales as h
-    monkeypatch.setattr(runner, "DT_MAX", 100.0)
-    cfg = stepper_cfg(nu=0.0)
-    dts = []
-    for nc, mode in ((4, "periodic"), (16, "periodic"), (4, "walls")):
-        ctx = context(2, nc, 1, mode)
-        u = constant_v1(ctx.space, 1.3, 0.9)
-        dt = cfl_dt(ctx, u, cfg)
-        assert dt * 1.3 * np.sqrt(inverse_constant(ctx)) == pytest.approx(
-            runner.CFL_SAFETY, rel=1e-14)
-        dts.append(dt)
-    assert dts[1] == pytest.approx(dts[0] / 4.0, rel=1e-10)
-
-
-def test_cfl_dt_viscous_scaling_and_cap(monkeypatch):
-    ctx4 = context(2, 4, 1, "periodic")
-    ctx16 = context(2, 16, 1, "periodic")
-    monkeypatch.setattr(runner, "DT_MAX", 100.0)
-    cfg = stepper_cfg(nu=0.02)
-    z4 = np.zeros(ctx4.space.n1)
-    z16 = np.zeros(ctx16.space.n1)
-    for ctx, z in ((ctx4, z4), (ctx16, z16), (context(2, 4, 1, "walls"), z4)):
-        assert cfl_dt(ctx, z, cfg) * cfg.nu * inverse_constant(ctx) == \
-            pytest.approx(runner.CFL_SAFETY, rel=1e-14)
-    assert cfl_dt(ctx16, z16, cfg) == pytest.approx(
-        cfl_dt(ctx4, z4, cfg) / 16.0, rel=1e-10)
-    monkeypatch.setattr(runner, "DT_MAX", 0.25)
-    assert cfl_dt(ctx4, z4, stepper_cfg(nu=0.0)) == 0.25
 
 
 # --- initialization ----------------------------------------------------------
