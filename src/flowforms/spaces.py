@@ -29,8 +29,8 @@ elevated rule for callables, which are not splines: l2_project, forcing,
 boundary data and l2_error. Values and moments on either grid are
 sum-factorised: per cell, a (q x k) basis table meets the k coefficients
 the cell touches, first along one direction and then along the other,
-so their cost is linear in the number of cells, and they allocate no
-grid-sized array when given one to write into.
+so their cost is linear in the number of cells, and on the exact grid
+they allocate no grid-sized array when given one to write into.
 """
 
 from __future__ import annotations

@@ -11,20 +11,21 @@ projection and the dense products the operators and solvers are formed
 from.
 
 Conventions: uniform breakpoints; one knot vector a line, clamped (open)
-on bounded directions, periodic wrap on a periodic single patch. A patch
-interface is a knot of multiplicity degree+1, where the basis is
-discontinuous: a broken space is the ordinary B-spline space on that
-knot vector, and a single patch is its case without interfaces. The
-conforming projection averages the two DOFs of an interface and corrects
-the p+1 nearest on each side by the stencil that preserves the
-polynomial moments up to order p (`projection_stencil_1d`).
+on bounded directions, periodic wrap on a periodic single patch. The
+basis values come from de Boor's recursion in numpy, in scipy's
+arithmetic (`design_matrix`). A patch interface is a knot of
+multiplicity degree+1, where the basis is discontinuous: a broken space
+is the ordinary B-spline space on that knot vector, and a single patch
+is its case without interfaces. The conforming projection averages the
+two DOFs of an interface and corrects the p+1 nearest on each side by
+the stencil that preserves the polynomial moments up to order p
+(`projection_stencil_1d`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import BSpline
 
 from .linalg import spd_inverse
 
@@ -101,21 +102,19 @@ class Broken1D:
             pairs.append((self.dim - 1, 0))
         return pairs
 
-    def collocation(self, x) -> sp.csr_matrix:
-        """Rows of basis values at the points x, shape (len(x), dim). A
-        point on a patch interface takes the right-side patch."""
+    def collocation(self, x) -> sp.csr_array:
+        """Rows of basis values at the points x, shape (len(x), dim), by
+        `design_matrix`; a point on a patch interface takes the right side."""
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
         a, b = self.interval
         if self.wraps:
-            E = BSpline.design_matrix(a + np.mod(x - a, b - a), self.knots,
-                                      self.degree)
+            E = design_matrix(a + np.mod(x - a, b - a), self.knots, self.degree)
             k = np.arange(E.shape[1])     # extended basis k is k mod dim
             fold = sp.csr_matrix((np.ones(len(k)), (k, k % self.dim)))
             return (E @ fold).tocsr()
         if np.any(x < a - 1e-12 * (b - a)) or np.any(x > b + 1e-12 * (b - a)):
             raise ValueError("evaluation point outside the space interval")
-        return BSpline.design_matrix(np.clip(x, a, b), self.knots,
-                                     self.degree).tocsr()
+        return design_matrix(np.clip(x, a, b), self.knots, self.degree)
 
     def derivative_matrix(self) -> sp.csr_matrix:
         """Matrix D with: spline'(coeffs c) = spline of the space one
@@ -135,6 +134,26 @@ class Broken1D:
         cols = np.column_stack([rows, (rows + 1) % n]).ravel()
         return sp.csr_matrix((vals, (np.repeat(np.arange(m), 2), cols)),
                              shape=(m, n))
+
+
+def design_matrix(x, t, k) -> sp.csr_array:
+    """The degree-k B-splines on the knots t at the points x in [t[k],
+    t[len(t)-k-1]], each row storing its span's k+1 values, zeros included:
+    de Boor's recursion (1972) over all points at once, in the arithmetic
+    and order of scipy's `BSpline.design_matrix`, equal to it bit for bit."""
+    n, rows = len(t) - k - 1, len(x)
+    span = np.clip(np.searchsorted(t, x, "right") - 1, k, n - 1)
+    h, x = np.ones((rows, 1)), x[:, None]
+    for j in range(1, k + 1):
+        xb = t[span[:, None] + np.arange(1, j + 1)]
+        xa = t[span[:, None] + np.arange(1 - j, 1)]
+        w = np.divide(h, xb - xa, out=np.zeros((rows, j)), where=xb != xa)
+        h = np.zeros((rows, j + 1))
+        h[:, :j] = w * (xb - x)    # w = 0 where xb == xa: exact zeros
+        h[:, 1:] += w * (x - xa)
+    cols = ((span - k)[:, None] + np.arange(k + 1)).astype(np.int32)
+    ptr = np.arange(0, h.size + 1, k + 1, dtype=np.int32)
+    return sp.csr_array((h.ravel(), cols.ravel(), ptr), shape=(rows, n))
 
 
 def gauss_legendre(n: int):
@@ -244,7 +263,7 @@ class BasisTable:
     so its row holds exactly the cell's k_loc nonzeros.
     """
 
-    def __init__(self, space: Broken1D, E: sp.csr_matrix, w, n_per_cell):
+    def __init__(self, space: Broken1D, E, w, n_per_cell, keep):
         self.dim = space.dim
         self.k_loc = space.degree + 1
         self.wrap = space.degree if space.wraps else 0
@@ -265,13 +284,16 @@ class BasisTable:
         self.vals = vals.reshape(shape)
         self.wvals_t = (np.asarray(w)[:, None] * vals).reshape(shape).swapaxes(
             -1, -2).copy()
-        self._buffers = {}    # (name, shape) -> array, see scratch
+        self._buffers = {} if keep else None  # (name, shape) -> array
 
     def scratch(self, name, shape):
-        """The table's own array of that name and shape, made once and
-        overwritten by every later call: a table serves one caller at once.
-        A table both axes share serves both passes of a grid product safely:
-        m counts points on the x pass and DOFs (fewer) on the y pass."""
+        """An array of that name and shape to overwrite: on the exact grid a
+        buffer made once and handed to every later call (a table serves one
+        caller at once), as new arrays there page-fault every step; on the
+        data grid (setup and l2_error only) a new array. A table both axes
+        share keys its passes apart by m: points on x, DOFs (fewer) on y."""
+        if self._buffers is None:
+            return np.empty(shape)
         if (name, shape) not in self._buffers:
             self._buffers[name, shape] = np.empty(shape)
         return self._buffers[name, shape]
@@ -295,16 +317,19 @@ class BasisTable:
 
     def moments(self, V: np.ndarray, out=None) -> np.ndarray:
         """E.T @ diag(w) @ V for point rows V of shape (points, m): shape
-        (dim, m), into out or a new array, as the transposed products and
-        one add per local offset."""
+        (dim, m), into out or a new array, as the products, stored k-major
+        (R[j, a] the (cells, m) slab of local basis a on patch j), and one
+        add of a contiguous slab per local offset."""
         m = V.shape[1]
-        R = self.scratch("products", (self.patches, self.cells, self.k_loc, m))
+        R = self.scratch("products", (self.patches, self.k_loc, self.cells, m))
         np.matmul(self.wvals_t, V.reshape(self.patches, self.cells, -1, m),
-                  out=R)
+                  out=R.transpose(0, 2, 1, 3))
         acc = self.scratch("sums", (self.patches, self.span, m))
-        acc[...] = 0.0
-        for a in range(self.k_loc):
-            acc[:, a: a + self.cells] += R[:, :, a]
+        # a sum from 0.0, where -0.0 reads 0.0
+        np.add(R[:, 0], 0.0, out=acc[:, : self.cells])
+        acc[:, self.cells:] = 0.0
+        for a in range(1, self.k_loc):
+            acc[:, a: a + self.cells] += R[:, a]
         acc = acc.reshape(-1, m)
         acc[: self.wrap] += acc[self.dim:]
         out = np.empty((self.dim, m)) if out is None else out
@@ -367,14 +392,14 @@ class DeRhamLine:
         self.D = self.h1.derivative_matrix()
         self.h = self.h1.h
 
-        self.grid, E1, E0 = self._grid(quad_rule_exact(p))
+        self.grid, E1, E0 = self._grid(quad_rule_exact(p), keep=True)
         w = self.grid.w
         self.mass = {"h1": weighted_gram(E1, w, E1).toarray(),
                      "l2": weighted_gram(E0, w, E0).toarray()}
         self.inv = {k: spd_inverse(M) for k, M in self.mass.items()}
         self.Q = self.inv["l2"] @ weighted_gram(E0, w, E1).toarray()
 
-        self.data_grid, E1, E0 = self._grid(quad_rule_data(p))
+        self.data_grid, E1, E0 = self._grid(quad_rule_data(p), keep=False)
         self.E_h1, self.E_l2 = E1.toarray(), E0.toarray()
 
         self.P = conforming_projection_1d(self.h1)
@@ -383,12 +408,12 @@ class DeRhamLine:
         self.JMJ = J.T @ self.mass["h1"] @ J
         self.jumps = np.flatnonzero(J.any(axis=0))
 
-    def _grid(self, n_per_cell):
-        """The grid of n_per_cell Gauss points a cell, with the
-        collocation matrices of h1 and l2 its tables are built from."""
+    def _grid(self, n_per_cell, keep):
+        """The grid of n_per_cell Gauss points a cell, its tables keeping
+        their buffers if keep, and the collocation matrices of h1 and l2."""
         pts, w = cell_quadrature(self.h1.breakpoints, n_per_cell)
         E1 = self.h1.collocation(pts)
         E0 = self.l2.collocation(pts)
-        grid = LineGrid(pts, w, {"h1": BasisTable(self.h1, E1, w, n_per_cell),
-                                 "l2": BasisTable(self.l2, E0, w, n_per_cell)})
-        return grid, E1, E0
+        tables = {"h1": BasisTable(self.h1, E1, w, n_per_cell, keep),
+                  "l2": BasisTable(self.l2, E0, w, n_per_cell, keep)}
+        return LineGrid(pts, w, tables), E1, E0

@@ -1,8 +1,11 @@
 """Whole runs through runner.run: every library case with its own
 defaults, fixed runs whose final diagnostics are pinned, and the checks
 and order column of a refinement study."""
+import json
 import math
 import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -389,6 +392,43 @@ def test_snapshots_of_one_space_on_two_grids(tmp_path):
                                      str(tmp_path / f"ref{k}"), grid)
         with open(new, "rb") as a, open(ref, "rb") as b:
             assert a.read() == b.read(), grid
+
+
+FOOTPRINT = """
+import json, sys
+from flowforms import SimulationConfig, case_library, l2_error, run
+res = run(SimulationConfig(case="taylor_green", n_patches=(2, 2),
+                           n_cells=(4, 4), dt=1e-3, t_final=3e-3,
+                           snapshot_cadence=1, output_dir=sys.argv[1]))
+case = case_library("taylor_green")
+l2_error(res.u.space, res.u, lambda X, Y: case.exact(X, Y, res.t, case.nu))
+tables = [t for g in (res.u.space.grid, res.u.space.data_grid)
+          for line in (g.gx, g.gy) for t in line.tables.values()]
+print(json.dumps({"snapshots": len(res.snapshot_paths),
+                  "modules": sorted(sys.modules),
+                  "buffers": [None if t._buffers is None else len(t._buffers)
+                              for t in tables]}))
+"""
+
+
+def test_a_run_loads_no_unused_scipy_and_keeps_no_data_grid_buffers(tmp_path):
+    # in a fresh process: a run with snapshots and an l2_error load none
+    # of the scipy subpackages scipy.interpolate pulls in, and of the basis
+    # tables only the exact grid's keep scratch buffers
+    src = os.path.dirname(os.path.dirname(runner.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", FOOTPRINT, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    got = json.loads(out.stdout.splitlines()[-1])
+    assert got["snapshots"] == 4
+    banned = ("scipy.interpolate", "scipy.special", "scipy.optimize",
+              "scipy.spatial")
+    assert not [m for m in got["modules"]
+                if m in banned or m.startswith(tuple(b + "." for b in banned))]
+    assert "scipy.sparse" in got["modules"]   # the check sees scipy at all
+    exact, data = got["buffers"][:4], got["buffers"][4:]
+    assert all(exact) and data == [None] * 4
 
 
 def test_cavity_takes_steps_plain_picard_cannot(tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -102,6 +103,39 @@ def test_basis_partition_of_unity_property(degree, n_patches, n_cells,
     E = space.collocation(x).toarray()
     assert np.abs(E.sum(axis=1) - 1.0).max() <= 1e-13
     assert E.min() >= -1e-14
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("n_patches", [1, 2, 3])
+@pytest.mark.parametrize("degree", range(7))
+def test_collocation_is_scipys_design_matrix_bit_for_bit(degree, n_patches,
+                                                         periodic):
+    # the same csr_array as scipy's BSpline.design_matrix, explicit zeros
+    # and signs of zero included: directly on a clamped or broken line, and
+    # through collocation's fold on a wrapped periodic patch; at every
+    # breakpoint, both ends and random points
+    from scipy.interpolate import BSpline
+    rng = np.random.default_rng(degree)
+    for cells in (2, 3, 7, 16):
+        if periodic and n_patches == 1 and cells <= degree:
+            continue
+        space = Broken1D(degree, n_patches, cells, (-0.4, 1.3), periodic)
+        a, b = space.interval
+        x = np.concatenate([space.breakpoints, [a, b], rng.uniform(a, b, 40)])
+        got = space.collocation(x)
+        if space.wraps:
+            E = BSpline.design_matrix(a + np.mod(x - a, b - a), space.knots,
+                                      degree)
+            k = np.arange(E.shape[1])
+            want = E @ sp.csr_matrix((np.ones(len(k)), (k, k % space.dim)))
+        else:
+            want = BSpline.design_matrix(x, space.knots, degree)
+            assert got.nnz == len(x) * (degree + 1)
+        assert type(got) is sp.csr_array and got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and np.array_equal(g, w), name
+        assert np.array_equal(np.signbit(got.data), np.signbit(want.data))
 
 
 def test_broken_knots_repeat_each_interface():
